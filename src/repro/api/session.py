@@ -58,11 +58,9 @@ from repro.frameql.ast import Query
 from repro.frameql.parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.catalog.statistics import VideoStatistics
     from repro.core.context import ExecutionContext
     from repro.core.engine import BlazeIt
     from repro.optimizer.base import PhysicalPlan
-    from repro.optimizer.cost import ParallelismDecision
 
 def _positive_float(name: str, value: Any) -> float:
     try:
@@ -264,40 +262,6 @@ class PreparedQuery:
             return self.hints.parallelism
         return self._session.engine.config.parallelism
 
-    def _parallelism_decision(
-        self,
-        context: ExecutionContext,
-        stats: "VideoStatistics",
-        requested: int,
-        batch_size: int,
-        backend_constraint: str | None,
-    ) -> "ParallelismDecision":
-        """The cost model's verdict on routed parallelism for this query."""
-        from repro.errors import SpawnExportError
-        from repro.optimizer.cost import ParallelismModel
-        from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS
-
-        detector = context.detector
-        process_ok = True
-        if detector.gil_bound or backend_constraint == "processes":
-            # Only probe exportability when processes are actually in play:
-            # the probe pickles the detector.
-            try:
-                context.spawn_spec()
-            except SpawnExportError:
-                process_ok = False
-        return ParallelismModel().decide(
-            plan=self.plan,
-            stats=stats,
-            num_frames=context.video.num_frames,
-            requested=requested,
-            batch_size=batch_size,
-            window_chunks=DEFAULT_WINDOW_CHUNKS,
-            gil_bound=detector.gil_bound,
-            process_ok=process_ok,
-            backend_constraint=backend_constraint,
-        )
-
     def _tracing_enabled(self, trace: bool | None, analyze: bool) -> bool:
         """Per-call ``analyze`` wins, then ``trace``, then hints, then config."""
         if analyze:
@@ -366,8 +330,17 @@ class PreparedQuery:
         if workers > 1 and parallelism is None:
             stats = self._session.engine.catalog.get(self.spec.video)
             if stats is not None:
-                decision = self._parallelism_decision(
-                    context, stats, workers, batch_size, exec_backend
+                from repro.optimizer.cost import routed_parallelism
+
+                decision = routed_parallelism(
+                    self.plan,
+                    stats,
+                    num_frames=context.video.num_frames,
+                    requested=workers,
+                    batch_size=batch_size,
+                    backend_constraint=exec_backend,
+                    detector=context.detector,
+                    recorded=context.recorded,
                 )
                 workers = decision.workers
                 if decision.parallel:
@@ -392,9 +365,7 @@ class PreparedQuery:
                     # Parallel executions get a private context clone: the
                     # prefetcher and the RNG stream are bound once, so the
                     # session's cached context stays clean for other streams.
-                    execution_context = context.execution_clone(
-                        bound_rng, seed_sequence
-                    )
+                    execution_context = context.execution_clone(bound_rng)
                     plan_events: Iterator[ExecutionEvent] = parallel_events(
                         self.plan,
                         execution_context,
@@ -584,10 +555,15 @@ class QuerySession:
         num_frames = store.get(spec.video).num_frames if spec.video in store else 0
         # The optimizer assembles the explanation: it holds the statistics
         # catalog the per-operator cost annotations and the candidate
-        # summaries are priced from.  The detector rides along so the
-        # parallelism verdict can account for GIL behaviour.
+        # summaries are priced from.  The video's detection sources ride
+        # along so the parallelism verdict matches what execution decides.
         return self.engine.optimizer.explain_plan(
-            spec, plan, hints, num_frames, detector=self.engine.detector_for(spec.video)
+            spec,
+            plan,
+            hints,
+            num_frames,
+            detector=self.engine.detector_for(spec.video),
+            recorded=self.engine.recorded_for(spec.video),
         )
 
     # -- public API ----------------------------------------------------------------

@@ -20,6 +20,7 @@ recording.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,6 +34,7 @@ from repro.detection.base import (
     ObjectDetector,
     resolve_detection_batch,
 )
+from repro.errors import SpawnExportError
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
 from repro.udf.registry import UDFRegistry
 from repro.video.synthetic import SyntheticVideo
@@ -41,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
     from repro.index.view import IndexView
     from repro.obs.trace import Tracer
     from repro.parallel.cache import SharedDetectionCache
-    from repro.parallel.executor import DetectionPrefetcher
+    from repro.parallel.executor import ShardDriver
     from repro.video.synthetic import Track, VideoSpec
 
 
@@ -67,6 +69,28 @@ class ContextSpec:
         return SyntheticVideo(self.video_spec, list(self.tracks))
 
 
+def spawn_refusal(
+    detector: ObjectDetector, recorded: RecordedDetections | None
+) -> str | None:
+    """Why a context cannot be exported to process workers (``None``: it can).
+
+    The one exportability probe, shared by :meth:`ExecutionContext.spawn_spec`
+    and the optimizer's parallelism verdict: a recording replaces the
+    detector as the source of truth and lives only on the driver, and a
+    detector that will not pickle cannot be rebuilt in a worker.
+    """
+    if recorded is not None:
+        return (
+            "context replays a recorded test day; recordings are "
+            "driver-only, so process workers cannot reproduce them"
+        )
+    try:
+        pickle.dumps(detector)
+    except Exception as exc:
+        return f"detector {detector.name!r} is not picklable: {exc}"
+    return None
+
+
 @dataclass
 class ExecutionContext:
     """Everything a physical plan needs to execute one query."""
@@ -80,10 +104,6 @@ class ExecutionContext:
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
-    #: Seed sequence this context's RNG stream was spawned from; the parallel
-    #: engine spawns one child per shard from it (keyed by shard id), so
-    #: shard-local randomness is reproducible and independent.
-    seed_sequence: np.random.SeedSequence | None = field(default=None, repr=False)
     #: Process-wide cross-query detection cache (``None`` when disabled):
     #: consulted before the detector is called and before any charge is made.
     shared_cache: "SharedDetectionCache | None" = field(default=None, repr=False)
@@ -101,7 +121,7 @@ class ExecutionContext:
     #: executor transport and are stitched in driver-side.
     tracer: "Tracer | None" = field(default=None, repr=False)
     _features_cache: np.ndarray | None = field(default=None, repr=False)
-    _prefetcher: "DetectionPrefetcher | None" = field(default=None, repr=False)
+    _prefetcher: "ShardDriver | None" = field(default=None, repr=False)
 
     def bind_rng(self, rng: np.random.Generator) -> ExecutionContext:
         """Attach the RNG stream for the next execution and return ``self``.
@@ -114,11 +134,7 @@ class ExecutionContext:
 
     # -- parallel execution hooks ------------------------------------------------------
 
-    def execution_clone(
-        self,
-        rng: np.random.Generator,
-        seed_sequence: np.random.SeedSequence | None = None,
-    ) -> ExecutionContext:
+    def execution_clone(self, rng: np.random.Generator) -> ExecutionContext:
         """A private copy of this context for one (parallel) execution.
 
         Shares every per-video asset — video, detector, recording, labeled
@@ -126,28 +142,26 @@ class ExecutionContext:
         owns its RNG binding, so a parallel execution can never contaminate
         the session's cached context while its stream is live.
         """
-        return dataclasses.replace(
-            self, rng=rng, seed_sequence=seed_sequence, _prefetcher=None
-        )
+        return dataclasses.replace(self, rng=rng, _prefetcher=None)
 
-    def shard_context(self, rng: np.random.Generator) -> ExecutionContext:
-        """The context one shard worker computes detections in.
+    def shard_context(self) -> ExecutionContext:
+        """The context thread shard workers speculate in.
 
         Workers share the read-only assets (video, detector, recording,
-        shared cache) but never the driver's RNG, prefetcher or feature
-        cache; their detection work is uncharged — the driver charges on
+        shared cache) but never the driver's RNG, prefetcher, tracer or
+        feature cache.  They draw no randomness — detection is deterministic
+        per frame — and their work is uncharged: the driver charges on
         consumption.
         """
         return dataclasses.replace(
             self,
-            rng=rng,
-            seed_sequence=None,
+            rng=np.random.default_rng(0),
             tracer=None,
             _prefetcher=None,
             _features_cache=None,
         )
 
-    def with_prefetcher(self, prefetcher: "DetectionPrefetcher") -> ExecutionContext:
+    def with_prefetcher(self, prefetcher: "ShardDriver") -> ExecutionContext:
         """Attach a detection prefetcher (driver side of parallel execution)."""
         self._prefetcher = prefetcher
         return self
@@ -155,27 +169,13 @@ class ExecutionContext:
     def spawn_spec(self) -> ContextSpec:
         """Export the picklable :class:`ContextSpec` for process shard workers.
 
-        Raises :class:`~repro.errors.SpawnExportError` when the context
-        cannot cross a process boundary: a recording replaces the detector as
-        the source of truth and lives only on the driver, and a detector that
-        will not pickle cannot be rebuilt in a worker.  Routing treats the
-        error as "use threads instead".
+        Raises :class:`~repro.errors.SpawnExportError` when
+        :func:`spawn_refusal` finds the context cannot cross a process
+        boundary.  Routing treats the error as "use threads instead".
         """
-        import pickle
-
-        from repro.errors import SpawnExportError
-
-        if self.recorded is not None:
-            raise SpawnExportError(
-                "context replays a recorded test day; recordings are "
-                "driver-only, so process workers cannot reproduce them"
-            )
-        try:
-            pickle.dumps(self.detector)
-        except Exception as exc:
-            raise SpawnExportError(
-                f"detector {self.detector.name!r} is not picklable: {exc}"
-            ) from exc
+        refusal = spawn_refusal(self.detector, self.recorded)
+        if refusal is not None:
+            raise SpawnExportError(refusal)
         return ContextSpec(
             video_spec=self.video.spec,
             tracks=tuple(self.video.tracks),
@@ -189,7 +189,7 @@ class ExecutionContext:
 
         A no-op on sequential executions; under parallel execution this is
         the signal that starts the shard workers prefetching (see
-        :meth:`repro.parallel.executor.DetectionPrefetcher.announce`).
+        :meth:`repro.parallel.executor.ShardDriver.announce`).
         Plans call it exactly when their candidate order becomes known — a
         scan range, a sampling permutation, an importance ranking.
         """
@@ -373,6 +373,23 @@ class ExecutionContext:
                 )
             prefetched.update(computed)
         return [prefetched[f] for f in miss_frames]
+
+    def speculate_batch(self, frames: list[int]) -> list[DetectionResult]:
+        """Uncharged detections for one chunk of a thread shard worker.
+
+        Workers *read* the shared cross-query cache (frames a previous query
+        already paid for cost nothing to prefetch) but never write it, and
+        never charge: the driver charges — and populates the cache — when,
+        and only when, a prefetched frame is consumed, so an execution's own
+        speculative work can never masquerade as a cross-query hit and
+        parallel accounting stays identical to sequential.
+        """
+        hits: dict[int, DetectionResult] = {}
+        if self.shared_cache is not None:
+            hits = self.shared_cache.get_many(self.cache_key, frames)
+        misses = [f for f in frames if f not in hits]
+        hits.update(zip(misses, self._compute_batch(misses), strict=True))
+        return [hits[f] for f in frames]
 
     def _scaled_cost(self, cost_scale: float) -> OperatorCost:
         """The detector's per-call cost, reduced by a spatial-crop scale."""

@@ -227,6 +227,10 @@ class BlazeIt:
         """The detector configured for a video (falls back to the default)."""
         return self._detectors.get(name, self.default_detector)
 
+    def recorded_for(self, name: str) -> RecordedDetections | None:
+        """The test-day recording attached to a video, or ``None``."""
+        return self._recorded.get(name)
+
     def labeled_set(self, name: str) -> LabeledSet | None:
         """The labeled set for a video, or ``None`` if it was never built."""
         return self._labeled_sets.get(name)
@@ -320,7 +324,6 @@ class BlazeIt:
                 f"video {video_name!r} is not registered "
                 f"(available: {', '.join(self.videos()) or '<none>'})"
             )
-        seed_sequence = self._spawn_seed_sequence()
         return ExecutionContext(
             video=self.store.get(video_name),
             detector=self.detector_for(video_name),
@@ -328,8 +331,7 @@ class BlazeIt:
             config=self.config,
             labeled_set=self._labeled_sets.get(video_name),
             recorded=self._recorded.get(video_name),
-            rng=np.random.default_rng(seed_sequence),
-            seed_sequence=seed_sequence,
+            rng=np.random.default_rng(self._spawn_seed_sequence()),
             shared_cache=self._shared_cache,
             cache_key=self._cache_key_for(video_name),
             index_view=self._index_view_for(video_name),

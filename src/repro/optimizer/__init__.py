@@ -11,8 +11,7 @@ The planning stack has three layers (Section 5):
 * the **cost-based optimizer** (:mod:`repro.optimizer.cost`) enumerates
   alternative operator trees per logical plan, prices them from the
   statistics catalog (:mod:`repro.catalog`) in estimated detector calls plus
-  specialization training cost, and picks the cheapest —
-  :class:`RuleBasedOptimizer` remains as the thin compatibility wrapper.
+  specialization training cost, and picks the cheapest.
 
 Every plan executes through the pull-based streaming protocol of
 :mod:`repro.core.events`: ``plan.run(context)`` yields typed
@@ -40,7 +39,6 @@ from repro.optimizer.logical import LogicalNode, LogicalPlan, build_logical_plan
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.optimizer.exact import ExactQueryPlan
-from repro.optimizer.rules import RuleBasedOptimizer
 
 __all__ = [
     "PhysicalPlan",
@@ -52,7 +50,6 @@ __all__ = [
     "ExactQueryPlan",
     "CostBasedOptimizer",
     "PlanCandidate",
-    "RuleBasedOptimizer",
     "LogicalPlan",
     "LogicalNode",
     "build_logical_plan",

@@ -67,18 +67,8 @@ from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import UDFRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.recorded import RecordedDetections
     from repro.detection.base import ObjectDetector
-
-
-def _detector_picklable(detector: "ObjectDetector") -> bool:
-    """Whether a detector can cross the spawn boundary to process workers."""
-    import pickle
-
-    try:
-        pickle.dumps(detector)
-    except Exception:
-        return False
-    return True
 
 
 #: Relative + absolute margin a forced variant must clear to displace the
@@ -272,6 +262,40 @@ class ParallelismModel:
         return counts
 
 
+def routed_parallelism(
+    plan: PhysicalPlan,
+    stats: VideoStatistics,
+    num_frames: int,
+    requested: int,
+    batch_size: int,
+    backend_constraint: str | None,
+    detector: "ObjectDetector",
+    recorded: "RecordedDetections | None",
+) -> ParallelismDecision:
+    """The verdict on hint/config-routed parallelism for one plan.
+
+    The single place ``explain()`` and execution both ask, so they cannot
+    disagree.  Exportability to process workers is probed only when
+    processes are actually in play: the probe pickles the detector.
+    """
+    from repro.core.context import spawn_refusal
+    from repro.parallel.executor import WINDOW_CHUNKS
+
+    processes_in_play = detector.gil_bound or backend_constraint == "processes"
+    process_ok = not processes_in_play or spawn_refusal(detector, recorded) is None
+    return ParallelismModel().decide(
+        plan=plan,
+        stats=stats,
+        num_frames=num_frames,
+        requested=requested,
+        batch_size=batch_size,
+        window_chunks=WINDOW_CHUNKS,
+        gil_bound=detector.gil_bound,
+        process_ok=process_ok,
+        backend_constraint=backend_constraint,
+    )
+
+
 class PlanCandidate:
     """One priced physical alternative for a query."""
 
@@ -423,13 +447,14 @@ class CostBasedOptimizer:
         plan: PhysicalPlan,
         hints: QueryHints | None,
         num_frames: int,
-        detector: "ObjectDetector | None" = None,
+        detector: "ObjectDetector",
+        recorded: "RecordedDetections | None",
     ) -> PlanExplanation:
         """Structured explanation of ``plan``, with per-operator costs.
 
-        ``detector`` (when the caller has one — sessions pass the engine's)
-        lets the parallelism verdict account for GIL behaviour and process
-        exportability; without it the well-behaved defaults are assumed.
+        ``detector`` and ``recorded`` are the video's detection sources (the
+        session passes the engine's): the parallelism verdict accounts for
+        GIL behaviour and process exportability exactly as execution will.
         """
         hints = hints or NO_HINTS
         stats = self.statistics_for(spec)
@@ -457,7 +482,7 @@ class CostBasedOptimizer:
                 for candidate in candidates
             ),
             parallelism=self._explain_parallelism(
-                plan, hints, stats, num_frames, detector
+                plan, hints, stats, num_frames, detector, recorded
             ),
         )
 
@@ -467,11 +492,11 @@ class CostBasedOptimizer:
         hints: QueryHints,
         stats: VideoStatistics | None,
         num_frames: int,
-        detector: "ObjectDetector | None",
+        detector: "ObjectDetector",
+        recorded: "RecordedDetections | None",
     ) -> str:
         """The routed-parallelism verdict, as ``explain()`` surfaces it."""
         from repro.core.events import DEFAULT_BATCH_SIZE
-        from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS
 
         requested = (
             hints.parallelism
@@ -495,16 +520,15 @@ class CostBasedOptimizer:
         batch_size = (
             hints.batch_size if hints.batch_size is not None else DEFAULT_BATCH_SIZE
         )
-        return ParallelismModel().decide(
-            plan=plan,
-            stats=stats,
+        return routed_parallelism(
+            plan,
+            stats,
             num_frames=num_frames,
             requested=requested,
             batch_size=batch_size,
-            window_chunks=DEFAULT_WINDOW_CHUNKS,
-            gil_bound=detector.gil_bound if detector is not None else False,
-            process_ok=detector is None or _detector_picklable(detector),
             backend_constraint=hints.backend,
+            detector=detector,
+            recorded=recorded,
         ).describe()
 
     # -- shared pieces -------------------------------------------------------------

@@ -9,14 +9,14 @@ pipeline:
 1. a :class:`~repro.parallel.shards.VideoSharder` partitions the video using
    the statistics catalog's per-shard event rates for the query's classes
    (pruned shards start lazily, dense shards first);
-2. a :class:`~repro.parallel.executor.DetectionPrefetcher` runs one worker
-   per shard, each in its own execution context with an RNG stream spawned
-   from the execution's seed sequence keyed by shard id;
+2. a :class:`~repro.parallel.executor.ShardDriver` (thread or process
+   transport) runs one worker per shard, speculating in the plan's announced
+   order;
 3. a :class:`StreamMerger` interleaves the workers'
    :class:`~repro.core.events.ShardProgress` events with the plan's own
    stream, shuts the pool down the moment the terminal ``Completed`` event
-   appears (a LIMIT satisfied across shards stops every worker), and
-   propagates ``close()`` to in-flight workers promptly.
+   appears (a LIMIT satisfied across shards stops every worker) and
+   finalizes it, and propagates ``close()`` to in-flight workers promptly.
 
 Because all charging happens on the driver as it consumes prefetched
 detections, a parallel execution's result — estimate, records, hit set and
@@ -27,23 +27,22 @@ wall-clock only.
 
 from __future__ import annotations
 
-import queue
 import time
 from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.events import Completed, ExecutionControl, ExecutionEvent
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpawnExportError
+from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import get_registry
 from repro.frameql.analyzer import (
     AggregateQuerySpec,
     ScrubbingQuerySpec,
     SelectionQuerySpec,
 )
-from repro.parallel.executor import DEFAULT_WINDOW_CHUNKS, DetectionPrefetcher
-from repro.parallel.shards import Shard, ShardPlan, VideoSharder
+from repro.parallel.executor import DetectionPrefetcher, ShardDriver
+from repro.parallel.process_executor import ProcessShardExecutor
+from repro.parallel.shards import ShardPlan, VideoSharder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
@@ -69,17 +68,23 @@ class StreamMerger:
     Iterating yields the plan's events in order, with any
     :class:`~repro.core.events.ShardProgress` the workers produced since the
     last plan event injected first (worker-arrival order).  The terminal
-    ``Completed`` stays terminal: the pool is shut down and its last progress
-    drained *before* it is yielded.  Closing the merger closes the plan's
-    generator and joins every worker, so no detector call survives a
-    ``close()``.
+    ``Completed`` stays terminal: the pool is shut down, the event finalized
+    and the last progress drained *before* it is yielded.  Closing the merger
+    closes the plan's generator and joins every worker, so no detector call
+    survives a ``close()``.
     """
 
     def __init__(
-        self, inner: Iterator[ExecutionEvent], prefetcher: DetectionPrefetcher
+        self,
+        inner: Iterator[ExecutionEvent],
+        prefetcher: ShardDriver,
+        context: "ExecutionContext",
+        entry: float,
     ) -> None:
         self._inner = inner
         self._prefetcher = prefetcher
+        self._context = context
+        self._entry = entry
 
     def events(self) -> Iterator[ExecutionEvent]:
         prefetcher = self._prefetcher
@@ -89,7 +94,10 @@ class StreamMerger:
                     # The LIMIT/CI/budget decision has been made across all
                     # shards: stop the workers before handing out the result.
                     prefetcher.shutdown()
-                yield from self._drain_progress()
+                    self._finalize(event)
+                progress = prefetcher.progress_events
+                while progress:
+                    yield progress.popleft()
                 yield event
         finally:
             closer = getattr(self._inner, "close", None)
@@ -97,13 +105,45 @@ class StreamMerger:
                 closer()
             prefetcher.shutdown()
 
-    def _drain_progress(self) -> Iterator[ExecutionEvent]:
-        progress = self._prefetcher.progress_events
-        while True:
-            try:
-                yield progress.get_nowait()
-            except queue.Empty:
-                return
+    def _finalize(self, event: Completed) -> None:
+        """Once per run, after shutdown (every worker has reported): stitch
+        worker spans into the driver's trace (ids derive from shard ids,
+        identical across transports), fold the shard counters into the
+        metrics registry, and overwrite the terminal ledger's
+        ``wall_seconds`` with the driver's elapsed time since
+        :func:`parallel_events` entry — the only sanctioned wall overwrite,
+        see :meth:`~repro.metrics.runtime.ExecutionLedger.set_wall_seconds`.
+        """
+        prefetcher = self._prefetcher
+        if self._context.tracer is not None:
+            self._context.tracer.attach_worker_spans(prefetcher.worker_spans())
+        registry = get_registry()
+        shards = prefetcher.shard_plan.shards
+        # The transport that ran, not the one requested: an unexportable
+        # context asked for processes and got threads.
+        labels = {"backend": prefetcher.backend}
+        registry.inc(
+            "repro_shards_total",
+            len(shards),
+            labels,
+            help="Shards planned by parallel executions.",
+        )
+        registry.inc(
+            "repro_shards_pruned_total",
+            sum(1 for shard in shards if shard.pruned),
+            labels,
+            help="Shards whose workers start lazily (sketch-pruned).",
+        )
+        registry.inc(
+            "repro_frames_prefetched_total",
+            prefetcher.frames_prefetched,
+            labels,
+            help="Frames computed speculatively by shard workers.",
+        )
+        ledger = event.result.ledger
+        if isinstance(ledger, ExecutionLedger):
+            elapsed = time.perf_counter() - self._entry  # repro: allow[RPR001]: driver wall accounting, sanctioned overwrite via set_wall_seconds
+            ledger.set_wall_seconds(elapsed)
 
 
 #: Backends a parallel execution can run on.
@@ -116,7 +156,6 @@ def parallel_events(
     control: ExecutionControl,
     parallelism: int,
     stats: "VideoStatistics | None" = None,
-    window_chunks: int = DEFAULT_WINDOW_CHUNKS,
     backend: str = "threads",
 ) -> Iterator[ExecutionEvent]:
     """Run ``plan`` with sharded parallel prefetch; yields the merged stream.
@@ -125,8 +164,8 @@ def parallel_events(
     cached per-video context): the prefetcher is attached to it and the RNG
     stream must not be rebound mid-flight.
 
-    ``backend`` selects the worker substrate: ``"threads"`` (the default;
-    right whenever the detector releases the GIL during its latency) or
+    ``backend`` selects the transport: ``"threads"`` (the default; right
+    whenever the detector releases the GIL during its latency) or
     ``"processes"`` (shared-memory columnar transport; right for GIL-bound
     detectors).  A context that cannot be exported to worker processes — an
     unpicklable detector, a recorded test day — silently falls back to
@@ -144,13 +183,11 @@ def parallel_events(
     # executor construction and worker spawn are inside it — timed_stream's
     # clock only starts when the plan generator first advances, which made
     # thread and process wall_seconds incomparable (the process backend hid
-    # its ~seconds of spawn cost).  The terminal ledger is overwritten with
-    # this elapsed time via the sanctioned ``set_wall_seconds``.
+    # its ~seconds of spawn cost).
     entry = time.perf_counter()  # repro: allow[RPR001]: driver wall accounting, sanctioned overwrite via set_wall_seconds
     min_counts, object_class = query_profile(plan)
-    sharder = VideoSharder()
     index_view = context.index_view
-    shard_plan = sharder.shard(
+    shard_plan = VideoSharder().shard(
         num_frames=context.video.num_frames,
         parallelism=parallelism,
         stats=stats,
@@ -161,112 +198,38 @@ def parallel_events(
         # frames themselves (rate 0 is a proof of emptiness).
         sketch=index_view.sketch if index_view is not None else None,
     )
-    prefetcher = _build_executor(
-        shard_plan, context, control, window_chunks, backend
-    )
+    prefetcher = _build_executor(shard_plan, context, control, backend)
     driver_context = context.with_prefetcher(prefetcher)
-    merger = StreamMerger(plan.run(driver_context, control), prefetcher)
-    return _finalized_events(
-        merger, prefetcher, context, shard_plan, backend, entry
-    )
-
-
-def _finalized_events(
-    merger: StreamMerger,
-    prefetcher: DetectionPrefetcher,
-    context: "ExecutionContext",
-    shard_plan: ShardPlan,
-    backend: str,
-    entry: float,
-) -> Iterator[ExecutionEvent]:
-    """Finalize the terminal event of a parallel run.
-
-    Three things happen exactly once, on ``Completed`` (the merger has
-    already shut the pool down, so every worker has reported):
-
-    * the terminal ledger's ``wall_seconds`` is overwritten with the driver's
-      elapsed time since :func:`parallel_events` entry (satellite S2 — the
-      only sanctioned wall overwrite, see
-      :meth:`~repro.metrics.runtime.ExecutionLedger.set_wall_seconds`);
-    * worker span payloads are stitched into the driver's trace tree (ids
-      derive from shard ids, identical across backends);
-    * shard/prune/prefetch counters are folded into the metrics registry.
-    """
-    tracer = getattr(context, "tracer", None)
-    for event in merger.events():
-        if isinstance(event, Completed):
-            if tracer is not None:
-                worker_spans = getattr(prefetcher, "worker_spans", None)
-                if worker_spans is not None:
-                    tracer.attach_worker_spans(worker_spans())
-            registry = get_registry()
-            labels = {"backend": backend}
-            registry.inc(
-                "repro_shards_total",
-                len(shard_plan.shards),
-                labels,
-                help="Shards planned by parallel executions.",
-            )
-            registry.inc(
-                "repro_shards_pruned_total",
-                sum(1 for shard in shard_plan.shards if shard.pruned),
-                labels,
-                help="Shards whose workers start lazily (sketch-pruned).",
-            )
-            registry.inc(
-                "repro_frames_prefetched_total",
-                prefetcher.frames_prefetched,
-                labels,
-                help="Frames computed speculatively by shard workers.",
-            )
-            ledger = event.result.ledger
-            if hasattr(ledger, "set_wall_seconds"):
-                elapsed = time.perf_counter() - entry  # repro: allow[RPR001]: driver wall accounting, sanctioned overwrite via set_wall_seconds
-                ledger.set_wall_seconds(elapsed)
-        yield event
+    return StreamMerger(
+        plan.run(driver_context, control), prefetcher, context, entry
+    ).events()
 
 
 def _build_executor(
     shard_plan: ShardPlan,
     context: "ExecutionContext",
     control: ExecutionControl,
-    window_chunks: int,
     backend: str,
-) -> DetectionPrefetcher:
-    """The shard executor for one backend (both satisfy the same protocol)."""
+) -> ShardDriver:
+    """The shard driver over the transport for one backend."""
     if backend == "processes":
-        from repro.errors import SpawnExportError
-        from repro.parallel.process_executor import ProcessShardExecutor
-
         try:
             context_spec = context.spawn_spec()
         except SpawnExportError:
             pass  # fall through to the thread backend
         else:
-            return ProcessShardExecutor(  # type: ignore[return-value]
+            return ProcessShardExecutor(
                 shard_plan=shard_plan,
                 context_spec=context_spec,
                 external_cancel=control.cancellation,
                 chunk_size=control.batch_size,
-                window_chunks=window_chunks,
             )
-
-    seed_sequence = context.seed_sequence
-    if seed_sequence is None:
-        seed_sequence = np.random.SeedSequence(context.config.seed)
-    children = seed_sequence.spawn(len(shard_plan.shards))
-
-    def worker_context(shard: Shard) -> "ExecutionContext":
-        return context.shard_context(
-            rng=np.random.default_rng(children[shard.shard_id])
-        )
 
     return DetectionPrefetcher(
         shard_plan=shard_plan,
-        worker_contexts=worker_context,
+        context=context,
         external_cancel=control.cancellation,
         chunk_size=control.batch_size,
-        window_chunks=window_chunks,
     )
 
 

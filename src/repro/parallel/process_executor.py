@@ -1,68 +1,58 @@
-"""Process shard workers: speculative detection with shared-memory transport.
+"""The process transport: spawned shard workers, shared-memory result ring.
 
-:class:`ProcessShardExecutor` is the process-backed twin of the thread-based
-:class:`~repro.parallel.executor.DetectionPrefetcher`, duck-typing the same
-driver protocol (``announce`` / ``take`` / ``take_many`` / ``shutdown`` /
-``progress_events`` / ``frames_prefetched``) so
-:class:`~repro.core.context.ExecutionContext` needs no backend branches.  Use
-it when the detector *holds* the GIL per call (pure-Python compute, a badly
-behaved extension): thread workers then serialize while process workers each
-own an interpreter.
+Use it when the detector *holds* the GIL per call (pure-Python compute, a
+badly behaved extension): thread workers then serialize while process
+workers each own an interpreter.
 
 Workers are spawn-safe: each receives a picklable
 :class:`~repro.core.context.ContextSpec` (video spec + track list + detector)
-and rebuilds its shard context from scratch — detections are deterministic
+and rebuilds its shard's video from scratch — detections are deterministic
 per (detector seed, video seed, frame index), so a worker's speculative
 output is bit-for-bit what the driver would have computed.  Results travel
-as columnar npz payloads through a per-shard ring of shared-memory slots
-(:mod:`repro.parallel.shm`); the driver decodes, charges the ledger on
-consumption exactly as in sequential execution, and emits
-:class:`~repro.core.events.ShardProgress` as headers arrive.  The shared
+as columnar payloads through a per-shard ring of shared-memory slots
+(:mod:`repro.parallel.shm`) with a small header on a queue.  The shared
 cross-query cache and recorded detections stay driver-only: a process worker
 recomputing a cached frame costs wall-clock, never simulated budget.
 
-Failure handling is fall-back-to-inline, like the thread backend: a worker
-that dies (crash, SIGKILL) simply stops publishing; the driver notices the
-dead process, marks the shard finished, and ``take`` returns ``None`` so the
-plan computes the remaining frames inline with normal charging.  ``shutdown``
-terminates stragglers and unlinks every shared-memory segment — the driver
-owns them all, so a crashed worker can never leak one.
+A worker that dies (crash, SIGKILL) simply stops publishing; the driver
+notices the dead process and the plan computes the remaining frames inline.
+The driver owns every shared-memory segment, so a crashed worker can never
+leak one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import queue
-import time
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.core.context import ContextSpec
-from repro.core.events import ShardProgress
 from repro.detection.columnar import decode_from_bytes, encode_to_bytes
-from repro.parallel.shards import Shard, ShardPlan
+from repro.parallel.executor import (
+    POLL_SECONDS,
+    WINDOW_CHUNKS,
+    ShardDriver,
+    WorkerMessage,
+    _ShardState,
+    run_shard_worker,
+)
+from repro.parallel.shards import ShardPlan
 from repro.parallel.shm import SlotRing, attach_slots, detach_slots
 from repro.stopping import CancellationToken
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.detection.base import DetectionResult
-
 __all__ = ["ProcessShardExecutor", "ShardWorkerSpec"]
-
-#: Poll interval for cancel-aware blocking queue operations.
-_POLL_SECONDS = 0.05
 
 #: Grace period for worker processes to exit after the stop event is set
 #: before the driver escalates to ``terminate()``.
 _JOIN_SECONDS = 2.0
 
-#: Size of one shared-memory slot.  A chunk's npz payload is a few tens of
-#: kilobytes for realistic detection densities; payloads that still exceed
+#: Size of one shared-memory slot.  A chunk's columnar payload is a few tens
+#: of kilobytes for realistic detection densities; payloads that still exceed
 #: the slot spill to an inline (pickled-bytes) header instead of failing.
-DEFAULT_SLOT_BYTES = 1 << 20
+SLOT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,34 +69,19 @@ class ShardWorkerSpec:
     frames: np.ndarray
     chunk_size: int
     slot_names: tuple[str, ...]
-    slot_bytes: int
 
 
-@dataclass
-class _ShardState:
-    """Driver-side bookkeeping for one shard's worker process."""
-
-    shard: Shard
-    frames: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    position_of: dict[int, int] = field(default_factory=dict)
-    buffer: "dict[int, DetectionResult]" = field(default_factory=dict)
-    consumed: int = 0  # positions < consumed have been taken or passed
-    started: bool = False
-    finished: bool = False  # done sentinel seen, or worker found dead
-    process: Any = None
-    ring: SlotRing | None = None
-    free_slots: Any = None  # mp.Queue[int]
-    ready: Any = None  # mp.Queue[header tuple]
+class _ProcessWorker(NamedTuple):
+    process: Any  # SpawnProcess
+    ring: SlotRing
+    free_slots: Any  # mp.Queue[int]: slot indices the worker may fill
+    ready: Any  # mp.Queue[header tuple], see _shard_worker_main
 
 
-class ProcessShardExecutor:
-    """Per-shard speculative detection in worker *processes*.
+class ProcessShardExecutor(ShardDriver):
+    """The process transport: one spawned worker per shard, shm slot ring."""
 
-    Satisfies the same protocol as
-    :class:`~repro.parallel.executor.DetectionPrefetcher`; built by
-    :func:`repro.parallel.plan.parallel_events` when the backend decision
-    (optimizer or explicit ``backend="processes"``) selects processes.
-    """
+    backend = "processes"
 
     def __init__(
         self,
@@ -114,263 +89,94 @@ class ProcessShardExecutor:
         context_spec: ContextSpec,
         external_cancel: CancellationToken,
         chunk_size: int,
-        window_chunks: int,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> None:
-        self.shard_plan = shard_plan
+        super().__init__(shard_plan, external_cancel, chunk_size)
         self.context_spec = context_spec
-        self.chunk_size = max(1, chunk_size)
-        self.window_chunks = max(1, window_chunks)
-        self.slot_bytes = slot_bytes
-        self._external_cancel = external_cancel
         self._mp = multiprocessing.get_context("spawn")
         self._stop = self._mp.Event()
-        self._shutdown = CancellationToken()
-        self._states = {
-            shard.shard_id: _ShardState(shard=shard) for shard in shard_plan.shards
-        }
-        self._announced = False
-        self.progress_events: "queue.SimpleQueue[ShardProgress]" = queue.SimpleQueue()
-        #: Frames computed speculatively by workers (consumed or not), counted
-        #: driver-side as publication headers arrive.
-        self.frames_prefetched = 0
-        #: Per-shard span payloads shipped on the ``done`` sentinel; keyed by
-        #: shard id so a re-delivered sentinel cannot duplicate a span.
-        self._worker_spans: dict[int, dict[str, Any]] = {}
 
-    # -- driver-side protocol -------------------------------------------------------
-
-    def announce(
-        self, frame_order: np.ndarray | Iterable[int], monotone: bool = False
-    ) -> None:
-        """Declare the frame order the plan is about to verify.
-
-        Mirrors :meth:`DetectionPrefetcher.announce`: first announcement
-        wins, frames are split by shard ownership, and workers for non-pruned
-        shards start eagerly in density order.  ``monotone`` needs no special
-        case here — the slot ring is itself the speculation window, and
-        recycling keeps memory bounded for full scans too.
-        """
-        if self._announced or self._cancelled():
-            return
-        self._announced = True  # repro: allow[RPR003]: driver-thread-only state
-        order = np.asarray(
-            frame_order if isinstance(frame_order, np.ndarray) else list(frame_order),
-            dtype=np.int64,
-        )
-        shard_ids = self.shard_plan.owners_of(order)
-        for shard_id, state in self._states.items():
-            frames = order[shard_ids == shard_id]
-            state.frames = frames
-            state.position_of = {int(f): i for i, f in enumerate(frames)}
-        for shard in self.shard_plan.scheduling_order():
-            if not shard.pruned:
-                self._start_worker(self._states[shard.shard_id])
-
-    def take(self, frame_index: int) -> "DetectionResult | None":
-        """The prefetched detection for a frame, or ``None`` to compute inline.
-
-        Blocks while the owning worker is alive and still ahead of this
-        frame; returns ``None`` when the frame was never announced, was
-        already passed, the pipeline is shutting down, or the worker died —
-        callers fall back to a direct (charged) detector call.
-        """
-        if not self._announced:
-            return None
-        state = self._states[self.shard_plan.owner_of(int(frame_index)).shard_id]
-        position = state.position_of.get(int(frame_index))
-        if position is None or position < state.consumed:
-            return None
-        if not state.started:
-            self._start_worker(state)
-        while True:
-            result = state.buffer.get(int(frame_index))
-            if result is not None:
-                state.consumed = position + 1
-                self._purge_passed(state)
-                return result
-            if state.finished or self._cancelled():
-                return None
-            try:
-                header = state.ready.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                if state.process is not None and not state.process.is_alive():
-                    # Crashed or killed worker: one last drain attempt (the
-                    # feeder may have flushed after our timed-out get), then
-                    # finish the shard so the plan computes inline.
-                    try:
-                        header = state.ready.get_nowait()
-                    except queue.Empty:
-                        state.finished = True
-                        continue
-                else:
-                    continue
-            self._ingest(state, header)
-
-    def take_many(
-        self, frame_indices: Iterable[int]
-    ) -> "dict[int, DetectionResult]":
-        """Prefetched detections for a batch (hits only), in driver order."""
-        out: "dict[int, DetectionResult]" = {}
-        if not self._announced:
-            return out
-        for frame_index in frame_indices:
-            result = self.take(int(frame_index))
-            if result is not None:
-                out[int(frame_index)] = result
-        return out
+    # benchmarks/e2e/layers.py wraps ``vars(cls)[name]`` on both executor
+    # classes, so each class body must bind this name itself.
+    take_many = ShardDriver.take_many
 
     def shutdown(self) -> None:
         """Stop and reap every worker, then unlink every shm segment.
 
         After this returns no worker process is alive and no shared-memory
-        slot remains registered — the driver owns all segments, so even a
-        SIGKILLed worker leaks nothing.
+        slot remains registered, even after a SIGKILLed worker.
         """
-        self._shutdown.set()
         self._stop.set()
-        for state in self._states.values():
-            process = state.process
-            if process is not None and process.pid is not None:
-                process.join(timeout=_JOIN_SECONDS)
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.terminate()
-                    process.join(timeout=_JOIN_SECONDS)
-                if process.is_alive():  # pragma: no cover - unkillable worker
-                    process.kill()
-                    process.join()
-            state.process = None
-            # The exiting worker's ``done`` sentinel (carrying its span
-            # payload) may still sit undelivered in the ready queue when the
-            # driver stopped taking early; drain it before the transport is
-            # torn down so traces keep their worker spans.
-            self._drain_done_sentinels(state)
-            self._teardown_transport(state)
+        super().shutdown()
 
-    def _drain_done_sentinels(self, state: _ShardState) -> None:
-        if state.ready is None:
-            return
-        while True:
-            try:
-                header = state.ready.get_nowait()
-            except (queue.Empty, OSError, ValueError):
-                return
-            if header[0] == "done":
-                self._note_done(state, header)
-
-    def worker_spans(self) -> "list[dict[str, Any]]":
-        """Span payloads of every reporting worker, in shard-id order.
-
-        Call after :meth:`shutdown`; a worker that died without its ``done``
-        sentinel (crash, SIGKILL) simply has no span — identity of the
-        surviving spans is unaffected (ids derive from shard ids).
-        """
-        return [self._worker_spans[k] for k in sorted(self._worker_spans)]
-
-    def _note_done(self, state: _ShardState, header: tuple) -> None:
-        state.finished = True
-        # Arity-tolerant: old-style sentinels are ("done", computed); new
-        # workers append their span payload as a third element.
-        if len(header) > 2 and isinstance(header[2], dict):
-            payload = dict(header[2])
-            payload.setdefault("shard_id", state.shard.shard_id)
-            self._worker_spans[state.shard.shard_id] = payload
-
-    def _teardown_transport(self, state: _ShardState) -> None:
-        """Close the shard's queues and unlink its shm segments."""
-        for q in (state.free_slots, state.ready):
-            if q is not None:
-                q.cancel_join_thread()
-                q.close()
-        state.free_slots = None
-        state.ready = None
-        if state.ring is not None:
-            state.ring.destroy()
-            state.ring = None
-
-    # -- driver internals -----------------------------------------------------------
-
-    def _cancelled(self) -> bool:
-        return self._shutdown.is_set() or self._external_cancel.is_set()
-
-    def _start_worker(self, state: _ShardState) -> None:
-        if state.started:
-            return
-        state.started = True
-        if state.frames.size == 0 or self._cancelled():
-            state.finished = True
-            return
-        state.ring = SlotRing(
-            state.shard.shard_id, self.window_chunks, self.slot_bytes
-        )
-        state.free_slots = self._mp.Queue()
-        for index in range(self.window_chunks):
-            state.free_slots.put(index)
-        state.ready = self._mp.Queue()
+    def _spawn(self, state: _ShardState) -> _ProcessWorker:
+        ring = SlotRing(state.shard.shard_id, WINDOW_CHUNKS, SLOT_BYTES)
+        free_slots = self._mp.Queue()
+        for index in range(WINDOW_CHUNKS):
+            free_slots.put(index)
+        ready = self._mp.Queue()
         spec = ShardWorkerSpec(
             shard_id=state.shard.shard_id,
             context_spec=self.context_spec,
             frames=state.frames,
             chunk_size=self.chunk_size,
-            slot_names=state.ring.names,
-            slot_bytes=self.slot_bytes,
+            slot_names=ring.names,
         )
-        state.process = self._mp.Process(
+        process = self._mp.Process(
             target=_shard_worker_main,
-            args=(spec, state.free_slots, state.ready, self._stop),
+            args=(spec, free_slots, ready, self._stop),
             name=f"repro-shard-proc-{state.shard.shard_id}",
             daemon=True,
         )
+        worker = _ProcessWorker(process, ring, free_slots, ready)
         try:
-            state.process.start()
+            process.start()
         except BaseException:
             # Spawn refused — e.g. the interpreter is still bootstrapping
             # because the caller's script lacks an ``if __name__ ==
             # "__main__"`` guard.  Release this shard's segments and queues
-            # before propagating, so the subsequent shutdown() neither joins
-            # a never-started process nor leaks shared memory.
-            state.process = None
-            state.finished = True
-            self._teardown_transport(state)
+            # before propagating; the never-started process is not kept, so
+            # the subsequent shutdown() has nothing to join.
+            self._release(worker)
             raise
+        return worker
 
-    def _ingest(self, state: _ShardState, header: tuple) -> None:
-        """Decode one publication header into the shard's result buffer."""
-        kind = header[0]
+    def _receive(self, worker: _ProcessWorker, wait: bool) -> WorkerMessage | None:
+        try:
+            header = worker.ready.get(block=wait, timeout=POLL_SECONDS)
+        except (queue.Empty, OSError, ValueError):
+            return None
+        kind, computed, *body = header
         if kind == "done":
-            self._note_done(state, header)
-            return
+            return WorkerMessage(computed, span=body[0])
+        if self._shutdown.is_set():
+            return WorkerMessage(computed)  # nobody takes results any more
         if kind == "slot":
-            _, slot_index, nbytes, computed = header
-            assert state.ring is not None
-            payload = state.ring.read(slot_index, nbytes)
-            results = decode_from_bytes(payload)
-            state.free_slots.put(slot_index)
+            slot_index, nbytes = body
+            payload = worker.ring.read(slot_index, nbytes)
+            worker.free_slots.put(slot_index)
         else:  # "inline": payload too large for a slot
-            _, payload, computed = header
-            results = decode_from_bytes(payload)
-        for result in results:
-            position = state.position_of.get(result.frame_index)
-            if position is not None and position >= state.consumed:
-                state.buffer[result.frame_index] = result
-        self.frames_prefetched += len(results)
-        self.progress_events.put(
-            ShardProgress(
-                shard=state.shard.shard_id,
-                start_frame=state.shard.start,
-                end_frame=state.shard.end,
-                frames_computed=computed,
-                shard_frames=int(state.frames.size),
-                done=computed >= state.frames.size,
-            )
-        )
+            (payload,) = body
+        return WorkerMessage(computed, decode_from_bytes(payload))
 
-    def _purge_passed(self, state: _ShardState) -> None:
-        if not state.buffer:
-            return
-        passed = [f for f in state.buffer if state.position_of[f] < state.consumed]
-        for f in passed:
-            del state.buffer[f]
+    def _alive(self, worker: _ProcessWorker) -> bool:
+        return bool(worker.process.is_alive())
+
+    def _join(self, worker: _ProcessWorker) -> None:
+        process = worker.process
+        process.join(timeout=_JOIN_SECONDS)
+        if process.is_alive():  # pragma: no cover - stuck worker
+            process.terminate()
+            process.join(timeout=_JOIN_SECONDS)
+        if process.is_alive():  # pragma: no cover - unkillable worker
+            process.kill()
+            process.join()
+
+    def _release(self, worker: _ProcessWorker) -> None:
+        """Close the shard's queues and unlink its shm segments."""
+        for q in (worker.free_slots, worker.ready):
+            q.cancel_join_thread()
+            q.close()
+        worker.ring.destroy()
 
 
 # -- worker process -------------------------------------------------------------------
@@ -381,69 +187,53 @@ def _shard_worker_main(
 ) -> None:
     """Entry point of one spawned shard worker.
 
-    Rebuilds the shard's video and detector from the picklable spec, computes
-    the announced frames chunk-by-chunk in order, and publishes each chunk's
-    columnar payload through the next free shared-memory slot.  Always sends
-    the ``done`` sentinel on the way out so a clean exit (worklist drained,
-    stop event, detector error) is distinguishable from a crash.
+    Rebuilds the shard's video and detector from the picklable spec and runs
+    the shared worker loop, publishing each chunk's columnar payload through
+    the next free shared-memory slot.  Headers on ``ready`` are
+    ``("slot", computed, slot_index, nbytes)``, ``("inline", computed,
+    payload)`` and finally ``("done", computed, span)`` — always sent on the
+    way out, so a clean exit (worklist drained, stop event, detector error)
+    is distinguishable from a crash.
     """
     slots = attach_slots(spec.slot_names)
-    computed = 0
-    chunks = 0
-    started = time.perf_counter()  # repro: allow[RPR001]: worker span wall stamping (display only)
+
+    def publish(message: WorkerMessage) -> bool:
+        if message.span is not None:
+            try:
+                ready.put(("done", message.computed, message.span))
+            except (OSError, ValueError):  # pragma: no cover - driver gone
+                pass
+            return True
+        payload = encode_to_bytes(message.results)
+        if len(payload) > slots[0].size:
+            # Pathologically dense chunk: send the bytes inline through the
+            # queue rather than failing the shard.
+            ready.put(("inline", message.computed, payload))
+            return True
+        while not stop.is_set():
+            try:
+                slot_index = free_slots.get(timeout=POLL_SECONDS)
+            except queue.Empty:
+                continue
+            slots[slot_index].buf[: len(payload)] = payload
+            ready.put(("slot", message.computed, slot_index, len(payload)))
+            return True
+        return False
+
     try:
         video = spec.context_spec.build_video()
         detector = spec.context_spec.detector
-        frames = [int(f) for f in spec.frames]
-        while computed < len(frames) and not stop.is_set():
-            chunk = frames[computed : computed + spec.chunk_size]
-            # Speculative prefetch is intentionally uncharged: the driver
-            # charges the ledger when (and only when) a prefetched frame is
-            # actually consumed, keeping parallel accounting identical to
-            # sequential execution.
-            results = detector.detect_many(video, chunk)  # repro: allow[RPR002]: uncharged speculation, charged on consumption
-            payload = encode_to_bytes(results)
-            computed += len(chunk)
-            chunks += 1
-            if not _publish(payload, computed, slots, free_slots, ready, stop):
-                return
+        # Speculative prefetch is intentionally uncharged: the driver charges
+        # the ledger when (and only when) a prefetched frame is actually
+        # consumed, keeping parallel accounting identical to sequential.
+        run_shard_worker(
+            spec.shard_id,
+            ProcessShardExecutor.backend,
+            spec.frames,
+            spec.chunk_size,
+            lambda chunk: detector.detect_many(video, chunk),  # repro: allow[RPR002]: uncharged speculation, charged on consumption
+            publish,
+            stop.is_set,
+        )
     finally:
-        wall = time.perf_counter() - started  # repro: allow[RPR001]: worker span wall stamping (display only)
-        span_payload = {
-            "shard_id": spec.shard_id,
-            "name": "shard_worker",
-            "wall_duration": wall,
-            "frames": computed,
-            "chunks": chunks,
-            "backend": "processes",
-        }
-        try:
-            ready.put(("done", computed, span_payload))
-        except (OSError, ValueError):  # pragma: no cover - driver gone
-            pass
         detach_slots(slots)
-
-
-def _publish(
-    payload: bytes,
-    computed: int,
-    slots: list,
-    free_slots: Any,
-    ready: Any,
-    stop: Any,
-) -> bool:
-    """Send one chunk payload to the driver; ``False`` when stopping."""
-    if len(payload) > slots[0].size:
-        # Pathologically dense chunk: fall back to sending the bytes inline
-        # through the queue rather than failing the shard.
-        ready.put(("inline", payload, computed))
-        return True
-    while not stop.is_set():
-        try:
-            slot_index = free_slots.get(timeout=_POLL_SECONDS)
-        except queue.Empty:
-            continue
-        slots[slot_index].buf[: len(payload)] = payload
-        ready.put(("slot", slot_index, len(payload), computed))
-        return True
-    return False

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from repro.api import QueryHints
 from repro.core.config import AggregateMethod
+from repro.core.engine import BlazeIt
+from repro.detection.simulated import SimulatedDetector
 from repro.optimizer.aggregates import AggregateQueryPlan, sampling_calls_estimate
-from repro.optimizer.cost import CostBasedOptimizer
-from repro.optimizer.rules import RuleBasedOptimizer
+from repro.optimizer.cost import CostBasedOptimizer, ParallelismModel
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import default_udf_registry
@@ -104,9 +105,8 @@ class TestPlanEnumeration:
         scrub = tiny_engine.optimizer.plan(tiny_engine.analyze(SCRUB_QUERY))
         assert scrub.strategy is None
 
-    def test_rule_based_wrapper_is_cost_based_without_stats(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
-        assert isinstance(optimizer, CostBasedOptimizer)
+    def test_without_stats_the_query_class_default_is_planned(self):
+        optimizer = CostBasedOptimizer(default_udf_registry())
         spec_text = "SELECT FCOUNT(*) FROM nowhere WHERE class='car' ERROR WITHIN 0.1"
         from repro.frameql.analyzer import analyze
         from repro.frameql.parser import parse
@@ -295,7 +295,7 @@ class TestExplainSnapshots:
         from repro.frameql.analyzer import analyze
         from repro.frameql.parser import parse
 
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         plan = optimizer.plan(analyze(parse(EXACT_QUERY)))
         assert "detector calls" not in plan.operator_tree().render()
 
@@ -402,3 +402,46 @@ class TestCostChosenProperty:
                 f"forced {forced!r} used "
                 f"{alternative.execution_ledger.detector_calls}"
             )
+
+
+class _GilBoundDetector(SimulatedDetector):
+    gil_bound = True
+
+
+class TestParallelismVerdict:
+    def test_explain_and_execution_agree_with_a_recording_attached(
+        self, monkeypatch
+    ):
+        """Regression: ``explain()`` probed only detector picklability while
+        execution also refused a recorded test day, so a GIL-bound detector
+        over a recording explained ``processes x 2`` and ran sequential."""
+        base = SimulatedDetector.mask_rcnn()
+        engine = BlazeIt(
+            detector=_GilBoundDetector(
+                name=base.name,
+                cost=base.cost,
+                noise=base.noise,
+                confidence_threshold=base.confidence_threshold,
+                supported=base._supported,
+                seed=base.seed,
+            )
+        )
+        engine.register_scenario("rialto", num_frames=1500)
+        engine.record_test_day("rialto")
+        verdicts = []
+        decide = ParallelismModel.decide
+
+        def recording_decide(self, *args, **kwargs):
+            decision = decide(self, *args, **kwargs)
+            verdicts.append(decision.describe())
+            return decision
+
+        monkeypatch.setattr(ParallelismModel, "decide", recording_decide)
+        with engine.session() as session:
+            prepared = session.prepare(
+                "SELECT * FROM rialto", hints=QueryHints(parallelism=2)
+            )
+            explained = prepared.explain().parallelism
+            prepared.execute()
+        assert len(verdicts) == 2, "one verdict for explain, one for execution"
+        assert explained == verdicts[0] == verdicts[1]

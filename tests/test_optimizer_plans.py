@@ -15,8 +15,8 @@ from repro.errors import PlanningError, UnknownUDFError
 from repro.frameql.analyzer import analyze
 from repro.frameql.parser import parse
 from repro.optimizer.aggregates import AggregateQueryPlan
+from repro.optimizer.cost import CostBasedOptimizer
 from repro.optimizer.exact import ExactQueryPlan
-from repro.optimizer.rules import RuleBasedOptimizer
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import default_udf_registry
@@ -328,7 +328,7 @@ class TestExactPlanAndRules:
         assert all(r.trackid is not None for r in result.records)
 
     def test_rules_map_spec_to_plan(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         assert isinstance(
             optimizer.plan(_spec("SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1")),
             AggregateQueryPlan,
@@ -349,14 +349,14 @@ class TestExactPlanAndRules:
         assert isinstance(optimizer.plan(_spec("SELECT * FROM v")), ExactQueryPlan)
 
     def test_rules_reject_unknown_udf(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         with pytest.raises(UnknownUDFError):
             optimizer.plan(
                 _spec("SELECT * FROM v WHERE class='car' AND squareness(content) > 3")
             )
 
     def test_plan_descriptions_are_informative(self):
-        optimizer = RuleBasedOptimizer(default_udf_registry())
+        optimizer = CostBasedOptimizer(default_udf_registry())
         plan = optimizer.plan(
             _spec("SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1")
         )

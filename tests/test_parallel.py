@@ -3,9 +3,10 @@
 The load-bearing property is *determinism*: a parallel execution must be
 bit-for-bit the sequential one — values, records, hit sets and ledger
 accounting — under the same RNG stream, at every parallelism.  The rest of
-the suite covers shard semantics at the boundaries (gap constraints across
-shard edges, selection windows spanning shards, single-frame shards),
-statistics-driven pruning, and prompt cancellation of in-flight workers.
+the suite covers statistics-driven pruning, routing, and prompt cancellation
+of in-flight workers; the shard driver protocol itself (shard-boundary
+semantics, progress events, announce/take) is checked once for both
+transports in ``test_process_backend.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
-from repro.core.events import Completed, ScrubbingHit, ShardProgress
+from repro.core.events import ScrubbingHit, ShardProgress
 from repro.catalog.statistics import VideoStatistics
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ConfigurationError
@@ -152,24 +153,6 @@ class TestParallelEqualsSequential:
         )
         assert fingerprint(hinted) == fingerprint(baseline)
 
-    def test_shard_progress_events_appear_only_in_parallel_streams(self, tiny_engine):
-        with tiny_engine.session() as session:
-            parallel_events = list(
-                session.stream(
-                    QUERIES["exact"], rng=np.random.default_rng(1), parallelism=4
-                )
-            )
-            sequential_events = list(
-                session.stream(
-                    QUERIES["exact"], rng=np.random.default_rng(1), parallelism=1
-                )
-            )
-        parallel_shards = [e for e in parallel_events if isinstance(e, ShardProgress)]
-        assert parallel_shards
-        assert {e.shard for e in parallel_shards} <= {0, 1, 2, 3}
-        assert not [e for e in sequential_events if isinstance(e, ShardProgress)]
-        assert isinstance(parallel_events[-1], Completed)
-
     def test_shard_progress_excluded_from_event_accounting(self, tiny_engine):
         sequential = run(tiny_engine, QUERIES["exact"], parallelism=1)
         parallel = run(tiny_engine, QUERIES["exact"], parallelism=4)
@@ -177,50 +160,6 @@ class TestParallelEqualsSequential:
             parallel.execution_ledger.events_emitted
             == sequential.execution_ledger.events_emitted
         )
-
-
-class TestShardBoundarySemantics:
-    def test_gap_enforced_across_shard_edges(self, tiny_engine):
-        # 8 shards over 400 frames puts a boundary every 50 frames; a GAP of
-        # 50 therefore forces cross-shard conflicts to actually arise.
-        query = (
-            "SELECT timestamp FROM tiny GROUP BY timestamp "
-            "HAVING COUNT(class = 'car') >= 1 LIMIT 6 GAP 50"
-        )
-        sequential = run(tiny_engine, query, parallelism=1)
-        parallel = run(tiny_engine, query, parallelism=8)
-        assert parallel.frames == sequential.frames
-        frames = sorted(parallel.frames)
-        assert all(b - a >= 50 for a, b in zip(frames, frames[1:], strict=False))
-
-    def test_selection_windows_spanning_shards(self, tiny_engine):
-        # 16 shards over 400 frames: boundaries every 25 frames, while car
-        # tracks last ~40 — matched windows must straddle shard edges.
-        sequential = run(tiny_engine, QUERIES["selection"], parallelism=1)
-        parallel = run(tiny_engine, QUERIES["selection"], parallelism=16)
-        assert fingerprint(parallel) == fingerprint(sequential)
-        boundaries = {i * 25 for i in range(1, 16)}
-        matched = set(parallel.matched_frames)
-        straddling = [
-            b for b in boundaries if b in matched and (b - 1) in matched
-        ]
-        assert straddling, "fixed-seed video should have windows across shard edges"
-
-    def test_single_frame_shards(self):
-        spec = make_video_spec(name="micro", num_frames=12, seed=11, car_rate=0.2)
-        engine = BlazeIt(
-            config=BlazeItConfig(
-                training=TrainingConfig(epochs=2, batch_size=8, min_examples=4),
-                min_training_positives=1,
-                seed=5,
-            )
-        )
-        engine.register_video("micro", test_video=SyntheticVideo.generate(spec))
-        query = "SELECT FCOUNT(*) FROM micro WHERE class = 'car'"
-        sequential = run(engine, query, parallelism=1)
-        parallel = run(engine, query, parallelism=12)
-        assert fingerprint(parallel) == fingerprint(sequential)
-        assert parallel.execution_ledger.detector_calls == 12
 
 
 class TestVideoSharder:

@@ -1,14 +1,17 @@
-"""Tests for the multiprocess shard executor and its shared-memory transport.
+"""Tests for the shard driver protocol on both transports, and for what is
+specific to the multiprocess one.
 
-The contract is the same as the thread backend's: a process-backed parallel
-execution must be bit-for-bit the sequential one — values, records, hit sets
-and ledger accounting — because workers only *speculate* (detections are
-recomputed from the exported context spec and published through shared
-memory) while the driver alone charges the ledger on consumption.  On top of
-the identity matrix, this file covers the export rules (recorded contexts
-refuse to spawn and fall back to threads), shard-boundary semantics on the
-process backend, worker crashes (SIGKILL mid-query must degrade to inline
-computation, not hang or corrupt), and shared-memory segment hygiene.
+The contract is one protocol, two transports: a thread- or process-backed
+parallel execution must be bit-for-bit the sequential one — values, records,
+hit sets and ledger accounting — because workers only *speculate* while the
+driver alone charges the ledger on consumption.  :class:`TestShardProtocol`
+checks that contract once, parametrized over ``("threads", "processes")``:
+the identity matrix, shard-boundary semantics, progress events, worker
+reaping, the announce/take rules and prefetch accounting.  The rest of the
+file covers the process transport alone: the export rules (recorded contexts
+refuse to spawn and fall back to threads), worker crashes (SIGKILL mid-query
+must degrade to inline computation, not hang or corrupt), the inline spill
+of oversized chunks, and shared-memory segment hygiene.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -23,10 +27,13 @@ import pytest
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.core.context import ContextSpec
-from repro.core.events import ShardProgress
+from repro.core.events import Completed, ExecutionControl, ShardProgress
 from repro.detection.columnar import decode_from_bytes, encode_to_bytes
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ConfigurationError, SpawnExportError
+from repro.parallel import plan as parallel_plan
+from repro.parallel.plan import BACKENDS
+from repro.parallel.shards import VideoSharder
 from repro.parallel.shm import SLOT_NAME_PREFIX, SlotRing
 from repro.specialization.trainer import TrainingConfig
 from repro.video.synthetic import SyntheticVideo
@@ -78,12 +85,36 @@ def sequential_fingerprints(spawn_engine):
     }
 
 
-class TestProcessBackendIdentity:
-    """4 query classes x parallelism {1, 4} x {threads, processes}."""
+def make_driver(engine, backend, parallelism=4, batch_size=16):
+    """A shard driver over ``backend`` for the engine's tiny video, with the
+    context it prefetches for (unattached: the tests drive it directly)."""
+    context = engine.execution_context("tiny")
+    shard_plan = VideoSharder().shard(
+        num_frames=context.video.num_frames, parallelism=parallelism
+    )
+    driver = parallel_plan._build_executor(
+        shard_plan,
+        context,
+        ExecutionControl(batch_size=batch_size),
+        backend,
+    )
+    assert driver.backend == backend
+    return driver, context
+
+
+def same_detections(result, context, frame_index):
+    expected = context.detector.detect(context.video, frame_index)
+    return result.frame_index == frame_index and [
+        (d.object_class, d.box) for d in result.detections
+    ] == [(d.object_class, d.box) for d in expected.detections]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestShardProtocol:
+    """One driver protocol, checked identically on both transports."""
 
     @pytest.mark.parametrize("kind", sorted(QUERIES))
     @pytest.mark.parametrize("parallelism", [1, 4])
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_result_identity_matrix(
         self, spawn_engine, sequential_fingerprints, kind, parallelism, backend
     ):
@@ -92,50 +123,58 @@ class TestProcessBackendIdentity:
         )
         assert fingerprint(routed) == sequential_fingerprints[kind]
 
-    def test_process_streams_emit_shard_progress(self, spawn_engine):
+    def test_shard_progress_only_in_parallel_streams(self, spawn_engine, backend):
         with spawn_engine.session() as session:
-            events = list(
+            parallel_events = list(
                 session.stream(
                     QUERIES["exact"],
                     rng=np.random.default_rng(1),
                     parallelism=4,
-                    backend="processes",
+                    backend=backend,
                 )
             )
-        assert [e for e in events if isinstance(e, ShardProgress)]
+            sequential_events = list(
+                session.stream(
+                    QUERIES["exact"], rng=np.random.default_rng(1), parallelism=1
+                )
+            )
+        progress = [e for e in parallel_events if isinstance(e, ShardProgress)]
+        assert progress
+        assert {e.shard for e in progress} <= {0, 1, 2, 3}
+        assert not [e for e in sequential_events if isinstance(e, ShardProgress)]
+        assert isinstance(parallel_events[-1], Completed)
         assert leaked_segments() == []
 
-    def test_invalid_backend_rejected(self, spawn_engine):
-        with spawn_engine.session() as session:
-            prepared = session.prepare(QUERIES["exact"])
-            with pytest.raises(ConfigurationError):
-                prepared.execute(parallelism=4, backend="fibers")
-
-
-class TestShardBoundariesOnProcesses:
-    def test_gap_enforced_across_shard_edges(self, spawn_engine):
+    def test_gap_enforced_across_shard_edges(self, spawn_engine, backend):
         # 8 shards over 400 frames puts a boundary every 50 frames; a GAP of
-        # 50 forces cross-shard conflicts to actually arise in the workers.
+        # 50 therefore forces cross-shard conflicts to actually arise.
         query = (
             "SELECT timestamp FROM tiny GROUP BY timestamp "
             "HAVING COUNT(class = 'car') >= 1 LIMIT 6 GAP 50"
         )
         sequential = run(spawn_engine, query, parallelism=1)
-        parallel = run(spawn_engine, query, parallelism=8, backend="processes")
+        parallel = run(spawn_engine, query, parallelism=8, backend=backend)
         assert fingerprint(parallel) == fingerprint(sequential)
         frames = sorted(parallel.frames)
         assert all(b - a >= 50 for a, b in zip(frames, frames[1:], strict=False))
 
-    def test_selection_windows_spanning_shards(self, spawn_engine):
-        # 16 shards: boundaries every 25 frames, car tracks last ~40 — the
-        # columnar transport must reassemble windows across shard edges.
+    def test_selection_windows_spanning_shards(self, spawn_engine, backend):
+        # 16 shards over 400 frames: boundaries every 25 frames, while car
+        # tracks last ~40 — matched windows must straddle shard edges (and
+        # the process transport must reassemble them from columnar payloads).
         sequential = run(spawn_engine, QUERIES["selection"], parallelism=1)
         parallel = run(
-            spawn_engine, QUERIES["selection"], parallelism=16, backend="processes"
+            spawn_engine, QUERIES["selection"], parallelism=16, backend=backend
         )
         assert fingerprint(parallel) == fingerprint(sequential)
+        boundaries = {i * 25 for i in range(1, 16)}
+        matched = set(parallel.matched_frames)
+        straddling = [
+            b for b in boundaries if b in matched and (b - 1) in matched
+        ]
+        assert straddling, "fixed-seed video should have windows across shard edges"
 
-    def test_single_frame_shards(self):
+    def test_single_frame_shards(self, backend):
         spec = make_video_spec(name="micro", num_frames=12, seed=11, car_rate=0.2)
         engine = BlazeIt(
             config=BlazeItConfig(
@@ -147,9 +186,98 @@ class TestShardBoundariesOnProcesses:
         engine.register_video("micro", test_video=SyntheticVideo.generate(spec))
         query = "SELECT FCOUNT(*) FROM micro WHERE class = 'car'"
         sequential = run(engine, query, parallelism=1)
-        parallel = run(engine, query, parallelism=12, backend="processes")
+        parallel = run(engine, query, parallelism=12, backend=backend)
         assert fingerprint(parallel) == fingerprint(sequential)
+        assert parallel.execution_ledger.detector_calls == 12
         assert leaked_segments() == []
+
+    def test_shutdown_joins_all_workers(self, spawn_engine, backend):
+        """Closing a stream mid-scan must leave no live worker — thread or
+        process — and no shared-memory segments."""
+        with spawn_engine.session() as session:
+            stream = session.stream(
+                QUERIES["exact"],
+                rng=np.random.default_rng(7),
+                parallelism=4,
+                backend=backend,
+            )
+            consumed = 0
+            for _ in stream:
+                consumed += 1
+                if consumed >= 3:
+                    break
+            stream.close()
+        assert [
+            t.name for t in threading.enumerate() if t.name.startswith("repro-shard")
+        ] == []
+        assert multiprocessing.active_children() == []
+        assert leaked_segments() == []
+
+    def test_second_announce_is_ignored(self, spawn_engine, backend):
+        driver, context = make_driver(spawn_engine, backend)
+        try:
+            driver.announce(np.arange(0, 100), monotone=True)
+            driver.announce(np.arange(300, 400))
+            assert driver.take(350) is None
+            assert same_detections(driver.take(0), context, 0)
+        finally:
+            driver.shutdown()
+        assert leaked_segments() == []
+
+    def test_unannounced_and_passed_frames_are_computed_inline(
+        self, spawn_engine, backend
+    ):
+        driver, context = make_driver(spawn_engine, backend)
+        try:
+            assert driver.take(5) is None, "nothing announced yet"
+            assert driver.take_many([5, 6]) == {}
+            driver.announce([10, 120, 30, 250])
+            assert driver.take(15) is None, "never announced"
+            assert same_detections(driver.take(30), context, 30)
+            assert driver.take(10) is None, "passed: 30 follows it in shard 0"
+            assert driver.take(30) is None, "already taken"
+            taken = driver.take_many([120, 7, 250])
+            assert list(taken) == [120, 250]
+            assert all(same_detections(taken[f], context, f) for f in taken)
+        finally:
+            driver.shutdown()
+        assert driver.take(250) is None, "shut down"
+
+    def test_frames_prefetched_counts_what_workers_computed(
+        self, spawn_engine, backend, monkeypatch
+    ):
+        """Regression: after an early stop, frames the workers computed but
+        the plan never took (on the process transport: published slots the
+        driver never drained) were missing from ``frames_prefetched``."""
+        drivers = []
+        build = parallel_plan._build_executor
+
+        def capturing_build(*args, **kwargs):
+            drivers.append(build(*args, **kwargs))
+            return drivers[-1]
+
+        monkeypatch.setattr(parallel_plan, "_build_executor", capturing_build)
+        with spawn_engine.session() as session:
+            result = session.stream(
+                QUERIES["scrubbing"],
+                rng=np.random.default_rng(9),
+                parallelism=4,
+                backend=backend,
+                batch_size=8,
+            ).drain()
+        assert result.satisfied
+        (driver,) = drivers
+        spans = driver.worker_spans()
+        assert [span["backend"] for span in spans] == [backend] * 4
+        assert driver.frames_prefetched == sum(span["frames"] for span in spans)
+        assert driver.frames_prefetched >= result.execution_ledger.detector_calls
+
+
+def test_invalid_backend_rejected(spawn_engine):
+    with spawn_engine.session() as session:
+        prepared = session.prepare(QUERIES["exact"])
+        with pytest.raises(ConfigurationError):
+            prepared.execute(parallelism=4, backend="fibers")
 
 
 class TestSpawnExport:
@@ -270,25 +398,6 @@ class TestWorkerCrash:
         assert leaked_segments() == []
         assert multiprocessing.active_children() == []
 
-    def test_shutdown_joins_all_workers(self, spawn_engine):
-        """Closing a stream mid-scan must leave no live worker processes
-        and no shared-memory segments."""
-        with spawn_engine.session() as session:
-            stream = session.stream(
-                QUERIES["exact"],
-                rng=np.random.default_rng(7),
-                parallelism=4,
-                backend="processes",
-            )
-            consumed = 0
-            for _ in stream:
-                consumed += 1
-                if consumed >= 3:
-                    break
-            stream.close()
-        assert leaked_segments() == []
-        assert multiprocessing.active_children() == []
-
 
 class TestShmTransport:
     def test_slot_ring_create_read_destroy(self):
@@ -302,6 +411,49 @@ class TestShmTransport:
             ring.destroy()
         assert leaked_segments() == []
         ring.destroy()  # idempotent
+
+    def test_oversized_chunk_spills_inline(self, monkeypatch):
+        """A chunk whose columnar payload exceeds the 1 MiB slot travels
+        inline through the header queue; the result is still sequential's."""
+        engine = BlazeIt(
+            config=BlazeItConfig(
+                training=TrainingConfig(epochs=2, batch_size=32, min_examples=16),
+                seed=3,
+            )
+        )
+        engine.register_video(
+            "dense",
+            test_video=SyntheticVideo.generate(
+                make_video_spec(name="dense", num_frames=1200, car_rate=0.5)
+            ),
+        )
+        slot_reads = []
+        read = SlotRing.read
+
+        def counting_read(ring, slot_index, nbytes):
+            slot_reads.append(nbytes)
+            return read(ring, slot_index, nbytes)
+
+        monkeypatch.setattr(SlotRing, "read", counting_read)
+        query = "SELECT FCOUNT(*) FROM dense WHERE class = 'car'"
+
+        def events_and_result(**parallel):
+            with engine.session() as session:
+                stream = session.stream(
+                    query,
+                    rng=np.random.default_rng(42),
+                    batch_size=600,  # one ~1.4 MB chunk per shard
+                    **parallel,
+                )
+                return list(stream), stream.result
+
+        _, sequential = events_and_result(parallelism=1)
+        events, spilled = events_and_result(parallelism=2, backend="processes")
+        progress = [e for e in events if isinstance(e, ShardProgress)]
+        assert {e.shard for e in progress} == {0, 1}, "both workers delivered"
+        assert slot_reads == [], "every chunk should have outgrown its slot"
+        assert fingerprint(spilled) == fingerprint(sequential)
+        assert leaked_segments() == []
 
     def test_columnar_codec_roundtrip_through_bytes(self, spawn_engine):
         video = spawn_engine.store.get("tiny")
