@@ -28,7 +28,6 @@ RPR003    lock discipline: thread-shared state mutated only under its lock;
           lock-acquisition-order graph is cycle-free
 RPR004    async hygiene: no blocking calls on the event loop, no ``await``
           under a sync lock
-RPR005    wire exhaustiveness: every event/result class has a registered codec
 ========  =====================================================================
 """
 

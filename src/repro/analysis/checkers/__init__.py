@@ -7,7 +7,6 @@ from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.ledger import LedgerAccountingChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.checkers.async_hygiene import AsyncHygieneChecker
-from repro.analysis.checkers.wire import WireExhaustivenessChecker
 from repro.analysis.checkers.fork_safety import ForkSafetyChecker
 from repro.analysis.checkers.persistence import PersistenceHygieneChecker
 from repro.analysis.checkers.observability import ObservabilityHygieneChecker
@@ -20,7 +19,6 @@ def all_checkers() -> list[Checker]:
         LedgerAccountingChecker(),
         LockDisciplineChecker(),
         AsyncHygieneChecker(),
-        WireExhaustivenessChecker(),
         ForkSafetyChecker(),
         PersistenceHygieneChecker(),
         ObservabilityHygieneChecker(),
@@ -36,6 +34,5 @@ __all__ = [
     "LockDisciplineChecker",
     "ObservabilityHygieneChecker",
     "PersistenceHygieneChecker",
-    "WireExhaustivenessChecker",
     "all_checkers",
 ]

@@ -230,17 +230,6 @@ class ProjectModel:
                     stack.append(resolved)
         return False
 
-    def subclasses_of(self, ancestor: str) -> list[ClassInfo]:
-        """Every project class transitively deriving from ``ancestor``
-        (excluding the ancestor class itself)."""
-        found = []
-        for cinfo in self.classes.values():
-            if cinfo.name == ancestor.rsplit(".", 1)[-1]:
-                continue
-            if self.is_subclass(cinfo, ancestor):
-                found.append(cinfo)
-        return found
-
     # -- cheap type inference ------------------------------------------------------
 
     def _annotation_class(

@@ -422,7 +422,7 @@ class PreparedQuery:
                     if closer is not None:
                         closer()
 
-        return ExecutionStream(events(), control)
+        return ExecutionStream(events(), control, workers)
 
     def execute(
         self,

@@ -30,6 +30,7 @@ from repro.core.results import QueryResult
 from repro.errors import ConfigurationError, ExecutionError
 from repro.metrics.runtime import ExecutionLedger
 from repro.stopping import NO_STOP, CancellationToken, StopConditions
+from repro.wire import Tagged
 
 __all__ = [
     "ExecutionEvent",
@@ -51,16 +52,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExecutionEvent:
+class ExecutionEvent(Tagged):
     """Base class of every event a plan's stream can yield.
 
     ``wire_name`` is the event's stable type tag on the wire: the query
     service (:mod:`repro.service.protocol`) serialises events under it, and
     SSE consumers receive it as the ``event:`` field.  Renaming one is a
-    wire-protocol break, not a refactor.
+    wire-protocol break, not a refactor.  Every subclass must define its own
+    (:class:`~repro.wire.Tagged` raises ``TypeError`` at the class statement
+    otherwise) and is thereby registered.  The tag travels in the envelope
+    (``{"v", "event", "data"}``); the event's fields are the ``data`` object.
     """
 
-    wire_name: ClassVar[str] = "event"
+    wire_name: ClassVar[str]
 
 
 @dataclass(frozen=True)
@@ -169,22 +173,10 @@ class Completed(ExecutionEvent):
 def event_wire_types() -> dict[str, type[ExecutionEvent]]:
     """Every concrete event class keyed by its :attr:`~ExecutionEvent.wire_name`.
 
-    The serialization hook for the wire protocol: codecs iterate this map
-    instead of hard-coding the event taxonomy, so a new event type added here
-    (with a distinct ``wire_name``) is picked up by
-    :mod:`repro.service.protocol` automatically.
+    A copy of the registry that defining an event class fills in, so a new
+    event type is picked up by :mod:`repro.service.protocol` automatically.
     """
-    return {
-        cls.wire_name: cls
-        for cls in (
-            Progress,
-            ShardProgress,
-            EstimateUpdate,
-            ScrubbingHit,
-            SelectionWindow,
-            Completed,
-        )
-    }
+    return dict(ExecutionEvent.wire_types)
 
 
 #: Events/frames a plan processes between control checks and progress events.
@@ -285,10 +277,13 @@ class ExecutionStream:
     """
 
     def __init__(
-        self, events: Iterator[ExecutionEvent], control: ExecutionControl
+        self, events: Iterator[ExecutionEvent], control: ExecutionControl, workers: int
     ) -> None:
         self._events = events
         self.control = control
+        #: Worker count this execution was routed to (1 = sequential): what
+        #: the optimizer decided, not what the hints requested.
+        self.workers = workers
         self._result: QueryResult | None = None
         self._stop_reason: str | None = None
         self._finished = False

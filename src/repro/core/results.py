@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import ClassVar
 
 from repro.frameql.schema import FrameRecord
 from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
-
-if TYPE_CHECKING:  # pragma: no cover - circular at runtime (obs uses results)
-    from repro.obs.profile import ExecutionProfile
+from repro.obs.profile import ExecutionProfile
+from repro.wire import OMIT_NONE, Tagged
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,12 @@ class PlanExplanation:
 
 
 @dataclass
-class QueryResult:
+class QueryResult(Tagged):
     """Fields common to every query result.
+
+    Results are a :class:`~repro.wire.Tagged` family: every subclass must
+    define its own ``wire_name`` (the payload's ``"type"``), and the wire
+    form of a result is its dataclass fields — there is no other list.
 
     Attributes
     ----------
@@ -144,6 +147,9 @@ class QueryResult:
         stream themselves.
     """
 
+    wire_key: ClassVar[str] = "type"
+    wire_name: ClassVar[str] = "base"
+
     kind: str
     method: str
     ledger: RuntimeLedger = field(default_factory=RuntimeLedger)
@@ -154,7 +160,7 @@ class QueryResult:
     #: (``execute(analyze=True)`` or an enabled tracer).  Display-only:
     #: excluded from equality and from wire fingerprints, so traced results
     #: stay byte-identical to untraced ones.
-    profile: "ExecutionProfile | None" = field(default=None, compare=False)
+    profile: ExecutionProfile | None = field(default=None, compare=False, metadata=OMIT_NONE)
 
     @property
     def runtime_seconds(self) -> float:
@@ -182,6 +188,8 @@ class QueryResult:
 class AggregateResult(QueryResult):
     """Result of an aggregate query."""
 
+    wire_name: ClassVar[str] = "aggregate"
+
     value: float = 0.0
     error_tolerance: float | None = None
     confidence: float = 0.95
@@ -194,6 +202,8 @@ class AggregateResult(QueryResult):
 class ScrubbingQueryResult(QueryResult):
     """Result of a cardinality-limited scrubbing query."""
 
+    wire_name: ClassVar[str] = "scrubbing"
+
     frames: list[int] = field(default_factory=list)
     timestamps: list[float] = field(default_factory=list)
     limit: int = 0
@@ -204,6 +214,8 @@ class ScrubbingQueryResult(QueryResult):
 class SelectionResult(QueryResult):
     """Result of a content-based selection query."""
 
+    wire_name: ClassVar[str] = "selection"
+
     records: list[FrameRecord] = field(default_factory=list)
     matched_frames: list[int] = field(default_factory=list)
     frames_scanned: int = 0
@@ -213,6 +225,8 @@ class SelectionResult(QueryResult):
 @dataclass
 class ExactResult(QueryResult):
     """Result of an exact (unoptimized) query."""
+
+    wire_name: ClassVar[str] = "exact"
 
     records: list[FrameRecord] = field(default_factory=list)
     value: float | None = None

@@ -20,9 +20,10 @@ Only *relative* runtimes (speedup factors, crossover points) are meaningful.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, ClassVar
+
+from repro.wire import Tagged
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (metrics must not import detection)
     from repro.detection.base import DetectionResult
@@ -74,7 +75,7 @@ class StandardCosts:
 
 
 @dataclass
-class RuntimeLedger:
+class RuntimeLedger(Tagged):
     """Accumulates simulated runtime, broken down by operator.
 
     The ledger is the single source of truth for "how long did this query
@@ -87,7 +88,14 @@ class RuntimeLedger:
     lock, so concurrent shard workers charging one shared ledger never lose
     counts.  Reads are plain attribute access — take a :meth:`snapshot` when
     a consistent multi-field view is needed while writers are live.
+
+    On the wire a ledger is its public fields plus ``"execution"``, which
+    protocol v1 uses as a boolean tag: whether the counters of
+    :class:`ExecutionLedger` follow.
     """
+
+    wire_key: ClassVar[str] = "execution"
+    wire_name: ClassVar[bool] = False
 
     charges: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
@@ -145,19 +153,6 @@ class RuntimeLedger:
             self.charges.clear()
             self.calls.clear()
 
-    def restore_charges(
-        self, charges: Mapping[str, Any], calls: Mapping[str, Any]
-    ) -> None:
-        """Overwrite the charge maps from a deserialized wire payload.
-
-        The single sanctioned way for wire codecs to write these maps
-        (RPR003): the store happens under the ledger lock so a ledger that
-        is already visible to other threads cannot observe a torn update.
-        """
-        with self._lock:
-            self.charges = {str(k): float(v) for k, v in charges.items()}
-            self.calls = {str(k): int(v) for k, v in calls.items()}
-
     def snapshot(self) -> "RuntimeLedger":
         """Return an independent copy of the current state."""
         copy = RuntimeLedger()
@@ -165,6 +160,11 @@ class RuntimeLedger:
             copy.charges = dict(self.charges)
             copy.calls = dict(self.calls)
         return copy
+
+
+def _counter(metric: str, help: str) -> int:
+    """An :class:`ExecutionLedger` counter that also feeds a Prometheus counter."""
+    return field(default=0, metadata={"metric": metric, "help": help})
 
 
 @dataclass
@@ -182,26 +182,40 @@ class ExecutionLedger(RuntimeLedger):
     ``wall_seconds`` and the detection cache are excluded from equality so
     that a streamed execution and a blocking execution of the same plan under
     the same RNG stream compare equal field-for-field.
+
+    Every public field declared here is a counter: :meth:`merge`,
+    :meth:`snapshot`, the wire codec and the metrics registry
+    (:func:`repro.obs.metrics.record_execution_ledger`, for the fields that
+    name a Prometheus counter) all fold over this one list, so a new counter
+    is one new line.
     """
 
+    wire_name: ClassVar[bool] = True
+
     #: Object-detector invocations actually charged (cache misses only).
-    detector_calls: int = 0
+    detector_calls: int = _counter("repro_detector_calls_total", "Charged detector calls")
     #: Distinct frames decoded (one per charged detection).
-    frames_decoded: int = 0
+    frames_decoded: int = _counter("repro_frames_decoded_total", "Frames decoded from video")
     #: Detections served from the per-execution cache instead of the detector
     #: (including frames first seeded into it from the shared cross-query
     #: cache, which are additionally counted in ``shared_cache_hits``).
-    detection_cache_hits: int = 0
+    detection_cache_hits: int = _counter(
+        "repro_detection_cache_hits_total", "Per-execution detection cache hits"
+    )
     #: Detections seeded from the process-wide shared cross-query cache —
     #: frames this execution never paid a detector call for.
-    shared_cache_hits: int = 0
+    shared_cache_hits: int = _counter(
+        "repro_shared_cache_hits_total", "Shared cross-query cache hits"
+    )
     #: Detections decoded from the persistent index's memory-mapped segments
     #: (exact persisted detector output; never charged).
-    index_hits: int = 0
+    index_hits: int = _counter("repro_index_hits_total", "Frames served from the persistent index")
     #: Frames skipped entirely on range-sketch evidence — the index proved
     #: them irrelevant (empty range / class absent / min-count unsatisfiable)
     #: without decoding anything.
-    index_skips: int = 0
+    index_skips: int = _counter(
+        "repro_index_skips_total", "Frames skipped via index range sketches"
+    )
     #: Incremental (non-terminal) events emitted over the streaming protocol.
     batches_emitted: int = 0
     #: All events emitted, including the terminal ``Completed``.
@@ -309,54 +323,29 @@ class ExecutionLedger(RuntimeLedger):
         with self._lock:
             self.wall_seconds = wall_seconds
 
-    def restore_execution_counters(self, payload: Mapping[str, Any]) -> None:
-        """Overwrite the execution counters from a deserialized wire payload.
-
-        The single sanctioned way for wire codecs to write these counters
-        (RPR003), mirroring :meth:`RuntimeLedger.restore_charges`.  The index
-        counters joined the wire format after protocol v1 first shipped, so
-        they default to zero when absent from older payloads.
-        """
-        with self._lock:
-            self.detector_calls = int(payload["detector_calls"])
-            self.frames_decoded = int(payload["frames_decoded"])
-            self.detection_cache_hits = int(payload["detection_cache_hits"])
-            self.shared_cache_hits = int(payload["shared_cache_hits"])
-            self.index_hits = int(payload.get("index_hits", 0))
-            self.index_skips = int(payload.get("index_skips", 0))
-            self.batches_emitted = int(payload["batches_emitted"])
-            self.events_emitted = int(payload["events_emitted"])
-            self.wall_seconds = float(payload["wall_seconds"])
-
     def merge(self, other: RuntimeLedger) -> None:
         """Fold another ledger's charges — and execution counters — into this one."""
         super().merge(other)
         if isinstance(other, ExecutionLedger):
             with self._lock:
-                self.detector_calls += other.detector_calls
-                self.frames_decoded += other.frames_decoded
-                self.detection_cache_hits += other.detection_cache_hits
-                self.shared_cache_hits += other.shared_cache_hits
-                self.index_hits += other.index_hits
-                self.index_skips += other.index_skips
-                self.batches_emitted += other.batches_emitted
-                self.events_emitted += other.events_emitted
-                self.wall_seconds += other.wall_seconds
+                for name in _COUNTERS:
+                    setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self) -> "ExecutionLedger":
         """Return an independent copy, execution counters and cache included."""
-        copy = ExecutionLedger()
         with self._lock:
-            copy.charges = dict(self.charges)
-            copy.calls = dict(self.calls)
-            copy.detector_calls = self.detector_calls
-            copy.frames_decoded = self.frames_decoded
-            copy.detection_cache_hits = self.detection_cache_hits
-            copy.shared_cache_hits = self.shared_cache_hits
-            copy.index_hits = self.index_hits
-            copy.index_skips = self.index_skips
-            copy.batches_emitted = self.batches_emitted
-            copy.events_emitted = self.events_emitted
-            copy.wall_seconds = self.wall_seconds
-            copy._detections = dict(self._detections)
-        return copy
+            return ExecutionLedger(
+                charges=dict(self.charges),
+                calls=dict(self.calls),
+                _detections=dict(self._detections),
+                **{name: getattr(self, name) for name in _COUNTERS},
+            )
+
+
+#: The counter fields of :class:`ExecutionLedger`: the public fields it adds
+#: to its base (a dataclass lists inherited fields first).
+_COUNTERS = tuple(
+    f.name
+    for f in fields(ExecutionLedger)[len(fields(RuntimeLedger)) :]
+    if not f.name.startswith("_")
+)

@@ -15,6 +15,7 @@ them back into result-bearing code, so recording can never perturb results.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Mapping
@@ -230,50 +231,21 @@ def record_execution_ledger(kind: str, ledger: Any) -> None:
     """Fold one execution's terminal ledger into the process registry.
 
     Called once per completed query (by the session layer); ``kind`` labels
-    the query class.  Only counters are read off the ledger — never written
-    back — so this is a strictly one-way flow out of the execution engine.
+    the query class.  Which ledger fields feed which counter is declared on
+    the fields themselves (``metric``/``help`` metadata in
+    :class:`~repro.metrics.runtime.ExecutionLedger`).  Counters are only read
+    off the ledger — never written back — so this is a strictly one-way flow
+    out of the execution engine.
     """
     registry = get_registry()
     labels = {"kind": kind}
     registry.inc(
         "repro_queries_total", 1, labels, help="Completed query executions"
     )
-    registry.inc(
-        "repro_detector_calls_total",
-        ledger.detector_calls,
-        labels,
-        help="Charged detector calls",
-    )
-    registry.inc(
-        "repro_frames_decoded_total",
-        ledger.frames_decoded,
-        labels,
-        help="Frames decoded from video",
-    )
-    registry.inc(
-        "repro_detection_cache_hits_total",
-        ledger.detection_cache_hits,
-        labels,
-        help="Per-execution detection cache hits",
-    )
-    registry.inc(
-        "repro_shared_cache_hits_total",
-        ledger.shared_cache_hits,
-        labels,
-        help="Shared cross-query cache hits",
-    )
-    registry.inc(
-        "repro_index_hits_total",
-        ledger.index_hits,
-        labels,
-        help="Frames served from the persistent index",
-    )
-    registry.inc(
-        "repro_index_skips_total",
-        ledger.index_skips,
-        labels,
-        help="Frames skipped via index range sketches",
-    )
+    for field in dataclasses.fields(ledger):
+        if "metric" in field.metadata:
+            value = getattr(ledger, field.name)
+            registry.inc(field.metadata["metric"], value, labels, help=field.metadata["help"])
     registry.observe(
         "repro_query_wall_seconds",
         ledger.wall_seconds,

@@ -15,10 +15,12 @@ result stays byte-identical to an untraced one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.results import OperatorNode
 from repro.obs.trace import SpanRecord, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - results carry a profile, so core imports obs
+    from repro.core.results import OperatorNode
 
 
 @dataclass(frozen=True)
@@ -36,29 +38,6 @@ class OperatorProfile:
     estimated_seconds: float | None = None
     actual_detector_calls: int | None = None
     actual_seconds: float | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "detail": self.detail,
-            "depth": self.depth,
-            "estimated_detector_calls": self.estimated_detector_calls,
-            "estimated_seconds": self.estimated_seconds,
-            "actual_detector_calls": self.actual_detector_calls,
-            "actual_seconds": self.actual_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "OperatorProfile":
-        return cls(
-            name=str(payload["name"]),
-            detail=str(payload["detail"]),
-            depth=int(payload["depth"]),
-            estimated_detector_calls=payload["estimated_detector_calls"],
-            estimated_seconds=payload["estimated_seconds"],
-            actual_detector_calls=payload["actual_detector_calls"],
-            actual_seconds=payload["actual_seconds"],
-        )
 
 
 @dataclass(frozen=True)
@@ -95,27 +74,6 @@ class ExecutionProfile:
     def explain(self) -> str:
         """Alias of :meth:`render` (the EXPLAIN ANALYZE surface)."""
         return self.render()
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "plan_summary": self.plan_summary,
-            "trace_id": self.trace_id,
-            "operators": [op.to_json() for op in self.operators],
-            "spans": [span.to_json() for span in self.spans],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "ExecutionProfile":
-        return cls(
-            kind=str(payload["kind"]),
-            plan_summary=str(payload["plan_summary"]),
-            trace_id=str(payload["trace_id"]),
-            operators=tuple(
-                OperatorProfile.from_json(op) for op in payload["operators"]
-            ),
-            spans=tuple(SpanRecord.from_json(span) for span in payload["spans"]),
-        )
 
 
 def _flatten_tree(node: OperatorNode, depth: int = 0) -> list[tuple[OperatorNode, int]]:

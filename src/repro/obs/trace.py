@@ -46,27 +46,6 @@ class SpanRecord:
     wall_duration: float = 0.0
     attributes: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "wall_start": self.wall_start,
-            "wall_duration": self.wall_duration,
-            "attributes": dict(self.attributes),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "SpanRecord":
-        return cls(
-            span_id=str(payload["span_id"]),
-            parent_id=payload["parent_id"],
-            name=str(payload["name"]),
-            wall_start=float(payload["wall_start"]),
-            wall_duration=float(payload["wall_duration"]),
-            attributes=dict(payload["attributes"]),
-        )
-
 
 class Tracer:
     """Collects the span tree of one query execution.

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
+from repro import wire
 from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
 from repro.service.manager import ServiceError, ServiceManager
@@ -281,13 +282,7 @@ class QueryServiceApp:
     async def _create_tenant(self, payload: dict[str, Any]) -> dict[str, Any]:
         from repro.service.manager import TenantQuota
 
-        quota_payload = payload.get("quota") or {}
-        if not isinstance(quota_payload, dict):
-            raise _HttpError(400, "bad_quota", "quota must be a JSON object")
-        quota = TenantQuota(
-            max_detector_calls=quota_payload.get("max_detector_calls"),
-            max_active_queries=quota_payload.get("max_active_queries"),
-        )
+        quota = wire.decode(TenantQuota, payload.get("quota") or {})
         return await self._call(
             self.manager.create_tenant, self._required(payload, "name"), quota
         )
@@ -310,16 +305,9 @@ class QueryServiceApp:
     ) -> tuple[int, dict[str, Any]]:
         from repro.api.hints import StopConditions
 
-        stop_payload = payload.get("stop")
         stop = None
-        if stop_payload is not None:
-            if not isinstance(stop_payload, dict):
-                raise _HttpError(400, "bad_stop", "stop must be a JSON object")
-            stop = StopConditions(
-                limit=stop_payload.get("limit"),
-                ci_width=stop_payload.get("ci_width"),
-                max_detector_calls=stop_payload.get("max_detector_calls"),
-            )
+        if payload.get("stop") is not None:
+            stop = wire.decode(StopConditions, payload["stop"])
         record = await self._call(
             functools.partial(
                 self.manager.submit,

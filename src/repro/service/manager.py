@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro import wire
 from repro.core.events import Completed, ExecutionStream
 from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
@@ -92,9 +93,10 @@ class TenantQuota:
 class ServiceConfig:
     """Knobs for the service: executor capacity, admission bounds, defaults."""
 
-    #: Executor slot count.  A query consumes ``max(1, parallelism)`` slots
-    #: (clamped to the total), so the scheduler respects
-    #: ``QueryHints.parallelism`` as genuine capacity demand.
+    #: Executor slot count.  A query consumes one slot per worker its
+    #: execution was routed to (``ExecutionStream.workers``, clamped to the
+    #: total): what the optimizer decided, which a ``parallelism`` hint only
+    #: bounds from above.
     slots: int = 4
     #: Bound on queries waiting for a slot, across all tenants.  Submissions
     #: beyond it get a typed :class:`AdmissionRejectedError`.
@@ -277,10 +279,7 @@ class TenantState:
     def status(self) -> dict[str, Any]:
         return {
             "tenant": self.name,
-            "quota": {
-                "max_detector_calls": self.quota.max_detector_calls,
-                "max_active_queries": self.quota.max_active_queries,
-            },
+            "quota": wire.encode(self.quota),
             "detector_calls_charged": self.detector_calls_charged,
             "queries_submitted": self.queries_submitted,
             "queries_finished": self.queries_finished,
@@ -488,8 +487,7 @@ class ServiceManager:
             # The stream draws its seed here, under the admission lock, so
             # RNG ancestry follows admission order exactly.
             stream = prepared.stream(stop=stop, **dict(params or {}))
-            workers = prepared._effective_parallelism(None)
-            slots = max(1, min(workers, self.config.slots))
+            slots = max(1, min(stream.workers, self.config.slots))
             record = QueryRecord(
                 query_id=f"q{next(self._ids)}",
                 tenant_name=tenant.name,

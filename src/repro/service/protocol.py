@@ -10,10 +10,13 @@ session would have produced in process.  Two properties make that hold:
 * numpy arrays (detection features) are converted to ``float64`` lists and
   rebuilt as ``float64`` arrays, bit-for-bit.
 
-The event taxonomy is *not* hard-coded here: codecs key off
-:func:`repro.core.events.event_wire_types` (each event class carries its
-stable ``wire_name`` tag), so new event types serialize automatically as long
-as their fields are JSON-representable.
+No wire type's fields are listed here: every function is a thin call into
+:mod:`repro.wire`, which derives the JSON form of an event, result, ledger,
+record or hint set from its dataclass.  Adding a field, a counter, an event
+or a result class is a change to that dataclass alone.  What this module
+owns is the protocol around the objects: the version tag, the event
+envelope, the fingerprint, and the "only what differs from the default"
+form of a hint set.
 
 Ledger note: ``wall_seconds`` is real wall-clock time and can never match
 across the wire; it is carried for observability but excluded from
@@ -23,322 +26,73 @@ semantics (``compare=False``).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any
 
-import numpy as np
-
-from repro.api.hints import QueryHints, StopConditions
-from repro.core.events import Completed, ExecutionEvent, event_wire_types
-from repro.core.results import (
-    AggregateResult,
-    ExactResult,
-    QueryResult,
-    ScrubbingQueryResult,
-    SelectionResult,
-)
+from repro import wire
+from repro.api.hints import NO_HINTS, QueryHints
+from repro.core.events import ExecutionEvent, event_wire_types
+from repro.core.results import QueryResult
 from repro.errors import ConfigurationError
-from repro.frameql.schema import FrameRecord
-from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
-from repro.video.geometry import BoundingBox
+from repro.metrics.runtime import RuntimeLedger
 
 #: Wire-format version tag stamped onto every serialized event envelope.
 PROTOCOL_VERSION = 1
 
-_RESULT_TYPES: dict[str, type[QueryResult]] = {
-    "aggregate": AggregateResult,
-    "scrubbing": ScrubbingQueryResult,
-    "selection": SelectionResult,
-    "exact": ExactResult,
-    "base": QueryResult,
-}
-
-
-def _result_wire_type(result: QueryResult) -> str:
-    for name, cls in _RESULT_TYPES.items():
-        if type(result) is cls:
-            return name
-    raise ConfigurationError(
-        f"cannot serialize result type {type(result).__name__}"
-    )
-
-
-# -- ledgers ------------------------------------------------------------------------
-
 
 def ledger_to_json(ledger: RuntimeLedger) -> dict[str, Any]:
     """JSON form of a ledger (execution counters included when present)."""
-    payload: dict[str, Any] = {
-        "execution": isinstance(ledger, ExecutionLedger),
-        "charges": dict(ledger.charges),
-        "calls": dict(ledger.calls),
-    }
-    if isinstance(ledger, ExecutionLedger):
-        payload.update(
-            detector_calls=ledger.detector_calls,
-            frames_decoded=ledger.frames_decoded,
-            detection_cache_hits=ledger.detection_cache_hits,
-            shared_cache_hits=ledger.shared_cache_hits,
-            index_hits=ledger.index_hits,
-            index_skips=ledger.index_skips,
-            batches_emitted=ledger.batches_emitted,
-            events_emitted=ledger.events_emitted,
-            wall_seconds=ledger.wall_seconds,
-        )
-    return payload
+    return wire.encode(ledger)
 
 
 def ledger_from_json(payload: dict[str, Any]) -> RuntimeLedger:
     """Inverse of :func:`ledger_to_json`."""
-    ledger: RuntimeLedger
-    if payload.get("execution"):
-        execution = ExecutionLedger()
-        execution.restore_execution_counters(payload)
-        ledger = execution
-    else:
-        ledger = RuntimeLedger()
-    ledger.restore_charges(payload["charges"], payload["calls"])
-    return ledger
-
-
-# -- records ------------------------------------------------------------------------
-
-
-def _record_to_json(record: FrameRecord) -> dict[str, Any]:
-    return {
-        "timestamp": record.timestamp,
-        "frame_index": record.frame_index,
-        "object_class": record.object_class,
-        "mask": [
-            record.mask.x_min,
-            record.mask.y_min,
-            record.mask.x_max,
-            record.mask.y_max,
-        ],
-        "trackid": record.trackid,
-        "features": (
-            None
-            if record.features is None
-            else np.asarray(record.features, dtype=np.float64).tolist()
-        ),
-        "confidence": record.confidence,
-        "color": None if record.color is None else list(record.color),
-        "color_name": record.color_name,
-    }
-
-
-def _record_from_json(payload: dict[str, Any]) -> FrameRecord:
-    return FrameRecord(
-        timestamp=float(payload["timestamp"]),
-        frame_index=int(payload["frame_index"]),
-        object_class=str(payload["object_class"]),
-        mask=BoundingBox(*payload["mask"]),
-        trackid=payload["trackid"],
-        features=(
-            None
-            if payload["features"] is None
-            else np.asarray(payload["features"], dtype=np.float64)
-        ),
-        confidence=float(payload["confidence"]),
-        color=None if payload["color"] is None else tuple(payload["color"]),
-        color_name=payload["color_name"],
-    )
-
-
-# -- results ------------------------------------------------------------------------
+    return wire.decode(RuntimeLedger, payload)
 
 
 def result_to_json(result: QueryResult) -> dict[str, Any]:
     """JSON form of any query result (all four classes plus the base)."""
-    payload: dict[str, Any] = {
-        "type": _result_wire_type(result),
-        "kind": result.kind,
-        "method": result.method,
-        "ledger": ledger_to_json(result.ledger),
-        "detection_calls": result.detection_calls,
-        "plan_description": result.plan_description,
-        "stop_reason": result.stop_reason,
-    }
-    if result.profile is not None:
-        payload["profile"] = result.profile.to_json()
-    if isinstance(result, AggregateResult):
-        payload.update(
-            value=result.value,
-            error_tolerance=result.error_tolerance,
-            confidence=result.confidence,
-            samples_used=result.samples_used,
-            half_width=result.half_width,
-            correlation=result.correlation,
-        )
-    elif isinstance(result, ScrubbingQueryResult):
-        payload.update(
-            frames=[int(f) for f in result.frames],
-            timestamps=[float(t) for t in result.timestamps],
-            limit=result.limit,
-            satisfied=result.satisfied,
-        )
-    elif isinstance(result, SelectionResult):
-        payload.update(
-            records=[_record_to_json(r) for r in result.records],
-            matched_frames=[int(f) for f in result.matched_frames],
-            frames_scanned=result.frames_scanned,
-            frames_after_filters=result.frames_after_filters,
-        )
-    elif isinstance(result, ExactResult):
-        payload.update(
-            records=[_record_to_json(r) for r in result.records],
-            value=result.value,
-        )
-    return payload
+    return wire.encode(result)
 
 
 def result_from_json(payload: dict[str, Any]) -> QueryResult:
     """Inverse of :func:`result_to_json`."""
-    try:
-        cls = _RESULT_TYPES[payload["type"]]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown result type {payload.get('type')!r} on the wire"
-        ) from None
-    common = dict(
-        kind=payload["kind"],
-        method=payload["method"],
-        ledger=ledger_from_json(payload["ledger"]),
-        detection_calls=int(payload["detection_calls"]),
-        plan_description=payload["plan_description"],
-        stop_reason=payload["stop_reason"],
-    )
-    if payload.get("profile") is not None:
-        from repro.obs.profile import ExecutionProfile
-
-        common["profile"] = ExecutionProfile.from_json(payload["profile"])
-    if cls is AggregateResult:
-        return AggregateResult(
-            **common,
-            value=float(payload["value"]),
-            error_tolerance=(
-                None
-                if payload["error_tolerance"] is None
-                else float(payload["error_tolerance"])
-            ),
-            confidence=float(payload["confidence"]),
-            samples_used=int(payload["samples_used"]),
-            half_width=float(payload["half_width"]),
-            correlation=(
-                None
-                if payload["correlation"] is None
-                else float(payload["correlation"])
-            ),
-        )
-    if cls is ScrubbingQueryResult:
-        return ScrubbingQueryResult(
-            **common,
-            frames=[int(f) for f in payload["frames"]],
-            timestamps=[float(t) for t in payload["timestamps"]],
-            limit=int(payload["limit"]),
-            satisfied=bool(payload["satisfied"]),
-        )
-    if cls is SelectionResult:
-        return SelectionResult(
-            **common,
-            records=[_record_from_json(r) for r in payload["records"]],
-            matched_frames=[int(f) for f in payload["matched_frames"]],
-            frames_scanned=int(payload["frames_scanned"]),
-            frames_after_filters=int(payload["frames_after_filters"]),
-        )
-    if cls is ExactResult:
-        return ExactResult(
-            **common,
-            records=[_record_from_json(r) for r in payload["records"]],
-            value=None if payload["value"] is None else float(payload["value"]),
-        )
-    return QueryResult(**common)
+    return wire.decode(QueryResult, payload)
 
 
 def result_fingerprint(result: QueryResult) -> str:
     """Canonical serialized form of a result, for byte-identity comparisons.
 
-    Wall-clock time (``ledger.wall_seconds``) is zeroed — it measures the
-    machine, not the query — matching ``ExecutionLedger``'s own equality
-    semantics.  The execution profile is likewise excluded: its span wall
-    times are display-only observability, never part of the result proper,
-    which is what makes a traced run byte-identical to an untraced one.
+    Exactly the ``compare=False`` fields are left out, at every depth — what
+    dataclass equality ignores, the fingerprint ignores.  Today that is
+    wall-clock time (``ledger.wall_seconds``: it measures the machine, not
+    the query) and the execution profile (its span wall times are
+    display-only observability, never part of the result proper), which is
+    what makes a traced run byte-identical to an untraced one.
     Two results are "byte-identical over the wire" exactly when their
     fingerprints are equal strings.
     """
-    payload = result_to_json(result)
-    payload["ledger"].pop("wall_seconds", None)
-    payload.pop("profile", None)
-    return json.dumps(payload, sort_keys=True)
-
-
-# -- events -------------------------------------------------------------------------
+    return json.dumps(wire.encode_compared(result), sort_keys=True)
 
 
 def event_to_json(event: ExecutionEvent) -> dict[str, Any]:
     """Envelope form of one execution event: ``{"v", "event", "data"}``."""
-    if isinstance(event, Completed):
-        data: dict[str, Any] = {
-            "result": result_to_json(event.result),
-            "stop_reason": event.stop_reason,
-        }
-    else:
-        data = dataclasses.asdict(event)
-        for key, value in data.items():
-            if isinstance(value, (np.integer,)):
-                data[key] = int(value)
-            elif isinstance(value, (np.floating,)):
-                data[key] = float(value)
-    return {"v": PROTOCOL_VERSION, "event": event.wire_name, "data": data}
+    return {"v": PROTOCOL_VERSION, "event": event.wire_name, "data": wire.encode(event)}
 
 
 def event_from_json(payload: dict[str, Any]) -> ExecutionEvent:
     """Inverse of :func:`event_to_json`."""
-    types = event_wire_types()
     name = payload.get("event")
-    cls = types.get(str(name))
+    cls = event_wire_types().get(str(name))
     if cls is None:
         raise ConfigurationError(f"unknown event type {name!r} on the wire")
-    data = payload["data"]
-    if cls is Completed:
-        return Completed(
-            result=result_from_json(data["result"]),
-            stop_reason=data["stop_reason"],
-        )
-    return cls(**data)
-
-
-# -- hints and stop conditions ------------------------------------------------------
+    return wire.decode(cls, payload.get("data"))
 
 
 def hints_to_json(hints: QueryHints) -> dict[str, Any]:
     """JSON form of a hint set (only non-default fields are emitted)."""
-    payload: dict[str, Any] = {}
-    if hints.scrubbing_indexed:
-        payload["scrubbing_indexed"] = True
-    if hints.selection_filter_classes is not None:
-        payload["selection_filter_classes"] = sorted(hints.selection_filter_classes)
-    if hints.stop_conditions is not None:
-        stop = hints.stop_conditions
-        payload["stop_conditions"] = {
-            "limit": stop.limit,
-            "ci_width": stop.ci_width,
-            "max_detector_calls": stop.max_detector_calls,
-        }
-    if hints.batch_size is not None:
-        payload["batch_size"] = hints.batch_size
-    if hints.parallelism is not None:
-        payload["parallelism"] = hints.parallelism
-    if hints.backend is not None:
-        payload["backend"] = hints.backend
-    if hints.force_plan is not None:
-        payload["force_plan"] = hints.force_plan
-    if hints.use_index is not None:
-        payload["use_index"] = hints.use_index
-    if hints.trace is not None:
-        payload["trace"] = hints.trace
-    return payload
+    default = wire.encode(NO_HINTS)
+    return {key: value for key, value in wire.encode(hints).items() if value != default[key]}
 
 
 def hints_from_json(payload: dict[str, Any] | None) -> QueryHints | None:
@@ -346,53 +100,10 @@ def hints_from_json(payload: dict[str, Any] | None) -> QueryHints | None:
 
     Validation is delegated to the ``QueryHints`` constructor, so a malformed
     hint raises :class:`~repro.errors.ConfigurationError` exactly as it would
-    in process; unknown keys are rejected up front with the same error type.
+    in process; unknown keys — in the hints or in their ``stop_conditions`` —
+    are rejected up front with the same error type.
     """
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"hints must be a JSON object, got {payload!r}")
-    known = {
-        "scrubbing_indexed",
-        "selection_filter_classes",
-        "stop_conditions",
-        "batch_size",
-        "parallelism",
-        "backend",
-        "force_plan",
-        "use_index",
-        "trace",
-    }
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown hint fields {sorted(unknown)}; valid fields: {sorted(known)}"
-        )
-    kwargs: dict[str, Any] = {
-        k: v for k, v in payload.items() if k != "stop_conditions"
-    }
-    if "selection_filter_classes" in kwargs and kwargs[
-        "selection_filter_classes"
-    ] is not None:
-        classes = kwargs["selection_filter_classes"]
-        if isinstance(classes, str) or not isinstance(classes, list):
-            raise ConfigurationError(
-                "selection_filter_classes must be a JSON list of class names, "
-                f"got {classes!r}"
-            )
-        kwargs["selection_filter_classes"] = frozenset(classes)
-    stop_payload = payload.get("stop_conditions")
-    if stop_payload is not None:
-        if not isinstance(stop_payload, dict):
-            raise ConfigurationError(
-                f"stop_conditions must be a JSON object, got {stop_payload!r}"
-            )
-        kwargs["stop_conditions"] = StopConditions(
-            limit=stop_payload.get("limit"),
-            ci_width=stop_payload.get("ci_width"),
-            max_detector_calls=stop_payload.get("max_detector_calls"),
-        )
-    return QueryHints(**kwargs)
+    return None if payload is None else wire.decode(QueryHints, payload)
 
 
 __all__ = [

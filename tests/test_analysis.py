@@ -35,9 +35,10 @@ from repro.analysis.checkers import (
     LockDisciplineChecker,
     ObservabilityHygieneChecker,
     PersistenceHygieneChecker,
-    WireExhaustivenessChecker,
 )
 from repro.analysis.pragmas import parse_pragmas, pragma_allows
+from repro.core.events import ExecutionEvent, Progress, event_wire_types
+from repro.core.results import ExactResult, QueryResult
 
 PKG = "proj"
 
@@ -99,8 +100,10 @@ class TestProjectModel:
         assert project.is_subclass(leaf, "Root")
         assert project.is_subclass(leaf, "Middle")
         assert not project.is_subclass(leaf, "Unrelated")
-        names = {c.name for c in project.subclasses_of("Root")}
-        assert names == {"Middle", "Leaf"}
+        middle = project.find_class("Middle")
+        assert middle is not None
+        assert project.is_subclass(middle, "Root")
+        assert not project.is_subclass(middle, "Leaf")
 
     def test_attribute_types_from_init(self, tmp_path: Path) -> None:
         project = build_project(
@@ -577,102 +580,37 @@ class TestAsyncHygieneChecker:
         assert [d for d in report.suppressed if d.rule == "RPR004"]
 
 
-# -- RPR005 wire exhaustiveness -------------------------------------------------------
-
-_EVENTS = """
-    class ExecutionEvent:
-        wire_name = "base"
-
-    class GoodEvent(ExecutionEvent):
-        wire_name = "good"
-
-    class BadEvent(ExecutionEvent):
-        pass
-
-    def event_wire_types():
-        return {cls.wire_name: cls for cls in (GoodEvent,)}
-"""
-
-_RESULTS = {
-    "results.py": """
-        class QueryResult:
-            pass
-
-        class CoveredResult(QueryResult):
-            pass
-
-        class MissingResult(QueryResult):
-            pass
-    """,
-    "service/protocol.py": """
-        from proj.results import CoveredResult
-
-        _RESULT_TYPES = {"covered": CoveredResult}
-
-        def result_to_json(result):
-            return {"kind": "covered" if isinstance(result, CoveredResult) else "?"}
-
-        def result_from_json(payload):
-            return _RESULT_TYPES[payload["kind"]]()
-    """,
-}
+# -- wire tags (formerly RPR005) ------------------------------------------------------
+#
+# What RPR005 checked over the AST is now impossible to write: defining an
+# event or result class registers it, and a tag that is missing, inherited or
+# already taken raises when the class statement runs.
 
 
-class TestWireExhaustivenessChecker:
-    def test_missing_wire_name_and_registration(self, tmp_path: Path) -> None:
-        project = build_project(tmp_path, {"events.py": _EVENTS})
-        findings = list(WireExhaustivenessChecker().check(project))
-        messages = "\n".join(d.message for d in findings)
-        assert "defines no `wire_name`" in messages
-        assert "not registered in `event_wire_types()`" in messages
-        assert all("BadEvent" in d.message for d in findings)
+class TestWireTagsAtDefinition:
+    def test_missing_tag(self) -> None:
+        with pytest.raises(TypeError, match="must define its own wire_name"):
 
-    def test_duplicate_wire_tag(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "events.py": """
-                    class ExecutionEvent:
-                        wire_name = "base"
-
-                    class One(ExecutionEvent):
-                        wire_name = "dup"
-
-                    class Two(ExecutionEvent):
-                        wire_name = "dup"
-
-                    def event_wire_types():
-                        return {c.wire_name: c for c in (One, Two)}
-                """,
-            },
-        )
-        findings = list(WireExhaustivenessChecker().check(project))
-        assert any("reuses wire tag" in d.message for d in findings)
-
-    def test_result_without_codec(self, tmp_path: Path) -> None:
-        project = build_project(tmp_path, dict(_RESULTS))
-        findings = list(WireExhaustivenessChecker().check(project))
-        assert len(findings) == 1
-        assert "MissingResult" in findings[0].message
-        assert "result_fingerprint" in findings[0].message
-
-    def test_pragma_suppressed(self, tmp_path: Path) -> None:
-        files = dict(_RESULTS)
-        files["results.py"] = """
-            class QueryResult:
+            class Untagged(ExecutionEvent):
                 pass
 
-            class CoveredResult(QueryResult):
-                pass
+        assert "Untagged" not in {cls.__name__ for cls in event_wire_types().values()}
 
-            # repro: allow[RPR005]: internal-only result, never serialized
-            class MissingResult(QueryResult):
-                pass
-        """
-        build_project(tmp_path, files)
-        report = run_analysis(tmp_path / PKG, package=PKG)
-        assert not [d for d in report.findings if d.rule == "RPR005"]
-        assert [d for d in report.suppressed if d.rule == "RPR005"]
+    def test_duplicate_tag(self) -> None:
+        with pytest.raises(TypeError, match="reuses wire_name 'progress'.*Progress"):
+
+            class Shadow(ExecutionEvent):
+                wire_name = "progress"
+
+        assert event_wire_types()["progress"] is Progress
+
+    def test_tag_inherited_from_a_parent(self) -> None:
+        with pytest.raises(TypeError, match="inherited from ExactResult"):
+
+            class Narrower(ExactResult):
+                extra: int = 0
+
+        assert QueryResult.wire_types["exact"] is ExactResult
 
 
 # -- RPR006 fork safety ---------------------------------------------------------------

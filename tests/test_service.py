@@ -388,6 +388,31 @@ class TestScheduler:
         finally:
             manager.shutdown()
 
+    def test_routed_sequential_scrub_reserves_one_slot(self):
+        # With catalog statistics the optimizer prices an importance-ordered
+        # scrub sequential whatever the hint says; the reservation must
+        # follow that decision, not hold all four slots for one thread.
+        engine = BlazeIt(config=BlazeItConfig(seed=11))
+        engine.register_scenario(SCENARIO, num_frames=600)
+        engine.record_test_day(SCENARIO)
+        assert engine.catalog.get(SCENARIO) is not None
+        scrub = queries_for(scenario_class())[3].replace("FROM v", f"FROM {SCENARIO}")
+        manager = ServiceManager(engine, ServiceConfig(slots=4))
+        try:
+            manager.create_tenant("t")
+            session_id = manager.create_session(
+                "t", video=SCENARIO, hints={"parallelism": 4}
+            )
+            record = manager.submit(session_id, query=scrub)
+            assert record.slots == 1
+            assert record.done.wait(60.0)
+            assert record.state == COMPLETED
+            scan = manager.submit(session_id, query=f"SELECT * FROM {SCENARIO}")
+            assert scan.slots == 4
+            assert scan.done.wait(60.0)
+        finally:
+            manager.shutdown()
+
 
 # ---------------------------------------------------------------------------------
 # Wire: HTTP + SSE against a live server
@@ -464,6 +489,30 @@ class TestWire:
         with pytest.raises(ServiceClientError) as bad_query:
             client.execute(fresh_session, "SELEKT nonsense")
         assert bad_query.value.status == 400
+
+    def test_unknown_stop_and_quota_keys_are_400s(self, live_service):
+        # Each typo used to be dropped: an unlimited tenant, a query with no budget.
+        client, manager = live_service
+        with pytest.raises(ServiceClientError) as bad_quota:
+            client._request(
+                "POST", "/tenants", {"name": "typo", "quota": {"max_detector_cals": 1}}
+            )
+        assert bad_quota.value.status == 400
+        assert "max_detector_calls" in str(bad_quota.value)
+        with pytest.raises(NotFoundError):
+            manager.tenant_status("typo")
+        client.create_tenant("t")
+        session_id = client.create_session("t")
+        query = {"session": session_id, "query": "SELECT * FROM v"}
+        for stop in ({"max_detector_cals": 100}, [100]):
+            with pytest.raises(ServiceClientError) as bad_stop:
+                client._request("POST", "/queries", {**query, "stop": stop})
+            assert bad_stop.value.status == 400
+            assert bad_stop.value.code == "ConfigurationError"
+        accepted = client._request(
+            "POST", "/queries", {**query, "stop": {"max_detector_calls": 5}}
+        )
+        assert accepted["stop_reason"] == "max_detector_calls"
 
     def test_delete_cancels_running_query(self):
         detector = _CountingDetector(seconds_per_frame=0.003)

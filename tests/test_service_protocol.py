@@ -9,15 +9,22 @@ exactly — and these tests pin that down with awkward values.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+from typing import Any, Union, get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import wire
 from repro.api.hints import QueryHints, StopConditions
 from repro.core.events import (
     Completed,
     EstimateUpdate,
+    ExecutionEvent,
     Progress,
     ScrubbingHit,
     SelectionWindow,
@@ -34,6 +41,7 @@ from repro.core.results import (
 from repro.errors import ConfigurationError
 from repro.frameql.schema import FrameRecord
 from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
+from repro.obs.metrics import get_registry, record_execution_ledger
 from repro.service.protocol import (
     event_from_json,
     event_to_json,
@@ -150,6 +158,12 @@ class TestEventRoundTrip:
         with pytest.raises(ConfigurationError):
             event_from_json({"v": 1, "event": "nonsense", "data": {}})
 
+    def test_absent_required_field_rejected_typed(self):
+        with pytest.raises(ConfigurationError, match="Progress needs field 'phase'"):
+            event_from_json({"v": 1, "event": "progress", "data": {}})
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            event_from_json({"v": 1, "event": "progress"})
+
 
 class TestLedgerRoundTrip:
     def test_execution_ledger_round_trips(self):
@@ -171,6 +185,50 @@ class TestLedgerRoundTrip:
         assert isinstance(restored, ExecutionLedger)
         assert restored.index_hits == 0
         assert restored.index_skips == 0
+        # Only fields with a default may be absent.
+        del payload["charges"], payload["calls"], payload["wall_seconds"]
+        assert ledger_from_json(payload).detector_calls == 123
+        with pytest.raises(ConfigurationError, match="unknown RuntimeLedger type None"):
+            ledger_from_json({})
+
+    def test_every_counter_is_carried_by_every_fold(self):
+        inherited = {f.name for f in dataclasses.fields(RuntimeLedger)}
+        counters = [
+            f
+            for f in dataclasses.fields(ExecutionLedger)
+            if f.name not in inherited and not f.name.startswith("_")
+        ]
+        ledger = ExecutionLedger()
+        for value, field in enumerate(counters, start=1):
+            setattr(ledger, field.name, type(field.default)(value))
+        expected = {f.name: getattr(ledger, f.name) for f in counters}
+        assert len(set(expected.values())) == len(counters) >= 9
+
+        def read(source: RuntimeLedger) -> dict[str, Any]:
+            return {name: getattr(source, name) for name in expected}
+
+        assert read(ledger.snapshot()) == expected
+        merged = ExecutionLedger()
+        merged.merge(ledger)
+        merged.merge(ledger)
+        assert read(merged) == {name: 2 * value for name, value in expected.items()}
+        on_the_wire = json.loads(json.dumps(ledger_to_json(ledger)))
+        assert {name: on_the_wire[name] for name in expected} == expected
+        assert read(ledger_from_json(on_the_wire)) == expected
+
+        metered = {
+            f.metadata["metric"]: expected[f.name] for f in counters if "metric" in f.metadata
+        }
+        assert "repro_shared_cache_hits_total" in metered
+        registry = get_registry()
+        registry.reset()
+        try:
+            record_execution_ledger("probe", ledger)
+            recorded = registry.snapshot()["counters"]
+            for metric, value in metered.items():
+                assert recorded[f'{metric}{{kind="probe"}}'] == value
+        finally:
+            registry.reset()
 
     def test_plain_runtime_ledger_round_trips(self):
         ledger = RuntimeLedger()
@@ -263,6 +321,20 @@ class TestResultRoundTrip:
         with pytest.raises(ConfigurationError):
             result_from_json({"type": "mystery"})
 
+    def test_absent_required_field_rejected_typed(self):
+        payload = result_to_json(QueryResult(kind="aggregate", method="m"))
+        del payload["plan_description"]  # has a default
+        assert result_from_json(payload).plan_description == ""
+        del payload["kind"]
+        with pytest.raises(ConfigurationError, match="QueryResult needs field 'kind'"):
+            result_from_json(payload)
+
+    def test_key_added_by_a_newer_peer_is_skipped(self):
+        # The mirror of the default for an absent key; only request types
+        # (hints, stop conditions, quotas) reject what they do not know.
+        payload = result_to_json(QueryResult(kind="aggregate", method="m"))
+        assert result_to_json(result_from_json({**payload, "added_later": 1})) == payload
+
     def test_fingerprint_ignores_wall_seconds_only(self):
         def build(wall: float, calls: int) -> QueryResult:
             ledger = ExecutionLedger()
@@ -301,8 +373,16 @@ class TestHintsRoundTrip:
         assert hints_to_json(QueryHints()) == {}
 
     def test_unknown_field_rejected_typed(self):
-        with pytest.raises(ConfigurationError, match="unknown hint fields"):
+        with pytest.raises(ConfigurationError, match="unknown QueryHints fields.*valid fields"):
             hints_from_json({"turbo": True})
+
+    def test_unknown_stop_condition_key_rejected_typed(self):
+        # A typo'd budget used to be dropped: the query ran with no budget at all.
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown StopConditions fields.*max_detector_cals.*max_detector_calls",
+        ):
+            hints_from_json({"stop_conditions": {"max_detector_cals": 100}})
 
     def test_invalid_values_rejected_typed(self):
         with pytest.raises(ConfigurationError):
@@ -311,3 +391,97 @@ class TestHintsRoundTrip:
             hints_from_json({"selection_filter_classes": "label"})
         with pytest.raises(ConfigurationError):
             hints_from_json({"stop_conditions": [1, 2]})
+
+
+# -- every registered wire class, instances built from the field types ----------------
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+)
+_ATOMS: dict[Any, st.SearchStrategy[Any]] = {
+    int: st.integers(),
+    float: st.floats(allow_nan=False),
+    str: st.text(),
+    bool: st.booleans(),
+    Any: _SCALARS,
+    np.ndarray: st.lists(st.floats(allow_nan=False), max_size=4).map(
+        lambda values: np.array(values, dtype=np.float64)
+    ),
+    # The one wire type whose constructor rejects some field values.
+    BoundingBox: st.tuples(*[st.floats(allow_nan=False)] * 4).map(
+        lambda c: BoundingBox(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+    ),
+}
+
+
+def values_of(tp: Any) -> st.SearchStrategy[Any]:
+    """A strategy for one field type; a type the codec gains needs a line here."""
+    if tp in _ATOMS:
+        return _ATOMS[tp]
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):
+        return st.one_of(*(values_of(arg) for arg in args))
+    if tp is type(None):
+        return st.none()
+    if origin is list:
+        return st.lists(values_of(args[0]), max_size=3)
+    if origin is tuple and args[-1] is ...:
+        return st.lists(values_of(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*(values_of(arg) for arg in args))
+    if origin is frozenset:
+        return st.frozensets(values_of(args[0]), max_size=3)
+    if origin is dict:
+        return st.dictionaries(st.text(), values_of(args[1]), max_size=3)
+    if issubclass(tp, wire.Tagged) and tp.wire_key is not None:
+        return st.one_of(*(instances_of(cls) for cls in tp.wire_types.values()))
+    return instances_of(tp)
+
+
+def wire_fields(cls: type) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.init and not f.name.startswith("_")]
+
+
+def instances_of(cls: type) -> st.SearchStrategy[Any]:
+    return st.builds(
+        cls, **{f.name: values_of(wire._hint(cls, f.name)) for f in wire_fields(cls)}
+    )
+
+
+def assert_same(restored: Any, original: Any) -> None:
+    assert type(restored) is type(original)
+    if isinstance(original, np.ndarray):
+        assert restored.dtype == original.dtype
+        np.testing.assert_array_equal(restored, original)
+    elif dataclasses.is_dataclass(original):
+        for f in wire_fields(type(original)):
+            assert_same(getattr(restored, f.name), getattr(original, f.name))
+    elif isinstance(original, (list, tuple)):
+        assert len(restored) == len(original)
+        for pair in zip(restored, original, strict=True):
+            assert_same(*pair)
+    elif isinstance(original, dict):
+        assert restored.keys() == original.keys()
+        for key, value in original.items():
+            assert_same(restored[key], value)
+    else:
+        assert restored == original
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [*event_wire_types().values(), *QueryResult.wire_types.values()],
+    ids=lambda cls: cls.__name__,
+)
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_every_registered_wire_class_round_trips(cls, data):
+    original = data.draw(instances_of(cls))
+    if isinstance(original, ExecutionEvent):
+        to_json, from_json = event_to_json, event_from_json
+    else:
+        to_json, from_json = result_to_json, result_from_json
+    payload = json.loads(json.dumps(to_json(original)))
+    restored = from_json(payload)
+    assert_same(restored, original)
+    assert json.loads(json.dumps(to_json(restored))) == payload
