@@ -2,13 +2,13 @@
 ``ExecutionContext``.
 
 Every frame the reproduction "pays for" must be charged to the runtime
-ledger, and the only sanctioned charging paths are
-``ExecutionContext.detect`` / ``detect_batch`` / ``detect_counts*`` (plus
-the detector implementations themselves).  A direct
-``detector.detect(...)``, ``.detect_many(...)``, or ``._detect_batch(...)``
-call anywhere else silently produces detections the cost model never
-sees, which corrupts both the throughput numbers and the cross-path
-result-identity guarantee.
+ledger, and the only sanctioned charging path is
+``ExecutionContext.detect_batch`` (``detect_counts_batch`` is a sketch
+pre-pass in front of it), plus the detector implementations themselves.
+A direct ``detector.detect(...)``, ``.detect_many(...)``, or
+``._detect_batch(...)`` call anywhere else silently produces detections
+the cost model never sees, which corrupts both the throughput numbers and
+the cross-path result-identity guarantee.
 
 Allowed sites:
 
@@ -74,8 +74,8 @@ class LedgerAccountingChecker(Checker):
                         context=context,
                         hint=(
                             "invoke the detector via ExecutionContext."
-                            "detect/detect_batch so frames are charged to "
-                            "the runtime ledger"
+                            "detect_batch so frames are charged to the "
+                            "runtime ledger"
                         ),
                     )
 

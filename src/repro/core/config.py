@@ -55,12 +55,6 @@ class BlazeItConfig:
         sets are large enough to train it reliably).
     specialized_hidden_size:
         Hidden width of the MLP specialized models.
-    batched_execution:
-        Route detector access through the vectorized batch pipeline
-        (``ExecutionContext.detect_batch``; the default).  When disabled,
-        batch calls fall back to the scalar per-frame reference path —
-        bit-for-bit identical results, used by the perf-regression bench and
-        the scalar/batched equivalence tests.
     parallelism:
         Default worker count for the parallel sharded execution engine: every
         query streamed or executed through a session partitions its video
@@ -93,7 +87,6 @@ class BlazeItConfig:
     include_training_time: bool = True
     specialized_model_type: str = "softmax"
     specialized_hidden_size: int = 32
-    batched_execution: bool = True
     parallelism: int = 1
     shared_cache_bytes: int = 0
     tracing: bool = False

@@ -29,11 +29,7 @@ import numpy as np
 from repro.core.config import BlazeItConfig
 from repro.core.labeled_set import LabeledSet
 from repro.core.recorded import RecordedDetections
-from repro.detection.base import (
-    DetectionResult,
-    ObjectDetector,
-    resolve_detection_batch,
-)
+from repro.detection.base import DetectionResult, ObjectDetector
 from repro.errors import SpawnExportError
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
 from repro.udf.registry import UDFRegistry
@@ -192,59 +188,22 @@ class ExecutionContext:
         :meth:`repro.parallel.executor.ShardDriver.announce`).
         Plans call it exactly when their candidate order becomes known — a
         scan range, a sampling permutation, an importance ranking.
+
+        Frames an earlier tier of the cascade will serve are never announced
+        to a later one: the index answers every frame it covers before the
+        prefetcher is consulted, so those frames are dropped here, and when
+        none are left no worker is started at all.
         """
-        if self._prefetcher is not None:
-            self._prefetcher.announce(frame_order, monotone=monotone)
+        if self._prefetcher is None:
+            return
+        order = np.asarray(frame_order, dtype=np.int64)
+        if self.index_view is not None:
+            order = order[order >= self.index_view.num_frames]
+            if order.size == 0:
+                return
+        self._prefetcher.announce(order, monotone=monotone)
 
     # -- detector access -----------------------------------------------------------
-
-    def detect(
-        self,
-        frame_index: int,
-        ledger: RuntimeLedger | None = None,
-        cost_scale: float = 1.0,
-    ) -> DetectionResult:
-        """Run (or replay) object detection on one test-day frame.
-
-        ``cost_scale`` reduces the charged cost when a spatial filter has
-        cropped the frame.  When ``ledger`` is an
-        :class:`~repro.metrics.runtime.ExecutionLedger`, detections computed
-        earlier in the same execution are served from its per-frame cache
-        without re-calling (or re-charging) the detector; frames present in
-        the process-wide shared cache are likewise served — and seeded into
-        the execution cache — without any charge.
-        """
-        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        if execution_ledger is not None:
-            cached = execution_ledger.cached_detection(frame_index)
-            if cached is not None:
-                execution_ledger.record_cache_hit()
-                return cached
-        if self.shared_cache is not None:
-            shared = self.shared_cache.get(self.cache_key, frame_index)
-            if shared is not None:
-                if execution_ledger is not None:
-                    execution_ledger.stash_detection(frame_index, shared)
-                    execution_ledger.record_cache_hit()
-                return shared
-        if self.index_view is not None:
-            indexed = self.index_view.get(frame_index)
-            if indexed is not None:
-                result, skipped = indexed
-                if execution_ledger is not None:
-                    execution_ledger.stash_index_detection(
-                        frame_index, result, skipped
-                    )
-                    execution_ledger.record_cache_hit()
-                return result
-        if ledger is not None:
-            ledger.charge(self._scaled_cost(cost_scale))
-        result = self._compute_detection(frame_index)
-        if execution_ledger is not None:
-            execution_ledger.record_detection(frame_index, result)
-        if self.shared_cache is not None:
-            self.shared_cache.put(self.cache_key, frame_index, result)
-        return result
 
     def detect_batch(
         self,
@@ -254,142 +213,108 @@ class ExecutionContext:
     ) -> list[DetectionResult]:
         """Run (or replay) detection on a batch of frames, charging once.
 
-        The batched counterpart of :meth:`detect`, with identical results and
-        identical per-frame accounting: the indices are partitioned into
-        cache hits (served from the :class:`ExecutionLedger` detection cache
-        and counted as hits), shared-cache hits (seeded into the execution
-        cache free of charge) and misses; the misses are computed in one
-        vectorized :meth:`~repro.detection.base.ObjectDetector.detect_many`
-        call (or read from the recording, or taken from the parallel
-        prefetch pipeline), and the ledger is charged with a single
-        ``charge(cost, count=misses)``.  Repeated frames within the batch
-        are computed once; under an execution ledger the repeats are
-        accounted as cache hits, exactly as a sequential ``detect`` loop
-        would (the shared semantics live in
-        :func:`~repro.detection.base.resolve_detection_batch`).  With
-        ``config.batched_execution`` disabled this falls back to that
-        sequential scalar loop.
+        The charged walk of the source cascade (:meth:`_walk_sources`):
+        frames no free tier serves are charged with a single
+        ``charge(cost, count=misses)`` — ``cost_scale`` reduces the cost when
+        a spatial filter has cropped the frame — and published to the shared
+        cross-query cache.  Results come back in input order.
         """
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        if not self.config.batched_execution:
-            return [
-                self.detect(int(i), ledger, cost_scale=cost_scale) for i in indices
-            ]
-        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        if execution_ledger is not None and self.shared_cache is not None:
-            self._seed_shared_hits(indices, execution_ledger)
-        if execution_ledger is not None and self.index_view is not None:
-            self._seed_index_hits(indices, execution_ledger)
-
-        def compute_misses(miss_frames: list[int]) -> list[DetectionResult]:
-            shared: dict[int, DetectionResult] = {}
-            if execution_ledger is None and self.shared_cache is not None:
-                # With no execution ledger there is no per-execution cache to
-                # seed, so shared hits are resolved (uncharged) right here.
-                shared = self.shared_cache.get_many(self.cache_key, miss_frames)
-            if execution_ledger is None and self.index_view is not None:
-                for frame_index in miss_frames:
-                    if frame_index in shared:
-                        continue
-                    indexed = self.index_view.get(frame_index)
-                    if indexed is not None:
-                        shared[frame_index] = indexed[0]
-            charged = [f for f in miss_frames if f not in shared]
-            if ledger is not None:
-                ledger.charge(self._scaled_cost(cost_scale), len(charged))
-            computed = dict(zip(charged, self._compute_batch(charged), strict=True))
-            if self.shared_cache is not None and computed:
-                self.shared_cache.put_many(self.cache_key, computed)
-            computed.update(shared)
-            return [computed[f] for f in miss_frames]
-
-        return resolve_detection_batch(indices, execution_ledger, compute_misses)
-
-    def _seed_shared_hits(
-        self, indices: np.ndarray, execution_ledger: ExecutionLedger
-    ) -> None:
-        """Stash shared-cache hits into the execution cache before resolving.
-
-        The resolver then serves them as ordinary (free) cache hits, keeping
-        the scalar and batched accounting identical.
-        """
-        assert self.shared_cache is not None
-        unseen = [
-            int(f)
-            for f in dict.fromkeys(int(i) for i in indices)
-            if execution_ledger.cached_detection(int(f)) is None
-        ]
-        if not unseen:
-            return
-        for frame_index, result in self.shared_cache.get_many(
-            self.cache_key, unseen
-        ).items():
-            execution_ledger.stash_detection(frame_index, result)
-
-    def _seed_index_hits(
-        self, indices: np.ndarray, execution_ledger: ExecutionLedger
-    ) -> None:
-        """Stash index-served detections into the execution cache.
-
-        The index tier of :meth:`detect_batch`: frames still unseen after the
-        shared-cache seeding are served from the persistent index — decoded
-        from the memory-mapped segment, or synthesized when the range sketch
-        proves the range empty — and the resolver then counts them as free
-        cache hits, exactly like the scalar :meth:`detect` path.
-        """
-        assert self.index_view is not None
-        for frame_index in dict.fromkeys(int(i) for i in indices):
-            if execution_ledger.cached_detection(frame_index) is not None:
-                continue
-            indexed = self.index_view.get(frame_index)
-            if indexed is not None:
-                result, skipped = indexed
-                execution_ledger.stash_index_detection(frame_index, result, skipped)
-
-    def _compute_detection(self, frame_index: int) -> DetectionResult:
-        """Produce one frame's detections: prefetch, recording, or detector."""
-        if self._prefetcher is not None:
-            prefetched = self._prefetcher.take(frame_index)
-            if prefetched is not None:
-                return prefetched
-        if self.recorded is not None:
-            return self.recorded.result(frame_index)
-        return self.detector.detect(self.video, frame_index)
-
-    def _compute_batch(self, miss_frames: list[int]) -> list[DetectionResult]:
-        """Batch counterpart of :meth:`_compute_detection` (same sources)."""
-        if not miss_frames:
-            return []
-        prefetched: dict[int, DetectionResult] = {}
-        if self._prefetcher is not None:
-            prefetched = self._prefetcher.take_many(miss_frames)
-        remaining = [f for f in miss_frames if f not in prefetched]
-        if remaining:
-            if self.recorded is not None:
-                computed = {f: self.recorded.result(f) for f in remaining}
-            else:
-                computed = dict(
-                    zip(remaining, self.detector.detect_many(self.video, remaining), strict=True)
-                )
-            prefetched.update(computed)
-        return [prefetched[f] for f in miss_frames]
+        return self._walk_sources(frame_indices, ledger, cost_scale, charged=True)
 
     def speculate_batch(self, frames: list[int]) -> list[DetectionResult]:
         """Uncharged detections for one chunk of a thread shard worker.
 
-        Workers *read* the shared cross-query cache (frames a previous query
-        already paid for cost nothing to prefetch) but never write it, and
-        never charge: the driver charges — and populates the cache — when,
-        and only when, a prefetched frame is consumed, so an execution's own
-        speculative work can never masquerade as a cross-query hit and
-        parallel accounting stays identical to sequential.
+        The same walk as :meth:`detect_batch`, uncharged: workers *read* the
+        shared cross-query cache (frames a previous query already paid for
+        cost nothing to prefetch) but never write it, never touch a ledger
+        and never charge.  The driver charges — and populates the cache —
+        when, and only when, a prefetched frame is consumed, so an
+        execution's own speculative work can never masquerade as a
+        cross-query hit and parallel accounting stays identical to
+        sequential.
         """
-        hits: dict[int, DetectionResult] = {}
-        if self.shared_cache is not None:
-            hits = self.shared_cache.get_many(self.cache_key, frames)
-        misses = [f for f in frames if f not in hits]
-        hits.update(zip(misses, self._compute_batch(misses), strict=True))
-        return [hits[f] for f in frames]
+        return self._walk_sources(frames, None, 1.0, charged=False)
+
+    def _walk_sources(
+        self,
+        frame_indices: np.ndarray | list[int],
+        ledger: RuntimeLedger | None,
+        cost_scale: float,
+        charged: bool,
+    ) -> list[DetectionResult]:
+        """The one detection read path: where a frame's detections come from,
+        in which order, and who is charged.
+
+        Sources are consulted in a fixed order and a frame stops at the first
+        one that has it: the per-execution cache of an
+        :class:`ExecutionLedger` (in-batch repeats count as hits of it) →
+        the shared cross-query cache → the persistent index → *one charge for
+        everything still left* → the parallel prefetcher → the recording →
+        the detector.  A free tier may serve only what is provably what the
+        detector would have returned, so a hit is seeded into the execution
+        cache under its own counter and never charged.
+        """
+        order: list[int] = np.asarray(frame_indices, dtype=np.int64).tolist()
+        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
+        served: dict[int, DetectionResult] = {}
+        # ``left`` is what no source has answered yet: distinct frames, in
+        # first-occurrence order.
+        left: list[int] = []
+        for frame in dict.fromkeys(order):
+            cached = (
+                None
+                if execution_ledger is None
+                else execution_ledger.cached_detection(frame)
+            )
+            if cached is None:
+                left.append(frame)
+            else:
+                served[frame] = cached
+        if left and self.shared_cache is not None:
+            shared = self.shared_cache.get_many(self.cache_key, left)
+            if execution_ledger is not None:
+                for frame, result in shared.items():
+                    execution_ledger.stash_detection(frame, result)
+            served.update(shared)
+            left = [frame for frame in left if frame not in shared]
+        if left and self.index_view is not None:
+            uncovered: list[int] = []
+            for frame in left:
+                indexed = self.index_view.get(frame)
+                if indexed is None:
+                    uncovered.append(frame)
+                    continue
+                result, skipped = indexed
+                served[frame] = result
+                if execution_ledger is not None:
+                    execution_ledger.stash_index_detection(frame, result, skipped)
+            left = uncovered
+        if left:
+            # Everything still left costs a detector call, whoever computes it.
+            if charged and ledger is not None:
+                ledger.charge(self._scaled_cost(cost_scale), len(left))
+            computed: dict[int, DetectionResult] = {}
+            if self._prefetcher is not None:
+                computed = self._prefetcher.take_many(left)
+            remaining = [frame for frame in left if frame not in computed]
+            if remaining:
+                if self.recorded is not None:
+                    fresh = [self.recorded.result(frame) for frame in remaining]
+                else:
+                    fresh = self.detector.detect_many(self.video, remaining)
+                computed.update(zip(remaining, fresh, strict=True))
+            if execution_ledger is not None:
+                for frame in left:
+                    execution_ledger.record_detection(frame, computed[frame])
+            if charged and self.shared_cache is not None:
+                self.shared_cache.put_many(self.cache_key, computed)
+            served.update(computed)
+        if execution_ledger is not None:
+            # Every occurrence that did not cost a detector call came out of
+            # the execution cache: earlier batches, seeded tiers, repeats.
+            for _ in range(len(order) - len(left)):
+                execution_ledger.record_cache_hit()
+        return [served[frame] for frame in order]
 
     def _scaled_cost(self, cost_scale: float) -> OperatorCost:
         """The detector's per-call cost, reduced by a spatial-crop scale."""
@@ -399,23 +324,6 @@ class ExecutionContext:
         return OperatorCost(
             name=cost.name, seconds_per_call=cost.seconds_per_call * cost_scale
         )
-
-    def detect_counts(
-        self,
-        frame_indices: np.ndarray,
-        object_class: str,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        """Detected counts of one class at the given frames, charging per call.
-
-        Scalar reference loop; the plans use :meth:`detect_counts_batch`.
-        """
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        counts = np.empty(indices.shape[0], dtype=np.float64)
-        for row, frame_index in enumerate(indices):
-            result = self.detect(int(frame_index), ledger)
-            counts[row] = result.count(object_class)
-        return counts
 
     def detect_counts_batch(
         self,
@@ -432,71 +340,27 @@ class ExecutionContext:
         already in the execution cache keep their normal cache-hit accounting
         by routing through :meth:`detect_batch`.
         """
-        if self.index_view is None:
-            results = self.detect_batch(frame_indices, ledger)
-            return np.array(
-                [result.count(object_class) for result in results], dtype=np.float64
-            )
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        counts = np.zeros(indices.shape[0], dtype=np.float64)
-        needed_rows: list[int] = []
-        needed_frames: list[int] = []
-        skipped = 0
-        for row, frame_index in enumerate(indices):
-            frame = int(frame_index)
-            already_cached = (
-                execution_ledger is not None
-                and execution_ledger.cached_detection(frame) is not None
-            )
-            if not already_cached and self.index_view.class_count_zero(
-                frame, object_class
-            ):
-                skipped += 1
-                continue
-            needed_rows.append(row)
-            needed_frames.append(frame)
-        if skipped and execution_ledger is not None:
-            execution_ledger.record_index_skip(skipped)
-        if needed_frames:
-            results = self.detect_batch(
-                np.asarray(needed_frames, dtype=np.int64), ledger
-            )
-            for row, result in zip(needed_rows, results, strict=True):
+        frames: list[int] = np.asarray(frame_indices, dtype=np.int64).tolist()
+        counts = np.zeros(len(frames), dtype=np.float64)
+        needed = list(range(len(frames)))
+        if self.index_view is not None:
+            execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
+            needed = [
+                row
+                for row, frame in enumerate(frames)
+                if (
+                    execution_ledger is not None
+                    and execution_ledger.cached_detection(frame) is not None
+                )
+                or not self.index_view.class_count_zero(frame, object_class)
+            ]
+            if execution_ledger is not None and len(needed) < len(frames):
+                execution_ledger.record_index_skip(len(frames) - len(needed))
+        if needed:
+            results = self.detect_batch([frames[row] for row in needed], ledger)
+            for row, result in zip(needed, results, strict=True):
                 counts[row] = result.count(object_class)
         return counts
-
-    def satisfies_min_counts(
-        self,
-        frame_index: int,
-        min_counts: dict[str, int],
-        ledger: RuntimeLedger | None = None,
-    ) -> bool:
-        """Whether one frame satisfies a count conjunction, charging one call.
-
-        With a persistent index attached, a frame whose sketch range proves
-        the conjunction unsatisfiable (some class's per-frame maximum in the
-        range is below its minimum) is rejected without any decode or charge.
-        """
-        if self.index_view is not None:
-            execution_ledger = (
-                ledger if isinstance(ledger, ExecutionLedger) else None
-            )
-            already_cached = (
-                execution_ledger is not None
-                and execution_ledger.cached_detection(frame_index) is not None
-            )
-            if not already_cached and self.index_view.fails_min_counts(
-                frame_index, min_counts
-            ):
-                if execution_ledger is not None:
-                    execution_ledger.record_index_skip()
-                return False
-        result = self.detect(frame_index, ledger)
-        return all(
-            result.count(object_class) >= min_count
-            for object_class, min_count in min_counts.items()
-        )
 
     # -- cheap features ---------------------------------------------------------------
 

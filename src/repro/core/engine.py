@@ -439,37 +439,20 @@ class BlazeIt:
         return report
 
     def index_status(self) -> dict[str, Any]:
-        """Store summary plus per-view serve counters (service status route).
+        """Store summary plus the generation each attached view serves.
 
-        Each call also refreshes the metrics registry's per-video index
-        gauges, so a ``/metrics`` scrape preceded by any status probe sees
-        current hit/skip totals.
+        How many frames the index served or skipped is an execution-ledger
+        count (``index_hits`` / ``index_skips``), folded into the metrics
+        registry when an execution completes.
         """
         if self._index_store is None:
             return {"enabled": False}
-        from repro.obs.metrics import get_registry
-
-        registry = get_registry()
         status = self._index_store.status()
         status["enabled"] = True
-        attached: dict[str, Any] = {}
-        for name, view in sorted(self._index_views.items()):
-            counters = view.counters()
-            attached[name] = counters
-            labels = {"video": name}
-            registry.set_gauge(
-                "repro_index_frames_served",
-                counters["frames_served"],
-                labels,
-                help="Frames served from the attached index view.",
-            )
-            registry.set_gauge(
-                "repro_index_frames_skipped",
-                counters["frames_skipped"],
-                labels,
-                help="Frames skipped via the index view's emptiness sketch.",
-            )
-        status["attached"] = attached
+        status["attached"] = {
+            name: {"generation": view.index.generation}
+            for name, view in sorted(self._index_views.items())
+        }
         return status
 
     def query(

@@ -64,12 +64,10 @@ def resolve_detection_batch(
 ) -> list[DetectionResult]:
     """Serve a batch of frames from the detection cache, computing the misses.
 
-    The single home of the batch cache-accounting semantics, shared by
-    :meth:`ObjectDetector.detect_many` and
-    :meth:`repro.core.context.ExecutionContext.detect_batch`: frames already
-    in the execution ledger's per-execution cache — and repeats within the
-    batch — are accounted as cache hits, exactly as a sequential loop of
-    cache-aware ``detect`` calls would do; the deduplicated misses are
+    The cache accounting behind :meth:`ObjectDetector.detect_many`: frames
+    already in the execution ledger's per-execution cache — and repeats
+    within the batch — are accounted as cache hits, exactly as a sequential
+    loop of cache-aware ``detect`` calls would do; the deduplicated misses are
     computed by ``compute_misses(miss_frames)`` (which owns all charging) and
     recorded into the cache.  Results come back in input order.
     """

@@ -1,8 +1,11 @@
 """Query-time adapter over one committed index generation.
 
 :class:`IndexView` is what an :class:`~repro.core.context.ExecutionContext`
-holds: a thin, thread-safe façade over a :class:`~repro.index.store.VideoIndex`
-that serves exact detector output without charging the detector.
+holds: a thin, stateless façade over a :class:`~repro.index.store.VideoIndex`
+that serves exact detector output without charging the detector.  What was
+served or skipped is counted where every other source is counted — in the
+caller's :class:`~repro.metrics.runtime.ExecutionLedger` — so the view keeps
+no counters and needs no lock.
 
 Two serving modes, both provably identical to running the detector:
 
@@ -22,9 +25,7 @@ results.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping
-from typing import Any
 
 from repro.detection.base import DetectionResult
 from repro.index.sketches import RangeSketch
@@ -32,15 +33,12 @@ from repro.index.store import VideoIndex
 
 
 class IndexView:
-    """Thread-safe read façade over one :class:`VideoIndex` generation."""
+    """Read façade over one :class:`VideoIndex` generation."""
 
     def __init__(self, index: VideoIndex) -> None:
         self.index = index
         self.cache_key = index.cache_key
         self._fps = float(index.fps)
-        self._lock = threading.Lock()
-        self.frames_served = 0
-        self.frames_skipped = 0
 
     @property
     def video_name(self) -> str:
@@ -72,13 +70,8 @@ class IndexView:
                 timestamp=frame_index / self._fps,
                 detections=[],
             )
-            with self._lock:
-                self.frames_skipped += 1
             return result, True
-        result = self.index.result_for(frame_index)
-        with self._lock:
-            self.frames_served += 1
-        return result, False
+        return self.index.result_for(frame_index), False
 
     def class_count_zero(self, frame_index: int, object_class: str) -> bool:
         """``True`` when the class provably has count 0 at the frame."""
@@ -93,20 +86,6 @@ class IndexView:
         if not 0 <= frame_index < self.index.num_frames:
             return False
         return self.index.sketch.fails_min_counts(frame_index, min_counts)
-
-    def counters(self) -> dict[str, int]:
-        """Served/skipped frame counts since the view was attached."""
-        with self._lock:
-            return {
-                "frames_served": self.frames_served,
-                "frames_skipped": self.frames_skipped,
-            }
-
-    def describe(self) -> dict[str, Any]:
-        """Status row: the index summary plus this view's serve counters."""
-        payload = self.index.describe()
-        payload.update(self.counters())
-        return payload
 
     def close(self) -> None:
         """Release the underlying memory maps."""

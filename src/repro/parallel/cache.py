@@ -4,8 +4,8 @@ The multi-user serving scenario runs many queries over the same hot videos;
 without sharing, every execution re-pays the detector for frames a previous
 query already decoded.  :class:`SharedDetectionCache` is a thread-safe LRU
 keyed by ``(video key, frame index)`` with a byte budget, consulted by
-:meth:`repro.core.context.ExecutionContext.detect` / ``detect_batch`` *before*
-the ledger is charged — a hit costs the execution nothing and is counted in
+:meth:`repro.core.context.ExecutionContext.detect_batch` *before* the ledger
+is charged — a hit costs the execution nothing and is counted in
 ``ExecutionLedger.shared_cache_hits``.
 
 The cache is deliberately opt-in (``BlazeItConfig.shared_cache_bytes``,

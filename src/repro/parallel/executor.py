@@ -124,7 +124,7 @@ class ShardDriver(abc.ABC):
     Built by the parallel stream driver (see
     :func:`repro.parallel.plan.parallel_events`) and attached to the driver's
     context so plan code needs no parallel-specific branches — the
-    announce/take protocol hides entirely behind ``detect``/``detect_batch``.
+    announce/take protocol hides entirely behind ``detect_batch``.
     Every method here runs on the driver thread; nothing is shared with
     workers except the two cancellation tokens.
     """

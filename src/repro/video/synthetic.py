@@ -205,15 +205,8 @@ class SyntheticVideo:
         self.spec = spec
         self.tracks = tracks
         self._build_index()
-        #: Switch between the vectorized feature path (default) and the
-        #: per-frame scalar reference.  The two are bit-for-bit identical;
-        #: the flag exists so benchmarks and equivalence tests can time and
-        #: compare both on the same video.
-        self.use_vectorized_features: bool = True
-        # Scalar-reference memo (one vector per frame, like the seed code).
-        self._feature_cache: dict[int, np.ndarray] = {}
-        # Vectorized-path memo: a dense (num_frames, FEATURE_DIM) matrix plus
-        # a readiness mask, allocated lazily on the first feature request.
+        # Feature memo: a dense (num_frames, FEATURE_DIM) matrix plus a
+        # readiness mask, allocated lazily on the first feature request.
         self._feature_memo: np.ndarray | None = None
         self._feature_ready: np.ndarray | None = None
 
@@ -483,13 +476,11 @@ class SyntheticVideo:
         brightness term and per-frame observation noise are added.  The noise
         is deterministic per frame so repeated reads agree.
 
-        The default implementation is columnar: an N-frame feature matrix is
-        one array program over the (frame, track) pair index (scatter-adds via
+        The implementation is columnar: an N-frame feature matrix is one
+        array program over the (frame, track) pair index (scatter-adds via
         ``np.add.at``) backed by a dense memo array, bit-for-bit identical to
-        the per-frame scalar path (:meth:`frame_features_reference`).
+        the per-frame scalar kernel the test suite keeps as its oracle.
         """
-        if not self.use_vectorized_features:
-            return self.frame_features_reference(frame_indices)
         indices = np.asarray(frame_indices, dtype=np.int64)
         if indices.size == 0:
             return np.zeros((0, FEATURE_DIM), dtype=np.float64)
@@ -507,22 +498,6 @@ class SyntheticVideo:
             self._feature_ready[missing] = True
         return self._feature_memo[indices]
 
-    def frame_features_reference(
-        self, frame_indices: np.ndarray | list[int]
-    ) -> np.ndarray:
-        """Scalar per-frame reference implementation of :meth:`frame_features`.
-
-        One Python loop per frame and per visible track, memoised in a
-        per-frame dict — exactly the seed behaviour.  Kept as the ground
-        truth the vectorized path is tested against (and as the baseline the
-        perf-regression bench times).
-        """
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        out = np.zeros((indices.size, FEATURE_DIM), dtype=np.float64)
-        for row, frame_index in enumerate(indices):
-            out[row] = self._features_for(int(frame_index))
-        return out
-
     # -- vectorized feature/geometry kernels ---------------------------------
 
     def _pair_positions(
@@ -533,7 +508,7 @@ class SyntheticVideo:
         Returns ``(row_of_pair, pair_pos)``: for every (frame, track) pair of
         every requested frame, the row of the requesting frame in the input
         batch and the pair's position in ``_pair_frames`` / ``_pair_tracks``.
-        Pairs appear in the same order the scalar path iterates them.
+        Pairs appear in ``tracks_at`` order, frame by frame.
         """
         starts = self._frame_offsets[frame_indices]
         lengths = self._frame_offsets[frame_indices + 1] - starts
@@ -555,8 +530,8 @@ class SyntheticVideo:
         """Clipped bounding boxes for (frame, track) pairs, as columns.
 
         Replicates ``Track.box_at(...).clip_to(width, height)`` operation for
-        operation so the vectorized paths are bit-for-bit identical to the
-        scalar ones.  Returns ``(track_idx, x_min, y_min, x_max, y_max)``.
+        operation so the columnar paths are bit-for-bit identical to the
+        per-object ones.  Returns ``(track_idx, x_min, y_min, x_max, y_max)``.
         """
         track_idx = self._pair_tracks[pair_pos]
         elapsed = (self._pair_frames[pair_pos] - self._track_start[track_idx]).astype(
@@ -595,13 +570,17 @@ class SyntheticVideo:
                 np.int64
             )
             cell = row * grid + col
+            # Colour is weighted by the object's *linear* size fraction: a
+            # real specialized CNN sees the frame resized to ~65x65 pixels,
+            # where visibility scales with linear extent, so small-but-real
+            # objects stay above the observation-noise floor.
             weight = np.minimum(1.0, 3.0 * np.sqrt(area_fraction))
             colors = self._track_color[track_idx]
             area_term = 10.0 * area_fraction
             base = row_of_pair * FEATURE_DIM + cell * FEATURE_CHANNELS
             flat = out.reshape(-1)
             # np.add.at is unbuffered: repeated cells accumulate in pair
-            # order, matching the scalar loop's per-track addition order.
+            # order, the per-track addition order of the scalar oracle.
             np.add.at(flat, base + 0, weight * colors[:, 0] / 255.0)
             np.add.at(flat, base + 1, weight * colors[:, 1] / 255.0)
             np.add.at(flat, base + 2, weight * colors[:, 2] / 255.0)
@@ -613,61 +592,14 @@ class SyntheticVideo:
         out[:, FEATURE_DIM - 1] = 0.5 + 0.1 * np.sin(
             2.0 * np.pi * frames / max(self.spec.num_frames, 1)
         )
-        # Per-frame observation noise: the same Philox-keyed streams the
-        # scalar path draws, produced by re-keying one bit generator.
+        # Per-frame observation noise: one Philox stream per (video seed,
+        # frame) key, produced by re-keying one bit generator.
         noise_streams = RekeyedPhilox(self.spec.seed & 0xFFFFFFFF)
         for row_idx, frame_index in enumerate(frames.tolist()):
             out[row_idx] += noise_streams.rekey(frame_index).normal(
                 0.0, 0.03, size=FEATURE_DIM
             )
         return out
-
-    def _features_for(self, frame_index: int) -> np.ndarray:
-        cached = self._feature_cache.get(frame_index)
-        if cached is not None:
-            return cached
-        self._check_frame(frame_index)
-        grid = FEATURE_GRID
-        cell_w = self.spec.width / grid
-        cell_h = self.spec.height / grid
-        features = np.zeros(FEATURE_DIM, dtype=np.float64)
-        frame_area = float(self.spec.width * self.spec.height)
-        total_occupancy = 0.0
-        total_area = 0.0
-        for track in self.tracks_at(frame_index):
-            box = track.box_at(frame_index).clip_to(self.spec.width, self.spec.height)
-            center = box.center
-            col = min(grid - 1, max(0, int(center.x // cell_w)))
-            row = min(grid - 1, max(0, int(center.y // cell_h)))
-            cell = row * grid + col
-            area_fraction = box.area / frame_area
-            # Weight colour contributions by the object's *linear* size
-            # fraction (square root of area).  A real specialized CNN sees the
-            # frame resized to ~65x65 pixels, where visibility scales with
-            # linear extent, so small-but-real objects (e.g. cars in the 4K
-            # archie stream) stay above the observation-noise floor.
-            weight = min(1.0, 3.0 * math.sqrt(area_fraction))
-            base = cell * FEATURE_CHANNELS
-            features[base + 0] += weight * track.color[0] / 255.0
-            features[base + 1] += weight * track.color[1] / 255.0
-            features[base + 2] += weight * track.color[2] / 255.0
-            features[base + 3] += 1.0
-            features[base + 4] += 10.0 * area_fraction
-            total_occupancy += 1.0
-            total_area += 10.0 * area_fraction
-        features[-3] = total_occupancy
-        features[-2] = total_area
-        # Global brightness: background level plus slow variation over the day.
-        features[-1] = 0.5 + 0.1 * math.sin(
-            2.0 * math.pi * frame_index / max(self.spec.num_frames, 1)
-        )
-        noise_rng = np.random.Generator(
-            np.random.Philox(key=[self.spec.seed & 0xFFFFFFFF, frame_index])
-        )
-        features += noise_rng.normal(0.0, 0.03, size=FEATURE_DIM)
-        if len(self._feature_cache) < 500_000:
-            self._feature_cache[frame_index] = features
-        return features
 
     # -- columnar object access (vectorized detection path) ------------------
 

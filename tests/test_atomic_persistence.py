@@ -218,7 +218,6 @@ class TestBenchmarkReportsAreAtomic:
     BENCH_SCRIPTS = [
         "bench_index.py",
         "bench_parallel.py",
-        "bench_perf_suite.py",
         "bench_service.py",
     ]
 

@@ -1,28 +1,34 @@
-"""Scalar/batched equivalence tests for the vectorized execution pipeline.
+"""Oracle tests for the batch-only execution pipeline.
 
-The vectorized paths (columnar ``frame_features``, ``detect_many`` /
-``detect_batch``, chunked plan execution) must be bit-for-bit identical to
-the scalar reference implementations they replace, with the same per-frame
-ledger accounting — these tests pin that contract, parametrized over batch
-sizes and both engine modes (``batched_execution`` on and off).
+Production code has one path per job — columnar ``frame_features``,
+``detect_many``, and the one source cascade behind ``detect_batch`` /
+``speculate_batch`` — and each must be bit-for-bit identical, with the same
+per-frame ledger accounting, to the scalar reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
+from repro.core.context import ExecutionContext
 from repro.core.engine import BlazeIt
+from repro.core.recorded import RecordedDetections
 from repro.errors import ConfigurationError
-from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
+from repro.metrics.runtime import _COUNTERS, ExecutionLedger, RuntimeLedger
+from repro.parallel.cache import SharedDetectionCache
 from repro.scrubbing.importance import _respects_gap
 from repro.specialization.trainer import TrainingConfig
+from repro.udf.registry import default_udf_registry
 from repro.video.frame_batch import FrameBatch
 from repro.video.synthetic import SyntheticVideo
 
 from conftest import make_video_spec
+from oracle import detect_batch_reference, frame_features_reference, run_engine_on_oracles
 
 
 def assert_results_identical(left, right):
@@ -44,6 +50,18 @@ def assert_results_identical(left, right):
                 assert np.array_equal(x.features, y.features)
 
 
+def assert_ledgers_agree(ledger, reference, *, wall=True):
+    """Equal ``calls``, ``charges`` and **every** execution counter."""
+    assert ledger.calls == reference.calls
+    # One charge(count=n) against n unit charges: equal up to the order of
+    # float additions.
+    assert ledger.charges == pytest.approx(reference.charges)
+    if isinstance(ledger, ExecutionLedger):
+        for counter in _COUNTERS:
+            if wall or counter != "wall_seconds":
+                assert getattr(ledger, counter) == getattr(reference, counter), counter
+
+
 # -- columnar features --------------------------------------------------------
 
 
@@ -55,9 +73,8 @@ class TestFrameFeaturesEquivalence:
         )
 
     def test_full_video_bitwise_equal(self, dense_video):
-        reference_video = SyntheticVideo.generate(dense_video.spec)
         vectorized = dense_video.frame_features(np.arange(500))
-        reference = reference_video.frame_features_reference(np.arange(500))
+        reference = frame_features_reference(dense_video, np.arange(500))
         assert np.array_equal(vectorized, reference)
 
     @pytest.mark.parametrize(
@@ -71,7 +88,7 @@ class TestFrameFeaturesEquivalence:
     )
     def test_subsets_bitwise_equal(self, dense_video, indices):
         vectorized = dense_video.frame_features(indices)
-        reference = dense_video.frame_features_reference(indices)
+        reference = frame_features_reference(dense_video, indices)
         assert np.array_equal(vectorized, reference)
 
     def test_memo_consistent_across_calls(self, dense_video):
@@ -86,18 +103,11 @@ class TestFrameFeaturesEquivalence:
         assert not np.array_equal(dense_video.frame_features([42]), row)
 
     def test_out_of_range_raises_like_reference(self, dense_video):
-        with pytest.raises(IndexError):
-            dense_video.frame_features([3, 500])
-        with pytest.raises(IndexError):
-            dense_video.frame_features([-1])
-
-    def test_scalar_flag_uses_reference_path(self, dense_video):
-        video = SyntheticVideo.generate(dense_video.spec)
-        video.use_vectorized_features = False
-        assert np.array_equal(
-            video.frame_features([1, 2, 3]),
-            dense_video.frame_features([1, 2, 3]),
-        )
+        for indices in ([3, 500], [-1]):
+            with pytest.raises(IndexError):
+                dense_video.frame_features(indices)
+            with pytest.raises(IndexError):
+                frame_features_reference(dense_video, indices)
 
     def test_empty_request(self, dense_video):
         assert dense_video.frame_features([]).shape[0] == 0
@@ -182,26 +192,6 @@ class TestContextDetectBatchEquivalence:
     def context(self, tiny_engine):
         return tiny_engine.execution_context("tiny")
 
-    def test_results_and_accounting_match_sequential(self, context):
-        frames = [7, 3, 7, 11, 3, 12]
-        sequential_ledger = ExecutionLedger()
-        sequential = [
-            context.detect(i, sequential_ledger) for i in frames
-        ]
-        batched_ledger = ExecutionLedger()
-        batched = context.detect_batch(frames, batched_ledger)
-        assert_results_identical(sequential, batched)
-        assert batched_ledger.detector_calls == sequential_ledger.detector_calls
-        assert batched_ledger.frames_decoded == sequential_ledger.frames_decoded
-        assert (
-            batched_ledger.detection_cache_hits
-            == sequential_ledger.detection_cache_hits
-        )
-        assert batched_ledger.calls == sequential_ledger.calls
-        assert batched_ledger.total_seconds == pytest.approx(
-            sequential_ledger.total_seconds
-        )
-
     def test_cache_hits_across_batches(self, context):
         ledger = ExecutionLedger()
         context.detect_batch([1, 2, 3], ledger)
@@ -217,26 +207,180 @@ class TestContextDetectBatchEquivalence:
             expected
         )
 
-    def test_detect_counts_batch_matches_scalar(self, context):
+    def test_detect_counts_batch_matches_oracle(self, context):
         frames = np.array([0, 5, 5, 9, 300])
-        scalar = context.detect_counts(frames, "car", ExecutionLedger())
+        scalar = [
+            r.count("car")
+            for r in detect_batch_reference(context, frames, ExecutionLedger())
+        ]
         batched = context.detect_counts_batch(frames, "car", ExecutionLedger())
         assert np.array_equal(scalar, batched)
 
-    def test_scalar_mode_falls_back(self, tiny_engine):
-        context = tiny_engine.execution_context("tiny")
-        context.config = BlazeItConfig(
-            training=context.config.training,
-            min_training_positives=context.config.min_training_positives,
-            batched_execution=False,
-            seed=context.config.seed,
+
+# -- the one source cascade against the one oracle ----------------------------
+
+CASCADE_FRAMES = 240
+#: The index covers only a prefix, so its tier both serves and passes.
+INDEXED_FRAMES = 192
+
+
+class FakePrefetcher:
+    """Stands in for a ``ShardDriver`` that has some frames ready."""
+
+    def __init__(self, held):
+        self.held = dict(held)
+        self.asked: list[int] = []
+
+    def take(self, frame_index):
+        self.asked.append(frame_index)
+        return self.held.get(frame_index)
+
+    def take_many(self, frame_indices):
+        taken = {f: self.take(f) for f in frame_indices}
+        return {f: result for f, result in taken.items() if result is not None}
+
+
+class TestSourceCascadeMatchesOracle:
+    """Every tier may serve — or skip — only what the detector would return,
+    and the batch walk accounts for it exactly as the per-frame oracle does."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory, detector):
+        video = SyntheticVideo.generate(
+            make_video_spec(
+                name="cascade", num_frames=CASCADE_FRAMES, seed=31,
+                car_rate=0.006, bus_rate=0.002,
+            )
         )
-        ledger = ExecutionLedger()
-        results = context.detect_batch([4, 4, 6], ledger)
-        reference = [context.detect(i, ExecutionLedger()) for i in [4, 4, 6]]
-        assert_results_identical(results, reference)
-        assert ledger.detector_calls == 2
-        assert ledger.detection_cache_hits == 1
+        root = tmp_path_factory.mktemp("cascade-index")
+        ingest = BlazeIt(detector=detector, index_dir=root)
+        ingest.register_video(
+            "cascade", test_video=video.slice(0, INDEXED_FRAMES, name="cascade")
+        )
+        ingest.build_index("cascade", range_size=8, segment_frames=64)
+        engine = BlazeIt(detector=detector, index_dir=root)
+        engine.register_video("cascade", test_video=video)
+        view = engine.execution_context("cascade").index_view
+        truth = [detector.detect(video, f) for f in range(CASCADE_FRAMES)]
+        served = [view.get(f) for f in range(INDEXED_FRAMES)]
+        assert {skipped for _, skipped in served} == {True, False}
+        assert view.get(INDEXED_FRAMES) is None
+        # Skipping form, exhaustively: whatever the index tier skips has no
+        # detections under the detector.
+        assert all(
+            truth[f].detections == [] for f, (_, skipped) in enumerate(served) if skipped
+        )
+        yield video, detector, view, truth
+        view.close()
+
+    @staticmethod
+    def build(world, sources, warm, held):
+        """One context (and its prefetcher) over the drawn set of sources."""
+        video, detector, view, truth = world
+        cache = None
+        if "cache" in sources:
+            cache = SharedDetectionCache(capacity_bytes=64 << 20)
+            cache.put_many("cascade", {f: truth[f] for f in warm})
+        context = ExecutionContext(
+            video=video,
+            detector=detector,
+            udf_registry=default_udf_registry(),
+            config=BlazeItConfig(),
+            recorded=(
+                RecordedDetections(video, detector, truth)
+                if "recorded" in sources
+                else None
+            ),
+            shared_cache=cache,
+            cache_key="cascade",
+            index_view=view if "index" in sources else None,
+        )
+        prefetcher = None
+        if "prefetcher" in sources:
+            prefetcher = FakePrefetcher({f: truth[f] for f in held})
+            context.with_prefetcher(prefetcher)
+        return context, prefetcher
+
+    frames = st.integers(0, CASCADE_FRAMES - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(st.lists(frames, max_size=12), min_size=1, max_size=3),
+        sources=st.sets(st.sampled_from(["cache", "index", "prefetcher", "recorded"])),
+        warm=st.sets(frames, max_size=30),
+        held=st.sets(frames, max_size=30),
+        ledger_type=st.sampled_from([ExecutionLedger, RuntimeLedger, None]),
+        cost_scale=st.sampled_from([1.0, 0.5]),
+    )
+    def test_results_and_every_counter_match(
+        self, world, batches, sources, warm, held, ledger_type, cost_scale
+    ):
+        truth = world[3]
+        subject, prefetcher = self.build(world, sources, warm, held)
+        reference, reference_prefetcher = self.build(world, sources, warm, held)
+        ledger = ledger_type() if ledger_type else None
+        reference_ledger = ledger_type() if ledger_type else None
+        for batch in batches:
+            got = subject.detect_batch(batch, ledger, cost_scale)
+            want = detect_batch_reference(
+                reference, batch, reference_ledger, cost_scale, reference_prefetcher
+            )
+            assert_results_identical(got, want)
+            # Provenance: whichever tier answered, it is the detector's answer
+            # — and with a recording nobody runs the detector (only the index
+            # decodes fresh objects; every other source holds ``truth``'s).
+            assert_results_identical(got, [truth[f] for f in batch])
+            if "recorded" in sources and "index" not in sources:
+                assert all(r is truth[f] for r, f in zip(got, batch, strict=True))
+        if ledger is not None:
+            assert_ledgers_agree(ledger, reference_ledger)
+        if isinstance(ledger, ExecutionLedger):
+            assert ledger.seen_frames == reference_ledger.seen_frames
+        if subject.shared_cache is not None:
+            assert subject.shared_cache.stats == reference.shared_cache.stats
+        # A later tier is only ever asked for what no earlier tier served.
+        if prefetcher is not None:
+            assert prefetcher.asked == reference_prefetcher.asked
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        batches=st.lists(st.lists(frames, max_size=12), min_size=1, max_size=3),
+        object_class=st.sampled_from(["car", "bus"]),
+        ledger_type=st.sampled_from([ExecutionLedger, None]),
+    )
+    def test_count_prepass_skips_only_provable_zeros(
+        self, world, batches, object_class, ledger_type
+    ):
+        """``detect_counts_batch`` answers 0 without a decode only where the
+        detector's count is 0; every other occurrence goes through the walk."""
+        truth = world[3]
+        subject, _ = self.build(world, {"index"}, (), ())
+        ledger = ledger_type() if ledger_type else None
+        for batch in batches:
+            counts = subject.detect_counts_batch(np.array(batch), object_class, ledger)
+            assert counts.tolist() == [truth[f].count(object_class) for f in batch]
+        if ledger is not None:
+            occurrences = sum(len(batch) for batch in batches)
+            walked = ledger.detector_calls + ledger.detection_cache_hits
+            assert occurrences - ledger.index_skips <= walked <= occurrences
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        chunk=st.lists(frames, max_size=12, unique=True),
+        sources=st.sets(st.sampled_from(["cache", "index", "recorded"])),
+        warm=st.sets(frames, max_size=30),
+    )
+    def test_speculation_is_the_same_walk_uncharged(self, world, chunk, sources, warm):
+        """Same answers; reads the shared cache but never writes it."""
+        truth = world[3]
+        subject, _ = self.build(world, sources, warm, ())
+        before = len(subject.shared_cache) if subject.shared_cache is not None else 0
+        assert_results_identical(
+            subject.shard_context().speculate_batch(chunk), [truth[f] for f in chunk]
+        )
+        if subject.shared_cache is not None:
+            assert len(subject.shared_cache) == before
+            assert subject.shared_cache.stats.hits == len(warm & set(chunk))
 
 
 # -- gap checking -------------------------------------------------------------
@@ -259,7 +403,7 @@ class TestRespectsGap:
         assert _respects_gap(5, [], 3)
 
 
-# -- end-to-end: all four query classes, batch sizes, scalar mode -------------
+# -- end-to-end: all four query classes, batch sizes, scalar oracles ----------
 
 
 QUERIES = {
@@ -298,60 +442,46 @@ def result_fingerprint(kind: str, result) -> tuple:
 
 class TestQueryClassEquivalence:
     @pytest.fixture(scope="class")
-    def engines(self):
-        """A batched and a scalar-reference engine over identical data."""
+    def engine(self):
         training = TrainingConfig(epochs=3, batch_size=32, min_examples=16)
-
-        def build(batched: bool) -> BlazeIt:
-            config = BlazeItConfig(
-                training=training,
-                min_training_positives=20,
-                batched_execution=batched,
-                seed=3,
-            )
-            test = SyntheticVideo.generate(
-                make_video_spec(name="batchy", num_frames=400, seed=21)
-            )
-            train = SyntheticVideo.generate(
-                make_video_spec(name="batchy-train", num_frames=400, seed=22)
-            )
-            heldout = SyntheticVideo.generate(
-                make_video_spec(name="batchy-heldout", num_frames=400, seed=23)
-            )
-            if not batched:
-                for video in (test, train, heldout):
-                    video.use_vectorized_features = False
-            engine = BlazeIt(config=config)
-            engine.register_video(
-                "batchy", test_video=test, train_video=train, heldout_video=heldout
-            )
-            engine.record_test_day("batchy")
-            return engine
-
-        return build(True), build(False)
+        config = BlazeItConfig(training=training, min_training_positives=20, seed=3)
+        test = SyntheticVideo.generate(
+            make_video_spec(name="batchy", num_frames=400, seed=21)
+        )
+        train = SyntheticVideo.generate(
+            make_video_spec(name="batchy-train", num_frames=400, seed=22)
+        )
+        heldout = SyntheticVideo.generate(
+            make_video_spec(name="batchy-heldout", num_frames=400, seed=23)
+        )
+        engine = BlazeIt(config=config)
+        engine.register_video(
+            "batchy", test_video=test, train_video=train, heldout_video=heldout
+        )
+        engine.record_test_day("batchy")
+        return engine
 
     @pytest.mark.parametrize("kind", sorted(QUERIES))
-    def test_identical_across_batch_sizes(self, engines, kind):
-        batched_engine, _ = engines
+    def test_identical_across_batch_sizes(self, engine, kind):
         fingerprints = []
         for batch_size in (1, 7, 64):
-            session = batched_engine.session(
-                hints=QueryHints(batch_size=batch_size)
-            )
+            session = engine.session(hints=QueryHints(batch_size=batch_size))
             result = session.execute(QUERIES[kind], rng=np.random.default_rng(42))
             fingerprints.append(result_fingerprint(kind, result))
         assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
     @pytest.mark.parametrize("kind", sorted(QUERIES))
-    def test_batched_identical_to_scalar_reference(self, engines, kind):
-        batched_engine, scalar_engine = engines
-        batched = batched_engine.session().execute(
+    def test_production_identical_to_scalar_oracles(self, engine, kind, monkeypatch):
+        production = engine.session().execute(
             QUERIES[kind], rng=np.random.default_rng(7)
         )
-        scalar = scalar_engine.session().execute(
-            QUERIES[kind], rng=np.random.default_rng(7)
+        run_engine_on_oracles(monkeypatch)
+        scalar = engine.session().execute(QUERIES[kind], rng=np.random.default_rng(7))
+        assert result_fingerprint(kind, production) == result_fingerprint(kind, scalar)
+        # Wall time is the one counter two runs never share.
+        assert_ledgers_agree(
+            production.execution_ledger, scalar.execution_ledger, wall=False
         )
-        assert result_fingerprint(kind, batched) == result_fingerprint(kind, scalar)
 
 
 # -- FrameBatch ---------------------------------------------------------------

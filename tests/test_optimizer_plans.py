@@ -44,20 +44,20 @@ class TestExecutionContext:
         from repro.metrics.runtime import RuntimeLedger
 
         ledger = RuntimeLedger()
-        context.detect(0, ledger)
+        context.detect_batch([0], ledger)
         assert ledger.total_seconds == pytest.approx(detector.cost.seconds_per_call)
 
     def test_detect_cost_scale(self, context, detector):
         from repro.metrics.runtime import RuntimeLedger
 
         ledger = RuntimeLedger()
-        context.detect(0, ledger, cost_scale=0.5)
+        context.detect_batch([0], ledger, cost_scale=0.5)
         assert ledger.total_seconds == pytest.approx(
             detector.cost.seconds_per_call * 0.5
         )
 
     def test_detect_counts_match_recording(self, context, tiny_recorded):
-        counts = context.detect_counts(np.array([0, 1, 2]), "car")
+        counts = context.detect_counts_batch(np.array([0, 1, 2]), "car")
         np.testing.assert_array_equal(counts, tiny_recorded.counts("car")[:3])
 
     def test_test_features_cached(self, context):

@@ -35,6 +35,7 @@ from repro.parallel import plan as parallel_plan
 from repro.parallel.plan import BACKENDS
 from repro.parallel.shards import VideoSharder
 from repro.parallel.shm import SLOT_NAME_PREFIX, SlotRing
+from repro.service.protocol import result_fingerprint
 from repro.specialization.trainer import TrainingConfig
 from repro.video.synthetic import SyntheticVideo
 
@@ -271,6 +272,55 @@ class TestShardProtocol:
         assert [span["backend"] for span in spans] == [backend] * 4
         assert driver.frames_prefetched == sum(span["frames"] for span in spans)
         assert driver.frames_prefetched >= result.execution_ledger.detector_calls
+
+
+    def test_index_covered_frames_are_never_announced(
+        self, backend, tmp_path, monkeypatch
+    ):
+        """Regression: the index answers every frame it covers before the
+        prefetcher is consulted, yet an explicit ``parallelism=2`` still
+        announced them — thread workers ran the detector over the whole
+        video for nothing, the process backend paid its spawn floor for
+        nothing.  Frames an earlier tier serves are not announced."""
+        computed, drivers, rings = [], [], []
+        detect_batch = SimulatedDetector._detect_batch
+        build = parallel_plan._build_executor
+        ring_init = SlotRing.__init__
+
+        def counting_detect_batch(self, video, frame_indices, ledger=None):
+            computed.extend(frame_indices)
+            return detect_batch(self, video, frame_indices, ledger)
+
+        def capturing_build(*args, **kwargs):
+            drivers.append(build(*args, **kwargs))
+            return drivers[-1]
+
+        def counting_ring_init(self, *args, **kwargs):
+            rings.append(self)
+            ring_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedDetector, "_detect_batch", counting_detect_batch)
+        monkeypatch.setattr(parallel_plan, "_build_executor", capturing_build)
+        monkeypatch.setattr(SlotRing, "__init__", counting_ring_init)
+        engine = BlazeIt(index_dir=tmp_path)
+        engine.register_video(
+            "covered", test_video=SyntheticVideo.generate(make_video_spec("covered", 600))
+        )
+        engine.build_index("covered")
+        assert len(computed) == 600
+        computed.clear()
+        query = "SELECT * FROM covered"
+        sharded = run(engine, query, parallelism=2, backend=backend)
+        (driver,) = drivers
+        assert driver.backend == backend
+        assert driver.frames_prefetched == 0
+        assert driver.worker_spans() == []
+        assert rings == []
+        assert computed == []
+        ledger = sharded.execution_ledger
+        assert ledger.index_hits + ledger.index_skips == 600
+        sequential = run(engine, query, parallelism=1)
+        assert result_fingerprint(sharded) == result_fingerprint(sequential)
 
 
 def test_invalid_backend_rejected(spawn_engine):

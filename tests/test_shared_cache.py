@@ -24,6 +24,7 @@ from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticVideo
 
 from conftest import make_video_spec
+from oracle import run_engine_on_oracles
 
 
 def make_result(frame_index: int, detections: int = 2) -> DetectionResult:
@@ -256,17 +257,19 @@ class TestEngineIntegration:
         assert warm.execution_ledger.detector_calls == 0
         assert warm.value == cold.value
 
-    def test_scalar_and_batched_accounting_agree_on_shared_hits(self, cached_engine):
+    def test_oracle_and_batched_accounting_agree_on_shared_hits(
+        self, cached_engine, monkeypatch
+    ):
         engine, cache = cached_engine
         engine.session().prepare(self.QUERY).execute(rng=np.random.default_rng(1))
         batched = engine.session().prepare(self.QUERY).execute(
             rng=np.random.default_rng(2)
         )
-        engine.config.batched_execution = False
+        run_engine_on_oracles(monkeypatch)
         scalar = engine.session().prepare(self.QUERY).execute(
             rng=np.random.default_rng(3)
         )
-        engine.config.batched_execution = True
+        assert scalar.execution_ledger.shared_cache_hits == 400
         assert (
             scalar.execution_ledger.shared_cache_hits
             == batched.execution_ledger.shared_cache_hits

@@ -293,8 +293,8 @@ class TestScrubbingFallbackDedupe:
 
         context = tiny_engine.execution_context("tiny")
         ledger = ExecutionLedger()
-        first = context.detect(7, ledger)
-        again = context.detect(7, ledger)
+        (first,) = context.detect_batch([7], ledger)
+        (again,) = context.detect_batch([7], ledger)
         assert again is first
         assert ledger.detector_calls == 1
         assert ledger.detection_cache_hits == 1
