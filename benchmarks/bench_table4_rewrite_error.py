@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.reporting import print_table, record
-from repro.core.config import AggregateMethod
+from repro.api.hints import QueryHints
 from repro.workloads.queries import aggregate_query
 
 TABLE4_VIDEOS = ["taipei", "night-street", "rialto", "grand-canal", "amsterdam"]
@@ -38,13 +38,11 @@ def test_table4_rewrite_error(bench_env, benchmark):
             errors = []
             for seed in range(RUNS):
                 session = bundle.fresh_session(
-                    bench_env.default_config(
-                        aggregate_method=AggregateMethod.SPECIALIZED_REWRITE,
-                        include_training_time=False,
-                        seed=seed,
-                    )
+                    bench_env.default_config(include_training_time=False, seed=seed)
                 )
-                result = session.execute(query)
+                result = session.execute(
+                    query, hints=QueryHints(force_plan="specialized_rewrite")
+                )
                 errors.append(abs(result.value - truth))
             mean_error = float(np.mean(errors))
             rows.append([name, object_class, truth, mean_error, PAPER_ERRORS[name]])

@@ -108,11 +108,11 @@ class QueryHints:
         Span tracing for executions of this prepared query.  ``True`` enables
         the tracer (spans for parse/optimize/execute/per-operator/per-shard
         workers; the terminal result carries an
-        :class:`~repro.obs.profile.ExecutionProfile`); ``False`` disables it
-        even when the engine configuration's ``tracing`` default is on;
-        ``None`` (the default) follows the engine configuration.  A per-call
-        ``execute(analyze=True)`` always traces.  Tracing never changes
-        results — spans record wall time for display only.
+        :class:`~repro.obs.profile.ExecutionProfile`); ``None`` (the default)
+        and ``False`` leave it off.  A per-call ``execute(trace=...)``
+        overrides the hint and ``execute(analyze=True)`` always traces.
+        Tracing never changes results — spans record wall time for display
+        only.
     """
 
     scrubbing_indexed: bool = False

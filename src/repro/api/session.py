@@ -235,9 +235,9 @@ class PreparedQuery:
         fixed RNG stream.
 
         ``trace`` enables span tracing for this execution (``None`` follows
-        the hints' ``trace``, then the engine configuration's ``tracing``);
-        ``analyze=True`` forces tracing and is the streaming form of EXPLAIN
-        ANALYZE — the terminal ``Completed`` result carries an
+        the hints' ``trace``, which is off unless set); ``analyze=True``
+        forces tracing and is the streaming form of EXPLAIN ANALYZE — the
+        terminal ``Completed`` result carries an
         :class:`~repro.obs.profile.ExecutionProfile`.  Tracing never changes
         results: span wall times are display-only.
 
@@ -263,7 +263,7 @@ class PreparedQuery:
         return self._session.engine.config.parallelism
 
     def _tracing_enabled(self, trace: bool | None, analyze: bool) -> bool:
-        """Per-call ``analyze`` wins, then ``trace``, then hints, then config."""
+        """Per-call ``analyze`` wins, then ``trace``, then the hints; off otherwise."""
         if analyze:
             return True
         if trace is not None:
@@ -272,9 +272,7 @@ class PreparedQuery:
                     f"trace must be True, False or None, got {trace!r}"
                 )
             return trace
-        if self.hints.trace is not None:
-            return self.hints.trace
-        return self._session.engine.config.tracing
+        return bool(self.hints.trace)
 
     def _open_stream(
         self,

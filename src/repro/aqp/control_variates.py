@@ -15,66 +15,16 @@ samples needed to hit the user's error bound.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.aqp.estimators import (
-    clt_half_width,
-    epsilon_net_minimum_samples,
-    sample_standard_deviation,
+from repro.aqp.sampling import (
+    SamplingResult,
+    SamplingRound,
+    StopPredicate,
+    final_result,
+    sampling_rounds,
 )
-from repro.aqp.sampling import AdaptiveSamplingConfig, StopPredicate
-
-
-def optimal_coefficient(m_values: np.ndarray, t_values: np.ndarray) -> float:
-    """The variance-minimising control-variate coefficient ``-Cov(m,t)/Var(t)``."""
-    m_values = np.asarray(m_values, dtype=np.float64)
-    t_values = np.asarray(t_values, dtype=np.float64)
-    if m_values.shape[0] != t_values.shape[0]:
-        raise ValueError(
-            f"length mismatch: {m_values.shape[0]} vs {t_values.shape[0]}"
-        )
-    if m_values.size < 2:
-        return 0.0
-    var_t = float(np.var(t_values, ddof=1))
-    if var_t < 1e-12:
-        return 0.0
-    cov = float(np.cov(m_values, t_values, ddof=1)[0, 1])
-    return -cov / var_t
-
-
-@dataclass
-class ControlVariateResult:
-    """Result of a control-variate estimation run."""
-
-    estimate: float
-    plain_estimate: float
-    half_width: float
-    samples_used: int
-    sampled_indices: np.ndarray
-    coefficient: float
-    correlation: float
-    rounds: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class ControlVariateRound:
-    """One round of the control-variate loop, for streaming consumers.
-
-    ``done`` marks the final round; only then is ``result`` populated (with
-    exactly what :func:`control_variate_estimate` would have returned).
-    """
-
-    estimate: float
-    half_width: float
-    samples_used: int
-    correlation: float
-    rounds: int
-    done: bool
-    result: ControlVariateResult | None = None
-
 
 def control_variate_estimate(
     sample_fn: Callable[[np.ndarray], np.ndarray],
@@ -83,9 +33,9 @@ def control_variate_estimate(
     confidence: float,
     value_range: float,
     rng: np.random.Generator | None = None,
-    config: AdaptiveSamplingConfig | None = None,
+    max_samples: int | None = None,
     fixed_coefficient: float | None = None,
-) -> ControlVariateResult:
+) -> SamplingResult:
     """Estimate the population mean of ``sample_fn`` using a control variate.
 
     Parameters
@@ -97,26 +47,24 @@ def control_variate_estimate(
         The cheap statistic ``t`` for *every* item of the population (the
         specialized NN is run over all frames, so ``tau`` and ``Var(t)`` are
         exact).
-    error_tolerance, confidence, value_range:
+    error_tolerance, confidence, value_range, max_samples:
         As in :func:`repro.aqp.sampling.adaptive_sample`.
     fixed_coefficient:
         When given, use this coefficient instead of estimating the optimal one
         each round (used by the ablation benchmark).
     """
-    for round_ in control_variate_stream(
-        sample_fn,
-        auxiliary_values,
-        error_tolerance,
-        confidence,
-        value_range,
-        rng=rng,
-        config=config,
-        fixed_coefficient=fixed_coefficient,
-    ):
-        if round_.done:
-            assert round_.result is not None
-            return round_.result
-    raise RuntimeError("control-variate stream ended without a final round")
+    return final_result(
+        control_variate_stream(
+            sample_fn,
+            auxiliary_values,
+            error_tolerance,
+            confidence,
+            value_range,
+            rng=rng,
+            max_samples=max_samples,
+            fixed_coefficient=fixed_coefficient,
+        )
+    )
 
 
 def control_variate_stream(
@@ -126,108 +74,30 @@ def control_variate_stream(
     confidence: float,
     value_range: float,
     rng: np.random.Generator | None = None,
-    config: AdaptiveSamplingConfig | None = None,
+    max_samples: int | None = None,
     fixed_coefficient: float | None = None,
     should_stop: StopPredicate | None = None,
     announce: Callable[[np.ndarray], None] | None = None,
-) -> Iterator[ControlVariateRound]:
+) -> Iterator[SamplingRound]:
     """Control-variate estimation as a stream of per-round updates.
 
-    The generator core behind :func:`control_variate_estimate` (which drains
-    it): identical sampling order, RNG stream and termination rule, but
-    yielding the variance-reduced running estimate and CI half-width after
-    every round.  ``should_stop`` is an external termination predicate
-    checked after the built-in rules each round; ``announce`` receives the
-    sampling order when drawn (the parallel prefetch hook, exactly as in
-    :func:`repro.aqp.sampling.adaptive_sample_stream`).
+    :func:`repro.aqp.sampling.sampling_rounds` over a population whose size
+    is the auxiliary vector's — what :func:`control_variate_estimate` drains:
+    identical sampling order, RNG stream and termination rule, but yielding
+    the variance-reduced running estimate and CI half-width after every
+    round.  ``should_stop`` and ``announce`` are the loop's.
     """
     auxiliary_values = np.asarray(auxiliary_values, dtype=np.float64)
-    population_size = auxiliary_values.shape[0]
-    if population_size < 1:
-        raise ValueError("auxiliary_values must cover a non-empty population")
-    if error_tolerance <= 0:
-        raise ValueError(f"error_tolerance must be positive, got {error_tolerance}")
-    # A deterministic default keeps results a pure function of the inputs
-    # even when the caller supplies no generator (RPR001).
-    rng = rng or np.random.default_rng(0)
-    config = config or AdaptiveSamplingConfig()
-    max_samples = min(config.max_samples or population_size, population_size)
-
-    tau = float(np.mean(auxiliary_values))
-    initial = min(
-        epsilon_net_minimum_samples(value_range, error_tolerance), max_samples
+    return sampling_rounds(
+        sample_fn,
+        auxiliary_values.shape[0],
+        error_tolerance,
+        confidence,
+        value_range,
+        rng=rng,
+        max_samples=max_samples,
+        auxiliary_values=auxiliary_values,
+        fixed_coefficient=fixed_coefficient,
+        should_stop=should_stop,
+        announce=announce,
     )
-    batch = max(config.min_batch, int(initial * config.growth_fraction))
-
-    permutation = rng.permutation(population_size)
-    if announce is not None:
-        announce(permutation[:max_samples])
-    taken = initial
-    m_values = np.asarray(sample_fn(permutation[:taken]), dtype=np.float64)
-    rounds = 1
-    converged = False
-    coefficient = 0.0
-    correlation = 0.0
-
-    while True:
-        t_sample = auxiliary_values[permutation[:taken]]
-        if fixed_coefficient is not None:
-            coefficient = fixed_coefficient
-        else:
-            coefficient = optimal_coefficient(m_values, t_sample)
-        adjusted = m_values + coefficient * (t_sample - tau)
-        std = sample_standard_deviation(adjusted)
-        if m_values.size >= 2 and np.std(m_values) > 1e-12 and np.std(t_sample) > 1e-12:
-            correlation = float(np.corrcoef(m_values, t_sample)[0, 1])
-        half_width = clt_half_width(std, taken, confidence, population_size)
-        if half_width < error_tolerance:
-            converged = True
-        done = (
-            converged
-            or taken >= max_samples
-            or (should_stop is not None and should_stop(taken, half_width))
-        )
-        if done:
-            result = ControlVariateResult(
-                estimate=float(np.mean(adjusted)),
-                plain_estimate=float(np.mean(m_values)),
-                half_width=float(
-                    clt_half_width(
-                        sample_standard_deviation(adjusted),
-                        taken,
-                        confidence,
-                        population_size,
-                    )
-                ),
-                samples_used=taken,
-                sampled_indices=permutation[:taken].copy(),
-                coefficient=coefficient,
-                correlation=correlation,
-                rounds=rounds,
-                converged=converged,
-            )
-            yield ControlVariateRound(
-                estimate=result.estimate,
-                half_width=result.half_width,
-                samples_used=taken,
-                correlation=correlation,
-                rounds=rounds,
-                done=True,
-                result=result,
-            )
-            return
-        yield ControlVariateRound(
-            estimate=float(np.mean(adjusted)),
-            half_width=float(half_width),
-            samples_used=taken,
-            correlation=correlation,
-            rounds=rounds,
-            done=False,
-        )
-        next_taken = min(taken + batch, max_samples)
-        new_values = np.asarray(
-            sample_fn(permutation[taken:next_taken]), dtype=np.float64
-        )
-        m_values = np.concatenate([m_values, new_values])
-        taken = next_taken
-        rounds += 1

@@ -15,13 +15,32 @@ from scipy import stats
 def sample_standard_deviation(values: np.ndarray) -> float:
     """Sample standard deviation with Bessel's correction.
 
-    Returns zero for samples with fewer than two elements (the stopping rule
-    can never fire on such small samples because of the epsilon-net minimum).
+    Returns zero for samples with fewer than two elements.  The epsilon-net
+    minimum alone does not keep such samples away from the stopping rule (it
+    is 1 whenever the tolerance reaches ``K``); the sampling loop does, by
+    drawing at least two frames and never declaring convergence on one.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         return 0.0
     return float(np.std(values, ddof=1))
+
+
+def optimal_coefficient(m_values: np.ndarray, t_values: np.ndarray) -> float:
+    """The variance-minimising control-variate coefficient ``-Cov(m,t)/Var(t)``."""
+    m_values = np.asarray(m_values, dtype=np.float64)
+    t_values = np.asarray(t_values, dtype=np.float64)
+    if m_values.shape[0] != t_values.shape[0]:
+        raise ValueError(
+            f"length mismatch: {m_values.shape[0]} vs {t_values.shape[0]}"
+        )
+    if m_values.size < 2:
+        return 0.0
+    var_t = float(np.var(t_values, ddof=1))
+    if var_t < 1e-12:
+        return 0.0
+    cov = float(np.cov(m_values, t_values, ddof=1)[0, 1])
+    return -cov / var_t
 
 
 def finite_population_correction(sample_size: int, population_size: int) -> float:

@@ -1,12 +1,15 @@
 """Adaptive sampling with an epsilon-net start and a CLT stopping rule.
 
-This is the "traditional AQP" execution mode of Section 6.1: sample frames
+The one sampling loop of Section 6 (:func:`sampling_rounds`): sample frames
 uniformly without replacement, starting from the epsilon-net minimum
 ``K / epsilon`` samples, linearly increasing the sample size each round, and
 terminating when the CLT bound certifies the user's absolute error tolerance
 at the requested confidence.  Termination is driven by the *sample variance*,
-which is exactly what lets variance-reduction methods (control variates)
-terminate earlier.
+which is exactly what lets variance-reduction methods terminate earlier: the
+control-variate estimator of Section 6.3
+(:mod:`repro.aqp.control_variates`) is this loop with an auxiliary variable,
+and the "traditional AQP" of Section 6.1 (:func:`adaptive_sample`) is the
+same loop with none (``c = 0``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from repro.aqp.estimators import (
     clt_half_width,
     epsilon_net_minimum_samples,
+    optimal_coefficient,
     sample_standard_deviation,
 )
 
@@ -27,30 +31,36 @@ from repro.aqp.estimators import (
 #: targets, detector budgets, cancellation) into the sampling loop.
 StopPredicate = Callable[[int, float], bool]
 
+#: Linear growth of the sample: every round after the first adds this
+#: fraction of the first round, and never fewer than ``MIN_ROUND_SAMPLES``.
+ROUND_GROWTH = 0.5
+MIN_ROUND_SAMPLES = 50
 
-@dataclass(frozen=True)
-class AdaptiveSamplingConfig:
-    """Tuning knobs of the adaptive sampling loop."""
 
-    #: Fraction of the initial (epsilon-net) sample added per round.
-    growth_fraction: float = 0.5
-    #: Smallest number of samples added per round.
-    min_batch: int = 50
-    #: Hard cap on total samples (defaults to the population size).
-    max_samples: int | None = None
+def round_sizes(
+    value_range: float, error_tolerance: float, max_samples: int
+) -> tuple[int, int]:
+    """``(first round, growth per round)`` of the sampling loop.
 
-    def __post_init__(self) -> None:
-        if self.growth_fraction <= 0:
-            raise ValueError(
-                f"growth_fraction must be positive, got {self.growth_fraction}"
-            )
-        if self.min_batch < 1:
-            raise ValueError(f"min_batch must be >= 1, got {self.min_batch}")
+    The first round is the epsilon-net minimum ``K / epsilon``, but never a
+    single frame when two can be drawn: one sample has no variance, so the
+    CLT bound over it would certify any tolerance.  The one definition the
+    loop and the optimizer's call estimate share.
+    """
+    initial = min(
+        max(2, epsilon_net_minimum_samples(value_range, error_tolerance)),
+        max_samples,
+    )
+    return initial, max(MIN_ROUND_SAMPLES, int(initial * ROUND_GROWTH))
 
 
 @dataclass
 class SamplingResult:
-    """Result of an adaptive sampling run."""
+    """Result of a sampling run, with or without a control variate.
+
+    Without an auxiliary variable ``plain_estimate`` is ``estimate`` and
+    ``coefficient`` / ``correlation`` are zero.
+    """
 
     estimate: float
     half_width: float
@@ -59,14 +69,17 @@ class SamplingResult:
     sampled_values: np.ndarray
     rounds: int
     converged: bool
+    plain_estimate: float
+    coefficient: float = 0.0
+    correlation: float = 0.0
 
 
 @dataclass(frozen=True)
 class SamplingRound:
-    """One round of the adaptive sampling loop, as seen by a streaming consumer.
+    """One round of the sampling loop, as seen by a streaming consumer.
 
     ``done`` marks the final round; only then is ``result`` populated (with
-    exactly what :func:`adaptive_sample` would have returned).
+    exactly what the blocking function would have returned).
     """
 
     estimate: float
@@ -77,6 +90,15 @@ class SamplingRound:
     result: SamplingResult | None = None
 
 
+def final_result(rounds: Iterator[SamplingRound]) -> SamplingResult:
+    """Drain a sampling stream and return its final round's result."""
+    for round_ in rounds:
+        if round_.done:
+            assert round_.result is not None
+            return round_.result
+    raise RuntimeError("sampling stream ended without a final round")
+
+
 def adaptive_sample(
     sample_fn: Callable[[np.ndarray], np.ndarray],
     population_size: int,
@@ -84,7 +106,7 @@ def adaptive_sample(
     confidence: float,
     value_range: float,
     rng: np.random.Generator | None = None,
-    config: AdaptiveSamplingConfig | None = None,
+    max_samples: int | None = None,
 ) -> SamplingResult:
     """Estimate the population mean of ``sample_fn`` to within a tolerance.
 
@@ -105,8 +127,8 @@ def adaptive_sample(
         minimum sample size.
     rng:
         Source of randomness; defaults to a fresh generator.
-    config:
-        Loop tuning knobs.
+    max_samples:
+        Hard cap on total samples (defaults to the population size).
 
     Returns
     -------
@@ -114,19 +136,17 @@ def adaptive_sample(
         The estimate, the final CLT half width, the indices sampled and
         whether the loop converged before exhausting the population.
     """
-    for round_ in adaptive_sample_stream(
-        sample_fn,
-        population_size,
-        error_tolerance,
-        confidence,
-        value_range,
-        rng=rng,
-        config=config,
-    ):
-        if round_.done:
-            assert round_.result is not None
-            return round_.result
-    raise RuntimeError("adaptive sampling stream ended without a final round")
+    return final_result(
+        adaptive_sample_stream(
+            sample_fn,
+            population_size,
+            error_tolerance,
+            confidence,
+            value_range,
+            rng=rng,
+            max_samples=max_samples,
+        )
+    )
 
 
 def adaptive_sample_stream(
@@ -136,18 +156,57 @@ def adaptive_sample_stream(
     confidence: float,
     value_range: float,
     rng: np.random.Generator | None = None,
-    config: AdaptiveSamplingConfig | None = None,
+    max_samples: int | None = None,
     should_stop: StopPredicate | None = None,
     announce: Callable[[np.ndarray], None] | None = None,
 ) -> Iterator[SamplingRound]:
     """Adaptive sampling as a stream: one :class:`SamplingRound` per round.
 
-    The generator core behind :func:`adaptive_sample` (which drains it):
-    identical sampling order, RNG stream and termination rule, but yielding
-    the running estimate and CI half-width after every round so callers can
-    watch the interval shrink.  ``should_stop`` is an external termination
-    predicate checked after the built-in rules each round; when it fires the
-    loop finalises early with ``converged`` reflecting only the CLT bound.
+    :func:`sampling_rounds` with no auxiliary variable — what
+    :func:`adaptive_sample` drains: identical sampling order, RNG stream and
+    termination rule, but yielding the running estimate and CI half-width
+    after every round so callers can watch the interval shrink.
+    """
+    return sampling_rounds(
+        sample_fn,
+        population_size,
+        error_tolerance,
+        confidence,
+        value_range,
+        rng=rng,
+        max_samples=max_samples,
+        should_stop=should_stop,
+        announce=announce,
+    )
+
+
+def sampling_rounds(
+    sample_fn: Callable[[np.ndarray], np.ndarray],
+    population_size: int,
+    error_tolerance: float,
+    confidence: float,
+    value_range: float,
+    rng: np.random.Generator | None = None,
+    max_samples: int | None = None,
+    auxiliary_values: np.ndarray | None = None,
+    fixed_coefficient: float | None = None,
+    should_stop: StopPredicate | None = None,
+    announce: Callable[[np.ndarray], None] | None = None,
+) -> Iterator[SamplingRound]:
+    """The sampling procedure of Section 6, written once.
+
+    Estimates the mean of ``m`` (``sample_fn``) by
+    ``mean(m) + c * (mean(t) - tau)`` over a growing uniform sample, which is
+    unbiased for any ``c``: with ``auxiliary_values`` (``t`` for *every* item
+    of the population, so ``tau`` is exact) ``c`` is ``fixed_coefficient`` or
+    the variance-minimising coefficient re-estimated each round (Section
+    6.3); without them ``c = 0`` and this is the traditional AQP of Section
+    6.1.  The CLT stopping rule runs on the variance of the adjusted values,
+    which is what lets a well-correlated auxiliary terminate earlier.
+
+    ``should_stop`` is an external termination predicate checked after the
+    built-in rules each round; when it fires the loop finalises early with
+    ``converged`` reflecting only the CLT bound.
 
     ``announce`` receives the full sampling order (the permutation prefix
     the loop could ever consume) the moment it is drawn — the shard-aware
@@ -161,13 +220,9 @@ def adaptive_sample_stream(
     # A deterministic default keeps results a pure function of the inputs
     # even when the caller supplies no generator (RPR001).
     rng = rng or np.random.default_rng(0)
-    config = config or AdaptiveSamplingConfig()
-    max_samples = min(config.max_samples or population_size, population_size)
-
-    initial = min(
-        epsilon_net_minimum_samples(value_range, error_tolerance), max_samples
-    )
-    batch = max(config.min_batch, int(initial * config.growth_fraction))
+    max_samples = min(max_samples or population_size, population_size)
+    initial, batch = round_sizes(value_range, error_tolerance, max_samples)
+    tau = 0.0 if auxiliary_values is None else float(np.mean(auxiliary_values))
 
     # Sampling without replacement: a random permutation consumed prefix-first.
     permutation = rng.permutation(population_size)
@@ -176,53 +231,58 @@ def adaptive_sample_stream(
     taken = initial
     values = np.asarray(sample_fn(permutation[:taken]), dtype=np.float64)
     rounds = 1
-    converged = False
+    coefficient = 0.0
+    correlation = 0.0
     while True:
-        std = sample_standard_deviation(values)
-        half_width = clt_half_width(std, taken, confidence, population_size)
-        if half_width < error_tolerance:
-            converged = True
+        adjusted = values
+        if auxiliary_values is not None:
+            t_sample = auxiliary_values[permutation[:taken]]
+            if fixed_coefficient is not None:
+                coefficient = fixed_coefficient
+            else:
+                coefficient = optimal_coefficient(values, t_sample)
+            adjusted = values + coefficient * (t_sample - tau)
+            if values.size >= 2 and np.std(values) > 1e-12 and np.std(t_sample) > 1e-12:
+                correlation = float(np.corrcoef(values, t_sample)[0, 1])
+        estimate = float(np.mean(adjusted))
+        half_width = clt_half_width(
+            sample_standard_deviation(adjusted), taken, confidence, population_size
+        )
+        # One sample of a larger population has no variance to bound.
+        converged = half_width < error_tolerance and taken >= min(2, population_size)
         done = (
             converged
             or taken >= max_samples
             or (should_stop is not None and should_stop(taken, half_width))
         )
+        result = None
         if done:
             result = SamplingResult(
-                estimate=float(np.mean(values)),
-                half_width=float(
-                    clt_half_width(
-                        sample_standard_deviation(values),
-                        taken,
-                        confidence,
-                        population_size,
-                    )
-                ),
+                estimate=estimate,
+                half_width=half_width,
                 samples_used=taken,
                 sampled_indices=permutation[:taken].copy(),
                 sampled_values=values,
                 rounds=rounds,
                 converged=converged,
+                plain_estimate=float(np.mean(values)),
+                coefficient=coefficient,
+                correlation=correlation,
             )
-            yield SamplingRound(
-                estimate=result.estimate,
-                half_width=result.half_width,
-                samples_used=taken,
-                rounds=rounds,
-                done=True,
-                result=result,
-            )
-            return
         yield SamplingRound(
-            estimate=float(np.mean(values)),
-            half_width=float(half_width),
+            estimate=estimate,
+            half_width=half_width,
             samples_used=taken,
             rounds=rounds,
-            done=False,
+            done=done,
+            result=result,
         )
+        if done:
+            return
         next_taken = min(taken + batch, max_samples)
-        new_indices = permutation[taken:next_taken]
-        new_values = np.asarray(sample_fn(new_indices), dtype=np.float64)
+        new_values = np.asarray(
+            sample_fn(permutation[taken:next_taken]), dtype=np.float64
+        )
         values = np.concatenate([values, new_values])
         taken = next_taken
         rounds += 1

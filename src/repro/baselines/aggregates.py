@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.aqp.sampling import AdaptiveSamplingConfig, adaptive_sample
+from repro.aqp.sampling import adaptive_sample
 from repro.core.recorded import RecordedDetections
 from repro.metrics.runtime import RuntimeLedger
 
@@ -78,7 +78,6 @@ def naive_aqp_aggregate(
     confidence: float = 0.95,
     rng: np.random.Generator | None = None,
     value_range: float | None = None,
-    config: AdaptiveSamplingConfig | None = None,
 ) -> BaselineAggregateResult:
     """FCOUNT by uniform adaptive sampling of detector calls (no variance reduction)."""
     ledger = RuntimeLedger()
@@ -97,7 +96,6 @@ def naive_aqp_aggregate(
         confidence=confidence,
         value_range=value_range,
         rng=rng,
-        config=config,
     )
     return BaselineAggregateResult(
         value=result.estimate,

@@ -15,8 +15,9 @@ class AggregateMethod(enum.Enum):
     ``AUTO`` follows Algorithm 1 of the paper: rewrite with the specialized NN
     when its held-out error satisfies the user's bound, otherwise fall back to
     control variates; when there is not enough training data, use plain AQP.
-    The explicit values force a particular strategy (used by the benchmarks to
-    produce the per-variant series of Figures 4 and 5).
+    The explicit values force a particular strategy: they are the type of
+    ``AggregateQueryPlan(spec, method=...)``, and their values name the
+    candidates ``QueryHints(force_plan=...)`` selects per query or session.
     """
 
     AUTO = "auto"
@@ -30,16 +31,15 @@ class AggregateMethod(enum.Enum):
 class BlazeItConfig:
     """Configuration of a :class:`~repro.core.engine.BlazeIt` engine.
 
+    Engine-wide settings only.  Per-query choices are hints, not
+    configuration: an aggregate strategy is forced with
+    ``QueryHints(force_plan=...)`` and tracing switched on with
+    ``QueryHints(trace=True)`` or ``execute(trace=...)``.
+
     Parameters
     ----------
     training:
         Hyper-parameters for specialized-model training.
-    aggregate_method:
-        Strategy override for aggregate queries (``AUTO`` by default).
-    default_error_tolerance:
-        Error bound used when an aggregate query carries no ``ERROR WITHIN``.
-    default_confidence:
-        Confidence used when no ``CONFIDENCE`` clause is present.
     min_training_positives:
         Minimum number of training-day frames containing the queried class
         before specialization is attempted; below this, aggregation falls back
@@ -53,8 +53,6 @@ class BlazeItConfig:
         or ``"mlp"`` (a small non-linear network, the closest analogue of the
         paper's tiny ResNet; used by the benchmark harness, where the labeled
         sets are large enough to train it reliably).
-    specialized_hidden_size:
-        Hidden width of the MLP specialized models.
     parallelism:
         Default worker count for the parallel sharded execution engine: every
         query streamed or executed through a session partitions its video
@@ -69,27 +67,16 @@ class BlazeItConfig:
         repeated queries over hot videos skip detector work entirely.  ``0``
         — the default — disables the cache, keeping every execution's
         accounting independent of history.
-    tracing:
-        Enable span tracing for every execution by default (the per-query
-        ``QueryHints.trace`` and ``execute(analyze=True)`` override this).
-        Spans record wall time for display only and never feed results, so
-        enabling tracing cannot change any query answer.  ``False`` — the
-        default — keeps the engine at true zero tracing overhead.
     seed:
         Seed for all randomised decisions made by the engine.
     """
 
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    aggregate_method: AggregateMethod = AggregateMethod.AUTO
-    default_error_tolerance: float = 0.1
-    default_confidence: float = 0.95
     min_training_positives: int = 100
     include_training_time: bool = True
     specialized_model_type: str = "softmax"
-    specialized_hidden_size: int = 32
     parallelism: int = 1
     shared_cache_bytes: int = 0
-    tracing: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -97,19 +84,6 @@ class BlazeItConfig:
             raise ConfigurationError(
                 "specialized_model_type must be 'softmax' or 'mlp', got "
                 f"{self.specialized_model_type!r}"
-            )
-        if self.specialized_hidden_size < 1:
-            raise ConfigurationError(
-                f"specialized_hidden_size must be >= 1, got {self.specialized_hidden_size}"
-            )
-        if self.default_error_tolerance <= 0:
-            raise ConfigurationError(
-                f"default_error_tolerance must be positive, got "
-                f"{self.default_error_tolerance}"
-            )
-        if not 0.0 < self.default_confidence < 1.0:
-            raise ConfigurationError(
-                f"default_confidence must be in (0, 1), got {self.default_confidence}"
             )
         if self.min_training_positives < 0:
             raise ConfigurationError(

@@ -77,14 +77,6 @@ class BaseQuerySpec:
     kind: QueryKind
     raw_query: Query
 
-    def referenced_classes(self) -> frozenset[str]:
-        """Object classes whose statistics the optimizer needs for this query.
-
-        Drives statistics-catalog lookups in the logical plan and the cost
-        model; the base query shape references none.
-        """
-        return frozenset()
-
 
 @dataclass
 class AggregateQuerySpec(BaseQuerySpec):
@@ -96,11 +88,6 @@ class AggregateQuerySpec(BaseQuerySpec):
     confidence: float = 0.95
     udf_predicates: list[UdfPredicate] = field(default_factory=list)
 
-    def referenced_classes(self) -> frozenset[str]:
-        if self.object_class is None:
-            return frozenset()
-        return frozenset({self.object_class})
-
 
 @dataclass
 class ScrubbingQuerySpec(BaseQuerySpec):
@@ -109,9 +96,6 @@ class ScrubbingQuerySpec(BaseQuerySpec):
     min_counts: dict[str, int] = field(default_factory=dict)
     limit: int = 10
     gap: int = 0
-
-    def referenced_classes(self) -> frozenset[str]:
-        return frozenset(self.min_counts)
 
 
 @dataclass
@@ -129,11 +113,6 @@ class SelectionQuerySpec(BaseQuerySpec):
     fpr_within: float | None = None
     select_columns: list[str] = field(default_factory=list)
     select_star: bool = False
-
-    def referenced_classes(self) -> frozenset[str]:
-        if self.object_class is None:
-            return frozenset()
-        return frozenset({self.object_class})
 
 
 @dataclass

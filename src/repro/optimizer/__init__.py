@@ -1,15 +1,13 @@
-"""Cost-based query optimizer: logical plans, operators, physical plans.
+"""Cost-based query optimizer: operators and physical plans.
 
-The planning stack has three layers (Section 5):
+The planning stack has two layers (Section 5):
 
-* **logical plans** (:mod:`repro.optimizer.logical`) restate an analyzed
-  query's semantics as a small relational-style tree;
 * **physical operators** (:mod:`repro.optimizer.operators`) are the
   composable, stream-compatible stages — scans, samplers, rankers, filter
   cascades, verifiers, track aggregation — that the four plan classes are
   built from;
 * the **cost-based optimizer** (:mod:`repro.optimizer.cost`) enumerates
-  alternative operator trees per logical plan, prices them from the
+  alternative operator trees per analyzed query, prices them from the
   statistics catalog (:mod:`repro.catalog`) in estimated detector calls plus
   specialization training cost, and picks the cheapest.
 
@@ -35,7 +33,6 @@ from repro.core.events import (
 from repro.optimizer.base import CostEstimate, PhysicalPlan, PlanCursor
 from repro.optimizer.aggregates import AggregateQueryPlan
 from repro.optimizer.cost import CostBasedOptimizer, PlanCandidate
-from repro.optimizer.logical import LogicalNode, LogicalPlan, build_logical_plan
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.optimizer.exact import ExactQueryPlan
@@ -50,9 +47,6 @@ __all__ = [
     "ExactQueryPlan",
     "CostBasedOptimizer",
     "PlanCandidate",
-    "LogicalPlan",
-    "LogicalNode",
-    "build_logical_plan",
     "ExecutionEvent",
     "ExecutionControl",
     "Progress",

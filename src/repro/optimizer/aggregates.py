@@ -17,10 +17,10 @@ of physical operators:
    frames are the cheap auxiliary variable, and the detector is sampled
    adaptively until the variance-reduced CLT bound is met.
 
-The :class:`~repro.core.config.AggregateMethod` configuration — or the
-``method`` constructor argument the cost-based optimizer uses for its forced
-candidates — can force any one of these strategies, which is how the
-benchmark harness produces the per-variant series of Figure 4 and Figure 5.
+The ``method`` constructor argument (an
+:class:`~repro.core.config.AggregateMethod`) forces any one of these
+strategies; it is what the cost-based optimizer's forced candidates — the ones
+``QueryHints(force_plan=...)`` names — are built with.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from scipy import stats as scipy_stats
 
 from repro.api.hints import QueryHints, require_hints
-from repro.aqp.estimators import epsilon_net_minimum_samples
+from repro.aqp.sampling import round_sizes
 from repro.core.config import AggregateMethod
 from repro.core.context import ExecutionContext
 from repro.core.events import (
@@ -85,11 +85,10 @@ def sampling_calls_estimate(
     slack for sample-sigma fluctuation) to one growth round of overshoot, and
     never exceeds the population: sampling is without replacement.
     """
-    initial = min(epsilon_net_minimum_samples(value_range, error_tolerance), num_frames)
-    batch = max(50, initial // 2)
+    initial, batch = round_sizes(value_range, error_tolerance, num_frames)
     if count_std <= 0.0:
         # Zero observed variance: the CLT bound fires at the first check.
-        return min(num_frames, initial)
+        return initial
     z = float(scipy_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
     clt_samples = math.ceil((z * count_std / error_tolerance) ** 2 * _CLT_SLACK)
     return min(num_frames, max(initial, clt_samples) + batch)
@@ -111,8 +110,8 @@ class AggregateQueryPlan(PhysicalPlan):
             )
         self.spec = spec
         self.hints = require_hints(hints) or QueryHints()
-        #: Forced execution strategy; ``None`` follows the engine
-        #: configuration (``AUTO`` runs Algorithm 1's accuracy gate).
+        #: Forced execution strategy; ``None`` (or ``AUTO``) runs Algorithm
+        #: 1's accuracy gate.
         self.method = method
         self._scan = FullScan()
         self._tracks = TrackAggregator(iou_threshold=0.7, max_gap=1)
@@ -130,16 +129,16 @@ class AggregateQueryPlan(PhysicalPlan):
 
     # -- planning surface ----------------------------------------------------------
 
-    def _effective_method(self, context: ExecutionContext) -> AggregateMethod:
-        """The strategy to run: the plan's override, else the engine config."""
-        if self.method is not None:
-            return self.method
-        return context.config.aggregate_method
+    def exact_only(self) -> bool:
+        """Whether this plan can only run the exhaustive scan.
 
-    def _exact_only(self) -> bool:
+        The query tolerates no error (or counts distinct tracks), or the scan
+        is forced.
+        """
         return (
             self.spec.error_tolerance is None
             or self.spec.aggregate == "count_distinct"
+            or self.method == AggregateMethod.EXACT
         )
 
     def operator_tree(
@@ -170,7 +169,7 @@ class AggregateQueryPlan(PhysicalPlan):
             training_seconds = stats.specialized_training_seconds()
             inference_seconds = stats.specialized_inference_seconds(num_frames)
 
-        if self._exact_only() or self.method == AggregateMethod.EXACT:
+        if self.exact_only():
             children: tuple[OperatorNode, ...] = (
                 OperatorNode(
                     "FullScan",
@@ -263,12 +262,7 @@ class AggregateQueryPlan(PhysicalPlan):
     def estimate_detector_calls(
         self, num_frames: int, stats: VideoStatistics | None = None
     ) -> int:
-        # The bound reflects ``self.method``; the cost-based optimizer bakes
-        # a config-forced method into the plans it builds, so estimates and
-        # execution agree.  A plan constructed directly with ``method=None``
-        # but executed under a config that forces EXACT is outside this
-        # bound's contract.
-        if self._exact_only() or self.method == AggregateMethod.EXACT:
+        if self.exact_only():
             return num_frames
         if self.method == AggregateMethod.SPECIALIZED_REWRITE:
             return 0
@@ -281,13 +275,8 @@ class AggregateQueryPlan(PhysicalPlan):
         self, num_frames: int, stats: VideoStatistics | None = None
     ) -> CostEstimate:
         base = super().estimate_cost(num_frames, stats)
-        trains = self.method in (
-            None,
-            AggregateMethod.AUTO,
-            AggregateMethod.SPECIALIZED_REWRITE,
-            AggregateMethod.CONTROL_VARIATES,
-        )
-        if self._exact_only() or stats is None or not trains:
+        # Every other strategy trains the specialized NN and runs it over the video.
+        if stats is None or self.exact_only() or self.method == AggregateMethod.NAIVE_AQP:
             return base
         return CostEstimate(
             detector_calls=base.detector_calls,
@@ -302,26 +291,20 @@ class AggregateQueryPlan(PhysicalPlan):
         self, context: ExecutionContext, control: ExecutionControl
     ) -> Iterator[ExecutionEvent]:
         """Algorithm 1's decision procedure, as an event stream."""
-        spec = self.spec
         ledger = ExecutionLedger()
-        method = self._effective_method(context)
         yield Progress(
             phase="plan_selection", total_frames=context.video.num_frames
         )
 
-        if spec.aggregate == "count_distinct":
+        if self.exact_only():
             result = yield from self._stream_exact(context, control, ledger)
-        elif spec.error_tolerance is None or method == AggregateMethod.EXACT:
-            result = yield from self._stream_exact(context, control, ledger)
-        elif method == AggregateMethod.NAIVE_AQP:
+        elif self.method == AggregateMethod.NAIVE_AQP:
             with self._sampler.traced(context, ledger):
                 result = yield from self._sampler.stream(context, control, ledger)
         else:
-            result = yield from self._stream_specialized(
-                context, control, ledger, method
-            )
-        # The sampling loops honour the detector budget by capping their
-        # sample count, which ends them through the normal "population
+            result = yield from self._stream_specialized(context, control, ledger)
+        # The sampling loop honours the detector budget by capping its
+        # sample count, which ends it through the normal "population
         # exhausted" exit; attribute the early finish to the budget here.
         if control.stop_reason is None and control.out_of_budget(ledger):
             control.note_stop("max_detector_calls")
@@ -332,9 +315,9 @@ class AggregateQueryPlan(PhysicalPlan):
         context: ExecutionContext,
         control: ExecutionControl,
         ledger: ExecutionLedger,
-        method: AggregateMethod,
     ) -> Generator[ExecutionEvent, None, AggregateResult]:
         spec = self.spec
+        method = self.method
         labeled = context.labeled_set
         enough_data = (
             labeled is not None

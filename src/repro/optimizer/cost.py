@@ -1,14 +1,12 @@
 """Cost-based plan selection over the physical operator library (Section 5).
 
-The optimizer works in three steps:
+The optimizer works in two steps:
 
-1. :func:`~repro.optimizer.logical.build_logical_plan` restates the analyzed
-   query as a logical tree;
-2. the logical shape is expanded into every *eligible* physical candidate —
+1. the analyzed query is expanded into every *eligible* physical candidate —
    alternative compositions of the operator library (exhaustive scan,
    sampling, specialized rewrite, control variates, importance ranking,
    filter cascades);
-3. each candidate is priced from the statistics catalog in **estimated
+2. each candidate is priced from the statistics catalog in **estimated
    detector calls plus specialization training cost**, and the cheapest wins.
 
 Two deliberate asymmetries keep planning honest:
@@ -31,7 +29,8 @@ over the whole labeled set), the cheaper candidate wins instead; that is the
 point of having a cost model.
 
 ``QueryHints.force_plan`` bypasses the choice entirely and picks a candidate
-by name — the escape hatch for benchmarks and for users who know better.
+by name — the escape hatch for benchmarks and for users who know better, and
+the only way to force a strategy short of constructing a plan directly.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from repro.optimizer.aggregates import (
 )
 from repro.optimizer.base import CostEstimate, PhysicalPlan
 from repro.optimizer.exact import ExactQueryPlan
-from repro.optimizer.logical import LogicalPlan, build_logical_plan
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import UDFRegistry
@@ -363,22 +361,14 @@ class CostBasedOptimizer:
         require_hints(hints)
         hints = hints or NO_HINTS
         self._validate_udfs(spec)
-        candidates = self.candidates(spec, hints)
-        if hints.force_plan is not None:
-            chosen = self._forced(candidates, hints.force_plan)
-        elif self._config_forces_strategy(spec):
-            chosen = candidates[0]
-        else:
-            chosen = self.choose(candidates, self.statistics_for(spec))
+        chosen = self._select(
+            self.candidates(spec, hints), hints, self.statistics_for(spec)
+        )
         # Stamp the price the plan was chosen at: the parallelism model (and
         # anyone else reasoning about the plan post-choice) reads it so the
         # expected detector work agrees with the selection itself.
         chosen.plan.planned_cost = chosen.cost
         return chosen.plan
-
-    def logical_plan(self, spec: QuerySpec) -> LogicalPlan:
-        """The logical plan the physical enumeration starts from."""
-        return build_logical_plan(spec)
 
     def statistics_for(self, spec: QuerySpec) -> VideoStatistics | None:
         """Catalog statistics for the query's video, if registered."""
@@ -398,16 +388,13 @@ class CostBasedOptimizer:
         """
         require_hints(hints)
         hints = hints or NO_HINTS
-        logical = self.logical_plan(spec)
         stats = self.statistics_for(spec)
         if stats is not None:
             num_frames = stats.num_frames
         elif num_frames is None:
             num_frames = 0
         if isinstance(spec, AggregateQuerySpec):
-            candidates = self._aggregate_candidates(
-                spec, logical, hints, stats, num_frames
-            )
+            candidates = self._aggregate_candidates(spec, hints, stats, num_frames)
         elif isinstance(spec, ScrubbingQuerySpec):
             candidates = self._scrubbing_candidates(spec, hints, stats, num_frames)
         elif isinstance(spec, SelectionQuerySpec):
@@ -459,12 +446,7 @@ class CostBasedOptimizer:
         hints = hints or NO_HINTS
         stats = self.statistics_for(spec)
         candidates = self.candidates(spec, hints, num_frames=num_frames)
-        if hints.force_plan is not None:
-            chosen = self._forced(candidates, hints.force_plan).name
-        elif self._config_forces_strategy(spec):
-            chosen = candidates[0].name
-        else:
-            chosen = self.choose(candidates, stats).name
+        chosen = self._select(candidates, hints, stats).name
         estimated_calls = plan.estimate_detector_calls(num_frames, stats)
         if self._index_covers(spec, hints):
             # Sketch-tightened estimate: with a committed index every
@@ -572,29 +554,23 @@ class CostBasedOptimizer:
                     f"query uses unregistered UDF {predicate.udf_name!r}"
                 )
 
-    def _config_forces_strategy(self, spec: QuerySpec) -> bool:
-        """Whether the engine configuration pins this query's strategy.
-
-        A non-``AUTO`` ``aggregate_method`` is an explicit user override
-        (the Figure 4/5 benchmark knob): cost-based choice is bypassed and
-        the default candidate — which carries that method — is used as-is.
-        """
-        return (
-            isinstance(spec, AggregateQuerySpec)
-            and self._default_aggregate_method() is not None
-        )
-
-    def _forced(
-        self, candidates: list[PlanCandidate], name: str
+    def _select(
+        self,
+        candidates: list[PlanCandidate],
+        hints: QueryHints,
+        stats: VideoStatistics | None,
     ) -> PlanCandidate:
-        for candidate in candidates:
-            if candidate.name == name:
-                return candidate
-        valid = ", ".join(candidate.name for candidate in candidates)
-        raise PlanningError(
-            f"force_plan={name!r} names no eligible candidate for this query; "
-            f"eligible candidates: {valid}"
-        )
+        """The one selection rule: ``force_plan`` names the candidate, else cost."""
+        if hints.force_plan is not None:
+            for candidate in candidates:
+                if candidate.name == hints.force_plan:
+                    return candidate
+            valid = ", ".join(candidate.name for candidate in candidates)
+            raise PlanningError(
+                f"force_plan={hints.force_plan!r} names no eligible candidate "
+                f"for this query; eligible candidates: {valid}"
+            )
+        return self.choose(candidates, stats)
 
     def _detector_cost(
         self, calls: int, stats: VideoStatistics | None
@@ -609,33 +585,20 @@ class CostBasedOptimizer:
 
     # -- per-class enumeration -----------------------------------------------------
 
-    def _default_aggregate_method(self) -> AggregateMethod | None:
-        """The method the default candidate will actually run.
-
-        The engine configuration can force a strategy for every aggregate
-        query (the Figure 4/5 benchmark knob); baking it into the default
-        plan keeps that plan's cost estimates bounding what execution will
-        really do.  ``AUTO`` stays ``None``: Algorithm 1 decides at runtime.
-        """
-        if self.config.aggregate_method == AggregateMethod.AUTO:
-            return None
-        return self.config.aggregate_method
-
     def _aggregate_candidates(
         self,
         spec: AggregateQuerySpec,
-        logical: LogicalPlan,
         hints: QueryHints,
         stats: VideoStatistics | None,
         num_frames: int,
     ) -> list[PlanCandidate]:
         exact_cost = self._detector_cost(num_frames, stats)
-        default_method = self._default_aggregate_method()
-        if not logical.approximate:
+        auto_plan = AggregateQueryPlan(spec, hints=hints)
+        if auto_plan.exact_only():
             return [
                 PlanCandidate(
                     "exact",
-                    AggregateQueryPlan(spec, hints=hints),
+                    auto_plan,
                     exact_cost,
                     reason="no error tolerance (or COUNT DISTINCT): "
                     "every frame must be detected",
@@ -643,7 +606,7 @@ class CostBasedOptimizer:
             ]
 
         error_tolerance = spec.error_tolerance
-        assert error_tolerance is not None  # guaranteed by logical.approximate
+        assert error_tolerance is not None  # guaranteed by exact_only()
         class_stats = stats.class_stats(spec.object_class) if stats else None
         sigma = class_stats.count_std if class_stats is not None else 0.0
         value_range = (
@@ -658,8 +621,13 @@ class CostBasedOptimizer:
             class_stats is not None
             and class_stats.training_positives >= self.config.min_training_positives
         )
-        rewrite_cost = aqp_cost
-        cv_cost = aqp_cost
+        # Forced variants: each candidate's name is its ``AggregateMethod`` value.
+        forced = [
+            ("exact", exact_cost, "detection on every frame"),
+            ("naive_aqp", aqp_cost, "uniform sampling, CLT stop"),
+        ]
+        auto_cost = aqp_cost
+        auto_reason = "too few training positives: adaptive sampling"
         if specializable and stats is not None:
             training = stats.specialized_training_seconds()
             inference = stats.specialized_inference_seconds(num_frames)
@@ -682,22 +650,6 @@ class CostBasedOptimizer:
                 training_seconds=training,
                 inference_seconds=inference,
             )
-
-        # The default candidate runs whatever the engine configuration forces
-        # (normally AUTO); its price reflects that actual behaviour.
-        if default_method == AggregateMethod.EXACT:
-            auto_cost = exact_cost
-            auto_reason = "engine configuration forces the exact scan"
-        elif default_method == AggregateMethod.NAIVE_AQP:
-            auto_cost = aqp_cost
-            auto_reason = "engine configuration forces adaptive sampling"
-        elif default_method == AggregateMethod.SPECIALIZED_REWRITE:
-            auto_cost = rewrite_cost
-            auto_reason = "engine configuration forces the specialized rewrite"
-        elif default_method == AggregateMethod.CONTROL_VARIATES:
-            auto_cost = cv_cost
-            auto_reason = "engine configuration forces control variates"
-        elif specializable and stats is not None:
             # The adaptive plan runs whichever branch its accuracy gate
             # admits; price it at the better of the two.
             auto_cost = min(
@@ -707,57 +659,23 @@ class CostBasedOptimizer:
                 "Algorithm 1: bootstrap gate picks rewrite or "
                 "control variates at runtime"
             )
-        else:
-            auto_cost = aqp_cost
-            auto_reason = "too few training positives: adaptive sampling"
-        candidates: list[PlanCandidate] = [
-            PlanCandidate(
-                "auto",
-                AggregateQueryPlan(spec, hints=hints, method=default_method),
-                auto_cost,
-                reason=auto_reason,
-            )
-        ]
-        candidates.append(
-            PlanCandidate(
-                "exact",
-                AggregateQueryPlan(spec, hints=hints, method=AggregateMethod.EXACT),
-                exact_cost,
-                reason="detection on every frame",
-            )
-        )
-        candidates.append(
-            PlanCandidate(
-                "naive_aqp",
-                AggregateQueryPlan(
-                    spec, hints=hints, method=AggregateMethod.NAIVE_AQP
-                ),
-                aqp_cost,
-                reason="uniform sampling, CLT stop",
-            )
-        )
-        if specializable and stats is not None:
-            candidates.append(
-                PlanCandidate(
+            forced += [
+                (
                     "specialized_rewrite",
-                    AggregateQueryPlan(
-                        spec, hints=hints, method=AggregateMethod.SPECIALIZED_REWRITE
-                    ),
                     rewrite_cost,
-                    reason="specialized NN replaces the detector outright",
-                )
+                    "specialized NN replaces the detector outright",
+                ),
+                ("control_variates", cv_cost, "variance-reduced sampling, NN auxiliary"),
+            ]
+        return [PlanCandidate("auto", auto_plan, auto_cost, reason=auto_reason)] + [
+            PlanCandidate(
+                name,
+                AggregateQueryPlan(spec, hints=hints, method=AggregateMethod(name)),
+                cost,
+                reason=reason,
             )
-            candidates.append(
-                PlanCandidate(
-                    "control_variates",
-                    AggregateQueryPlan(
-                        spec, hints=hints, method=AggregateMethod.CONTROL_VARIATES
-                    ),
-                    cv_cost,
-                    reason="variance-reduced sampling, NN auxiliary",
-                )
-            )
-        return candidates
+            for name, cost, reason in forced
+        ]
 
     def _scrubbing_candidates(
         self,

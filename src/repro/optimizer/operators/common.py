@@ -2,14 +2,13 @@
 
 These small pure functions encode unit conventions every aggregate stage must
 agree on (per-frame means vs totals, CI half-width scaling) and the
-labeled-set-derived sampling parameters; they live here so ``FullScan``,
-``RandomSampler``, ``ControlVariateSampler`` and ``SpecializedInference`` all
-share one definition.
+labeled-set-derived sampling parameters; they live here so ``FullScan``, the
+sampler (``RandomSampler`` / ``ControlVariateSampler``: one body, two names)
+and ``SpecializedInference`` all share one definition.
 """
 
 from __future__ import annotations
 
-from repro.aqp.sampling import AdaptiveSamplingConfig
 from repro.core.context import ExecutionContext
 from repro.core.events import ExecutionControl
 from repro.frameql.analyzer import AggregateQuerySpec
@@ -49,11 +48,9 @@ def count_value_range(spec: AggregateQuerySpec, context: ExecutionContext) -> fl
     return 2.0
 
 
-def budget_sampling_config(
-    control: ExecutionControl, ledger: ExecutionLedger
-) -> AdaptiveSamplingConfig | None:
-    """Default sampling knobs, with the detector budget folded into the cap."""
+def budget_sample_cap(control: ExecutionControl, ledger: ExecutionLedger) -> int | None:
+    """The sampling loop's sample cap: what is left of the detector budget."""
     budget = control.stop.max_detector_calls
     if budget is None:
         return None
-    return AdaptiveSamplingConfig(max_samples=max(1, budget - ledger.detector_calls))
+    return max(1, budget - ledger.detector_calls)

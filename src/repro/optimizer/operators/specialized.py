@@ -50,7 +50,6 @@ class SpecializedInference(PhysicalOperator):
         model = CountSpecializedModel(
             object_class=self.spec.object_class,
             model_type=context.config.specialized_model_type,
-            hidden_size=context.config.specialized_hidden_size,
             training_config=context.config.training,
             seed=context.config.seed,
         )

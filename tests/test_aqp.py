@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.aqp.control_variates import control_variate_estimate, optimal_coefficient
+from repro.aqp.control_variates import control_variate_estimate
 from repro.aqp.estimators import (
     clt_half_width,
     epsilon_net_minimum_samples,
     finite_population_correction,
+    optimal_coefficient,
     sample_standard_deviation,
 )
-from repro.aqp.sampling import AdaptiveSamplingConfig, adaptive_sample
+from repro.aqp.sampling import adaptive_sample
 
 
 class TestEstimators:
@@ -134,7 +135,7 @@ class TestAdaptiveSampling:
             confidence=0.95,
             value_range=101.0,
             rng=rng,
-            config=AdaptiveSamplingConfig(max_samples=50),
+            max_samples=50,
         )
         assert not result.converged
         assert result.samples_used == 50
@@ -151,15 +152,38 @@ class TestAdaptiveSampling:
         )
         assert len(np.unique(result.sampled_indices)) == result.samples_used
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_frame_never_certifies_an_interval(self, seed):
+        """A tolerance at or above ``K`` makes the epsilon-net minimum a single
+        frame, whose zero sample deviation would certify any tolerance."""
+        population = np.random.default_rng(0).poisson(2.0, size=5000).astype(float)
+        result = adaptive_sample(
+            sample_fn=lambda idx: population[idx],
+            population_size=population.size,
+            error_tolerance=5.0,
+            confidence=0.95,
+            value_range=4.0,
+            rng=np.random.default_rng(seed),
+        )
+        assert result.samples_used >= 2
+        assert result.half_width > 0.0
+
+    def test_one_sample_of_a_larger_population_is_not_convergence(self, rng):
+        population = np.arange(10.0)
+        capped = adaptive_sample(
+            lambda idx: population[idx], 10, 5.0, 0.95, 4.0, rng, max_samples=1
+        )
+        assert capped.samples_used == 1
+        assert not capped.converged
+        whole = adaptive_sample(lambda idx: population[idx][:1], 1, 5.0, 0.95, 4.0, rng)
+        assert whole.samples_used == 1
+        assert whole.converged
+
     def test_invalid_arguments(self, rng):
         with pytest.raises(ValueError):
             adaptive_sample(lambda i: i, 0, 0.1, 0.95, 1.0, rng)
         with pytest.raises(ValueError):
             adaptive_sample(lambda i: i, 10, -0.1, 0.95, 1.0, rng)
-        with pytest.raises(ValueError):
-            AdaptiveSamplingConfig(growth_fraction=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveSamplingConfig(min_batch=0)
 
 
 class TestControlVariates:

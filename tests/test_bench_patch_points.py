@@ -15,7 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api.hints import QueryHints
+from repro.aqp import control_variates, sampling
+from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
+from repro.core.events import EstimateUpdate
 from repro.parallel.executor import DetectionPrefetcher
 from repro.parallel.plan import BACKENDS
 from repro.video.synthetic import SyntheticVideo
@@ -55,3 +59,49 @@ def test_harness_installs_and_measures_a_sharded_query(backend, monkeypatch):
     assert ("parallel.shm_bytes" in counts) == (backend == "processes")
     spans = {span[2] for span in recorder.spans}
     assert {"parallel.setup", "parallel.merge", "parallel.take", "parallel.shutdown"} <= spans
+
+
+@pytest.mark.parametrize("forced", ["naive_aqp", "control_variates"])
+def test_each_sampling_round_is_one_unnested_aqp_span(
+    forced, monkeypatch, fast_training_config
+):
+    """``aqp.rounds`` counts ``aqp.sample`` spans, so the two wrapped entry
+    points must stay distinct functions that never hand to each other."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from benchmarks.e2e import layers
+
+    assert sampling.adaptive_sample_stream is not control_variates.control_variate_stream
+    engine = BlazeIt(
+        config=BlazeItConfig(training=fast_training_config, min_training_positives=20)
+    )
+    engine.register_video(
+        "v",
+        test_video=SyntheticVideo.generate(make_video_spec("v", FRAMES)),
+        train_video=SyntheticVideo.generate(make_video_spec("v-train", FRAMES, seed=8)),
+        heldout_video=SyntheticVideo.generate(
+            make_video_spec("v-heldout", FRAMES, seed=9)
+        ),
+    )
+    recorder = layers.Recorder()
+    restore = layers.install(recorder)
+    try:
+        with engine.session() as session:
+            events = list(
+                session.stream(
+                    "SELECT FCOUNT(*) FROM v WHERE class = 'car' "
+                    "ERROR WITHIN 0.1 AT CONFIDENCE 95%",
+                    hints=QueryHints(force_plan=forced),
+                    rng=np.random.default_rng(0),
+                )
+            )
+    finally:
+        restore()
+    assert events[-1].result.method == forced
+    rounds = sum(isinstance(event, EstimateUpdate) for event in events)
+    assert rounds > 1
+    spans = [span for span in recorder.spans if span[2] == "aqp.sample"]
+    # The harness opens one span per resume of the wrapped generator: one per
+    # round, plus the resume that ends it.  Chained entry points would double it.
+    assert len(spans) == rounds + 1
+    ids = {span[0] for span in spans}
+    assert not any(span[1] in ids for span in spans)

@@ -137,34 +137,13 @@ class TestPlanEnumeration:
         )
         assert plan.method is AggregateMethod.EXACT
 
-    def test_config_forced_method_baked_into_default_plan(
-        self, tiny_video, tiny_train_video, tiny_heldout_video, detector,
-        engine_config,
-    ):
-        """A config-forced method reaches the default plan, so its detector
-        estimate bounds what execution will actually do."""
-        import numpy as np
-
-        from repro.core.config import BlazeItConfig
-        from repro.core.engine import BlazeIt
-
-        config = BlazeItConfig(
-            training=engine_config.training,
-            min_training_positives=engine_config.min_training_positives,
-            aggregate_method=AggregateMethod.EXACT,
-            seed=3,
-        )
-        engine = BlazeIt(detector=detector, config=config)
-        engine.register_video(
-            "tiny",
-            test_video=tiny_video,
-            train_video=tiny_train_video,
-            heldout_video=tiny_heldout_video,
-        )
-        session = engine.session()
-        prepared = session.prepare(AGG_QUERY)
+    def test_forced_method_baked_into_the_plan(self, tiny_engine):
+        """A forced method reaches the plan, so its detector estimate bounds
+        what execution will actually do."""
+        session = tiny_engine.session()
+        prepared = session.prepare(AGG_QUERY, hints=QueryHints(force_plan="exact"))
         assert prepared.plan.method is AggregateMethod.EXACT
-        stats = engine.catalog.get("tiny")
+        stats = tiny_engine.catalog.get("tiny")
         estimate = prepared.plan.estimate_detector_calls(400, stats)
         result = prepared.execute(rng=np.random.default_rng(2))
         assert result.method == "exact"
@@ -200,6 +179,11 @@ class TestPlanEnumeration:
 class TestSamplingEstimate:
     def test_zero_variance_converges_at_epsilon_net(self):
         assert sampling_calls_estimate(1000, 0.0, 0.1, 0.95, 2.0) == 20
+
+    def test_zero_variance_estimate_covers_the_two_frame_first_round(self):
+        # K / epsilon < 1: the loop still draws two frames, and so does the bound.
+        assert sampling_calls_estimate(1000, 0.0, 5.0, 0.95, 4.0) == 2
+        assert sampling_calls_estimate(1, 0.0, 5.0, 0.95, 4.0) == 1
 
     def test_never_exceeds_population(self):
         assert sampling_calls_estimate(400, 50.0, 0.01, 0.99, 10.0) == 400
@@ -327,6 +311,23 @@ class TestEstimateBoundsActuals:
                 f"{text!r} force_plan={forced}: actual {actual} exceeds "
                 f"estimate {estimate}"
             )
+
+    @pytest.mark.parametrize("forced", ["naive_aqp", "control_variates"])
+    def test_tolerance_above_the_value_range_still_samples_two_frames(
+        self, tiny_engine, forced
+    ):
+        """``ERROR WITHIN >= K`` makes the epsilon-net minimum a single frame;
+        one frame has no variance and used to certify a zero-width interval."""
+        text = "SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 10"
+        hints = QueryHints(force_plan=forced)
+        prepared = tiny_engine.session().prepare(text, hints=hints)
+        result = prepared.execute(rng=np.random.default_rng(1))
+        assert result.method == forced
+        assert result.samples_used >= 2
+        estimate = prepared.plan.estimate_detector_calls(
+            400, tiny_engine.catalog.get("tiny")
+        )
+        assert result.execution_ledger.detector_calls <= estimate
 
     def test_estimates_without_statistics_fall_back_to_population(self, tiny_engine):
         """Without a catalog the only safe bound is the whole video."""

@@ -149,23 +149,17 @@ class TestPlanningHelpers:
 class TestConfig:
     def test_invalid_config_values(self):
         with pytest.raises(ConfigurationError):
-            BlazeItConfig(default_error_tolerance=0.0)
-        with pytest.raises(ConfigurationError):
-            BlazeItConfig(default_confidence=1.5)
-        with pytest.raises(ConfigurationError):
             BlazeItConfig(min_training_positives=-1)
 
     def test_defaults(self):
         config = BlazeItConfig()
-        assert config.default_error_tolerance == pytest.approx(0.1)
-        assert config.default_confidence == pytest.approx(0.95)
         assert config.include_training_time is True
 
     def test_no_train_config_excludes_training_cost(
         self, tiny_video, tiny_train_video, tiny_heldout_video, detector, fast_training_config
     ):
         """The Figure 4 "BlazeIt (no train)" variant charges no training time."""
-        from repro.core.config import AggregateMethod
+        from repro.api.hints import QueryHints
 
         results = {}
         for include in (True, False):
@@ -175,7 +169,6 @@ class TestConfig:
                     training=fast_training_config,
                     min_training_positives=20,
                     include_training_time=include,
-                    aggregate_method=AggregateMethod.CONTROL_VARIATES,
                     seed=11,
                 ),
             )
@@ -186,7 +179,8 @@ class TestConfig:
                 heldout_video=tiny_heldout_video,
             )
             results[include] = engine.query(
-                "SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"
+                "SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1",
+                hints=QueryHints(force_plan="control_variates"),
             )
         assert results[True].ledger.call_count("specialized_nn_train") > 0
         assert results[False].ledger.call_count("specialized_nn_train") == 0

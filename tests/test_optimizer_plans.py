@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import AggregateMethod, BlazeItConfig
+from repro.core.config import AggregateMethod
 from repro.core.context import ExecutionContext
 from repro.core.results import (
     AggregateResult,
@@ -85,14 +85,10 @@ class TestAggregatePlan:
         assert abs(result.value - truth) <= 0.25
         assert result.method in ("specialized_rewrite", "control_variates", "naive_aqp")
 
-    def test_exact_mode(self, context, tiny_recorded, tiny_video, engine_config):
-        context.config = BlazeItConfig(
-            training=engine_config.training,
-            aggregate_method=AggregateMethod.EXACT,
-            min_training_positives=engine_config.min_training_positives,
-        )
+    def test_exact_mode(self, context, tiny_recorded, tiny_video):
         plan = AggregateQueryPlan(
-            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
+            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
+            method=AggregateMethod.EXACT,
         )
         result = plan.execute(context)
         assert result.method == "exact"
@@ -105,72 +101,53 @@ class TestAggregatePlan:
         assert result.method == "exact"
         assert result.detection_calls == tiny_video.num_frames
 
-    def test_forced_aqp(self, context, engine_config):
-        context.config = BlazeItConfig(
-            training=engine_config.training,
-            aggregate_method=AggregateMethod.NAIVE_AQP,
-            min_training_positives=engine_config.min_training_positives,
-        )
+    def test_forced_aqp(self, context):
         plan = AggregateQueryPlan(
-            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.2")
+            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.2"),
+            method=AggregateMethod.NAIVE_AQP,
         )
         result = plan.execute(context)
         assert result.method == "naive_aqp"
         assert 0 < result.detection_calls <= context.video.num_frames
 
-    def test_forced_rewrite_uses_no_detection(self, context, engine_config):
-        context.config = BlazeItConfig(
-            training=engine_config.training,
-            aggregate_method=AggregateMethod.SPECIALIZED_REWRITE,
-            min_training_positives=engine_config.min_training_positives,
-        )
+    def test_forced_rewrite_uses_no_detection(self, context):
         plan = AggregateQueryPlan(
-            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
+            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
+            method=AggregateMethod.SPECIALIZED_REWRITE,
         )
         result = plan.execute(context)
         assert result.method == "specialized_rewrite"
         assert result.detection_calls == 0
         assert result.ledger.call_count("specialized_nn") >= context.video.num_frames
 
-    def test_forced_control_variates(self, context, engine_config):
-        context.config = BlazeItConfig(
-            training=engine_config.training,
-            aggregate_method=AggregateMethod.CONTROL_VARIATES,
-            min_training_positives=engine_config.min_training_positives,
-        )
+    def test_forced_control_variates(self, context):
         plan = AggregateQueryPlan(
-            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
+            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
+            method=AggregateMethod.CONTROL_VARIATES,
         )
         result = plan.execute(context)
         assert result.method == "control_variates"
         assert result.correlation is not None
         assert 0 < result.detection_calls < context.video.num_frames
 
-    def test_optimized_is_cheaper_than_exact(self, context, engine_config):
+    def test_optimized_is_cheaper_than_exact(self, context):
         optimized = AggregateQueryPlan(
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
         ).execute(context)
-        context.config = BlazeItConfig(
-            training=engine_config.training,
-            aggregate_method=AggregateMethod.EXACT,
-            min_training_positives=engine_config.min_training_positives,
-        )
         exact = AggregateQueryPlan(
-            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
+            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
+            method=AggregateMethod.EXACT,
         ).execute(context)
         assert optimized.runtime_seconds < exact.runtime_seconds
 
-    def test_count_aggregate_scales_by_frames(self, context, tiny_video, engine_config):
-        context.config = BlazeItConfig(
-            training=engine_config.training,
-            aggregate_method=AggregateMethod.EXACT,
-            min_training_positives=engine_config.min_training_positives,
-        )
+    def test_count_aggregate_scales_by_frames(self, context, tiny_video):
         fcount = AggregateQueryPlan(
-            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
+            _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
+            method=AggregateMethod.EXACT,
         ).execute(context)
         count = AggregateQueryPlan(
-            _spec("SELECT COUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
+            _spec("SELECT COUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
+            method=AggregateMethod.EXACT,
         ).execute(context)
         assert count.value == pytest.approx(fcount.value * tiny_video.num_frames)
 

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aqp.control_variates import optimal_coefficient
-from repro.aqp.estimators import clt_half_width, epsilon_net_minimum_samples
+from repro.aqp.estimators import (
+    clt_half_width,
+    epsilon_net_minimum_samples,
+    optimal_coefficient,
+)
+from repro.aqp.control_variates import control_variate_estimate
 from repro.aqp.sampling import adaptive_sample
 from repro.detection.base import Detection
 from repro.detection.nms import non_max_suppression
@@ -214,6 +218,36 @@ class TestStatisticsProperties:
         c = optimal_coefficient(m, t)
         adjusted = m + c * (t - t.mean())
         assert adjusted.var() <= m.var() + 1e-9
+
+    @given(
+        st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=300),
+        st.floats(0.02, 8.0),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_plain_aqp_is_control_variates_with_zero_coefficient(
+        self, auxiliary, error_tolerance, seed
+    ):
+        """Section 6.3's estimator is unbiased for any ``c``; at ``c = 0`` it is
+        Section 6.1's, draw for draw, whatever the auxiliary variable holds."""
+        size = len(auxiliary)
+        population = np.random.default_rng(seed).poisson(2.0, size=size).astype(float)
+        args = (error_tolerance, 0.95, float(population.max() + 1))
+        plain = adaptive_sample(
+            lambda idx: population[idx], size, *args, rng=np.random.default_rng(seed)
+        )
+        zero = control_variate_estimate(
+            lambda idx: population[idx],
+            np.asarray(auxiliary),
+            *args,
+            rng=np.random.default_rng(seed),
+            fixed_coefficient=0.0,
+        )
+        assert zero.estimate == plain.estimate
+        assert zero.half_width == plain.half_width
+        assert zero.samples_used == plain.samples_used
+        assert zero.rounds == plain.rounds
+        np.testing.assert_array_equal(zero.sampled_indices, plain.sampled_indices)
 
     @given(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=200),
