@@ -278,17 +278,12 @@ class ExecutionContext:
             served.update(shared)
             left = [frame for frame in left if frame not in shared]
         if left and self.index_view is not None:
-            uncovered: list[int] = []
-            for frame in left:
-                indexed = self.index_view.get(frame)
-                if indexed is None:
-                    uncovered.append(frame)
-                    continue
-                result, skipped = indexed
+            indexed = self.index_view.get(left)
+            for frame, (result, skipped) in indexed.items():
                 served[frame] = result
                 if execution_ledger is not None:
                     execution_ledger.stash_index_detection(frame, result, skipped)
-            left = uncovered
+            left = [frame for frame in left if frame not in indexed]
         if left:
             # Everything still left costs a detector call, whoever computes it.
             if charged and ledger is not None:
@@ -345,14 +340,15 @@ class ExecutionContext:
         needed = list(range(len(frames)))
         if self.index_view is not None:
             execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
+            absent = self.index_view.class_count_zero(frames, object_class).tolist()
             needed = [
                 row
                 for row, frame in enumerate(frames)
-                if (
+                if not absent[row]
+                or (
                     execution_ledger is not None
                     and execution_ledger.cached_detection(frame) is not None
                 )
-                or not self.index_view.class_count_zero(frame, object_class)
             ]
             if execution_ledger is not None and len(needed) < len(frames):
                 execution_ledger.record_index_skip(len(frames) - len(needed))

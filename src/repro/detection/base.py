@@ -2,8 +2,11 @@
 
 A :class:`Detection` corresponds to one row of the FrameQL schema (Table 1)
 before entity resolution: the object class, the mask (bounding box), the
-detector confidence and the feature vector.  ``trackid`` is filled in later by
-the tracking substrate.
+detector confidence and the feature vector.  ``trackid`` is assigned later by
+the tracking substrate, on the :class:`~repro.tracking.track.ResolvedTrack`
+that groups detections — a ``Detection`` may be shared between queries
+through the cross-query cache, so nothing writes it after the detector made
+it.
 """
 
 from __future__ import annotations

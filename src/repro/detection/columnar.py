@@ -1,10 +1,12 @@
 """Lossless columnar encoding of detection results.
 
 Per-object :class:`~repro.detection.base.DetectionResult` payloads are the
-wrong shape for two transports this repo cares about: the shared-memory ring
+wrong shape for the transports this repo cares about: the shared-memory ring
 between a process shard worker and the driver (pickling thousands of small
-dataclasses per chunk dominates the transfer), and the on-disk detection
-cache (the JSON dump grows quadratic-ish in practice).  Both instead move a
+dataclasses per chunk dominates the transfer), the on-disk detection cache
+(the JSON dump grows quadratic-ish in practice) and the persistent index's
+segments (:mod:`repro.index.store`, which gathers a batch of frames out of
+the memory-mapped columns and decodes the window here).  All of them move a
 handful of flat numpy arrays produced here.
 
 The encoding is exact: ``decode_detection_results(encode_detection_results(rs))``
@@ -13,7 +15,10 @@ feature vectors (CSR-style ``-1`` sentinel lengths), optional colors and
 color names (string tables with ``-1`` codes), and absent track ids.  The
 driver re-materialises results from these arrays before charging the ledger,
 so the bit-for-bit parity guarantee of the parallel engine never depends on
-the transport.
+the transport.  Decoding converts each column with one ``tolist()`` and
+builds the string tables and feature offsets once per call — call it on as
+large a window as the caller has, not per frame — and copies every feature
+vector out, so nothing decoded keeps a map or a shared-memory slot alive.
 
 Layout (``n_frames`` frames holding ``n_det`` detections total):
 
@@ -124,53 +129,63 @@ def encode_detection_results(
 
 
 def decode_detection_results(arrays: dict[str, np.ndarray]) -> list[DetectionResult]:
-    """Rebuild the exact :class:`DetectionResult` objects from column arrays."""
-    frame_index = arrays["frame_index"]
-    timestamp = arrays["timestamp"]
-    det_offsets = arrays["det_offsets"]
-    class_table = [str(s) for s in arrays["class_table"]]
-    color_name_table = [str(s) for s in arrays["color_name_table"]]
-    feature_len = arrays["feature_len"]
+    """Rebuild the exact :class:`DetectionResult` objects from column arrays.
+
+    Every column is converted to Python scalars with one ``tolist()`` and the
+    two string tables and the feature offsets are built once per call, so the
+    object loop below touches no numpy scalar.  Feature vectors are copied
+    out one by one: each owns its memory and nothing decoded here keeps the
+    input arrays (an mmap window, a shared-memory slot) alive.
+    """
+    frame_index = arrays["frame_index"].tolist()
+    timestamp = arrays["timestamp"].tolist()
+    det_offsets = arrays["det_offsets"].tolist()
+    class_table = arrays["class_table"].tolist()
+    color_name_table = arrays["color_name_table"].tolist()
+    class_code = arrays["class_code"].tolist()
+    box = arrays["box"].tolist()
+    confidence = arrays["confidence"].tolist()
+    feature_len = arrays["feature_len"].tolist()
+    color = arrays["color"].tolist()
+    has_color = arrays["has_color"].tolist()
+    color_name_code = arrays["color_name_code"].tolist()
+    track_id = arrays["track_id"].tolist()
+    features_flat = arrays["features_flat"]
     feature_offsets = np.zeros(len(feature_len) + 1, dtype=np.int64)
-    np.cumsum(np.maximum(feature_len, 0), out=feature_offsets[1:])
+    np.cumsum(np.maximum(arrays["feature_len"], 0), out=feature_offsets[1:])
+    feature_start = feature_offsets.tolist()
 
     results: list[DetectionResult] = []
-    for f in range(len(frame_index)):
+    for f, frame in enumerate(frame_index):
+        stamp = timestamp[f]
         detections: list[Detection] = []
-        for i in range(int(det_offsets[f]), int(det_offsets[f + 1])):
-            n_feat = int(feature_len[i])
-            features = (
-                None
-                if n_feat < 0
-                else arrays["features_flat"][
-                    int(feature_offsets[i]) : int(feature_offsets[i]) + n_feat
-                ].copy()
-            )
-            name_code = int(arrays["color_name_code"][i])
-            raw_track = int(arrays["track_id"][i])
+        for i in range(det_offsets[f], det_offsets[f + 1]):
+            n_feat = feature_len[i]
             detections.append(
                 Detection(
-                    frame_index=int(frame_index[f]),
-                    timestamp=float(timestamp[f]),
-                    object_class=class_table[int(arrays["class_code"][i])],
-                    box=BoundingBox(*(float(v) for v in arrays["box"][i])),
-                    confidence=float(arrays["confidence"][i]),
-                    features=features,
-                    track_id=None if raw_track < 0 else raw_track,
-                    color=(
-                        tuple(float(v) for v in arrays["color"][i])  # type: ignore[arg-type]
-                        if bool(arrays["has_color"][i])
-                        else None
+                    frame_index=frame,
+                    timestamp=stamp,
+                    object_class=class_table[class_code[i]],
+                    box=BoundingBox(*box[i]),
+                    confidence=confidence[i],
+                    features=(
+                        None
+                        if n_feat < 0
+                        else features_flat[
+                            feature_start[i] : feature_start[i] + n_feat
+                        ].copy()
                     ),
-                    color_name=None if name_code < 0 else color_name_table[name_code],
+                    track_id=None if track_id[i] < 0 else track_id[i],
+                    color=tuple(color[i]) if has_color[i] else None,  # type: ignore[arg-type]
+                    color_name=(
+                        None
+                        if color_name_code[i] < 0
+                        else color_name_table[color_name_code[i]]
+                    ),
                 )
             )
         results.append(
-            DetectionResult(
-                frame_index=int(frame_index[f]),
-                timestamp=float(timestamp[f]),
-                detections=detections,
-            )
+            DetectionResult(frame_index=frame, timestamp=stamp, detections=detections)
         )
     return results
 

@@ -8,9 +8,9 @@ count, and the per-frame maximum, plus how many frames in the window contain
 detections the index serves at query time, its guarantees are proofs, not
 estimates:
 
-* ``frame_is_provably_empty`` / ``class_absent_at`` / ``fails_min_counts``
-  are exact — a ``True`` answer can never be contradicted by decoding the
-  frame;
+* ``provably_empty`` / ``class_absent`` (one vectorised question per batch of
+  frames) and ``fails_min_counts`` are exact — a ``True`` answer can never be
+  contradicted by decoding the frame;
 * ``range_presence_rate`` / ``range_event_rate`` follow the cost model's
   validated upper-bound contract: the returned rate is ``>=`` the true rate
   over any ``[start, end)`` window (exact when the window aligns with range
@@ -122,23 +122,28 @@ class RangeSketch:
 
     # -- exact per-frame proofs ------------------------------------------
 
-    def frame_is_provably_empty(self, frame_index: int) -> bool:
-        """``True`` when no frame in the covering range has any detection."""
-        range_index = frame_index // self.range_size
-        if not 0 <= range_index < self.num_ranges:
-            return False
-        return int(self.occupied_frames[range_index]) == 0
+    def _covered_ranges(self, frame_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which frames the sketch covers, and the range of each covered one."""
+        frames = np.asarray(frame_indices, dtype=np.int64)
+        covered = (frames >= 0) & (frames < self.num_frames)
+        return covered, frames[covered] // self.range_size
 
-    def class_absent_at(self, frame_index: int, object_class: str) -> bool:
-        """``True`` when the class provably has count 0 at the frame."""
+    def provably_empty(self, frame_indices: np.ndarray) -> np.ndarray:
+        """Per frame: ``True`` when no frame in its covering range has any
+        detection.  A frame outside ``[0, num_frames)`` proves nothing."""
+        proven, ranges = self._covered_ranges(frame_indices)
+        proven[proven] = self.occupied_frames[ranges] == 0
+        return proven
+
+    def class_absent(self, frame_indices: np.ndarray, object_class: str) -> np.ndarray:
+        """Per frame: ``True`` when the class provably has count 0 there.
+        A frame outside ``[0, num_frames)`` proves nothing."""
+        proven, ranges = self._covered_ranges(frame_indices)
         column = self._column(object_class)
-        if column is None:
-            # The class never appears anywhere in the indexed video.
-            return True
-        range_index = frame_index // self.range_size
-        if not 0 <= range_index < self.num_ranges:
-            return False
-        return int(self.total_count[range_index, column]) == 0
+        # No column: the class never appears anywhere in the indexed video.
+        if column is not None:
+            proven[proven] = self.total_count[ranges, column] == 0
+        return proven
 
     def fails_min_counts(
         self, frame_index: int, min_counts: Mapping[str, int]

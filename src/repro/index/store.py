@@ -18,11 +18,17 @@ previous generation fully readable; stale ``.tmp`` directories and orphaned
 generations are swept at the start of the next build.
 
 Segments reuse the :mod:`repro.detection.columnar` wire format verbatim, one
-plain ``.npy`` file per column so ``np.load(..., mmap_mode="r")`` can serve
-single frames without reading the segment.  Decoding a frame slices the
-CSR window out of the memory-mapped columns and hands it to the same
-``decode_detection_results`` the parallel transport uses, so index reads are
-bit-for-bit identical to live detector output.
+plain ``.npy`` file per column so ``np.load(..., mmap_mode="r")`` can serve a
+few frames without reading the segment.  A read is one call per batch
+(:meth:`VideoIndex.results_for`): the requested frames are grouped by
+segment, each segment's detection rows and feature spans are gathered out of
+the mapped columns with one fancy index per column, and the gathered window
+goes once to the same ``decode_detection_results`` the parallel transport
+uses, so index reads are bit-for-bit identical to live detector output.  The
+gather indexes by offsets read from disk, so a segment's columns are checked
+against each other once, when they are first mapped: an inconsistent or
+unreadable segment is a :class:`~repro.errors.ConfigurationError` naming the
+file, never another frame's rows.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ SEGMENT_COLUMNS = (
     "track_id",
 )
 
-# Detection-level columns sliced by the CSR window when decoding one frame.
+# Detection-level columns: one row per detection, gathered through the CSR
+# offsets when decoding a batch of frames.
 _DET_COLUMNS = (
     "class_code",
     "box",
@@ -128,6 +135,10 @@ class VideoIndex:
             for s in manifest["segments"]
         )
         self.generation_dir = self.directory / generation_dirname(self.generation)
+        #: Per segment: the memory maps, and plain-``ndarray`` views of them
+        #: (what reads index: a ``memmap.__getitem__`` costs a subclass
+        #: finalize per slice).
+        self._maps: dict[str, dict[str, np.ndarray]] = {}
         self._columns: dict[str, dict[str, np.ndarray]] = {}
         self._feature_offsets: dict[str, np.ndarray] = {}
         self._sketch: RangeSketch | None = None
@@ -166,65 +177,135 @@ class VideoIndex:
             return None
         return VideoStatistics.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
-    def _segment_for(self, frame_index: int) -> Segment:
-        if not 0 <= frame_index < self.num_frames:
-            raise ConfigurationError(
-                f"frame {frame_index} outside indexed range "
-                f"[0, {self.num_frames}) of video {self.video!r}"
-            )
-        return self.segments[frame_index // self.segment_frames]
-
     def _segment_arrays(self, segment: Segment) -> dict[str, np.ndarray]:
+        """The segment's columns as plain views of the maps (validated once).
+
+        Filled without a lock: two racing readers map and validate the same
+        files and one mapping wins the dict slot — the loser's is garbage.
+        """
         arrays = self._columns.get(segment.name)
         if arrays is None:
-            arrays = {
-                column: np.load(
-                    self.generation_dir / f"{segment.name}.{column}.npy",
-                    mmap_mode="r",
-                )
-                for column in SEGMENT_COLUMNS
-            }
+            mapped: dict[str, np.ndarray] = {}
+            for column in SEGMENT_COLUMNS:
+                path = self.generation_dir / f"{segment.name}.{column}.npy"
+                try:
+                    mapped[column] = np.load(path, mmap_mode="r")
+                except (OSError, ValueError, EOFError) as exc:
+                    raise ConfigurationError(
+                        f"unreadable index column {path}: {exc}"
+                    ) from exc
+            arrays = {column: np.asarray(values) for column, values in mapped.items()}
+            feature_offsets = _run_offsets(np.maximum(arrays["feature_len"], 0))
+            self._validate_segment(segment, arrays, int(feature_offsets[-1]))
+            self._maps[segment.name] = mapped
+            self._feature_offsets[segment.name] = feature_offsets
             self._columns[segment.name] = arrays
         return arrays
 
-    def _segment_feature_offsets(self, segment: Segment) -> np.ndarray:
-        offsets = self._feature_offsets.get(segment.name)
-        if offsets is None:
-            feature_len = np.asarray(self._segment_arrays(segment)["feature_len"])
-            offsets = np.zeros(len(feature_len) + 1, dtype=np.int64)
-            np.cumsum(np.maximum(feature_len, 0), out=offsets[1:])
-            self._feature_offsets[segment.name] = offsets
-        return offsets
+    def _validate_segment(
+        self, segment: Segment, arrays: dict[str, np.ndarray], feature_values: int
+    ) -> None:
+        """Refuse a segment whose columns disagree with each other.
 
-    def result_for(self, frame_index: int) -> DetectionResult:
-        """Decode one frame's exact detector output from the mapped segment."""
-        segment = self._segment_for(frame_index)
+        :meth:`results_for` gathers rows through offsets read from these
+        files; an inconsistent segment would otherwise serve another frame's
+        detections at zero detector cost.
+        """
+        frames = segment.end - segment.start
+        n_det = arrays["class_code"].size
+        det_offsets = arrays["det_offsets"]
+
+        def rows(column: str, expected: int) -> bool:
+            return arrays[column].shape[:1] == (expected,)
+
+        def codes_index(codes: str, table: str, lowest: int) -> bool:
+            return n_det == 0 or (
+                lowest <= arrays[codes].min()
+                and arrays[codes].max() < arrays[table].size
+            )
+
+        checks = [
+            (
+                "frame_index",
+                rows("frame_index", frames)
+                and (frames == 0 or arrays["frame_index"][0] == segment.start),
+            ),
+            ("timestamp", rows("timestamp", frames)),
+            (
+                "det_offsets",
+                rows("det_offsets", frames + 1)
+                and det_offsets[0] == 0
+                and det_offsets[-1] == n_det
+                and not np.any(np.diff(det_offsets) < 0),
+            ),
+            *((column, rows(column, n_det)) for column in _DET_COLUMNS),
+            ("class_code", codes_index("class_code", "class_table", 0)),
+            # ``-1`` is the encoding of "no colour name".
+            ("color_name_code", codes_index("color_name_code", "color_name_table", -1)),
+            ("features_flat", rows("features_flat", feature_values)),
+        ]
+        for column, consistent in checks:
+            if not consistent:
+                raise ConfigurationError(
+                    f"inconsistent index segment "
+                    f"{self.generation_dir / f'{segment.name}.{column}.npy'}: "
+                    f"does not fit frames [{segment.start}, {segment.end}) with "
+                    f"{n_det} detections and {feature_values} feature values"
+                )
+
+    def results_for(self, frame_indices: np.ndarray | list[int]) -> list[DetectionResult]:
+        """Decode a batch of frames' exact detector output, in input order.
+
+        One gather and one decode per segment touched: the detection rows and
+        feature spans of every requested frame are copied out of the mapped
+        columns with one fancy index per column, so nothing returned points
+        into a map.
+        """
+        frames = np.asarray(frame_indices, dtype=np.int64)
+        if frames.size == 0:
+            return []
+        if frames.min() < 0 or frames.max() >= self.num_frames:
+            raise ConfigurationError(
+                f"frames outside indexed range [0, {self.num_frames}) of "
+                f"video {self.video!r}"
+            )
+        segment_of = frames // self.segment_frames
+        results: list[DetectionResult | None] = [None] * frames.size
+        for position in np.unique(segment_of).tolist():
+            segment = self.segments[position]
+            rows = np.flatnonzero(segment_of == position)
+            window = self._gather(segment, frames[rows] - segment.start)
+            for row, result in zip(
+                rows.tolist(), decode_detection_results(window), strict=True
+            ):
+                results[row] = result
+        return results  # type: ignore[return-value]
+
+    def _gather(self, segment: Segment, local: np.ndarray) -> dict[str, np.ndarray]:
+        """The columnar window of the segment's frames ``local``, as copies."""
         arrays = self._segment_arrays(segment)
-        local = frame_index - segment.start
-        lo = int(arrays["det_offsets"][local])
-        hi = int(arrays["det_offsets"][local + 1])
-        feature_offsets = self._segment_feature_offsets(segment)
-        f_lo = int(feature_offsets[lo])
-        f_hi = int(feature_offsets[hi])
-        window = {
-            "frame_index": np.asarray(arrays["frame_index"][local : local + 1]),
-            "timestamp": np.asarray(arrays["timestamp"][local : local + 1]),
-            "det_offsets": np.asarray([0, hi - lo], dtype=np.int64),
-            "class_table": np.asarray(arrays["class_table"]),
-            "color_name_table": np.asarray(arrays["color_name_table"]),
-            "features_flat": np.asarray(arrays["features_flat"][f_lo:f_hi]),
-        }
-        for column in _DET_COLUMNS:
-            window[column] = np.asarray(arrays[column][lo:hi])
-        return decode_detection_results(window)[0]
+        lo = arrays["det_offsets"][local]
+        det_rows, det_offsets = _concatenated_runs(
+            lo, arrays["det_offsets"][local + 1] - lo
+        )
+        window = {column: arrays[column][det_rows] for column in _DET_COLUMNS}
+        feature_rows, _ = _concatenated_runs(
+            self._feature_offsets[segment.name][det_rows],
+            np.maximum(window["feature_len"], 0),
+        )
+        window.update(
+            frame_index=arrays["frame_index"][local],
+            timestamp=arrays["timestamp"][local],
+            det_offsets=det_offsets,
+            class_table=arrays["class_table"],
+            color_name_table=arrays["color_name_table"],
+            features_flat=arrays["features_flat"][feature_rows],
+        )
+        return window
 
     def segment_results(self, segment: Segment) -> list[DetectionResult]:
         """Decode one whole segment (used by cache warm-start)."""
-        arrays = {
-            column: np.asarray(values)
-            for column, values in self._segment_arrays(segment).items()
-        }
-        return decode_detection_results(arrays)
+        return decode_detection_results(self._segment_arrays(segment))
 
     def iter_segments(self) -> Iterator[tuple[Segment, list[DetectionResult]]]:
         """Decode every segment in frame order."""
@@ -233,13 +314,15 @@ class VideoIndex:
 
     def close(self) -> None:
         """Release every memory-mapped column (required before unlink)."""
-        for arrays in self._columns.values():
-            for values in arrays.values():
+        # The plain views go first: nothing may still point into a closed map.
+        self._columns.clear()
+        self._feature_offsets.clear()
+        for mapped in self._maps.values():
+            for values in mapped.values():
                 mapping = getattr(values, "_mmap", None)
                 if mapping is not None:
                     mapping.close()
-        self._columns.clear()
-        self._feature_offsets.clear()
+        self._maps.clear()
 
     def describe(self) -> dict[str, Any]:
         """Status summary for ``BlazeIt.index_status()`` and the CLI."""
@@ -313,6 +396,25 @@ def sweep_stale_builds(directory: Path, keep_generation: int | None) -> None:
             child.name.startswith("gen-") and child.name != keep
         ):
             shutil.rmtree(child, ignore_errors=True)
+
+
+def _run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs: ``[0, l0, l0 + l1, ...]``."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _concatenated_runs(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``concatenate([arange(s, s + n) ...])`` without the Python loop, and
+    the offsets of each run in it."""
+    offsets = _run_offsets(lengths)
+    rows = np.repeat(starts - offsets[:-1], lengths) + np.arange(
+        offsets[-1], dtype=np.int64
+    )
+    return rows, offsets
 
 
 def write_array(path: Path, values: np.ndarray) -> None:

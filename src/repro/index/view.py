@@ -7,17 +7,23 @@ served or skipped is counted where every other source is counted — in the
 caller's :class:`~repro.metrics.runtime.ExecutionLedger` — so the view keeps
 no counters and needs no lock.
 
-Two serving modes, both provably identical to running the detector:
+A read is one call per batch: :meth:`IndexView.get` takes every frame the
+earlier tiers of the source cascade left over, settles the two serving modes
+for all of them at once, and returns ``{frame: (result, skipped)}``.  Both
+modes are provably identical to running the detector:
 
 * **hit** — the frame's range contains detections somewhere, so the frame is
-  decoded from the memory-mapped segment (persisted detector output is exact);
+  decoded from the memory-mapped segment, together with every other hit of
+  the batch (:meth:`VideoIndex.results_for`: one gather and one decode per
+  segment; persisted detector output is exact);
 * **skip** — the range sketch proves the whole range empty, so an empty
   ``DetectionResult`` is synthesized without touching the segment
   (``timestamp = frame / fps`` matches ``SyntheticVideo.timestamp_of``
   bit-for-bit).
 
 The view also answers the sketch's exact per-frame proofs
-(:meth:`class_count_zero`, :meth:`fails_min_counts`) so count scans and
+(:meth:`class_count_zero` — one mask per batch — and
+:meth:`fails_min_counts`) so count scans and
 min-count probes can skip provably-irrelevant frames without any decode —
 invariant I7: index evidence is an upper bound, skipping never changes
 results.
@@ -26,6 +32,8 @@ results.
 from __future__ import annotations
 
 from collections.abc import Mapping
+
+import numpy as np
 
 from repro.detection.base import DetectionResult
 from repro.index.sketches import RangeSketch
@@ -55,29 +63,39 @@ class IndexView:
         """The generation's exact range sketch."""
         return self.index.sketch
 
-    def get(self, frame_index: int) -> tuple[DetectionResult, bool] | None:
-        """Serve one frame's exact detections: ``(result, skipped)``.
+    def get(
+        self, frame_indices: np.ndarray | list[int]
+    ) -> dict[int, tuple[DetectionResult, bool]]:
+        """Serve a batch of frames: ``{frame: (result, skipped)}``.
 
-        ``skipped=True`` means the sketch proved the covering range empty and
-        the result was synthesized without decoding the segment.  Returns
-        ``None`` only for frames outside the indexed range.
+        The one index read: emptiness is proven for the whole batch from one
+        sketch mask, and every frame that is left is gathered and decoded in
+        one :meth:`VideoIndex.results_for` call.  ``skipped=True`` means the
+        sketch proved the covering range empty and the result was synthesized
+        without decoding the segment.  Frames outside the indexed range are
+        absent from the answer; the rest come back in input order.
         """
-        if not 0 <= frame_index < self.index.num_frames:
-            return None
-        if self.index.sketch.frame_is_provably_empty(frame_index):
-            result = DetectionResult(
-                frame_index=frame_index,
-                timestamp=frame_index / self._fps,
-                detections=[],
-            )
-            return result, True
-        return self.index.result_for(frame_index), False
+        frames = np.asarray(frame_indices, dtype=np.int64)
+        frames = frames[(frames >= 0) & (frames < self.index.num_frames)]
+        empty = self.index.sketch.provably_empty(frames)
+        decoded = iter(self.index.results_for(frames[~empty]))
+        served: dict[int, tuple[DetectionResult, bool]] = {}
+        for frame, skipped in zip(frames.tolist(), empty.tolist(), strict=True):
+            if skipped:
+                result = DetectionResult(
+                    frame_index=frame, timestamp=frame / self._fps, detections=[]
+                )
+            else:
+                result = next(decoded)
+            served[frame] = (result, skipped)
+        return served
 
-    def class_count_zero(self, frame_index: int, object_class: str) -> bool:
-        """``True`` when the class provably has count 0 at the frame."""
-        if not 0 <= frame_index < self.index.num_frames:
-            return False
-        return self.index.sketch.class_absent_at(frame_index, object_class)
+    def class_count_zero(
+        self, frame_indices: np.ndarray | list[int], object_class: str
+    ) -> np.ndarray:
+        """Per frame: ``True`` when the class provably has count 0 there
+        (never for a frame outside the indexed range)."""
+        return self.index.sketch.class_absent(frame_indices, object_class)
 
     def fails_min_counts(
         self, frame_index: int, min_counts: Mapping[str, int]

@@ -99,7 +99,10 @@ class ServiceConfig:
     #: bounds from above.
     slots: int = 4
     #: Bound on queries waiting for a slot, across all tenants.  Submissions
-    #: beyond it get a typed :class:`AdmissionRejectedError`.
+    #: beyond it get a typed :class:`AdmissionRejectedError`.  Also how many
+    #: *finished* queries the registry keeps for ``GET /queries/{id}`` and SSE
+    #: resume: older ones are forgotten, so memory does not grow with the
+    #: number of queries served.
     max_queue_depth: int = 16
     #: Quota applied to tenants created without an explicit one.
     default_quota: TenantQuota = field(default_factory=TenantQuota)
@@ -197,7 +200,9 @@ class QueryRecord:
         self.tenant_name = tenant_name
         self.session_id = session_id
         self.text = text
-        self.stream = stream
+        #: Released (``None``) once the query is finalised: the log and the
+        #: result are all a finished record still serves.
+        self.stream: ExecutionStream | None = stream
         self.slots = slots
         self.log = EventLog()
         self.state = QUEUED
@@ -533,6 +538,7 @@ class ServiceManager:
                 help="Scheduler-queue to drainer-start wait per query.",
             )
         stream = record.stream
+        assert stream is not None  # released only by _finalise, below
         try:
             for event in stream:
                 record.log.append(event_to_json(event))
@@ -578,6 +584,26 @@ class ServiceManager:
                     tenant.detector_calls_charged += (
                         record.result.execution_ledger.detector_calls
                     )
+            record.stream = None
+            # The registry keeps the ``max_queue_depth`` most recently
+            # finished records (finish order: a record moves to the end of
+            # the dict here); a reader that already holds an older one keeps
+            # it and streams to the end.
+            self._queries[record.query_id] = self._queries.pop(record.query_id)
+            finished = [
+                query_id
+                for query_id, other in self._queries.items()
+                if other.state not in (QUEUED, RUNNING)
+            ]
+            evicted = finished[: max(0, len(finished) - self.config.max_queue_depth)]
+            for query_id in evicted:
+                del self._queries[query_id]
+        if evicted:
+            get_registry().inc(
+                "repro_query_records_evicted_total",
+                len(evicted),
+                help="Finished query records dropped from the registry (oldest first).",
+            )
 
     # -- query control -------------------------------------------------------------
 
@@ -604,7 +630,9 @@ class ServiceManager:
             record.log.close()
             record.done.set()
             return record.status()
-        record.stream.cancel()
+        stream = record.stream
+        if stream is not None:  # else already finalised: nothing left to stop
+            stream.cancel()
         return record.status()
 
     # -- lifecycle -----------------------------------------------------------------
@@ -625,8 +653,8 @@ class ServiceManager:
                     self._finalise(record)
                     record.log.close()
                     record.done.set()
-                else:
-                    record.stream.cancel()
+                elif (stream := record.stream) is not None:
+                    stream.cancel()
         self.scheduler.shutdown(timeout)
 
     def status(self) -> dict[str, Any]:

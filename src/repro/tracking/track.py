@@ -36,6 +36,11 @@ class ResolvedTrack:
         return len(self.detections)
 
     def add(self, detection: Detection) -> None:
-        """Append a detection, stamping it with this track's id."""
-        detection.track_id = self.track_id
+        """Append a detection to the group.
+
+        The detection itself is not written: it may be the shared
+        cross-query cache's entry, which other queries are reading and which
+        snapshots persist as exact detector output.  The track a detection
+        belongs to is ``track.track_id`` of the group holding it.
+        """
         self.detections.append(detection)

@@ -2,9 +2,11 @@
 
 Production code has exactly one detection read path
 (``ExecutionContext.detect_batch`` and its uncharged twin
-``speculate_batch``) and one feature kernel (``SyntheticVideo.frame_features``),
-both batch-only.  What they must compute is written down here once, one frame
-at a time and against public primitives only, so a test can ask "is every
+``speculate_batch``), one index read (``IndexView.get`` over a batch: one
+gather and one decode per segment) and one feature kernel
+(``SyntheticVideo.frame_features``), all batch-only.  What they must compute
+is written down here once, one frame at a time and against public primitives
+only, so a test can ask "is every
 tier serving — or skipping — exactly what the detector would have returned,
 and is the right party charged?" of one reference instead of comparing
 hand-kept copies pairwise.
@@ -17,8 +19,11 @@ import math
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.detection.base import DetectionResult
+from repro.detection.base import Detection, DetectionResult
+from repro.index.store import SEGMENT_COLUMNS
+from repro.index.view import IndexView
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
+from repro.video.geometry import BoundingBox
 from repro.video.synthetic import (
     FEATURE_CHANNELS,
     FEATURE_DIM,
@@ -55,7 +60,7 @@ def detect_reference(
                 execution_ledger.record_cache_hit()
             return shared
     if context.index_view is not None:
-        indexed = context.index_view.get(frame_index)
+        indexed = index_get_reference(context.index_view, frame_index)
         if indexed is not None:
             if execution_ledger is not None:
                 execution_ledger.stash_index_detection(frame_index, *indexed)
@@ -74,6 +79,79 @@ def detect_reference(
     if context.shared_cache is not None:
         context.shared_cache.put(context.cache_key, frame_index, result)
     return result
+
+
+def index_get_reference(
+    view: IndexView, frame_index: int
+) -> tuple[DetectionResult, bool] | None:
+    """One frame through the index tier: ``(result, skipped)`` or ``None``.
+
+    Outside the indexed range the index has no answer; a frame whose sketch
+    range holds no detection at all is synthesized empty without touching a
+    segment; anything else is :func:`index_frame_reference`.
+    """
+    if not 0 <= frame_index < view.num_frames:
+        return None
+    sketch = view.sketch
+    if int(sketch.occupied_frames[frame_index // sketch.range_size]) == 0:
+        empty = DetectionResult(
+            frame_index=frame_index,
+            timestamp=frame_index / view.index.fps,
+            detections=[],
+        )
+        return empty, True
+    return index_frame_reference(view, frame_index), False
+
+
+def index_frame_reference(view: IndexView, frame_index: int) -> DetectionResult:
+    """One frame's persisted detections, sliced straight out of the segment's
+    ``.npy`` column files and converted one scalar at a time — the per-frame
+    twin of ``VideoIndex.results_for``'s gather-and-decode."""
+    index = view.index
+    segment = index.segments[frame_index // index.segment_frames]
+    columns = {
+        name: np.load(index.generation_dir / f"{segment.name}.{name}.npy")
+        for name in SEGMENT_COLUMNS
+    }
+    local = frame_index - segment.start
+    assert int(columns["frame_index"][local]) == frame_index
+    stamp = float(columns["timestamp"][local])
+    lo = int(columns["det_offsets"][local])
+    hi = int(columns["det_offsets"][local + 1])
+    feature_start = int(np.maximum(columns["feature_len"][:lo], 0).sum())
+    detections = []
+    for i in range(lo, hi):
+        n_feat = int(columns["feature_len"][i])
+        features = None
+        if n_feat >= 0:
+            features = columns["features_flat"][
+                feature_start : feature_start + n_feat
+            ].copy()
+            feature_start += n_feat
+        name_code = int(columns["color_name_code"][i])
+        raw_track = int(columns["track_id"][i])
+        detections.append(
+            Detection(
+                frame_index=frame_index,
+                timestamp=stamp,
+                object_class=str(columns["class_table"][int(columns["class_code"][i])]),
+                box=BoundingBox(*(float(v) for v in columns["box"][i])),
+                confidence=float(columns["confidence"][i]),
+                features=features,
+                track_id=None if raw_track < 0 else raw_track,
+                color=(
+                    tuple(float(v) for v in columns["color"][i])
+                    if bool(columns["has_color"][i])
+                    else None
+                ),
+                color_name=(
+                    None if name_code < 0 else str(columns["color_name_table"][name_code])
+                ),
+            )
+        )
+    return DetectionResult(
+        frame_index=frame_index, timestamp=stamp, detections=detections
+    )
 
 
 def detect_batch_reference(

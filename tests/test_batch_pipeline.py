@@ -8,6 +8,10 @@ per-frame ledger accounting, to the scalar reference in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,10 @@ from repro.core.config import BlazeItConfig
 from repro.core.context import ExecutionContext
 from repro.core.engine import BlazeIt
 from repro.core.recorded import RecordedDetections
+from repro.detection.base import DetectionResult
+from repro.detection.columnar import decode_detection_results, encode_detection_results
 from repro.errors import ConfigurationError
+from repro.index.store import VideoIndex
 from repro.metrics.runtime import _COUNTERS, ExecutionLedger, RuntimeLedger
 from repro.parallel.cache import SharedDetectionCache
 from repro.scrubbing.importance import _respects_gap
@@ -28,7 +35,12 @@ from repro.video.frame_batch import FrameBatch
 from repro.video.synthetic import SyntheticVideo
 
 from conftest import make_video_spec
-from oracle import detect_batch_reference, frame_features_reference, run_engine_on_oracles
+from oracle import (
+    detect_batch_reference,
+    frame_features_reference,
+    index_get_reference,
+    run_engine_on_oracles,
+)
 
 
 def assert_results_identical(left, right):
@@ -44,6 +56,7 @@ def assert_results_identical(left, right):
             assert x.box.as_tuple() == y.box.as_tuple()
             assert x.color == y.color
             assert x.color_name == y.color_name
+            assert x.track_id == y.track_id
             if x.features is None:
                 assert y.features is None
             else:
@@ -262,13 +275,13 @@ class TestSourceCascadeMatchesOracle:
         engine.register_video("cascade", test_video=video)
         view = engine.execution_context("cascade").index_view
         truth = [detector.detect(video, f) for f in range(CASCADE_FRAMES)]
-        served = [view.get(f) for f in range(INDEXED_FRAMES)]
-        assert {skipped for _, skipped in served} == {True, False}
-        assert view.get(INDEXED_FRAMES) is None
+        served = view.get(range(INDEXED_FRAMES + 1))
+        assert list(served) == list(range(INDEXED_FRAMES))  # one past: no answer
+        assert {skipped for _, skipped in served.values()} == {True, False}
         # Skipping form, exhaustively: whatever the index tier skips has no
         # detections under the detector.
         assert all(
-            truth[f].detections == [] for f, (_, skipped) in enumerate(served) if skipped
+            truth[f].detections == [] for f, (_, skipped) in served.items() if skipped
         )
         yield video, detector, view, truth
         view.close()
@@ -381,6 +394,142 @@ class TestSourceCascadeMatchesOracle:
         if subject.shared_cache is not None:
             assert len(subject.shared_cache) == before
             assert subject.shared_cache.stats.hits == len(warm & set(chunk))
+
+
+# -- the batch index read against its per-frame twin ---------------------------
+
+
+class TestIndexBatchReadMatchesOracle:
+    """``IndexView.get`` gathers and decodes a whole batch per segment; the
+    oracle slices and converts one frame at a time from the column files.
+    Both must be the live detector's output, whatever the frame list."""
+
+    #: The index covers a prefix: frames past it (and negative ones) have no
+    #: answer.  64-frame segments make most batches span several.
+    FRAMES, COVERED = 300, 256
+
+    @pytest.fixture(scope="class")
+    def worlds(self, tmp_path_factory, detector):
+        built = {}
+        for name, rates in {
+            "multi": dict(car_rate=0.03, bus_rate=0.01),
+            "sparse": dict(car_rate=0.004, bus_rate=0.0),
+        }.items():
+            video = SyntheticVideo.generate(
+                make_video_spec(name=name, num_frames=self.FRAMES, seed=41, **rates)
+            )
+            root = tmp_path_factory.mktemp(f"batch-read-{name}")
+            ingest = BlazeIt(detector=detector, index_dir=root)
+            ingest.register_video(name, test_video=video.slice(0, self.COVERED, name=name))
+            ingest.build_index(name, range_size=8, segment_frames=64)
+            engine = BlazeIt(detector=detector, index_dir=root)
+            engine.register_video(name, test_video=video)
+            context = engine.execution_context(name)
+            truth = [detector.detect(video, f) for f in range(self.FRAMES)]
+            built[name] = (context, truth)
+        sparse_view = built["sparse"][0].index_view
+        assert sparse_view.sketch.provably_empty(np.arange(self.COVERED)).any()
+        assert {len(r.detections) > 0 for r in built["multi"][1]} == {True, False}
+        yield built
+        for context, _ in built.values():
+            context.index_view.close()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        which=st.sampled_from(["multi", "sparse"]),
+        frames=st.lists(st.integers(-4, FRAMES + 3), max_size=40),
+        blank=st.sets(st.sampled_from(["features", "color", "color_name"])),
+        stamp_tracks=st.booleans(),
+    )
+    def test_any_frame_list_reads_what_the_oracle_and_the_detector_do(
+        self, worlds, which, frames, blank, stamp_tracks
+    ):
+        context, truth = worlds[which]
+        view = context.index_view
+        want = {frame: index_get_reference(view, frame) for frame in frames}
+        got = view.get(frames)
+        # Unsorted, repeated, out of range, empty: covered frames only, once
+        # each, in first-occurrence order.
+        assert list(got) == [f for f in want if 0 <= f < self.COVERED]
+        assert all(want[f] is None for f in want if f not in got)
+        for frame, (result, skipped) in got.items():
+            reference, reference_skipped = want[frame]
+            assert skipped == reference_skipped
+            assert_results_identical([result], [reference])
+            assert_results_identical([result], [truth[frame]])
+
+        # Through the engine's context: the counters the index tier owns.
+        in_video = [f for f in frames if 0 <= f < self.FRAMES]
+        ledger, reference_ledger = ExecutionLedger(), ExecutionLedger()
+        assert_results_identical(
+            context.detect_batch(in_video, ledger),
+            detect_batch_reference(context, in_video, reference_ledger),
+        )
+        assert_ledgers_agree(ledger, reference_ledger)
+
+        # The codec alone, on the same results with optional fields blanked.
+        results = [
+            DetectionResult(
+                frame_index=result.frame_index,
+                timestamp=result.timestamp,
+                detections=[
+                    dataclasses.replace(
+                        det,
+                        track_id=k if stamp_tracks else None,
+                        **({name: None for name in blank} if k % 2 else {}),
+                    )
+                    for k, det in enumerate(result.detections)
+                ],
+            )
+            for result, _ in got.values()
+        ]
+        assert_results_identical(
+            decode_detection_results(encode_detection_results(results)), results
+        )
+
+    def test_racing_first_reads_map_each_segment_consistently(self, worlds):
+        """Segments are mapped and validated lazily and without a lock: more
+        readers than cores racing on a fresh index must all get the detector's
+        answer (a reader that sees a segment's columns sees its offsets)."""
+        context, truth = worlds["multi"]
+        index = VideoIndex.open(context.index_view.index.directory)
+        frames = list(range(self.COVERED))[::-3]
+        outcomes: list = []
+
+        def read():
+            try:
+                outcomes.append(index.results_for(frames))
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                outcomes.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            index.close()
+        assert len(outcomes) == 8
+        for outcome in outcomes:
+            assert isinstance(outcome, list), outcome
+            assert_results_identical(outcome, [truth[f] for f in frames])
+
+    def test_decoded_features_outlive_the_maps(self, worlds):
+        """Nothing a read returns points into a memory map: after ``close()``
+        every feature vector is still the detector's, in memory it owns."""
+        context, truth = worlds["multi"]
+        index = VideoIndex.open(context.index_view.index.directory)
+        results = index.results_for(np.arange(self.COVERED)[::-1])
+        index.close()
+        assert index._columns == {} and index._maps == {}
+        features = [d.features for r in results for d in r.detections]
+        assert features and all(f.flags.owndata and f.base is None for f in features)
+        assert_results_identical(results, truth[: self.COVERED][::-1])
 
 
 # -- gap checking -------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.aqp import control_variates, sampling
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.core.events import EstimateUpdate
+from repro.index.view import IndexView
 from repro.parallel.executor import DetectionPrefetcher
 from repro.parallel.plan import BACKENDS
 from repro.video.synthetic import SyntheticVideo
@@ -105,3 +106,50 @@ def test_each_sampling_round_is_one_unnested_aqp_span(
     assert len(spans) == rounds + 1
     ids = {span[0] for span in spans}
     assert not any(span[1] in ids for span in spans)
+
+
+def test_index_reads_are_seen_through_the_tallied_names(monkeypatch, tmp_path, detector):
+    """The harness tallies the index read as ``IndexView.get`` and its decode
+    as ``columnar.decode_detection_results``, by name: moving the read off
+    either name would make ``index.get_s`` / ``detection.decode_s`` go blind,
+    not better."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from benchmarks.e2e import layers
+
+    video = SyntheticVideo.generate(make_video_spec("v", FRAMES))
+    ingest = BlazeIt(detector=detector, index_dir=tmp_path)
+    ingest.register_video("v", test_video=video)
+    ingest.build_index("v", range_size=8, segment_frames=64)
+    engine = BlazeIt(detector=detector, index_dir=tmp_path)
+    engine.register_video("v", test_video=video)
+    objects = sum(len(detector.detect(video, f).detections) for f in range(FRAMES))
+    unwrapped = vars(IndexView)["get"]
+
+    def measured(query):
+        recorder = layers.Recorder()
+        restore = layers.install(recorder)
+        try:
+            with engine.session() as session:
+                result = session.prepare(query).execute(rng=np.random.default_rng(0))
+        finally:
+            restore()
+        assert vars(IndexView)["get"] is unwrapped
+        assert result.execution_ledger.detector_calls == 0
+        dump = recorder.dump()
+        return (
+            {key.split("|", 1)[1]: value for key, value in dump["tallies"].items()},
+            {key.split("|", 1)[1]: value for key, value in dump["counts"].items()},
+        )
+
+    tallies, counts = measured("SELECT * FROM v")
+    calls, seconds, self_seconds = tallies["index.get"]
+    assert calls >= 1 and seconds > 0
+    # Nested: the decode's wall is the index read's child time, all of it.
+    decode_calls, decode_seconds, _ = tallies["detection.decode"]
+    assert decode_calls >= 1
+    assert decode_seconds == pytest.approx(seconds - self_seconds)
+    assert counts["detection.decoded_objects"] == objects
+
+    tallies, _ = measured("SELECT FCOUNT(*) FROM v WHERE class = 'car'")
+    calls, seconds, _ = tallies["index.get"]
+    assert calls >= 1 and seconds > 0

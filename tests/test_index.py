@@ -145,9 +145,9 @@ class TestBuildAndRead:
         store = PersistentIndex(root)
         index = store.entries()[0]
         try:
-            for frame in (0, 1, 57, 255, tiny_video.num_frames - 1):
+            frames = (0, 1, 57, 255, tiny_video.num_frames - 1)
+            for frame, stored in zip(frames, index.results_for(frames), strict=True):
                 live = detector.detect(tiny_video, frame)
-                stored = index.result_for(frame)
                 assert stored.frame_index == live.frame_index
                 assert stored.timestamp == live.timestamp
                 assert len(stored.detections) == len(live.detections)
@@ -306,7 +306,7 @@ class TestCrashSafety:
         index = VideoIndex.open(directory)
         try:
             live = detector.detect(video, 5)
-            assert index.result_for(5).count() == live.count()
+            assert index.results_for([5])[0].count() == live.count()
         finally:
             index.close()
 
@@ -362,6 +362,68 @@ class TestCrashSafety:
 
 
 # -- sketch-driven shard pruning (satellite: sharder rates from the index) ---------
+
+
+def _rewrite(path, change):
+    values = np.load(path)
+    np.save(path, change(values))
+
+
+def _cut_file_short(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _bump(position, amount):
+    def change(values):
+        values[position] += amount
+        return values
+
+    return change
+
+
+class TestSegmentValidation:
+    """The batch read gathers rows through offsets stored in the segment, so
+    a segment whose columns disagree is refused when it is first mapped — a
+    typed error naming the file, never another frame's detections."""
+
+    @pytest.mark.parametrize(
+        "column, corrupt, complaint",
+        [
+            ("confidence", _cut_file_short, "unreadable index column"),
+            ("box", lambda path: _rewrite(path, lambda v: v[:-1]), "inconsistent"),
+            ("track_id", lambda path: _rewrite(path, lambda v: v[:-1]), "inconsistent"),
+            ("det_offsets", lambda path: _rewrite(path, lambda v: v[:-1]), "inconsistent"),
+            ("det_offsets", lambda path: _rewrite(path, _bump(3, 10_000)), "inconsistent"),
+            ("det_offsets", lambda path: _rewrite(path, _bump(-1, 1)), "inconsistent"),
+            ("class_code", lambda path: _rewrite(path, _bump(0, 50)), "inconsistent"),
+            ("features_flat", lambda path: _rewrite(path, lambda v: v[:-1]), "inconsistent"),
+            ("frame_index", lambda path: _rewrite(path, lambda v: v + 1), "inconsistent"),
+            ("timestamp", lambda path: _rewrite(path, lambda v: v[1:]), "inconsistent"),
+        ],
+    )
+    def test_corrupt_segment_is_a_typed_error_never_an_answer(
+        self, small_indexed_engine, detector, engine_config, column, corrupt, complaint
+    ):
+        _engine, root, video = small_indexed_engine
+        directory = _video_dir(root)
+        path = directory / "gen-000001" / f"seg-000000.{column}.npy"
+        assert np.load(directory / "gen-000001" / "seg-000000.class_code.npy").size > 0
+        corrupt(path)
+
+        index = VideoIndex.open(directory)
+        try:
+            with pytest.raises(ConfigurationError, match=complaint) as refused:
+                index.results_for([5])
+            assert str(path) in str(refused.value)
+            # The other segment is intact and still serves.
+            assert index.results_for([40])[0].count() == detector.detect(video, 40).count()
+        finally:
+            index.close()
+
+        fresh = make_engine(detector, engine_config, index_dir=root)
+        fresh.register_video("small", test_video=video)
+        with pytest.raises(ConfigurationError, match=column):
+            run(fresh, "SELECT * FROM small")
 
 
 def _synthetic_results(num_frames, class_frames):

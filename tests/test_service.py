@@ -26,6 +26,7 @@ from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
+from repro.obs.metrics import get_registry
 from repro.service.app import ServiceThread
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import (
@@ -468,6 +469,64 @@ class TestWire:
         assert [index for index, _ in resumed] == indices[2:]
         record = manager.query(query_id)
         assert len(record.log) == len(events)
+
+    def test_registry_forgets_finished_queries_beyond_queue_depth(self):
+        """Memory held per served query is bounded by the configured depth:
+        the registry keeps the newest ``max_queue_depth`` finished records, a
+        forgotten id is a 404, and a reader attached before its record went
+        still streams to ``end``."""
+        depth = 3
+        manager = ServiceManager(
+            build_engine(),
+            ServiceConfig(slots=2, max_queue_depth=depth, heartbeat_seconds=0.25),
+        )
+
+        def evicted() -> float:
+            counters = get_registry().snapshot()["counters"]
+            return counters.get("repro_query_records_evicted_total", 0.0)
+
+        evicted_before = evicted()
+        query = queries_for(scenario_class())[3]
+        with ServiceThread(manager) as service:
+            client = ServiceClient(service.host, service.port)
+            client.create_tenant("t")
+            session_id = client.create_session("t")
+            oldest = client.submit(session_id, query=query, wait=False)["query_id"]
+            reader = client.events(oldest)
+            seen = [next(reader)]  # attached: the server holds the record now
+            held = manager.query(oldest)
+            assert held.done.wait(60.0)
+
+            ids = [oldest]
+            for _ in range(3 * depth - 1):
+                status = client.submit(session_id, query=query, wait=True)
+                assert status["state"] == COMPLETED
+                ids.append(status["query_id"])
+                assert client.healthz()["queries"] <= depth
+
+            assert client.healthz()["queries"] == depth
+            assert evicted() - evicted_before == 2 * depth
+            for query_id in ids[:-depth]:
+                with pytest.raises(ServiceClientError) as rejected:
+                    client.query_status(query_id)
+                assert rejected.value.status == 404
+                with pytest.raises(ServiceClientError) as rejected:
+                    next(client.events(query_id))
+                assert rejected.value.status == 404
+            with pytest.raises(NotFoundError):
+                manager.query(oldest)
+            for query_id in ids[-depth:]:
+                assert client.query_status(query_id)["state"] == COMPLETED
+                events = list(client.events(query_id))
+                assert type(events[-1][1]).__name__ == "Completed"
+
+            # The attached reader drains to the terminal marker, and the
+            # record it was given still serves its whole log.
+            seen.extend(reader)
+            assert [index for index, _ in seen] == list(range(len(held.log)))
+            assert type(seen[-1][1]).__name__ == "Completed"
+            assert held.log.closed and held.stream is None
+            assert held.result is not None
 
     def test_typed_errors_over_the_wire(self, live_service):
         client, _ = live_service

@@ -280,6 +280,31 @@ class TestEngineIntegration:
         )
         assert scalar.value == batched.value
 
+    def test_tracking_queries_never_write_cached_detections(
+        self, cached_engine, tmp_path
+    ):
+        """Persisted "exact detector output" does not depend on which queries
+        ran: a tracking query groups the cache's own ``Detection`` objects
+        and must leave them as the detector made them."""
+        engine, cache = cached_engine
+        engine.session().prepare(self.QUERY).execute(rng=np.random.default_rng(1))
+        cache.save(tmp_path / "counted.json")
+        tracked = engine.session().prepare("SELECT * FROM hot").execute(
+            rng=np.random.default_rng(2)
+        )
+        assert tracked.execution_ledger.shared_cache_hits == 400
+        assert tracked.records, "the tracking query must have resolved something"
+        cache.save(tmp_path / "tracked.json")
+        assert (tmp_path / "tracked.json").read_bytes() == (
+            tmp_path / "counted.json"
+        ).read_bytes()
+        context = engine.execution_context("hot")
+        for frame in range(400):
+            cached = cache.get(context.cache_key, frame)
+            fresh = context.detector.detect(context.video, frame)
+            assert result_to_json(cached) == result_to_json(fresh)
+            assert all(d.track_id is None for d in cached.detections)
+
     def test_cache_disabled_by_default(self):
         engine = BlazeIt(
             config=BlazeItConfig(

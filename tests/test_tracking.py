@@ -86,13 +86,17 @@ class TestIoUTracker:
         tracks = tracker.resolve(results)
         assert len(tracks) == 1
 
-    def test_track_ids_assigned_to_detections(self):
+    def test_tracking_groups_detections_without_writing_them(self):
+        """The id lives on the group: the tracker's input may be a shared
+        cache entry, so the detections it is handed are never stamped."""
         tracker = IoUTracker()
         results = [_frame(i, [_box(0.0)]) for i in range(3)]
         tracks = tracker.resolve(results)
-        for track in tracks:
-            for det in track.detections:
-                assert det.track_id == track.track_id
+        assert [t.track_id for t in tracks] == [0]
+        assert [d.frame_index for d in tracks[0].detections] == [0, 1, 2]
+        for result in results:
+            for det in result.detections:
+                assert det.track_id is None
 
     def test_every_detection_belongs_to_exactly_one_track(self):
         tracker = IoUTracker()
