@@ -11,14 +11,13 @@ dependencies — with a pluggable checker architecture:
   modules, import resolution, class hierarchy across ``src/repro``);
 * findings are typed :class:`~repro.analysis.diagnostics.Diagnostic`
   objects (rule id, severity, file:line, fix hint);
-* intentional violations are suppressed inline with a
-  ``# repro: allow[RULE]: reason`` pragma, or grandfathered in the
-  committed baseline file (``analysis-baseline.json``) with a one-line
-  justification each;
+* an intentional violation is suppressed inline, and only inline, with a
+  ``# repro: allow[RULE]: reason`` pragma;
 * ``python -m repro.analysis`` runs the whole suite and gates CI on zero
-  non-baselined findings.
+  unsuppressed findings.
 
-Shipped rules (see ``docs/INVARIANTS.md`` for the invariant catalog):
+Shipped rules (see ``docs/INVARIANTS.md`` for the invariant catalog, and for
+the invariants a structure enforces instead of a rule):
 
 ========  =====================================================================
 RPR001    determinism: no wall-clock or unseeded randomness in result-producing
@@ -26,14 +25,15 @@ RPR001    determinism: no wall-clock or unseeded randomness in result-producing
 RPR002    ledger accounting: detector access flows through ``ExecutionContext``
 RPR003    lock discipline: thread-shared state mutated only under its lock;
           lock-acquisition-order graph is cycle-free
-RPR004    async hygiene: no blocking calls on the event loop, no ``await``
-          under a sync lock
+RPR007    persistence hygiene: artifact writes go through ``repro.persist``;
+          memory maps closed before unlink
+RPR008    observability hygiene: span wall times stay display-only; spans
+          close on every path
 ========  =====================================================================
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.checkers import all_checkers
 from repro.analysis.diagnostics import Diagnostic, Severity, format_diagnostics
 from repro.analysis.project import ClassInfo, ModuleInfo, ProjectModel
@@ -41,7 +41,6 @@ from repro.analysis.runner import AnalysisReport, run_analysis
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "ClassInfo",
     "Diagnostic",
     "ModuleInfo",

@@ -1,10 +1,7 @@
 """CLI: ``python -m repro.analysis [--format text|json|github]``.
 
-Exit status is 1 when any non-baselined, non-pragma finding exists (the
-CI gate), 0 otherwise.  ``--write-baseline`` accepts the current findings
-into the baseline file instead of failing; justifications for entries
-already on file are preserved, new ones get a TODO placeholder that
-review is expected to replace.
+Exit status is 1 when any finding not suppressed by an inline pragma exists
+(the CI gate), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.diagnostics import format_diagnostics
 from repro.analysis.runner import run_analysis
 
@@ -22,17 +18,6 @@ def _default_root() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent
-
-
-def _default_baseline(root: Path) -> Path:
-    # src-layout: <repo>/src/<pkg> -> <repo>/analysis-baseline.json
-    candidate = root.parent.parent / "analysis-baseline.json"
-    if candidate.exists():
-        return candidate
-    cwd_candidate = Path.cwd() / "analysis-baseline.json"
-    if cwd_candidate.exists():
-        return cwd_candidate
-    return candidate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,18 +44,6 @@ def main(argv: list[str] | None = None) -> int:
         help="diagnostic output format",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline file (default: analysis-baseline.json at the repo "
-        "root)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept current findings into the baseline instead of failing",
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the summary line",
@@ -78,37 +51,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     root = (args.root or _default_root()).resolve()
-    baseline_path = args.baseline or _default_baseline(root)
-    baseline = Baseline.load(baseline_path)
-    report = run_analysis(root, package=args.package, baseline=baseline)
-
-    if args.write_baseline:
-        baseline.write(baseline_path, report.all_active())
-        if not args.quiet:
-            print(
-                f"wrote {len(report.all_active())} finding(s) to "
-                f"{baseline_path}"
-            )
-        return 0
+    report = run_analysis(root, package=args.package)
 
     if report.findings or args.format == "json":
         # JSON consumers get a well-formed (possibly empty) document either
         # way; text/github stay silent when there is nothing to report.
         print(format_diagnostics(report.findings, args.format))
     if not args.quiet:
-        summary = (
+        print(
             f"repro.analysis: {len(report.findings)} finding(s), "
-            f"{len(report.baselined)} baselined, "
             f"{len(report.suppressed)} pragma-suppressed, "
-            f"{report.modules_scanned} modules scanned"
+            f"{report.modules_scanned} modules scanned",
+            file=sys.stderr,
         )
-        print(summary, file=sys.stderr)
-        for key in report.stale_baseline:
-            print(
-                f"repro.analysis: stale baseline entry (no longer "
-                f"produced): {key}",
-                file=sys.stderr,
-            )
     return 1 if report.findings else 0
 
 

@@ -12,7 +12,7 @@ class Checker:
     """One rule.  Subclasses set ``rule``/``title`` and implement ``check``.
 
     ``check`` receives the whole project model and yields raw findings;
-    pragma and baseline filtering happen in the runner, so checkers stay
+    pragma filtering happens in the runner, so checkers stay
     oblivious to suppression mechanics.
     """
 

@@ -1,7 +1,7 @@
 """RPR007 — persistence hygiene: artifacts reach disk atomically.
 
 Every on-disk artifact the repo produces — index segments, cache files,
-catalog snapshots, ``BENCH_*.json`` reports, the analysis baseline — must go
+catalog snapshots, ``BENCH_*.json`` reports — must go
 through ``repro.persist.atomic_write_text`` / ``atomic_write_bytes``: a bare
 ``Path.write_text`` (or a numpy saver pointed at a path) that dies mid-write
 leaves a truncated file that the next reader happily half-parses, which is

@@ -19,9 +19,7 @@ class Diagnostic:
     """One finding: a rule violated at a specific source location.
 
     ``context`` is the dotted path of the enclosing scope (module, class,
-    or function qualname) and is part of the baseline identity, so a
-    grandfathered finding stays matched when unrelated edits shift line
-    numbers.
+    or function qualname).
     """
 
     path: str
@@ -32,10 +30,6 @@ class Diagnostic:
     context: str = ""
     hint: str = ""
     severity: Severity = field(default=Severity.ERROR, compare=False)
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str, str]:
-        return (self.rule, self.path, self.context, self.message)
 
     def to_json(self) -> dict[str, object]:
         return {

@@ -288,12 +288,6 @@ class ProjectModel:
                         result[target.attr] = found
         return result
 
-    def return_class(
-        self, info: ModuleInfo, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> ClassInfo | None:
-        """The project class a function's return annotation names, if any."""
-        return self._annotation_class(info, func.returns)
-
     # -- iteration helpers ---------------------------------------------------------
 
     def iter_functions(

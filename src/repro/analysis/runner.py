@@ -1,11 +1,10 @@
-"""Run checkers over a project, apply pragmas and the baseline."""
+"""Run checkers over a project and apply inline pragmas."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.checkers import all_checkers
 from repro.analysis.checkers.base import Checker
 from repro.analysis.diagnostics import Diagnostic
@@ -18,18 +17,12 @@ class AnalysisReport:
     """Everything one analyzer run produced, pre-sorted."""
 
     findings: list[Diagnostic] = field(default_factory=list)
-    baselined: list[Diagnostic] = field(default_factory=list)
     suppressed: list[Diagnostic] = field(default_factory=list)
-    stale_baseline: list[tuple[str, str, str, str]] = field(default_factory=list)
     modules_scanned: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def all_active(self) -> list[Diagnostic]:
-        """Findings plus baselined ones — what ``--write-baseline`` saves."""
-        return sorted([*self.findings, *self.baselined])
 
 
 def run_analysis(
@@ -37,17 +30,14 @@ def run_analysis(
     *,
     package: str | None = None,
     checkers: list[Checker] | None = None,
-    baseline: Baseline | None = None,
     project: ProjectModel | None = None,
 ) -> AnalysisReport:
     """Analyze the package at ``root`` and triage every diagnostic into
-    active finding / baselined / pragma-suppressed."""
+    active finding / pragma-suppressed."""
     if project is None:
         project = ProjectModel.build(root, package)
     if checkers is None:
         checkers = all_checkers()
-    if baseline is None:
-        baseline = Baseline()
 
     by_relpath = {info.relpath: info for info in project.modules.values()}
     report = AnalysisReport(modules_scanned=len(project.modules))
@@ -61,11 +51,8 @@ def run_analysis(
             module.pragmas, diag.line, diag.rule
         ):
             report.suppressed.append(diag)
-        elif baseline.contains(diag):
-            report.baselined.append(diag)
         else:
             report.findings.append(diag)
-    report.stale_baseline = baseline.stale_entries(sorted(set(raw)))
     return report
 
 

@@ -23,7 +23,6 @@ from repro.baselines.scrubbing import (
     BaselineScrubResult,
     naive_scrub,
     noscope_oracle_scrub_baseline,
-    random_scrub_baseline,
 )
 from repro.baselines.selection import (
     BaselineSelectionResult,
@@ -38,7 +37,6 @@ __all__ = [
     "naive_aqp_aggregate",
     "BaselineScrubResult",
     "naive_scrub",
-    "random_scrub_baseline",
     "noscope_oracle_scrub_baseline",
     "BaselineSelectionResult",
     "naive_selection",

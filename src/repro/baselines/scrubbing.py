@@ -10,7 +10,6 @@ from repro.core.recorded import RecordedDetections
 from repro.metrics.runtime import RuntimeLedger
 from repro.scrubbing.baselines import (
     noscope_oracle_scrub,
-    random_scrub,
     sequential_scrub,
 )
 from repro.scrubbing.importance import ScrubbingResult
@@ -64,25 +63,6 @@ def naive_scrub(
         verify_fn=_verify_fn(recorded, min_counts, ledger),
         limit=limit,
         gap=gap,
-    )
-    return _wrap(result, ledger)
-
-
-def random_scrub_baseline(
-    recorded: RecordedDetections,
-    min_counts: dict[str, int],
-    limit: int,
-    gap: int = 0,
-    rng: np.random.Generator | None = None,
-) -> BaselineScrubResult:
-    """Random-order detection scan until the requested number of matches is found."""
-    ledger = RuntimeLedger()
-    result = random_scrub(
-        num_frames=recorded.num_frames,
-        verify_fn=_verify_fn(recorded, min_counts, ledger),
-        limit=limit,
-        gap=gap,
-        rng=rng,
     )
     return _wrap(result, ledger)
 

@@ -11,8 +11,6 @@ the paper does (Section 10.1).
 
 from repro.detection.base import Detection, DetectionResult, ObjectDetector
 from repro.detection.simulated import DetectorNoiseModel, SimulatedDetector
-from repro.detection.registry import DetectorRegistry, default_registry
-from repro.detection.nms import non_max_suppression
 from repro.detection.metrics import average_precision, mean_average_precision
 
 __all__ = [
@@ -21,9 +19,6 @@ __all__ = [
     "ObjectDetector",
     "DetectorNoiseModel",
     "SimulatedDetector",
-    "DetectorRegistry",
-    "default_registry",
-    "non_max_suppression",
     "average_precision",
     "mean_average_precision",
 ]

@@ -49,10 +49,6 @@ class DetectionResult:
     timestamp: float
     detections: list[Detection] = field(default_factory=list)
 
-    def of_class(self, object_class: str) -> list[Detection]:
-        """Detections of one object class."""
-        return [d for d in self.detections if d.object_class == object_class]
-
     def count(self, object_class: str | None = None) -> int:
         """Number of detections, optionally restricted to one class."""
         if object_class is None:

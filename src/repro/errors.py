@@ -75,10 +75,6 @@ class SpawnExportError(BlazeItError):
     """
 
 
-class BudgetExceededError(BlazeItError):
-    """Raised when an execution exceeds a user-supplied detection budget."""
-
-
 class ConfigurationError(BlazeItError):
     """Raised when a configuration object contains invalid values."""
 

@@ -36,7 +36,6 @@ from repro.index.store import (
     SKETCH_NAME,
     STATISTICS_NAME,
     PersistentIndex,
-    VideoIndex,
     generation_dirname,
     sweep_stale_builds,
     write_array,
@@ -179,11 +178,4 @@ def build_video_index(
     }
 
 
-def open_index(
-    store: PersistentIndex, video_name: str, cache_key: str
-) -> VideoIndex | None:
-    """Convenience re-export of :meth:`PersistentIndex.open`."""
-    return store.open(video_name, cache_key)
-
-
-__all__ = ["build_video_index", "open_index"]
+__all__ = ["build_video_index"]

@@ -9,7 +9,7 @@ detections the index serves at query time, its guarantees are proofs, not
 estimates:
 
 * ``provably_empty`` / ``class_absent`` (one vectorised question per batch of
-  frames) and ``fails_min_counts`` are exact — a ``True`` answer can never be
+  frames) are exact — a ``True`` answer can never be
   contradicted by decoding the frame;
 * ``range_presence_rate`` / ``range_event_rate`` follow the cost model's
   validated upper-bound contract: the returned rate is ``>=`` the true rate
@@ -144,23 +144,6 @@ class RangeSketch:
         if column is not None:
             proven[proven] = self.total_count[ranges, column] == 0
         return proven
-
-    def fails_min_counts(
-        self, frame_index: int, min_counts: Mapping[str, int]
-    ) -> bool:
-        """``True`` when some class provably cannot reach its minimum."""
-        range_index = frame_index // self.range_size
-        for name, minimum in min_counts.items():
-            if minimum <= 0:
-                continue
-            column = self._column(name)
-            if column is None:
-                return True
-            if 0 <= range_index < self.num_ranges and (
-                int(self.max_count[range_index, column]) < int(minimum)
-            ):
-                return True
-        return False
 
     # -- upper-bound window rates (the sharder's contract) ---------------
 

@@ -21,17 +21,13 @@ modes are provably identical to running the detector:
   (``timestamp = frame / fps`` matches ``SyntheticVideo.timestamp_of``
   bit-for-bit).
 
-The view also answers the sketch's exact per-frame proofs
-(:meth:`class_count_zero` — one mask per batch — and
-:meth:`fails_min_counts`) so count scans and
-min-count probes can skip provably-irrelevant frames without any decode —
-invariant I7: index evidence is an upper bound, skipping never changes
-results.
+The view also answers the sketch's exact per-frame proof
+(:meth:`class_count_zero` — one mask per batch) so count scans can skip
+provably-irrelevant frames without any decode — invariant I7: index
+evidence is an upper bound, skipping never changes results.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -96,14 +92,6 @@ class IndexView:
         """Per frame: ``True`` when the class provably has count 0 there
         (never for a frame outside the indexed range)."""
         return self.index.sketch.class_absent(frame_indices, object_class)
-
-    def fails_min_counts(
-        self, frame_index: int, min_counts: Mapping[str, int]
-    ) -> bool:
-        """``True`` when the min-count conjunction is provably unsatisfiable."""
-        if not 0 <= frame_index < self.index.num_frames:
-            return False
-        return self.index.sketch.fails_min_counts(frame_index, min_counts)
 
     def close(self) -> None:
         """Release the underlying memory maps."""

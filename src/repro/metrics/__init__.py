@@ -1,19 +1,9 @@
-"""Measurement substrate: simulated runtime accounting and accuracy metrics."""
+"""Measurement substrate: simulated runtime accounting."""
 
 from repro.metrics.runtime import OperatorCost, RuntimeLedger, StandardCosts
-from repro.metrics.accuracy import (
-    absolute_error,
-    false_negative_rate,
-    false_positive_rate,
-    precision_recall,
-)
 
 __all__ = [
     "OperatorCost",
     "RuntimeLedger",
     "StandardCosts",
-    "absolute_error",
-    "false_negative_rate",
-    "false_positive_rate",
-    "precision_recall",
 ]

@@ -280,16 +280,6 @@ class ExecutionLedger(RuntimeLedger):
         with self._lock:
             self.index_skips += count
 
-    def release_cache(self) -> None:
-        """Drop the per-frame detection cache, keeping every counter.
-
-        Called when execution completes: the cache exists only for
-        intra-execution dedupe, and results should not pin one
-        ``DetectionResult`` per decoded frame for their whole lifetime.
-        """
-        with self._lock:
-            self._detections.clear()
-
     def finalize_stream_accounting(
         self, events_emitted: int, batches_emitted: int, wall_seconds: float
     ) -> None:

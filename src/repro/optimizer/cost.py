@@ -148,16 +148,6 @@ class ParallelismModel:
     ``gil_bound`` and the context can be exported to spawned workers.
     """
 
-    def __init__(
-        self,
-        thread_startup_seconds: float = THREAD_STARTUP_SECONDS,
-        process_startup_seconds: float = PROCESS_STARTUP_SECONDS,
-        margin: float = PARALLEL_MARGIN,
-    ) -> None:
-        self.thread_startup_seconds = thread_startup_seconds
-        self.process_startup_seconds = process_startup_seconds
-        self.margin = margin
-
     def decide(
         self,
         plan: PhysicalPlan,
@@ -202,16 +192,16 @@ class ParallelismModel:
                 # startup and speculation with no overlap at all.
                 overlap = 1 if (backend == "threads" and gil_bound) else k
                 startup = (
-                    self.thread_startup_seconds
+                    THREAD_STARTUP_SECONDS
                     if backend == "threads"
-                    else self.process_startup_seconds
+                    else PROCESS_STARTUP_SECONDS
                 )
                 seconds = (
                     startup * k + (useful_calls + waste_calls) * per_call / overlap
                 )
                 if best is None or seconds < best[0]:
                     best = (seconds, backend, k)
-        if best is not None and sequential_seconds >= self.margin * best[0]:
+        if best is not None and sequential_seconds >= PARALLEL_MARGIN * best[0]:
             seconds, backend, k = best
             return ParallelismDecision(
                 backend=backend,

@@ -60,8 +60,9 @@ class ShardWorkerSpec:
     """Everything one worker process needs, in picklable form.
 
     Deliberately plain data — no locks, sockets or driver state — so the
-    spawn pickling is cheap and the fork-safety checker (RPR006) has nothing
-    to say about it.
+    spawn pickling is cheap.  The ``spawn`` start method pickles it at
+    ``start()``: anything driver-only that strayed in would fail loudly
+    there, not be silently shared.
     """
 
     shard_id: int

@@ -106,10 +106,6 @@ class ShardPlan:
             key=lambda s: (s.pruned, -s.estimated_rate, s.shard_id),
         )
 
-    def pruned_shards(self) -> list[Shard]:
-        """The shards statically estimated empty for the query."""
-        return [s for s in self.shards if s.pruned]
-
     def describe(self) -> str:
         return "; ".join(s.describe() for s in self.shards)
 

@@ -11,7 +11,6 @@ regions likely to contain the event.
 from repro.scrubbing.importance import ScrubbingResult, importance_scrub
 from repro.scrubbing.baselines import (
     noscope_oracle_scrub,
-    random_scrub,
     sequential_scrub,
 )
 
@@ -19,6 +18,5 @@ __all__ = [
     "ScrubbingResult",
     "importance_scrub",
     "sequential_scrub",
-    "random_scrub",
     "noscope_oracle_scrub",
 ]

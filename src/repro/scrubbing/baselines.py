@@ -1,7 +1,7 @@
 """Baseline scrubbing strategies (Section 10.3).
 
-* **Naive** — run the object detector over frames in sequential (or random)
-  order until the requested number of matching frames is found.
+* **Naive** — run the object detector over frames in sequential order until
+  the requested number of matching frames is found.
 * **NoScope oracle** — restrict the scan to frames the oracle says contain the
   object class(es) of interest, then verify with the detector.  The oracle is
   free to query, making this baseline strictly stronger than real NoScope.
@@ -24,20 +24,6 @@ def sequential_scrub(
 ) -> ScrubbingResult:
     """Scan frames in order 0, 1, 2, ... verifying each with the detector."""
     return scrub_ordered(np.arange(num_frames), verify_fn, limit, gap)
-
-
-def random_scrub(
-    num_frames: int,
-    verify_fn: Callable[[int], bool],
-    limit: int,
-    gap: int = 0,
-    rng: np.random.Generator | None = None,
-) -> ScrubbingResult:
-    """Scan frames in uniformly random order, verifying each with the detector."""
-    # A deterministic default keeps results a pure function of the inputs
-    # even when the caller supplies no generator (RPR001).
-    rng = rng or np.random.default_rng(0)
-    return scrub_ordered(rng.permutation(num_frames), verify_fn, limit, gap)
 
 
 def noscope_oracle_scrub(

@@ -43,14 +43,6 @@ class SelectionPlan:
             notes=self.notes + [f"removed {filter_class} filters"],
         )
 
-    def restricted_to(self, filter_classes: list[str]) -> "SelectionPlan":
-        """A copy keeping only the listed filter classes (factor analysis)."""
-        keep = set(filter_classes)
-        return SelectionPlan(
-            filters=[f for f in self.filters if f.filter_class in keep],
-            notes=self.notes + [f"restricted to {sorted(keep)}"],
-        )
-
     def apply(
         self,
         video: SyntheticVideo,

@@ -33,31 +33,42 @@ finalises a partial result, and the drainer closes the stream — after which
 no detector call can happen).  Pass ``?cancel_on_disconnect=0`` to watch a
 query without owning its lifetime, e.g. when resuming.
 
-Manager calls that block (waiting on a result, waiting for the next event)
-are pushed onto the default thread-pool executor so the event loop — and
-with it every other client's heartbeat — never stalls behind a query.
+The event loop never blocks, by construction: the coroutines here only read
+requests and write bytes.  Everything else — every manager call, every
+record or event-log read, body decoding and response encoding — happens in
+plain synchronous methods that the loop runs on the default executor: one
+:meth:`QueryServiceApp._route` call per request, one
+:meth:`QueryServiceApp._next_frame` call per SSE frame, and one
+:meth:`QueryServiceApp._cancel_unfinished` call when a stream's client
+vanishes.  A contended manager lock therefore stalls only the requests that
+need it, never another client's heartbeat.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro import wire
+from repro.api.hints import StopConditions
 from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
-from repro.service.manager import ServiceError, ServiceManager
+from repro.service.manager import (
+    QueryRecord,
+    ServiceError,
+    ServiceManager,
+    TenantQuota,
+)
+from repro.service.protocol import hints_from_json
 
 _MAX_BODY_BYTES = 8 << 20
 #: How long a blocking POST /queries waits before returning 504.
 _BLOCKING_TIMEOUT = 600.0
-
-_T = TypeVar("_T")
+_PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _HttpError(Exception):
@@ -83,12 +94,25 @@ _STATUS_TEXT = {
 
 
 @dataclass(frozen=True)
-class _TextResponse:
-    """A non-JSON route response (the Prometheus exposition endpoint)."""
+class _Response:
+    """A complete, already-encoded response body."""
 
     status: int
-    body: str
-    content_type: str = "text/plain; version=0.0.4; charset=utf-8"
+    body: bytes
+    content_type: str = "application/json"
+
+
+def _json_response(status: int, payload: dict[str, Any]) -> _Response:
+    return _Response(status, json.dumps(payload).encode())
+
+
+@dataclass(frozen=True)
+class _EventStream:
+    """What the SSE route resolves to: the record and where to start reading."""
+
+    record: QueryRecord
+    start: int
+    cancel_on_disconnect: bool
 
 
 def _error_payload(exc: BlazeItError) -> tuple[int, dict[str, Any]]:
@@ -105,17 +129,6 @@ class QueryServiceApp:
     def __init__(self, manager: ServiceManager) -> None:
         self.manager = manager
 
-    async def _call(self, fn: Callable[..., _T], *args: Any) -> _T:
-        """Run a lock-taking manager call on the default executor.
-
-        Every ``ServiceManager`` entry point acquires the manager lock (and
-        ``submit`` additionally plans the query), so none of them may run
-        on the event loop directly (RPR004) — a contended lock there would
-        stall every client's heartbeat.
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, fn, *args)
-
     # -- server lifecycle ----------------------------------------------------------
 
     async def serve(self, host: str = "127.0.0.1", port: int = 8765) -> None:
@@ -126,11 +139,12 @@ class QueryServiceApp:
         async with server:
             await server.serve_forever()
 
-    # -- connection handling -------------------------------------------------------
+    # -- connection handling (on the loop) -----------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        loop = asyncio.get_running_loop()
         try:
             while True:
                 request = await self._read_request(reader)
@@ -138,31 +152,21 @@ class QueryServiceApp:
                     return
                 method, target, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
+                response: _Response | _EventStream
                 try:
-                    handled = await self._dispatch(
-                        method, target, headers, body, writer
+                    response = await loop.run_in_executor(
+                        None, self._route, method, target, headers, body
                     )
                 except _HttpError as exc:
-                    await self._write_json(
-                        writer,
-                        exc.status,
-                        {"error": exc.code, "message": str(exc)},
-                        keep_alive,
+                    response = _json_response(
+                        exc.status, {"error": exc.code, "message": str(exc)}
                     )
-                    continue
                 except BlazeItError as exc:
-                    status, payload = _error_payload(exc)
-                    await self._write_json(writer, status, payload, keep_alive)
-                    continue
-                if handled == "streamed":
+                    response = _json_response(*_error_payload(exc))
+                if isinstance(response, _EventStream):
+                    await self._stream_events(writer, response)
                     return  # SSE responses own the connection and close it
-                if isinstance(handled, _TextResponse):
-                    await self._write_text(writer, handled, keep_alive)
-                    if not keep_alive:
-                        return
-                    continue
-                status, payload = handled
-                await self._write_json(writer, status, payload, keep_alive)
+                await self._write_response(writer, response, keep_alive)
                 if not keep_alive:
                     return
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -200,62 +204,112 @@ class QueryServiceApp:
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
-    # -- routing -------------------------------------------------------------------
+    async def _write_response(
+        self, writer: asyncio.StreamWriter, response: _Response, keep_alive: bool
+    ) -> None:
+        head = (
+            f"HTTP/1.1 {response.status} "
+            f"{_STATUS_TEXT.get(response.status, 'Unknown')}\r\n"
+            f"Content-Type: {response.content_type}\r\n"
+            f"Content-Length: {len(response.body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        ).encode()
+        writer.write(head + response.body)
+        await writer.drain()
 
-    async def _dispatch(
-        self,
-        method: str,
-        target: str,
-        headers: dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> tuple[int, dict[str, Any]] | _TextResponse | str:
+    async def _stream_events(
+        self, writer: asyncio.StreamWriter, stream: _EventStream
+    ) -> None:
+        writer.write(
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: text/event-stream\r\n"
+            b"Cache-Control: no-cache\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        await writer.drain()
+        loop = asyncio.get_running_loop()
+        index: int | None = stream.start
+        try:
+            while index is not None:
+                frame, index = await loop.run_in_executor(
+                    None, self._next_frame, stream.record, index
+                )
+                # A vanished client surfaces here as a connection error,
+                # which is our disconnect signal.
+                writer.write(frame)
+                await writer.drain()
+        except (ConnectionError, asyncio.CancelledError):
+            if stream.cancel_on_disconnect:
+                await loop.run_in_executor(
+                    None, self._cancel_unfinished, stream.record
+                )
+            raise
+
+    # -- routes (on an executor thread) --------------------------------------------
+
+    def _route(
+        self, method: str, target: str, headers: dict[str, str], body: bytes
+    ) -> _Response | _EventStream:
+        """Answer one request; runs on an executor thread, never on the loop.
+
+        Library errors propagate and become their HTTP status; the SSE route
+        resolves its record here and returns an :class:`_EventStream` for
+        the loop to pump.
+        """
         url = urlsplit(target)
         parts = [p for p in url.path.split("/") if p]
-        query_params = parse_qs(url.query)
         payload = self._parse_body(body)
+        manager = self.manager
 
         if parts == ["healthz"] and method == "GET":
-            return 200, await self._call(self.manager.status)
+            return _json_response(200, manager.status())
         if parts == ["metrics"] and method == "GET":
-            # The registry has its own lock (no manager lock, no planning),
-            # so rendering inline on the loop is safe and fast.
-            return _TextResponse(200, get_registry().render_prometheus())
+            return _Response(
+                200,
+                get_registry().render_prometheus().encode(),
+                _PROMETHEUS_CONTENT_TYPE,
+            )
         if parts == ["tenants"] and method == "POST":
-            return 200, await self._create_tenant(payload)
+            quota = wire.decode(TenantQuota, payload.get("quota") or {})
+            return _json_response(
+                200, manager.create_tenant(self._required(payload, "name"), quota)
+            )
         if parts == ["sessions"] and method == "POST":
-            return 200, await self._create_session(payload)
+            session_id = manager.create_session(
+                self._required(payload, "tenant"),
+                video=payload.get("video"),
+                hints=hints_from_json(payload.get("hints")),
+            )
+            return _json_response(200, {"session_id": session_id})
         if len(parts) == 2 and parts[0] == "sessions" and method == "DELETE":
-            await self._call(self.manager.close_session, parts[1])
-            return 200, {"session_id": parts[1], "closed": True}
+            manager.close_session(parts[1])
+            return _json_response(200, {"session_id": parts[1], "closed": True})
         if (
             len(parts) == 3
             and parts[0] == "sessions"
             and parts[2] == "prepare"
             and method == "POST"
         ):
-            return 200, await self._call(
-                self.manager.prepare,
-                parts[1],
-                self._required(payload, "query"),
-                payload.get("hints"),
+            return _json_response(
+                200,
+                manager.prepare(
+                    parts[1], self._required(payload, "query"), payload.get("hints")
+                ),
             )
         if parts == ["queries"] and method == "POST":
-            return await self._submit_query(payload)
+            return self._submit_query(payload)
         if len(parts) == 2 and parts[0] == "queries":
             if method == "GET":
-                record = await self._call(self.manager.query, parts[1])
-                return 200, await self._call(record.status)
+                return _json_response(200, manager.query(parts[1]).status())
             if method == "DELETE":
-                return 200, await self._call(self.manager.cancel, parts[1])
+                return _json_response(200, manager.cancel(parts[1]))
         if (
             len(parts) == 3
             and parts[0] == "queries"
             and parts[2] == "events"
             and method == "GET"
         ):
-            await self._stream_events(writer, parts[1], query_params, headers)
-            return "streamed"
+            return self._open_stream(parts[1], parse_qs(url.query), headers)
         raise _HttpError(
             405 if parts else 404, "no_route", f"no route for {method} {url.path}"
         )
@@ -277,73 +331,39 @@ class QueryServiceApp:
             raise _HttpError(400, "missing_field", f"request needs {key!r}")
         return payload[key]
 
-    # -- handlers ------------------------------------------------------------------
-
-    async def _create_tenant(self, payload: dict[str, Any]) -> dict[str, Any]:
-        from repro.service.manager import TenantQuota
-
-        quota = wire.decode(TenantQuota, payload.get("quota") or {})
-        return await self._call(
-            self.manager.create_tenant, self._required(payload, "name"), quota
-        )
-
-    async def _create_session(self, payload: dict[str, Any]) -> dict[str, Any]:
-        from repro.service.protocol import hints_from_json
-
-        session_id = await self._call(
-            functools.partial(
-                self.manager.create_session,
-                self._required(payload, "tenant"),
-                video=payload.get("video"),
-                hints=hints_from_json(payload.get("hints")),
-            )
-        )
-        return {"session_id": session_id}
-
-    async def _submit_query(
-        self, payload: dict[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        from repro.api.hints import StopConditions
-
+    def _submit_query(self, payload: dict[str, Any]) -> _Response:
         stop = None
         if payload.get("stop") is not None:
             stop = wire.decode(StopConditions, payload["stop"])
-        record = await self._call(
-            functools.partial(
-                self.manager.submit,
-                self._required(payload, "session"),
-                query=payload.get("query"),
-                prepared_id=payload.get("prepared"),
-                hints=payload.get("hints"),
-                stop=stop,
-                params=payload.get("params"),
-            )
+        record = self.manager.submit(
+            self._required(payload, "session"),
+            query=payload.get("query"),
+            prepared_id=payload.get("prepared"),
+            hints=payload.get("hints"),
+            stop=stop,
+            params=payload.get("params"),
         )
-        if payload.get("wait", True):
-            loop = asyncio.get_running_loop()
-            finished = await loop.run_in_executor(
-                None, record.done.wait, _BLOCKING_TIMEOUT
-            )
-            if not finished:
-                return 504, {
+        if not payload.get("wait", True):
+            return _json_response(202, record.status())
+        if not record.done.wait(_BLOCKING_TIMEOUT):
+            return _json_response(
+                504,
+                {
                     "error": "timeout",
                     "query_id": record.query_id,
                     "message": "query still running; poll GET /queries/{id}",
-                }
-            return 200, record.status()
-        return 202, record.status()
+                },
+            )
+        return _json_response(200, record.status())
 
-    # -- SSE -----------------------------------------------------------------------
-
-    async def _stream_events(
+    def _open_stream(
         self,
-        writer: asyncio.StreamWriter,
         query_id: str,
         query_params: dict[str, list[str]],
         headers: dict[str, str],
-    ) -> None:
-        # NotFoundError propagates to the dispatcher and becomes a 404.
-        record = await self._call(self.manager.query, query_id)
+    ) -> _EventStream:
+        # NotFoundError propagates and becomes a 404.
+        record = self.manager.query(query_id)
         start = 0
         if "last-event-id" in headers:
             start = int(headers["last-event-id"]) + 1
@@ -352,85 +372,31 @@ class QueryServiceApp:
         cancel_on_disconnect = query_params.get("cancel_on_disconnect", ["1"])[
             0
         ] not in ("0", "false")
+        return _EventStream(record, start, cancel_on_disconnect)
 
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
+    def _next_frame(self, record: QueryRecord, index: int) -> tuple[bytes, int | None]:
+        """Wait up to one heartbeat for event ``index``; return the SSE frame
+        to write and the next index to read (``None`` once the stream ended).
 
-        loop = asyncio.get_running_loop()
-        heartbeat = self.manager.config.heartbeat_seconds
-        index = start
-        try:
-            while True:
-                payload = await loop.run_in_executor(
-                    None, record.log.wait_for, index, heartbeat
-                )
-                if payload is not None:
-                    data = json.dumps(payload)
-                    writer.write(
-                        f"id: {index}\nevent: {payload['event']}\n"
-                        f"data: {data}\n\n".encode()
-                    )
-                    await writer.drain()
-                    index += 1
-                    continue
-                if record.log.closed and len(record.log) <= index:
-                    # Terminal: tell the client why the stream ended.
-                    final = json.dumps({"state": record.state})
-                    writer.write(f"event: end\ndata: {final}\n\n".encode())
-                    await writer.drain()
-                    return
-                # No event inside the heartbeat window: write a keep-alive
-                # comment.  A vanished client surfaces here as a connection
-                # error, which is our disconnect signal.
-                writer.write(b": keep-alive\n\n")
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            if cancel_on_disconnect and not record.done.is_set():
-                # Propagate the disconnect down to the execution: token set,
-                # plan finalises, drainer closes the stream.
-                await loop.run_in_executor(None, self.manager.cancel, query_id)
-            raise
+        The frame is the event itself, the terminal ``end`` marker (telling
+        the client why the stream ended), or a keep-alive comment when the
+        heartbeat window passed without an event.
+        """
+        payload = record.log.wait_for(index, self.manager.config.heartbeat_seconds)
+        if payload is not None:
+            data = json.dumps(payload)
+            frame = f"id: {index}\nevent: {payload['event']}\ndata: {data}\n\n"
+            return frame.encode(), index + 1
+        if record.log.closed and len(record.log) <= index:
+            final = json.dumps({"state": record.state})
+            return f"event: end\ndata: {final}\n\n".encode(), None
+        return b": keep-alive\n\n", index
 
-    # -- responses -----------------------------------------------------------------
-
-    async def _write_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any],
-        keep_alive: bool,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-
-    async def _write_text(
-        self,
-        writer: asyncio.StreamWriter,
-        response: _TextResponse,
-        keep_alive: bool,
-    ) -> None:
-        body = response.body.encode()
-        head = (
-            f"HTTP/1.1 {response.status} "
-            f"{_STATUS_TEXT.get(response.status, 'Unknown')}\r\n"
-            f"Content-Type: {response.content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
+    def _cancel_unfinished(self, record: QueryRecord) -> None:
+        """Propagate a client disconnect down to the execution: token set,
+        plan finalises, drainer closes the stream."""
+        if not record.done.is_set():
+            self.manager.cancel(record.query_id)
 
 
 # -- embedding helpers -----------------------------------------------------------------

@@ -54,7 +54,6 @@ class FairScheduler:
         self._cursor = 0
         self._busy_sessions: set[str] = set()
         self._running: dict[str, threading.Thread] = {}
-        self._idle = threading.Condition(self._lock)
 
     # -- introspection -------------------------------------------------------------
 
@@ -142,7 +141,6 @@ class FairScheduler:
                 self._busy_sessions.discard(record.session_key)
                 self._running.pop(record.query_id, None)
                 self._dispatch_locked()
-                self._idle.notify_all()
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -158,15 +156,6 @@ class FairScheduler:
             threads = list(self._running.values())
         for thread in threads:
             thread.join(timeout)
-
-    def wait_idle(self, timeout: float = 30.0) -> bool:
-        """Block until nothing is queued or running (test helper)."""
-        with self._lock:
-            return self._idle.wait_for(
-                lambda: not self._running
-                and not any(self._queues.values()),
-                timeout,
-            )
 
 
 __all__ = ["FairScheduler"]

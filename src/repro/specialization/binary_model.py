@@ -86,11 +86,3 @@ class BinaryPresenceModel:
             ledger.charge(StandardCosts.SPECIALIZED_NN, features.shape[0])
         return self._model.predict_proba(self.scaler.transform(features))[:, 1]
 
-    def predict_present(
-        self,
-        features: np.ndarray,
-        threshold: float = 0.5,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        """Boolean presence prediction per frame at a given threshold."""
-        return self.predict_proba_present(features, ledger) >= threshold

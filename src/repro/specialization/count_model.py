@@ -161,18 +161,3 @@ class CountSpecializedModel:
         """Mean predicted count over a set of frames (FCOUNT via rewriting)."""
         return float(np.mean(self.predict_counts(features, ledger)))
 
-    def absolute_errors(
-        self,
-        features: np.ndarray,
-        true_counts: np.ndarray,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        """Per-frame absolute error of the predicted counts."""
-        predictions = self.predict_counts(features, ledger)
-        true_counts = np.asarray(true_counts, dtype=np.int64)
-        if predictions.shape[0] != true_counts.shape[0]:
-            raise ValueError(
-                f"prediction/truth length mismatch: {predictions.shape[0]} vs "
-                f"{true_counts.shape[0]}"
-            )
-        return np.abs(predictions - true_counts).astype(np.float64)

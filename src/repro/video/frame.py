@@ -75,17 +75,9 @@ class Frame:
     objects: list[GroundTruthObject] = field(default_factory=list)
     features: np.ndarray | None = None
 
-    def objects_of_class(self, object_class: str) -> list[GroundTruthObject]:
-        """Objects in the frame with the given class."""
-        return [obj for obj in self.objects if obj.object_class == object_class]
-
     def count(self, object_class: str | None = None) -> int:
         """Number of objects, optionally restricted to one class."""
         if object_class is None:
             return len(self.objects)
         return sum(1 for obj in self.objects if obj.object_class == object_class)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether no objects are visible in the frame."""
-        return not self.objects

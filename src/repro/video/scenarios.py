@@ -293,10 +293,3 @@ def generate_scenario(
     return SyntheticVideo.generate(scenario.to_video_spec(split, num_frames))
 
 
-def generate_scenario_days(
-    name: str,
-    num_frames: int = DEFAULT_SPLIT_FRAMES,
-    splits: tuple[str, ...] = ("train", "heldout", "test"),
-) -> dict[str, SyntheticVideo]:
-    """Generate several splits of a scenario keyed by split name."""
-    return {split: generate_scenario(name, split, num_frames) for split in splits}

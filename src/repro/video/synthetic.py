@@ -89,11 +89,6 @@ class VideoSpec:
     object_classes: tuple[ObjectClassSpec, ...]
     seed: int = 0
 
-    @property
-    def duration_seconds(self) -> float:
-        """Length of the video in seconds."""
-        return self.num_frames / self.fps
-
     def class_spec(self, name: str) -> ObjectClassSpec:
         """Look up the spec for one object class."""
         for spec in self.object_classes:
@@ -135,10 +130,6 @@ class Track:
         center_x = self.start_x + self.velocity_x * elapsed
         center_y = self.start_y + self.velocity_y * elapsed
         return BoundingBox.from_center(center_x, center_y, self.width, self.height)
-
-    def visible_at(self, frame_index: int) -> bool:
-        """Whether the track is visible at the given frame."""
-        return self.start_frame <= frame_index < self.end_frame
 
 
 def _rate_profile(

@@ -6,7 +6,6 @@ from repro.workloads.queries import (
     ScrubbingWorkload,
     aggregate_query,
     multiclass_scrubbing_query,
-    noscope_replication_query,
     red_bus_selection_query,
     scrubbing_query,
 )
@@ -19,5 +18,4 @@ __all__ = [
     "scrubbing_query",
     "multiclass_scrubbing_query",
     "red_bus_selection_query",
-    "noscope_replication_query",
 ]

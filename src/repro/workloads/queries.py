@@ -112,13 +112,3 @@ def red_bus_selection_query(
     )
 
 
-def noscope_replication_query(
-    video: str, object_class: str, fnr: float = 0.01, fpr: float = 0.01
-) -> str:
-    """Section 4: replicating NoScope's binary-detection pipeline in FrameQL."""
-    return (
-        f"SELECT timestamp FROM {video} "
-        f"WHERE class = '{object_class}' "
-        f"FNR WITHIN {fnr} "
-        f"FPR WITHIN {fpr}"
-    )

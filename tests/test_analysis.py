@@ -4,9 +4,9 @@ Each checker gets fixture-driven coverage: a synthetic mini-project is
 written under ``tmp_path``, the project model is built over it, and the
 checker must produce at least one true positive — plus a
 pragma-suppressed variant proving ``# repro: allow[RULE]`` works.  The
-framework pieces (pragmas, baseline, runner, CLI, formatting) are tested
-directly, and a final test asserts the analyzer runs clean over the real
-``src/repro`` tree with the committed baseline.
+framework pieces (pragmas, runner, CLI, formatting) are tested directly,
+and a final test asserts the analyzer runs clean over the real
+``src/repro`` tree.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ import pytest
 
 import repro
 from repro.analysis import (
-    Baseline,
     Diagnostic,
     ProjectModel,
     Severity,
+    all_checkers,
     format_diagnostics,
     run_analysis,
 )
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.checkers import (
-    AsyncHygieneChecker,
     DeterminismChecker,
-    ForkSafetyChecker,
     LedgerAccountingChecker,
     LockDisciplineChecker,
     ObservabilityHygieneChecker,
@@ -133,14 +131,14 @@ class TestPragmas:
         pragmas = parse_pragmas(
             [
                 "x = clock()  # repro: allow[RPR001]: sanctioned",
-                "# repro: allow[RPR003, RPR004]",
+                "# repro: allow[RPR003, RPR007]",
                 "y = mutate()",
             ]
         )
         assert pragma_allows(pragmas, 1, "RPR001")
         assert not pragma_allows(pragmas, 1, "RPR002")
         assert pragma_allows(pragmas, 3, "RPR003")
-        assert pragma_allows(pragmas, 3, "RPR004")
+        assert pragma_allows(pragmas, 3, "RPR007")
 
     def test_star_allows_everything(self) -> None:
         pragmas = parse_pragmas(["z = anything()  # repro: allow[*]"])
@@ -464,122 +462,6 @@ class TestLockDisciplineChecker:
         assert [d for d in report.suppressed if d.rule == "RPR003"]
 
 
-# -- RPR004 async hygiene -------------------------------------------------------------
-
-
-class TestAsyncHygieneChecker:
-    def test_blocking_primitives_in_async_def(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "service/app.py": """
-                    import time
-
-                    async def handler(event):
-                        time.sleep(0.1)
-                        event.wait()
-                """,
-            },
-        )
-        findings = list(AsyncHygieneChecker().check(project))
-        assert len(findings) == 2
-        messages = "\n".join(d.message for d in findings)
-        assert "time.sleep" in messages
-        assert ".wait(" in messages
-
-    def test_awaited_calls_are_fine(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "service/app.py": """
-                    import asyncio
-
-                    async def handler(event):
-                        await asyncio.sleep(0.1)
-                        await event.wait()
-                """,
-            },
-        )
-        assert list(AsyncHygieneChecker().check(project)) == []
-
-    def test_blocking_project_method_via_typed_attr(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "service/mgr.py": """
-                    import threading
-
-                    class Manager:
-                        def __init__(self):
-                            self._lock = threading.Lock()
-                            self.jobs = []
-
-                        def submit(self, job):
-                            with self._lock:
-                                self.jobs.append(job)
-                """,
-                "service/app.py": """
-                    import asyncio
-                    from proj.service.mgr import Manager
-
-                    class App:
-                        def __init__(self, manager: Manager):
-                            self.manager = manager
-
-                        async def bad(self, job):
-                            self.manager.submit(job)
-
-                        async def good(self, job):
-                            loop = asyncio.get_running_loop()
-                            await loop.run_in_executor(
-                                None, self.manager.submit, job
-                            )
-                """,
-            },
-        )
-        findings = list(AsyncHygieneChecker().check(project))
-        assert len(findings) == 1
-        assert "Manager.submit" in findings[0].message
-        assert findings[0].context.endswith("App.bad")
-
-    def test_await_under_sync_lock(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "service/app.py": """
-                    import asyncio
-                    import threading
-
-                    class App:
-                        def __init__(self):
-                            self._lock = threading.Lock()
-
-                        async def bad(self):
-                            with self._lock:
-                                await asyncio.sleep(0)
-                """,
-            },
-        )
-        findings = list(AsyncHygieneChecker().check(project))
-        assert any("holding a sync lock" in d.message for d in findings)
-
-    def test_pragma_suppressed(self, tmp_path: Path) -> None:
-        build_project(
-            tmp_path,
-            {
-                "service/app.py": """
-                    import time
-
-                    async def handler():
-                        time.sleep(0.01)  # repro: allow[RPR004]: test-only pacing
-                """,
-            },
-        )
-        report = run_analysis(tmp_path / PKG, package=PKG)
-        assert not [d for d in report.findings if d.rule == "RPR004"]
-        assert [d for d in report.suppressed if d.rule == "RPR004"]
-
-
 # -- wire tags (formerly RPR005) ------------------------------------------------------
 #
 # What RPR005 checked over the AST is now impossible to write: defining an
@@ -611,128 +493,6 @@ class TestWireTagsAtDefinition:
                 extra: int = 0
 
         assert QueryResult.wire_types["exact"] is ExactResult
-
-
-# -- RPR006 fork safety ---------------------------------------------------------------
-
-
-_FORKER = """
-    import multiprocessing
-    import threading
-
-    class Holder:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self.count = 0
-
-    def launch():
-        holder = Holder()
-        proc = multiprocessing.Process(target=work, args=(holder, 3))
-        proc.start()
-        return proc
-
-    def work(holder, n):
-        pass
-"""
-
-
-class TestForkSafetyChecker:
-    def test_lock_holder_in_args_flagged(self, tmp_path: Path) -> None:
-        project = build_project(tmp_path, {"forker.py": _FORKER})
-        findings = list(ForkSafetyChecker().check(project))
-        assert len(findings) == 1
-        assert "Holder" in findings[0].message
-        assert "_lock" in findings[0].message
-        assert "threading.Lock" in findings[0].message
-
-    def test_bound_method_target_captures_self(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "svc.py": """
-                    import multiprocessing
-                    import queue
-
-                    class Service:
-                        def __init__(self):
-                            self.inbox = queue.SimpleQueue()
-
-                        def run(self):
-                            pass
-
-                        def start(self):
-                            return multiprocessing.Process(target=self.run)
-                """,
-            },
-        )
-        findings = list(ForkSafetyChecker().check(project))
-        assert len(findings) == 1
-        assert "via target=" in findings[0].message
-        assert "inbox" in findings[0].message
-
-    def test_context_process_and_spawn_spec_clean(self, tmp_path: Path) -> None:
-        """A plain-data spec through a context's ``.Process`` passes, and
-        mp primitives in args never resolve to a risky type."""
-        project = build_project(
-            tmp_path,
-            {
-                "exec.py": """
-                    import multiprocessing
-                    from dataclasses import dataclass
-
-                    @dataclass(frozen=True)
-                    class WorkerSpec:
-                        shard_id: int
-                        frames: tuple
-
-                    def worker_main(spec, ready, stop):
-                        pass
-
-                    def start(mp_context):
-                        spec = WorkerSpec(shard_id=0, frames=(1, 2))
-                        ready = mp_context.Queue()
-                        stop = mp_context.Event()
-                        return mp_context.Process(
-                            target=worker_main, args=(spec, ready, stop)
-                        )
-                """,
-            },
-        )
-        assert list(ForkSafetyChecker().check(project)) == []
-
-    def test_unpicklable_lambda_attr_flagged(self, tmp_path: Path) -> None:
-        project = build_project(
-            tmp_path,
-            {
-                "lam.py": """
-                    import multiprocessing
-
-                    class Config:
-                        def __init__(self):
-                            self.transform = lambda x: x + 1
-
-                    def go():
-                        config = Config()
-                        return multiprocessing.Process(target=run, args=(config,))
-
-                    def run(config):
-                        pass
-                """,
-            },
-        )
-        findings = list(ForkSafetyChecker().check(project))
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_pragma_suppressed(self, tmp_path: Path) -> None:
-        build_project(tmp_path, {"forker.py": _FORKER.replace(
-            "proc = multiprocessing.Process(target=work, args=(holder, 3))",
-            "proc = multiprocessing.Process(  # repro: allow[RPR006]: fork start method, state shared deliberately\n"
-            "            target=work, args=(holder, 3))",
-        )})
-        report = run_analysis(tmp_path / PKG, package=PKG)
-        assert not [d for d in report.findings if d.rule == "RPR006"]
-        assert [d for d in report.suppressed if d.rule == "RPR006"]
 
 
 # -- RPR007 persistence hygiene -------------------------------------------------------
@@ -990,53 +750,6 @@ class TestObservabilityHygieneChecker:
         assert [d for d in report.suppressed if d.rule == "RPR008"]
 
 
-# -- baseline + runner ----------------------------------------------------------------
-
-
-class TestBaselineWorkflow:
-    def test_baseline_accepts_and_goes_stale(self, tmp_path: Path) -> None:
-        root = build_project(
-            tmp_path,
-            {
-                "engine.py": """
-                    import random
-
-                    def draw():
-                        return random.random()
-                """,
-            },
-        ).root
-        report = run_analysis(root, package=PKG)
-        assert len(report.findings) == 1
-
-        baseline_path = tmp_path / "analysis-baseline.json"
-        Baseline().write(baseline_path, report.findings)
-        baseline = Baseline.load(baseline_path)
-        clean = run_analysis(root, package=PKG, baseline=baseline)
-        assert clean.ok
-        assert len(clean.baselined) == 1
-
-        # Fix the code: the baseline entry is now stale.
-        (root / "engine.py").write_text("def draw():\n    return 4\n")
-        fixed = run_analysis(root, package=PKG, baseline=baseline)
-        assert fixed.ok
-        assert len(fixed.stale_baseline) == 1
-
-    def test_baseline_preserves_justifications(self, tmp_path: Path) -> None:
-        diag = Diagnostic(
-            path="proj/x.py", line=1, col=0, rule="RPR001", message="m"
-        )
-        path = tmp_path / "b.json"
-        Baseline().write(path, [diag])
-        payload = json.loads(path.read_text())
-        payload["findings"][0]["justification"] = "because reasons"
-        path.write_text(json.dumps(payload))
-        loaded = Baseline.load(path)
-        loaded.write(path, [diag])
-        again = json.loads(path.read_text())
-        assert again["findings"][0]["justification"] == "because reasons"
-
-
 class TestCliAndFormats:
     def _violating_root(self, tmp_path: Path) -> Path:
         return build_project(
@@ -1060,16 +773,36 @@ class TestCliAndFormats:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["rule"] == "RPR001"
 
-        rc = analysis_main(
-            ["--root", str(root), "--package", PKG, "--write-baseline",
-             "--baseline", str(tmp_path / "bl.json"), "--quiet"]
-        )
+        (root / "engine.py").write_text("def draw():\n    return 4\n")
+        rc = analysis_main(["--root", str(root), "--package", PKG, "--quiet"])
         assert rc == 0
-        rc = analysis_main(
-            ["--root", str(root), "--package", PKG,
-             "--baseline", str(tmp_path / "bl.json"), "--quiet"]
+
+    def test_pragma_suppresses_through_the_cli(self, tmp_path: Path, capsys) -> None:
+        root = self._violating_root(tmp_path)
+        engine = root / "engine.py"
+        engine.write_text(
+            engine.read_text().replace(
+                "return random.random()",
+                "return random.random()  # repro: allow[RPR001]: fixture",
+            )
         )
-        assert rc == 0
+        assert analysis_main(["--root", str(root), "--package", PKG]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0 finding(s), 1 pragma-suppressed" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag", ["--baseline=analysis-baseline.json", "--write-baseline"]
+    )
+    def test_no_baseline_flags(self, tmp_path: Path, capsys, flag) -> None:
+        """Pragmas are the one suppression: there is no baseline to accept
+        findings into or to read them back from."""
+        root = self._violating_root(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(["--root", str(root), "--package", PKG, flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "analysis-baseline.json").exists()
 
     def test_github_format_escapes(self) -> None:
         diag = Diagnostic(
@@ -1089,13 +822,11 @@ class TestCliAndFormats:
 
 
 class TestRealTree:
-    def test_src_repro_is_clean_with_committed_baseline(self) -> None:
+    def test_src_repro_is_clean(self) -> None:
         root = Path(repro.__file__).resolve().parent
-        baseline_path = root.parent.parent / "analysis-baseline.json"
-        if not baseline_path.exists():
-            pytest.skip("committed baseline not present in this layout")
-        report = run_analysis(root, baseline=Baseline.load(baseline_path))
+        report = run_analysis(root)
         assert report.ok, format_diagnostics(report.findings)
-        # The grandfathered set must not silently grow or rot.
-        assert report.stale_baseline == []
         assert report.modules_scanned > 100
+        assert [checker.rule for checker in all_checkers()] == [
+            "RPR001", "RPR002", "RPR003", "RPR007", "RPR008",
+        ]

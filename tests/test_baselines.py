@@ -10,7 +10,6 @@ from repro.baselines.aggregates import (
 from repro.baselines.scrubbing import (
     naive_scrub,
     noscope_oracle_scrub_baseline,
-    random_scrub_baseline,
 )
 from repro.baselines.selection import naive_selection, noscope_oracle_selection
 from repro.frameql.analyzer import analyze
@@ -60,10 +59,6 @@ class TestScrubbingBaselines:
         oracle = noscope_oracle_scrub_baseline(tiny_recorded, min_counts, limit=3)
         assert set(oracle.frames) <= set(tiny_recorded.frames_satisfying(min_counts).tolist())
         assert oracle.detection_calls <= naive.detection_calls
-
-    def test_random_order_finds_events(self, tiny_recorded, rng):
-        result = random_scrub_baseline(tiny_recorded, {"car": 1}, limit=2, rng=rng)
-        assert len(result.frames) == 2
 
     def test_impossible_event_scans_everything(self, tiny_recorded):
         result = naive_scrub(tiny_recorded, {"car": 99}, limit=1)

@@ -1,6 +1,8 @@
 """Tests for the cost-based optimizer: enumeration, cost model, snapshots,
 the estimate-bounds-actuals invariant, and the chosen-vs-forced property."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.api import QueryHints
 from repro.core.config import AggregateMethod
 from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
+from repro.optimizer import cost as cost_module
 from repro.optimizer.aggregates import AggregateQueryPlan, sampling_calls_estimate
 from repro.optimizer.cost import CostBasedOptimizer, ParallelismModel
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
@@ -446,3 +449,74 @@ class TestParallelismVerdict:
             prepared.execute()
         assert len(verdicts) == 2, "one verdict for explain, one for execution"
         assert explained == verdicts[0] == verdicts[1]
+
+
+def _decide(
+    requested=4, gil_bound=False, process_ok=True, backend_constraint=None
+):
+    """The model's verdict on a scan of 10,000 frames at 0.1 s per detector
+    call (1,000 s sequential), with no speculative waste."""
+    plan = SimpleNamespace(planned_cost=SimpleNamespace(detector_calls=10_000))
+    stats = SimpleNamespace(detector_seconds_per_call=0.1)
+    return ParallelismModel().decide(
+        plan=plan,
+        stats=stats,
+        num_frames=10_000,
+        requested=requested,
+        batch_size=16,
+        window_chunks=2,
+        gil_bound=gil_bound,
+        process_ok=process_ok,
+        backend_constraint=backend_constraint,
+    )
+
+
+class TestParallelismModel:
+    @pytest.mark.parametrize("requested", [0, 1])
+    def test_unrequested_parallelism_is_sequential(self, requested):
+        decision = _decide(requested=requested)
+        assert (decision.backend, decision.workers) == ("sequential", 1)
+        assert decision.reason == "parallelism not requested"
+
+    @pytest.mark.parametrize(
+        "gil_bound, process_ok, constraint, expected",
+        [
+            (False, True, None, ("threads", 4)),
+            (True, True, None, ("processes", 4)),
+            # Threads serialize on a GIL-bound detector: no overlap to buy.
+            (True, False, None, ("sequential", 1)),
+            (False, True, "processes", ("processes", 4)),
+            (False, True, "threads", ("threads", 4)),
+        ],
+        ids=[
+            "gil-free", "gil-bound", "gil-bound-unexportable",
+            "constrained-processes", "constrained-threads",
+        ],
+    )
+    def test_backend_follows_the_detector(
+        self, gil_bound, process_ok, constraint, expected
+    ):
+        decision = _decide(
+            gil_bound=gil_bound, process_ok=process_ok, backend_constraint=constraint
+        )
+        assert (decision.backend, decision.workers) == expected
+        assert decision.sequential_seconds == pytest.approx(1000.0)
+
+    def test_startup_constants_are_read_at_decision_time(self, monkeypatch):
+        monkeypatch.setattr(cost_module, "THREAD_STARTUP_SECONDS", 1000.0)
+        assert _decide().backend == "processes"
+        monkeypatch.setattr(cost_module, "PROCESS_STARTUP_SECONDS", 1000.0)
+        assert _decide().backend == "sequential"
+
+    def test_margin_constant_is_read_at_decision_time(self, monkeypatch):
+        decision = _decide()
+        assert decision.parallel_seconds == pytest.approx(0.05 * 4 + 1000.0 / 4)
+        # 1000 s sequential against ~250 s on four threads: a 4x speedup
+        # clears the default 1.3 margin, not a margin of 5.
+        monkeypatch.setattr(cost_module, "PARALLEL_MARGIN", 5.0)
+        assert _decide().backend == "sequential"
+
+    @pytest.mark.parametrize("requested", [2, 3, 8])
+    def test_heavy_scan_uses_every_requested_worker(self, requested):
+        decision = _decide(requested=requested)
+        assert (decision.backend, decision.workers) == ("threads", requested)

@@ -91,13 +91,6 @@ class TestCountSpecializedModel:
         truth = float(tiny_labeled_set.heldout_counts("car").mean())
         assert abs(mean - truth) < 0.5
 
-    def test_absolute_errors_shape(self, trained_model, tiny_labeled_set):
-        errors = trained_model.absolute_errors(
-            tiny_labeled_set.heldout_features, tiny_labeled_set.heldout_counts("car")
-        )
-        assert errors.shape == (tiny_labeled_set.heldout_video.num_frames,)
-        assert np.all(errors >= 0)
-
     def test_mlp_variant_trains(self, tiny_labeled_set, fast_training_config):
         model = CountSpecializedModel(
             "car", model_type="mlp", training_config=fast_training_config
@@ -135,12 +128,6 @@ class TestBinaryPresenceModel:
         if truth.all() or not truth.any():
             pytest.skip("held-out day has constant presence")
         assert probs[truth].mean() > probs[~truth].mean()
-
-    def test_predict_present_threshold(self, trained, tiny_labeled_set):
-        features = tiny_labeled_set.heldout_features[:20]
-        loose = trained.predict_present(features, threshold=0.0)
-        strict = trained.predict_present(features, threshold=1.0)
-        assert loose.sum() >= strict.sum()
 
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,14 +1,10 @@
-"""Tests for the simulated object detectors, NMS and the registry."""
+"""Tests for the simulated object detectors."""
 
 import numpy as np
 import pytest
 
-from repro.detection.base import Detection
-from repro.detection.nms import non_max_suppression
-from repro.detection.registry import default_registry
 from repro.detection.simulated import DetectorNoiseModel, SimulatedDetector
 from repro.metrics.runtime import RuntimeLedger
-from repro.video.geometry import BoundingBox
 
 
 class TestSimulatedDetector:
@@ -102,66 +98,5 @@ class TestSimulatedDetector:
     def test_detection_result_helpers(self, tiny_video, detector):
         result = detector.detect(tiny_video, 0)
         assert result.count() == len(result.detections)
-        assert result.count("car") == len(result.of_class("car"))
-
-
-class TestNonMaxSuppression:
-    def _detection(self, x, confidence, object_class="car"):
-        return Detection(
-            frame_index=0,
-            timestamp=0.0,
-            object_class=object_class,
-            box=BoundingBox(x, 0.0, x + 10.0, 10.0),
-            confidence=confidence,
-        )
-
-    def test_keeps_highest_confidence(self):
-        a = self._detection(0.0, 0.9)
-        b = self._detection(1.0, 0.5)  # heavy overlap with a
-        kept = non_max_suppression([a, b], iou_threshold=0.5)
-        assert kept == [a]
-
-    def test_keeps_non_overlapping(self):
-        a = self._detection(0.0, 0.9)
-        b = self._detection(100.0, 0.5)
-        assert len(non_max_suppression([a, b])) == 2
-
-    def test_different_classes_never_suppress(self):
-        a = self._detection(0.0, 0.9, "car")
-        b = self._detection(1.0, 0.5, "bus")
-        assert len(non_max_suppression([a, b], iou_threshold=0.1)) == 2
-
-    def test_empty_input(self):
-        assert non_max_suppression([]) == []
-
-    def test_invalid_threshold_raises(self):
-        with pytest.raises(ValueError):
-            non_max_suppression([], iou_threshold=1.5)
-
-    def test_result_sorted_by_confidence(self):
-        detections = [self._detection(i * 100.0, c) for i, c in enumerate([0.3, 0.9, 0.6])]
-        kept = non_max_suppression(detections)
-        confidences = [d.confidence for d in kept]
-        assert confidences == sorted(confidences, reverse=True)
-
-
-class TestDetectorRegistry:
-    def test_default_registry_has_paper_detectors(self):
-        registry = default_registry()
-        assert set(registry.names()) == {"mask_rcnn", "fgfa", "yolov2"}
-
-    def test_create(self):
-        registry = default_registry()
-        detector = registry.create("mask_rcnn", confidence_threshold=0.5)
-        assert detector.name == "mask_rcnn"
-        assert detector.confidence_threshold == 0.5
-
-    def test_unknown_detector_raises(self):
-        with pytest.raises(KeyError):
-            default_registry().create("ssd")
-
-    def test_register_custom(self, detector):
-        registry = default_registry()
-        registry.register("custom", lambda: detector)
-        assert "custom" in registry
-        assert registry.create("custom") is detector
+        cars = [d for d in result.detections if d.object_class == "car"]
+        assert result.count("car") == len(cars)

@@ -227,7 +227,7 @@ class TestVideoSharder:
         order = [s.shard_id for s in plan.scheduling_order()]
         assert order[:2] == [0, 1]
         assert set(order[2:]) == {2, 3}
-        assert [s.shard_id for s in plan.pruned_shards()] == [2, 3]
+        assert [s.shard_id for s in plan.shards if s.pruned] == [2, 3]
 
     def test_no_statistics_means_no_pruning(self):
         plan = VideoSharder().shard(

@@ -9,15 +9,20 @@ checks that contract once, parametrized over ``("threads", "processes")``:
 the identity matrix, shard-boundary semantics, progress events, worker
 reaping, the announce/take rules and prefetch accounting.  The rest of the
 file covers the process transport alone: the export rules (recorded contexts
-refuse to spawn and fall back to threads), worker crashes (SIGKILL mid-query
+refuse to spawn and fall back to threads; driver-only state — locks, queues,
+threads, lambdas — is refused by the export probe and, should a spec carry
+it anyway, fails at ``Process.start()`` before any child exists), worker crashes (SIGKILL mid-query
 must degrade to inline computation, not hang or corrupt), the inline spill
 of oversized chunks, and shared-memory segment hygiene.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
+import pickle
+import queue
 import signal
 import threading
 
@@ -26,17 +31,19 @@ import pytest
 
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
-from repro.core.context import ContextSpec
+from repro.core.context import ContextSpec, spawn_refusal
 from repro.core.events import Completed, ExecutionControl, ShardProgress
 from repro.detection.columnar import decode_from_bytes, encode_to_bytes
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ConfigurationError, SpawnExportError
 from repro.parallel import plan as parallel_plan
 from repro.parallel.plan import BACKENDS
+from repro.parallel.process_executor import ProcessShardExecutor
 from repro.parallel.shards import VideoSharder
 from repro.parallel.shm import SLOT_NAME_PREFIX, SlotRing
 from repro.service.protocol import result_fingerprint
 from repro.specialization.trainer import TrainingConfig
+from repro.stopping import CancellationToken
 from repro.video.synthetic import SyntheticVideo
 
 from conftest import make_video_spec
@@ -367,6 +374,84 @@ class TestSpawnExport:
         assert len(a.detections) == len(b.detections)
         for da, db in zip(a.detections, b.detections, strict=True):
             assert da.object_class == db.object_class and da.box == db.box
+
+
+class _CarryingDetector(SimulatedDetector):
+    """The Mask R-CNN simulation with one extra attribute: it crosses into a
+    spawned worker exactly when that attribute does."""
+
+    def __init__(self, extra: object) -> None:
+        base = SimulatedDetector.mask_rcnn()
+        super().__init__(
+            name=base.name,
+            cost=base.cost,
+            noise=base.noise,
+            confidence_threshold=base.confidence_threshold,
+            supported=base._supported,
+            seed=base.seed,
+        )
+        self.extra = extra
+
+
+#: Driver-only values that must never reach a worker process, each built
+#: fresh per test: thread primitives, thread-local queues and storage, live
+#: threads, and plainly unpicklable values.
+DRIVER_ONLY = {
+    "lock": threading.Lock,
+    "rlock": threading.RLock,
+    "condition": threading.Condition,
+    "event": threading.Event,
+    "semaphore": threading.Semaphore,
+    "thread": lambda: threading.Thread(target=print),
+    "thread_local": threading.local,
+    "queue": queue.Queue,
+    "simple_queue": queue.SimpleQueue,
+    "lambda": lambda: (lambda frame: frame),
+    "generator": lambda: (frame for frame in range(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRIVER_ONLY))
+class TestDriverOnlyStateNeverReachesAWorker:
+    """Driver-only state cannot be shipped into a spawned worker by accident.
+
+    The export probe refuses it before routing picks processes, and should
+    a spec carry it anyway, the ``spawn`` start method fails at
+    ``Process.start()`` — before any child exists — instead of handing the
+    worker a dead copy.
+    """
+
+    def test_export_probe_refuses_it(self, spawn_engine, kind):
+        detector = _CarryingDetector(DRIVER_ONLY[kind]())
+        refusal = spawn_refusal(detector, None)
+        assert refusal is not None and repr(detector.name) in refusal
+        context = dataclasses.replace(
+            spawn_engine.execution_context("tiny"), detector=detector
+        )
+        with pytest.raises(SpawnExportError, match="not picklable"):
+            context.spawn_spec()
+
+    def test_spawn_start_fails_before_any_child(self, spawn_engine, kind):
+        video = spawn_engine.execution_context("tiny").video
+        spec = ContextSpec(
+            video_spec=video.spec,
+            tracks=tuple(video.tracks),
+            detector=_CarryingDetector(DRIVER_ONLY[kind]()),
+        )
+        driver = ProcessShardExecutor(
+            VideoSharder().shard(num_frames=video.num_frames, parallelism=2),
+            spec,
+            CancellationToken(),
+            chunk_size=16,
+        )
+        children = multiprocessing.active_children()
+        try:
+            with pytest.raises((TypeError, pickle.PicklingError, AttributeError)):
+                driver.announce(np.arange(video.num_frames))
+        finally:
+            driver.shutdown()
+        assert multiprocessing.active_children() == children
+        assert leaked_segments() == []
 
 
 class PacedSpawnDetector(SimulatedDetector):

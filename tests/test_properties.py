@@ -14,11 +14,8 @@ from repro.aqp.estimators import (
 )
 from repro.aqp.control_variates import control_variate_estimate
 from repro.aqp.sampling import adaptive_sample
-from repro.detection.base import Detection
-from repro.detection.nms import non_max_suppression
 from repro.frameql.lexer import tokenize
 from repro.frameql.parser import parse
-from repro.metrics.accuracy import false_negative_rate, precision_recall
 from repro.metrics.runtime import OperatorCost, RuntimeLedger
 from repro.specialization.calibration import calibrate_no_false_negative_threshold
 from repro.video.geometry import BoundingBox
@@ -64,46 +61,6 @@ class TestGeometryProperties:
     @given(box_strategy, st.floats(0, 100))
     def test_expand_never_shrinks(self, box, margin):
         assert box.expand(margin).area >= box.area - 1e-9
-
-
-# -- NMS ---------------------------------------------------------------------------------
-
-
-detection_strategy = st.builds(
-    lambda x, y, w, h, conf: Detection(
-        frame_index=0,
-        timestamp=0.0,
-        object_class="car",
-        box=BoundingBox(x, y, x + w, y + h),
-        confidence=conf,
-    ),
-    st.floats(0, 500, allow_nan=False),
-    st.floats(0, 500, allow_nan=False),
-    st.floats(1, 100, allow_nan=False),
-    st.floats(1, 100, allow_nan=False),
-    st.floats(0.01, 0.99, allow_nan=False),
-)
-
-
-class TestNMSProperties:
-    @given(st.lists(detection_strategy, max_size=15))
-    def test_output_is_subset_and_no_larger(self, detections):
-        kept = non_max_suppression(detections, iou_threshold=0.5)
-        assert len(kept) <= len(detections)
-        assert all(k in detections for k in kept)
-
-    @given(st.lists(detection_strategy, max_size=15))
-    def test_kept_detections_mutually_compatible(self, detections):
-        kept = non_max_suppression(detections, iou_threshold=0.5)
-        for i, a in enumerate(kept):
-            for b in kept[i + 1 :]:
-                assert a.box.iou(b.box) <= 0.5 + 1e-9
-
-    @given(st.lists(detection_strategy, max_size=10))
-    def test_idempotent(self, detections):
-        once = non_max_suppression(detections, iou_threshold=0.5)
-        twice = non_max_suppression(once, iou_threshold=0.5)
-        assert once == twice
 
 
 # -- runtime ledger ----------------------------------------------------------------------------
@@ -264,28 +221,3 @@ class TestStatisticsProperties:
         passed = scores >= calibration.threshold
         assert np.all(passed[positives])
         assert calibration.false_negatives == 0
-
-
-# -- accuracy metrics ------------------------------------------------------------------------------------
-
-
-class TestAccuracyMetricProperties:
-    @given(
-        st.sets(st.integers(0, 100), max_size=40),
-        st.sets(st.integers(0, 100), max_size=40),
-    )
-    def test_rates_bounded(self, returned, relevant):
-        fnr = false_negative_rate(returned, relevant)
-        precision, recall = precision_recall(returned, relevant)
-        assert 0.0 <= fnr <= 1.0
-        assert 0.0 <= precision <= 1.0
-        assert 0.0 <= recall <= 1.0
-        if relevant:
-            assert recall == pytest.approx(1.0 - fnr)
-
-    @given(st.sets(st.integers(0, 100), max_size=40))
-    def test_perfect_retrieval(self, relevant):
-        assert false_negative_rate(relevant, relevant) == 0.0
-        precision, recall = precision_recall(relevant, relevant)
-        assert precision == 1.0
-        assert recall == 1.0

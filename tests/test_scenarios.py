@@ -5,7 +5,6 @@ import pytest
 from repro.video.scenarios import (
     SCENARIOS,
     generate_scenario,
-    generate_scenario_days,
     get_scenario,
     list_scenarios,
 )
@@ -69,11 +68,6 @@ class TestScenarioGeneration:
         a = generate_scenario("taipei", "test", num_frames=1500)
         b = generate_scenario("taipei", "test", num_frames=1500)
         assert len(a.tracks) == len(b.tracks)
-
-    def test_generate_scenario_days(self):
-        days = generate_scenario_days("night-street", num_frames=1000)
-        assert set(days) == {"train", "heldout", "test"}
-        assert all(video.num_frames == 1000 for video in days.values())
 
     @pytest.mark.parametrize("name", ["taipei", "rialto", "amsterdam"])
     def test_occupancy_roughly_matches_target(self, name):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.scrubbing.baselines import (
     noscope_oracle_scrub,
-    random_scrub,
     sequential_scrub,
 )
 from repro.scrubbing.importance import importance_scrub, scrub_ordered
@@ -85,11 +84,6 @@ class TestBaselines:
         result = sequential_scrub(200, lambda f: f in matches, limit=1)
         assert result.frames == [100]
         assert result.detection_calls == 101
-
-    def test_random_scrub_finds_events(self, rng):
-        matches = {10, 20, 30}
-        result = random_scrub(100, lambda f: f in matches, limit=3, rng=rng)
-        assert set(result.frames) == matches
 
     def test_noscope_oracle_restricts_candidates(self):
         presence = np.zeros(100, dtype=bool)

@@ -150,12 +150,6 @@ class TestSelectionPlan:
         )
         assert plan.without("temporal").filter_classes() == ["content"]
 
-    def test_restricted_to(self):
-        plan = SelectionPlan(
-            filters=[TemporalFilter(subsample_step=2), ContentFilter("redness", 0.0)]
-        )
-        assert plan.restricted_to(["temporal"]).filter_classes() == ["temporal"]
-
     def test_apply_chains_filters(self, tiny_video):
         plan = SelectionPlan(
             filters=[

@@ -6,7 +6,11 @@ Three layers are exercised:
   scheduling, per-session serialization.
 - **Wire** (real asyncio server on an ephemeral port + the stdlib client):
   results byte-identical to in-process execution, SSE streaming with
-  resume, typed HTTP rejections.
+  resume, typed HTTP rejections; a held manager lock stalls only the
+  requests that need it, never ``/metrics`` or an SSE heartbeat.  The
+  synchronous route and SSE-frame methods are also called directly, and the
+  source is checked for the shape that keeps the loop free: coroutines only
+  in the socket layer, manager state only behind ``run_in_executor``.
 - **Cancellation races** (the PR's satellite): N concurrent queries over
   the service, half disconnected mid-stream; after every disconnected
   query reaches its terminal state, the detector's raw computation count
@@ -17,17 +21,31 @@ Three layers are exercised:
 
 from __future__ import annotations
 
+import ast
+import http.client
+import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
+from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
-from repro.service.app import ServiceThread
+from repro.service import app as service_app
+from repro.service.app import (
+    QueryServiceApp,
+    ServiceThread,
+    _error_payload,
+    _EventStream,
+    _HttpError,
+    _Response,
+)
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import (
     CANCELLED,
@@ -36,6 +54,7 @@ from repro.service.manager import (
     AdmissionRejectedError,
     EventLog,
     NotFoundError,
+    QueryRecord,
     QuotaExceededError,
     ServiceConfig,
     ServiceManager,
@@ -63,9 +82,16 @@ def queries_for(cls: str) -> list[str]:
 
 
 class _CountingDetector(SimulatedDetector):
-    """Mask R-CNN simulation counting raw detect computations, with latency."""
+    """Mask R-CNN simulation counting raw detect computations, with latency.
 
-    def __init__(self, seconds_per_frame: float = 0.0) -> None:
+    With a ``gate``, the first batch runs freely and every later one waits
+    until the test sets the gate: the query is then provably mid-flight,
+    with the first batch's events on its log, for as long as the test needs.
+    """
+
+    def __init__(
+        self, seconds_per_frame: float = 0.0, gate: threading.Event | None = None
+    ) -> None:
         base = SimulatedDetector.mask_rcnn()
         super().__init__(
             name=base.name,
@@ -77,6 +103,8 @@ class _CountingDetector(SimulatedDetector):
         )
         self.seconds_per_frame = seconds_per_frame
         self.computed = 0
+        self.gate = gate
+        self._batches = 0
         self._count_lock = threading.Lock()
 
     def detect(self, video, frame_index, ledger=None):
@@ -87,6 +115,11 @@ class _CountingDetector(SimulatedDetector):
         return super().detect(video, frame_index, ledger)
 
     def _detect_batch(self, video, frame_indices, ledger=None):
+        with self._count_lock:
+            self._batches += 1
+            gated = self.gate is not None and self._batches > 1
+        if gated:
+            assert self.gate.wait(60.0), "test never released the detector gate"
         with self._count_lock:
             self.computed += len(frame_indices)
         if self.seconds_per_frame:
@@ -601,6 +634,380 @@ class TestWire:
             assert "result" in final
 
 
+class TestLoopLiveness:
+    def test_held_manager_lock_stalls_only_the_requests_that_need_it(self):
+        """The event loop never waits on the manager: with a thread holding
+        ``manager._lock``, ``/metrics`` answers and an open SSE stream keeps
+        its heartbeat, while the requests that need the lock queue up and
+        complete once it is released."""
+        heartbeat = 0.5
+        gate = threading.Event()
+        manager = ServiceManager(
+            build_engine(detector=_CountingDetector(gate=gate)),
+            ServiceConfig(slots=2, heartbeat_seconds=heartbeat),
+        )
+        with ServiceThread(manager) as service:
+            client = ServiceClient(service.host, service.port, timeout=10.0)
+            client.create_tenant("t")
+            session_id = client.create_session("t")
+            # Held after its first batch: the stream stays open, event-less.
+            query_id = client.submit(session_id, query="SELECT * FROM v")["query_id"]
+            sse = http.client.HTTPConnection(service.host, service.port, timeout=10.0)
+            queued: dict[str, object] = {}
+            waiters = [
+                threading.Thread(
+                    target=lambda: queued.update(healthz=client.healthz())
+                ),
+                threading.Thread(
+                    target=lambda: queued.update(tenant=client.create_tenant("u"))
+                ),
+            ]
+            try:
+                sse.request("GET", f"/queries/{query_id}/events")
+                response = sse.getresponse()
+                assert response.status == 200
+                with manager._lock:
+                    for waiter in waiters:
+                        waiter.start()
+                    assert "# TYPE" in client.metrics()
+                    last = time.monotonic()
+                    keep_alives = 0
+                    while keep_alives < 3:
+                        line = response.readline()
+                        assert line, "SSE stream closed while the query runs"
+                        if line.startswith(b": keep-alive"):
+                            now = time.monotonic()
+                            assert now - last <= 2 * heartbeat, now - last
+                            last = now
+                            keep_alives += 1
+                    assert all(waiter.is_alive() for waiter in waiters)
+                    assert not queued
+                for waiter in waiters:
+                    waiter.join(10.0)
+                    assert not waiter.is_alive()
+                assert queued["healthz"]["queries"] == 1
+                assert queued["tenant"]["tenant"] == "u"
+            finally:
+                gate.set()
+                sse.close()
+            assert manager.query(query_id).done.wait(30.0)
+
+
+# ---------------------------------------------------------------------------------
+# The route layer, called the way the loop's executor calls it
+# ---------------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def direct_app():
+    """The HTTP adapter with no server: a tenant ``t``, one open session and
+    one finished query, and the app whose synchronous methods the tests call
+    from their own thread — exactly what the loop hands its executor."""
+    manager = ServiceManager(
+        build_engine(), ServiceConfig(slots=2, heartbeat_seconds=0.05)
+    )
+    try:
+        manager.create_tenant("t")
+        session_id = manager.create_session("t")
+        record = manager.submit(session_id, query="SELECT * FROM v")
+        assert record.done.wait(60.0)
+        yield QueryServiceApp(manager), manager, session_id, record.query_id
+    finally:
+        manager.shutdown()
+
+
+def route(app, method, target, body=b"", headers=None):
+    return app._route(method, target, headers or {}, body)
+
+
+def rejection(app, method, target, body=b""):
+    """The (status, error code) the connection handler writes for a request
+    whose route raises."""
+    try:
+        route(app, method, target, body)
+    except _HttpError as exc:
+        return exc.status, exc.code
+    except BlazeItError as exc:
+        status, payload = _error_payload(exc)
+        return status, payload["error"]
+    raise AssertionError(f"{method} {target} answered")
+
+
+def _detached_record(query_id: str = "q-detached") -> QueryRecord:
+    """A record owned by no manager, its log driven by the test."""
+    return QueryRecord(query_id, "t", "s0", "SELECT * FROM v", stream=None, slots=1)
+
+
+#: One request per row of the HTTP surface but the SSE one, which resolves
+#: to a stream instead (below): ``(method, target, body, status)``, where
+#: ``{session}`` / ``{query}`` name the fixture's session and finished query.
+SURFACE = [
+    ("GET", "/healthz", "", 200),
+    ("GET", "/metrics", "", 200),
+    ("POST", "/tenants", '{"name": "u", "quota": {"max_detector_calls": 9}}', 200),
+    ("POST", "/sessions", '{"tenant": "t", "hints": {"parallelism": 1}}', 200),
+    ("DELETE", "/sessions/{session}", "", 200),
+    ("POST", "/sessions/{session}/prepare", '{"query": "SELECT * FROM v"}', 200),
+    ("POST", "/queries", '{"session": "{session}", "query": "SELECT * FROM v"}', 200),
+    (
+        "POST",
+        "/queries",
+        '{"session": "{session}", "query": "SELECT * FROM v", "wait": false}',
+        202,
+    ),
+    ("GET", "/queries/{query}", "", 200),
+    ("DELETE", "/queries/{query}", "", 200),
+]
+
+
+class TestRoutesOffTheLoop:
+    """Every route is one plain synchronous call that returns finished bytes:
+    nothing the loop does afterwards touches the manager or a record."""
+
+    @pytest.mark.parametrize(
+        "method, target, body, status",
+        SURFACE,
+        ids=[
+            "GET-healthz", "GET-metrics", "POST-tenants", "POST-sessions",
+            "DELETE-session", "POST-prepare", "POST-queries",
+            "POST-queries-nowait", "GET-query", "DELETE-query",
+        ],
+    )
+    def test_route_returns_an_encoded_response(
+        self, direct_app, method, target, body, status
+    ):
+        app, _, session_id, query_id = direct_app
+        target = target.format(session=session_id, query=query_id)
+        body = body.replace("{session}", session_id).encode()
+        response = route(app, method, target, body)
+        assert isinstance(response, _Response)
+        assert response.status == status
+        assert isinstance(response.body, bytes)
+        if target == "/metrics":
+            assert response.content_type.startswith("text/plain")
+            assert "# TYPE" in response.body.decode()
+        else:
+            assert response.content_type == "application/json"
+            assert isinstance(json.loads(response.body), dict)
+
+    def test_query_status_route_is_the_record_status(self, direct_app):
+        app, manager, _, query_id = direct_app
+        response = route(app, "GET", f"/queries/{query_id}")
+        assert json.loads(response.body) == json.loads(
+            json.dumps(manager.query(query_id).status())
+        )
+
+    @pytest.mark.parametrize(
+        "query_string, headers, start, cancel_on_disconnect",
+        [
+            ("", {}, 0, True),
+            ("?from=3", {}, 3, True),
+            ("", {"last-event-id": "4"}, 5, True),
+            ("?from=2", {"last-event-id": "4"}, 2, True),
+            ("?cancel_on_disconnect=0", {}, 0, False),
+            ("?cancel_on_disconnect=false", {}, 0, False),
+        ],
+        ids=["fresh", "from", "last-event-id", "from-wins", "watch-0", "watch-false"],
+    )
+    def test_event_route_resolves_the_stream(
+        self, direct_app, query_string, headers, start, cancel_on_disconnect
+    ):
+        app, manager, _, query_id = direct_app
+        stream = route(
+            app, "GET", f"/queries/{query_id}/events{query_string}", headers=headers
+        )
+        assert stream == _EventStream(
+            manager.query(query_id), start, cancel_on_disconnect
+        )
+
+    @pytest.mark.parametrize(
+        "method, target, body, status, code",
+        [
+            ("GET", "/", b"", 404, "no_route"),
+            ("GET", "/nowhere", b"", 405, "no_route"),
+            ("PUT", "/tenants", b"", 405, "no_route"),
+            ("POST", "/tenants", b"{not json", 400, "bad_json"),
+            ("POST", "/tenants", b"[1, 2]", 400, "bad_json"),
+            ("POST", "/tenants", b"{}", 400, "missing_field"),
+            (
+                "POST",
+                "/tenants",
+                b'{"name": "x", "quota": {"max_detector_cals": 1}}',
+                400,
+                "ConfigurationError",
+            ),
+            ("POST", "/sessions", b'{"tenant": "ghost"}', 404, "not_found"),
+            (
+                "POST",
+                "/sessions/s-missing/prepare",
+                b'{"query": "SELECT * FROM v"}',
+                404,
+                "not_found",
+            ),
+            ("GET", "/queries/q-missing", b"", 404, "not_found"),
+            ("GET", "/queries/q-missing/events", b"", 404, "not_found"),
+        ],
+        ids=[
+            "root", "unknown-path", "wrong-method", "bad-json", "json-array",
+            "missing-field", "unknown-quota-key", "unknown-tenant",
+            "unknown-session", "unknown-query", "unknown-stream",
+        ],
+    )
+    def test_route_errors_map_to_their_status(
+        self, direct_app, method, target, body, status, code
+    ):
+        app = direct_app[0]
+        assert rejection(app, method, target, body) == (status, code)
+
+
+class TestSseFrames:
+    """The SSE pump's one executor call per frame, without a socket."""
+
+    def test_event_frame_advances_the_index(self, direct_app):
+        app, manager, _, query_id = direct_app
+        record = manager.query(query_id)
+        first = record.log.snapshot()[0]
+        frame, next_index = app._next_frame(record, 0)
+        assert next_index == 1
+        assert frame == (
+            f"id: 0\nevent: {first['event']}\ndata: {json.dumps(first)}\n\n"
+        ).encode()
+
+    def test_end_marker_once_the_closed_log_is_drained(self, direct_app):
+        app, manager, _, query_id = direct_app
+        record = manager.query(query_id)
+        frame, next_index = app._next_frame(record, len(record.log))
+        assert next_index is None
+        assert frame == b'event: end\ndata: {"state": "completed"}\n\n'
+
+    def test_keep_alive_while_the_log_is_open(self, direct_app):
+        app = direct_app[0]
+        record = _detached_record()
+        record.log.append({"event": "started"})
+        frame, next_index = app._next_frame(record, 1)
+        assert (frame, next_index) == (b": keep-alive\n\n", 1)
+
+    def test_closed_log_still_yields_unread_events_before_the_end(self, direct_app):
+        app = direct_app[0]
+        record = _detached_record()
+        record.log.append({"event": "started"})
+        record.log.append({"event": "completed"})
+        record.log.close()
+        index: int | None = 0
+        frames = []
+        while index is not None:
+            frame, index = app._next_frame(record, index)
+            frames.append(frame)
+        kinds = [
+            line
+            for frame in frames
+            for line in frame.split(b"\n")
+            if line.startswith(b"event: ")
+        ]
+        assert kinds == [b"event: started", b"event: completed", b"event: end"]
+
+    def test_disconnect_cancels_an_unfinished_query(self, direct_app, monkeypatch):
+        app, manager, _, _ = direct_app
+        cancelled: list[str] = []
+        monkeypatch.setattr(manager, "cancel", cancelled.append)
+        app._cancel_unfinished(_detached_record("q-live"))
+        assert cancelled == ["q-live"]
+
+    def test_disconnect_leaves_a_finished_query_alone(self, direct_app, monkeypatch):
+        app, manager, _, query_id = direct_app
+        cancelled: list[str] = []
+        monkeypatch.setattr(manager, "cancel", cancelled.append)
+        app._cancel_unfinished(manager.query(query_id))
+        assert cancelled == []
+
+
+# ---------------------------------------------------------------------------------
+# Never blocking the loop is a property of the source's shape
+# ---------------------------------------------------------------------------------
+
+#: The socket layer: the only coroutines in ``src/``.
+COROUTINES = [
+    "serve",
+    "_handle_connection",
+    "_read_request",
+    "_write_response",
+    "_stream_events",
+    "_main",  # ServiceThread's server task
+]
+
+
+def _app_coroutines() -> dict[str, ast.AsyncFunctionDef]:
+    tree = ast.parse(Path(service_app.__file__).read_text())
+    return {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AsyncFunctionDef)
+    }
+
+
+def _loop_side_nodes(coroutine: ast.AsyncFunctionDef) -> list[ast.AST]:
+    """Every node of the coroutine's body that runs on the loop: all of it
+    but the arguments handed to ``run_in_executor``, which must be plain
+    references (a call there would run on the loop before the hop)."""
+    on_loop: list[ast.AST] = []
+    pending: list[ast.AST] = list(coroutine.body)
+    while pending:
+        node = pending.pop()
+        on_loop.append(node)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run_in_executor"
+        ):
+            pending.append(node.func)
+            for arg in node.args:
+                assert not any(
+                    isinstance(inner, ast.Call) for inner in ast.walk(arg)
+                ), f"call evaluated on the loop: {ast.unparse(arg)}"
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+    return on_loop
+
+
+class TestLoopStructure:
+    def test_async_def_only_in_service_app(self):
+        root = Path(repro.__file__).resolve().parent
+        with_coroutines = sorted(
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if any(
+                isinstance(node, ast.AsyncFunctionDef)
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+        )
+        assert with_coroutines == ["service/app.py"]
+        assert sorted(_app_coroutines()) == sorted(COROUTINES)
+
+    @pytest.mark.parametrize("name", COROUTINES)
+    def test_coroutine_touches_no_manager_state_on_the_loop(self, name):
+        """Inside a coroutine the manager, a record, its event log and the
+        synchronous route methods appear only as ``run_in_executor``
+        arguments, never read or called on the loop."""
+        tree = ast.parse(Path(service_app.__file__).read_text())
+        sync_methods = {
+            member.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "QueryServiceApp"
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef)
+        }
+        assert {"_route", "_next_frame", "_cancel_unfinished"} <= sync_methods
+        for node in _loop_side_nodes(_app_coroutines()[name]):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"manager", "record", "log"}, (
+                    f"{name} reads .{node.attr} on the loop: {ast.unparse(node)}"
+                )
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr not in sync_methods, (
+                    f"{name} calls {ast.unparse(node.func)} on the loop"
+                )
+
+
 # ---------------------------------------------------------------------------------
 # Satellite: cancellation-after-disconnect races
 # ---------------------------------------------------------------------------------
@@ -612,11 +1019,25 @@ class TestDisconnectCancellationRaces:
     def test_disconnect_stops_detector_calls_and_survivors_are_exact(self):
         seed = 23
         detector = _CountingDetector(seconds_per_frame=0.004)
-        manager = ServiceManager(
-            build_engine(seed=seed, detector=detector),
-            ServiceConfig(slots=self.N_QUERIES, heartbeat_seconds=0.25),
-        )
+        engine = build_engine(seed=seed, detector=detector)
         victims = range(0, self.N_QUERIES, 2)
+        # Each victim scans its own copy of the video through its own gated
+        # detector, held after the first batch until the server has taken
+        # the disconnect: cancellation always lands mid-query, however
+        # loaded the host.  Survivors share ``v`` and the ungated detector.
+        victim_detectors = {
+            i: _CountingDetector(seconds_per_frame=0.004, gate=threading.Event())
+            for i in victims
+        }
+        for i, victim_detector in victim_detectors.items():
+            engine.register_video(
+                f"victim{i}",
+                test_video=generate_scenario(SCENARIO, "test", FRAMES),
+                detector=victim_detector,
+            )
+        manager = ServiceManager(
+            engine, ServiceConfig(slots=self.N_QUERIES, heartbeat_seconds=0.25)
+        )
         with ServiceThread(manager) as service:
             client = ServiceClient(service.host, service.port)
             client.create_tenant("t")
@@ -625,9 +1046,10 @@ class TestDisconnectCancellationRaces:
                 client.create_session("t") for _ in range(self.N_QUERIES)
             ]
             query_ids = []
-            for session_id in sessions:
+            for i, session_id in enumerate(sessions):
+                video = f"victim{i}" if i in victims else "v"
                 status = client.submit(
-                    session_id, query="SELECT * FROM v", wait=False
+                    session_id, query=f"SELECT * FROM {video}", wait=False
                 )
                 query_ids.append(status["query_id"])
 
@@ -640,14 +1062,23 @@ class TestDisconnectCancellationRaces:
                         break
                 stream.close()
 
-            threads = [
-                threading.Thread(target=disconnect, args=(query_ids[i],))
+            threads = {
+                i: threading.Thread(target=disconnect, args=(query_ids[i],))
                 for i in victims
-            ]
-            for thread in threads:
+            }
+            for thread in threads.values():
                 thread.start()
-            for thread in threads:
+            for i, thread in threads.items():
                 thread.join(30.0)
+                assert not thread.is_alive(), query_ids[i]
+                # The server notices the closed socket at its next
+                # keep-alive and cancels; only then may the query go on.
+                victim = manager.query(query_ids[i])
+                deadline = time.monotonic() + 30.0
+                while not victim.cancel_requested and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert victim.cancel_requested, victim.status()
+                victim_detectors[i].gate.set()
 
             records = [manager.query(query_id) for query_id in query_ids]
             for record in records:
@@ -673,7 +1104,11 @@ class TestDisconnectCancellationRaces:
                 record.result.execution_ledger.detector_calls
                 for record in records
             )
-            assert detector.computed == ledger_total
+            computed = detector.computed + sum(
+                victim_detector.computed
+                for victim_detector in victim_detectors.values()
+            )
+            assert computed == ledger_total
 
             # Survivors' ledgers and results are exactly what unperturbed
             # in-process sessions produce: cancelled neighbours changed

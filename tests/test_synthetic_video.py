@@ -48,12 +48,6 @@ class TestTrack:
         with pytest.raises(ValueError):
             self._track().box_at(9)
 
-    def test_visible_at(self):
-        track = self._track()
-        assert track.visible_at(10)
-        assert track.visible_at(19)
-        assert not track.visible_at(20)
-
 
 class TestGeneration:
     def test_generation_is_deterministic(self):

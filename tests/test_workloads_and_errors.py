@@ -15,7 +15,6 @@ from repro.workloads.queries import (
     SCRUBBING_QUERIES,
     aggregate_query,
     multiclass_scrubbing_query,
-    noscope_replication_query,
     red_bus_selection_query,
     scrubbing_query,
 )
@@ -50,12 +49,6 @@ class TestWorkloadQueries:
         assert spec.object_class == "bus"
         assert spec.min_area == pytest.approx(100000)
 
-    def test_noscope_replication_query(self):
-        spec = analyze(parse(noscope_replication_query("taipei", "car")))
-        assert isinstance(spec, SelectionQuerySpec)
-        assert spec.fnr_within == pytest.approx(0.01)
-        assert spec.fpr_within == pytest.approx(0.01)
-
     def test_custom_error_and_confidence(self):
         spec = analyze(parse(aggregate_query("taipei", "car", error=0.03, confidence=0.99)))
         assert spec.error_tolerance == pytest.approx(0.03)
@@ -77,7 +70,6 @@ class TestErrorHierarchy:
             errors.InsufficientTrainingDataError,
             errors.PlanningError,
             errors.ExecutionError,
-            errors.BudgetExceededError,
             errors.ConfigurationError,
         ]
         for error_class in error_classes:
