@@ -8,9 +8,11 @@ count, and the per-frame maximum, plus how many frames in the window contain
 detections the index serves at query time, its guarantees are proofs, not
 estimates:
 
-* ``provably_empty`` / ``class_absent`` (one vectorised question per batch of
-  frames) are exact — a ``True`` answer can never be
-  contradicted by decoding the frame;
+* ``provably_empty`` / ``class_absent`` / ``fails_min_counts`` (one
+  vectorised question per batch of frames) are exact — a ``True`` answer can
+  never be contradicted by decoding the frame;
+* ``class_total`` is the exact sum of one class's per-frame counts over the
+  whole video, so a count over every frame needs no decode at all;
 * ``range_presence_rate`` / ``range_event_rate`` follow the cost model's
   validated upper-bound contract: the returned rate is ``>=`` the true rate
   over any ``[start, end)`` window (exact when the window aligns with range
@@ -144,6 +146,27 @@ class RangeSketch:
         if column is not None:
             proven[proven] = self.total_count[ranges, column] == 0
         return proven
+
+    def fails_min_counts(
+        self, frame_indices: np.ndarray, min_counts: Mapping[str, int]
+    ) -> np.ndarray:
+        """Per frame: ``True`` when some class's per-frame maximum over the
+        covering range is below its minimum, so no frame there can satisfy
+        every ``count(cls) >= m``.  A frame outside ``[0, num_frames)``
+        proves nothing."""
+        proven, ranges = self._covered_ranges(frame_indices)
+        hopeless = np.zeros(ranges.size, dtype=bool)
+        for object_class, minimum in min_counts.items():
+            column = self._column(object_class)
+            peak = 0 if column is None else self.max_count[ranges, column]
+            hopeless |= peak < minimum
+        proven[proven] = hopeless
+        return proven
+
+    def class_total(self, object_class: str) -> int:
+        """Exact sum of the class's per-frame counts over every frame."""
+        column = self._column(object_class)
+        return 0 if column is None else int(self.total_count[:, column].sum())
 
     # -- upper-bound window rates (the sharder's contract) ---------------
 

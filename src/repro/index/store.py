@@ -28,7 +28,9 @@ uses, so index reads are bit-for-bit identical to live detector output.  The
 gather indexes by offsets read from disk, so a segment's columns are checked
 against each other once, when they are first mapped: an inconsistent or
 unreadable segment is a :class:`~repro.errors.ConfigurationError` naming the
-file, never another frame's rows.
+file, never another frame's rows.  The sketch, which answers counts and
+proves skips on its own, is checked against the manifest and against itself
+the same way when it is first loaded.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import io
 import json
 import re
 import shutil
+import threading
+import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +63,13 @@ STATISTICS_NAME = "statistics.json"
 
 #: Default number of frames per columnar segment.
 DEFAULT_SEGMENT_FRAMES = 512
+
+#: Serialises every first load of a segment or a sketch, across indexes.
+#: Without it racing readers each map and validate the same files, and
+#: ``np.load`` parses ``.npy`` headers with ``ast.literal_eval``, whose AST
+#: constructor is not thread-safe on CPython 3.11: two threads in it at once
+#: can raise ``SystemError: AST constructor recursion depth mismatch``.
+_FIRST_LOAD = threading.Lock()
 
 #: Column order of the columnar wire format (``detection/columnar.py``).
 SEGMENT_COLUMNS = (
@@ -164,11 +175,70 @@ class VideoIndex:
 
     @property
     def sketch(self) -> RangeSketch:
-        """The generation's range sketch (loaded once, then cached)."""
+        """The generation's range sketch (loaded and validated once)."""
         if self._sketch is None:
-            with np.load(self.generation_dir / SKETCH_NAME) as arrays:
-                self._sketch = RangeSketch.from_arrays(arrays)
+            with _FIRST_LOAD:
+                if self._sketch is None:
+                    self._sketch = self._load_sketch()
         return self._sketch
+
+    def _load_sketch(self) -> RangeSketch:
+        path = self.generation_dir / SKETCH_NAME
+        try:
+            with np.load(path) as arrays:
+                sketch = RangeSketch.from_arrays(arrays)
+        except (
+            ConfigurationError, OSError, ValueError, KeyError, zipfile.BadZipFile
+        ) as exc:
+            raise ConfigurationError(f"unreadable index sketch {path}: {exc}") from exc
+        self._validate_sketch(sketch, path)
+        return sketch
+
+    def _validate_sketch(self, sketch: RangeSketch, path: Path) -> None:
+        """Refuse a sketch that disagrees with the manifest or with itself.
+
+        Queries read counts straight off the sketch and skip the frames it
+        proves irrelevant, at zero detector cost; an inconsistent sketch
+        would otherwise be a silently wrong answer (invariant I7).
+        """
+        range_size = int(self.manifest.get("range_size", 0))
+        num_ranges = max(1, -(-self.num_frames // max(1, range_size)))
+        shape = (num_ranges, len(sketch.class_table))
+        lengths = np.minimum(
+            range_size, self.num_frames - np.arange(num_ranges) * range_size
+        )
+        occupied = sketch.occupied_frames
+        presence = sketch.presence_frames
+        total = sketch.total_count
+        peak = sketch.max_count
+        shaped = occupied.shape == shape[:1] and all(
+            matrix.shape == shape for matrix in (presence, total, peak)
+        )
+        checks = [
+            ("num_frames", sketch.num_frames == self.num_frames),
+            ("range_size", range_size >= 1 and sketch.range_size == range_size),
+            ("shape", shaped),
+        ]
+        if shaped:
+            checks += [
+                (
+                    "0 <= presence <= occupied <= range length",
+                    (presence >= 0).all()
+                    and (presence <= occupied[:, None]).all()
+                    and (occupied <= lengths).all(),
+                ),
+                ("0 <= max <= total", ((peak >= 0) & (peak <= total)).all()),
+                (
+                    "presence == 0 iff total == 0",
+                    ((presence == 0) == (total == 0)).all(),
+                ),
+            ]
+        for rule, consistent in checks:
+            if not consistent:
+                raise ConfigurationError(
+                    f"inconsistent index sketch {path}: violates {rule} for "
+                    f"{self.num_frames} frames in ranges of {range_size}"
+                )
 
     def statistics(self) -> VideoStatistics | None:
         """The persisted catalog entry, when the build included one."""
@@ -180,26 +250,33 @@ class VideoIndex:
     def _segment_arrays(self, segment: Segment) -> dict[str, np.ndarray]:
         """The segment's columns as plain views of the maps (validated once).
 
-        Filled without a lock: two racing readers map and validate the same
-        files and one mapping wins the dict slot — the loser's is garbage.
+        Reads of a mapped segment take no lock; the first map of each
+        segment happens once, under :data:`_FIRST_LOAD`.
         """
         arrays = self._columns.get(segment.name)
         if arrays is None:
-            mapped: dict[str, np.ndarray] = {}
-            for column in SEGMENT_COLUMNS:
-                path = self.generation_dir / f"{segment.name}.{column}.npy"
-                try:
-                    mapped[column] = np.load(path, mmap_mode="r")
-                except (OSError, ValueError, EOFError) as exc:
-                    raise ConfigurationError(
-                        f"unreadable index column {path}: {exc}"
-                    ) from exc
-            arrays = {column: np.asarray(values) for column, values in mapped.items()}
-            feature_offsets = _run_offsets(np.maximum(arrays["feature_len"], 0))
-            self._validate_segment(segment, arrays, int(feature_offsets[-1]))
-            self._maps[segment.name] = mapped
-            self._feature_offsets[segment.name] = feature_offsets
-            self._columns[segment.name] = arrays
+            with _FIRST_LOAD:
+                arrays = self._columns.get(segment.name)
+                if arrays is None:
+                    arrays = self._map_segment(segment)
+        return arrays
+
+    def _map_segment(self, segment: Segment) -> dict[str, np.ndarray]:
+        mapped: dict[str, np.ndarray] = {}
+        for column in SEGMENT_COLUMNS:
+            path = self.generation_dir / f"{segment.name}.{column}.npy"
+            try:
+                mapped[column] = np.load(path, mmap_mode="r")
+            except (OSError, ValueError, EOFError) as exc:
+                raise ConfigurationError(
+                    f"unreadable index column {path}: {exc}"
+                ) from exc
+        arrays = {column: np.asarray(values) for column, values in mapped.items()}
+        feature_offsets = _run_offsets(np.maximum(arrays["feature_len"], 0))
+        self._validate_segment(segment, arrays, int(feature_offsets[-1]))
+        self._maps[segment.name] = mapped
+        self._feature_offsets[segment.name] = feature_offsets
+        self._columns[segment.name] = arrays
         return arrays
 
     def _validate_segment(

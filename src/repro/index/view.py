@@ -24,7 +24,10 @@ modes are provably identical to running the detector:
 The view also answers the sketch's exact per-frame proof
 (:meth:`class_count_zero` — one mask per batch) so count scans can skip
 provably-irrelevant frames without any decode — invariant I7: index
-evidence is an upper bound, skipping never changes results.
+evidence is an upper bound, skipping never changes results.  Operators read
+the sketch's other exact answers off :attr:`sketch` directly: a count over
+every frame (``class_total``) and the scrubbing prune
+(``fails_min_counts``).
 """
 
 from __future__ import annotations

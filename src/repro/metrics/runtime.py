@@ -210,9 +210,10 @@ class ExecutionLedger(RuntimeLedger):
     #: Detections decoded from the persistent index's memory-mapped segments
     #: (exact persisted detector output; never charged).
     index_hits: int = _counter("repro_index_hits_total", "Frames served from the persistent index")
-    #: Frames skipped entirely on range-sketch evidence — the index proved
-    #: them irrelevant (empty range / class absent / min-count unsatisfiable)
-    #: without decoding anything.
+    #: Frames answered by range-sketch evidence alone, without decoding
+    #: anything: the index proved them irrelevant (empty range / class
+    #: absent / min-count unsatisfiable) or summed them from exact range
+    #: totals.  At most once per frame per execution.
     index_skips: int = _counter(
         "repro_index_skips_total", "Frames skipped via index range sketches"
     )

@@ -397,7 +397,7 @@ class AggregateQueryPlan(PhysicalPlan):
         else:
             assert object_class is not None  # enforced at plan construction
             with self._scan.traced(context, ledger):
-                counts, scanned = yield from self._scan.stream_counts(
+                total, scanned = yield from self._scan.stream_counts(
                     context,
                     control,
                     ledger,
@@ -409,7 +409,7 @@ class AggregateQueryPlan(PhysicalPlan):
                         confidence=spec.confidence,
                     ),
                 )
-            mean = float(counts.mean()) if counts.size else 0.0
+            mean = total / scanned if scanned else 0.0
             value = finalize_aggregate(spec, mean, num_frames)
             partial_note = "value computed from the scanned prefix only"
         description = "exact: object detection on every frame"

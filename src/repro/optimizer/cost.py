@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.api.hints import NO_HINTS, QueryHints, require_hints
 from repro.core.config import AggregateMethod, BlazeItConfig
 from repro.metrics.runtime import StandardCosts
-from repro.core.results import PlanCandidateSummary, PlanExplanation
+from repro.core.results import OperatorNode, PlanCandidateSummary, PlanExplanation
 from repro.errors import PlanningError, UnknownUDFError
 from repro.frameql.analyzer import (
     AggregateQuerySpec,
@@ -284,6 +284,24 @@ def routed_parallelism(
     )
 
 
+def _index_served_tree(node: OperatorNode) -> OperatorNode:
+    """``node`` with every operator's detector estimate zeroed.
+
+    An operator that estimates detector calls prices only those calls in its
+    seconds, and on an indexed video the index serves every one of them.
+    """
+    zeroed = (
+        {"estimated_detector_calls": 0, "estimated_seconds": 0.0}
+        if node.estimated_detector_calls
+        else {}
+    )
+    return replace(
+        node,
+        children=tuple(_index_served_tree(child) for child in node.children),
+        **zeroed,
+    )
+
+
 class PlanCandidate:
     """One priced physical alternative for a query."""
 
@@ -438,15 +456,18 @@ class CostBasedOptimizer:
         candidates = self.candidates(spec, hints, num_frames=num_frames)
         chosen = self._select(candidates, hints, stats).name
         estimated_calls = plan.estimate_detector_calls(num_frames, stats)
+        operators = plan.operator_tree(num_frames=num_frames, stats=stats)
         if self._index_covers(spec, hints):
             # Sketch-tightened estimate: with a committed index every
             # detection is served from persisted segments, so the bound on
-            # charged detector calls collapses to zero.
+            # charged detector calls collapses to zero — in the total and on
+            # every operator of the tree.
             estimated_calls = 0
+            operators = _index_served_tree(operators)
         return PlanExplanation(
             kind=spec.kind.value,
             plan_summary=plan.describe(),
-            operators=plan.operator_tree(num_frames=num_frames, stats=stats),
+            operators=operators,
             estimated_detector_calls=estimated_calls,
             hints_applied=hints.describe(),
             candidates=tuple(

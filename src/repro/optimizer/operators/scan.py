@@ -58,17 +58,35 @@ class FullScan(PhysicalOperator):
         ledger: ExecutionLedger,
         object_class: str,
         emit: Callable[[float, int], ExecutionEvent],
-    ) -> Generator[ExecutionEvent, None, tuple[np.ndarray, int]]:
-        """Scan frames in order, accumulating one class's per-frame counts.
+    ) -> Generator[ExecutionEvent, None, tuple[float, int]]:
+        """Sum one class's per-frame counts over the video, in frame order.
 
-        ``emit(running_mean, scanned)`` builds the per-chunk estimate event
-        (the aggregate plan supplies its unit conversion), keeping the exact
-        event cadence of the historical in-plan loop: one ``Progress`` and one
-        estimate event per chunk.
+        Returns ``(total, scanned)``.  ``emit(running_mean, scanned)`` builds
+        the estimate event (the aggregate plan supplies its unit conversion):
+        one ``Progress`` and one estimate event per chunk.  When the index
+        covers every frame, the whole video is one chunk answered from the
+        sketch's exact range totals (invariant I7), with no frame decoded.
+        Either way ``total`` is an exactly-summed integer, so
+        ``total / scanned`` is the same float however it was summed.
         """
         num_frames = context.video.num_frames
+        index_view = context.index_view
+        if (
+            index_view is not None
+            and 0 < num_frames == index_view.num_frames
+            and not control.should_stop(ledger)
+        ):
+            ledger.record_index_skip(num_frames)
+            total = float(index_view.sketch.class_total(object_class))
+            yield Progress(
+                phase="detection_scan",
+                frames_scanned=ledger.frames_decoded,
+                detector_calls=ledger.detector_calls,
+                total_frames=num_frames,
+            )
+            yield emit(total / num_frames, num_frames)
+            return total, num_frames
         context.announce_access_plan(np.arange(num_frames), monotone=True)
-        count_chunks: list[np.ndarray] = []
         scanned = 0
         running_sum = 0.0
         while scanned < num_frames and not control.should_stop(ledger):
@@ -76,7 +94,6 @@ class FullScan(PhysicalOperator):
             chunk = context.detect_counts_batch(
                 np.arange(scanned, stop_at), object_class, ledger
             )
-            count_chunks.append(chunk)
             running_sum += float(chunk.sum())
             scanned = stop_at
             yield Progress(
@@ -86,9 +103,4 @@ class FullScan(PhysicalOperator):
                 total_frames=num_frames,
             )
             yield emit(running_sum / scanned, scanned)
-        counts = (
-            np.concatenate(count_chunks)
-            if count_chunks
-            else np.empty(0, dtype=np.float64)
-        )
-        return counts, scanned
+        return running_sum, scanned

@@ -56,15 +56,30 @@ class DetectorVerifier(PhysicalOperator):
         candidate_order: np.ndarray,
         limit: int,
         result: ScrubbingResult,
-    ) -> Generator[ExecutionEvent, None, None]:
-        """Verify candidates in ranked order, one detector batch per chunk."""
+    ) -> Generator[ExecutionEvent, None, np.ndarray]:
+        """Verify candidates in ranked order, one detector batch per chunk.
+
+        Returns the candidates the index sketch proved hopeless: each is
+        dropped before the walk and counted once in ``index_skips``.
+        """
         min_counts = self.min_counts
         state = ScrubState(result, limit=limit, gap=self.gap)
         candidates = np.asarray(candidate_order, dtype=np.int64)
+        pruned = candidates[:0]
+        if context.index_view is not None:
+            # Where a class's range max_count is below its minimum no frame
+            # can be accepted, and acceptance depends only on earlier
+            # acceptances: dropping such frames leaves the hits unchanged (I7).
+            hopeless = context.index_view.sketch.fails_min_counts(
+                candidates, min_counts
+            )
+            pruned = candidates[hopeless]
+            candidates = candidates[~hopeless]
+            ledger.record_index_skip(pruned.size)
         position = 0
         while position < candidates.size and not state.satisfied:
             if control.should_stop(ledger):
-                return
+                break
             # Chunks are trimmed to the remaining hit budget as well as the
             # detector budget: a run with a tighter LIMIT can never spend
             # more detector calls than one with a looser LIMIT, and each
@@ -105,3 +120,4 @@ class DetectorVerifier(PhysicalOperator):
                 detector_calls=ledger.detector_calls,
                 total_frames=context.video.num_frames,
             )
+        return pruned

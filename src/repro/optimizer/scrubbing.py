@@ -261,18 +261,21 @@ class ScrubbingQueryPlan(PhysicalPlan):
             # order) is identical to the sequential walk at any parallelism.
             context.announce_access_plan(order)
             with self._verifier.traced(context, ledger):
-                yield from self._verifier.stream(
+                pruned = yield from self._verifier.stream(
                     context, control, ledger, order, limit, result
                 )
             if not result.satisfied and control.stop_reason is None:
                 # Exhaustive fallback: sweep only frames the ranked scan
-                # never examined — detections already computed during the
-                # importance scan are reused via the ledger's seen-frame
-                # set, never re-requested from the detector.  When the
-                # ranked scan examined everything there is nothing to sweep.
+                # neither examined nor proved hopeless — detections already
+                # computed during the importance scan are reused via the
+                # ledger's seen-frame set, never re-requested from the
+                # detector, and a pruned frame is neither walked nor counted
+                # twice.  When the ranked scan covered everything there is
+                # nothing to sweep.
+                seen = np.fromiter(ledger.seen_frames, dtype=np.int64, count=-1)
                 remaining = np.setdiff1d(
                     np.arange(context.video.num_frames),
-                    np.fromiter(ledger.seen_frames, dtype=np.int64, count=-1),
+                    np.concatenate([seen, pruned]),
                 )
                 if remaining.size:
                     yield Progress(

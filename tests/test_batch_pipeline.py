@@ -25,7 +25,8 @@ from repro.core.recorded import RecordedDetections
 from repro.detection.base import DetectionResult
 from repro.detection.columnar import decode_detection_results, encode_detection_results
 from repro.errors import ConfigurationError
-from repro.index.store import VideoIndex
+from repro.index import store as store_module
+from repro.index.store import SEGMENT_COLUMNS, VideoIndex
 from repro.metrics.runtime import _COUNTERS, ExecutionLedger, RuntimeLedger
 from repro.parallel.cache import SharedDetectionCache
 from repro.scrubbing.importance import _respects_gap
@@ -487,14 +488,24 @@ class TestIndexBatchReadMatchesOracle:
             decode_detection_results(encode_detection_results(results)), results
         )
 
-    def test_racing_first_reads_map_each_segment_consistently(self, worlds):
-        """Segments are mapped and validated lazily and without a lock: more
-        readers than cores racing on a fresh index must all get the detector's
-        answer (a reader that sees a segment's columns sees its offsets)."""
+    def test_racing_first_reads_map_each_segment_consistently(self, worlds, monkeypatch):
+        """Segments are mapped and validated lazily: more readers than cores
+        racing on a fresh index must all get the detector's answer, and each
+        column file is loaded once, under the first-load lock.  (Unlocked,
+        ``np.load``'s header parse could raise ``SystemError: AST constructor
+        recursion depth mismatch`` on CPython 3.11.)"""
         context, truth = worlds["multi"]
         index = VideoIndex.open(context.index_view.index.directory)
         frames = list(range(self.COVERED))[::-3]
         outcomes: list = []
+        loads: list = []
+        real_load = np.load
+
+        def load(path, *args, **kwargs):
+            loads.append((str(path), store_module._FIRST_LOAD.locked()))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_module.np, "load", load)
 
         def read():
             try:
@@ -518,6 +529,9 @@ class TestIndexBatchReadMatchesOracle:
         for outcome in outcomes:
             assert isinstance(outcome, list), outcome
             assert_results_identical(outcome, [truth[f] for f in frames])
+        paths = [path for path, _ in loads]
+        assert len(paths) == len(set(paths)) == len(index.segments) * len(SEGMENT_COLUMNS)
+        assert all(locked for _, locked in loads)
 
     def test_decoded_features_outlive_the_maps(self, worlds):
         """Nothing a read returns points into a memory map: after ``close()``

@@ -277,6 +277,62 @@ class TestExplainSnapshots:
         assert "naive_aqp: ~400 detector calls, ~133.33s <- chosen" in rendered
         assert "auto: ~0 detector calls, ~0.52s\n" in rendered  # not chosen
 
+    @pytest.fixture(scope="class")
+    def indexed_engine(
+        self,
+        tmp_path_factory,
+        tiny_video,
+        tiny_train_video,
+        tiny_heldout_video,
+        detector,
+        engine_config,
+    ):
+        engine = BlazeIt(
+            detector=detector,
+            config=engine_config,
+            index_dir=tmp_path_factory.mktemp("explain-index"),
+        )
+        engine.register_video(
+            "tiny",
+            test_video=tiny_video,
+            train_video=tiny_train_video,
+            heldout_video=tiny_heldout_video,
+        )
+        engine.build_index("tiny")
+        return engine
+
+    def test_indexed_render_agrees_with_its_zero_total(self, indexed_engine):
+        """On an indexed video every detection is index-served: each operator
+        says 0 detector calls, as the plan line does."""
+        rendered = indexed_engine.session().explain(AGG_QUERY).render()
+        assert rendered == (
+            "aggregate: AggregateQueryPlan(aggregate=fcount, class=car, "
+            "error=0.1, method=exact)\n"
+            "  AggregateQueryPlan(aggregate=fcount)\n"
+            "    FullScan(detection on every frame) [~0 detector calls, ~0.00s]\n"
+            "  estimated detector calls: 0\n"
+            "  hints: none\n"
+            "  parallelism: sequential [cost_model] — parallelism not requested\n"
+            "  candidates:\n"
+            "    auto: ~0 detector calls, ~0.52s\n"
+            "    exact: ~0 detector calls, ~0.00s <- chosen\n"
+            "    naive_aqp: ~0 detector calls, ~0.00s\n"
+            "    specialized_rewrite: ~0 detector calls, ~0.52s\n"
+            "    control_variates: ~0 detector calls, ~0.52s"
+        )
+
+    def test_indexed_render_keeps_non_detector_seconds(self, indexed_engine):
+        """Only detector work is index-served: the ranking still trains."""
+        explanation = indexed_engine.session().explain(
+            SCRUB_QUERY, hints=QueryHints(force_plan="importance")
+        )
+        assert explanation.operators.render() == (
+            "ScrubbingQueryPlan(car>=2, limit=3, gap=0)\n"
+            "  ImportanceOrderedScan(trained per query) [~0 detector calls, ~0.52s]\n"
+            "  DetectorVerifier(down the ranking) [~0 detector calls, ~0.00s]"
+        )
+        assert explanation.estimated_detector_calls == 0
+
     def test_unannotated_tree_without_statistics(self):
         """Trees built without num_frames/stats carry no cost annotations."""
         from repro.frameql.analyzer import analyze

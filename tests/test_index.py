@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -426,6 +427,116 @@ class TestSegmentValidation:
             run(fresh, "SELECT * FROM small")
 
 
+def _edit_sketch(change):
+    """Rewrite ``sketch.npz`` with ``change`` applied to its arrays."""
+
+    def corrupt(path):
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        change(arrays)
+        np.savez_compressed(path, **arrays)
+
+    return corrupt
+
+
+def _set(name, value):
+    def change(arrays):
+        arrays[name] = np.asarray(value, dtype=arrays[name].dtype)
+
+    return change
+
+
+def _at(where, **values):
+    """Set one cell of sketch matrices: the first where ``where(arrays)``."""
+
+    def change(arrays):
+        cell = tuple(np.argwhere(where(arrays))[0])
+        for name, value in values.items():
+            arrays[name] = arrays[name].copy()
+            arrays[name][cell] = value
+
+    return change
+
+
+def _zero_total(arrays):
+    return arrays["total_count"] == 0
+
+
+def _present(arrays):
+    return arrays["presence_frames"] > 0
+
+
+class TestSketchValidation:
+    """A covered count is read off the sketch and a max-count prune trusts
+    it, both at zero detector cost, so a sketch that disagrees with the
+    manifest or with itself is refused when first loaded — a typed error
+    naming the file, never a silently wrong answer."""
+
+    @pytest.mark.parametrize(
+        "corrupt, complaint",
+        [
+            (_cut_file_short, "unreadable index sketch"),
+            (_edit_sketch(lambda a: a.pop("max_count")), "unreadable index sketch"),
+            (_edit_sketch(_set("sketch_format", "range-sketch/v0")), "unreadable"),
+            (_edit_sketch(_set("num_frames", 65)), "num_frames"),
+            (_edit_sketch(_set("range_size", 16)), "range_size"),
+            (
+                _edit_sketch(lambda a: a.update(total_count=a["total_count"][:-1])),
+                "shape",
+            ),
+            (
+                _edit_sketch(lambda a: a.update(class_table=a["class_table"][:1])),
+                "shape",
+            ),
+            (_edit_sketch(_at(_zero_total, presence_frames=-1)), "0 <= presence"),
+            # Ranges are 8 frames long: no count of frames can exceed 8.
+            (_edit_sketch(_at(_present, presence_frames=9)), "presence <= occupied"),
+            (
+                _edit_sketch(_at(lambda a: a["occupied_frames"] >= 0, occupied_frames=9)),
+                "occupied <= range length",
+            ),
+            (_edit_sketch(_at(_present, max_count=10_000)), "max <= total"),
+            (_edit_sketch(_at(_zero_total, max_count=-1)), "0 <= max"),
+            (_edit_sketch(_at(_zero_total, total_count=1)), "presence == 0 iff total == 0"),
+            (
+                _edit_sketch(_at(_present, total_count=0, max_count=0)),
+                "presence == 0 iff total == 0",
+            ),
+        ],
+    )
+    def test_corrupt_sketch_is_a_typed_error_never_an_answer(
+        self, small_indexed_engine, detector, engine_config, corrupt, complaint
+    ):
+        _engine, root, video = small_indexed_engine
+        path = _video_dir(root) / "gen-000001" / "sketch.npz"
+        corrupt(path)
+
+        index = VideoIndex.open(_video_dir(root))
+        try:
+            with pytest.raises(ConfigurationError, match=re.escape(complaint)) as refused:
+                index.sketch
+            assert str(path) in str(refused.value)
+        finally:
+            index.close()
+
+        fresh = make_engine(detector, engine_config, index_dir=root)
+        fresh.register_video("small", test_video=video)
+        for query in (
+            "SELECT FCOUNT(*) FROM small WHERE class = 'car'",
+            "SELECT * FROM small",
+        ):
+            with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+                run(fresh, query)
+
+    def test_the_committed_sketch_is_accepted(self, small_indexed_engine):
+        _engine, root, _video = small_indexed_engine
+        index = VideoIndex.open(_video_dir(root))
+        try:
+            assert index.sketch.num_ranges == 8
+        finally:
+            index.close()
+
+
 def _synthetic_results(num_frames, class_frames):
     """One result per frame; ``class_frames`` maps class -> {frame: count}."""
     results = []
@@ -657,6 +768,38 @@ class TestSketchSkipping:
         ledger = result.execution_ledger
         assert ledger.detector_calls == 0
         assert ledger.index_skips > 0
+
+    def test_importance_fallback_counts_each_pruned_frame_once(
+        self, index_root, tiny_video, tiny_labeled_set, detector, engine_config
+    ):
+        # The LIMIT cannot be met, so the ranked walk ends unsatisfied and the
+        # exhaustive fallback sweeps what it left.  Frames the sketch proved
+        # hopeless were dropped (and counted) by the ranked walk; the sweep
+        # must neither walk nor count them again.
+        root, _ = index_root
+        query = (
+            "SELECT timestamp FROM tiny GROUP BY timestamp "
+            "HAVING COUNT(class = 'car') >= 2 LIMIT 400 GAP 5"
+        )
+        hints = QueryHints(force_plan="importance")
+        indexed = run(
+            make_tiny_engine(
+                tiny_video, tiny_labeled_set, detector, engine_config, index_dir=root
+            ),
+            query,
+            hints=hints,
+        )
+        reference = run(
+            make_tiny_engine(tiny_video, tiny_labeled_set, detector, engine_config),
+            query,
+            hints=hints,
+        )
+        results_identical(indexed, reference)
+        assert indexed.method == "importance" and not indexed.satisfied
+        ledger = indexed.execution_ledger
+        assert ledger.detector_calls == 0
+        assert ledger.index_skips > 0
+        assert ledger.index_hits + ledger.index_skips <= tiny_video.num_frames
 
 
 # -- warm start and the use_index hint ---------------------------------------------
