@@ -23,8 +23,6 @@ the invariants a structure enforces instead of a rule):
 RPR001    determinism: no wall-clock or unseeded randomness in result-producing
           modules
 RPR002    ledger accounting: detector access flows through ``ExecutionContext``
-RPR003    lock discipline: thread-shared state mutated only under its lock;
-          lock-acquisition-order graph is cycle-free
 RPR007    persistence hygiene: artifact writes go through ``repro.persist``;
           memory maps closed before unlink
 RPR008    observability hygiene: span wall times stay display-only; spans

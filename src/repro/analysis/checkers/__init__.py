@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.analysis.checkers.base import Checker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.ledger import LedgerAccountingChecker
-from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.checkers.persistence import PersistenceHygieneChecker
 from repro.analysis.checkers.observability import ObservabilityHygieneChecker
 
@@ -15,7 +14,6 @@ def all_checkers() -> list[Checker]:
     return [
         DeterminismChecker(),
         LedgerAccountingChecker(),
-        LockDisciplineChecker(),
         PersistenceHygieneChecker(),
         ObservabilityHygieneChecker(),
     ]
@@ -25,7 +23,6 @@ __all__ = [
     "Checker",
     "DeterminismChecker",
     "LedgerAccountingChecker",
-    "LockDisciplineChecker",
     "ObservabilityHygieneChecker",
     "PersistenceHygieneChecker",
     "all_checkers",

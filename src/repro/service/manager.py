@@ -39,6 +39,7 @@ from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
 from repro.service.protocol import event_to_json, hints_from_json, result_to_json
 from repro.service.scheduler import FairScheduler
+from repro.sync import Guarded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.hints import QueryHints, StopConditions
@@ -116,6 +117,16 @@ class ServiceConfig:
     warm_start_index: bool = True
 
 
+class _LogState:
+    """One log's events and closed flag, reached only under its guard."""
+
+    __slots__ = ("events", "closed")
+
+    def __init__(self) -> None:
+        self.events: list[dict[str, Any]] = []
+        self.closed = False
+
+
 class EventLog:
     """Append-only, index-addressed log of one query's serialized events.
 
@@ -127,36 +138,34 @@ class EventLog:
     """
 
     def __init__(self) -> None:
-        self._events: list[dict[str, Any]] = []
-        self._cond = threading.Condition()
-        self._closed = False
+        self._state = Guarded(_LogState(), condition=True)
 
     def append(self, payload: dict[str, Any]) -> int:
         """Append one serialized event; returns its index."""
-        with self._cond:
-            self._events.append(payload)
-            self._cond.notify_all()
-            return len(self._events) - 1
+        with self._state as s:
+            s.events.append(payload)
+            self._state.notify_all()
+            return len(s.events) - 1
 
     def close(self) -> None:
         """Mark the log complete; blocked readers wake up and drain."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        with self._state as s:
+            s.closed = True
+            self._state.notify_all()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
-            return self._closed
+        with self._state as s:
+            return s.closed
 
     def __len__(self) -> int:
-        with self._cond:
-            return len(self._events)
+        with self._state as s:
+            return len(s.events)
 
     def snapshot(self, start: int = 0) -> list[dict[str, Any]]:
         """Every event at index >= ``start`` that exists right now."""
-        with self._cond:
-            return self._events[start:]
+        with self._state as s:
+            return s.events[start:]
 
     def wait_for(
         self, index: int, timeout: float | None = None
@@ -167,12 +176,10 @@ class EventLog:
         on timeout while the log is still open (callers distinguish the two
         via :attr:`closed`).
         """
-        with self._cond:
-            self._cond.wait_for(
-                lambda: len(self._events) > index or self._closed, timeout
-            )
-            if len(self._events) > index:
-                return self._events[index]
+        with self._state as s:
+            self._state.wait_for(lambda: len(s.events) > index or s.closed, timeout)
+            if len(s.events) > index:
+                return s.events[index]
             return None
 
 
@@ -271,7 +278,8 @@ class QueryRecord:
 
 
 class TenantState:
-    """A tenant's quota and cumulative usage (guarded by the manager lock)."""
+    """A tenant's quota and cumulative usage (reached only through the
+    manager's guarded state)."""
 
     def __init__(self, name: str, quota: TenantQuota) -> None:
         self.name = name
@@ -310,18 +318,43 @@ class SessionRecord:
         return prepared_id
 
 
+class _ManagerState:
+    """The manager's registries, reached only under its guard."""
+
+    __slots__ = ("tenants", "sessions", "queries", "ids", "closed")
+
+    def __init__(self) -> None:
+        self.tenants: dict[str, TenantState] = {}
+        self.sessions: dict[str, SessionRecord] = {}
+        self.queries: dict[str, QueryRecord] = {}
+        self.ids = itertools.count()
+        self.closed = False
+
+    def ensure_open(self) -> None:
+        if self.closed:
+            raise ServiceError("service manager is shut down")
+
+    def tenant(self, name: str) -> TenantState:
+        tenant = self.tenants.get(name)
+        if tenant is None:
+            raise NotFoundError(f"unknown tenant {name!r}")
+        return tenant
+
+    def session(self, session_id: str) -> SessionRecord:
+        record = self.sessions.get(session_id)
+        if record is None:
+            raise NotFoundError(f"unknown session {session_id!r}")
+        return record
+
+
 class ServiceManager:
     """Registries + admission control + quota accounting over one engine."""
 
     def __init__(self, engine: BlazeIt, config: ServiceConfig | None = None) -> None:
         self.engine = engine
         self.config = config or ServiceConfig()
-        self._lock = threading.Lock()
-        self._tenants: dict[str, TenantState] = {}
-        self._sessions: dict[str, SessionRecord] = {}
-        self._queries: dict[str, QueryRecord] = {}
-        self._ids = itertools.count()
-        self._closed = False
+        # Named ``_lock``: the loop-liveness test holds it from outside.
+        self._lock = Guarded(_ManagerState())
         self.warm_start_report: dict[str, Any] | None = None
         if self.config.warm_start_index:
             self.warm_start_report = engine.warm_start()
@@ -333,23 +366,17 @@ class ServiceManager:
         self, name: str, quota: TenantQuota | None = None
     ) -> dict[str, Any]:
         """Register a tenant (idempotent only for distinct names)."""
-        with self._lock:
-            self._ensure_open()
-            if name in self._tenants:
+        with self._lock as s:
+            s.ensure_open()
+            if name in s.tenants:
                 raise ServiceError(f"tenant {name!r} already exists")
             tenant = TenantState(name, quota or self.config.default_quota)
-            self._tenants[name] = tenant
+            s.tenants[name] = tenant
             return tenant.status()
 
     def tenant_status(self, name: str) -> dict[str, Any]:
-        with self._lock:
-            return self._tenant(name).status()
-
-    def _tenant(self, name: str) -> TenantState:
-        tenant = self._tenants.get(name)
-        if tenant is None:
-            raise NotFoundError(f"unknown tenant {name!r}")
-        return tenant
+        with self._lock as s:
+            return s.tenant(name).status()
 
     # -- sessions ------------------------------------------------------------------
 
@@ -367,27 +394,19 @@ class ServiceManager:
         """
         if isinstance(hints, Mapping):
             hints = hints_from_json(dict(hints))
-        with self._lock:
-            self._ensure_open()
-            self._tenant(tenant_name)
+        with self._lock as s:
+            s.ensure_open()
+            s.tenant(tenant_name)
             session = self.engine.session(video=video, hints=hints)
-            session_id = f"s{next(self._ids)}"
-            self._sessions[session_id] = SessionRecord(
-                session_id, tenant_name, session
-            )
+            session_id = f"s{next(s.ids)}"
+            s.sessions[session_id] = SessionRecord(session_id, tenant_name, session)
             return session_id
 
-    def _session(self, session_id: str) -> SessionRecord:
-        record = self._sessions.get(session_id)
-        if record is None:
-            raise NotFoundError(f"unknown session {session_id!r}")
-        return record
-
     def close_session(self, session_id: str) -> None:
-        with self._lock:
-            record = self._session(session_id)
+        with self._lock as s:
+            record = s.session(session_id)
             record.session.close()
-            del self._sessions[session_id]
+            del s.sessions[session_id]
 
     # -- prepared statements -------------------------------------------------------
 
@@ -400,9 +419,9 @@ class ServiceManager:
         """Parse/analyze/plan once inside a session; returns id + plan info."""
         if isinstance(hints, Mapping):
             hints = hints_from_json(dict(hints))
-        with self._lock:
-            self._ensure_open()
-            record = self._session(session_id)
+        with self._lock as s:
+            s.ensure_open()
+            record = s.session(session_id)
             prepared = record.session.prepare(query, hints=hints)
             prepared_id = record.add_prepared(prepared)
             return {
@@ -437,10 +456,10 @@ class ServiceManager:
             hints = hints_from_json(dict(hints))
         if (query is None) == (prepared_id is None):
             raise ServiceError("submit needs exactly one of query= or prepared_id=")
-        with self._lock:
-            self._ensure_open()
-            session_record = self._session(session_id)
-            tenant = self._tenant(session_record.tenant_name)
+        with self._lock as s:
+            s.ensure_open()
+            session_record = s.session(session_id)
+            tenant = s.tenant(session_record.tenant_name)
             quota = tenant.quota
             if (
                 quota.max_detector_calls is not None
@@ -494,14 +513,14 @@ class ServiceManager:
             stream = prepared.stream(stop=stop, **dict(params or {}))
             slots = max(1, min(stream.workers, self.config.slots))
             record = QueryRecord(
-                query_id=f"q{next(self._ids)}",
+                query_id=f"q{next(s.ids)}",
                 tenant_name=tenant.name,
                 session_id=session_id,
                 text=prepared.text,
                 stream=stream,
                 slots=slots,
             )
-            self._queries[record.query_id] = record
+            s.queries[record.query_id] = record
             tenant.queries_submitted += 1
             tenant.active_queries += 1
             record.submitted_at = time.perf_counter()
@@ -563,7 +582,7 @@ class ServiceManager:
             record.done.set()
 
     def _finalise(self, record: QueryRecord) -> None:
-        with self._lock:
+        with self._lock as s:
             if record.error is not None:
                 record.state = FAILED
             elif record.stop_reason == "cancelled" or (
@@ -576,7 +595,7 @@ class ServiceManager:
                 record.state = CANCELLED
             else:
                 record.state = COMPLETED
-            tenant = self._tenants.get(record.tenant_name)
+            tenant = s.tenants.get(record.tenant_name)
             if tenant is not None:
                 tenant.active_queries -= 1
                 tenant.queries_finished += 1
@@ -589,15 +608,15 @@ class ServiceManager:
             # finished records (finish order: a record moves to the end of
             # the dict here); a reader that already holds an older one keeps
             # it and streams to the end.
-            self._queries[record.query_id] = self._queries.pop(record.query_id)
+            s.queries[record.query_id] = s.queries.pop(record.query_id)
             finished = [
                 query_id
-                for query_id, other in self._queries.items()
+                for query_id, other in s.queries.items()
                 if other.state not in (QUEUED, RUNNING)
             ]
             evicted = finished[: max(0, len(finished) - self.config.max_queue_depth)]
             for query_id in evicted:
-                del self._queries[query_id]
+                del s.queries[query_id]
         if evicted:
             get_registry().inc(
                 "repro_query_records_evicted_total",
@@ -608,8 +627,8 @@ class ServiceManager:
     # -- query control -------------------------------------------------------------
 
     def query(self, query_id: str) -> QueryRecord:
-        with self._lock:
-            record = self._queries.get(query_id)
+        with self._lock as s:
+            record = s.queries.get(query_id)
             if record is None:
                 raise NotFoundError(f"unknown query {query_id!r}")
             return record
@@ -637,15 +656,11 @@ class ServiceManager:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceError("service manager is shut down")
-
     def shutdown(self, timeout: float = 10.0) -> None:
         """Cancel everything queued, stop running queries, join drainers."""
-        with self._lock:
-            self._closed = True
-            records = list(self._queries.values())
+        with self._lock as s:
+            s.closed = True
+            records = list(s.queries.values())
         for record in records:
             if not record.done.is_set():
                 record.cancel_requested = True
@@ -664,11 +679,11 @@ class ServiceManager:
         index = self.engine.index_status()
         if self.warm_start_report is not None:
             index["warm_start"] = self.warm_start_report
-        with self._lock:
+        with self._lock as s:
             return {
-                "tenants": len(self._tenants),
-                "sessions": len(self._sessions),
-                "queries": len(self._queries),
+                "tenants": len(s.tenants),
+                "sessions": len(s.sessions),
+                "queries": len(s.queries),
                 "slots": self.config.slots,
                 "queued": self.scheduler.queued_count(),
                 "running": self.scheduler.running_count(),

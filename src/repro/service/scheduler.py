@@ -32,9 +32,25 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
+from repro.sync import Guarded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.manager import QueryRecord
+
+
+class _SchedulerState:
+    """Queues, rotation and slot accounting of one scheduler, reached only
+    under its guard."""
+
+    __slots__ = ("free", "queues", "rotation", "cursor", "busy_sessions", "running")
+
+    def __init__(self, slots: int) -> None:
+        self.free = slots
+        self.queues: dict[str, deque[QueryRecord]] = {}
+        self.rotation: list[str] = []
+        self.cursor = 0
+        self.busy_sessions: set[str] = set()
+        self.running: dict[str, threading.Thread] = {}
 
 
 class FairScheduler:
@@ -46,43 +62,37 @@ class FairScheduler:
         if slots < 1:
             raise ConfigurationError(f"scheduler needs >= 1 slot, got {slots}")
         self._slots = slots
-        self._free = slots
         self._run = run
-        self._lock = threading.Lock()
-        self._queues: dict[str, deque[QueryRecord]] = {}
-        self._rotation: list[str] = []
-        self._cursor = 0
-        self._busy_sessions: set[str] = set()
-        self._running: dict[str, threading.Thread] = {}
+        self._state = Guarded(_SchedulerState(slots))
 
     # -- introspection -------------------------------------------------------------
 
     def queued_count(self) -> int:
-        with self._lock:
-            return sum(len(q) for q in self._queues.values())
+        with self._state as s:
+            return sum(len(q) for q in s.queues.values())
 
     def running_count(self) -> int:
-        with self._lock:
-            return len(self._running)
+        with self._state as s:
+            return len(s.running)
 
     # -- submission ----------------------------------------------------------------
 
     def submit(self, record: QueryRecord) -> None:
         """Enqueue an admitted query and dispatch whatever now fits."""
-        with self._lock:
+        with self._state as s:
             tenant = record.tenant_key
-            queue = self._queues.get(tenant)
+            queue = s.queues.get(tenant)
             if queue is None:
-                queue = self._queues[tenant] = deque()
-                self._rotation.append(tenant)
+                queue = s.queues[tenant] = deque()
+                s.rotation.append(tenant)
             record.enqueued_at = time.perf_counter()
             queue.append(record)
-            self._dispatch_locked()
+            self._dispatch(s)
 
     def withdraw(self, record: QueryRecord) -> bool:
         """Remove a still-queued record; ``False`` if it already started."""
-        with self._lock:
-            queue = self._queues.get(record.tenant_key)
+        with self._state as s:
+            queue = s.queues.get(record.tenant_key)
             if queue is not None and record in queue:
                 queue.remove(record)
                 return True
@@ -90,44 +100,45 @@ class FairScheduler:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _dispatch_locked(self) -> None:
-        """Start every queued query that fits, fairly.  Caller holds the lock.
+    def _dispatch(self, s: _SchedulerState) -> None:
+        """Start every queued query that fits, fairly.
 
-        Each pass walks the tenant rotation once starting after the tenant
-        served last; a tenant whose head-of-queue query cannot start (its
-        session is busy, or not enough free slots) is skipped without losing
-        its turn.  Passes repeat until one makes no progress.
+        Takes the state its caller holds under the guard.  Each pass walks
+        the tenant rotation once starting after the tenant served last; a
+        tenant whose head-of-queue query cannot start (its session is busy,
+        or not enough free slots) is skipped without losing its turn.
+        Passes repeat until one makes no progress.
         """
         progressed = True
         while progressed:
             progressed = False
-            count = len(self._rotation)
+            count = len(s.rotation)
             for step in range(count):
-                index = (self._cursor + step) % count
-                queue = self._queues.get(self._rotation[index])
+                index = (s.cursor + step) % count
+                queue = s.queues.get(s.rotation[index])
                 if not queue:
                     continue
                 record = queue[0]
                 demand = min(record.slots, self._slots)
-                if record.session_key in self._busy_sessions:
+                if record.session_key in s.busy_sessions:
                     continue
-                if demand > self._free:
+                if demand > s.free:
                     continue
                 queue.popleft()
                 record.dispatched_at = time.perf_counter()
-                self._free -= demand
-                self._busy_sessions.add(record.session_key)
+                s.free -= demand
+                s.busy_sessions.add(record.session_key)
                 # No modulo here: the rotation can grow before the next
                 # dispatch, and wrapping now would hand the turn back to the
                 # first tenant instead of the next one.
-                self._cursor = index + 1
+                s.cursor = index + 1
                 thread = threading.Thread(
                     target=self._drain,
                     args=(record, demand),
                     name=f"query-{record.query_id}",
                     daemon=True,
                 )
-                self._running[record.query_id] = thread
+                s.running[record.query_id] = thread
                 thread.start()
                 progressed = True
                 break
@@ -136,11 +147,11 @@ class FairScheduler:
         try:
             self._run(record)
         finally:
-            with self._lock:
-                self._free += demand
-                self._busy_sessions.discard(record.session_key)
-                self._running.pop(record.query_id, None)
-                self._dispatch_locked()
+            with self._state as s:
+                s.free += demand
+                s.busy_sessions.discard(record.session_key)
+                s.running.pop(record.query_id, None)
+                self._dispatch(s)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -150,10 +161,10 @@ class FairScheduler:
         The manager is expected to have cancelled running queries first;
         this only waits for their drainers to finish and clears the queues.
         """
-        with self._lock:
-            for queue in self._queues.values():
+        with self._state as s:
+            for queue in s.queues.values():
                 queue.clear()
-            threads = list(self._running.values())
+            threads = list(s.running.values())
         for thread in threads:
             thread.join(timeout)
 

@@ -21,6 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.sync import Guarded
 
 
 class CancellationToken:
@@ -39,12 +40,11 @@ class CancellationToken:
     that would otherwise only notice the flag at the next batch boundary.
     """
 
-    __slots__ = ("_event", "_lock", "_callbacks")
+    __slots__ = ("_event", "_callbacks")
 
     def __init__(self) -> None:
         self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._callbacks: list[Callable[[], None]] = []
+        self._callbacks: Guarded[list[Callable[[], None]]] = Guarded([])
 
     def set(self) -> None:
         """Request cancellation (idempotent, safe from any thread).
@@ -54,12 +54,12 @@ class CancellationToken:
         does not prevent later callbacks from running — exceptions propagate
         to the caller only after every callback has fired.
         """
-        with self._lock:
+        with self._callbacks as waiting:
             if self._event.is_set():
                 return
             self._event.set()
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
+            callbacks = list(waiting)
+            waiting.clear()
         error: BaseException | None = None
         for callback in callbacks:
             try:
@@ -78,9 +78,9 @@ class CancellationToken:
         registering thread; otherwise it runs on whichever thread calls
         :meth:`set` first.  Each callback fires at most once.
         """
-        with self._lock:
+        with self._callbacks as waiting:
             if not self._event.is_set():
-                self._callbacks.append(callback)
+                waiting.append(callback)
                 return
         callback()
 

@@ -4,6 +4,11 @@ The expensive fixtures (scenario generation, labeled-set construction, test-day
 recording) are session-scoped: they simulate "days" of video and run the
 simulated detector over them once, then every test reads from the same
 objects.
+
+Every ``repro.sync.Guarded`` acquisition in the suite goes through one
+session-wide lockdep (``tests/lockdep.py``): a lock-order cycle or a re-entered
+guard raises where it happens and fails the test that caused it, on whichever
+thread it ran.
 """
 
 from __future__ import annotations
@@ -19,6 +24,21 @@ from repro.detection.simulated import SimulatedDetector
 from repro.specialization.trainer import TrainingConfig
 from repro.video.frame import COLOR_PALETTE
 from repro.video.synthetic import ObjectClassSpec, SyntheticVideo, VideoSpec
+from lockdep import Lockdep, install
+
+LOCKDEP = Lockdep()
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    install(LOCKDEP)
+
+
+@pytest.fixture(autouse=True)
+def _lock_order_checked():
+    """Fail the test during which any thread broke the lock order."""
+    yield
+    violations = LOCKDEP.take_violations()
+    assert not violations, "\n\n".join(violations)
 
 
 def make_video_spec(

@@ -22,6 +22,7 @@ from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.errors import ConfigurationError
+from repro.detection.base import DetectionResult
 from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import MetricsRegistry, get_registry, record_execution_ledger
 from repro.obs.profile import ExecutionProfile, build_profile, estimate_errors
@@ -33,6 +34,12 @@ from repro.service.protocol import (
 )
 
 from test_parallel import QUERIES
+
+
+def _detect(ledger: ExecutionLedger, frames: range) -> None:
+    """Record one detector call per frame (an empty detection), as the detect path does."""
+    for frame in frames:
+        ledger.record_detection(frame, DetectionResult(frame_index=frame, timestamp=0.0))
 
 
 def run(engine, query, seed=42, **kwargs):
@@ -103,7 +110,7 @@ class TestTracer:
         tracer = Tracer()
         ledger = ExecutionLedger()
         with tracer.operator_span("FullScan", ledger):
-            ledger.detector_calls += 7
+            _detect(ledger, range(7))
         record = tracer.records()[0]
         assert record.attributes["kind"] == "operator"
         assert record.attributes["detector_calls"] == 7
@@ -197,9 +204,7 @@ class TestMetricsRegistry:
     def test_record_execution_ledger_folds_counters(self):
         registry = get_registry()
         registry.reset()
-        ledger = ExecutionLedger()
-        ledger.detector_calls += 9
-        record_execution_ledger("selection", ledger)
+        record_execution_ledger("selection", ExecutionLedger(detector_calls=9))
         snapshot = registry.snapshot()
         assert snapshot["counters"]['repro_queries_total{kind="selection"}'] == 1.0
         assert (
@@ -280,9 +285,9 @@ class TestExplainAnalyze:
 
         tracer = Tracer()
         ledger = ExecutionLedger()
-        for calls in (3, 4):
+        for frames in (range(3), range(3, 7)):
             with tracer.operator_span("FullScan", ledger):
-                ledger.detector_calls += calls
+                _detect(ledger, frames)
         tree = OperatorNode(
             name="FullScan", detail="", estimated_detector_calls=10
         )

@@ -60,19 +60,19 @@ AWKWARD = [0.1, 1 / 3, 2**-45, 1e300, -1.5e-17, 123456789.000000001]
 
 
 def make_ledger() -> ExecutionLedger:
-    ledger = ExecutionLedger()
-    ledger.detector_calls = 123
-    ledger.frames_decoded = 456
-    ledger.detection_cache_hits = 7
-    ledger.shared_cache_hits = 8
-    ledger.index_hits = 11
-    ledger.index_skips = 12
-    ledger.batches_emitted = 9
-    ledger.events_emitted = 10
-    ledger.wall_seconds = 1.234567890123
-    ledger.charges = {"mask_rcnn": 0.1 * 123}
-    ledger.calls = {"mask_rcnn": 123}
-    return ledger
+    return ExecutionLedger(
+        charges={"mask_rcnn": 0.1 * 123},
+        calls={"mask_rcnn": 123},
+        detector_calls=123,
+        frames_decoded=456,
+        detection_cache_hits=7,
+        shared_cache_hits=8,
+        index_hits=11,
+        index_skips=12,
+        batches_emitted=9,
+        events_emitted=10,
+        wall_seconds=1.234567890123,
+    )
 
 
 def make_record(features: bool = True) -> FrameRecord:
@@ -198,9 +198,12 @@ class TestLedgerRoundTrip:
             for f in dataclasses.fields(ExecutionLedger)
             if f.name not in inherited and not f.name.startswith("_")
         ]
-        ledger = ExecutionLedger()
-        for value, field in enumerate(counters, start=1):
-            setattr(ledger, field.name, type(field.default)(value))
+        ledger = ExecutionLedger(
+            **{
+                field.name: type(field.default)(value)
+                for value, field in enumerate(counters, start=1)
+            }
+        )
         expected = {f.name: getattr(ledger, f.name) for f in counters}
         assert len(set(expected.values())) == len(counters) >= 9
 
@@ -337,9 +340,7 @@ class TestResultRoundTrip:
 
     def test_fingerprint_ignores_wall_seconds_only(self):
         def build(wall: float, calls: int) -> QueryResult:
-            ledger = ExecutionLedger()
-            ledger.wall_seconds = wall
-            ledger.detector_calls = calls
+            ledger = ExecutionLedger(wall_seconds=wall, detector_calls=calls)
             return QueryResult(
                 kind="aggregate",
                 method="m",

@@ -132,12 +132,14 @@ class TestSharedDetectionCache:
         loaded = SharedDetectionCache.load(path)
         assert len(loaded) == len(cache)
         assert loaded.capacity_bytes == cache.capacity_bytes
-        assert list(loaded._entries.keys()) == list(cache._entries.keys())
-        for key, entry in cache._entries.items():
-            restored = loaded._entries[key].result
-            for a, b in zip(
-                entry.result.detections, restored.detections, strict=True
-            ):
+        with cache._state as s:
+            saved_entries = dict(s.entries)
+        with loaded._state as s:
+            restored_entries = dict(s.entries)
+        assert list(restored_entries) == list(saved_entries)
+        for key, entry in saved_entries.items():
+            saved, restored = entry.result, restored_entries[key].result
+            for a, b in zip(saved.detections, restored.detections, strict=True):
                 assert a.object_class == b.object_class and a.box == b.box
                 assert a.confidence == b.confidence
                 assert np.array_equal(a.features, b.features)

@@ -74,18 +74,19 @@ CODECS = {
 
 
 def _execution_ledger() -> ExecutionLedger:
-    ledger = ExecutionLedger()
+    ledger = ExecutionLedger(
+        detector_calls=123,
+        frames_decoded=120,
+        detection_cache_hits=7,
+        shared_cache_hits=8,
+        index_hits=11,
+        index_skips=12,
+        batches_emitted=9,
+        events_emitted=10,
+        wall_seconds=1.234567890123,
+    )
     ledger.charge_seconds("mask_rcnn", 41.0)
     ledger.charge_seconds("specialized_nn", 0.0123)
-    ledger.detector_calls = 123
-    ledger.frames_decoded = 120
-    ledger.detection_cache_hits = 7
-    ledger.shared_cache_hits = 8
-    ledger.index_hits = 11
-    ledger.index_skips = 12
-    ledger.batches_emitted = 9
-    ledger.events_emitted = 10
-    ledger.wall_seconds = 1.234567890123
     return ledger
 
 
