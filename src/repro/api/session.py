@@ -61,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.context import ExecutionContext
     from repro.core.engine import BlazeIt
     from repro.optimizer.base import PhysicalPlan
+    from repro.optimizer.cost import ParallelismDecision, PlanDecision
 
 def _positive_float(name: str, value: Any) -> float:
     try:
@@ -250,17 +251,38 @@ class PreparedQuery:
             rng, stop, batch_size, params, parallelism, backend, trace, analyze
         )
 
-    def _effective_parallelism(self, parallelism: int | None) -> int:
-        if parallelism is not None:
-            if not isinstance(parallelism, int) or parallelism < 1:
-                raise ConfigurationError(
-                    f"parallelism must be a positive integer or None, got "
-                    f"{parallelism!r}"
-                )
-            return parallelism
-        if self.hints.parallelism is not None:
-            return self.hints.parallelism
-        return self._session.engine.config.parallelism
+    @property
+    def _decision(self) -> PlanDecision:
+        decision = self.plan.decision
+        assert decision is not None  # prepare() plans through the optimizer
+        return decision
+
+    def _routed(
+        self, batch_size: int | None = None, backend: str | None = None
+    ) -> ParallelismDecision:
+        """The routed-parallelism verdict: what ``explain()`` shows, and what
+        an execution without an explicit ``parallelism=`` runs.
+
+        Routed (hints / engine config) parallelism is a *default*, not an
+        order: the verdict is a function of the plan's decision record, so
+        it is priced on the statistics the plan was chosen with.
+        """
+        from repro.optimizer.cost import routed_parallelism
+
+        engine = self._session.engine
+        requested = (
+            self.hints.parallelism
+            if self.hints.parallelism is not None
+            else engine.config.parallelism
+        )
+        return routed_parallelism(
+            self._decision,
+            requested=requested,
+            batch_size=batch_size or self.hints.batch_size or DEFAULT_BATCH_SIZE,
+            backend_constraint=backend if backend is not None else self.hints.backend,
+            detector=engine.detector_for(self.spec.video),
+            recorded=engine.recorded_for(self.spec.video),
+        )
 
     def _tracing_enabled(self, trace: bool | None, analyze: bool) -> bool:
         """Per-call ``analyze`` wins, then ``trace``, then the hints; off otherwise."""
@@ -308,45 +330,23 @@ class PreparedQuery:
             tracer = Tracer.from_seed_sequence(seed_sequence)
             context = dataclasses.replace(context, tracer=tracer)
         if batch_size is None:
-            batch_size = (
-                self.hints.batch_size
-                if self.hints.batch_size is not None
-                else DEFAULT_BATCH_SIZE
-            )
+            batch_size = self.hints.batch_size or DEFAULT_BATCH_SIZE
         control = ExecutionControl(
             stop=stop if stop is not None else self.hints.stop_conditions,
             batch_size=batch_size,
         )
-        workers = self._effective_parallelism(parallelism)
-        exec_backend = backend if backend is not None else self.hints.backend
-        # Routed (hints / engine config) parallelism is a *default*, not an
-        # order: with catalog statistics the optimizer's parallelism model
-        # prices backend and worker count per query (an importance-ordered
-        # scrub never amortizes startup plus speculation, a scan does);
-        # without statistics the plan-level profitability gate stands in.
-        # A per-call explicit ``parallelism=`` is honoured as given.
-        if workers > 1 and parallelism is None:
-            stats = self._session.engine.catalog.get(self.spec.video)
-            if stats is not None:
-                from repro.optimizer.cost import routed_parallelism
-
-                decision = routed_parallelism(
-                    self.plan,
-                    stats,
-                    num_frames=context.video.num_frames,
-                    requested=workers,
-                    batch_size=batch_size,
-                    backend_constraint=exec_backend,
-                    detector=context.detector,
-                    recorded=context.recorded,
+        if parallelism is not None:
+            # An explicit per-call worker count is honoured as given.
+            if not isinstance(parallelism, int) or parallelism < 1:
+                raise ConfigurationError(
+                    f"parallelism must be a positive integer or None, got "
+                    f"{parallelism!r}"
                 )
-                workers = decision.workers
-                if decision.parallel:
-                    exec_backend = decision.backend
-            elif not self.plan.parallel_profitable(context):
-                workers = 1
-        if exec_backend is None:
-            exec_backend = "threads"
+            workers = parallelism
+            exec_backend = backend or self.hints.backend or "threads"
+        else:
+            verdict = self._routed(batch_size, backend)
+            workers, exec_backend = verdict.workers, verdict.backend
 
         def events() -> Iterator[ExecutionEvent]:
             from repro.parallel.plan import parallel_events
@@ -369,7 +369,7 @@ class PreparedQuery:
                         execution_context,
                         control,
                         parallelism=workers,
-                        stats=self._session.engine.catalog.get(self.spec.video),
+                        stats=self._decision.stats,
                         backend=exec_backend,
                     )
                 else:
@@ -403,12 +403,7 @@ class PreparedQuery:
                             result.profile = build_profile(
                                 result.kind,
                                 self.plan.describe(),
-                                self.plan.operator_tree(
-                                    context.video.num_frames,
-                                    self._session.engine.catalog.get(
-                                        self.spec.video
-                                    ),
-                                ),
+                                self._decision.operators,
                                 tracer,
                             )
                         yield completed
@@ -464,7 +459,8 @@ class PreparedQuery:
     def explain(
         self, analyze: bool = False, **params: Any
     ) -> PlanExplanation | ExecutionProfile:
-        """Structured description of the plan this query will run.
+        """Structured description of the plan this query will run: the
+        decision the optimizer recorded on it at ``prepare()``.
 
         ``explain(analyze=True)`` actually runs the query once (tracing
         enabled, fresh RNG stream) and returns its
@@ -476,7 +472,7 @@ class PreparedQuery:
             result = self.execute(analyze=True, **params)
             assert result.profile is not None  # analyze=True always traces
             return result.profile
-        return self._session._explain(self.spec, self.plan, self.hints)
+        return self._decision.explanation(self._routed())
 
 
 class QuerySession:
@@ -545,24 +541,6 @@ class QuerySession:
             return str(query), query
         self.stats.parses += 1
         return query, parse(query)
-
-    def _explain(
-        self, spec: QuerySpec, plan: PhysicalPlan, hints: QueryHints
-    ) -> PlanExplanation:
-        store = self.engine.store
-        num_frames = store.get(spec.video).num_frames if spec.video in store else 0
-        # The optimizer assembles the explanation: it holds the statistics
-        # catalog the per-operator cost annotations and the candidate
-        # summaries are priced from.  The video's detection sources ride
-        # along so the parallelism verdict matches what execution decides.
-        return self.engine.optimizer.explain_plan(
-            spec,
-            plan,
-            hints,
-            num_frames,
-            detector=self.engine.detector_for(spec.video),
-            recorded=self.engine.recorded_for(spec.video),
-        )
 
     # -- public API ----------------------------------------------------------------
 
@@ -671,11 +649,12 @@ class QuerySession:
         param_sets: Iterable[Mapping[str, Any]],
         hints: QueryHints | None = None,
     ) -> list[QueryResult]:
-        """Prepare a query once and execute it for every parameter set."""
-        return self.prepare(query, hints=hints).execute_many(param_sets)
+        """Prepare (with caching) and execute a query for every parameter set."""
+        return self._prepared_for(query, hints).execute_many(param_sets)
 
     def explain(
         self, query: str | QueryBuilder | Query, hints: QueryHints | None = None
     ) -> PlanExplanation:
-        """The structured plan explanation for a query, without executing it."""
-        return self.prepare(query, hints=hints).explain()
+        """The structured explanation of the plan :meth:`execute` runs for a
+        query (the cached prepared plan), without executing it."""
+        return self._prepared_for(query, hints).explain()

@@ -106,6 +106,7 @@ class BlazeIt:
             catalog=self.catalog,
             config=self.config,
             index_lookup=self._index_attachable,
+            frame_count=lambda name: self.store.get(name).num_frames if name in self.store else 0,
         )
         self._detectors: dict[str, ObjectDetector] = {}
         self._labeled_sets: dict[str, LabeledSet] = {}

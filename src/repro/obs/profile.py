@@ -1,9 +1,9 @@
 """EXPLAIN ANALYZE: per-operator actual vs estimated cost profiles.
 
 ``execute(analyze=True)`` attaches an :class:`ExecutionProfile` to the
-result: the optimizer's per-operator estimates (from the statistics catalog)
-next to the *actual* detector calls and wall seconds each operator's span
-recorded.  :meth:`ExecutionProfile.render` is the human-readable EXPLAIN
+result: the per-operator estimates the optimizer recorded on the plan when it
+chose it (the EXPLAIN tree, index repricing included) next to the *actual*
+detector calls and wall seconds each operator's span recorded.  :meth:`ExecutionProfile.render` is the human-readable EXPLAIN
 ANALYZE output; :func:`estimate_errors` feeds the optimizer calibration
 report (``python -m repro.obs calibration``).
 
@@ -89,7 +89,7 @@ def build_profile(
     tree: OperatorNode,
     tracer: Tracer,
 ) -> ExecutionProfile:
-    """Join the plan's estimated operator tree with the recorded spans.
+    """Join the plan's recorded estimated operator tree with the spans.
 
     Operator spans are matched by operator name; multiple activations of the
     same operator (e.g. per-chunk scans) are summed.  When the tree holds

@@ -32,7 +32,7 @@ from repro.core.events import (
 )
 from repro.optimizer.base import CostEstimate, PhysicalPlan, PlanCursor
 from repro.optimizer.aggregates import AggregateQueryPlan
-from repro.optimizer.cost import CostBasedOptimizer, PlanCandidate
+from repro.optimizer.cost import CostBasedOptimizer, PlanCandidate, PlanDecision
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.optimizer.exact import ExactQueryPlan
@@ -47,6 +47,7 @@ __all__ = [
     "ExactQueryPlan",
     "CostBasedOptimizer",
     "PlanCandidate",
+    "PlanDecision",
     "ExecutionEvent",
     "ExecutionControl",
     "Progress",

@@ -36,6 +36,7 @@ from repro.metrics.runtime import StandardCosts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
+    from repro.optimizer.cost import PlanDecision
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,10 @@ class CostEstimate:
 class PhysicalPlan(abc.ABC):
     """A runnable execution strategy for one query."""
 
-    #: The cost estimate the optimizer priced this plan at when it chose it
-    #: (``None`` for plans built outside the optimizer).  The parallelism
-    #: model reads it so its "expected detector work" agrees with the very
-    #: numbers the plan was selected on.
-    planned_cost: CostEstimate | None = None
+    #: The optimizer's record of why this plan was chosen (``None`` for plans
+    #: built outside the optimizer): ``explain()``, EXPLAIN ANALYZE and
+    #: routed parallelism read it instead of re-deriving the choice.
+    decision: PlanDecision | None = None
 
     @abc.abstractmethod
     def _stream(
@@ -130,22 +130,6 @@ class PhysicalPlan(abc.ABC):
     def describe(self) -> str:
         """Human-readable description of the plan."""
         return type(self).__name__
-
-    def parallel_profitable(self, context: ExecutionContext) -> bool:
-        """Statistics-free fallback gate for *default* parallelism routing.
-
-        When hints or the engine configuration route a query through the
-        parallel engine and the statistics catalog has an entry for the
-        video, the optimizer's :class:`~repro.optimizer.cost.ParallelismModel`
-        prices the decision per query and this hook is not consulted.  It
-        remains the fallback when no statistics exist: a plan that knows
-        sharded prefetch cannot pay off (e.g. an importance-ordered scrubbing
-        scan, whose ranked access order defeats contiguous-shard speculation)
-        returns ``False`` and runs on the classic sequential path.  An
-        explicit per-call ``parallelism=`` always wins — the caller asked for
-        shards, they get shards.
-        """
-        return True
 
     def operator_tree(
         self,

@@ -111,20 +111,12 @@ class ParallelismDecision:
     #: Modeled seconds of the chosen configuration (equals
     #: ``sequential_seconds`` when sequential wins).
     parallel_seconds: float = 0.0
-    #: ``"cost_model"`` normally; ``"fallback"`` when no statistics existed
-    #: and the plan-level profitability gate decided instead.
+    #: ``"cost_model"`` normally; ``"fallback"`` when the plan was chosen
+    #: without statistics and the stats-free rule decided instead.
     source: str = "cost_model"
 
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
-
     def describe(self) -> str:
-        label = (
-            "sequential"
-            if not self.parallel
-            else f"{self.backend} x {self.workers}"
-        )
+        label = "sequential" if self.workers < 2 else f"{self.backend} x {self.workers}"
         return f"{label} [{self.source}] — {self.reason}"
 
 
@@ -134,8 +126,8 @@ class ParallelismModel:
     The parallel engine overlaps *detector* latency across shard workers;
     everything else a plan does (training, inference, filters) runs on the
     driver regardless.  So the model compares the plan's expected detector
-    seconds — taken from the cost estimate the optimizer already produced
-    when it chose the plan — against ``startup x k`` plus the per-shard share
+    seconds — the cost estimate the optimizer chose the plan at, from its
+    decision record — against ``startup x k`` plus the per-shard share
     of useful work *and* speculative waste: workers compute the announced
     order eagerly, so a plan that consumes only a short prefix (an
     importance-ranked scrub crossing its LIMIT early) pays for prefetched
@@ -150,7 +142,7 @@ class ParallelismModel:
 
     def decide(
         self,
-        plan: PhysicalPlan,
+        cost: CostEstimate,
         stats: VideoStatistics,
         num_frames: int,
         requested: int,
@@ -173,9 +165,6 @@ class ParallelismModel:
                 workers=1,
                 reason="parallelism not requested",
             )
-        cost = plan.planned_cost
-        if cost is None:
-            cost = plan.estimate_cost(num_frames, stats)
         useful_calls = min(max(int(cost.detector_calls), 0), num_frames)
         per_call = stats.detector_seconds_per_call
         sequential_seconds = useful_calls * per_call
@@ -251,30 +240,52 @@ class ParallelismModel:
 
 
 def routed_parallelism(
-    plan: PhysicalPlan,
-    stats: VideoStatistics,
-    num_frames: int,
+    decision: PlanDecision,
     requested: int,
     batch_size: int,
     backend_constraint: str | None,
     detector: "ObjectDetector",
     recorded: "RecordedDetections | None",
 ) -> ParallelismDecision:
-    """The verdict on hint/config-routed parallelism for one plan.
+    """The verdict on hint/config-routed parallelism for one planned query.
 
-    The single place ``explain()`` and execution both ask, so they cannot
-    disagree.  Exportability to process workers is probed only when
-    processes are actually in play: the probe pickles the detector.
+    A pure function of the plan's decision record and the routing inputs:
+    ``explain()`` and execution both call it, on the same inputs, so the
+    verdict shown is the one that runs.  Without statistics there is nothing
+    to price, so the stats-free rule decides: scrubbing stops at its
+    ``LIMIT`` and declines (speculative prefetch measured a 0.44x regression
+    at 4 workers), every other plan scans and shards as requested.
+    Exportability to process workers is probed only when processes are
+    actually in play: the probe pickles the detector.
     """
     from repro.core.context import spawn_refusal
     from repro.parallel.executor import WINDOW_CHUNKS
 
+    if requested < 2:
+        return ParallelismDecision(
+            backend="sequential", workers=1, reason="parallelism not requested"
+        )
+    if decision.stats is None:
+        if decision.kind == "scrubbing":
+            return ParallelismDecision(
+                backend="sequential",
+                workers=1,
+                reason="no catalog statistics to price: a LIMIT scan stops "
+                "early, so shard prefetch is declined",
+                source="fallback",
+            )
+        return ParallelismDecision(
+            backend=backend_constraint or "threads",
+            workers=requested,
+            reason="no catalog statistics to price: scans shard as requested",
+            source="fallback",
+        )
     processes_in_play = detector.gil_bound or backend_constraint == "processes"
     process_ok = not processes_in_play or spawn_refusal(detector, recorded) is None
     return ParallelismModel().decide(
-        plan=plan,
-        stats=stats,
-        num_frames=num_frames,
+        cost=decision.chosen.cost,
+        stats=decision.stats,
+        num_frames=decision.num_frames,
         requested=requested,
         batch_size=batch_size,
         window_chunks=WINDOW_CHUNKS,
@@ -302,32 +313,67 @@ def _index_served_tree(node: OperatorNode) -> OperatorNode:
     )
 
 
+@dataclass(frozen=True, repr=False)
 class PlanCandidate:
     """One priced physical alternative for a query."""
 
-    def __init__(
-        self,
-        name: str,
-        plan: PhysicalPlan,
-        cost: CostEstimate,
-        reason: str = "",
-    ) -> None:
-        self.name = name
-        self.plan = plan
-        self.cost = cost
-        self.reason = reason
+    name: str
+    plan: PhysicalPlan
+    cost: CostEstimate
+    reason: str = ""
+    #: Repriced for an index-served video: its detector work costs nothing.
+    index_served: bool = False
 
     def __repr__(self) -> str:
         return f"PlanCandidate({self.name!r}, {self.cost.describe()})"
 
-    def summary(self, chosen: bool) -> PlanCandidateSummary:
-        """The explanation-facing summary of this candidate."""
-        return PlanCandidateSummary(
-            name=self.name,
-            detector_calls=self.cost.detector_calls,
-            total_seconds=self.cost.total_seconds,
-            chosen=chosen,
-            reason=self.reason,
+
+@dataclass(frozen=True)
+class PlanDecision:
+    """What :meth:`CostBasedOptimizer.plan` decided, recorded on the plan.
+
+    Written once, when the plan is chosen, and read by everything that
+    reports or routes the plan afterwards — ``explain()`` renders it,
+    EXPLAIN ANALYZE joins spans against its operator tree, routed
+    parallelism prices its chosen cost — so none of them consults the
+    (possibly since-changed) statistics catalog again.
+    """
+
+    #: The query class (``QueryKind`` value).
+    kind: str
+    hints: QueryHints
+    #: Every priced candidate, default first, index repricing applied.
+    candidates: tuple[PlanCandidate, ...]
+    #: The winner (by cost, or by ``force_plan``); its plan carries this record.
+    chosen: PlanCandidate
+    #: The statistics snapshot and the frame count the candidates were priced
+    #: with (``None`` / the store's count for a video without statistics).
+    stats: VideoStatistics | None
+    num_frames: int
+    #: The chosen plan's estimated operator tree, and its detector-call
+    #: bound; both zeroed on an index-served video.
+    operators: OperatorNode
+    estimated_detector_calls: int
+
+    def explanation(self, parallelism: ParallelismDecision) -> PlanExplanation:
+        """The structured EXPLAIN of this decision, with a routed verdict."""
+        return PlanExplanation(
+            kind=self.kind,
+            plan_summary=self.chosen.plan.describe(),
+            operators=self.operators,
+            estimated_detector_calls=self.estimated_detector_calls,
+            hints_applied=self.hints.describe(),
+            candidates=tuple(
+                PlanCandidateSummary(
+                    name=candidate.name,
+                    detector_calls=candidate.cost.detector_calls,
+                    total_seconds=candidate.cost.total_seconds,
+                    chosen=candidate is self.chosen,
+                    reason=candidate.reason,
+                )
+                for candidate in self.candidates
+            ),
+            parallelism=parallelism.describe(),
         )
 
 
@@ -340,6 +386,7 @@ class CostBasedOptimizer:
         catalog: StatisticsCatalog | None = None,
         config: BlazeItConfig | None = None,
         index_lookup: Callable[[str], bool] | None = None,
+        frame_count: Callable[[str], int] | None = None,
     ) -> None:
         self.udf_registry = udf_registry
         self.catalog = catalog if catalog is not None else StatisticsCatalog()
@@ -351,11 +398,18 @@ class CostBasedOptimizer:
         #: range sketches — so detector calls and seconds are repriced to
         #: zero (training/inference/filter buckets are unaffected).
         self.index_lookup = index_lookup
+        #: The registered length of a video (the engine passes its store's);
+        #: sizes the costing of a video the catalog has no statistics for.
+        self.frame_count = frame_count or (lambda video: 0)
 
     # -- public surface ------------------------------------------------------------
 
     def plan(self, spec: QuerySpec, hints: QueryHints | None = None) -> PhysicalPlan:
-        """Build the physical plan for ``spec``.
+        """Build the physical plan for ``spec``, with its decision recorded.
+
+        The returned plan's ``decision`` is the :class:`PlanDecision` the
+        choice was made on — candidates, statistics snapshot, estimated
+        operator tree — for ``explain()`` and routing to read afterwards.
 
         Parameters
         ----------
@@ -369,38 +423,36 @@ class CostBasedOptimizer:
         require_hints(hints)
         hints = hints or NO_HINTS
         self._validate_udfs(spec)
-        chosen = self._select(
-            self.candidates(spec, hints), hints, self.statistics_for(spec)
+        candidates = self.candidates(spec, hints)
+        stats, num_frames = self._pricing_inputs(spec)
+        chosen = self._select(candidates, hints, stats)
+        operators = chosen.plan.operator_tree(num_frames=num_frames, stats=stats)
+        estimated_calls = chosen.plan.estimate_detector_calls(num_frames, stats)
+        if chosen.index_served:
+            # Every detection is served from persisted segments: the bound on
+            # charged detector calls collapses to zero, in the total and on
+            # every operator of the tree.
+            operators = _index_served_tree(operators)
+            estimated_calls = 0
+        chosen.plan.decision = PlanDecision(
+            kind=spec.kind.value,
+            hints=hints,
+            candidates=tuple(candidates),
+            chosen=chosen,
+            stats=stats,
+            num_frames=num_frames,
+            operators=operators,
+            estimated_detector_calls=estimated_calls,
         )
-        # Stamp the price the plan was chosen at: the parallelism model (and
-        # anyone else reasoning about the plan post-choice) reads it so the
-        # expected detector work agrees with the selection itself.
-        chosen.plan.planned_cost = chosen.cost
         return chosen.plan
 
-    def statistics_for(self, spec: QuerySpec) -> VideoStatistics | None:
-        """Catalog statistics for the query's video, if registered."""
-        return self.catalog.get(spec.video)
-
     def candidates(
-        self,
-        spec: QuerySpec,
-        hints: QueryHints | None = None,
-        num_frames: int | None = None,
+        self, spec: QuerySpec, hints: QueryHints | None = None
     ) -> list[PlanCandidate]:
-        """Every eligible physical candidate for ``spec``, default first.
-
-        ``num_frames`` sizes the costing when the statistics catalog has no
-        entry for the query's video (explanations pass the store's frame
-        count); with catalog statistics it is taken from them.
-        """
+        """Every eligible physical candidate for ``spec``, default first."""
         require_hints(hints)
         hints = hints or NO_HINTS
-        stats = self.statistics_for(spec)
-        if stats is not None:
-            num_frames = stats.num_frames
-        elif num_frames is None:
-            num_frames = 0
+        stats, num_frames = self._pricing_inputs(spec)
         if isinstance(spec, AggregateQuerySpec):
             candidates = self._aggregate_candidates(spec, hints, stats, num_frames)
         elif isinstance(spec, ScrubbingQuerySpec):
@@ -417,114 +469,17 @@ class CostBasedOptimizer:
             candidates = [self._index_priced(candidate) for candidate in candidates]
         return candidates
 
-    def choose(
-        self, candidates: list[PlanCandidate], stats: VideoStatistics | None
-    ) -> PlanCandidate:
-        """Pick the cheapest candidate, with the adaptive-default preference.
-
-        Without statistics there is nothing to price, so the default (first)
-        candidate — the historical rule-based mapping — is chosen outright.
-        """
-        if stats is None or len(candidates) == 1:
-            return candidates[0]
-        best = min(candidate.cost.total_seconds for candidate in candidates)
-        threshold = best * (1.0 + SELECTION_TOLERANCE_RELATIVE) + (
-            SELECTION_TOLERANCE_SECONDS
-        )
-        for candidate in candidates:
-            if candidate.cost.total_seconds <= threshold:
-                return candidate
-        return candidates[0]  # pragma: no cover - threshold >= best is total
-
-    def explain_plan(
-        self,
-        spec: QuerySpec,
-        plan: PhysicalPlan,
-        hints: QueryHints | None,
-        num_frames: int,
-        detector: "ObjectDetector",
-        recorded: "RecordedDetections | None",
-    ) -> PlanExplanation:
-        """Structured explanation of ``plan``, with per-operator costs.
-
-        ``detector`` and ``recorded`` are the video's detection sources (the
-        session passes the engine's): the parallelism verdict accounts for
-        GIL behaviour and process exportability exactly as execution will.
-        """
-        hints = hints or NO_HINTS
-        stats = self.statistics_for(spec)
-        candidates = self.candidates(spec, hints, num_frames=num_frames)
-        chosen = self._select(candidates, hints, stats).name
-        estimated_calls = plan.estimate_detector_calls(num_frames, stats)
-        operators = plan.operator_tree(num_frames=num_frames, stats=stats)
-        if self._index_covers(spec, hints):
-            # Sketch-tightened estimate: with a committed index every
-            # detection is served from persisted segments, so the bound on
-            # charged detector calls collapses to zero — in the total and on
-            # every operator of the tree.
-            estimated_calls = 0
-            operators = _index_served_tree(operators)
-        return PlanExplanation(
-            kind=spec.kind.value,
-            plan_summary=plan.describe(),
-            operators=operators,
-            estimated_detector_calls=estimated_calls,
-            hints_applied=hints.describe(),
-            candidates=tuple(
-                candidate.summary(chosen=candidate.name == chosen)
-                for candidate in candidates
-            ),
-            parallelism=self._explain_parallelism(
-                plan, hints, stats, num_frames, detector, recorded
-            ),
-        )
-
-    def _explain_parallelism(
-        self,
-        plan: PhysicalPlan,
-        hints: QueryHints,
-        stats: VideoStatistics | None,
-        num_frames: int,
-        detector: "ObjectDetector",
-        recorded: "RecordedDetections | None",
-    ) -> str:
-        """The routed-parallelism verdict, as ``explain()`` surfaces it."""
-        from repro.core.events import DEFAULT_BATCH_SIZE
-
-        requested = (
-            hints.parallelism
-            if hints.parallelism is not None
-            else self.config.parallelism
-        )
-        if requested < 2:
-            return ParallelismDecision(
-                backend="sequential", workers=1, reason="parallelism not requested"
-            ).describe()
-        if stats is None:
-            return ParallelismDecision(
-                backend="sequential",
-                workers=1,
-                reason=(
-                    "no catalog statistics to price: the plan-level "
-                    "profitability gate decides at execution"
-                ),
-                source="fallback",
-            ).describe()
-        batch_size = (
-            hints.batch_size if hints.batch_size is not None else DEFAULT_BATCH_SIZE
-        )
-        return routed_parallelism(
-            plan,
-            stats,
-            num_frames=num_frames,
-            requested=requested,
-            batch_size=batch_size,
-            backend_constraint=hints.backend,
-            detector=detector,
-            recorded=recorded,
-        ).describe()
-
     # -- shared pieces -------------------------------------------------------------
+
+    def _pricing_inputs(
+        self, spec: QuerySpec
+    ) -> tuple[VideoStatistics | None, int]:
+        """The statistics snapshot and the frame count candidates are priced
+        over: the catalog's, else the registered video's length."""
+        stats = self.catalog.get(spec.video)
+        if stats is not None:
+            return stats, stats.num_frames
+        return None, self.frame_count(spec.video)
 
     def _index_covers(self, spec: QuerySpec, hints: QueryHints) -> bool:
         """Whether a persistent index serves this query's detector work.
@@ -555,7 +510,7 @@ class CostBasedOptimizer:
         )
         suffix = "index-served detections: detector cost repriced to zero"
         reason = f"{candidate.reason} [{suffix}]" if candidate.reason else suffix
-        return PlanCandidate(candidate.name, candidate.plan, cost, reason=reason)
+        return replace(candidate, cost=cost, reason=reason, index_served=True)
 
     def _validate_udfs(self, spec: QuerySpec) -> None:
         predicates = getattr(spec, "udf_predicates", [])
@@ -571,7 +526,12 @@ class CostBasedOptimizer:
         hints: QueryHints,
         stats: VideoStatistics | None,
     ) -> PlanCandidate:
-        """The one selection rule: ``force_plan`` names the candidate, else cost."""
+        """The one selection rule: ``force_plan`` names the candidate, else
+        the cheapest wins, with the adaptive-default preference.
+
+        Without statistics there is nothing to price, so the default (first)
+        candidate — the historical rule-based mapping — is chosen outright.
+        """
         if hints.force_plan is not None:
             for candidate in candidates:
                 if candidate.name == hints.force_plan:
@@ -581,7 +541,16 @@ class CostBasedOptimizer:
                 f"force_plan={hints.force_plan!r} names no eligible candidate "
                 f"for this query; eligible candidates: {valid}"
             )
-        return self.choose(candidates, stats)
+        if stats is None or len(candidates) == 1:
+            return candidates[0]
+        best = min(candidate.cost.total_seconds for candidate in candidates)
+        threshold = best * (1.0 + SELECTION_TOLERANCE_RELATIVE) + (
+            SELECTION_TOLERANCE_SECONDS
+        )
+        for candidate in candidates:
+            if candidate.cost.total_seconds <= threshold:
+                return candidate
+        return candidates[0]  # pragma: no cover - threshold >= best is total
 
     def _detector_cost(
         self, calls: int, stats: VideoStatistics | None

@@ -147,6 +147,27 @@ def tiny_engine(
     return engine
 
 
+@pytest.fixture(scope="session")
+def late_days(detector) -> tuple[SyntheticVideo, LabeledSet]:
+    """A 2000-frame test day, and a labeled set to attach to it only after a
+    query over it was prepared (the catalog changes under a prepared plan)."""
+    test = SyntheticVideo.generate(make_video_spec(name="v", num_frames=2000, seed=3))
+    labeled = LabeledSet.build(
+        SyntheticVideo.generate(make_video_spec(name="v-train", num_frames=2000, seed=4)),
+        SyntheticVideo.generate(make_video_spec(name="v-heldout", num_frames=2000, seed=5)),
+        detector,
+    )
+    return test, labeled
+
+
+@pytest.fixture()
+def stats_free_engine(late_days, detector, engine_config) -> BlazeIt:
+    """A fresh engine with ``v`` registered and no statistics for it yet."""
+    engine = BlazeIt(detector=detector, config=engine_config)
+    engine.register_video("v", test_video=late_days[0])
+    return engine
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A deterministic random generator for per-test use."""

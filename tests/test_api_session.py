@@ -201,6 +201,28 @@ class TestSessionCaching:
         assert not session._contexts
 
 
+class TestSessionEntryPointsShareTheCache:
+    """``explain`` and ``execute_many`` answer from the session's prepared
+    cache, so they describe and run the plan ``execute`` runs."""
+
+    QUERY = (
+        "SELECT timestamp FROM v GROUP BY timestamp "
+        "HAVING SUM(class='car') >= 1 LIMIT 5"
+    )
+
+    def test_explain_describes_the_cached_plan(self, stats_free_engine, late_days):
+        session = stats_free_engine.session()
+        session.execute(self.QUERY, rng=np.random.default_rng(0))
+        before = session.explain(self.QUERY)
+        # Statistics arrive after the plan was cached: a fresh prepare()
+        # would now choose differently, the cached plan is unchanged.
+        stats_free_engine.attach_labeled_set("v", late_days[1])
+        assert session.explain(self.QUERY).render() == before.render()
+        session.execute_many(self.QUERY, [{}])
+        assert session.stats.plans == 1
+        assert session.stats.prepared_cache_hits == 3
+
+
 class TestSessionInputs:
     def test_prepare_accepts_builder_and_text(self, tiny_engine):
         session = tiny_engine.session()

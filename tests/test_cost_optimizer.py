@@ -9,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import QueryHints
+from repro.catalog.statistics import StatisticsCatalog
 from repro.core.config import AggregateMethod
 from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
 from repro.optimizer import cost as cost_module
 from repro.optimizer.aggregates import AggregateQueryPlan, sampling_calls_estimate
+from repro.optimizer.base import CostEstimate
 from repro.optimizer.cost import CostBasedOptimizer, ParallelismModel
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import default_udf_registry
+from repro.video.synthetic import SyntheticVideo
+from conftest import make_video_spec
 
 AGG_QUERY = "SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"
 SCRUB_QUERY = (
@@ -512,10 +516,9 @@ def _decide(
 ):
     """The model's verdict on a scan of 10,000 frames at 0.1 s per detector
     call (1,000 s sequential), with no speculative waste."""
-    plan = SimpleNamespace(planned_cost=SimpleNamespace(detector_calls=10_000))
     stats = SimpleNamespace(detector_seconds_per_call=0.1)
     return ParallelismModel().decide(
-        plan=plan,
+        cost=CostEstimate(detector_calls=10_000),
         stats=stats,
         num_frames=10_000,
         requested=requested,
@@ -576,3 +579,101 @@ class TestParallelismModel:
     def test_heavy_scan_uses_every_requested_worker(self, requested):
         decision = _decide(requested=requested)
         assert (decision.backend, decision.workers) == ("threads", requested)
+
+
+def _flat(node, depth=0):
+    """``(name, detail, depth, est calls, est seconds)`` rows of a tree."""
+    rows = [
+        (node.name, node.detail, depth, node.estimated_detector_calls,
+         node.estimated_seconds)
+    ]
+    for child in node.children:
+        rows.extend(_flat(child, depth + 1))
+    return rows
+
+
+LATE_SCRUB = (
+    "SELECT timestamp FROM v GROUP BY timestamp "
+    "HAVING SUM(class='car') >= 1 LIMIT 5"
+)
+LATE_AGG = "SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1"
+LATE_SELECT = "SELECT * FROM v WHERE class='bus' AND redness(content) >= 17.5"
+
+
+class TestPlanDecisionRecord:
+    """EXPLAIN, EXPLAIN ANALYZE and routing read the decision plan() made.
+
+    Regressions: each reader used to re-derive the choice from the catalog
+    as it stood when it ran, so statistics attached after prepare() (or an
+    index) made them describe a plan other than the one that runs.
+    """
+
+    def test_explain_marks_the_prepared_plan_chosen(
+        self, stats_free_engine, late_days
+    ):
+        prepared = stats_free_engine.session().prepare(LATE_SCRUB)
+        described = {
+            candidate.name: candidate.plan.describe()
+            for candidate in stats_free_engine.optimizer.candidates(prepared.spec)
+        }
+        stats_free_engine.attach_labeled_set("v", late_days[1])
+        chosen = [c.name for c in prepared.explain().candidates if c.chosen]
+        assert [described[name] for name in chosen] == [prepared.plan.describe()]
+
+    def test_analyze_estimates_are_the_explain_estimates(
+        self, tmp_path, detector, engine_config
+    ):
+        def day(name, seed):
+            spec = make_video_spec(name=name, num_frames=1200, seed=seed)
+            return SyntheticVideo.generate(spec)
+
+        engine = BlazeIt(detector=detector, config=engine_config, index_dir=tmp_path)
+        engine.register_video(
+            "v",
+            test_video=day("v", 3),
+            train_video=day("v-train", 4),
+            heldout_video=day("v-heldout", 5),
+        )
+        engine.build_index("v")
+        prepared = engine.session().prepare("SELECT * FROM v WHERE class='car'")
+        explained = _flat(prepared.explain().operators)
+        profile = prepared.explain(analyze=True)
+        analyzed = [
+            (op.name, op.detail, op.depth, op.estimated_detector_calls,
+             op.estimated_seconds)
+            for op in profile.operators
+        ]
+        assert analyzed == explained
+
+    @pytest.mark.parametrize("text", [LATE_AGG, LATE_SELECT])
+    def test_routed_verdict_is_priced_on_the_planned_frames(
+        self, stats_free_engine, late_days, text
+    ):
+        session = stats_free_engine.session(hints=QueryHints(parallelism=4))
+        prepared = session.prepare(text)
+        stats_free_engine.attach_labeled_set("v", late_days[1])
+        verdict = prepared.explain().parallelism
+        stream = prepared.stream(rng=np.random.default_rng(0))
+        workers = stream.workers
+        stream.close()
+        expected = f"threads x {workers}" if workers > 1 else "sequential"
+        assert verdict.startswith(expected), (verdict, workers)
+        assert "0 expected detector calls" not in verdict
+        assert prepared.plan.decision.num_frames == 2000
+
+    @pytest.mark.parametrize(
+        "text", [AGG_QUERY, SCRUB_QUERY, SELECT_QUERY, EXACT_QUERY]
+    )
+    @pytest.mark.parametrize("parallelism", [None, 2])
+    def test_explain_never_replans(self, tiny_engine, monkeypatch, text, parallelism):
+        prepared = tiny_engine.session().prepare(
+            text, hints=QueryHints(parallelism=parallelism)
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decision was re-derived after prepare()")
+
+        monkeypatch.setattr(CostBasedOptimizer, "candidates", refuse)
+        monkeypatch.setattr(StatisticsCatalog, "get", refuse)
+        prepared.explain()
+        prepared.explain(analyze=True)

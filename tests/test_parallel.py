@@ -408,9 +408,9 @@ class TestDefaultRoutingDeclinesScrubbing:
     With catalog statistics — the tiny engine has them — the optimizer's
     ``ParallelismModel`` prices worker startup plus expected prefetch waste
     against the plan's expected detector work and reaches sequential on the
-    merits; without statistics the plan-level ``parallel_profitable`` gate
-    stands in with the same blanket answer.  An explicit per-call
-    ``parallelism=`` is honoured as given either way.
+    merits; without statistics the routing function's stats-free rule gives
+    the same blanket answer.  An explicit per-call ``parallelism=`` is
+    honoured as given either way.
     """
 
     def _shard_events(self, stream):
@@ -468,11 +468,19 @@ class TestDefaultRoutingDeclinesScrubbing:
         )
         assert fingerprint(routed) == fingerprint(sequential)
 
-    def test_parallel_profitable_surface(self, tiny_engine):
-        # The statistics-free fallback gate keeps its conservative answers
-        # (it is only consulted when no catalog statistics exist).
-        spec_scrub, plan_scrub = tiny_engine.plan(QUERIES["scrubbing"])
-        spec_exact, plan_exact = tiny_engine.plan(QUERIES["exact"])
-        context = tiny_engine.execution_context("tiny")
-        assert plan_scrub.parallel_profitable(context) is False
-        assert plan_exact.parallel_profitable(context) is True
+    def test_stats_free_verdict(self, tiny_video, detector, engine_config):
+        # Planned without catalog statistics, routing falls back to the
+        # stats-free rule — scrubbing declines, a scan shards as requested —
+        # and explain() shows the verdict the stream runs.
+        engine = BlazeIt(detector=detector, config=engine_config)
+        engine.register_video("tiny", test_video=tiny_video)
+        with engine.session(hints=QueryHints(parallelism=4)) as session:
+            for query, verdict, workers in (
+                (QUERIES["scrubbing"], "sequential [fallback]", 1),
+                (QUERIES["exact"], "threads x 4 [fallback]", 4),
+            ):
+                prepared = session.prepare(query)
+                assert prepared.explain().parallelism.startswith(verdict)
+                stream = prepared.stream(rng=np.random.default_rng(1))
+                assert stream.workers == workers
+                stream.close()
