@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detection.base import DetectionResult, ObjectDetector
+from repro.detection.columnar import DetectionBatch
 from repro.metrics.runtime import RuntimeLedger
 from repro.video.synthetic import SyntheticVideo
 
@@ -35,6 +36,7 @@ class RecordedDetections:
         self.detector = detector
         self._results = results
         self._count_cache: dict[str, np.ndarray] = {}
+        self._batch: DetectionBatch | None = None
 
     @classmethod
     def build(
@@ -68,23 +70,22 @@ class RecordedDetections:
             ledger.charge(self.detector.cost)
         return self._results[frame_index]
 
+    @property
+    def batch(self) -> DetectionBatch:
+        """The whole recording as one column batch (built on first use)."""
+        if self._batch is None:
+            self._batch = DetectionBatch.from_results(self._results)
+        return self._batch
+
     def observed_classes(self) -> set[str]:
         """Every object class that appears anywhere in the recording."""
-        return {
-            detection.object_class
-            for result in self._results
-            for detection in result.detections
-        }
+        return self.batch.present_classes()
 
     def counts(self, object_class: str) -> np.ndarray:
         """Per-frame detected count of one object class (no cost charged)."""
         cached = self._count_cache.get(object_class)
         if cached is None:
-            cached = np.array(
-                [result.count(object_class) for result in self._results],
-                dtype=np.int64,
-            )
-            self._count_cache[object_class] = cached
+            cached = self._count_cache[object_class] = self.batch.class_counts(object_class)
         return cached
 
     def count_at(

@@ -7,11 +7,16 @@ the tracking substrate, on the :class:`~repro.tracking.track.ResolvedTrack`
 that groups detections — a ``Detection`` may be shared between queries
 through the cross-query cache, so nothing writes it after the detector made
 it.
+
+Detector output is stored as columns (:mod:`repro.detection.columnar`): a
+:class:`DetectionResult`'s ``detections`` are usually a row range of a
+``DetectionBatch`` that builds ``Detection`` objects only when iterated.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +26,7 @@ from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticVideo
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     """One detected object in one frame."""
 
@@ -40,26 +45,59 @@ class Detection:
         """Area of the detection's bounding box."""
         return self.box.area
 
+    def __eq__(self, other: object) -> bool:
+        """Field-for-field equality, feature vectors compared by value."""
+        if not isinstance(other, Detection):
+            return NotImplemented
+        if (self.features is None) != (other.features is None):
+            return False
+        return (
+            self.frame_index, self.timestamp, self.object_class, self.box,
+            self.confidence, self.track_id, self.color, self.color_name,
+        ) == (
+            other.frame_index, other.timestamp, other.object_class, other.box,
+            other.confidence, other.track_id, other.color, other.color_name,
+        ) and (
+            self.features is None
+            or other.features is None
+            or bool(np.array_equal(self.features, other.features))
+        )
 
-@dataclass
+
+@dataclass(slots=True)
 class DetectionResult:
-    """All detections produced for one frame."""
+    """All detections produced for one frame.
+
+    ``detections`` is any sequence of :class:`Detection`: a list when the
+    result is built by hand, or a
+    :class:`~repro.detection.columnar.DetectionRows` view of a batch's
+    columns when a detector, the index or a cache produced it.
+    """
 
     frame_index: int
     timestamp: float
-    detections: list[Detection] = field(default_factory=list)
+    detections: Sequence[Detection] = field(default_factory=list)
 
     def count(self, object_class: str | None = None) -> int:
-        """Number of detections, optionally restricted to one class."""
+        """Number of detections, optionally restricted to one class.
+
+        A columnar result answers from its class column without building a
+        ``Detection``.
+        """
         if object_class is None:
             return len(self.detections)
+        class_count: Callable[[str], int] | None = getattr(
+            self.detections, "class_count", None
+        )
+        if class_count is not None:
+            return class_count(object_class)
         return sum(1 for d in self.detections if d.object_class == object_class)
 
 
 def resolve_detection_batch(
-    frame_indices,
+    frame_indices: Iterable[int] | np.ndarray,
     execution_ledger: ExecutionLedger | None,
-    compute_misses,
+    compute_misses: Callable[[list[int]], Sequence[DetectionResult]],
 ) -> list[DetectionResult]:
     """Serve a batch of frames from the detection cache, computing the misses.
 
@@ -71,21 +109,20 @@ def resolve_detection_batch(
     recorded into the cache.  Results come back in input order.
     """
     order = [int(i) for i in frame_indices]
-    out: list[DetectionResult | None] = [None] * len(order)
+    served: dict[int, DetectionResult] = {}
     miss_frames: list[int] = []
     scheduled: set[int] = set()
-    for pos, frame_index in enumerate(order):
+    for frame_index in order:
         cached = (
             execution_ledger.cached_detection(frame_index)
             if execution_ledger is not None
             else None
         )
-        if cached is not None:
-            execution_ledger.record_cache_hit()
-            out[pos] = cached
-        elif frame_index in scheduled:
+        if cached is not None or frame_index in scheduled:
             if execution_ledger is not None:
                 execution_ledger.record_cache_hit()
+            if cached is not None:
+                served[frame_index] = cached
         else:
             scheduled.add(frame_index)
             miss_frames.append(frame_index)
@@ -94,10 +131,8 @@ def resolve_detection_batch(
         if execution_ledger is not None:
             for frame_index, result in computed.items():
                 execution_ledger.record_detection(frame_index, result)
-        for pos, frame_index in enumerate(order):
-            if out[pos] is None:
-                out[pos] = computed[frame_index]
-    return out  # type: ignore[return-value]
+        served.update(computed)
+    return [served[frame_index] for frame_index in order]
 
 
 class ObjectDetector(abc.ABC):

@@ -1,24 +1,29 @@
-"""Lossless columnar encoding of detection results.
+"""Detections as columns: the one storage form of detector output.
 
-Per-object :class:`~repro.detection.base.DetectionResult` payloads are the
-wrong shape for the transports this repo cares about: the shared-memory ring
-between a process shard worker and the driver (pickling thousands of small
-dataclasses per chunk dominates the transfer), the on-disk detection cache
-(the JSON dump grows quadratic-ish in practice) and the persistent index's
-segments (:mod:`repro.index.store`, which gathers a batch of frames out of
-the memory-mapped columns and decodes the window here).  All of them move a
-handful of flat numpy arrays produced here.
+A :class:`DetectionBatch` holds every detection of a batch of frames as a
+handful of flat numpy arrays (struct of arrays, rows grouped per frame by CSR
+offsets).  The simulated detector's kernel emits one batch per call, the
+index decodes a gathered window into one, the process-backend transport ships
+one, and the shared cache keeps packed copies of each frame's rows and hands
+out batches of them.
 
-The encoding is exact: ``decode_detection_results(encode_detection_results(rs))``
-rebuilds detections that compare equal field-for-field, including ``None``
-feature vectors (CSR-style ``-1`` sentinel lengths), optional colors and
-color names (string tables with ``-1`` codes), and absent track ids.  The
-driver re-materialises results from these arrays before charging the ledger,
-so the bit-for-bit parity guarantee of the parallel engine never depends on
-the transport.  Decoding converts each column with one ``tolist()`` and
-builds the string tables and feature offsets once per call — call it on as
-large a window as the caller has, not per frame — and copies every feature
-vector out, so nothing decoded keeps a map or a shared-memory slot alive.
+A frame's :class:`~repro.detection.base.DetectionResult` is a row range of a
+batch: its ``detections`` are a :class:`DetectionRows` view, whose
+``len()`` and class counts read the columns and which builds
+:class:`~repro.detection.base.Detection` objects only when a consumer
+iterates or indexes it (the tracker, predicates, result records).  Consumers
+that need only classes, counts or bytes — aggregates, the scrubbing verifier,
+the sketch builder, the segment writer, the cache budget and its snapshots,
+the shm transport — never build one.  A result constructed from a list of
+detections (a custom detector, a test) stays a list; :meth:`DetectionBatch.
+from_results` turns any mix of the two forms into columns.
+
+:func:`encode_detection_results` is the persisted and transported form: the
+batch's columns with both string tables compacted to the values present and
+sorted, so equal detections always encode to equal bytes (index segments,
+npz cache snapshots, shm payloads).  :func:`decode_detection_results` is its
+inverse and returns views; it copies every column that does not own its
+memory, so nothing decoded keeps an index map or a shared-memory slot alive.
 
 Layout (``n_frames`` frames holding ``n_det`` detections total):
 
@@ -40,12 +45,17 @@ array                     shape / dtype           meaning
 ``color_name_table``      ``(m,) <U``             distinct color names
 ``track_id``              ``(n_det,) int32``      track id, ``-1`` = ``None``
 ========================  ======================  =================================
+
+In memory the two tables are tuples in any order (the detector's kernel uses
+the video's first-seen order); only the encoded form sorts them.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import overload
 
 import numpy as np
 
@@ -53,6 +63,10 @@ from repro.detection.base import Detection, DetectionResult
 from repro.video.geometry import BoundingBox
 
 __all__ = [
+    "DetectionBatch",
+    "DetectionRows",
+    "concatenated_runs",
+    "run_offsets",
     "encode_detection_results",
     "decode_detection_results",
     "encode_to_bytes",
@@ -60,134 +74,461 @@ __all__ = [
 ]
 
 
-def _string_table(values: Iterable[str]) -> tuple[np.ndarray, dict[str, int]]:
-    table = sorted(set(values))
-    return np.asarray(table, dtype=np.str_), {name: i for i, name in enumerate(table)}
+def _owned(values: np.ndarray) -> np.ndarray:
+    """``values``, copied unless it owns its memory (a map, a bytes view)."""
+    return values if values.flags.owndata else values.copy()
+
+
+def _merge_tables(
+    tables: Sequence[tuple[str, ...]],
+) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """Union of string tables (first-seen order) and each table's code map.
+
+    A map has one extra trailing ``-1`` so that code ``-1`` ("absent") maps
+    to itself.
+    """
+    merged: dict[str, int] = {}
+    maps = []
+    for table in tables:
+        codes = [merged.setdefault(name, len(merged)) for name in table]
+        maps.append(np.asarray([*codes, -1], dtype=np.int32))
+    return tuple(merged), maps
+
+
+def _compact_table(
+    table: tuple[str, ...], codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted table of the names ``codes`` use, and codes into it."""
+    used = np.unique(codes[codes >= 0]).tolist()
+    names = sorted(table[code] for code in used)
+    position = {name: i for i, name in enumerate(names)}
+    remap = np.full(len(table) + 1, -1, dtype=np.int32)
+    for code in used:
+        remap[code] = position[table[code]]
+    return np.asarray(names, dtype=np.str_), remap[codes]
+
+
+def run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs: ``[0, l0, l0 + l1, ...]``."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    lengths.cumsum(out=offsets[1:])
+    return offsets
+
+
+def concatenated_runs(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``concatenate([arange(s, s + n) ...])`` without the Python loop, and
+    the offsets of each run in it."""
+    offsets = run_offsets(lengths)
+    rows = np.repeat(starts - offsets[:-1], lengths) + np.arange(
+        offsets[-1], dtype=np.int64
+    )
+    return rows, offsets
+
+
+@dataclass(eq=False, slots=True)
+class DetectionBatch:
+    """The detections of a batch of frames, as columns (see the module doc).
+
+    A batch is never written after it is built: results, caches and index
+    windows share it.  The private fields memoise two derived columns (the
+    class codes as a list, the feature offsets); building one twice in a
+    race is harmless.
+    """
+
+    frame_index: np.ndarray
+    timestamp: np.ndarray
+    offsets: np.ndarray
+    class_code: np.ndarray
+    class_table: tuple[str, ...]
+    box: np.ndarray
+    confidence: np.ndarray
+    feature_len: np.ndarray
+    features_flat: np.ndarray
+    color: np.ndarray
+    has_color: np.ndarray
+    color_name_code: np.ndarray
+    color_name_table: tuple[str, ...]
+    track_id: np.ndarray
+    _class_codes: list[int] | None = field(default=None, init=False, repr=False)
+    _feature_start: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def empty(cls) -> DetectionBatch:
+        """A batch of no frames."""
+        return cls.from_detections([])
+
+    @classmethod
+    def from_detections(cls, results: Sequence[DetectionResult]) -> DetectionBatch:
+        """Columns of results whose detections are objects (one pass each)."""
+        detections = [d for result in results for d in result.detections]
+        n_det = len(detections)
+        class_index: dict[str, int] = {}
+        color_name_index: dict[str, int] = {}
+        class_code = np.zeros(n_det, dtype=np.int32)
+        box = np.zeros((n_det, 4), dtype=np.float64)
+        confidence = np.zeros(n_det, dtype=np.float64)
+        feature_len = np.full(n_det, -1, dtype=np.int32)
+        color = np.zeros((n_det, 3), dtype=np.float64)
+        has_color = np.zeros(n_det, dtype=np.bool_)
+        color_name_code = np.full(n_det, -1, dtype=np.int32)
+        track_id = np.full(n_det, -1, dtype=np.int32)
+        feature_chunks: list[np.ndarray] = []
+        for i, det in enumerate(detections):
+            class_code[i] = class_index.setdefault(det.object_class, len(class_index))
+            box[i] = (det.box.x_min, det.box.y_min, det.box.x_max, det.box.y_max)
+            confidence[i] = det.confidence
+            if det.features is not None:
+                feature_len[i] = det.features.size
+                feature_chunks.append(np.asarray(det.features, dtype=np.float64).ravel())
+            if det.color is not None:
+                has_color[i] = True
+                color[i] = det.color
+            if det.color_name is not None:
+                color_name_code[i] = color_name_index.setdefault(
+                    det.color_name, len(color_name_index)
+                )
+            if det.track_id is not None:
+                track_id[i] = det.track_id
+        return cls(
+            frame_index=np.asarray([r.frame_index for r in results], dtype=np.int64),
+            timestamp=np.asarray([r.timestamp for r in results], dtype=np.float64),
+            offsets=run_offsets(
+                np.asarray([len(r.detections) for r in results], dtype=np.int64)
+            ),
+            class_code=class_code,
+            class_table=tuple(class_index),
+            box=box,
+            confidence=confidence,
+            feature_len=feature_len,
+            features_flat=(
+                np.concatenate(feature_chunks)
+                if feature_chunks
+                else np.zeros(0, dtype=np.float64)
+            ),
+            color=color,
+            has_color=has_color,
+            color_name_code=color_name_code,
+            color_name_table=tuple(color_name_index),
+            track_id=track_id,
+        )
+
+    @classmethod
+    def from_results(cls, results: Sequence[DetectionResult]) -> DetectionBatch:
+        """One batch holding ``results`` in order, whatever their form.
+
+        Results that are exactly one batch's frames in order (one detector
+        call, one decoded window) come back as that batch, uncopied; anything
+        else is gathered run by run and concatenated.
+        """
+        runs: list[tuple[DetectionBatch | None, list[DetectionResult], list[int]]] = []
+        for result in results:
+            rows = result.detections
+            batch = rows.batch if isinstance(rows, DetectionRows) else None
+            if not runs or runs[-1][0] is not batch:
+                runs.append((batch, [], []))
+            runs[-1][1].append(result)
+            if isinstance(rows, DetectionRows):
+                runs[-1][2].append(rows.frame_row)
+        if not runs:
+            return cls.empty()
+        pieces = [
+            cls.from_detections(run) if batch is None else batch._select(run, rows)
+            for batch, run, rows in runs
+        ]
+        return pieces[0] if len(pieces) == 1 else cls.concat(pieces)
+
+    def _select(self, results: list[DetectionResult], frame_rows: list[int]) -> DetectionBatch:
+        """This batch's frames ``frame_rows``, labelled as ``results``."""
+        frames = [result.frame_index for result in results]
+        stamps = [result.timestamp for result in results]
+        if (
+            len(frame_rows) == self.num_frames
+            and frame_rows == list(range(self.num_frames))
+            and frames == self.frame_index.tolist()
+            and stamps == self.timestamp.tolist()
+        ):
+            return self
+        return self.take(frame_rows, frames, stamps)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> DetectionBatch:
+        """A batch of the encoded columns (copied unless they own their memory)."""
+        return cls(
+            frame_index=_owned(arrays["frame_index"]),
+            timestamp=_owned(arrays["timestamp"]),
+            offsets=_owned(arrays["det_offsets"]),
+            class_code=_owned(arrays["class_code"]),
+            class_table=tuple(arrays["class_table"].tolist()),
+            box=_owned(arrays["box"]),
+            confidence=_owned(arrays["confidence"]),
+            feature_len=_owned(arrays["feature_len"]),
+            features_flat=_owned(arrays["features_flat"]),
+            color=_owned(arrays["color"]),
+            has_color=_owned(arrays["has_color"]),
+            color_name_code=_owned(arrays["color_name_code"]),
+            color_name_table=tuple(arrays["color_name_table"].tolist()),
+            track_id=_owned(arrays["track_id"]),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence[DetectionBatch]) -> DetectionBatch:
+        """Frames of every batch, in order, over merged string tables."""
+        class_table, class_maps = _merge_tables([b.class_table for b in batches])
+        color_table, color_maps = _merge_tables([b.color_name_table for b in batches])
+        offsets = run_offsets(np.concatenate([np.diff(b.offsets) for b in batches]))
+
+        def stack(column: str) -> np.ndarray:
+            return np.concatenate([getattr(b, column) for b in batches])
+
+        return cls(
+            frame_index=stack("frame_index"),
+            timestamp=stack("timestamp"),
+            offsets=offsets,
+            class_code=np.concatenate(
+                [m[b.class_code] for m, b in zip(class_maps, batches, strict=True)]
+            ),
+            class_table=class_table,
+            box=stack("box"),
+            confidence=stack("confidence"),
+            feature_len=stack("feature_len"),
+            features_flat=stack("features_flat"),
+            color=stack("color"),
+            has_color=stack("has_color"),
+            color_name_code=np.concatenate(
+                [m[b.color_name_code] for m, b in zip(color_maps, batches, strict=True)]
+            ),
+            color_name_table=color_table,
+            track_id=stack("track_id"),
+        )
+
+    def take(
+        self,
+        frame_rows: Sequence[int],
+        frame_index: Sequence[int],
+        timestamp: Sequence[float],
+    ) -> DetectionBatch:
+        """A new batch owning copies of the given frames' rows, labelled
+        ``frame_index`` / ``timestamp`` (a result may carry its own)."""
+        rows = np.asarray(frame_rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        det_rows, offsets = concatenated_runs(starts, self.offsets[rows + 1] - starts)
+        feature_len = self.feature_len[det_rows]
+        features = self.features_flat[
+            concatenated_runs(self.feature_start[det_rows], np.maximum(feature_len, 0))[0]
+        ]
+        return DetectionBatch(
+            frame_index=np.asarray(frame_index, dtype=np.int64),
+            timestamp=np.asarray(timestamp, dtype=np.float64),
+            offsets=offsets,
+            class_code=self.class_code[det_rows],
+            class_table=self.class_table,
+            box=self.box[det_rows],
+            confidence=self.confidence[det_rows],
+            feature_len=feature_len,
+            features_flat=features,
+            color=self.color[det_rows],
+            has_color=self.has_color[det_rows],
+            color_name_code=self.color_name_code[det_rows],
+            color_name_table=self.color_name_table,
+            track_id=self.track_id[det_rows],
+        )
+
+    # -- reading --------------------------------------------------------------
+
+    @property
+    def num_frames(self) -> int:
+        """Number of frames in the batch."""
+        return int(self.frame_index.shape[0])
+
+    @property
+    def feature_start(self) -> np.ndarray:
+        """``(n_det + 1,)`` CSR offsets of each detection's feature span."""
+        start = self._feature_start
+        if start is None:
+            start = self._feature_start = run_offsets(np.maximum(self.feature_len, 0))
+        return start
+
+    def results(self) -> list[DetectionResult]:
+        """One result per frame, each a view of its rows."""
+        offsets = self.offsets.tolist()
+        return [
+            DetectionResult(
+                frame_index=frame,
+                timestamp=stamp,
+                detections=DetectionRows(self, row, offsets[row], offsets[row + 1]),
+            )
+            for row, (frame, stamp) in enumerate(
+                zip(self.frame_index.tolist(), self.timestamp.tolist(), strict=True)
+            )
+        ]
+
+    def class_codes(self) -> list[int]:
+        """``class_code`` as a Python list (memoised)."""
+        if self._class_codes is None:
+            codes: list[int] = self.class_code.tolist()
+            self._class_codes = codes
+            return codes
+        return self._class_codes
+
+    def class_counts(self, object_class: str) -> np.ndarray:
+        """Per-frame count of one class, ``(n_frames,) int64``."""
+        if object_class not in self.class_table:
+            return np.zeros(self.num_frames, dtype=np.int64)
+        hits = self.class_code == self.class_table.index(object_class)
+        cumulative = np.concatenate([[0], np.cumsum(hits, dtype=np.int64)])
+        return cumulative[self.offsets[1:]] - cumulative[self.offsets[:-1]]
+
+    def present_classes(self) -> set[str]:
+        """The classes of at least one detection."""
+        return {self.class_table[code] for code in np.unique(self.class_code).tolist()}
+
+    def detections(self, frame_row: int, start: int, stop: int) -> list[Detection]:
+        """``Detection`` objects of rows ``[start, stop)`` of one frame.
+
+        Only these rows are converted, so nothing but the objects outlives
+        the call.
+        """
+        if start == stop:
+            return []
+        frame = int(self.frame_index[frame_row])
+        stamp = float(self.timestamp[frame_row])
+        class_code = self.class_codes()
+        class_table = self.class_table
+        color_name_table = self.color_name_table
+        features_flat = self.features_flat
+        rows = slice(start, stop)
+        feature_start = self.feature_start[rows].tolist()
+        out: list[Detection] = []
+        for i, box, confidence, n_feat, start_feat, color, has_color, color_name, track in zip(
+            range(start, stop),
+            self.box[rows].tolist(),
+            self.confidence[rows].tolist(),
+            self.feature_len[rows].tolist(),
+            feature_start,
+            self.color[rows].tolist(),
+            self.has_color[rows].tolist(),
+            self.color_name_code[rows].tolist(),
+            self.track_id[rows].tolist(),
+            strict=True,
+        ):
+            out.append(
+                Detection(
+                    frame_index=frame,
+                    timestamp=stamp,
+                    object_class=class_table[class_code[i]],
+                    box=BoundingBox(*box),
+                    confidence=confidence,
+                    features=(
+                        None
+                        if n_feat < 0
+                        else features_flat[start_feat : start_feat + n_feat].copy()
+                    ),
+                    track_id=None if track < 0 else track,
+                    color=(color[0], color[1], color[2]) if has_color else None,
+                    color_name=None if color_name < 0 else color_name_table[color_name],
+                )
+            )
+        return out
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The encoded layout: C-ordered columns, compacted sorted tables."""
+        class_table, class_code = _compact_table(self.class_table, self.class_code)
+        color_name_table, color_name_code = _compact_table(
+            self.color_name_table, self.color_name_code
+        )
+        return {
+            "frame_index": np.ascontiguousarray(self.frame_index, dtype=np.int64),
+            "timestamp": np.ascontiguousarray(self.timestamp, dtype=np.float64),
+            "det_offsets": np.ascontiguousarray(self.offsets, dtype=np.int64),
+            "class_code": class_code,
+            "class_table": class_table,
+            "box": np.ascontiguousarray(self.box, dtype=np.float64).reshape(-1, 4),
+            "confidence": np.ascontiguousarray(self.confidence, dtype=np.float64),
+            "feature_len": np.ascontiguousarray(self.feature_len, dtype=np.int32),
+            "features_flat": np.ascontiguousarray(self.features_flat, dtype=np.float64),
+            "color": np.ascontiguousarray(self.color, dtype=np.float64).reshape(-1, 3),
+            "has_color": np.ascontiguousarray(self.has_color, dtype=np.bool_),
+            "color_name_code": color_name_code,
+            "color_name_table": color_name_table,
+            "track_id": np.ascontiguousarray(self.track_id, dtype=np.int32),
+        }
+
+
+class DetectionRows(Sequence[Detection]):
+    """One frame's detections as a row range of a :class:`DetectionBatch`.
+
+    ``len()`` and :meth:`class_count` read the columns; iterating or
+    indexing builds the frame's ``Detection`` objects once and keeps them,
+    so repeated reads of one result see the same objects.
+    """
+
+    __slots__ = ("batch", "frame_row", "start", "stop", "_objects")
+
+    def __init__(self, batch: DetectionBatch, frame_row: int, start: int, stop: int) -> None:
+        self.batch = batch
+        self.frame_row = frame_row
+        self.start = start
+        self.stop = stop
+        self._objects: list[Detection] | None = None
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def class_count(self, object_class: str) -> int:
+        """Number of rows of one class, from the class column."""
+        table = self.batch.class_table
+        if object_class not in table:
+            return 0
+        return self.batch.class_codes()[self.start : self.stop].count(table.index(object_class))
+
+    def materialize(self) -> list[Detection]:
+        """The rows as ``Detection`` objects (built on first use)."""
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = self.batch.detections(
+                self.frame_row, self.start, self.stop
+            )
+        return objects
+
+    @overload
+    def __getitem__(self, index: int) -> Detection: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Detection]: ...
+
+    def __getitem__(self, index: int | slice) -> Detection | list[Detection]:
+        return self.materialize()[index]
+
+    def __iter__(self) -> Iterator[Detection]:
+        return iter(self.materialize())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self.materialize() == list(other)
+
+    def __repr__(self) -> str:
+        return repr(self.materialize())
 
 
 def encode_detection_results(
     results: Sequence[DetectionResult],
 ) -> dict[str, np.ndarray]:
     """Encode results as the flat column arrays documented in the module."""
-    detections = [d for result in results for d in result.detections]
-    n_det = len(detections)
-
-    class_table, class_index = _string_table(d.object_class for d in detections)
-    color_name_table, color_name_index = _string_table(
-        d.color_name for d in detections if d.color_name is not None
-    )
-
-    det_offsets = np.zeros(len(results) + 1, dtype=np.int64)
-    np.cumsum([len(r.detections) for r in results], out=det_offsets[1:])
-
-    box = np.zeros((n_det, 4), dtype=np.float64)
-    color = np.zeros((n_det, 3), dtype=np.float64)
-    has_color = np.zeros(n_det, dtype=np.bool_)
-    feature_len = np.full(n_det, -1, dtype=np.int32)
-    class_code = np.zeros(n_det, dtype=np.int32)
-    confidence = np.zeros(n_det, dtype=np.float64)
-    color_name_code = np.full(n_det, -1, dtype=np.int32)
-    track_id = np.full(n_det, -1, dtype=np.int32)
-    feature_chunks: list[np.ndarray] = []
-
-    for i, det in enumerate(detections):
-        class_code[i] = class_index[det.object_class]
-        box[i] = (det.box.x_min, det.box.y_min, det.box.x_max, det.box.y_max)
-        confidence[i] = det.confidence
-        if det.features is not None:
-            feature_len[i] = det.features.size
-            feature_chunks.append(np.asarray(det.features, dtype=np.float64).ravel())
-        if det.color is not None:
-            has_color[i] = True
-            color[i] = det.color
-        if det.color_name is not None:
-            color_name_code[i] = color_name_index[det.color_name]
-        if det.track_id is not None:
-            track_id[i] = det.track_id
-
-    features_flat = (
-        np.concatenate(feature_chunks)
-        if feature_chunks
-        else np.zeros(0, dtype=np.float64)
-    )
-    return {
-        "frame_index": np.asarray([r.frame_index for r in results], dtype=np.int64),
-        "timestamp": np.asarray([r.timestamp for r in results], dtype=np.float64),
-        "det_offsets": det_offsets,
-        "class_code": class_code,
-        "class_table": class_table,
-        "box": box,
-        "confidence": confidence,
-        "feature_len": feature_len,
-        "features_flat": features_flat,
-        "color": color,
-        "has_color": has_color,
-        "color_name_code": color_name_code,
-        "color_name_table": color_name_table,
-        "track_id": track_id,
-    }
+    return DetectionBatch.from_results(results).to_arrays()
 
 
 def decode_detection_results(arrays: dict[str, np.ndarray]) -> list[DetectionResult]:
-    """Rebuild the exact :class:`DetectionResult` objects from column arrays.
+    """Results viewing one batch of the encoded columns.
 
-    Every column is converted to Python scalars with one ``tolist()`` and the
-    two string tables and the feature offsets are built once per call, so the
-    object loop below touches no numpy scalar.  Feature vectors are copied
-    out one by one: each owns its memory and nothing decoded here keeps the
-    input arrays (an mmap window, a shared-memory slot) alive.
+    Columns that do not own their memory (an mmap window, a shared-memory
+    payload) are copied, so nothing decoded keeps the input alive.
     """
-    frame_index = arrays["frame_index"].tolist()
-    timestamp = arrays["timestamp"].tolist()
-    det_offsets = arrays["det_offsets"].tolist()
-    class_table = arrays["class_table"].tolist()
-    color_name_table = arrays["color_name_table"].tolist()
-    class_code = arrays["class_code"].tolist()
-    box = arrays["box"].tolist()
-    confidence = arrays["confidence"].tolist()
-    feature_len = arrays["feature_len"].tolist()
-    color = arrays["color"].tolist()
-    has_color = arrays["has_color"].tolist()
-    color_name_code = arrays["color_name_code"].tolist()
-    track_id = arrays["track_id"].tolist()
-    features_flat = arrays["features_flat"]
-    feature_offsets = np.zeros(len(feature_len) + 1, dtype=np.int64)
-    np.cumsum(np.maximum(arrays["feature_len"], 0), out=feature_offsets[1:])
-    feature_start = feature_offsets.tolist()
-
-    results: list[DetectionResult] = []
-    for f, frame in enumerate(frame_index):
-        stamp = timestamp[f]
-        detections: list[Detection] = []
-        for i in range(det_offsets[f], det_offsets[f + 1]):
-            n_feat = feature_len[i]
-            detections.append(
-                Detection(
-                    frame_index=frame,
-                    timestamp=stamp,
-                    object_class=class_table[class_code[i]],
-                    box=BoundingBox(*box[i]),
-                    confidence=confidence[i],
-                    features=(
-                        None
-                        if n_feat < 0
-                        else features_flat[
-                            feature_start[i] : feature_start[i] + n_feat
-                        ].copy()
-                    ),
-                    track_id=None if track_id[i] < 0 else track_id[i],
-                    color=tuple(color[i]) if has_color[i] else None,  # type: ignore[arg-type]
-                    color_name=(
-                        None
-                        if color_name_code[i] < 0
-                        else color_name_table[color_name_code[i]]
-                    ),
-                )
-            )
-        results.append(
-            DetectionResult(frame_index=frame, timestamp=stamp, detections=detections)
-        )
-    return results
+    return DetectionBatch.from_arrays(arrays).results()
 
 
 def encode_to_bytes(results: Sequence[DetectionResult]) -> bytes:
@@ -202,3 +543,4 @@ def decode_from_bytes(payload: bytes) -> list[DetectionResult]:
     with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
     return decode_detection_results(arrays)
+

@@ -17,13 +17,19 @@ for YOLOv2) to the runtime ledger.  All noise is deterministic per
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.detection.base import Detection, DetectionResult, ObjectDetector
+from repro.detection.columnar import DetectionBatch, concatenated_runs
 from repro.metrics.runtime import OperatorCost, RuntimeLedger, StandardCosts
 from repro.rng import RekeyedPhilox
+from repro.sync import Guarded
+from repro.video.frame import GroundTruthObject
 from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticVideo
 
@@ -58,6 +64,194 @@ class DetectorNoiseModel:
     confidence_floor: float = 0.05
 
 
+#: Feature dimensions of a simulated detection: RGB colour, then box size.
+_FEATURE_DIM = 5
+
+
+def _stream_key(detector_seed: int, video: SyntheticVideo) -> int:
+    """The high Philox key word of a (detector, video) pair's frame streams.
+
+    Philox takes exactly two 64-bit key words: the detector and video seeds
+    fold into this one, the frame index is the other.
+    """
+    return ((detector_seed * 2654435761) ^ (video.spec.seed * 40503)) & 0xFFFFFFFFFFFFFFFF
+
+
+#: A call of at least this many frames builds an object table of just its
+#: frames instead of using the video's: the table's fixed cost is amortised,
+#: and a video only ever detected in bulk (a labeled-set day, an index build)
+#: keeps no table alive.
+_CALL_TABLE_FRAMES = 256
+
+
+class _VideoKernel:
+    """Everything a detection over some frames of a video needs that no draw
+    changes.
+
+    Built from the columnar object table of those frames — all of them, once
+    per (detector configuration, video), for small calls; a large call's own
+    frames otherwise: per (frame, object) pair, in :meth:`SyntheticVideo.
+    objects_at` order, the clipped box, colour, miss probability (``-1`` for
+    a class the detector does not support: never drawn for) and confidence
+    base, plus the class table batches code against (the video's track
+    classes, then any class only a false positive can name).  Read-only once
+    built, except :attr:`idle_streams`, which only its detector's guard
+    touches.
+    """
+
+    def __init__(
+        self,
+        video: SyntheticVideo,
+        frames: np.ndarray,
+        noise: DetectorNoiseModel,
+        supported: set[str] | None,
+        seed: int,
+    ) -> None:
+        self.params = (seed, noise, supported)
+        self.noise = noise
+        self.key_hi = _stream_key(seed, video)
+        self.idle_streams: list[RekeyedPhilox] = []
+        table = video.frame_object_table(frames)
+        width, height = video.spec.width, video.spec.height
+        box_w = table.x_max - table.x_min
+        box_h = table.y_max - table.y_min
+        area_fraction = (box_w * box_h) / float(width * height)
+        threshold = noise.small_object_area_fraction
+        self.miss = np.where(
+            area_fraction >= threshold,
+            0.02,
+            0.02 + (1.0 - area_fraction / threshold) * noise.max_miss_probability,
+        )
+        if supported is not None:
+            known = [code for code, name in enumerate(table.class_names) if name in supported]
+            self.miss[~np.isin(table.class_codes, known)] = -1.0
+        self.conf_base = 0.55 + 0.4 * np.minimum(1.0, area_fraction / (4 * threshold))
+        self.offsets = table.offsets
+        self.box = np.stack([table.x_min, table.y_min, table.x_max, table.y_max], axis=1)
+        self.class_code = table.class_codes.astype(np.int32)
+        self.color = table.colors
+        self.color_code = table.color_codes.astype(np.int32)
+        self.color_table = tuple(table.color_names)
+        self.bounds = np.array([width, height, width, height], dtype=np.float64)
+        self.fps = video.spec.fps
+        # False positives: a present object relabelled to another class.
+        fp_classes = video.object_class_names or ["car"]
+        self.class_table = tuple(dict.fromkeys([*table.class_names, *fp_classes]))
+        self.code_of = {name: code for code, name in enumerate(self.class_table)}
+        self.wrong_classes = [
+            [name for name in fp_classes if name != source] for source in table.class_names
+        ]
+
+    def pop_stream(self) -> RekeyedPhilox:
+        """An idle stream, or a new one (the caller holds the detector's guard)."""
+        return self.idle_streams.pop() if self.idle_streams else RekeyedPhilox(self.key_hi)
+
+    def detect(
+        self, streams: RekeyedPhilox, frames: list[int], rows: np.ndarray, threshold: float
+    ) -> DetectionBatch:
+        """The batch of ``frames`` (rows ``rows`` of the table): per-object
+        draws in :meth:`SimulatedDetector.detect`'s order, then jitter,
+        clipping and features as array operations over every true detection
+        at once."""
+        frame_index = np.array(frames, dtype=np.int64)
+        starts = self.offsets[rows]
+        objects, object_offsets = concatenated_runs(starts, self.offsets[rows + 1] - starts)
+        miss = self.miss[objects].tolist()
+        conf_base = self.conf_base[objects].tolist()
+        class_codes = self.class_code[objects].tolist()
+        wrong_classes, code_of = self.wrong_classes, self.code_of
+        noise = self.noise
+        noise_sd = noise.confidence_noise
+        floor = noise.confidence_floor
+        fp_rate = noise.false_positive_rate
+        # Per output row: its object (a position in ``objects``) and its
+        # confidence; the nine normals of every true detection; the rows that
+        # are false positives, with their class codes; each frame's end row.
+        source: list[int] = []
+        confidence: list[float] = []
+        normals: list[np.ndarray] = []
+        fp_rows: list[int] = []
+        fp_codes: list[int] = []
+        ends: list[int] = []
+        bounds = object_offsets.tolist()
+        for frame, lo, hi in zip(frames, bounds[:-1], bounds[1:], strict=True):
+            rng = streams.rekey(frame)
+            for k in range(lo, hi):
+                p_miss = miss[k]
+                if p_miss < 0.0 or rng.random() < p_miss:
+                    continue
+                score = min(0.999, max(floor, conf_base[k] + noise_sd * rng.standard_normal()))
+                if score < threshold:
+                    continue
+                source.append(k)
+                confidence.append(score)
+                normals.append(rng.standard_normal(4 + _FEATURE_DIM))
+            if hi > lo:
+                for _ in range(rng.poisson(fp_rate)):
+                    k = lo + int(rng.integers(0, hi - lo))
+                    wrong = wrong_classes[class_codes[k]]
+                    if not wrong:
+                        continue
+                    object_class = str(rng.choice(wrong))
+                    score = float(rng.uniform(floor, 0.6))
+                    if score < threshold:
+                        continue
+                    fp_rows.append(len(source))
+                    fp_codes.append(code_of[object_class])
+                    source.append(k)
+                    confidence.append(score)
+            ends.append(len(source))
+
+        n_rows = len(source)
+        picked = objects[np.array(source, dtype=np.int64)]
+        box = self.box[picked]
+        color = self.color[picked]
+        class_code = self.class_code[picked]
+        feature_len = np.full(n_rows, _FEATURE_DIM, dtype=np.int32)
+        true_rows: slice | np.ndarray = slice(None)
+        if fp_rows:
+            # A false positive keeps its source's clipped box and has no
+            # features.
+            class_code[fp_rows] = fp_codes
+            feature_len[fp_rows] = -1
+            true_rows = np.flatnonzero(feature_len >= 0)
+        features = np.zeros((0, _FEATURE_DIM), dtype=np.float64)
+        if normals:
+            z = np.array(normals)
+            base = box[true_rows]
+            size = base[:, 2:] - base[:, :2]
+            scale = noise.box_jitter * np.maximum(size, 1.0)
+            jittered = base + np.concatenate([scale, scale], axis=1) * z[:, :4]
+            corners = np.concatenate(
+                [
+                    np.minimum(jittered[:, :2], jittered[:, 2:]),
+                    np.maximum(jittered[:, :2], jittered[:, 2:]),
+                ],
+                axis=1,
+            )
+            box[true_rows] = np.minimum(np.maximum(corners, 0.0), self.bounds)
+            features = (
+                np.concatenate([color[true_rows] / 255.0, size / 1000.0], axis=1)
+                + 0.02 * z[:, 4:]
+            )
+        return DetectionBatch(
+            frame_index=frame_index,
+            timestamp=frame_index / self.fps,
+            offsets=np.array([0, *ends], dtype=np.int64),
+            class_code=class_code,
+            class_table=self.class_table,
+            box=box,
+            confidence=np.array(confidence, dtype=np.float64),
+            feature_len=feature_len,
+            features_flat=features.reshape(-1),
+            color=color,
+            has_color=np.ones(n_rows, dtype=np.bool_),
+            color_name_code=self.color_code[picked],
+            color_name_table=self.color_table,
+            track_id=np.full(n_rows, -1, dtype=np.int32),
+        )
+
+
 class SimulatedDetector(ObjectDetector):
     """A full object detector simulated on top of the synthetic ground truth."""
 
@@ -76,6 +270,19 @@ class SimulatedDetector(ObjectDetector):
         self.confidence_threshold = confidence_threshold
         self._supported = supported
         self.seed = seed
+        self._kernels: Guarded[weakref.WeakKeyDictionary[SyntheticVideo, _VideoKernel]] = (
+            Guarded(weakref.WeakKeyDictionary())
+        )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Kernels are a per-process memo (and a lock does not pickle).
+        state = self.__dict__.copy()
+        del state["_kernels"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._kernels = Guarded(weakref.WeakKeyDictionary())
 
     # -- named configurations ------------------------------------------------
 
@@ -188,178 +395,75 @@ class SimulatedDetector(ObjectDetector):
         frame_indices: list[int],
         ledger: RuntimeLedger | None = None,
     ) -> list[DetectionResult]:
-        """Vectorized batch detection, bit-for-bit identical to :meth:`detect`.
+        """Batch detection: one :class:`DetectionBatch`, one view per frame.
 
-        All geometry- and noise-model quantities (clipped boxes, area
-        fractions, miss probabilities, confidence bases, jitter scales,
-        detection-feature bases) are computed for every (frame, object) pair
-        in one array program over the video's columnar object table; the
-        per-frame loop only draws from the frame's RNG stream in exactly the
-        order the scalar path does, so every random draw — and therefore
-        every detection — is identical.
+        Bit-for-bit identical to :meth:`detect` (invariant I1; see
+        :meth:`detect_columns`).
         """
         if ledger is not None:
             ledger.charge(self._cost, len(frame_indices))
-        table = video.frame_object_table(np.asarray(frame_indices, dtype=np.int64))
-        frame_area = float(video.spec.width * video.spec.height)
-        n_pairs = len(table)
-        if n_pairs:
-            box_w = table.x_max - table.x_min
-            box_h = table.y_max - table.y_min
-            area_fraction = (box_w * box_h) / frame_area
-            threshold = self.noise.small_object_area_fraction
-            miss_prob = np.where(
-                area_fraction >= threshold,
-                0.02,
-                0.02 + (1.0 - area_fraction / threshold) * self.noise.max_miss_probability,
-            ).tolist()
-            conf_base = (
-                0.55 + 0.4 * np.minimum(1.0, area_fraction / (4 * threshold))
-            ).tolist()
-            jitter_x = (self.noise.box_jitter * np.maximum(box_w, 1.0)).tolist()
-            jitter_y = (self.noise.box_jitter * np.maximum(box_h, 1.0)).tolist()
-            feature_base = np.concatenate(
-                [
-                    table.colors / 255.0,
-                    box_w[:, None] / 1000.0,
-                    box_h[:, None] / 1000.0,
-                ],
-                axis=1,
-            )
-            x_min = table.x_min.tolist()
-            y_min = table.y_min.tolist()
-            x_max = table.x_max.tolist()
-            y_max = table.y_max.tolist()
-            class_codes = table.class_codes.tolist()
-            color_codes = table.color_codes.tolist()
-            colors = [tuple(c) for c in table.colors.tolist()]
-            if self._supported is not None:
-                supported = [
-                    name in self._supported for name in table.class_names
-                ]
-                pair_supported = [supported[code] for code in class_codes]
-            else:
-                pair_supported = [True] * n_pairs
-        width, height = video.spec.width, video.spec.height
-        confidence_noise = self.noise.confidence_noise
-        floor = self.noise.confidence_floor
-        conf_threshold = self.confidence_threshold
-        class_names = table.class_names
-        color_names = table.color_names
-        fp_class_names = video.object_class_names or ["car"]
-        offsets = table.offsets.tolist()
-        # One bit generator re-keyed per frame: bit-identical to the fresh
-        # ``Philox(key=[combined, frame])`` streams ``_frame_rng`` builds,
-        # without paying generator construction per frame.
-        combined = (
-            (self.seed * 2654435761) ^ (video.spec.seed * 40503)
-        ) & 0xFFFFFFFFFFFFFFFF
-        frame_streams = RekeyedPhilox(combined)
-        results: list[DetectionResult] = []
-        for row, frame_index in enumerate(frame_indices):
-            rng = frame_streams.rekey(frame_index)
-            timestamp = video.timestamp_of(frame_index)
-            lo, hi = offsets[row], offsets[row + 1]
-            detections: list[Detection] = []
-            for k in range(lo, hi):
-                if not pair_supported[k]:
-                    continue
-                if rng.random() < miss_prob[k]:
-                    continue
-                confidence = conf_base[k] + rng.normal(0.0, confidence_noise)
-                confidence = float(min(0.999, max(floor, confidence)))
-                if confidence < conf_threshold:
-                    continue
-                left = x_min[k] + rng.normal(0.0, jitter_x[k])
-                top = y_min[k] + rng.normal(0.0, jitter_y[k])
-                right = x_max[k] + rng.normal(0.0, jitter_x[k])
-                bottom = y_max[k] + rng.normal(0.0, jitter_y[k])
-                box = BoundingBox(
-                    min(left, right), min(top, bottom),
-                    max(left, right), max(top, bottom),
-                ).clip_to(width, height)
-                detections.append(
-                    Detection(
-                        frame_index=frame_index,
-                        timestamp=timestamp,
-                        object_class=class_names[class_codes[k]],
-                        box=box,
-                        confidence=confidence,
-                        features=feature_base[k] + rng.normal(0.0, 0.02, size=5),
-                        color=colors[k],
-                        color_name=color_names[color_codes[k]],
-                    )
-                )
-            if hi > lo:
-                detections.extend(
-                    self._false_positives_from_table(
-                        table, lo, hi, frame_index, timestamp, rng,
-                        fp_class_names, x_min, y_min, x_max, y_max, colors,
-                        class_codes, color_codes, width, height,
-                    )
-                )
-            results.append(
-                DetectionResult(
-                    frame_index=frame_index, timestamp=timestamp, detections=detections
-                )
-            )
-        return results
+        return self.detect_columns(video, frame_indices).results()
 
-    def _false_positives_from_table(
-        self,
-        table,
-        lo: int,
-        hi: int,
-        frame_index: int,
-        timestamp: float,
-        rng: np.random.Generator,
-        class_names: list[str],
-        x_min: list[float],
-        y_min: list[float],
-        x_max: list[float],
-        y_max: list[float],
-        colors: list[tuple[float, float, float]],
-        class_codes: list[int],
-        color_codes: list[int],
-        width: float,
-        height: float,
-    ) -> list[Detection]:
-        """Columnar counterpart of :meth:`_false_positives` (same draws)."""
-        count = rng.poisson(self.noise.false_positive_rate)
-        detections: list[Detection] = []
-        for _ in range(count):
-            k = lo + int(rng.integers(0, hi - lo))
-            source_class = table.class_names[class_codes[k]]
-            wrong_classes = [c for c in class_names if c != source_class]
-            if not wrong_classes:
-                continue
-            object_class = str(rng.choice(wrong_classes))
-            confidence = float(rng.uniform(self.noise.confidence_floor, 0.6))
-            if confidence < self.confidence_threshold:
-                continue
-            detections.append(
-                Detection(
-                    frame_index=frame_index,
-                    timestamp=timestamp,
-                    object_class=object_class,
-                    box=BoundingBox(
-                        x_min[k], y_min[k], x_max[k], y_max[k]
-                    ).clip_to(width, height),
-                    confidence=confidence,
-                    features=None,
-                    color=colors[k],
-                    color_name=table.color_names[color_codes[k]],
+    def detect_columns(
+        self, video: SyntheticVideo, frame_indices: Sequence[int]
+    ) -> DetectionBatch:
+        """The detections of ``frame_indices`` (in order) as one column batch.
+
+        Each frame draws from its own Philox stream in exactly the order
+        :meth:`detect` does, with two draw identities: ``normal(0, s)`` is
+        ``0.0 + s * standard_normal()``, and the four box-jitter normals
+        followed by the size-5 feature normal are one ``standard_normal(9)``
+        (numpy draws both sequentially from the same stream).  Only the
+        draws and the acceptance tests run per object; jitter, clipping and
+        features are array operations over the batch afterwards.
+        Everything that depends only on the video and the noise model is
+        built once per video for small calls (:class:`_VideoKernel`; a call
+        of ``_CALL_TABLE_FRAMES`` or more builds its own), and no state is
+        shared between concurrent calls but that read-only kernel.
+        """
+        frames = [int(frame) for frame in frame_indices]
+        for frame in (min(frames), max(frames)) if frames else ():
+            if not 0 <= frame < video.num_frames:
+                raise IndexError(
+                    f"frame {frame} out of range for video of {video.num_frames} frames"
                 )
+        rows = np.array(frames, dtype=np.int64)
+        if len(frames) >= _CALL_TABLE_FRAMES:
+            kernel = _VideoKernel(video, rows, self.noise, self._supported, self.seed)
+            return kernel.detect(
+                kernel.pop_stream(), frames, np.arange(len(frames)), self.confidence_threshold
             )
-        return detections
+        kernel, streams = self._checkout(video)
+        try:
+            return kernel.detect(streams, frames, rows, self.confidence_threshold)
+        finally:
+            self._checkin(kernel, streams)
+
+    def _checkout(self, video: SyntheticVideo) -> tuple[_VideoKernel, RekeyedPhilox]:
+        """The video's kernel and a re-keyable stream no other call holds."""
+        params = (self.seed, self.noise, self._supported)
+        with self._kernels as kernels:
+            kernel = kernels.get(video)
+            if kernel is not None and kernel.params == params:
+                return kernel, kernel.pop_stream()
+        built = _VideoKernel(
+            video, np.arange(video.num_frames), self.noise, self._supported, self.seed
+        )
+        with self._kernels as kernels:
+            kernel = kernels.get(video)
+            if kernel is None or kernel.params != params:
+                kernel = kernels[video] = built
+            return kernel, kernel.pop_stream()
+
+    def _checkin(self, kernel: _VideoKernel, streams: RekeyedPhilox) -> None:
+        with self._kernels:
+            kernel.idle_streams.append(streams)
 
     # -- noise model ------------------------------------------------------------
 
     def _frame_rng(self, video: SyntheticVideo, frame_index: int) -> np.random.Generator:
-        # Philox requires exactly two 64-bit key words; fold the detector and
-        # video seeds into the first and the frame index into the second.
-        combined = ((self.seed * 2654435761) ^ (video.spec.seed * 40503)) & 0xFFFFFFFFFFFFFFFF
-        return np.random.Generator(np.random.Philox(key=[combined, frame_index]))
+        key_hi = _stream_key(self.seed, video)
+        return np.random.Generator(np.random.Philox(key=[key_hi, frame_index]))
 
     def _miss_probability(self, area_fraction: float) -> float:
         threshold = self.noise.small_object_area_fraction
@@ -391,7 +495,7 @@ class SimulatedDetector(ObjectDetector):
         )
 
     def _detection_features(
-        self, obj, rng: np.random.Generator
+        self, obj: GroundTruthObject, rng: np.random.Generator
     ) -> np.ndarray:
         """Per-detection feature vector (Table 1's ``features`` field).
 

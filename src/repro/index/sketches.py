@@ -29,6 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.errors import ConfigurationError
 
 #: Default number of frames summarised by one sketch range.
@@ -68,34 +69,35 @@ class RangeSketch:
                 f"sketch needs one result per frame: got {len(results)} "
                 f"results for {num_frames} frames"
             )
-        names = sorted(
-            {det.object_class for result in results for det in result.detections}
-        )
-        columns = {name: i for i, name in enumerate(names)}
+        batch = DetectionBatch.from_results(results)
+        misplaced = np.flatnonzero(batch.frame_index != np.arange(num_frames))
+        if misplaced.size:
+            position = int(misplaced[0])
+            raise ConfigurationError(
+                f"sketch input must be frame-ordered: result {position} "
+                f"covers frame {results[position].frame_index}"
+            )
+        names = sorted(batch.present_classes())
         num_ranges = max(1, -(-num_frames // range_size))
         presence = np.zeros((num_ranges, len(names)), dtype=np.int64)
         total = np.zeros((num_ranges, len(names)), dtype=np.int64)
         peak = np.zeros((num_ranges, len(names)), dtype=np.int64)
-        occupied = np.zeros(num_ranges, dtype=np.int64)
-        for position, result in enumerate(results):
-            if result.frame_index != position:
-                raise ConfigurationError(
-                    f"sketch input must be frame-ordered: result {position} "
-                    f"covers frame {result.frame_index}"
-                )
-            range_index = position // range_size
-            if not result.detections:
-                continue
-            occupied[range_index] += 1
-            counts: dict[str, int] = {}
-            for det in result.detections:
-                counts[det.object_class] = counts.get(det.object_class, 0) + 1
-            for name, count in counts.items():
-                column = columns[name]
-                presence[range_index, column] += 1
-                total[range_index, column] += count
-                if count > peak[range_index, column]:
-                    peak[range_index, column] = count
+        column_of = np.zeros(len(batch.class_table), dtype=np.int64)
+        for column, name in enumerate(names):
+            column_of[batch.class_table.index(name)] = column
+        frame_of = np.repeat(np.arange(num_frames), np.diff(batch.offsets))
+        occupied = np.bincount(np.unique(frame_of) // range_size, minlength=num_ranges)
+        if frame_of.size:
+            # One (frame, class) pair per distinct class in a frame, with its
+            # count there: memory grows with detections, not frames.
+            pairs, count = np.unique(
+                frame_of * len(names) + column_of[batch.class_code], return_counts=True
+            )
+            pair_frame, pair_column = np.divmod(pairs, len(names))
+            cell = (pair_frame // range_size, pair_column)
+            np.add.at(presence, cell, 1)
+            np.add.at(total, cell, count)
+            np.maximum.at(peak, cell, count)
         return cls(
             num_frames=num_frames,
             range_size=range_size,

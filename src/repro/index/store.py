@@ -51,7 +51,11 @@ import numpy as np
 
 from repro.catalog.statistics import VideoStatistics
 from repro.detection.base import DetectionResult
-from repro.detection.columnar import decode_detection_results
+from repro.detection.columnar import (
+    concatenated_runs,
+    decode_detection_results,
+    run_offsets,
+)
 from repro.errors import ConfigurationError
 from repro.index.sketches import RangeSketch
 from repro.persist import atomic_write_bytes
@@ -272,7 +276,7 @@ class VideoIndex:
                     f"unreadable index column {path}: {exc}"
                 ) from exc
         arrays = {column: np.asarray(values) for column, values in mapped.items()}
-        feature_offsets = _run_offsets(np.maximum(arrays["feature_len"], 0))
+        feature_offsets = run_offsets(np.maximum(arrays["feature_len"], 0))
         self._validate_segment(segment, arrays, int(feature_offsets[-1]))
         self._maps[segment.name] = mapped
         self._feature_offsets[segment.name] = feature_offsets
@@ -362,11 +366,11 @@ class VideoIndex:
         """The columnar window of the segment's frames ``local``, as copies."""
         arrays = self._segment_arrays(segment)
         lo = arrays["det_offsets"][local]
-        det_rows, det_offsets = _concatenated_runs(
+        det_rows, det_offsets = concatenated_runs(
             lo, arrays["det_offsets"][local + 1] - lo
         )
         window = {column: arrays[column][det_rows] for column in _DET_COLUMNS}
-        feature_rows, _ = _concatenated_runs(
+        feature_rows, _ = concatenated_runs(
             self._feature_offsets[segment.name][det_rows],
             np.maximum(window["feature_len"], 0),
         )
@@ -473,25 +477,6 @@ def sweep_stale_builds(directory: Path, keep_generation: int | None) -> None:
             child.name.startswith("gen-") and child.name != keep
         ):
             shutil.rmtree(child, ignore_errors=True)
-
-
-def _run_offsets(lengths: np.ndarray) -> np.ndarray:
-    """CSR offsets of consecutive runs: ``[0, l0, l0 + l1, ...]``."""
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets
-
-
-def _concatenated_runs(
-    starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``concatenate([arange(s, s + n) ...])`` without the Python loop, and
-    the offsets of each run in it."""
-    offsets = _run_offsets(lengths)
-    rows = np.repeat(starts - offsets[:-1], lengths) + np.arange(
-        offsets[-1], dtype=np.int64
-    )
-    return rows, offsets
 
 
 def write_array(path: Path, values: np.ndarray) -> None:

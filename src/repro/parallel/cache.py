@@ -18,23 +18,39 @@ process restarts, so shard pruning *and* detector reuse both carry across
 serving sessions.  Two on-disk formats are offered: human-readable JSON
 (``format="json"``) and a compact binary columnar form (``format="npz"``,
 the same codec the process-backend shard transport uses); :meth:`load`
-recognises either, so old JSON snapshots keep loading.
+recognises either, so old JSON snapshots keep loading.  Both are written
+from and read into columns; no ``Detection`` object is built either way.
+
+Entries are columns too: a cached frame holds copies of just its own rows,
+packed into three arrays (``_Entry``), so it never pins the detector batch,
+index window or shared-memory payload its result came from, and the byte
+budget charges what that copy keeps alive.  Reads hand out fresh
+:class:`~repro.detection.columnar.DetectionBatch` views, so ``Detection``
+objects a reader builds never stay behind in the cache.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from collections.abc import Sequence
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from repro.detection.base import Detection, DetectionResult
-from repro.detection.columnar import decode_detection_results, encode_detection_results
+from repro.detection.base import DetectionResult
+from repro.detection.columnar import (
+    DetectionBatch,
+    decode_detection_results,
+    encode_detection_results,
+    run_offsets,
+)
 from repro.errors import ConfigurationError
 from repro.persist import atomic_write_bytes, atomic_write_text
 from repro.sync import Guarded
@@ -43,10 +59,9 @@ from repro.sync import Guarded
 #: enables the shared cache without configuring a size.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
-#: Fixed per-entry overhead (result object, dict slot, key) in the byte
-#: estimate; detections add their own footprint on top.
-_RESULT_OVERHEAD = 160
-_DETECTION_OVERHEAD = 200
+#: What an entry keeps alive besides its three arrays: the entry itself, its
+#: key tuple and the LRU dict's node.
+_ENTRY_OVERHEAD = 360
 
 #: Format marker embedded in the binary snapshot (the JSON form carries
 #: ``"shared-detection-cache/v1"`` in its ``format`` field instead).
@@ -57,82 +72,94 @@ _NPZ_FORMAT = "shared-detection-cache/v2-npz"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def _detection_bytes(detection: Detection) -> int:
-    size = _DETECTION_OVERHEAD
-    if detection.features is not None:
-        size += int(np.asarray(detection.features).nbytes)
-    return size
+def _batch_to_json(batch: DetectionBatch) -> list[dict[str, Any]]:
+    """The ``shared-detection-cache/v1`` form of every frame of a batch."""
+    frames = batch.frame_index.tolist()
+    stamps = batch.timestamp.tolist()
+    offsets = batch.offsets.tolist()
+    class_code = batch.class_code.tolist()
+    box = batch.box.tolist()
+    confidence = batch.confidence.tolist()
+    feature_len = batch.feature_len.tolist()
+    feature_start = batch.feature_start.tolist()
+    features = batch.features_flat.tolist()
+    color = batch.color.tolist()
+    has_color = batch.has_color.tolist()
+    color_name_code = batch.color_name_code.tolist()
+    track_id = batch.track_id.tolist()
+    return [
+        {
+            "frame_index": frames[row],
+            "timestamp": stamps[row],
+            "detections": [
+                {
+                    "object_class": batch.class_table[class_code[i]],
+                    "box": box[i],
+                    "confidence": confidence[i],
+                    "features": (
+                        None
+                        if feature_len[i] < 0
+                        else features[feature_start[i] : feature_start[i] + feature_len[i]]
+                    ),
+                    "color": color[i] if has_color[i] else None,
+                    "color_name": (
+                        None
+                        if color_name_code[i] < 0
+                        else batch.color_name_table[color_name_code[i]]
+                    ),
+                    "track_id": None if track_id[i] < 0 else track_id[i],
+                }
+                for i in range(offsets[row], offsets[row + 1])
+            ],
+        }
+        for row in range(len(frames))
+    ]
 
 
-def estimate_result_bytes(result: DetectionResult) -> int:
-    """Rough in-memory footprint of one frame's detections, for the budget."""
-    return _RESULT_OVERHEAD + sum(_detection_bytes(d) for d in result.detections)
-
-
-def _detection_to_json(detection: Detection) -> dict:
-    return {
-        "object_class": detection.object_class,
-        "box": [
-            detection.box.x_min,
-            detection.box.y_min,
-            detection.box.x_max,
-            detection.box.y_max,
-        ],
-        "confidence": detection.confidence,
-        "features": (
-            None
-            if detection.features is None
-            else np.asarray(detection.features, dtype=np.float64).tolist()
+def _batch_from_json(entries: list[dict[str, Any]]) -> DetectionBatch:
+    """Inverse of :func:`_batch_to_json`: the entries' frames as one batch."""
+    detections = [d for entry in entries for d in entry["detections"]]
+    classes: dict[str, int] = {}
+    color_names: dict[str, int] = {}
+    features = [d["features"] for d in detections]
+    return DetectionBatch(
+        frame_index=np.asarray([e["frame_index"] for e in entries], dtype=np.int64),
+        timestamp=np.asarray([e["timestamp"] for e in entries], dtype=np.float64),
+        offsets=run_offsets(
+            np.asarray([len(e["detections"]) for e in entries], dtype=np.int64)
         ),
-        "color": None if detection.color is None else list(detection.color),
-        "color_name": detection.color_name,
-        "track_id": detection.track_id,
-    }
-
-
-def _detection_from_json(
-    payload: dict, frame_index: int, timestamp: float
-) -> Detection:
-    from repro.video.geometry import BoundingBox
-
-    return Detection(
-        frame_index=frame_index,
-        timestamp=timestamp,
-        object_class=payload["object_class"],
-        box=BoundingBox(*payload["box"]),
-        confidence=payload["confidence"],
-        features=(
-            None
-            if payload["features"] is None
-            else np.asarray(payload["features"], dtype=np.float64)
+        class_code=np.asarray(
+            [classes.setdefault(d["object_class"], len(classes)) for d in detections],
+            dtype=np.int32,
         ),
-        color=None if payload["color"] is None else tuple(payload["color"]),
-        color_name=payload["color_name"],
+        class_table=tuple(classes),
+        box=np.asarray([d["box"] for d in detections], dtype=np.float64).reshape(-1, 4),
+        confidence=np.asarray([d["confidence"] for d in detections], dtype=np.float64),
+        feature_len=np.asarray(
+            [-1 if f is None else len(f) for f in features], dtype=np.int32
+        ),
+        features_flat=np.asarray(
+            [x for f in features if f is not None for x in f], dtype=np.float64
+        ),
+        color=np.asarray(
+            [d["color"] or (0.0, 0.0, 0.0) for d in detections], dtype=np.float64
+        ).reshape(-1, 3),
+        has_color=np.asarray([d["color"] is not None for d in detections], dtype=np.bool_),
+        color_name_code=np.asarray(
+            [
+                -1
+                if d["color_name"] is None
+                else color_names.setdefault(d["color_name"], len(color_names))
+                for d in detections
+            ],
+            dtype=np.int32,
+        ),
+        color_name_table=tuple(color_names),
         # Absent in snapshots written before the field was persisted.
-        track_id=payload.get("track_id"),
-    )
-
-
-def result_to_json(result: DetectionResult) -> dict:
-    """JSON-serialisable form of one frame's detections."""
-    return {
-        "frame_index": result.frame_index,
-        "timestamp": result.timestamp,
-        "detections": [_detection_to_json(d) for d in result.detections],
-    }
-
-
-def result_from_json(payload: dict) -> DetectionResult:
-    """Inverse of :func:`result_to_json`."""
-    frame_index = int(payload["frame_index"])
-    timestamp = float(payload["timestamp"])
-    return DetectionResult(
-        frame_index=frame_index,
-        timestamp=timestamp,
-        detections=[
-            _detection_from_json(d, frame_index, timestamp)
-            for d in payload["detections"]
-        ],
+        track_id=np.asarray(
+            [-1 if d.get("track_id") is None else d["track_id"] for d in detections],
+            dtype=np.int32,
+        ),
     )
 
 
@@ -149,10 +176,106 @@ class SharedCacheStats:
     entries: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
-    result: DetectionResult
-    nbytes: int = field(default=0)
+    """One cached frame: copies of just its own rows, in three arrays.
+
+    ``values`` holds each row's box, confidence and colour (``(n, 8)``
+    float64), ``codes`` its class, feature length, has-colour flag, colour
+    name and track id (``(n, 5)`` int32), ``features`` its concatenated
+    feature vectors.  The entry pins nothing else (the string tables are
+    shared), and ``nbytes`` is what it keeps alive.
+    """
+
+    frame_index: int
+    timestamp: float
+    values: np.ndarray
+    codes: np.ndarray
+    features: np.ndarray
+    class_table: tuple[str, ...]
+    color_name_table: tuple[str, ...]
+    nbytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.nbytes = _ENTRY_OVERHEAD + sum(
+            sys.getsizeof(array) for array in (self.values, self.codes, self.features)
+        )
+
+
+def _entries(batch: DetectionBatch) -> list[_Entry]:
+    """One entry per frame of ``batch``, owning copies of just its rows.
+
+    Never pins what the batch is or views: a detector batch, an index window
+    or a shared-memory payload.
+    """
+    values = np.concatenate([batch.box, batch.confidence[:, None], batch.color], axis=1)
+    codes = np.stack(
+        [
+            batch.class_code, batch.feature_len, batch.has_color,
+            batch.color_name_code, batch.track_id,
+        ],
+        axis=1,
+    ).astype(np.int32, copy=False)
+    offsets = batch.offsets.tolist()
+    feature_start = batch.feature_start.tolist()
+    return [
+        _Entry(
+            frame_index=frame,
+            timestamp=stamp,
+            values=values[lo:hi].copy(),
+            codes=codes[lo:hi].copy(),
+            features=batch.features_flat[feature_start[lo] : feature_start[hi]].copy(),
+            class_table=batch.class_table,
+            color_name_table=batch.color_name_table,
+        )
+        for frame, stamp, lo, hi in zip(
+            batch.frame_index.tolist(), batch.timestamp.tolist(), offsets[:-1], offsets[1:],
+            strict=True,
+        )
+    ]
+
+
+def _batch_of(entries: Sequence[_Entry]) -> DetectionBatch:
+    """The entries' frames, in order, as one batch over new arrays.
+
+    Runs of entries with the same string tables (one video's frames, as a
+    rule) are stacked directly; the runs are concatenated.
+    """
+    runs: list[list[_Entry]] = []
+    for entry in entries:
+        if (
+            not runs
+            or entry.class_table != runs[-1][0].class_table
+            or entry.color_name_table != runs[-1][0].color_name_table
+        ):
+            runs.append([])
+        runs[-1].append(entry)
+    if not runs:
+        return DetectionBatch.empty()
+    pieces = [_stack(run) for run in runs]
+    return pieces[0] if len(pieces) == 1 else DetectionBatch.concat(pieces)
+
+
+def _stack(entries: list[_Entry]) -> DetectionBatch:
+    """Entries sharing their string tables as one batch."""
+    values = np.concatenate([entry.values for entry in entries])
+    codes = np.concatenate([entry.codes for entry in entries])
+    return DetectionBatch(
+        frame_index=np.array([entry.frame_index for entry in entries], dtype=np.int64),
+        timestamp=np.array([entry.timestamp for entry in entries], dtype=np.float64),
+        offsets=run_offsets(np.array([len(entry.codes) for entry in entries], dtype=np.int64)),
+        class_code=codes[:, 0],
+        class_table=entries[0].class_table,
+        box=values[:, :4],
+        confidence=values[:, 4],
+        feature_len=codes[:, 1],
+        features_flat=np.concatenate([entry.features for entry in entries]),
+        color=values[:, 5:],
+        has_color=codes[:, 2] != 0,
+        color_name_code=codes[:, 3],
+        color_name_table=entries[0].color_name_table,
+        track_id=codes[:, 4],
+    )
 
 
 class _CacheState:
@@ -229,13 +352,13 @@ class SharedDetectionCache:
                 return None
             s.entries.move_to_end(key)
             s.hits += 1
-            return entry.result
+        return _batch_of([entry]).results()[0]
 
     def get_many(
         self, video_key: str, frame_indices: list[int]
     ) -> dict[int, DetectionResult]:
         """Cached detections for a batch of frames (only the hits), one lock hold."""
-        out: dict[int, DetectionResult] = {}
+        found: dict[int, _Entry] = {}
         with self._state as s:
             for frame_index in frame_indices:
                 key = (video_key, int(frame_index))
@@ -245,8 +368,9 @@ class SharedDetectionCache:
                     continue
                 s.entries.move_to_end(key)
                 s.hits += 1
-                out[int(frame_index)] = entry.result
-        return out
+                found[int(frame_index)] = entry
+        # Fresh views: objects a reader builds never stay in the cache.
+        return dict(zip(found, _batch_of(list(found.values())).results(), strict=True))
 
     def put(self, video_key: str, frame_index: int, result: DetectionResult) -> None:
         """Insert (or refresh) one frame's detections, evicting to budget."""
@@ -255,19 +379,42 @@ class SharedDetectionCache:
     def put_many(
         self, video_key: str, results: dict[int, DetectionResult]
     ) -> None:
-        """Insert a batch of detections under one lock hold."""
+        """Insert a batch of detections under one lock hold.
+
+        Each frame is stored as a copy of its own rows, and charged the
+        bytes that copy keeps alive.
+        """
+        self._insert(
+            [(video_key, int(frame_index)) for frame_index in results],
+            _entries(DetectionBatch.from_results(list(results.values()))),
+        )
+
+    def _insert(self, keys: list[tuple[str, int]], entries: list[_Entry]) -> None:
+        """Insert (or refresh) entries in order under one lock hold, then
+        evict to budget: the survivors are the longest newest run that fits,
+        exactly as inserting one at a time.  An entry that run leaves out is
+        counted as inserted and evicted without ever being stored, so a big
+        batch never swells a small cache's table."""
         with self._state as s:
-            for frame_index, result in results.items():
-                key = (video_key, int(frame_index))
+            fitting = [entry.nbytes for entry in entries if entry.nbytes <= s.capacity_bytes]
+            total = sum(fitting)
+            doomed = 0
+            while total > s.capacity_bytes:
+                total -= fitting[doomed]
+                doomed += 1
+            for key, entry in zip(keys, entries, strict=True):
                 existing = s.entries.pop(key, None)
                 if existing is not None:
                     s.current_bytes -= existing.nbytes
-                nbytes = estimate_result_bytes(result)
-                if nbytes > s.capacity_bytes:
+                if entry.nbytes > s.capacity_bytes:
                     continue  # a single oversized frame can never fit
-                s.entries[key] = _Entry(result=result, nbytes=nbytes)
-                s.current_bytes += nbytes
                 s.insertions += 1
+                if doomed:
+                    doomed -= 1
+                    s.evictions += 1
+                    continue
+                s.entries[key] = entry
+                s.current_bytes += entry.nbytes
             s.evict_to_budget()
 
     def clear(self) -> None:
@@ -304,24 +451,26 @@ class SharedDetectionCache:
             )
         with self._state as s:
             keys = list(s.entries.keys())
-            results = [entry.result for entry in s.entries.values()]
+            entries = list(s.entries.values())
             capacity = s.capacity_bytes
+        # Every entry (LRU order) as one batch, written from its columns.
+        batch = _batch_of(entries)
         if format == "json":
             payload = {
                 "format": "shared-detection-cache/v1",
                 "capacity_bytes": capacity,
                 "entries": [
-                    {"video_key": key[0], **result_to_json(result)}
-                    for key, result in zip(keys, results, strict=True)
+                    {"video_key": key[0], **entry}
+                    for key, entry in zip(keys, _batch_to_json(batch), strict=True)
                 ],
             }
             atomic_write_text(path, json.dumps(payload))
             return
-        # Columnar binary: detections of every entry (LRU order) through the
-        # shared codec, plus a video-key string table mapping rows to keys.
+        # Columnar binary: the shared codec's columns, plus a video-key
+        # string table mapping rows to keys.
         video_key_table = sorted({key[0] for key in keys})
         key_index = {name: i for i, name in enumerate(video_key_table)}
-        arrays = encode_detection_results(results)
+        arrays = encode_detection_results(batch.results())
         arrays["cache_format"] = np.asarray(_NPZ_FORMAT)
         arrays["capacity_bytes"] = np.asarray(capacity, dtype=np.int64)
         arrays["video_key_table"] = np.asarray(video_key_table, dtype=np.str_)
@@ -357,8 +506,11 @@ class SharedDetectionCache:
                 else int(payload["capacity_bytes"])
             )
         )
-        for entry in payload["entries"]:
-            cache.put(entry["video_key"], int(entry["frame_index"]), result_from_json(entry))
+        entries = payload["entries"]
+        cache._insert(
+            [(entry["video_key"], int(entry["frame_index"])) for entry in entries],
+            _entries(_batch_from_json(entries)),
+        )
         return cache
 
     @classmethod
@@ -388,8 +540,15 @@ class SharedDetectionCache:
                 else int(arrays["capacity_bytes"])
             )
         )
-        for code, result in zip(arrays["video_key_code"], results, strict=True):
-            cache.put(video_key_table[int(code)], result.frame_index, result)
+        cache._insert(
+            [
+                (video_key_table[code], result.frame_index)
+                for code, result in zip(
+                    arrays["video_key_code"].tolist(), results, strict=True
+                )
+            ],
+            _entries(DetectionBatch.from_results(results)),
+        )
         return cache
 
 

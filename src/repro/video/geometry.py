@@ -25,7 +25,7 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """An axis-aligned bounding box in pixel coordinates.
 
@@ -98,10 +98,11 @@ class BoundingBox:
 
     def iou(self, other: "BoundingBox") -> float:
         """Intersection over union with another box, in ``[0, 1]``."""
-        union = self.union(other)
+        overlap = self.intersection(other)
+        union = self.area + other.area - overlap
         if union == 0:
             return 0.0
-        return self.intersection(other) / union
+        return overlap / union
 
     def intersects(self, other: "BoundingBox") -> bool:
         """Whether the two boxes overlap with positive area."""

@@ -600,8 +600,9 @@ class SyntheticVideo:
         The struct-of-arrays counterpart of calling :meth:`objects_at` per
         frame: one row per visible (frame, track) pair, in the exact order
         ``objects_at`` lists them, with boxes already clipped to the frame.
-        The simulated detector's batch path consumes this instead of
-        materialising ``GroundTruthObject`` instances.
+        The simulated detector builds its per-video kernel from this table
+        of every frame, once, instead of materialising ``GroundTruthObject``
+        instances.
         """
         indices = np.asarray(frame_indices, dtype=np.int64)
         bad = (indices < 0) | (indices >= self.spec.num_frames)

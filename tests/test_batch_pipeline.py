@@ -342,9 +342,11 @@ class TestSourceCascadeMatchesOracle:
             assert_results_identical(got, want)
             # Provenance: whichever tier answered, it is the detector's answer
             # — and with a recording nobody runs the detector (only the index
-            # decodes fresh objects; every other source holds ``truth``'s).
+            # and the shared cache, which keeps its own copy of each frame's
+            # rows, hand out fresh results; every other source holds
+            # ``truth``'s).
             assert_results_identical(got, [truth[f] for f in batch])
-            if "recorded" in sources and "index" not in sources:
+            if "recorded" in sources and not {"index", "cache"} & sources:
                 assert all(r is truth[f] for r, f in zip(got, batch, strict=True))
         if ledger is not None:
             assert_ledgers_agree(ledger, reference_ledger)

@@ -13,11 +13,8 @@ from repro.detection.base import Detection, DetectionResult
 from repro.errors import ConfigurationError
 from repro.parallel.cache import (
     SharedDetectionCache,
-    estimate_result_bytes,
     get_process_cache,
     reset_process_cache,
-    result_from_json,
-    result_to_json,
 )
 from repro.specialization.trainer import TrainingConfig
 from repro.video.geometry import BoundingBox
@@ -47,6 +44,13 @@ def make_result(frame_index: int, detections: int = 2) -> DetectionResult:
     )
 
 
+def entry_bytes(result: DetectionResult) -> int:
+    """What the cache charges its budget for one frame."""
+    cache = SharedDetectionCache(capacity_bytes=1 << 20)
+    cache.put("v", result.frame_index, result)
+    return cache.stats.current_bytes
+
+
 class TestSharedDetectionCache:
     def test_get_put_roundtrip_and_namespacing(self):
         cache = SharedDetectionCache(capacity_bytes=1 << 20)
@@ -64,7 +68,7 @@ class TestSharedDetectionCache:
         assert hits[2].frame_index == 2
 
     def test_lru_eviction_respects_byte_budget(self):
-        one = estimate_result_bytes(make_result(0))
+        one = entry_bytes(make_result(0))
         cache = SharedDetectionCache(capacity_bytes=3 * one)
         for frame in range(5):
             cache.put("v", frame, make_result(frame))
@@ -76,7 +80,7 @@ class TestSharedDetectionCache:
         assert cache.get("v", 4) is not None
 
     def test_get_refreshes_recency(self):
-        one = estimate_result_bytes(make_result(0))
+        one = entry_bytes(make_result(0))
         cache = SharedDetectionCache(capacity_bytes=2 * one)
         cache.put("v", 0, make_result(0))
         cache.put("v", 1, make_result(1))
@@ -86,7 +90,7 @@ class TestSharedDetectionCache:
         assert cache.get("v", 1) is None
 
     def test_resize_shrinks_immediately(self):
-        one = estimate_result_bytes(make_result(0))
+        one = entry_bytes(make_result(0))
         cache = SharedDetectionCache(capacity_bytes=4 * one)
         for frame in range(4):
             cache.put("v", frame, make_result(frame))
@@ -97,9 +101,12 @@ class TestSharedDetectionCache:
         with pytest.raises(ConfigurationError):
             SharedDetectionCache(capacity_bytes=0)
 
-    def test_json_roundtrip_preserves_detections(self):
+    def test_json_roundtrip_preserves_detections(self, tmp_path):
         original = make_result(7)
-        restored = result_from_json(result_to_json(original))
+        cache = SharedDetectionCache(capacity_bytes=1 << 20)
+        cache.put("v", 7, original)
+        cache.save(tmp_path / "cache.json")
+        restored = SharedDetectionCache.load(tmp_path / "cache.json").get("v", 7)
         assert restored.frame_index == original.frame_index
         assert restored.timestamp == original.timestamp
         assert len(restored.detections) == len(original.detections)
@@ -137,8 +144,8 @@ class TestSharedDetectionCache:
         with loaded._state as s:
             restored_entries = dict(s.entries)
         assert list(restored_entries) == list(saved_entries)
-        for key, entry in saved_entries.items():
-            saved, restored = entry.result, restored_entries[key].result
+        for key in saved_entries:
+            saved, restored = cache.get(*key), loaded.get(*key)
             for a, b in zip(saved.detections, restored.detections, strict=True):
                 assert a.object_class == b.object_class and a.box == b.box
                 assert a.confidence == b.confidence
@@ -304,7 +311,7 @@ class TestEngineIntegration:
         for frame in range(400):
             cached = cache.get(context.cache_key, frame)
             fresh = context.detector.detect(context.video, frame)
-            assert result_to_json(cached) == result_to_json(fresh)
+            assert cached == fresh
             assert all(d.track_id is None for d in cached.detections)
 
     def test_cache_disabled_by_default(self):
