@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -56,6 +55,7 @@ from repro.frameql.analyzer import (
 )
 from repro.frameql.ast import Query
 from repro.frameql.parser import parse
+from repro.stopwatch import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.context import ExecutionContext
@@ -553,13 +553,13 @@ class QuerySession:
         already-built AST.  Per-query ``hints`` override the session's
         default hints.
         """
-        parse_started = time.perf_counter()  # repro: allow[RPR001]: prepare-time span durations (display only)
+        watch = Stopwatch()
         text, ast = self._to_ast(query)
         effective_hints = require_hints(hints) if hints is not None else self.hints
-        optimize_started = time.perf_counter()  # repro: allow[RPR001]: prepare-time span durations (display only)
+        parse_seconds = watch.elapsed()
         spec = analyze(ast)
         plan = self.engine.optimizer.plan(spec, hints=effective_hints)
-        optimize_done = time.perf_counter()  # repro: allow[RPR001]: prepare-time span durations (display only)
+        optimize_seconds = watch.elapsed() - parse_seconds
         self.stats.plans += 1
         return PreparedQuery(
             self,
@@ -567,8 +567,8 @@ class QuerySession:
             spec,
             plan,
             effective_hints,
-            parse_seconds=optimize_started - parse_started,
-            optimize_seconds=optimize_done - optimize_started,
+            parse_seconds=parse_seconds,
+            optimize_seconds=optimize_seconds,
         )
 
     def execute(

@@ -218,7 +218,7 @@ def sampling_rounds(
     if error_tolerance <= 0:
         raise ValueError(f"error_tolerance must be positive, got {error_tolerance}")
     # A deterministic default keeps results a pure function of the inputs
-    # even when the caller supplies no generator (RPR001).
+    # even when the caller supplies no generator.
     rng = rng or np.random.default_rng(0)
     max_samples = min(max_samples or population_size, population_size)
     initial, batch = round_sizes(value_range, error_tolerance, max_samples)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.metrics.runtime import StandardCosts
-from repro.persist import atomic_write_bytes, atomic_write_text
+from repro.persist import atomic_write_npz, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.labeled_set import LabeledSet
@@ -459,9 +459,7 @@ class StatisticsCatalog:
                     heldout.get(class_name, []), dtype=np.int64
                 )
         arrays["meta"] = np.asarray(json.dumps(metas))
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        atomic_write_bytes(path, buffer.getvalue())
+        atomic_write_npz(path, arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> StatisticsCatalog:

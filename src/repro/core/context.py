@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -63,6 +64,17 @@ class ContextSpec:
     def build_video(self) -> SyntheticVideo:
         """Rebuild the exact video (works for sliced videos too)."""
         return SyntheticVideo(self.video_spec, list(self.tracks))
+
+    def speculator(self) -> Callable[[list[int]], list[DetectionResult]]:
+        """The worker's detection over the rebuilt video, uncharged.
+
+        Speculative prefetch is intentionally uncharged: the driver charges
+        the ledger when (and only when) a prefetched frame is consumed,
+        keeping parallel accounting identical to sequential.
+        """
+        video = self.build_video()
+        detector = self.detector
+        return lambda frames: detector.detect_many(video, frames)
 
 
 def spawn_refusal(

@@ -21,7 +21,6 @@ exhaustion still produce a well-formed partial result and a terminal
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -30,6 +29,7 @@ from repro.core.results import QueryResult
 from repro.errors import ConfigurationError, ExecutionError
 from repro.metrics.runtime import ExecutionLedger
 from repro.stopping import NO_STOP, CancellationToken, StopConditions
+from repro.stopwatch import Stopwatch
 from repro.wire import Tagged
 
 __all__ = [
@@ -378,8 +378,8 @@ def timed_stream(
     and drained executions carry the same accounting.
     """
     # Wall-clock stamping feeds ledger.wall_seconds, which is excluded from
-    # result fingerprints — the one sanctioned clock read in engine code.
-    started = time.perf_counter()  # repro: allow[RPR001]: ledger wall-clock stamping
+    # result fingerprints.
+    started = Stopwatch()
     emitted = 0
     for event in events:
         emitted += 1
@@ -390,7 +390,7 @@ def timed_stream(
                 # Counter stores and the detection-cache release happen
                 # under the ledger lock in one sanctioned method: the
                 # ledger may already be visible to other threads.
-                elapsed = time.perf_counter() - started  # repro: allow[RPR001]: ledger wall-clock stamping
+                elapsed = started.elapsed()
                 ledger.finalize_stream_accounting(
                     events_emitted=emitted,
                     batches_emitted=emitted - 1,

@@ -18,7 +18,6 @@ a new index generation atomically:
 
 from __future__ import annotations
 
-import io
 import json
 import shutil
 from typing import TYPE_CHECKING, Any
@@ -38,11 +37,10 @@ from repro.index.store import (
     PersistentIndex,
     generation_dirname,
     sweep_stale_builds,
-    write_array,
 )
 from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import get_registry
-from repro.persist import atomic_write_bytes, atomic_write_text
+from repro.persist import atomic_write_npy, atomic_write_npz, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
@@ -105,14 +103,12 @@ def build_video_index(
             )
             name = f"seg-{start // segment_frames:06d}"
             for column, values in encode_detection_results(results).items():
-                write_array(tmp_dir / f"{name}.{column}.npy", values)
+                atomic_write_npy(tmp_dir / f"{name}.{column}.npy", values)
             segments.append({"name": name, "start": start, "end": end})
             all_results.extend(results)
 
         sketch = RangeSketch.from_results(all_results, num_frames, range_size)
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **sketch.to_arrays())
-        atomic_write_bytes(tmp_dir / SKETCH_NAME, buffer.getvalue())
+        atomic_write_npz(tmp_dir / SKETCH_NAME, sketch.to_arrays())
 
         if statistics is not None:
             atomic_write_text(

@@ -36,7 +36,6 @@ the same way when it is first loaded.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import re
 import shutil
@@ -58,7 +57,6 @@ from repro.detection.columnar import (
 )
 from repro.errors import ConfigurationError
 from repro.index.sketches import RangeSketch
-from repro.persist import atomic_write_bytes
 
 MANIFEST_FORMAT = "video-index/v1"
 MANIFEST_NAME = "manifest.json"
@@ -133,7 +131,8 @@ class VideoIndex:
 
     Columns are opened lazily with ``np.load(..., mmap_mode="r")`` and stay
     mapped until :meth:`close` — call it before unlinking any generation
-    directory (persistence-hygiene invariant I7 / rule RPR007).
+    directory (persistence-hygiene invariant I7; this is the only module
+    that memory-maps files).
     """
 
     def __init__(self, directory: Path, manifest: dict[str, Any]) -> None:
@@ -479,13 +478,6 @@ def sweep_stale_builds(directory: Path, keep_generation: int | None) -> None:
             shutil.rmtree(child, ignore_errors=True)
 
 
-def write_array(path: Path, values: np.ndarray) -> None:
-    """Persist one array as a plain ``.npy`` file via the atomic writer."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(values))
-    atomic_write_bytes(path, buffer.getvalue())
-
-
 __all__ = [
     "DEFAULT_SEGMENT_FRAMES",
     "MANIFEST_FORMAT",
@@ -499,5 +491,4 @@ __all__ = [
     "generation_dirname",
     "sweep_stale_builds",
     "video_slug",
-    "write_array",
 ]

@@ -6,11 +6,12 @@ Three pieces, deliberately decoupled from the execution engine:
   :class:`~repro.obs.trace.Tracer` rides on the
   :class:`~repro.core.context.ExecutionContext` (``context.tracer``, ``None``
   by default); every span is a context manager, so it closes on all exception
-  paths by construction (enforced project-wide by analyzer rule RPR008).
-  Span ids derive from the execution ``SeedSequence`` path and creation
-  order — never from wall-clock time — so the same query replays to the same
-  trace tree.  Spans *record* wall time for display; nothing downstream may
-  read it back into result-bearing values (also RPR008).
+  paths by construction (``tests/conftest.py`` asserts no span is left open
+  after any test).  Span ids derive from the execution ``SeedSequence`` path
+  and creation order — never from wall-clock time — so the same query
+  replays to the same trace tree.  Spans *record* wall time for display;
+  nothing downstream may read it back into result-bearing values
+  (``tests/test_source_rules.py``).
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges and
   histograms with a Prometheus text exporter (served by the query service at

@@ -9,8 +9,9 @@ the service exports it two ways:
   (``text/plain; version=0.0.4``), scrapeable as-is;
 * the JSON :meth:`MetricsRegistry.snapshot` on the service status route.
 
-Metric values are observability-only: analyzer rule RPR008 forbids reading
-them back into result-bearing code, so recording can never perturb results.
+Metric values are observability-only: ``tests/test_source_rules.py`` keeps
+the exporter out of result-bearing code, so recording can never perturb
+results.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class MetricsRegistry:
             s.help.clear()
             s.buckets.clear()
 
-    # -- export (observability layer only; see RPR008) -----------------------------
+    # -- export (observability layer only) -----------------------------------------
 
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""

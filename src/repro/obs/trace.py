@@ -10,25 +10,23 @@ links, names, counter attributes) is a pure function of the execution: the
 trace id derives from the execution ``SeedSequence`` spawn path, span ids
 from per-parent creation order, worker span ids from shard ids.  Span
 *timing* (``wall_start``, ``wall_duration``) is real wall-clock time and is
-display-only: analyzer rule RPR008 forbids reading it outside the
-observability/service layers, and :func:`repro.service.protocol.result_fingerprint`
-excludes the whole profile — so a traced run is byte-identical to an
-untraced one.
-
-This module is the sanctioned home for span clock reads (excluded from
-RPR001 alongside the service layer).
+display-only: ``tests/test_source_rules.py`` forbids reading it outside
+the observability/service layers, and
+:func:`repro.service.protocol.result_fingerprint` excludes the whole
+profile — so a traced run is byte-identical to an untraced one.  The clock
+itself is :class:`repro.stopwatch.Stopwatch`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, ContextManager, Iterator
 
 import numpy as np
 
+from repro.stopwatch import Stopwatch
 from repro.sync import Guarded
 
 #: Shared no-op context manager returned for disabled call sites.
@@ -75,7 +73,7 @@ class Tracer:
         self._state = Guarded(_TracerState())
         self._stack = threading.local()
         # Wall origin of the trace; offsets are display-only.
-        self._origin = time.perf_counter()  # repro: allow[RPR001]: span wall stamping (display only)
+        self._origin = Stopwatch()
 
     @classmethod
     def from_seed_sequence(
@@ -110,20 +108,16 @@ class Tracer:
             name=name,
             attributes=dict(attributes),
         )
-        record.wall_start = (
-            time.perf_counter() - self._origin  # repro: allow[RPR001]: span wall stamping (display only)
-        )
+        record.wall_start = self._origin.elapsed()
         with self._state as s:
             s.records.append(record)
             s.open += 1
         self._stack.current = record.span_id
-        started = time.perf_counter()  # repro: allow[RPR001]: span wall stamping (display only)
+        started = Stopwatch()
         try:
             yield record
         finally:
-            record.wall_duration = (
-                time.perf_counter() - started  # repro: allow[RPR001]: span wall stamping (display only)
-            )
+            record.wall_duration = started.elapsed()
             self._stack.current = parent
             with self._state as s:
                 s.open -= 1
@@ -193,7 +187,7 @@ class Tracer:
         with self._state as s:
             s.records.extend(records)
 
-    # -- reading (observability layer only; see RPR008) ----------------------------
+    # -- reading (observability layer only) ----------------------------------------
 
     def records(self) -> list[SpanRecord]:
         """Snapshot of every recorded span, in creation order."""

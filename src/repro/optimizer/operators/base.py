@@ -46,8 +46,7 @@ class PhysicalOperator:
         a shared no-op context manager; when tracing is on, the span records
         the operator's wall time and, given the execution ledger, its actual
         charged detector calls for EXPLAIN ANALYZE.  The ``with`` form
-        guarantees the span closes on every exception path (analyzer rule
-        RPR008).
+        guarantees the span closes on every exception path.
         """
         tracer = context.tracer
         if tracer is None:

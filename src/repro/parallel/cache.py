@@ -52,7 +52,7 @@ from repro.detection.columnar import (
     run_offsets,
 )
 from repro.errors import ConfigurationError
-from repro.persist import atomic_write_bytes, atomic_write_text
+from repro.persist import atomic_write_npz, atomic_write_text
 from repro.sync import Guarded
 
 #: Default byte budget used by :func:`get_process_cache` when an engine
@@ -477,9 +477,7 @@ class SharedDetectionCache:
         arrays["video_key_code"] = np.asarray(
             [key_index[key[0]] for key in keys], dtype=np.int32
         )
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        atomic_write_bytes(path, buffer.getvalue())
+        atomic_write_npz(path, arrays)
 
     @classmethod
     def load(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import abc
 import queue
 import threading
-import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ import numpy as np
 from repro.core.events import ShardProgress
 from repro.parallel.shards import Shard, ShardPlan
 from repro.stopping import CancellationToken
+from repro.stopwatch import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import ExecutionContext
@@ -72,7 +72,7 @@ def run_shard_worker(
     worklist: list[int] = frames.tolist()
     computed = 0
     chunks = 0
-    started = time.perf_counter()  # repro: allow[RPR001]: worker span wall stamping (display only)
+    started = Stopwatch()
     try:
         while computed < len(worklist) and not stopped():
             chunk = worklist[computed : computed + chunk_size]
@@ -87,7 +87,7 @@ def run_shard_worker(
         # then returns None for the shard's remaining frames and the driver
         # computes them inline, reproducing (and surfacing) the error on its
         # own thread with normal charging.
-        wall = time.perf_counter() - started  # repro: allow[RPR001]: worker span wall stamping (display only)
+        wall = started.elapsed()
         publish(
             WorkerMessage(
                 computed,

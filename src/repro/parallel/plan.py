@@ -27,7 +27,6 @@ wall-clock only.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING
 
@@ -43,6 +42,7 @@ from repro.frameql.analyzer import (
 from repro.parallel.executor import DetectionPrefetcher, ShardDriver
 from repro.parallel.process_executor import ProcessShardExecutor
 from repro.parallel.shards import ShardPlan, VideoSharder
+from repro.stopwatch import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
@@ -79,7 +79,7 @@ class StreamMerger:
         inner: Iterator[ExecutionEvent],
         prefetcher: ShardDriver,
         context: "ExecutionContext",
-        entry: float,
+        entry: Stopwatch,
     ) -> None:
         self._inner = inner
         self._prefetcher = prefetcher
@@ -142,8 +142,7 @@ class StreamMerger:
         )
         ledger = event.result.ledger
         if isinstance(ledger, ExecutionLedger):
-            elapsed = time.perf_counter() - self._entry  # repro: allow[RPR001]: driver wall accounting, sanctioned overwrite via set_wall_seconds
-            ledger.set_wall_seconds(elapsed)
+            ledger.set_wall_seconds(self._entry.elapsed())
 
 
 #: Backends a parallel execution can run on.
@@ -184,7 +183,7 @@ def parallel_events(
     # clock only starts when the plan generator first advances, which made
     # thread and process wall_seconds incomparable (the process backend hid
     # its ~seconds of spawn cost).
-    entry = time.perf_counter()  # repro: allow[RPR001]: driver wall accounting, sanctioned overwrite via set_wall_seconds
+    entry = Stopwatch()
     min_counts, object_class = query_profile(plan)
     index_view = context.index_view
     shard_plan = VideoSharder().shard(

@@ -222,17 +222,12 @@ def _shard_worker_main(
         return False
 
     try:
-        video = spec.context_spec.build_video()
-        detector = spec.context_spec.detector
-        # Speculative prefetch is intentionally uncharged: the driver charges
-        # the ledger when (and only when) a prefetched frame is actually
-        # consumed, keeping parallel accounting identical to sequential.
         run_shard_worker(
             spec.shard_id,
             ProcessShardExecutor.backend,
             spec.frames,
             spec.chunk_size,
-            lambda chunk: detector.detect_many(video, chunk),  # repro: allow[RPR002]: uncharged speculation, charged on consumption
+            spec.context_spec.speculator(),
             publish,
             stop.is_set,
         )

@@ -11,13 +11,21 @@ idiom: the payload is written to a temporary file in the *same directory*
 flushed and fsynced, and only then swapped into place.  A crash at any point
 leaves either the old file or the new file, never a mix, and the temporary
 file is cleaned up on failure.
+
+This module is the only code that writes artifacts to disk: numpy arrays
+are serialized in memory and handed to the same writer
+(:func:`atomic_write_npz`, :func:`atomic_write_npy`).
 """
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
+
+import numpy as np
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -37,6 +45,20 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     compact binary format (e.g. the npz detection-cache dump).
     """
     _atomic_write(path, payload)
+
+
+def atomic_write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path`` atomically as one compressed ``.npz`` archive."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    _atomic_write(path, buffer.getvalue())
+
+
+def atomic_write_npy(path: str | Path, array: np.ndarray) -> None:
+    """Write one array to ``path`` atomically as a plain ``.npy`` file."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array))
+    _atomic_write(path, buffer.getvalue())
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:

@@ -8,7 +8,8 @@ objects.
 Every ``repro.sync.Guarded`` acquisition in the suite goes through one
 session-wide lockdep (``tests/lockdep.py``): a lock-order cycle or a re-entered
 guard raises where it happens and fails the test that caused it, on whichever
-thread it ran.
+thread it ran.  Likewise every ``Tracer`` built during a test is kept until
+its teardown, and a span it left open fails that test.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.core.engine import BlazeIt
 from repro.core.labeled_set import LabeledSet
 from repro.core.recorded import RecordedDetections
 from repro.detection.simulated import SimulatedDetector
+from repro.obs.trace import Tracer
 from repro.specialization.trainer import TrainingConfig
 from repro.video.frame import COLOR_PALETTE
 from repro.video.synthetic import ObjectClassSpec, SyntheticVideo, VideoSpec
@@ -28,9 +30,24 @@ from lockdep import Lockdep, install
 
 LOCKDEP = Lockdep()
 
+#: Every tracer built since the last teardown.  Strong references: a tracer
+#: collected before teardown would otherwise take its leaked span with it.
+TRACERS: list[Tracer] = []
+
+
+def _record_tracers() -> None:
+    init = Tracer.__init__
+
+    def recording_init(self: Tracer, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        TRACERS.append(self)
+
+    Tracer.__init__ = recording_init  # type: ignore[method-assign]
+
 
 def pytest_configure(config: pytest.Config) -> None:
     install(LOCKDEP)
+    _record_tracers()
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +56,16 @@ def _lock_order_checked():
     yield
     violations = LOCKDEP.take_violations()
     assert not violations, "\n\n".join(violations)
+
+
+@pytest.fixture(autouse=True)
+def _spans_closed():
+    """Fail the test that left a span of any tracer it built open."""
+    yield
+    tracers = TRACERS[:]
+    del TRACERS[: len(tracers)]
+    leaked = [t.trace_id for t in tracers if t.open_spans()]
+    assert not leaked, f"spans left open in traces {leaked}"
 
 
 def make_video_spec(

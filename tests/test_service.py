@@ -205,7 +205,7 @@ class TestEventLog:
 
 
 class TestResultIdentityProperty:
-    """The reproducibility invariant the analyzer exists to protect, as one
+    """The reproducibility invariant the source rules exist to protect, as one
     property: for every query class the result fingerprint is a pure function
     of (engine seed, query) — neither the parallelism level (1 vs 4) nor the
     execution path (direct session vs service manager) may change a byte.

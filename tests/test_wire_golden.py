@@ -32,6 +32,7 @@ from repro.core.engine import BlazeIt
 from repro.core.events import (
     Completed,
     EstimateUpdate,
+    ExecutionEvent,
     Progress,
     ScrubbingHit,
     SelectionWindow,
@@ -259,6 +260,36 @@ def test_executed_results_survive_decode_then_encode():
         restored = result_from_json(payload)
         assert (restored.profile is not None) == name.endswith("_traced"), name
         assert json.loads(json.dumps(result_to_json(restored))) == payload, name
+
+
+class TestWireTagsAtDefinition:
+    """Defining an event or result class registers its wire tag; a tag that
+    is missing, inherited or already taken raises when the class statement
+    runs."""
+
+    def test_missing_tag(self) -> None:
+        with pytest.raises(TypeError, match="must define its own wire_name"):
+
+            class Untagged(ExecutionEvent):
+                pass
+
+        assert "Untagged" not in {cls.__name__ for cls in event_wire_types().values()}
+
+    def test_duplicate_tag(self) -> None:
+        with pytest.raises(TypeError, match="reuses wire_name 'progress'.*Progress"):
+
+            class Shadow(ExecutionEvent):
+                wire_name = "progress"
+
+        assert event_wire_types()["progress"] is Progress
+
+    def test_tag_inherited_from_a_parent(self) -> None:
+        with pytest.raises(TypeError, match="inherited from ExactResult"):
+
+            class Narrower(ExactResult):
+                extra: int = 0
+
+        assert QueryResult.wire_types["exact"] is ExactResult
 
 
 if __name__ == "__main__":
