@@ -33,8 +33,8 @@ Streaming execution (incremental results and early termination)::
         elif isinstance(event, Completed):
             print("final:", event.result.value)
 
-One-shot queries still work (``engine.query(text)`` / ``engine.stream(text)``),
-paying the full parse/plan cost per call.
+One-shot queries still work (``engine.query(text)``), paying the full
+parse/plan cost per call.
 """
 
 from repro.api import (

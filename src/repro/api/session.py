@@ -4,8 +4,9 @@ A :class:`QuerySession` is the DB-style client surface of the engine.  It
 owns three things a one-shot ``BlazeIt.query()`` call cannot amortize:
 
 * a cache of :class:`~repro.core.context.ExecutionContext` objects (one per
-  video), so per-video state such as the cheap-feature matrix is computed
-  once per session rather than once per query;
+  video), so per-video state (recording, labeled set, index view) is
+  resolved once per session rather than once per query — every execution
+  runs on its own shallow copy, and the cached context is never written to;
 * a cache of :class:`PreparedQuery` objects keyed by query text and hints,
   so repeated ``session.execute`` calls parse, analyze and plan exactly once;
 * a per-session :class:`numpy.random.SeedSequence` from which every execution
@@ -40,8 +41,10 @@ from repro.core.events import (
     ExecutionControl,
     ExecutionEvent,
     ExecutionStream,
+    ShardProgress,
 )
 from repro.core.results import PlanExplanation, QueryResult
+from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import record_execution_ledger
 from repro.obs.profile import ExecutionProfile, build_profile
 from repro.obs.trace import Tracer, maybe_span
@@ -242,9 +245,11 @@ class PreparedQuery:
         :class:`~repro.obs.profile.ExecutionProfile`.  Tracing never changes
         results: span wall times are display-only.
 
-        The plan does no work until the stream is iterated; interleaving two
-        live streams of the same prepared query is not supported (they share
-        the analyzed spec and, sequentially, the context's RNG binding).
+        The plan does no work until the stream is iterated.  Every stream
+        runs on its own copy of the session's context, but interleaving two
+        live streams of the same prepared query that re-bind parameters is
+        not supported: they share the analyzed spec the parameters are bound
+        onto.
         """
         self._session.stats.streams += 1
         return self._open_stream(
@@ -307,28 +312,39 @@ class PreparedQuery:
         trace: bool | None = None,
         analyze: bool = False,
     ) -> ExecutionStream:
-        context = self._session._context_for(self.spec.video)
-        if self.hints.use_index is False and context.index_view is not None:
-            # Per-query opt-out: run index-less (the A/B knob).  The stripped
-            # clone shares every other piece of per-video state, so results
-            # are identical — only the detection source changes.
-            context = dataclasses.replace(context, index_view=None)
-        # The RNG stream is drawn now (so spawn order follows creation order)
-        # but bound only while iterating: executions that run between pulls
-        # of a lazy stream share the context and must not contaminate it.
-        if rng is not None:
-            bound_rng, seed_sequence = rng, None
+        """Set up one execution and keep its accounting: the only place that
+        does either.
+
+        The execution runs on its own shallow copy of the session's cached
+        context, carrying its RNG stream, its tracer and — under
+        ``use_index=False`` — no index view; the cached context is never
+        written to.  The RNG stream is drawn now, so spawn order follows
+        stream creation order.
+        """
+        cached = self._session._context_for(self.spec.video)
+        if rng is None:
+            seed_sequence: np.random.SeedSequence | None = (
+                self._session._next_seed_sequence()
+            )
+            rng = np.random.default_rng(seed_sequence)
         else:
-            seed_sequence = self._session._next_seed_sequence()
-            bound_rng = np.random.default_rng(seed_sequence)
-        tracer: Tracer | None = None
-        if self._tracing_enabled(trace, analyze):
-            # The trace id derives from the execution's seed-sequence spawn
-            # path — never from wall-clock time — and the tracer rides on a
-            # private context copy so the session's cached context stays
-            # tracer-free for other streams.
-            tracer = Tracer.from_seed_sequence(seed_sequence)
-            context = dataclasses.replace(context, tracer=tracer)
+            seed_sequence = None
+        # The trace id derives from the execution's seed-sequence spawn path,
+        # never from wall-clock time.
+        tracer = (
+            Tracer.from_seed_sequence(seed_sequence)
+            if self._tracing_enabled(trace, analyze)
+            else None
+        )
+        context = dataclasses.replace(
+            cached,
+            rng=rng,
+            tracer=tracer,
+            # Per-query opt-out: run index-less.  Every other piece of
+            # per-video state is shared, so results are identical — only the
+            # detection source changes.
+            index_view=None if self.hints.use_index is False else cached.index_view,
+        )
         if batch_size is None:
             batch_size = self.hints.batch_size or DEFAULT_BATCH_SIZE
         control = ExecutionControl(
@@ -351,6 +367,9 @@ class PreparedQuery:
         def events() -> Iterator[ExecutionEvent]:
             from repro.parallel.plan import parallel_events
 
+            # One clock per execution, started on the first pull, so executor
+            # construction and worker spawn count on every backend.
+            watch = Stopwatch()
             self._session.stats.executions += 1
             with self._bound(params):
                 if tracer is not None:
@@ -360,13 +379,9 @@ class PreparedQuery:
                     tracer.synthetic_span("parse", self._parse_seconds)
                     tracer.synthetic_span("optimize", self._optimize_seconds)
                 if workers > 1:
-                    # Parallel executions get a private context clone: the
-                    # prefetcher and the RNG stream are bound once, so the
-                    # session's cached context stays clean for other streams.
-                    execution_context = context.execution_clone(bound_rng)
-                    plan_events: Iterator[ExecutionEvent] = parallel_events(
+                    plan_events = parallel_events(
                         self.plan,
-                        execution_context,
+                        context,
                         control,
                         parallelism=workers,
                         stats=self._decision.stats,
@@ -375,6 +390,7 @@ class PreparedQuery:
                 else:
                     plan_events = self.plan.run(context, control)
                 completed: Completed | None = None
+                emitted = 0
                 try:
                     with maybe_span(
                         tracer,
@@ -382,22 +398,25 @@ class PreparedQuery:
                         parallelism=workers,
                         backend=exec_backend if workers > 1 else "sequential",
                     ):
-                        while True:
-                            if workers <= 1:
-                                context.bind_rng(bound_rng)
-                            try:
-                                event = next(plan_events)
-                            except StopIteration:
-                                break
+                        for event in plan_events:
                             if isinstance(event, Completed):
                                 # Hold the terminal event until the execute
                                 # span has closed, so the profile sees the
                                 # finished span tree.
                                 completed = event
                                 break
+                            if not isinstance(event, ShardProgress):
+                                emitted += 1
                             yield event
                     if completed is not None:
                         result = completed.result
+                        result.stop_reason = completed.stop_reason
+                        if isinstance(result.ledger, ExecutionLedger):
+                            result.ledger.finalize_stream_accounting(
+                                events_emitted=emitted + 1,
+                                batches_emitted=emitted,
+                                wall_seconds=watch.elapsed(),
+                            )
                         record_execution_ledger(result.kind, result.ledger)
                         if tracer is not None:
                             result.profile = build_profile(

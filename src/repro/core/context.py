@@ -7,10 +7,12 @@ detector, an optional recording of the detector's output over the test day
 engine configuration and a seeded random generator.
 
 A context is built per video but may serve many queries: a
-:class:`~repro.api.session.QuerySession` caches one context per video so
-expensive per-video state (the cheap-feature matrix) is shared, and rebinds
-the RNG stream per execution via :meth:`ExecutionContext.bind_rng` so
-repeated approximate queries draw independent samples.
+:class:`~repro.api.session.QuerySession` caches one context per video and
+runs every execution on its own shallow copy of it, carrying that
+execution's RNG stream and tracer, so repeated approximate queries draw
+independent samples and the cached context is never written to.  Per-video
+state (the cheap-feature matrix) lives on the video itself and is shared by
+every copy.
 
 It also centralises detector access so every plan charges detection cost the
 same way, whether the output comes from a live detector call or from the
@@ -128,45 +130,20 @@ class ExecutionContext:
     #: shard workers never receive it — their spans ship back over the
     #: executor transport and are stitched in driver-side.
     tracer: "Tracer | None" = field(default=None, repr=False)
-    _features_cache: np.ndarray | None = field(default=None, repr=False)
     _prefetcher: "ShardDriver | None" = field(default=None, repr=False)
 
-    def bind_rng(self, rng: np.random.Generator) -> ExecutionContext:
-        """Attach the RNG stream for the next execution and return ``self``.
-
-        Sessions call this before every plan execution so each run of a
-        (possibly shared) context samples from its own stream.
-        """
-        self.rng = rng
-        return self
-
     # -- parallel execution hooks ------------------------------------------------------
-
-    def execution_clone(self, rng: np.random.Generator) -> ExecutionContext:
-        """A private copy of this context for one (parallel) execution.
-
-        Shares every per-video asset — video, detector, recording, labeled
-        set, shared cache and the feature matrix if already computed — but
-        owns its RNG binding, so a parallel execution can never contaminate
-        the session's cached context while its stream is live.
-        """
-        return dataclasses.replace(self, rng=rng, _prefetcher=None)
 
     def shard_context(self) -> ExecutionContext:
         """The context thread shard workers speculate in.
 
         Workers share the read-only assets (video, detector, recording,
-        shared cache) but never the driver's RNG, prefetcher, tracer or
-        feature cache.  They draw no randomness — detection is deterministic
-        per frame — and their work is uncharged: the driver charges on
-        consumption.
+        shared cache) but never the driver's RNG, prefetcher or tracer.
+        They draw no randomness — detection is deterministic per frame — and
+        their work is uncharged: the driver charges on consumption.
         """
         return dataclasses.replace(
-            self,
-            rng=np.random.default_rng(0),
-            tracer=None,
-            _prefetcher=None,
-            _features_cache=None,
+            self, rng=np.random.default_rng(0), tracer=None, _prefetcher=None
         )
 
     def with_prefetcher(self, prefetcher: "ShardDriver") -> ExecutionContext:
@@ -375,18 +352,15 @@ class ExecutionContext:
     def test_features(self, frame_indices: np.ndarray | None = None) -> np.ndarray:
         """Cheap per-frame features of the test day.
 
-        The full-feature matrix is cached because several plans (specialized
-        rewriting, control variates, scrubbing) all need it.  Feature
-        extraction cost is folded into the specialized-NN inference cost, so
-        no separate charge is made here.
+        The full matrix is the video's own read-only memo
+        (:meth:`~repro.video.synthetic.SyntheticVideo.all_features`), shared
+        by every plan that needs it (specialized rewriting, control
+        variates, scrubbing).  Feature extraction cost is folded into the
+        specialized-NN inference cost, so no separate charge is made here.
         """
         if frame_indices is not None:
             return self.video.frame_features(np.asarray(frame_indices, dtype=np.int64))
-        if self._features_cache is None:
-            self._features_cache = self.video.frame_features(
-                np.arange(self.video.num_frames)
-            )
-        return self._features_cache
+        return self.video.all_features()
 
     # -- labeled-set conveniences ---------------------------------------------------------
 

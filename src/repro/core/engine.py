@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.catalog.statistics import StatisticsCatalog
 from repro.core.config import BlazeItConfig
-from repro.core.events import ExecutionStream, StopConditions
 from repro.core.context import ExecutionContext
 from repro.parallel.cache import SharedDetectionCache, get_process_cache
 from repro.core.labeled_set import LabeledSet
@@ -472,26 +471,3 @@ class BlazeIt:
 
         require_hints(hints)
         return self.session().prepare(query_text, hints=hints).execute(rng=rng)
-
-    def stream(
-        self,
-        query_text: str,
-        hints: QueryHints | None = None,
-        rng: np.random.Generator | None = None,
-        stop: StopConditions | None = None,
-        **params: object,
-    ) -> ExecutionStream:
-        """Optimize a query and stream its execution events (throwaway session).
-
-        One-shot convenience over :meth:`session`: returns a lazy
-        :class:`~repro.core.events.ExecutionStream` yielding incremental
-        events (progress, running estimates, verified hits) terminated by a
-        ``Completed`` event with the full result.  Supports early termination
-        via ``stop=StopConditions(...)`` and ``stream.cancel()``.
-        """
-        from repro.api.hints import require_hints
-
-        require_hints(hints)
-        return self.session().stream(
-            query_text, hints=hints, rng=rng, stop=stop, **params
-        )

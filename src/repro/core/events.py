@@ -29,7 +29,6 @@ from repro.core.results import QueryResult
 from repro.errors import ConfigurationError, ExecutionError
 from repro.metrics.runtime import ExecutionLedger
 from repro.stopping import NO_STOP, CancellationToken, StopConditions
-from repro.stopwatch import Stopwatch
 from repro.wire import Tagged
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "ExecutionControl",
     "ExecutionStream",
     "event_wire_types",
-    "timed_stream",
 ]
 
 
@@ -366,34 +364,3 @@ class ExecutionStream:
             consumed.append(event)
         return consumed
 
-
-def timed_stream(
-    events: Iterator[ExecutionEvent],
-) -> Iterator[ExecutionEvent]:
-    """Wrap a plan's event stream with per-execution ledger bookkeeping.
-
-    Counts emitted events/batches and stamps wall-clock time onto the
-    :class:`~repro.metrics.runtime.ExecutionLedger` of the terminal result.
-    Used by :meth:`repro.optimizer.base.PhysicalPlan.run`, so both streamed
-    and drained executions carry the same accounting.
-    """
-    # Wall-clock stamping feeds ledger.wall_seconds, which is excluded from
-    # result fingerprints.
-    started = Stopwatch()
-    emitted = 0
-    for event in events:
-        emitted += 1
-        if isinstance(event, Completed):
-            event.result.stop_reason = event.stop_reason
-            ledger = event.result.ledger
-            if isinstance(ledger, ExecutionLedger):
-                # Counter stores and the detection-cache release happen
-                # under the ledger lock in one sanctioned method: the
-                # ledger may already be visible to other threads.
-                elapsed = started.elapsed()
-                ledger.finalize_stream_accounting(
-                    events_emitted=emitted,
-                    batches_emitted=emitted - 1,
-                    wall_seconds=elapsed,
-                )
-        yield event

@@ -37,8 +37,6 @@ class LabeledSet:
         self.heldout_video = heldout_video
         self.train_recorded = train_recorded
         self.heldout_recorded = heldout_recorded
-        self._train_features: np.ndarray | None = None
-        self._heldout_features: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -59,21 +57,13 @@ class LabeledSet:
 
     @property
     def train_features(self) -> np.ndarray:
-        """Cheap per-frame features of the training day (computed lazily)."""
-        if self._train_features is None:
-            self._train_features = self.train_video.frame_features(
-                np.arange(self.train_video.num_frames)
-            )
-        return self._train_features
+        """Cheap per-frame features of the training day (the video's memo)."""
+        return self.train_video.all_features()
 
     @property
     def heldout_features(self) -> np.ndarray:
-        """Cheap per-frame features of the held-out day (computed lazily)."""
-        if self._heldout_features is None:
-            self._heldout_features = self.heldout_video.frame_features(
-                np.arange(self.heldout_video.num_frames)
-            )
-        return self._heldout_features
+        """Cheap per-frame features of the held-out day (the video's memo)."""
+        return self.heldout_video.all_features()
 
     # -- labels ------------------------------------------------------------------
 

@@ -230,11 +230,13 @@ class ExecutionLedger(RuntimeLedger):
     index_skips: int = _counter(
         "repro_index_skips_total", "Frames skipped via index range sketches"
     )
-    #: Incremental (non-terminal) events emitted over the streaming protocol.
+    #: Incremental (non-terminal) events the plan emitted over the streaming
+    #: protocol (a parallel execution's ``ShardProgress`` is not counted).
     batches_emitted: int = 0
-    #: All events emitted, including the terminal ``Completed``.
+    #: All events the plan emitted, including the terminal ``Completed``.
     events_emitted: int = 0
-    #: Wall-clock seconds from the first event to the terminal one.
+    #: Wall-clock seconds from the first pull of the execution's stream
+    #: (executor construction and worker spawn included) to its terminal event.
     wall_seconds: float = field(default=0.0, compare=False)
     _detections: "dict[int, DetectionResult]" = field(
         default_factory=dict, repr=False, compare=False
@@ -296,33 +298,16 @@ class ExecutionLedger(RuntimeLedger):
     ) -> None:
         """Stamp end-of-stream counters and drop the detection cache.
 
-        The one way for stream drivers to set these counters: the ledger is
-        frozen, and it may already be visible to other threads (shared
-        caches, service snapshots), so the store happens under the ledger
-        lock, together with the cache release.
+        Called once per execution, by the session stream that opened it:
+        the ledger is frozen, and it may already be visible to other threads
+        (shared caches, service snapshots), so the store happens under the
+        ledger lock, together with the cache release.
         """
         with self._fields as f:
             f["events_emitted"] = events_emitted
             f["batches_emitted"] = batches_emitted
             f["wall_seconds"] = wall_seconds
             self._detections.clear()
-
-    def set_wall_seconds(self, wall_seconds: float) -> None:
-        """Overwrite the wall-clock figure with driver-observed time.
-
-        The one way for the parallel engine to correct ``wall_seconds`` on
-        this frozen ledger: ``timed_stream`` starts its clock when the inner
-        stream first advances, which excludes executor construction — worker
-        spawn in particular — so the driver re-stamps the figure with the
-        elapsed time since ``parallel_events`` was entered.  Thread- and
-        process-backend rows become directly comparable.  Wall time is
-        display-only (``compare=False``; excluded from wire fingerprints), so
-        the overwrite can never affect results.
-        """
-        if wall_seconds < 0:
-            raise ValueError(f"wall_seconds must be non-negative, got {wall_seconds}")
-        with self._fields as f:
-            f["wall_seconds"] = wall_seconds
 
     def merge(self, other: RuntimeLedger) -> None:
         """Fold another ledger's charges — and execution counters — into this one."""

@@ -12,10 +12,10 @@ The planning stack has two layers (Section 5):
   specialization training cost, and picks the cheapest.
 
 Every plan executes through the pull-based streaming protocol of
-:mod:`repro.core.events`: ``plan.run(context)`` yields typed
-:class:`~repro.core.events.ExecutionEvent` objects, ``plan.open(context)``
-returns a :class:`PlanCursor` with explicit ``next_batch()``/``close()``, and
-``plan.execute(context)`` drains the stream into a blocking result.  The
+:mod:`repro.core.events`: ``plan.run(context, control)`` yields typed
+:class:`~repro.core.events.ExecutionEvent` objects ending in one
+``Completed``.  Executions are opened by
+:meth:`repro.api.session.PreparedQuery.stream`, the one entry point.  The
 event types are re-exported here so the optimizer package is a complete,
 typed surface for plan authors.
 """
@@ -30,7 +30,7 @@ from repro.core.events import (
     SelectionWindow,
     StopConditions,
 )
-from repro.optimizer.base import CostEstimate, PhysicalPlan, PlanCursor
+from repro.optimizer.base import CostEstimate, PhysicalPlan
 from repro.optimizer.aggregates import AggregateQueryPlan
 from repro.optimizer.cost import CostBasedOptimizer, PlanCandidate, PlanDecision
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
@@ -39,7 +39,6 @@ from repro.optimizer.exact import ExactQueryPlan
 
 __all__ = [
     "PhysicalPlan",
-    "PlanCursor",
     "CostEstimate",
     "AggregateQueryPlan",
     "ScrubbingQueryPlan",

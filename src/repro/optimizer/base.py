@@ -3,16 +3,11 @@
 Every plan executes as a generator of typed
 :class:`~repro.core.events.ExecutionEvent` objects (``Progress``,
 ``EstimateUpdate``, ``ScrubbingHit``, ``SelectionWindow``, terminated by a
-single ``Completed`` carrying the full result).  Three consumption styles are
-built on the one abstract hook ``_stream``:
-
-* :meth:`PhysicalPlan.run` — the raw event generator (used by
-  ``session.stream()``);
-* :meth:`PhysicalPlan.open` — a :class:`PlanCursor` with explicit
-  ``next_batch()`` / ``close()`` for pull-based executors;
-* :meth:`PhysicalPlan.execute` — blocking execution, defined as draining the
-  stream and returning the terminal result, so blocking and streamed results
-  are identical by construction.
+single ``Completed`` carrying the full result), built on the one abstract
+hook ``_stream`` and exposed as :meth:`PhysicalPlan.run`.  The plan is only
+the event generator: setting up an execution (its context copy, RNG stream,
+tracer and parallel prefetch) and its end-of-stream accounting happen in one
+place, :meth:`repro.api.session.PreparedQuery.stream`.
 """
 
 from __future__ import annotations
@@ -23,15 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.context import ExecutionContext
-from repro.core.events import (
-    DEFAULT_BATCH_SIZE,
-    Completed,
-    ExecutionControl,
-    ExecutionEvent,
-    timed_stream,
-)
-from repro.core.results import OperatorNode, QueryResult
-from repro.errors import ExecutionError
+from repro.core.events import ExecutionControl, ExecutionEvent
+from repro.core.results import OperatorNode
 from repro.metrics.runtime import StandardCosts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,42 +78,11 @@ class PhysicalPlan(abc.ABC):
         well-formed — possibly partial — result.
         """
 
-    def _default_control(self) -> ExecutionControl:
-        """A fresh control honouring the plan's hints (chunk size only)."""
-        hints = getattr(self, "hints", None)
-        batch_size = getattr(hints, "batch_size", None)
-        return ExecutionControl(
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
-        )
-
     def run(
-        self, context: ExecutionContext, control: ExecutionControl | None = None
+        self, context: ExecutionContext, control: ExecutionControl
     ) -> Iterator[ExecutionEvent]:
-        """The plan's event stream, with per-execution ledger bookkeeping."""
-        return timed_stream(
-            self._stream(context, control or self._default_control())
-        )
-
-    def open(
-        self, context: ExecutionContext, control: ExecutionControl | None = None
-    ) -> PlanCursor:
-        """Open a pull-based cursor over the plan's event stream."""
-        control = control or self._default_control()
-        return PlanCursor(self.run(context, control), control)
-
-    def execute(
-        self, context: ExecutionContext, control: ExecutionControl | None = None
-    ) -> QueryResult:
-        """Execute the plan to completion by draining its event stream."""
-        result: QueryResult | None = None
-        for event in self.run(context, control):
-            if isinstance(event, Completed):
-                result = event.result
-        if result is None:
-            raise ExecutionError(
-                f"{type(self).__name__} finished without a Completed event"
-            )
-        return result
+        """The plan's raw event stream; the session does the accounting."""
+        return self._stream(context, control)
 
     def describe(self) -> str:
         """Human-readable description of the plan."""
@@ -176,59 +133,3 @@ class PhysicalPlan(abc.ABC):
             else StandardCosts.MASK_RCNN.seconds_per_call
         )
         return CostEstimate(detector_calls=calls, detector_seconds=calls * per_call)
-
-
-class PlanCursor:
-    """Explicit ``open()/next_batch()/close()`` adapter over a plan's stream.
-
-    The cursor form of the streaming protocol, for executors that pull work
-    in discrete steps rather than iterating a generator.  ``next_batch``
-    returns up to ``max_events`` events (default: the control's batch size)
-    and an empty list once the stream is exhausted.
-    """
-
-    def __init__(
-        self, events: Iterator[ExecutionEvent], control: ExecutionControl
-    ) -> None:
-        self._events = events
-        self.control = control
-        self._exhausted = False
-        self._result: QueryResult | None = None
-
-    @property
-    def result(self) -> QueryResult | None:
-        """The terminal result, once the ``Completed`` event has been pulled."""
-        return self._result
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the underlying stream has ended."""
-        return self._exhausted
-
-    def next_batch(self, max_events: int | None = None) -> list[ExecutionEvent]:
-        """Pull up to ``max_events`` events; empty list means the stream ended."""
-        if self._exhausted:
-            return []
-        count = max_events if max_events is not None else self.control.batch_size
-        if count < 1:
-            raise ValueError(f"max_events must be >= 1, got {count}")
-        batch: list[ExecutionEvent] = []
-        for event in self._events:
-            batch.append(event)
-            if isinstance(event, Completed):
-                self._result = event.result
-                self._exhausted = True
-                break
-            if len(batch) >= count:
-                break
-        else:
-            self._exhausted = True
-        return batch
-
-    def close(self) -> None:
-        """Cancel the execution and dispose of the underlying generator."""
-        self.control.cancel()
-        closer = getattr(self._events, "close", None)
-        if closer is not None:
-            closer()
-        self._exhausted = True

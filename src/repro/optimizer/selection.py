@@ -45,6 +45,7 @@ from repro.optimizer.operators import (
 )
 from repro.selection.filters import TemporalFilter
 from repro.selection.plan import SelectionPlan
+from repro.video.frame_batch import FrameBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
@@ -210,7 +211,9 @@ class SelectionQueryPlan(PhysicalPlan):
         with self._cascade.traced(context, ledger):
             plan = self._cascade.build(context, ledger)
             all_frames = np.arange(context.video.num_frames, dtype=np.int64)
-            surviving = plan.apply(context.video, all_frames, ledger)
+            surviving = plan.apply_batch(
+                FrameBatch(context.video, all_frames), ledger
+            ).indices
         # Shard-aware entry: the filter survivors are the exact detector
         # workload, verified in ascending frame order across the shards.
         context.announce_access_plan(surviving, monotone=True)

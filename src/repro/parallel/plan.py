@@ -15,8 +15,8 @@ pipeline:
 3. a :class:`StreamMerger` interleaves the workers'
    :class:`~repro.core.events.ShardProgress` events with the plan's own
    stream, shuts the pool down the moment the terminal ``Completed`` event
-   appears (a LIMIT satisfied across shards stops every worker) and
-   finalizes it, and propagates ``close()`` to in-flight workers promptly.
+   appears (a LIMIT satisfied across shards stops every worker), and
+   propagates ``close()`` to in-flight workers promptly.
 
 Because all charging happens on the driver as it consumes prefetched
 detections, a parallel execution's result — estimate, records, hit set and
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.events import Completed, ExecutionControl, ExecutionEvent
 from repro.errors import ConfigurationError, SpawnExportError
-from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import get_registry
 from repro.frameql.analyzer import (
     AggregateQuerySpec,
@@ -42,7 +41,6 @@ from repro.frameql.analyzer import (
 from repro.parallel.executor import DetectionPrefetcher, ShardDriver
 from repro.parallel.process_executor import ProcessShardExecutor
 from repro.parallel.shards import ShardPlan, VideoSharder
-from repro.stopwatch import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
@@ -68,10 +66,10 @@ class StreamMerger:
     Iterating yields the plan's events in order, with any
     :class:`~repro.core.events.ShardProgress` the workers produced since the
     last plan event injected first (worker-arrival order).  The terminal
-    ``Completed`` stays terminal: the pool is shut down, the event finalized
-    and the last progress drained *before* it is yielded.  Closing the merger
-    closes the plan's generator and joins every worker, so no detector call
-    survives a ``close()``.
+    ``Completed`` stays terminal: the pool is shut down, the workers' spans
+    and counters folded in and the last progress drained *before* it is
+    yielded.  Closing the merger closes the plan's generator and joins every
+    worker, so no detector call survives a ``close()``.
     """
 
     def __init__(
@@ -79,12 +77,10 @@ class StreamMerger:
         inner: Iterator[ExecutionEvent],
         prefetcher: ShardDriver,
         context: "ExecutionContext",
-        entry: Stopwatch,
     ) -> None:
         self._inner = inner
         self._prefetcher = prefetcher
         self._context = context
-        self._entry = entry
 
     def events(self) -> Iterator[ExecutionEvent]:
         prefetcher = self._prefetcher
@@ -94,7 +90,7 @@ class StreamMerger:
                     # The LIMIT/CI/budget decision has been made across all
                     # shards: stop the workers before handing out the result.
                     prefetcher.shutdown()
-                    self._finalize(event)
+                    self._finalize()
                 progress = prefetcher.progress_events
                 while progress:
                     yield progress.popleft()
@@ -105,14 +101,11 @@ class StreamMerger:
                 closer()
             prefetcher.shutdown()
 
-    def _finalize(self, event: Completed) -> None:
+    def _finalize(self) -> None:
         """Once per run, after shutdown (every worker has reported): stitch
         worker spans into the driver's trace (ids derive from shard ids,
-        identical across transports), fold the shard counters into the
-        metrics registry, and overwrite the terminal ledger's
-        ``wall_seconds`` with the driver's elapsed time since
-        :func:`parallel_events` entry — the only sanctioned wall overwrite,
-        see :meth:`~repro.metrics.runtime.ExecutionLedger.set_wall_seconds`.
+        identical across transports) and fold the shard counters into the
+        metrics registry.
         """
         prefetcher = self._prefetcher
         if self._context.tracer is not None:
@@ -140,9 +133,6 @@ class StreamMerger:
             labels,
             help="Frames computed speculatively by shard workers.",
         )
-        ledger = event.result.ledger
-        if isinstance(ledger, ExecutionLedger):
-            ledger.set_wall_seconds(self._entry.elapsed())
 
 
 #: Backends a parallel execution can run on.
@@ -159,9 +149,9 @@ def parallel_events(
 ) -> Iterator[ExecutionEvent]:
     """Run ``plan`` with sharded parallel prefetch; yields the merged stream.
 
-    ``context`` must be private to this execution (the session clones its
-    cached per-video context): the prefetcher is attached to it and the RNG
-    stream must not be rebound mid-flight.
+    ``context`` must be private to this execution (the session copies its
+    cached per-video context for every execution): the prefetcher is
+    attached to it.
 
     ``backend`` selects the transport: ``"threads"`` (the default; right
     whenever the detector releases the GIL during its latency) or
@@ -178,12 +168,6 @@ def parallel_events(
         raise ConfigurationError(
             f"unknown parallel backend {backend!r}; expected one of {BACKENDS}"
         )
-    # Driver wall clock for the whole parallel execution, stamped here so
-    # executor construction and worker spawn are inside it — timed_stream's
-    # clock only starts when the plan generator first advances, which made
-    # thread and process wall_seconds incomparable (the process backend hid
-    # its ~seconds of spawn cost).
-    entry = Stopwatch()
     min_counts, object_class = query_profile(plan)
     index_view = context.index_view
     shard_plan = VideoSharder().shard(
@@ -199,9 +183,7 @@ def parallel_events(
     )
     prefetcher = _build_executor(shard_plan, context, control, backend)
     driver_context = context.with_prefetcher(prefetcher)
-    return StreamMerger(
-        plan.run(driver_context, control), prefetcher, context, entry
-    ).events()
+    return StreamMerger(plan.run(driver_context, control), prefetcher, context).events()
 
 
 def _build_executor(

@@ -1,10 +1,10 @@
 """The four filter classes of Section 8.
 
-Every filter consumes a set of candidate frame indices and returns the subset
-that survives, charging its (cheap) per-frame cost to the runtime ledger.  The
-spatial filter is the exception: it does not prune frames, it reduces the cost
-of each subsequent detection call by making the cropped image smaller and more
-square.
+Every filter narrows a :class:`~repro.video.frame_batch.FrameBatch` of
+candidate frames to the subset that survives, charging its (cheap) per-frame
+cost to the runtime ledger.  The spatial filter is the exception: it does not
+prune frames, it reduces the cost of each subsequent detection call by making
+the cropped image smaller and more square.
 
 Content filters operate on the cheap per-frame feature vectors (the
 reproduction's stand-in for raw pixels); they never look at the ground-truth
@@ -22,7 +22,7 @@ import numpy as np
 from repro.metrics.runtime import RuntimeLedger, StandardCosts
 from repro.specialization.binary_model import BinaryPresenceModel
 from repro.video.frame_batch import FrameBatch
-from repro.video.synthetic import FEATURE_CHANNELS, FEATURE_GRID, SyntheticVideo
+from repro.video.synthetic import FEATURE_CHANNELS, FEATURE_GRID
 
 
 def feature_level_score(features: np.ndarray, udf_name: str) -> np.ndarray:
@@ -58,28 +58,15 @@ class FrameFilter(abc.ABC):
     name: str = "filter"
 
     @abc.abstractmethod
-    def apply(
-        self,
-        video: SyntheticVideo,
-        frame_indices: np.ndarray,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        """Return the subset of ``frame_indices`` that survives the filter."""
-
     def apply_batch(
         self, batch: FrameBatch, ledger: RuntimeLedger | None = None
     ) -> FrameBatch:
-        """Columnar form of :meth:`apply`: narrow a :class:`FrameBatch`.
+        """The sub-batch of frames that survives the filter.
 
-        Filters that score the cheap features override this to consume the
-        batch's shared feature matrix (one model call per batch, no per-filter
-        feature regather); the default delegates to :meth:`apply` and slices
-        the batch down to the survivors.
+        Filters that score the cheap features consume the batch's shared
+        feature matrix (one model call per batch, no per-filter feature
+        regather) and narrow it with a boolean mask.
         """
-        surviving = self.apply(batch.video, batch.indices, ledger)
-        if surviving.size == batch.indices.size:
-            return batch
-        return batch.restrict_to(surviving)
 
     #: Multiplier applied to the detection cost of surviving frames (spatial
     #: filters make detection cheaper; everything else leaves it unchanged).
@@ -107,13 +94,10 @@ class TemporalFilter(FrameFilter):
                 f"subsample_step must be >= 1, got {self.subsample_step}"
             )
 
-    def apply(
-        self,
-        video: SyntheticVideo,
-        frame_indices: np.ndarray,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        indices = np.asarray(frame_indices, dtype=np.int64)
+    def apply_batch(
+        self, batch: FrameBatch, ledger: RuntimeLedger | None = None
+    ) -> FrameBatch:
+        indices = batch.indices
         mask = np.ones(indices.shape, dtype=bool)
         if self.start_frame is not None:
             mask &= indices >= self.start_frame
@@ -122,7 +106,7 @@ class TemporalFilter(FrameFilter):
         if self.subsample_step > 1:
             mask &= indices % self.subsample_step == 0
         # Temporal filtering is free: it never looks at the frame.
-        return indices[mask]
+        return batch if mask.all() else batch.select(mask)
 
 
 @dataclass
@@ -151,13 +135,10 @@ class SpatialFilter(FrameFilter):
         frame_area = self.frame_width * self.frame_height
         self.detection_cost_scale = max(0.05, min(1.0, roi_area / frame_area))
 
-    def apply(
-        self,
-        video: SyntheticVideo,
-        frame_indices: np.ndarray,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        return np.asarray(frame_indices, dtype=np.int64)
+    def apply_batch(
+        self, batch: FrameBatch, ledger: RuntimeLedger | None = None
+    ) -> FrameBatch:
+        return batch
 
 
 @dataclass
@@ -174,17 +155,6 @@ class ContentFilter(FrameFilter):
 
     filter_class = "content"
     name = "content"
-
-    def apply(
-        self,
-        video: SyntheticVideo,
-        frame_indices: np.ndarray,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        if indices.size == 0:
-            return indices
-        return self.apply_batch(FrameBatch(video, indices), ledger).indices
 
     def apply_batch(
         self, batch: FrameBatch, ledger: RuntimeLedger | None = None
@@ -208,17 +178,6 @@ class LabelFilter(FrameFilter):
 
     filter_class = "label"
     name = "label"
-
-    def apply(
-        self,
-        video: SyntheticVideo,
-        frame_indices: np.ndarray,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        indices = np.asarray(frame_indices, dtype=np.int64)
-        if indices.size == 0:
-            return indices
-        return self.apply_batch(FrameBatch(video, indices), ledger).indices
 
     def apply_batch(
         self, batch: FrameBatch, ledger: RuntimeLedger | None = None

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.metrics.runtime import RuntimeLedger
 from repro.selection.filters import FrameFilter
 from repro.video.frame_batch import FrameBatch
-from repro.video.synthetic import SyntheticVideo
 
 
 @dataclass
@@ -35,22 +32,6 @@ class SelectionPlan:
     def filter_classes(self) -> list[str]:
         """The classes of the filters in the plan, in order."""
         return [filter_.filter_class for filter_ in self.filters]
-
-    def without(self, filter_class: str) -> "SelectionPlan":
-        """A copy of the plan with one filter class removed (lesion study)."""
-        return SelectionPlan(
-            filters=[f for f in self.filters if f.filter_class != filter_class],
-            notes=self.notes + [f"removed {filter_class} filters"],
-        )
-
-    def apply(
-        self,
-        video: SyntheticVideo,
-        frame_indices: np.ndarray | None = None,
-        ledger: RuntimeLedger | None = None,
-    ) -> np.ndarray:
-        """Run every filter in order and return the surviving frame indices."""
-        return self.apply_batch(FrameBatch(video, frame_indices), ledger).indices
 
     def apply_batch(
         self, batch: FrameBatch, ledger: RuntimeLedger | None = None

@@ -15,10 +15,12 @@ order is strictly FIFO.
 Two additional invariants:
 
 * **Per-session serialization.**  At most one query per engine session runs
-  at a time.  Sequential execution re-binds the session context's RNG on
-  every event pull, so two concurrent queries of one session would race on
-  shared state; queries from *different* sessions have disjoint contexts
-  and run freely in parallel.
+  at a time.  Each execution runs on its own context copy, but a prepared
+  query re-binds its runtime parameters onto the one analyzed spec it
+  shares, and the session's context and prepared-query caches are not
+  locked, so two concurrent queries of one session would race on them;
+  queries from *different* sessions share neither and run freely in
+  parallel.
 * **One drainer thread per running query.**  The callback the manager
   provides pulls the query's event stream to its terminal state; the thread
   exists only while the query runs.

@@ -73,7 +73,3 @@ class FrameBatch:
         mask = np.asarray(mask)
         features = self._features[mask] if self._features is not None else None
         return FrameBatch(self.video, self.indices[mask], features)
-
-    def restrict_to(self, frame_indices: np.ndarray) -> "FrameBatch":
-        """The sub-batch whose frames appear in ``frame_indices``."""
-        return self.select(np.isin(self.indices, frame_indices))

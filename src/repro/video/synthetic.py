@@ -197,9 +197,11 @@ class SyntheticVideo:
         self.tracks = tracks
         self._build_index()
         # Feature memo: a dense (num_frames, FEATURE_DIM) matrix plus a
-        # readiness mask, allocated lazily on the first feature request.
+        # readiness mask, allocated lazily on the first feature request, and
+        # the read-only view of the whole memo once every row is filled.
         self._feature_memo: np.ndarray | None = None
         self._feature_ready: np.ndarray | None = None
+        self._all_features: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -478,6 +480,23 @@ class SyntheticVideo:
         bad = (indices < 0) | (indices >= self.spec.num_frames)
         if bad.any():
             self._check_frame(int(indices[np.argmax(bad)]))
+        return self._filled_memo(indices)[indices]
+
+    def all_features(self) -> np.ndarray:
+        """The whole video's feature matrix, as a read-only view of the memo.
+
+        Fills the memo once and returns the same view on every call — no
+        copy — so every full-matrix consumer (the test-day context, the
+        labeled set's training and held-out days) shares one array.
+        """
+        if self._all_features is None:
+            view = self._filled_memo(np.arange(self.spec.num_frames)).view()
+            view.flags.writeable = False
+            self._all_features = view
+        return self._all_features
+
+    def _filled_memo(self, indices: np.ndarray) -> np.ndarray:
+        """The feature memo, with the rows of ``indices`` computed."""
         if self._feature_memo is None or self._feature_ready is None:
             self._feature_memo = np.zeros(
                 (self.spec.num_frames, FEATURE_DIM), dtype=np.float64
@@ -487,7 +506,7 @@ class SyntheticVideo:
         if missing.size:
             self._feature_memo[missing] = self._compute_feature_rows(missing)
             self._feature_ready[missing] = True
-        return self._feature_memo[indices]
+        return self._feature_memo
 
     # -- vectorized feature/geometry kernels ---------------------------------
 

@@ -20,7 +20,10 @@ told apart by a tag (:class:`Tagged`) decodes to the class its tag names.
 Decoding is the service's check on outside input: a payload that is not an
 object, carries an unknown key, lacks a field that has no default or holds a
 value of the wrong shape raises :class:`~repro.errors.ConfigurationError`
-naming the valid fields.  An absent key falls back to the field's default.
+naming the valid fields.  Leaves are type-checked too: an ``int`` field takes
+only a JSON integer, a ``bool`` only ``true``/``false``, a ``str`` only a
+string, and a ``float`` any number — a ``bool`` is never a number.  An absent
+key falls back to the field's default.
 Only a :class:`Tagged` class skips keys it does not know: those are the
 protocol's own messages, which a newer peer may have extended (the index
 counters joined the v1 ledger that way) — the mirror image of the default.
@@ -89,17 +92,24 @@ class Tagged:
 
 
 def _expect(kind: type[_T], value: Any) -> _T:
-    if not isinstance(value, kind):
+    # ``bool`` subclasses ``int``: a JSON ``true`` is not a number.
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise ConfigurationError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
 
 
+def _expect_number(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 #: Atomic types: the (to JSON, from JSON) expression templates of each.
 _LEAVES: dict[Any, tuple[str, str]] = {
-    int: ("int({})", "{}"),
-    float: ("{}", "float({})"),
-    str: ("{}", "{}"),
-    bool: ("{}", "{}"),
+    int: ("int({})", "expect(int, {})"),
+    float: ("{}", "expect_number({})"),
+    str: ("{}", "expect(str, {})"),
+    bool: ("{}", "expect(bool, {})"),
     Any: ("{}", "{}"),
     np.ndarray: ("asarray({}, dtype=float64).tolist()", "asarray({}, dtype=float64)"),
 }
@@ -175,6 +185,7 @@ def _plan(cls: type) -> _Plan:
         "encode_compared": encode_compared,
         "decode": decode,
         "expect": _expect,
+        "expect_number": _expect_number,
         "asarray": np.asarray,
         "float64": np.float64,
     }

@@ -18,11 +18,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import BlazeItConfig
+from repro.core.context import ExecutionContext
 from repro.core.engine import BlazeIt
+from repro.core.events import Completed, ExecutionControl
 from repro.core.labeled_set import LabeledSet
 from repro.core.recorded import RecordedDetections
+from repro.core.results import QueryResult
 from repro.detection.simulated import SimulatedDetector
 from repro.obs.trace import Tracer
+from repro.optimizer.base import PhysicalPlan
 from repro.specialization.trainer import TrainingConfig
 from repro.video.frame import COLOR_PALETTE
 from repro.video.synthetic import ObjectClassSpec, SyntheticVideo, VideoSpec
@@ -66,6 +70,17 @@ def _spans_closed():
     del TRACERS[: len(tracers)]
     leaked = [t.trace_id for t in tracers if t.open_spans()]
     assert not leaked, f"spans left open in traces {leaked}"
+
+
+def run_plan(plan: PhysicalPlan, context: ExecutionContext) -> QueryResult:
+    """Drain a hand-built plan's raw event stream and return its result.
+
+    No session accounting: the ledger's stream counters and wall time stay
+    unset, which plan-level tests never read.
+    """
+    events = list(plan.run(context, ExecutionControl()))
+    assert isinstance(events[-1], Completed)
+    return events[-1].result
 
 
 def make_video_spec(

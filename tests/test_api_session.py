@@ -201,6 +201,39 @@ class TestSessionCaching:
         assert not session._contexts
 
 
+class TestOneContextPerExecution:
+    def test_executions_never_write_the_cached_context(
+        self, tmp_path, tiny_video, tiny_labeled_set, detector, engine_config
+    ):
+        """Sequential, traced, index-less and parallel executions each run on
+        their own copy of the session's context: the cached one keeps its
+        RNG and index view, and never gains a tracer or a prefetcher."""
+        engine = BlazeIt(detector=detector, config=engine_config, index_dir=tmp_path)
+        engine.register_video("tiny", test_video=tiny_video)
+        engine.attach_labeled_set("tiny", tiny_labeled_set)
+        engine.build_index("tiny", range_size=16, segment_frames=128)
+        session = engine.session()
+        cached = session._context_for("tiny")
+        rng, rng_state = cached.rng, cached.rng.bit_generator.state
+        index_view = cached.index_view
+        assert index_view is not None
+        no_index = QueryHints(use_index=False)
+
+        session.execute(AGG_QUERY)
+        session.execute(AGG_QUERY, trace=True)
+        session.execute(AGG_QUERY, hints=no_index)
+        parallel = session.stream(AGG_QUERY, hints=no_index, parallelism=2)
+        assert parallel.workers == 2
+        parallel.drain()
+
+        assert session._context_for("tiny") is cached
+        assert cached.rng is rng
+        assert cached.rng.bit_generator.state == rng_state
+        assert cached.index_view is index_view
+        assert cached.tracer is None
+        assert cached._prefetcher is None
+
+
 class TestSessionEntryPointsShareTheCache:
     """``explain`` and ``execute_many`` answer from the session's prepared
     cache, so they describe and run the plan ``execute`` runs."""

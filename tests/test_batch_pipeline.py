@@ -662,11 +662,6 @@ class TestFrameBatch:
         assert np.array_equal(narrowed.features, features[[0, 2]])
         assert np.array_equal(narrowed.indices, [1, 3])
 
-    def test_restrict_to(self, tiny_video):
-        batch = FrameBatch(tiny_video, np.arange(6))
-        narrowed = batch.restrict_to(np.array([5, 1]))
-        assert np.array_equal(narrowed.indices, [1, 5])
-
     def test_default_covers_whole_video(self, tiny_video):
         assert len(FrameBatch(tiny_video)) == tiny_video.num_frames
 

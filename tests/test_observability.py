@@ -339,28 +339,24 @@ class TestTraceIdentityMatrix:
         ]
 
 
-# -- S2: parallel wall-time accounting ------------------------------------------------
+# -- S2: wall-time accounting ---------------------------------------------------------
 
 
 class TestWallAccounting:
-    def test_set_wall_seconds_is_an_overwrite(self):
-        ledger = ExecutionLedger()
-        ledger.set_wall_seconds(1.25)
-        assert ledger.wall_seconds == 1.25
-        ledger.set_wall_seconds(2.5)
-        assert ledger.wall_seconds == 2.5
-
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
     def test_parallel_wall_matches_driver_elapsed(self, spawn_engine, backend):
         """Regression (S2): the terminal ledger's wall time must cover the
-        whole parallel execution — executor construction and (for the
-        process backend) worker spawn included — so thread and process rows
-        are comparable.  Before the fix the process backend reported only
-        the stream-drain time, hiding seconds of spawn cost."""
-        started = time.perf_counter()
-        result = run(
-            spawn_engine, QUERIES["exact"], parallelism=4, backend=backend
+        whole execution — executor construction and (for the process
+        backend) worker spawn included — so every backend's rows are
+        comparable.  Before the fix the process backend reported only the
+        stream-drain time, hiding seconds of spawn cost."""
+        options = (
+            {"parallelism": 1}
+            if backend == "sequential"
+            else {"parallelism": 4, "backend": backend}
         )
+        started = time.perf_counter()
+        result = run(spawn_engine, QUERIES["exact"], **options)
         elapsed = time.perf_counter() - started
         wall = result.execution_ledger.wall_seconds
         assert wall <= elapsed * 1.05 + 0.01

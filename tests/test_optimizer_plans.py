@@ -21,6 +21,8 @@ from repro.optimizer.scrubbing import ScrubbingQueryPlan
 from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import default_udf_registry
 
+from conftest import run_plan
+
 
 def _spec(text):
     return analyze(parse(text))
@@ -79,7 +81,7 @@ class TestAggregatePlan:
         plan = AggregateQueryPlan(
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert isinstance(result, AggregateResult)
         truth = tiny_recorded.mean_count("car")
         assert abs(result.value - truth) <= 0.25
@@ -90,14 +92,14 @@ class TestAggregatePlan:
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
             method=AggregateMethod.EXACT,
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "exact"
         assert result.detection_calls == tiny_video.num_frames
         assert result.value == pytest.approx(tiny_recorded.mean_count("car"))
 
     def test_no_error_bound_falls_back_to_exact(self, context, tiny_video):
         plan = AggregateQueryPlan(_spec("SELECT FCOUNT(*) FROM tiny WHERE class='car'"))
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "exact"
         assert result.detection_calls == tiny_video.num_frames
 
@@ -106,7 +108,7 @@ class TestAggregatePlan:
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.2"),
             method=AggregateMethod.NAIVE_AQP,
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "naive_aqp"
         assert 0 < result.detection_calls <= context.video.num_frames
 
@@ -115,7 +117,7 @@ class TestAggregatePlan:
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
             method=AggregateMethod.SPECIALIZED_REWRITE,
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "specialized_rewrite"
         assert result.detection_calls == 0
         assert result.ledger.call_count("specialized_nn") >= context.video.num_frames
@@ -125,37 +127,37 @@ class TestAggregatePlan:
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
             method=AggregateMethod.CONTROL_VARIATES,
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "control_variates"
         assert result.correlation is not None
         assert 0 < result.detection_calls < context.video.num_frames
 
     def test_optimized_is_cheaper_than_exact(self, context):
-        optimized = AggregateQueryPlan(
+        optimized = run_plan(AggregateQueryPlan(
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1")
-        ).execute(context)
-        exact = AggregateQueryPlan(
+        ), context)
+        exact = run_plan(AggregateQueryPlan(
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
             method=AggregateMethod.EXACT,
-        ).execute(context)
+        ), context)
         assert optimized.runtime_seconds < exact.runtime_seconds
 
     def test_count_aggregate_scales_by_frames(self, context, tiny_video):
-        fcount = AggregateQueryPlan(
+        fcount = run_plan(AggregateQueryPlan(
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
             method=AggregateMethod.EXACT,
-        ).execute(context)
-        count = AggregateQueryPlan(
+        ), context)
+        count = run_plan(AggregateQueryPlan(
             _spec("SELECT COUNT(*) FROM tiny WHERE class='car' ERROR WITHIN 0.1"),
             method=AggregateMethod.EXACT,
-        ).execute(context)
+        ), context)
         assert count.value == pytest.approx(fcount.value * tiny_video.num_frames)
 
     def test_count_distinct_uses_tracker(self, context, tiny_video):
         plan = AggregateQueryPlan(
             _spec("SELECT COUNT(DISTINCT trackid) FROM tiny WHERE class='car'")
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "exact"
         true_distinct = tiny_video.distinct_count("car")
         assert 0 < result.value <= 3 * true_distinct + 5
@@ -168,7 +170,7 @@ class TestAggregatePlan:
         plan = AggregateQueryPlan(
             _spec("SELECT FCOUNT(*) FROM tiny WHERE class='bear' ERROR WITHIN 0.1")
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         # No bears in the training data: the paper's rule is to default to AQP.
         assert result.method == "naive_aqp"
         assert result.value == pytest.approx(0.0, abs=0.05)
@@ -182,7 +184,7 @@ class TestScrubbingPlan:
                 "HAVING SUM(class='car') >= 2 LIMIT 3"
             )
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert isinstance(result, ScrubbingQueryResult)
         counts = tiny_recorded.counts("car")
         for frame in result.frames:
@@ -195,7 +197,7 @@ class TestScrubbingPlan:
                 "HAVING SUM(class='car') >= 1 LIMIT 4 GAP 50"
             )
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert len(result.frames) <= 4
         frames = sorted(result.frames)
         assert all(b - a >= 50 for a, b in zip(frames, frames[1:], strict=False))
@@ -207,7 +209,7 @@ class TestScrubbingPlan:
                 "HAVING SUM(class='car') >= 1 LIMIT 2"
             )
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         for frame, timestamp in zip(result.frames, result.timestamps, strict=True):
             assert timestamp == pytest.approx(frame / tiny_video.fps)
 
@@ -216,8 +218,8 @@ class TestScrubbingPlan:
             "SELECT timestamp FROM tiny GROUP BY timestamp "
             "HAVING SUM(class='car') >= 2 LIMIT 3"
         )
-        normal = ScrubbingQueryPlan(_spec(spec_text), indexed=False).execute(context)
-        indexed = ScrubbingQueryPlan(_spec(spec_text), indexed=True).execute(context)
+        normal = run_plan(ScrubbingQueryPlan(_spec(spec_text), indexed=False), context)
+        indexed = run_plan(ScrubbingQueryPlan(_spec(spec_text), indexed=True), context)
         assert indexed.runtime_seconds < normal.runtime_seconds
         assert set(indexed.frames) == set(normal.frames)
 
@@ -228,7 +230,7 @@ class TestScrubbingPlan:
                 "HAVING SUM(class='car') >= 50 LIMIT 1"
             )
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert result.method == "exhaustive"
         assert result.frames == []
         assert not result.satisfied
@@ -250,7 +252,7 @@ class TestSelectionPlan:
                 "SELECT * FROM tiny WHERE class = 'bus' AND redness(content) >= 17.5"
             )
         )
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert isinstance(result, SelectionResult)
         for record in result.records:
             assert record.object_class == "bus"
@@ -261,10 +263,10 @@ class TestSelectionPlan:
         # A selection for large buses: the positives are clearly visible, so
         # the inferred label filter prunes most frames before detection.
         text = "SELECT timestamp FROM tiny WHERE class = 'bus' AND area(mask) > 100000"
-        filtered = SelectionQueryPlan(_spec(text)).execute(context)
-        exhaustive = SelectionQueryPlan(
+        filtered = run_plan(SelectionQueryPlan(_spec(text)), context)
+        exhaustive = run_plan(SelectionQueryPlan(
             _spec(text), enabled_filter_classes=set()
-        ).execute(context)
+        ), context)
         assert filtered.runtime_seconds < exhaustive.runtime_seconds
         assert exhaustive.method == "exhaustive"
         # The filtered plan may only lose frames to filter false negatives,
@@ -274,7 +276,7 @@ class TestSelectionPlan:
     def test_no_false_positives(self, context, tiny_recorded):
         """Every returned frame must truly contain a matching detection."""
         text = "SELECT * FROM tiny WHERE class = 'bus' AND redness(content) >= 17.5"
-        result = SelectionQueryPlan(_spec(text)).execute(context)
+        result = run_plan(SelectionQueryPlan(_spec(text)), context)
         for frame in result.matched_frames:
             detections = tiny_recorded.result(frame).detections
             assert any(
@@ -282,9 +284,9 @@ class TestSelectionPlan:
             )
 
     def test_min_area_respected(self, context):
-        result = SelectionQueryPlan(
+        result = run_plan(SelectionQueryPlan(
             _spec("SELECT * FROM tiny WHERE class = 'bus' AND area(mask) > 200000")
-        ).execute(context)
+        ), context)
         for record in result.records:
             assert record.mask.area > 200000
 
@@ -298,7 +300,7 @@ class TestSelectionPlan:
 class TestExactPlanAndRules:
     def test_exact_plan_materialises_records(self, context):
         plan = ExactQueryPlan(_spec("SELECT * FROM tiny"))
-        result = plan.execute(context)
+        result = run_plan(plan, context)
         assert isinstance(result, ExactResult)
         assert result.detection_calls == context.video.num_frames
         assert result.records, "expected at least one record in the tiny video"

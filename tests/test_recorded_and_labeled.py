@@ -89,6 +89,10 @@ class TestLabeledSet:
 
     def test_features_cached(self, tiny_labeled_set):
         assert tiny_labeled_set.train_features is tiny_labeled_set.train_features
+        assert tiny_labeled_set.heldout_features is (
+            tiny_labeled_set.heldout_video.all_features()
+        )
+        assert not tiny_labeled_set.train_features.flags.writeable
 
     def test_counts_and_presence_consistent(self, tiny_labeled_set):
         counts = tiny_labeled_set.train_counts("car")

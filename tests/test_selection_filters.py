@@ -13,27 +13,33 @@ from repro.selection.filters import (
 )
 from repro.selection.plan import SelectionPlan
 from repro.specialization.binary_model import BinaryPresenceModel
+from repro.video.frame_batch import FrameBatch
+
+
+def surviving(filter_, video, frames=None, ledger=None):
+    """The frames a filter (or a whole plan) keeps, via its batch form."""
+    return filter_.apply_batch(FrameBatch(video, frames), ledger).indices
 
 
 class TestTemporalFilter:
     def test_subsampling(self, tiny_video):
         filter_ = TemporalFilter(subsample_step=7)
-        survivors = filter_.apply(tiny_video, np.arange(100))
+        survivors = surviving(filter_, tiny_video, np.arange(100))
         np.testing.assert_array_equal(survivors, np.arange(0, 100, 7))
 
     def test_time_range(self, tiny_video):
         filter_ = TemporalFilter(start_frame=10, end_frame=20)
-        survivors = filter_.apply(tiny_video, np.arange(100))
+        survivors = surviving(filter_, tiny_video, np.arange(100))
         np.testing.assert_array_equal(survivors, np.arange(10, 20))
 
     def test_combined_subsample_and_range(self, tiny_video):
         filter_ = TemporalFilter(subsample_step=5, start_frame=10, end_frame=40)
-        survivors = filter_.apply(tiny_video, np.arange(100))
+        survivors = surviving(filter_, tiny_video, np.arange(100))
         np.testing.assert_array_equal(survivors, [10, 15, 20, 25, 30, 35])
 
     def test_step_one_is_identity(self, tiny_video):
         filter_ = TemporalFilter(subsample_step=1)
-        survivors = filter_.apply(tiny_video, np.arange(50))
+        survivors = surviving(filter_, tiny_video, np.arange(50))
         assert survivors.size == 50
 
     def test_invalid_step(self):
@@ -42,7 +48,7 @@ class TestTemporalFilter:
 
     def test_no_cost_charged(self, tiny_video):
         ledger = RuntimeLedger()
-        TemporalFilter(subsample_step=3).apply(tiny_video, np.arange(30), ledger)
+        surviving(TemporalFilter(subsample_step=3), tiny_video, np.arange(30), ledger)
         assert ledger.total_seconds == 0.0
 
 
@@ -59,7 +65,7 @@ class TestSpatialFilter:
             roi_x_min=0, roi_y_min=0, roi_x_max=640, roi_y_max=720,
             frame_width=1280, frame_height=720,
         )
-        survivors = filter_.apply(tiny_video, np.arange(25))
+        survivors = surviving(filter_, tiny_video, np.arange(25))
         assert survivors.size == 25
 
     def test_invalid_roi(self):
@@ -106,18 +112,18 @@ class TestContentFilter:
     def test_threshold_filters_frames(self, tiny_video):
         ledger = RuntimeLedger()
         filter_ = ContentFilter(udf_name="redness", threshold=1e9)
-        survivors = filter_.apply(tiny_video, np.arange(50), ledger)
+        survivors = surviving(filter_, tiny_video, np.arange(50), ledger)
         assert survivors.size == 0
         assert ledger.call_count("simple_filter") == 50
 
     def test_minus_infinity_threshold_keeps_all(self, tiny_video):
         filter_ = ContentFilter(udf_name="redness", threshold=float("-inf"))
-        survivors = filter_.apply(tiny_video, np.arange(50))
+        survivors = surviving(filter_, tiny_video, np.arange(50))
         assert survivors.size == 50
 
     def test_empty_input(self, tiny_video):
         filter_ = ContentFilter(udf_name="redness", threshold=0.0)
-        assert filter_.apply(tiny_video, np.array([], dtype=np.int64)).size == 0
+        assert surviving(filter_, tiny_video, np.array([], dtype=np.int64)).size == 0
 
 
 class TestLabelFilter:
@@ -129,8 +135,8 @@ class TestLabelFilter:
         ledger = RuntimeLedger()
         loose = LabelFilter(model=model, threshold=0.0)
         strict = LabelFilter(model=model, threshold=1.1)
-        assert loose.apply(tiny_video, np.arange(40), ledger).size == 40
-        assert strict.apply(tiny_video, np.arange(40), ledger).size == 0
+        assert surviving(loose, tiny_video, np.arange(40), ledger).size == 40
+        assert surviving(strict, tiny_video, np.arange(40), ledger).size == 0
         assert ledger.call_count("specialized_nn") == 80
 
 
@@ -144,12 +150,6 @@ class TestSelectionPlan:
         )
         assert plan.detection_cost_scale == pytest.approx(0.5)
 
-    def test_without_removes_filter_class(self):
-        plan = SelectionPlan(
-            filters=[TemporalFilter(subsample_step=2), ContentFilter("redness", 0.0)]
-        )
-        assert plan.without("temporal").filter_classes() == ["content"]
-
     def test_apply_chains_filters(self, tiny_video):
         plan = SelectionPlan(
             filters=[
@@ -157,12 +157,12 @@ class TestSelectionPlan:
                 ContentFilter("redness", float("-inf")),
             ]
         )
-        survivors = plan.apply(tiny_video, np.arange(20))
+        survivors = surviving(plan, tiny_video, np.arange(20))
         np.testing.assert_array_equal(survivors, np.arange(0, 20, 2))
 
     def test_apply_defaults_to_all_frames(self, tiny_video):
         plan = SelectionPlan(filters=[TemporalFilter(subsample_step=tiny_video.num_frames)])
-        survivors = plan.apply(tiny_video)
+        survivors = surviving(plan, tiny_video)
         assert survivors.size == 1
 
     def test_describe_mentions_filters(self):
@@ -178,6 +178,6 @@ class TestSelectionPlan:
                 ContentFilter("blueness", float("-inf")),
             ]
         )
-        plan.apply(tiny_video, np.arange(30), ledger)
+        surviving(plan, tiny_video, np.arange(30), ledger)
         # The second filter never runs because nothing survived the first.
         assert ledger.call_count("simple_filter") == 30

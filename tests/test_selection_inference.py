@@ -6,6 +6,7 @@ import pytest
 from repro.frameql.analyzer import analyze
 from repro.frameql.parser import parse
 from repro.selection.inference import FilterInferenceInputs, infer_selection_plan
+from repro.video.frame_batch import FrameBatch
 
 
 def _selection_spec(text):
@@ -147,9 +148,9 @@ class TestContentAndLabelInference:
             enabled_filter_classes={"content", "label"},
         )
         positives = np.nonzero(inference_inputs.heldout_positive_mask)[0]
-        survivors = plan.apply(tiny_labeled_set.heldout_video, np.arange(
-            tiny_labeled_set.heldout_video.num_frames
-        ))
+        survivors = plan.apply_batch(
+            FrameBatch(tiny_labeled_set.heldout_video)
+        ).indices
         assert set(positives.tolist()) <= set(survivors.tolist())
 
     def test_full_inference_combines_filter_classes(

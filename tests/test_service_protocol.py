@@ -392,6 +392,32 @@ class TestHintsRoundTrip:
             hints_from_json({"selection_filter_classes": "label"})
         with pytest.raises(ConfigurationError):
             hints_from_json({"stop_conditions": [1, 2]})
+        # Leaves are type-checked: a truthy string is not a bool, a float is
+        # not an int, and a bool is not a number.
+        with pytest.raises(ConfigurationError, match="expected a JSON bool"):
+            hints_from_json({"scrubbing_indexed": "no"})
+        with pytest.raises(ConfigurationError, match="expected a JSON int"):
+            hints_from_json({"stop_conditions": {"limit": 1.5}})
+        with pytest.raises(ConfigurationError, match="expected a JSON int"):
+            hints_from_json({"parallelism": True})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"backend": 3}, "expected a JSON str"),
+            ({"trace": 1}, "expected a JSON bool"),
+            ({"stop_conditions": {"ci_width": True}}, "expected a JSON number"),
+            ({"stop_conditions": {"ci_width": "0.1"}}, "expected a JSON number"),
+        ],
+    )
+    def test_leaf_of_wrong_type_rejected_typed(self, payload, message):
+        with pytest.raises(ConfigurationError, match=message):
+            hints_from_json(payload)
+
+    def test_float_leaf_accepts_a_json_integer(self):
+        hints = hints_from_json({"stop_conditions": {"ci_width": 1}})
+        assert hints.stop_conditions.ci_width == 1.0
+        assert type(hints.stop_conditions.ci_width) is float
 
 
 # -- every registered wire class, instances built from the field types ----------------

@@ -41,7 +41,7 @@ from repro.scrubbing.importance import ScrubbingResult, scrub_ordered
 from repro.udf.registry import default_udf_registry
 from repro.video.synthetic import SyntheticVideo
 
-from conftest import make_video_spec
+from conftest import make_video_spec, run_plan
 from oracle import detect_reference
 
 CLASSES = ("car", "bus")
@@ -163,7 +163,7 @@ class TestSketchAnsweredCount:
         num_frames = len(counts)
         spec = analyze(parse(f"SELECT {aggregate}(*) FROM v WHERE class = '{object_class}'"))
         with contexts(counts, range_size) as (plain, served):
-            result = AggregateQueryPlan(spec).execute(served)
+            result = run_plan(AggregateQueryPlan(spec), served)
             scanned = np.array(
                 [
                     detect_reference(plain, frame, ExecutionLedger()).count(object_class)
@@ -190,7 +190,7 @@ class TestSketchAnsweredCount:
                 video=video,
                 recorded=RecordedDetections(video, prefix.detector, detections_of(counts)),
             )
-            result = AggregateQueryPlan(spec).execute(served)
+            result = run_plan(AggregateQueryPlan(spec), served)
         assert result.value == (30 + 3 * 20) / 80
         ledger = result.execution_ledger
         assert ledger.detector_calls == 20

@@ -23,6 +23,7 @@ from repro.api import (
 )
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
+from repro.core.events import ShardProgress
 from repro.errors import ConfigurationError
 
 AGG_QUERY = (
@@ -339,30 +340,31 @@ class TestScrubbingFallbackDedupe:
         assert ledger.detection_cache_hits == 0
 
 
-class TestPlanCursor:
-    def test_cursor_batches_until_exhausted(self, tiny_engine):
-        session = tiny_engine.session()
-        prepared = session.prepare(EXACT_QUERY)
-        cursor = prepared.plan.open(session._context_for("tiny"))
-        events = []
-        while True:
-            batch = cursor.next_batch(3)
-            if not batch:
-                break
-            assert len(batch) <= 3
-            events.extend(batch)
-        assert cursor.exhausted
-        assert isinstance(events[-1], Completed)
-        assert cursor.result is events[-1].result
+class TestStreamAccounting:
+    """The session stream is the one place an execution is counted: the
+    ledger's event counts match what the stream yielded, on every path."""
 
-    def test_cursor_close_cancels(self, tiny_engine):
-        session = tiny_engine.session()
-        prepared = session.prepare(EXACT_QUERY)
-        cursor = prepared.plan.open(session._context_for("tiny"))
-        cursor.next_batch(1)
-        cursor.close()
-        assert cursor.exhausted
-        assert cursor.next_batch() == []
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_event_counts_match_the_stream(self, tiny_engine, parallelism):
+        stream = tiny_engine.session().stream(
+            EXACT_QUERY, batch_size=64, parallelism=parallelism
+        )
+        events = list(stream)
+        counted = [e for e in events if not isinstance(e, ShardProgress)]
+        assert isinstance(events[-1], Completed)
+        assert sum(isinstance(e, Completed) for e in events) == 1
+        ledger = stream.result.execution_ledger
+        assert ledger.events_emitted == len(counted)
+        assert ledger.batches_emitted == len(counted) - 1
+        assert ledger.wall_seconds > 0.0
+
+    def test_close_mid_stream_ends_it(self, tiny_engine):
+        stream = tiny_engine.session().stream(EXACT_QUERY, batch_size=16)
+        assert isinstance(next(stream), Progress)
+        stream.close()
+        assert stream.finished
+        assert stream.result is None
+        assert list(stream) == []
 
 
 class TestSessionStats:

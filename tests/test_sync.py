@@ -165,6 +165,5 @@ class TestFrozenLedger:
         ledger.record_cache_hit()
         ledger.record_index_skip(3)
         ledger.finalize_stream_accounting(4, 3, 0.5)
-        ledger.set_wall_seconds(0.25)
         assert (ledger.detector_calls, ledger.detection_cache_hits, ledger.index_skips) == (2, 1, 3)
-        assert (ledger.events_emitted, ledger.batches_emitted, ledger.wall_seconds) == (4, 3, 0.25)
+        assert (ledger.events_emitted, ledger.batches_emitted, ledger.wall_seconds) == (4, 3, 0.5)

@@ -161,6 +161,18 @@ class TestFeatures:
         features = tiny_video.frame_features([occupied, empty])
         assert not np.allclose(features[0], features[1])
 
+    def test_all_features_is_one_read_only_view_of_the_memo(self):
+        video = SyntheticVideo.generate(make_video_spec(num_frames=120))
+        partial = video.frame_features([5, 7])  # some rows filled first
+        full = video.all_features()
+        assert full is video.all_features()
+        assert not full.flags.writeable
+        with pytest.raises(ValueError):
+            full[0, 0] = 1.0
+        np.testing.assert_array_equal(full[[5, 7]], partial)
+        fresh = SyntheticVideo.generate(make_video_spec(num_frames=120))
+        np.testing.assert_array_equal(full, fresh.frame_features(np.arange(120)))
+
     def test_occupancy_feature_correlates_with_counts(self, tiny_video):
         counts = (
             tiny_video.class_counts("car") + tiny_video.class_counts("bus")
