@@ -57,6 +57,10 @@ from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
 from repro.parallel.cache import SharedDetectionCache
 from repro.persist import atomic_write_text
+# Built from mask_rcnn(), so it shares the index's cache-key identity (name,
+# seed, threshold): indexes built fast with the unpaced reference detector
+# serve queries issued under the paced one.
+from repro.service.__main__ import PacedSimulatedDetector
 from repro.video.scenarios import generate_scenario
 from repro.video.synthetic import ObjectClassSpec, SyntheticVideo, VideoSpec
 
@@ -90,36 +94,6 @@ WORKLOADS = [
 
 MIN_SPEEDUP = 5.0
 MIN_SKIP_RATE = 0.5
-
-
-class PacedDetector(SimulatedDetector):
-    """Mask R-CNN simulation with a simulated per-frame inference latency.
-
-    Built from the same base configuration as the unpaced reference
-    detector, so it shares the index's cache-key identity (name, seed,
-    threshold): indexes built fast with the reference detector serve
-    queries issued under the paced one.
-    """
-
-    def __init__(self, seconds_per_frame: float) -> None:
-        base = SimulatedDetector.mask_rcnn()
-        super().__init__(
-            name=base.name,
-            cost=base.cost,
-            noise=base.noise,
-            confidence_threshold=base.confidence_threshold,
-            supported=base._supported,
-            seed=base.seed,
-        )
-        self.seconds_per_frame = seconds_per_frame
-
-    def detect(self, video, frame_index, ledger=None):
-        time.sleep(self.seconds_per_frame)
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(self, video, frame_indices, ledger=None):
-        time.sleep(self.seconds_per_frame * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
 
 
 def sparse_spec(num_frames: int) -> VideoSpec:
@@ -204,11 +178,11 @@ def run_workloads(
     entries = []
     for name, video_name, template, gate in WORKLOADS:
         query = template.format(cls=cls)
-        cold_engine = build_engine(videos, PacedDetector(seconds_per_frame))
+        cold_engine = build_engine(videos, PacedSimulatedDetector(seconds_per_frame))
         cold_seconds, cold = timed_query(cold_engine, query)
         # A fresh engine per row: nothing warm except the committed index.
         warm_engine = build_engine(
-            videos, PacedDetector(seconds_per_frame), index_dir=index_dir
+            videos, PacedSimulatedDetector(seconds_per_frame), index_dir=index_dir
         )
         warm_seconds, warm = timed_query(warm_engine, query)
         ledger = warm.execution_ledger
@@ -242,7 +216,7 @@ def run_warm_start(
     cls = videos["v"].object_class_names[0]
     query = f"SELECT FCOUNT(*) FROM v WHERE class = '{cls}'"
     engine = build_engine(
-        videos, PacedDetector(seconds_per_frame), index_dir=index_dir
+        videos, PacedSimulatedDetector(seconds_per_frame), index_dir=index_dir
     )
     started = time.perf_counter()
     report = engine.warm_start()

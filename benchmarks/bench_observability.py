@@ -48,6 +48,7 @@ from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.detection.simulated import SimulatedDetector
 from repro.persist import atomic_write_text
+from repro.service.__main__ import PacedSimulatedDetector
 from repro.service.protocol import result_fingerprint
 from repro.video.scenarios import generate_scenario
 
@@ -62,36 +63,6 @@ MAX_ENABLED_OVERHEAD = 0.05
 QUERY = "SELECT * FROM v"
 
 
-class PacedDetector(SimulatedDetector):
-    """Mask R-CNN simulation with a simulated per-frame inference latency.
-
-    The sleep stands in for real per-frame detector latency; it makes the
-    wall time dominated by (identical) detector work, so the measured delta
-    between traced and untraced runs is the instrumentation itself plus
-    noise, not scheduler luck on a microsecond-scale loop.
-    """
-
-    def __init__(self, seconds_per_frame: float) -> None:
-        base = SimulatedDetector.mask_rcnn()
-        super().__init__(
-            name=base.name,
-            cost=base.cost,
-            noise=base.noise,
-            confidence_threshold=base.confidence_threshold,
-            supported=base._supported,
-            seed=base.seed,
-        )
-        self.seconds_per_frame = seconds_per_frame
-
-    def detect(self, video, frame_index, ledger=None):
-        time.sleep(self.seconds_per_frame)
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(self, video, frame_indices, ledger=None):
-        time.sleep(self.seconds_per_frame * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
-
-
 def run_once(
     num_frames: int, seconds_per_frame: float, trace: bool
 ) -> tuple[float, object]:
@@ -101,7 +72,7 @@ def run_once(
     untraced runs pay exactly the same detector work.
     """
     engine = BlazeIt(
-        detector=PacedDetector(seconds_per_frame),
+        detector=PacedSimulatedDetector(seconds_per_frame),
         config=BlazeItConfig(seed=0),
     )
     engine.register_video(

@@ -60,6 +60,7 @@ from repro.core.labeled_set import LabeledSet
 from repro.detection.simulated import SimulatedDetector
 from repro.parallel.cache import SharedDetectionCache
 from repro.persist import atomic_write_text
+from repro.service.__main__ import PacedSimulatedDetector
 from repro.video.scenarios import generate_scenario
 
 from reporting import print_table
@@ -102,35 +103,6 @@ GIL_FRAMES = 800
 GIL_MICROS_PER_FRAME = 30_000  # 30ms/frame -> ~24s sequential
 
 
-class PacedDetector(SimulatedDetector):
-    """Mask R-CNN simulation with a simulated per-frame inference latency.
-
-    The sleep models the time a real detector spends on the accelerator per
-    frame — wall-clock the driver can overlap across shard workers, unlike
-    the GIL-bound Python arithmetic of the noise model.
-    """
-
-    def __init__(self, seconds_per_frame: float) -> None:
-        base = SimulatedDetector.mask_rcnn()
-        super().__init__(
-            name=base.name,
-            cost=base.cost,
-            noise=base.noise,
-            confidence_threshold=base.confidence_threshold,
-            supported=base._supported,
-            seed=base.seed,
-        )
-        self.seconds_per_frame = seconds_per_frame
-
-    def detect(self, video, frame_index, ledger=None):
-        time.sleep(self.seconds_per_frame)
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(self, video, frame_indices, ledger=None):
-        time.sleep(self.seconds_per_frame * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
-
-
 class GilBoundDetector(SimulatedDetector):
     """Mask R-CNN simulation whose per-frame cost holds the GIL.
 
@@ -159,13 +131,9 @@ class GilBoundDetector(SimulatedDetector):
         libc = ctypes.PyDLL(None)  # PyDLL: the call runs with the GIL held
         libc.usleep(ctypes.c_uint(self.micros_per_frame * frames))
 
-    def detect(self, video, frame_index, ledger=None):
-        self._hold_gil(1)
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(self, video, frame_indices, ledger=None):
+    def detect_columns(self, video, frame_indices):
         self._hold_gil(len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
+        return super().detect_columns(video, frame_indices)
 
 
 def build_engine(
@@ -276,7 +244,7 @@ def run_speedup_suite(num_frames: int, seconds_per_frame: float) -> list[dict]:
         hint_routed = gate == "no_regression"
         engine = build_engine(
             num_frames,
-            PacedDetector(seconds_per_frame),
+            PacedSimulatedDetector(seconds_per_frame),
             with_statistics=hint_routed,
         )
         sequential = timed_execution(engine, query, parallelism=1)
@@ -325,7 +293,7 @@ def run_cache_suite(num_frames: int, seconds_per_frame: float) -> dict:
     query = f"SELECT FCOUNT(*) FROM v WHERE class = '{cls}'"
     cache = SharedDetectionCache(capacity_bytes=512 << 20)
     engine = build_engine(
-        num_frames, PacedDetector(seconds_per_frame), shared_cache=cache
+        num_frames, PacedSimulatedDetector(seconds_per_frame), shared_cache=cache
     )
     cold_seconds, cold, _ = timed_execution(engine, query, parallelism=WORKERS)
     warm_seconds, warm, _ = timed_execution(engine, query, parallelism=WORKERS)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_int
 from repro.stopping import NO_STOP, StopConditions
 
 __all__ = [
@@ -133,20 +133,10 @@ class QueryHints:
                 "stop_conditions must be a StopConditions instance or None, "
                 f"got {self.stop_conditions!r}"
             )
-        if self.batch_size is not None and (
-            not isinstance(self.batch_size, int) or self.batch_size < 1
-        ):
-            raise ConfigurationError(
-                f"batch_size must be a positive integer or None, got "
-                f"{self.batch_size!r}"
-            )
-        if self.parallelism is not None and (
-            not isinstance(self.parallelism, int) or self.parallelism < 1
-        ):
-            raise ConfigurationError(
-                f"parallelism must be a positive integer or None, got "
-                f"{self.parallelism!r}"
-            )
+        if self.batch_size is not None:
+            require_positive_int("batch_size", self.batch_size)
+        if self.parallelism is not None:
+            require_positive_int("parallelism", self.parallelism)
         if self.backend is not None and self.backend not in VALID_BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {sorted(VALID_BACKENDS)} or None, got "

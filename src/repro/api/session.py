@@ -48,7 +48,7 @@ from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import record_execution_ledger
 from repro.obs.profile import ExecutionProfile, build_profile
 from repro.obs.trace import Tracer, maybe_span
-from repro.errors import ConfigurationError, QueryParameterError
+from repro.errors import ConfigurationError, QueryParameterError, require_positive_int
 from repro.frameql.analyzer import (
     AggregateQuerySpec,
     QuerySpec,
@@ -353,12 +353,7 @@ class PreparedQuery:
         )
         if parallelism is not None:
             # An explicit per-call worker count is honoured as given.
-            if not isinstance(parallelism, int) or parallelism < 1:
-                raise ConfigurationError(
-                    f"parallelism must be a positive integer or None, got "
-                    f"{parallelism!r}"
-                )
-            workers = parallelism
+            workers = require_positive_int("parallelism", parallelism)
             exec_backend = backend or self.hints.backend or "threads"
         else:
             verdict = self._routed(batch_size, backend)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.core.results import QueryResult
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError, require_positive_int
 from repro.metrics.runtime import ExecutionLedger
 from repro.stopping import NO_STOP, CancellationToken, StopConditions
 from repro.wire import Tagged
@@ -197,10 +197,8 @@ class ExecutionControl:
         batch_size: int = DEFAULT_BATCH_SIZE,
         cancellation: CancellationToken | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         self.stop = stop if stop is not None else NO_STOP
-        self.batch_size = batch_size
+        self.batch_size = require_positive_int("batch_size", batch_size)
         self.stop_reason: str | None = None
         # A thread-safe token rather than a bare flag: under parallel
         # execution the same token is watched by every shard worker, so one

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.detection.base import DetectionResult, ObjectDetector
 from repro.detection.columnar import DetectionBatch
-from repro.metrics.runtime import RuntimeLedger
 from repro.video.synthetic import SyntheticVideo
 
 
@@ -44,9 +43,9 @@ class RecordedDetections:
     ) -> "RecordedDetections":
         """Run the detector over every frame of ``video`` and record the output.
 
-        Materialisation goes through the detector's vectorized batch path
-        (:meth:`~repro.detection.base.ObjectDetector.detect_many`), which is
-        bit-for-bit identical to a per-frame ``detect`` loop.
+        One :meth:`~repro.detection.base.ObjectDetector.detect_many` call
+        over the whole video, charged to no ledger: recording happens
+        outside any query.
         """
         results = detector.detect_many(video, np.arange(video.num_frames))
         return cls(video, detector, results)
@@ -58,16 +57,8 @@ class RecordedDetections:
         """Number of recorded frames."""
         return len(self._results)
 
-    def result(
-        self, frame_index: int, ledger: RuntimeLedger | None = None
-    ) -> DetectionResult:
-        """The recorded detection result for one frame.
-
-        Charges one detector invocation to ``ledger`` when provided: reading
-        the recording stands in for actually running the detector.
-        """
-        if ledger is not None:
-            ledger.charge(self.detector.cost)
+    def result(self, frame_index: int) -> DetectionResult:
+        """The recorded detection result for one frame (no cost charged)."""
         return self._results[frame_index]
 
     @property
@@ -88,30 +79,13 @@ class RecordedDetections:
             cached = self._count_cache[object_class] = self.batch.class_counts(object_class)
         return cached
 
-    def count_at(
-        self,
-        frame_index: int,
-        object_class: str,
-        ledger: RuntimeLedger | None = None,
-    ) -> int:
-        """Detected count of one class at one frame, charging a detection call."""
-        if ledger is not None:
-            ledger.charge(self.detector.cost)
-        return self._results[frame_index].count(object_class)
-
     def presence(self, object_class: str) -> np.ndarray:
         """Boolean per-frame presence of one object class (no cost charged)."""
         return self.counts(object_class) > 0
 
-    def satisfies_min_counts(
-        self,
-        frame_index: int,
-        min_counts: dict[str, int],
-        ledger: RuntimeLedger | None = None,
-    ) -> bool:
-        """Whether a frame satisfies a conjunction of per-class count thresholds."""
-        if ledger is not None:
-            ledger.charge(self.detector.cost)
+    def satisfies_min_counts(self, frame_index: int, min_counts: dict[str, int]) -> bool:
+        """Whether a frame satisfies a conjunction of per-class count thresholds
+        (no cost charged)."""
         result = self._results[frame_index]
         return all(
             result.count(object_class) >= min_count

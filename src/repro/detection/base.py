@@ -11,19 +11,28 @@ it.
 Detector output is stored as columns (:mod:`repro.detection.columnar`): a
 :class:`DetectionResult`'s ``detections`` are usually a row range of a
 ``DetectionBatch`` that builds ``Detection`` objects only when iterated.
+
+An :class:`ObjectDetector` is a pure function of (video, frames) with one
+hook, :meth:`ObjectDetector.detect_columns`.  It holds no ledger and no
+cache: charging, deduplication and caching happen in one place, the source
+cascade of :meth:`~repro.core.context.ExecutionContext.detect_batch`.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
+from repro.metrics.runtime import OperatorCost
 from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticVideo
+
+if TYPE_CHECKING:
+    from repro.detection.columnar import DetectionBatch
 
 
 @dataclass(slots=True)
@@ -94,47 +103,6 @@ class DetectionResult:
         return sum(1 for d in self.detections if d.object_class == object_class)
 
 
-def resolve_detection_batch(
-    frame_indices: Iterable[int] | np.ndarray,
-    execution_ledger: ExecutionLedger | None,
-    compute_misses: Callable[[list[int]], Sequence[DetectionResult]],
-) -> list[DetectionResult]:
-    """Serve a batch of frames from the detection cache, computing the misses.
-
-    The cache accounting behind :meth:`ObjectDetector.detect_many`: frames
-    already in the execution ledger's per-execution cache — and repeats
-    within the batch — are accounted as cache hits, exactly as a sequential
-    loop of cache-aware ``detect`` calls would do; the deduplicated misses are
-    computed by ``compute_misses(miss_frames)`` (which owns all charging) and
-    recorded into the cache.  Results come back in input order.
-    """
-    order = [int(i) for i in frame_indices]
-    served: dict[int, DetectionResult] = {}
-    miss_frames: list[int] = []
-    scheduled: set[int] = set()
-    for frame_index in order:
-        cached = (
-            execution_ledger.cached_detection(frame_index)
-            if execution_ledger is not None
-            else None
-        )
-        if cached is not None or frame_index in scheduled:
-            if execution_ledger is not None:
-                execution_ledger.record_cache_hit()
-            if cached is not None:
-                served[frame_index] = cached
-        else:
-            scheduled.add(frame_index)
-            miss_frames.append(frame_index)
-    if miss_frames:
-        computed = dict(zip(miss_frames, compute_misses(miss_frames), strict=True))
-        if execution_ledger is not None:
-            for frame_index, result in computed.items():
-                execution_ledger.record_detection(frame_index, result)
-        served.update(computed)
-    return [served[frame_index] for frame_index in order]
-
-
 class ObjectDetector(abc.ABC):
     """Interface every object detection method implements.
 
@@ -160,54 +128,34 @@ class ObjectDetector(abc.ABC):
         """Simulated cost of one detection call."""
 
     @abc.abstractmethod
-    def detect(
-        self,
-        video: SyntheticVideo,
-        frame_index: int,
-        ledger: RuntimeLedger | None = None,
-    ) -> DetectionResult:
-        """Run detection on one frame, charging the cost to ``ledger`` if given."""
+    def detect_columns(
+        self, video: SyntheticVideo, frame_indices: Sequence[int] | np.ndarray
+    ) -> DetectionBatch:
+        """The detections of ``frame_indices``, in order, as one column batch.
+
+        The one hook a detector implements: a pure function of the video and
+        the frames.  It charges nothing and caches nothing (who pays for a
+        frame, and whether it is computed at all, is decided by
+        :meth:`~repro.core.context.ExecutionContext.detect_batch`), and a
+        repeated frame is simply detected again.  A detector that works one
+        frame at a time can return
+        :meth:`DetectionBatch.from_detections` of its per-frame results.
+        """
 
     def detect_many(
-        self,
-        video: SyntheticVideo,
-        frame_indices: list[int] | np.ndarray,
-        ledger: RuntimeLedger | None = None,
+        self, video: SyntheticVideo, frame_indices: Sequence[int] | np.ndarray
     ) -> list[DetectionResult]:
-        """Run detection on several frames, never recomputing a repeated frame.
+        """One result per frame of ``frame_indices``, each a view of the batch.
 
-        The batch is routed through the cache-aware path: when ``ledger`` is
-        an :class:`~repro.metrics.runtime.ExecutionLedger`, frames already in
-        its per-execution detection cache are served (and accounted) as cache
-        hits, and freshly computed frames are recorded into it — exactly the
-        accounting a sequential loop of cache-aware ``detect`` calls would
-        produce.  Repeats within the batch are computed and charged once;
-        with a plain ledger the deduped repeats are simply free.
-
-        Subclasses vectorize the actual computation by overriding
-        :meth:`_detect_batch`; the deduping and cache bookkeeping live in
-        :func:`resolve_detection_batch`.
+        Defined here only: the end-to-end harness wraps this method on
+        ``ObjectDetector`` by name, so a subclass overrides
+        :meth:`detect_columns` instead.
         """
-        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        return resolve_detection_batch(
-            frame_indices,
-            execution_ledger,
-            lambda miss_frames: self._detect_batch(video, miss_frames, ledger),
-        )
+        return self.detect_columns(video, frame_indices).results()
 
-    def _detect_batch(
-        self,
-        video: SyntheticVideo,
-        frame_indices: list[int],
-        ledger: RuntimeLedger | None = None,
-    ) -> list[DetectionResult]:
-        """Compute detections for a deduplicated batch of frames.
-
-        The vectorization hook behind :meth:`detect_many`: implementations
-        charge ``ledger`` once per frame and may share work across the batch.
-        The default simply loops :meth:`detect`.
-        """
-        return [self.detect(video, int(i), ledger) for i in frame_indices]
+    def detect(self, video: SyntheticVideo, frame_index: int) -> DetectionResult:
+        """The detections of one frame (a convenience over :meth:`detect_many`)."""
+        return self.detect_many(video, [frame_index])[0]
 
     def supported_classes(self) -> set[str] | None:
         """Object classes the detector can return, or ``None`` for "any"."""

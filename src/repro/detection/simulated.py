@@ -10,9 +10,9 @@ matches the qualitative behaviour the paper relies on:
 * bounding boxes are jittered slightly;
 * occasional false positives appear at a configurable rate.
 
-Each detector charges its per-frame cost (3 fps for Mask R-CNN/FGFA, 80 fps
-for YOLOv2) to the runtime ledger.  All noise is deterministic per
-``(detector seed, video seed, frame index)`` so repeated calls agree.
+Each detector declares its per-frame cost (3 fps for Mask R-CNN/FGFA, 80 fps
+for YOLOv2); the execution context charges it.  All noise is deterministic
+per ``(detector seed, video seed, frame index)`` so repeated calls agree.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.detection.base import Detection, DetectionResult, ObjectDetector
+from repro.detection.base import ObjectDetector
 from repro.detection.columnar import DetectionBatch, concatenated_runs
-from repro.metrics.runtime import OperatorCost, RuntimeLedger, StandardCosts
+from repro.metrics.runtime import OperatorCost, StandardCosts
 from repro.rng import RekeyedPhilox
 from repro.sync import Guarded
-from repro.video.frame import GroundTruthObject
-from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticVideo
 
 
@@ -150,7 +148,7 @@ class _VideoKernel:
         self, streams: RekeyedPhilox, frames: list[int], rows: np.ndarray, threshold: float
     ) -> DetectionBatch:
         """The batch of ``frames`` (rows ``rows`` of the table): per-object
-        draws in :meth:`SimulatedDetector.detect`'s order, then jitter,
+        draws in :meth:`SimulatedDetector.detect_columns`' order, then jitter,
         clipping and features as array operations over every true detection
         at once."""
         frame_index = np.array(frames, dtype=np.int64)
@@ -349,73 +347,26 @@ class SimulatedDetector(ObjectDetector):
     def supported_classes(self) -> set[str] | None:
         return self._supported
 
-    def detect(
-        self,
-        video: SyntheticVideo,
-        frame_index: int,
-        ledger: RuntimeLedger | None = None,
-    ) -> DetectionResult:
-        """Detect objects in one frame of ``video``."""
-        if ledger is not None:
-            ledger.charge(self._cost)
-        rng = self._frame_rng(video, frame_index)
-        frame_area = float(video.spec.width * video.spec.height)
-        timestamp = video.timestamp_of(frame_index)
-        detections: list[Detection] = []
-        for obj in video.objects_at(frame_index):
-            if self._supported is not None and obj.object_class not in self._supported:
-                continue
-            area_fraction = obj.box.area / frame_area
-            miss_prob = self._miss_probability(area_fraction)
-            if rng.random() < miss_prob:
-                continue
-            confidence = self._confidence(area_fraction, rng)
-            if confidence < self.confidence_threshold:
-                continue
-            detections.append(
-                Detection(
-                    frame_index=frame_index,
-                    timestamp=timestamp,
-                    object_class=obj.object_class,
-                    box=self._jitter_box(obj.box, rng, video),
-                    confidence=confidence,
-                    features=self._detection_features(obj, rng),
-                    color=obj.color,
-                    color_name=obj.color_name,
-                )
-            )
-        detections.extend(self._false_positives(video, frame_index, timestamp, rng))
-        return DetectionResult(
-            frame_index=frame_index, timestamp=timestamp, detections=detections
-        )
-
-    def _detect_batch(
-        self,
-        video: SyntheticVideo,
-        frame_indices: list[int],
-        ledger: RuntimeLedger | None = None,
-    ) -> list[DetectionResult]:
-        """Batch detection: one :class:`DetectionBatch`, one view per frame.
-
-        Bit-for-bit identical to :meth:`detect` (invariant I1; see
-        :meth:`detect_columns`).
-        """
-        if ledger is not None:
-            ledger.charge(self._cost, len(frame_indices))
-        return self.detect_columns(video, frame_indices).results()
-
     def detect_columns(
-        self, video: SyntheticVideo, frame_indices: Sequence[int]
+        self, video: SyntheticVideo, frame_indices: Sequence[int] | np.ndarray
     ) -> DetectionBatch:
         """The detections of ``frame_indices`` (in order) as one column batch.
 
-        Each frame draws from its own Philox stream in exactly the order
-        :meth:`detect` does, with two draw identities: ``normal(0, s)`` is
-        ``0.0 + s * standard_normal()``, and the four box-jitter normals
-        followed by the size-5 feature normal are one ``standard_normal(9)``
-        (numpy draws both sequentially from the same stream).  Only the
-        draws and the acceptance tests run per object; jitter, clipping and
-        features are array operations over the batch afterwards.
+        Each frame draws from its own Philox stream.  Per object the detector
+        supports, in :meth:`SyntheticVideo.objects_at` order: a uniform for
+        the miss test; if detected, a confidence normal; if that clears the
+        threshold, four box-jitter normals and a size-5 feature normal.  Then,
+        on a frame with objects, a Poisson count of false positives, each a
+        present object relabelled to another class with a uniform confidence
+        (real false positives fire on content resembling the confused class,
+        not on empty background, so an empty frame has none).  The draws use
+        two identities: ``normal(0, s)`` is ``0.0 + s * standard_normal()``,
+        and the nine jitter and feature normals are one
+        ``standard_normal(9)``.  ``tests/oracle.py::reference_detect`` states
+        the same semantics one frame and one object at a time, and this
+        kernel must equal it bit for bit.  Only the draws and the acceptance
+        tests run per object; jitter, clipping and features are array
+        operations over the batch afterwards.
         Everything that depends only on the video and the noise model is
         built once per video for small calls (:class:`_VideoKernel`; a call
         of ``_CALL_TABLE_FRAMES`` or more builds its own), and no state is
@@ -458,97 +409,3 @@ class SimulatedDetector(ObjectDetector):
     def _checkin(self, kernel: _VideoKernel, streams: RekeyedPhilox) -> None:
         with self._kernels:
             kernel.idle_streams.append(streams)
-
-    # -- noise model ------------------------------------------------------------
-
-    def _frame_rng(self, video: SyntheticVideo, frame_index: int) -> np.random.Generator:
-        key_hi = _stream_key(self.seed, video)
-        return np.random.Generator(np.random.Philox(key=[key_hi, frame_index]))
-
-    def _miss_probability(self, area_fraction: float) -> float:
-        threshold = self.noise.small_object_area_fraction
-        if area_fraction >= threshold:
-            return 0.02
-        scale = 1.0 - area_fraction / threshold
-        return 0.02 + scale * self.noise.max_miss_probability
-
-    def _confidence(self, area_fraction: float, rng: np.random.Generator) -> float:
-        # Larger objects yield higher confidences; saturates around 0.95.
-        base = 0.55 + 0.4 * min(1.0, area_fraction / (4 * self.noise.small_object_area_fraction))
-        confidence = base + rng.normal(0.0, self.noise.confidence_noise)
-        return float(min(0.999, max(self.noise.confidence_floor, confidence)))
-
-    def _jitter_box(
-        self, box: BoundingBox, rng: np.random.Generator, video: SyntheticVideo
-    ) -> BoundingBox:
-        jitter_x = self.noise.box_jitter * max(box.width, 1.0)
-        jitter_y = self.noise.box_jitter * max(box.height, 1.0)
-        left = box.x_min + rng.normal(0.0, jitter_x)
-        top = box.y_min + rng.normal(0.0, jitter_y)
-        right = box.x_max + rng.normal(0.0, jitter_x)
-        bottom = box.y_max + rng.normal(0.0, jitter_y)
-        # Guard against jitter inverting a thin (edge-clipped) box.
-        x_min, x_max = min(left, right), max(left, right)
-        y_min, y_max = min(top, bottom), max(top, bottom)
-        return BoundingBox(x_min, y_min, x_max, y_max).clip_to(
-            video.spec.width, video.spec.height
-        )
-
-    def _detection_features(
-        self, obj: GroundTruthObject, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-detection feature vector (Table 1's ``features`` field).
-
-        A compact embedding of the object's colour and size with noise; it is
-        what downstream UDFs such as fine-grained classification would
-        consume.
-        """
-        color = np.asarray(obj.color, dtype=np.float64) / 255.0
-        size = np.array([obj.box.width, obj.box.height], dtype=np.float64) / 1000.0
-        features = np.concatenate([color, size])
-        return features + rng.normal(0.0, 0.02, size=features.shape)
-
-    def _false_positives(
-        self,
-        video: SyntheticVideo,
-        frame_index: int,
-        timestamp: float,
-        rng: np.random.Generator,
-    ) -> list[Detection]:
-        """Class-confusion false positives.
-
-        Real detectors' false positives overwhelmingly fire on image content
-        that resembles the confused class (a large van detected as a bus),
-        not on empty background, so we model them as duplicated detections of
-        a present object under a different class label.  Frames with no
-        objects therefore produce no false positives, which is what makes the
-        paper's no-false-negative filter calibration workable.
-        """
-        objects = video.objects_at(frame_index)
-        if not objects:
-            return []
-        count = rng.poisson(self.noise.false_positive_rate)
-        class_names = video.object_class_names or ["car"]
-        detections = []
-        for _ in range(count):
-            source = objects[int(rng.integers(0, len(objects)))]
-            wrong_classes = [c for c in class_names if c != source.object_class]
-            if not wrong_classes:
-                continue
-            object_class = str(rng.choice(wrong_classes))
-            confidence = float(rng.uniform(self.noise.confidence_floor, 0.6))
-            if confidence < self.confidence_threshold:
-                continue
-            detections.append(
-                Detection(
-                    frame_index=frame_index,
-                    timestamp=timestamp,
-                    object_class=object_class,
-                    box=source.box.clip_to(video.spec.width, video.spec.height),
-                    confidence=confidence,
-                    features=None,
-                    color=source.color,
-                    color_name=source.color_name,
-                )
-            )
-        return detections

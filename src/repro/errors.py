@@ -79,6 +79,16 @@ class ConfigurationError(BlazeItError):
     """Raised when a configuration object contains invalid values."""
 
 
+def require_positive_int(name: str, value: object) -> int:
+    """``value`` if it is an ``int`` of at least 1, else a ConfigurationError.
+
+    A ``bool`` is an ``int`` to Python but never a count or a size here.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 class QueryParameterError(BlazeItError):
     """Raised when a prepared query is executed with invalid parameters.
 

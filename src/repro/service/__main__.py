@@ -19,12 +19,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import time
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
-from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.detection.simulated import SimulatedDetector
-from repro.metrics.runtime import RuntimeLedger
 from repro.video.synthetic import SyntheticVideo
 from repro.service.app import QueryServiceApp
 from repro.service.manager import ServiceConfig, ServiceManager, TenantQuota
@@ -45,23 +47,11 @@ class PacedSimulatedDetector(SimulatedDetector):
         )
         self.seconds_per_frame = seconds_per_frame
 
-    def detect(
-        self,
-        video: SyntheticVideo,
-        frame_index: int,
-        ledger: RuntimeLedger | None = None,
-    ) -> DetectionResult:
-        time.sleep(self.seconds_per_frame)
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(
-        self,
-        video: SyntheticVideo,
-        frame_indices: list[int],
-        ledger: RuntimeLedger | None = None,
-    ) -> list[DetectionResult]:
+    def detect_columns(
+        self, video: SyntheticVideo, frame_indices: Sequence[int] | np.ndarray
+    ) -> DetectionBatch:
         time.sleep(self.seconds_per_frame * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
+        return super().detect_columns(video, frame_indices)
 
 
 def build_manager(args: argparse.Namespace) -> ServiceManager:

@@ -2,7 +2,8 @@
 
 Production code has exactly one detection read path
 (``ExecutionContext.detect_batch`` and its uncharged twin
-``speculate_batch``), one index read (``IndexView.get`` over a batch: one
+``speculate_batch``), one detector kernel (``SimulatedDetector.
+detect_columns``), one index read (``IndexView.get`` over a batch: one
 gather and one decode per segment) and one feature kernel
 (``SyntheticVideo.frame_features``), all batch-only.  What they must compute
 is written down here once, one frame at a time and against public primitives
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.detection.base import Detection, DetectionResult
+from repro.detection.simulated import SimulatedDetector
 from repro.index.store import SEGMENT_COLUMNS
 from repro.index.view import IndexView
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
@@ -73,12 +75,105 @@ def detect_reference(
     if result is None and context.recorded is not None:
         result = context.recorded.result(frame_index)
     elif result is None:
-        result = context.detector.detect(context.video, frame_index)
+        result = reference_detect(context.detector, context.video, frame_index)
     if execution_ledger is not None:
         execution_ledger.record_detection(frame_index, result)
     if context.shared_cache is not None:
         context.shared_cache.put(context.cache_key, frame_index, result)
     return result
+
+
+def reference_detect(
+    detector: SimulatedDetector, video: SyntheticVideo, frame_index: int
+) -> DetectionResult:
+    """One frame of a simulated detector, one object and one draw at a time.
+
+    The semantics ``SimulatedDetector.detect_columns`` must equal bit for
+    bit.  The frame's Philox stream is keyed by (detector seed, video seed)
+    and the frame index.  Each object of a supported class draws a uniform
+    for the miss test; a detected one draws its confidence, and one that
+    clears the threshold draws four box-jitter normals and a size-5 feature
+    normal.  Then, if the frame has objects, a Poisson number of false
+    positives each relabel a present object to another class.
+    """
+    noise = detector.noise
+    threshold = detector.confidence_threshold
+    supported = detector.supported_classes()
+    width, height = video.spec.width, video.spec.height
+    key_hi = ((detector.seed * 2654435761) ^ (video.spec.seed * 40503)) & 0xFFFFFFFFFFFFFFFF
+    rng = np.random.Generator(np.random.Philox(key=[key_hi, frame_index]))
+    small = noise.small_object_area_fraction
+    timestamp = video.timestamp_of(frame_index)
+    objects = video.objects_at(frame_index)
+    detections: list[Detection] = []
+    for obj in objects:
+        if supported is not None and obj.object_class not in supported:
+            continue
+        area_fraction = obj.box.area / float(width * height)
+        miss = 0.02
+        if area_fraction < small:
+            miss += (1.0 - area_fraction / small) * noise.max_miss_probability
+        if rng.random() < miss:
+            continue
+        # Larger objects yield higher confidences; saturates around 0.95.
+        base = 0.55 + 0.4 * min(1.0, area_fraction / (4 * small))
+        confidence = base + rng.normal(0.0, noise.confidence_noise)
+        confidence = float(min(0.999, max(noise.confidence_floor, confidence)))
+        if confidence < threshold:
+            continue
+        box = obj.box
+        jitter_x = noise.box_jitter * max(box.width, 1.0)
+        jitter_y = noise.box_jitter * max(box.height, 1.0)
+        left = box.x_min + rng.normal(0.0, jitter_x)
+        top = box.y_min + rng.normal(0.0, jitter_y)
+        right = box.x_max + rng.normal(0.0, jitter_x)
+        bottom = box.y_max + rng.normal(0.0, jitter_y)
+        # Jitter may invert a thin (edge-clipped) box.
+        jittered = BoundingBox(
+            min(left, right), min(top, bottom), max(left, right), max(top, bottom)
+        ).clip_to(width, height)
+        features = np.concatenate(
+            [
+                np.asarray(obj.color, dtype=np.float64) / 255.0,
+                np.array([box.width, box.height], dtype=np.float64) / 1000.0,
+            ]
+        )
+        detections.append(
+            Detection(
+                frame_index=frame_index,
+                timestamp=timestamp,
+                object_class=obj.object_class,
+                box=jittered,
+                confidence=confidence,
+                features=features + rng.normal(0.0, 0.02, size=features.shape),
+                color=obj.color,
+                color_name=obj.color_name,
+            )
+        )
+    if objects:
+        class_names = video.object_class_names or ["car"]
+        for _ in range(rng.poisson(noise.false_positive_rate)):
+            source = objects[int(rng.integers(0, len(objects)))]
+            wrong_classes = [c for c in class_names if c != source.object_class]
+            if not wrong_classes:
+                continue
+            object_class = str(rng.choice(wrong_classes))
+            confidence = float(rng.uniform(noise.confidence_floor, 0.6))
+            if confidence < threshold:
+                continue
+            detections.append(
+                Detection(
+                    frame_index=frame_index,
+                    timestamp=timestamp,
+                    object_class=object_class,
+                    box=source.box.clip_to(width, height),
+                    confidence=confidence,
+                    features=None,
+                    color=source.color,
+                    color_name=source.color_name,
+                )
+            )
+    return DetectionResult(frame_index=frame_index, timestamp=timestamp, detections=detections)
 
 
 def index_get_reference(

@@ -72,6 +72,15 @@ class TestScrubbingBaselines:
         )
 
 
+    @pytest.mark.parametrize("scrub", [naive_scrub, noscope_oracle_scrub_baseline])
+    def test_each_verification_charges_one_detector_call(
+        self, scrub, tiny_recorded, detector
+    ):
+        result = scrub(tiny_recorded, {"car": 2}, limit=3)
+        assert result.detection_calls > 0
+        assert result.ledger.call_count(detector.cost.name) == result.detection_calls
+
+
 class TestSelectionBaselines:
     def _spec(self):
         return analyze(

@@ -21,6 +21,7 @@ from repro.api.hints import QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.context import ExecutionContext
 from repro.core.engine import BlazeIt
+from repro.core.events import ExecutionControl
 from repro.core.recorded import RecordedDetections
 from repro.detection.base import DetectionResult
 from repro.detection.columnar import decode_detection_results, encode_detection_results
@@ -40,6 +41,7 @@ from oracle import (
     detect_batch_reference,
     frame_features_reference,
     index_get_reference,
+    reference_detect,
     run_engine_on_oracles,
 )
 
@@ -154,7 +156,7 @@ class TestFrameObjectTable:
 class TestDetectManyEquivalence:
     def test_simulated_detectors_bitwise_equal(self, tiny_video, detector):
         frames = list(range(0, 200))
-        sequential = [detector.detect(tiny_video, i) for i in frames]
+        sequential = [reference_detect(detector, tiny_video, i) for i in frames]
         batched = detector.detect_many(tiny_video, np.asarray(frames))
         assert_results_identical(sequential, batched)
 
@@ -164,41 +166,9 @@ class TestDetectManyEquivalence:
         fgfa = SimulatedDetector.fgfa()
         frames = list(range(0, 60))
         assert_results_identical(
-            [fgfa.detect(tiny_video, i) for i in frames],
+            [reference_detect(fgfa, tiny_video, i) for i in frames],
             fgfa.detect_many(tiny_video, frames),
         )
-
-    def test_repeats_computed_once(self, tiny_video, detector):
-        calls = []
-        original = type(detector)._detect_batch
-
-        def spying(self, video, frame_indices, ledger=None):
-            calls.append(list(frame_indices))
-            return original(self, video, frame_indices, ledger)
-
-        type(detector)._detect_batch = spying
-        try:
-            results = detector.detect_many(tiny_video, [5, 5, 9, 5, 9])
-        finally:
-            type(detector)._detect_batch = original
-        assert calls == [[5, 9]]
-        assert_results_identical(
-            [results[0], results[2]], [results[1], results[4]]
-        )
-
-    def test_plain_ledger_charges_unique_frames(self, tiny_video, detector):
-        ledger = RuntimeLedger()
-        detector.detect_many(tiny_video, [1, 1, 2], ledger)
-        assert ledger.call_count(detector.cost.name) == 2
-
-    def test_execution_ledger_cache_accounting(self, tiny_video, detector):
-        ledger = ExecutionLedger()
-        detector.detect_many(tiny_video, [3, 4], ledger)
-        detector.detect_many(tiny_video, [4, 5, 4], ledger)
-        assert ledger.detector_calls == 3
-        assert ledger.frames_decoded == 3
-        assert ledger.detection_cache_hits == 2
-        assert ledger.call_count(detector.cost.name) == 3
 
 
 class TestContextDetectBatchEquivalence:
@@ -212,6 +182,23 @@ class TestContextDetectBatchEquivalence:
         context.detect_batch([2, 3, 4], ledger)
         assert ledger.detector_calls == 4
         assert ledger.detection_cache_hits == 2
+
+    def test_repeats_computed_once(self, tiny_video, detector, monkeypatch):
+        """The detector is a pure function; the walk dedupes before it."""
+        engine = BlazeIt(detector=detector)
+        engine.register_video("live", test_video=tiny_video)
+        context = engine.execution_context("live")
+        calls = []
+        original = type(detector).detect_columns
+
+        def spying(self, video, frame_indices):
+            calls.append(list(frame_indices))
+            return original(self, video, frame_indices)
+
+        monkeypatch.setattr(type(detector), "detect_columns", spying)
+        results = context.detect_batch([5, 5, 9, 5, 9], RuntimeLedger())
+        assert calls == [[5, 9]]
+        assert_results_identical([results[0], results[2]], [results[1], results[4]])
 
     def test_cost_scale_applied_once_per_miss(self, context):
         ledger = ExecutionLedger()
@@ -671,11 +658,18 @@ class TestFrameBatch:
 
 
 class TestBatchSizeHint:
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryHints(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            QueryHints(batch_size=-3)
+    def test_invalid_batch_size_rejected(self, tiny_engine):
+        for bad in (0, -3, True, 2.5):
+            with pytest.raises(ConfigurationError):
+                QueryHints(batch_size=bad)
+            with pytest.raises(ConfigurationError):
+                ExecutionControl(batch_size=bad)
+        # Regression: a float reached the shard workers, whose slicing died
+        # with a TypeError while the driver recomputed every frame itself.
+        with tiny_engine.session() as session:
+            prepared = session.prepare("SELECT * FROM tiny WHERE class = 'car'")
+            with pytest.raises(ConfigurationError):
+                prepared.stream(batch_size=2.5, parallelism=2)
 
     def test_describe_mentions_batch_size(self):
         assert "batch_size=128" in QueryHints(batch_size=128).describe()

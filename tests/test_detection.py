@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import BlazeIt
+from repro.detection.base import ObjectDetector
+from repro.detection.columnar import DetectionBatch
 from repro.detection.simulated import DetectorNoiseModel, SimulatedDetector
-from repro.metrics.runtime import RuntimeLedger
+from repro.service.__main__ import PacedSimulatedDetector
+from repro.service.protocol import result_fingerprint
+
+from oracle import reference_detect
 
 
 class TestSimulatedDetector:
@@ -27,12 +33,6 @@ class TestSimulatedDetector:
         # Identical noise streams for different seeds would be a bug; the
         # totals may coincide but per-frame sequences should not all match.
         assert counts_a != counts_b or sum(counts_a) == 0
-
-    def test_charges_ledger(self, tiny_video, detector):
-        ledger = RuntimeLedger()
-        detector.detect(tiny_video, 0, ledger)
-        assert ledger.call_count(detector.cost.name) == 1
-        assert ledger.total_seconds == pytest.approx(detector.cost.seconds_per_call)
 
     def test_counts_track_ground_truth(self, tiny_video, detector):
         """Detected counts should correlate strongly with ground truth."""
@@ -90,13 +90,62 @@ class TestSimulatedDetector:
         assert yolo.noise.max_miss_probability > mask.noise.max_miss_probability
 
     def test_detect_many(self, tiny_video, detector):
-        ledger = RuntimeLedger()
-        results = detector.detect_many(tiny_video, [0, 1, 2], ledger)
-        assert len(results) == 3
-        assert ledger.call_count(detector.cost.name) == 3
+        results = detector.detect_many(tiny_video, [2, 0, 2])
+        assert [r.frame_index for r in results] == [2, 0, 2]
+        assert results == [detector.detect(tiny_video, f) for f in (2, 0, 2)]
 
     def test_detection_result_helpers(self, tiny_video, detector):
         result = detector.detect(tiny_video, 0)
         assert result.count() == len(result.detections)
         cars = [d for d in result.detections if d.object_class == "car"]
         assert result.count("car") == len(cars)
+
+
+class _PerFrameDetector(ObjectDetector):
+    """A custom detector that works one frame at a time."""
+
+    def __init__(self, reference: SimulatedDetector) -> None:
+        self.name = reference.name
+        self.reference = reference
+
+    @property
+    def cost(self):
+        return self.reference.cost
+
+    def detect_columns(self, video, frame_indices):
+        return DetectionBatch.from_detections(
+            [reference_detect(self.reference, video, int(f)) for f in frame_indices]
+        )
+
+
+class TestDetectorInterface:
+    def test_one_abstract_detection_method(self):
+        assert ObjectDetector.__abstractmethods__ == {"cost", "detect_columns"}
+
+    def test_per_frame_detector_answers_like_the_kernel(self, tiny_video, detector):
+        """The one hook is all a custom detector implements: per-frame
+        results returned as ``DetectionBatch.from_detections`` run a query to
+        the same answer and the same charge as the simulated kernel."""
+        outcomes = []
+        for candidate in (detector, _PerFrameDetector(detector)):
+            engine = BlazeIt(detector=candidate)
+            engine.register_video("v", test_video=tiny_video)
+            with engine.session() as session:
+                result = session.prepare("SELECT * FROM v WHERE class = 'car'").execute(
+                    rng=np.random.default_rng(0)
+                )
+            outcomes.append((result_fingerprint(result), result.execution_ledger.detector_calls))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == tiny_video.num_frames
+
+    def test_paced_detector_is_mask_rcnn_with_latency(self, tiny_video):
+        """The service's paced detector shares ``mask_rcnn()``'s identity
+        (name, seed, threshold: the cache and index key) and its output."""
+        paced, base = PacedSimulatedDetector(0.0), SimulatedDetector.mask_rcnn()
+        identity = ("name", "seed", "confidence_threshold", "cost")
+        assert [getattr(paced, a) for a in identity] == [getattr(base, a) for a in identity]
+        frames = list(range(0, tiny_video.num_frames, 7))
+        got = paced.detect_columns(tiny_video, frames).to_arrays()
+        want = base.detect_columns(tiny_video, frames).to_arrays()
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[name], want[name]) for name in want)

@@ -2,7 +2,7 @@
 the persisted forms.
 
 The simulated detector's batch kernel must equal the scalar reference
-:meth:`SimulatedDetector.detect` bit for bit (invariant I1): it relies on
+``oracle.reference_detect`` bit for bit (invariant I1): it relies on
 ``normal(0, s) == 0.0 + s * standard_normal()`` and on one
 ``standard_normal(9)`` drawing the same values as four scalar normals
 followed by a size-5 normal.
@@ -28,6 +28,8 @@ from repro.detection.simulated import SimulatedDetector
 from repro.parallel.cache import SharedDetectionCache
 from repro.rng import RekeyedPhilox
 from repro.video.scenarios import generate_scenario
+
+from oracle import reference_detect
 
 DATA = Path(__file__).resolve().parent / "data"
 FRAMES = 400
@@ -81,9 +83,9 @@ class TestKernelEqualsScalarReference:
         """Unsorted, duplicated, empty and single-frame lists alike."""
         video = _VIDEOS[scenario]
         for detector in detectors(threshold):
-            batched = detector._detect_batch(video, frames)
+            batched = detector.detect_many(video, frames)
             assert [exact(r) for r in batched] == [
-                exact(detector.detect(video, frame)) for frame in frames
+                exact(reference_detect(detector, video, frame)) for frame in frames
             ]
 
     def test_every_frame_of_every_scenario_including_false_positives(self):
@@ -91,8 +93,8 @@ class TestKernelEqualsScalarReference:
         for video in _VIDEOS.values():
             detector = SimulatedDetector.yolov2(confidence_threshold=0.0)
             frames = list(range(FRAMES))
-            for frame, result in zip(frames, detector._detect_batch(video, frames), strict=True):
-                assert exact(result) == exact(detector.detect(video, frame))
+            for frame, result in zip(frames, detector.detect_many(video, frames), strict=True):
+                assert exact(result) == exact(reference_detect(detector, video, frame))
                 false_positives += sum(d.features is None for d in result.detections)
         assert false_positives > 0, "no false-positive draw was exercised"
 
@@ -100,7 +102,7 @@ class TestKernelEqualsScalarReference:
         detector = SimulatedDetector.mask_rcnn()
         for frames in ([3, FRAMES], [-1]):
             with pytest.raises(IndexError):
-                detector._detect_batch(_VIDEOS["taipei"], frames)
+                detector.detect_many(_VIDEOS["taipei"], frames)
 
     def test_two_threads_on_one_detector_get_identical_batches(self, monkeypatch):
         """The per-video kernel small calls share is read-only; the streams
@@ -130,7 +132,7 @@ class TestKernelEqualsScalarReference:
         def run(slot: int) -> None:
             start.wait()
             for chunk in chunks[slot]:
-                rows = detector._detect_batch(video, chunk)[0].detections
+                rows = detector.detect_many(video, chunk)[0].detections
                 assert isinstance(rows, DetectionRows)
                 outputs[slot].append(rows.batch)
 
@@ -163,7 +165,7 @@ class TestKernelEqualsScalarReference:
 class TestResultViews:
     def test_len_and_count_build_no_detection(self, monkeypatch):
         detector = SimulatedDetector.fgfa(confidence_threshold=0.0)
-        results = detector._detect_batch(_VIDEOS["taipei"], list(range(FRAMES)))
+        results = detector.detect_many(_VIDEOS["taipei"], list(range(FRAMES)))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a Detection was built")
@@ -181,7 +183,7 @@ class TestResultViews:
     def test_objects_are_built_once_per_result(self):
         detector = SimulatedDetector.mask_rcnn(confidence_threshold=0.0)
         result = next(
-            r for r in detector._detect_batch(_VIDEOS["taipei"], list(range(FRAMES)))
+            r for r in detector.detect_many(_VIDEOS["taipei"], list(range(FRAMES)))
             if r.detections
         )
         assert result.detections[0] is next(iter(result.detections))
@@ -190,7 +192,7 @@ class TestResultViews:
         """A view, a hand-built list and an empty list encode alike."""
         detector = SimulatedDetector.yolov2(confidence_threshold=0.0)
         video = _VIDEOS["amsterdam"]
-        views = detector._detect_batch(video, [152, 173, 155])
+        views = detector.detect_many(video, [152, 173, 155])
         listed = DetectionResult(
             views[1].frame_index, views[1].timestamp, list(views[1].detections)
         )
@@ -220,14 +222,14 @@ class TestCacheOwnsItsRows:
         video = generate_scenario("taipei", "test", 3000)
         detector = SimulatedDetector.mask_rcnn(confidence_threshold=0.0)
         probe = SharedDetectionCache(capacity_bytes=1 << 20)
-        sample = detector._detect_batch(video, list(range(100)))
+        sample = detector.detect_many(video, list(range(100)))
         probe.put_many("v", {r.frame_index: r for r in sample})
         capacity = 10 * probe.stats.current_bytes // len(probe)
         del probe, sample
 
         def fill() -> SharedDetectionCache:
             cache = SharedDetectionCache(capacity_bytes=capacity)
-            results = detector._detect_batch(video, list(range(3000)))
+            results = detector.detect_many(video, list(range(3000)))
             cache.put_many("v", {result.frame_index: result for result in results})
             del results
             gc.collect()
@@ -248,7 +250,7 @@ class TestCacheOwnsItsRows:
 
     def test_reads_are_fresh_views(self):
         detector = SimulatedDetector.mask_rcnn(confidence_threshold=0.0)
-        result = detector._detect_batch(_VIDEOS["taipei"], [5])[0]
+        result = detector.detect_many(_VIDEOS["taipei"], [5])[0]
         cache = SharedDetectionCache(capacity_bytes=1 << 20)
         cache.put("v", 5, result)
         first, second = cache.get("v", 5), cache.get("v", 5)
@@ -272,7 +274,7 @@ class TestPersistedForms:
         for key, detector in self.KEYS.items():
             for frame in frames:
                 loaded = cache.get(key, frame)
-                fresh = detector.detect(video, frame)
+                fresh = reference_detect(detector, video, frame)
                 assert loaded == fresh
                 assert exact(loaded) == exact(fresh)
                 false_positives += sum(d.features is None for d in loaded.detections)

@@ -260,18 +260,13 @@ class _CountingDetector(SimulatedDetector):
         self.computed = 0
         self._count_lock = threading.Lock()
 
-    def detect(self, video, frame_index, ledger=None):
-        with self._count_lock:
-            self.computed += 1
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(self, video, frame_indices, ledger=None):
+    def detect_columns(self, video, frame_indices):
         with self._count_lock:
             self.computed += len(frame_indices)
         # A trace of real-detector latency keeps workers genuinely in flight
         # when the cancellation tests close the stream mid-scan.
         time.sleep(0.0005 * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
+        return super().detect_columns(video, frame_indices)
 
 
 @pytest.fixture()
@@ -298,6 +293,12 @@ class TestFailureModes:
                 prepared.execute(parallelism=0)
             with pytest.raises(ConfigurationError):
                 prepared.stream(parallelism=-4)
+            for bad in (True, 2.5):
+                with pytest.raises(ConfigurationError):
+                    prepared.stream(parallelism=bad)
+        for bad in (0, True, 2.5):
+            with pytest.raises(ConfigurationError):
+                QueryHints(parallelism=bad)
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -315,10 +316,10 @@ class TestFailureModes:
                     seed=base.seed,
                 )
 
-            def _detect_batch(self, video, frame_indices, ledger=None):
+            def detect_columns(self, video, frame_indices):
                 if any(int(f) >= 150 for f in frame_indices):
                     raise RuntimeError("detector backend fell over")
-                return super()._detect_batch(video, frame_indices, ledger)
+                return super().detect_columns(video, frame_indices)
 
         engine = BlazeIt(
             detector=ExplodingDetector(),

@@ -290,13 +290,13 @@ class TestShardProtocol:
         video for nothing, the process backend paid its spawn floor for
         nothing.  Frames an earlier tier serves are not announced."""
         computed, drivers, rings = [], [], []
-        detect_batch = SimulatedDetector._detect_batch
+        detect_columns = SimulatedDetector.detect_columns
         build = parallel_plan._build_executor
         ring_init = SlotRing.__init__
 
-        def counting_detect_batch(self, video, frame_indices, ledger=None):
+        def counting_detect_columns(self, video, frame_indices):
             computed.extend(frame_indices)
-            return detect_batch(self, video, frame_indices, ledger)
+            return detect_columns(self, video, frame_indices)
 
         def capturing_build(*args, **kwargs):
             drivers.append(build(*args, **kwargs))
@@ -306,7 +306,7 @@ class TestShardProtocol:
             rings.append(self)
             ring_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(SimulatedDetector, "_detect_batch", counting_detect_batch)
+        monkeypatch.setattr(SimulatedDetector, "detect_columns", counting_detect_columns)
         monkeypatch.setattr(parallel_plan, "_build_executor", capturing_build)
         monkeypatch.setattr(SlotRing, "__init__", counting_ring_init)
         engine = BlazeIt(index_dir=tmp_path)
@@ -470,11 +470,11 @@ class PacedSpawnDetector(SimulatedDetector):
         )
         self.seconds_per_frame = seconds_per_frame
 
-    def _detect_batch(self, video, frame_indices, ledger=None):
+    def detect_columns(self, video, frame_indices):
         import time
 
         time.sleep(self.seconds_per_frame * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
+        return super().detect_columns(video, frame_indices)
 
 
 class TestWorkerCrash:

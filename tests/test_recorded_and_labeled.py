@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.labeled_set import LabeledSet
 from repro.core.recorded import RecordedDetections
-from repro.metrics.runtime import RuntimeLedger
 from repro.video.synthetic import FEATURE_DIM
 
 
@@ -18,21 +17,10 @@ class TestRecordedDetections:
         for frame in (0, 10, 100):
             assert counts[frame] == tiny_recorded.result(frame).count("car")
 
-    def test_result_charges_ledger_when_given(self, tiny_recorded, detector):
-        ledger = RuntimeLedger()
-        tiny_recorded.result(0, ledger)
-        assert ledger.call_count(detector.cost.name) == 1
-
     def test_result_free_without_ledger(self, tiny_recorded):
         # Reading the recording without a ledger is the harness's ground-truth
         # access and must not affect any measurement.
         tiny_recorded.result(0)
-
-    def test_count_at_charges(self, tiny_recorded, detector):
-        ledger = RuntimeLedger()
-        count = tiny_recorded.count_at(5, "car", ledger)
-        assert count == tiny_recorded.counts("car")[5]
-        assert ledger.call_count(detector.cost.name) == 1
 
     def test_presence_is_counts_positive(self, tiny_recorded):
         np.testing.assert_array_equal(

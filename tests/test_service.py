@@ -107,14 +107,7 @@ class _CountingDetector(SimulatedDetector):
         self._batches = 0
         self._count_lock = threading.Lock()
 
-    def detect(self, video, frame_index, ledger=None):
-        with self._count_lock:
-            self.computed += 1
-        if self.seconds_per_frame:
-            time.sleep(self.seconds_per_frame)
-        return super().detect(video, frame_index, ledger)
-
-    def _detect_batch(self, video, frame_indices, ledger=None):
+    def detect_columns(self, video, frame_indices):
         with self._count_lock:
             self._batches += 1
             gated = self.gate is not None and self._batches > 1
@@ -124,7 +117,7 @@ class _CountingDetector(SimulatedDetector):
             self.computed += len(frame_indices)
         if self.seconds_per_frame:
             time.sleep(self.seconds_per_frame * len(frame_indices))
-        return super()._detect_batch(video, frame_indices, ledger)
+        return super().detect_columns(video, frame_indices)
 
 
 def build_engine(
