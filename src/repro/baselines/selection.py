@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.core.recorded import RecordedDetections
 from repro.frameql.analyzer import SelectionQuerySpec
 from repro.metrics.runtime import RuntimeLedger
-from repro.optimizer.selection import detection_matches
+from repro.optimizer.operators import predicate_mask
 from repro.udf.registry import UDFRegistry
 
 
@@ -31,14 +31,9 @@ def _matched_frames(
     udf_registry: UDFRegistry,
     candidate_frames,
 ) -> list[int]:
-    matched = []
-    for frame_index in candidate_frames:
-        result = recorded.result(int(frame_index))
-        if any(
-            detection_matches(det, spec, udf_registry) for det in result.detections
-        ):
-            matched.append(int(frame_index))
-    return matched
+    batch = recorded.batch
+    matches = batch.frame_counts(predicate_mask(batch, spec, udf_registry)) > 0
+    return [int(frame) for frame in candidate_frames if matches[int(frame)]]
 
 
 def naive_selection(

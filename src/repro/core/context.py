@@ -261,17 +261,16 @@ class ExecutionContext:
                 served[frame] = cached
         if left and self.shared_cache is not None:
             shared = self.shared_cache.get_many(self.cache_key, left)
-            if execution_ledger is not None:
-                for frame, result in shared.items():
-                    execution_ledger.stash_detection(frame, result)
+            if execution_ledger is not None and shared:
+                execution_ledger.stash_detections(shared)
             served.update(shared)
             left = [frame for frame in left if frame not in shared]
         if left and self.index_view is not None:
             indexed = self.index_view.get(left)
-            for frame, (result, skipped) in indexed.items():
+            for frame, (result, _) in indexed.items():
                 served[frame] = result
-                if execution_ledger is not None:
-                    execution_ledger.stash_index_detection(frame, result, skipped)
+            if execution_ledger is not None and indexed:
+                execution_ledger.stash_index_detections(indexed)
             left = [frame for frame in left if frame not in indexed]
         if left:
             # Everything still left costs a detector call, whoever computes it.
@@ -288,16 +287,15 @@ class ExecutionContext:
                     fresh = self.detector.detect_many(self.video, remaining)
                 computed.update(zip(remaining, fresh, strict=True))
             if execution_ledger is not None:
-                for frame in left:
-                    execution_ledger.record_detection(frame, computed[frame])
+                execution_ledger.record_detections({frame: computed[frame] for frame in left})
             if charged and self.shared_cache is not None:
                 self.shared_cache.put_many(self.cache_key, computed)
             served.update(computed)
         if execution_ledger is not None:
             # Every occurrence that did not cost a detector call came out of
             # the execution cache: earlier batches, seeded tiers, repeats.
-            for _ in range(len(order) - len(left)):
-                execution_ledger.record_cache_hit()
+            if len(order) > len(left):
+                execution_ledger.record_cache_hit(len(order) - len(left))
         return [served[frame] for frame in order]
 
     def _scaled_cost(self, cost_scale: float) -> OperatorCost:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.frameql.schema import fields_equal
 from repro.metrics.runtime import OperatorCost
 from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticVideo
@@ -58,19 +59,7 @@ class Detection:
         """Field-for-field equality, feature vectors compared by value."""
         if not isinstance(other, Detection):
             return NotImplemented
-        if (self.features is None) != (other.features is None):
-            return False
-        return (
-            self.frame_index, self.timestamp, self.object_class, self.box,
-            self.confidence, self.track_id, self.color, self.color_name,
-        ) == (
-            other.frame_index, other.timestamp, other.object_class, other.box,
-            other.confidence, other.track_id, other.color, other.color_name,
-        ) and (
-            self.features is None
-            or other.features is None
-            or bool(np.array_equal(self.features, other.features))
-        )
+        return fields_equal(self, other)
 
 
 @dataclass(slots=True)

@@ -11,7 +11,11 @@ A frame's :class:`~repro.detection.base.DetectionResult` is a row range of a
 batch: its ``detections`` are a :class:`DetectionRows` view, whose
 ``len()`` and class counts read the columns and which builds
 :class:`~repro.detection.base.Detection` objects only when a consumer
-iterates or indexes it (the tracker, predicates, result records).  Consumers
+iterates or indexes it.  The query path reads columns: the IoU tracker
+scores boxes as arrays, selection's class, area and spatial predicates are
+one row mask, and FrameQL records are built straight from the rows
+(:meth:`DetectionBatch.row_fields`).  ``Detection`` objects are built only
+for a UDF predicate's rows and for callers that iterate a result.  Consumers
 that need only classes, counts or bytes — aggregates, the scrubbing verifier,
 the sketch builder, the segment writer, the cache budget and its snapshots,
 the shm transport — never build one.  A result constructed from a list of
@@ -378,61 +382,72 @@ class DetectionBatch:
         """Per-frame count of one class, ``(n_frames,) int64``."""
         if object_class not in self.class_table:
             return np.zeros(self.num_frames, dtype=np.int64)
-        hits = self.class_code == self.class_table.index(object_class)
-        cumulative = np.concatenate([[0], np.cumsum(hits, dtype=np.int64)])
-        return cumulative[self.offsets[1:]] - cumulative[self.offsets[:-1]]
+        return self.frame_counts(self.class_code == self.class_table.index(object_class))
 
     def present_classes(self) -> set[str]:
         """The classes of at least one detection."""
         return {self.class_table[code] for code in np.unique(self.class_code).tolist()}
 
-    def detections(self, frame_row: int, start: int, stop: int) -> list[Detection]:
-        """``Detection`` objects of rows ``[start, stop)`` of one frame.
+    def frame_counts(self, row_mask: np.ndarray) -> np.ndarray:
+        """Per-frame number of rows ``row_mask`` selects, ``(n_frames,) int64``."""
+        cumulative = np.concatenate([[0], np.cumsum(row_mask, dtype=np.int64)])
+        return cumulative[self.offsets[1:]] - cumulative[self.offsets[:-1]]
 
-        Only these rows are converted, so nothing but the objects outlives
-        the call.
+    def frame_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The frame row each of ``rows`` belongs to, ``int64``."""
+        return np.searchsorted(self.offsets, rows, side="right") - 1
+
+    def area(self) -> np.ndarray:
+        """Every row's box area, with ``BoundingBox.area``'s arithmetic."""
+        box = self.box
+        return (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
+
+    def row_fields(self, rows: np.ndarray) -> Iterator[tuple]:
+        """The Python values of ``rows``, one tuple per row in ``Detection``
+        field order (frame, timestamp, class, box, confidence, features,
+        track id, colour, colour name).
+
+        Only these rows are converted, so nothing but the values outlives
+        the call; each feature vector is a fresh copy.
         """
-        if start == stop:
-            return []
-        frame = int(self.frame_index[frame_row])
-        stamp = float(self.timestamp[frame_row])
+        rows = np.asarray(rows, dtype=np.int64)
+        frame_rows = self.frame_rows(rows)
         class_code = self.class_codes()
         class_table = self.class_table
         color_name_table = self.color_name_table
         features_flat = self.features_flat
-        rows = slice(start, stop)
-        feature_start = self.feature_start[rows].tolist()
-        out: list[Detection] = []
-        for i, box, confidence, n_feat, start_feat, color, has_color, color_name, track in zip(
-            range(start, stop),
+        for (
+            i, frame, stamp, box, confidence, n_feat, start_feat, color, has_color,
+            color_name, track,
+        ) in zip(
+            rows.tolist(),
+            self.frame_index[frame_rows].tolist(),
+            self.timestamp[frame_rows].tolist(),
             self.box[rows].tolist(),
             self.confidence[rows].tolist(),
             self.feature_len[rows].tolist(),
-            feature_start,
+            self.feature_start[rows].tolist(),
             self.color[rows].tolist(),
             self.has_color[rows].tolist(),
             self.color_name_code[rows].tolist(),
             self.track_id[rows].tolist(),
             strict=True,
         ):
-            out.append(
-                Detection(
-                    frame_index=frame,
-                    timestamp=stamp,
-                    object_class=class_table[class_code[i]],
-                    box=BoundingBox(*box),
-                    confidence=confidence,
-                    features=(
-                        None
-                        if n_feat < 0
-                        else features_flat[start_feat : start_feat + n_feat].copy()
-                    ),
-                    track_id=None if track < 0 else track,
-                    color=(color[0], color[1], color[2]) if has_color else None,
-                    color_name=None if color_name < 0 else color_name_table[color_name],
-                )
+            yield (
+                frame,
+                stamp,
+                class_table[class_code[i]],
+                BoundingBox(*box),
+                confidence,
+                None if n_feat < 0 else features_flat[start_feat : start_feat + n_feat].copy(),
+                None if track < 0 else track,
+                (color[0], color[1], color[2]) if has_color else None,
+                None if color_name < 0 else color_name_table[color_name],
             )
-        return out
+
+    def objects(self, rows: np.ndarray) -> list[Detection]:
+        """``Detection`` objects of ``rows`` (see :meth:`row_fields`)."""
+        return [Detection(*fields) for fields in self.row_fields(rows)]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The encoded layout: C-ordered columns, compacted sorted tables."""
@@ -489,8 +504,8 @@ class DetectionRows(Sequence[Detection]):
         """The rows as ``Detection`` objects (built on first use)."""
         objects = self._objects
         if objects is None:
-            objects = self._objects = self.batch.detections(
-                self.frame_row, self.start, self.stop
+            objects = self._objects = self.batch.objects(
+                np.arange(self.start, self.stop, dtype=np.int64)
             )
         return objects
 

@@ -8,11 +8,28 @@ makes the optimizations possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.video.geometry import BoundingBox
+
+
+def fields_equal(a: object, b: object) -> bool:
+    """Equality of two dataclass instances field by field, with array fields
+    (feature vectors) compared by value rather than by numpy's ``==``."""
+    for field in fields(a):
+        x = getattr(a, field.name)
+        y = getattr(b, field.name)
+        if x is None or y is None:
+            if x is not y:
+                return False
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,12 @@ class FrameRecord:
     confidence: float = 1.0
     color: tuple[float, float, float] | None = None
     color_name: str | None = None
+
+    def __eq__(self, other: object) -> bool:
+        """Field-for-field equality, feature vectors compared by value."""
+        if not isinstance(other, FrameRecord):
+            return NotImplemented
+        return fields_equal(self, other)
 
     def field(self, name: str):
         """Access a schema column by name (``class`` maps to ``object_class``)."""

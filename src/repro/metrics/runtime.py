@@ -26,6 +26,8 @@ from repro.sync import Guarded
 from repro.wire import Tagged
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (metrics must not import detection)
+    from collections.abc import Mapping
+
     from repro.detection.base import DetectionResult
 
 
@@ -251,42 +253,46 @@ class ExecutionLedger(RuntimeLedger):
         """The cached detection for a frame, or ``None`` if never computed."""
         return self._detections.get(frame_index)
 
-    def record_detection(self, frame_index: int, result: "DetectionResult") -> None:
-        """Note one charged detector invocation and cache its output."""
+    def record_detections(self, computed: "Mapping[int, DetectionResult]") -> None:
+        """Note one charged detector invocation per frame and cache its output."""
         with self._fields as f:
-            if frame_index not in self._detections:
-                f["frames_decoded"] += 1
-            self._detections[frame_index] = result
-            f["detector_calls"] += 1
+            for frame_index, result in computed.items():
+                if frame_index not in self._detections:
+                    f["frames_decoded"] += 1
+                self._detections[frame_index] = result
+            f["detector_calls"] += len(computed)
 
-    def record_cache_hit(self) -> None:
-        """Note one detection served from the cache (nothing charged)."""
+    def record_cache_hit(self, count: int = 1) -> None:
+        """Note ``count`` detections served from the cache (nothing charged)."""
         with self._fields as f:
-            f["detection_cache_hits"] += 1
+            f["detection_cache_hits"] += count
 
-    def stash_detection(self, frame_index: int, result: "DetectionResult") -> None:
-        """Seed the per-execution cache with a detection computed elsewhere.
+    def stash_detections(self, served: "Mapping[int, DetectionResult]") -> None:
+        """Seed the per-execution cache with detections computed elsewhere.
 
-        Used when the shared cross-query cache serves a frame: the detection
+        Used when the shared cross-query cache serves frames: each detection
         enters this execution's cache (so later repeats dedupe normally) but
         no detector call, decode, or charge is recorded.
         """
         with self._fields as f:
-            self._detections.setdefault(frame_index, result)
-            f["shared_cache_hits"] += 1
+            for frame_index, result in served.items():
+                self._detections.setdefault(frame_index, result)
+            f["shared_cache_hits"] += len(served)
 
-    def stash_index_detection(
-        self, frame_index: int, result: "DetectionResult", skipped: bool = False
+    def stash_index_detections(
+        self, indexed: "Mapping[int, tuple[DetectionResult, bool]]"
     ) -> None:
-        """Seed the per-execution cache with a detection served by the index.
+        """Seed the per-execution cache with detections served by the index.
 
-        Mirrors :meth:`stash_detection` for the persistent-index tier:
-        ``skipped=True`` means the range sketch proved the frame empty and the
-        result was synthesized without decoding a segment.
+        Mirrors :meth:`stash_detections` for the persistent-index tier: each
+        value is ``(result, skipped)``, and ``skipped=True`` means the range
+        sketch proved the frame empty and the result was synthesized without
+        decoding a segment.
         """
         with self._fields as f:
-            self._detections.setdefault(frame_index, result)
-            f["index_skips" if skipped else "index_hits"] += 1
+            for frame_index, (result, skipped) in indexed.items():
+                self._detections.setdefault(frame_index, result)
+                f["index_skips" if skipped else "index_hits"] += 1
 
     def record_index_skip(self, count: int = 1) -> None:
         """Note ``count`` frames skipped on sketch evidence alone (no decode)."""

@@ -20,7 +20,7 @@ Operator                     Role
 """
 
 from repro.optimizer.operators.base import PhysicalOperator
-from repro.optimizer.operators.filters import FilterCascade, detection_matches
+from repro.optimizer.operators.filters import FilterCascade, predicate_mask
 from repro.optimizer.operators.importance import ImportanceOrderedScan
 from repro.optimizer.operators.sampling import ControlVariateSampler, RandomSampler
 from repro.optimizer.operators.scan import FullScan
@@ -38,5 +38,5 @@ __all__ = [
     "FilterCascade",
     "DetectorVerifier",
     "TrackAggregator",
-    "detection_matches",
+    "predicate_mask",
 ]

@@ -1,11 +1,11 @@
-"""Filter-cascade operator and the shared object-level predicate evaluator."""
+"""Filter-cascade operator and the shared object-level predicate mask."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.detection.base import Detection
+from repro.detection.columnar import DetectionBatch
 from repro.frameql.analyzer import SelectionQuerySpec
 from repro.metrics.runtime import RuntimeLedger
 from repro.optimizer.operators.base import PhysicalOperator
@@ -23,32 +23,49 @@ _OP_FUNCS = {
 }
 
 
-def detection_matches(
-    detection: Detection, spec: SelectionQuerySpec, udf_registry: UDFRegistry
-) -> bool:
-    """Whether one detection satisfies the query's object-level predicates."""
-    if spec.object_class is not None and detection.object_class != spec.object_class:
-        return False
-    box = detection.box
-    if spec.min_area is not None and box.area <= spec.min_area:
-        return False
-    if spec.max_area is not None and box.area >= spec.max_area:
-        return False
+#: Column of ``DetectionBatch.box`` holding each mask extent.
+_AXIS_COLUMN = {"xmin": 0, "ymin": 1, "xmax": 2, "ymax": 3}
+
+
+def predicate_mask(
+    batch: DetectionBatch, spec: SelectionQuerySpec, udf_registry: UDFRegistry
+) -> np.ndarray:
+    """Which rows of ``batch`` satisfy the query's object-level predicates.
+
+    The class, area and spatial predicates are one boolean mask over the
+    columns.  UDF predicates then run in query order, each on the
+    ``Detection`` objects of the rows still selected, so a UDF only ever sees
+    a row that passed the column predicates and every UDF before it.
+    """
+    mask = np.ones(batch.class_code.size, dtype=np.bool_)
+    if spec.object_class is not None:
+        if spec.object_class in batch.class_table:
+            mask &= batch.class_code == batch.class_table.index(spec.object_class)
+        else:
+            mask[:] = False
+    if spec.min_area is not None or spec.max_area is not None:
+        area = batch.area()
+        if spec.min_area is not None:
+            mask &= ~(area <= spec.min_area)
+        if spec.max_area is not None:
+            mask &= ~(area >= spec.max_area)
     for constraint in spec.spatial_constraints:
-        extent = {
-            "xmin": box.x_min,
-            "xmax": box.x_max,
-            "ymin": box.y_min,
-            "ymax": box.y_max,
-        }[constraint.axis]
-        if not _OP_FUNCS[constraint.op](extent, constraint.value):
-            return False
-    for predicate in spec.udf_predicates:
-        udf = udf_registry.get(predicate.udf_name)
-        value = udf.object_fn(detection)
-        if not _OP_FUNCS[predicate.op](value, predicate.value):
-            return False
-    return True
+        extent = batch.box[:, _AXIS_COLUMN[constraint.axis]]
+        mask &= _OP_FUNCS[constraint.op](extent, constraint.value)
+    if spec.udf_predicates:
+        rows = np.flatnonzero(mask)
+        objects = batch.objects(rows)
+        for predicate in spec.udf_predicates:
+            if not objects:
+                break
+            udf = udf_registry.get(predicate.udf_name)
+            compare = _OP_FUNCS[predicate.op]
+            passed = [bool(compare(udf.object_fn(det), predicate.value)) for det in objects]
+            rows = rows[np.asarray(passed, dtype=np.bool_)]
+            objects = [det for det, ok in zip(objects, passed, strict=True) if ok]
+        mask[:] = False
+        mask[rows] = True
+    return mask
 
 
 class FilterCascade(PhysicalOperator):
@@ -124,13 +141,5 @@ class FilterCascade(PhysicalOperator):
 
     def _heldout_positive_mask(self, context: ExecutionContext) -> np.ndarray:
         """Held-out frames whose recorded detections satisfy the full predicate."""
-        labeled = context.require_labeled_set()
-        recorded = labeled.heldout_recorded
-        mask = np.zeros(recorded.num_frames, dtype=bool)
-        for frame_index in range(recorded.num_frames):
-            result = recorded.result(frame_index)
-            mask[frame_index] = any(
-                detection_matches(det, self.spec, context.udf_registry)
-                for det in result.detections
-            )
-        return mask
+        batch = context.require_labeled_set().heldout_recorded.batch
+        return batch.frame_counts(predicate_mask(batch, self.spec, context.udf_registry)) > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.detection.base import DetectionResult
 from repro.frameql.schema import FrameRecord
 from repro.optimizer.operators.base import PhysicalOperator
@@ -22,16 +24,17 @@ class TrackAggregator(PhysicalOperator):
     name = "TrackAggregator"
 
     def __init__(self, iou_threshold: float = 0.7, max_gap: int = 1) -> None:
-        self.iou_threshold = iou_threshold
-        self.max_gap = max_gap
+        self.tracker = IoUTracker(iou_threshold=iou_threshold, max_gap=max_gap)
 
     def describe(self) -> str:
-        return f"TrackAggregator(iou={self.iou_threshold}, gap={self.max_gap})"
+        return (
+            f"TrackAggregator(iou={self.tracker.iou_threshold}, "
+            f"gap={self.tracker.max_gap})"
+        )
 
     def resolve(self, results: list[DetectionResult]) -> list[ResolvedTrack]:
         """Resolve track identities over per-frame detection results."""
-        tracker = IoUTracker(iou_threshold=self.iou_threshold, max_gap=self.max_gap)
-        return tracker.resolve(results)
+        return self.tracker.resolve(results)
 
     def distinct_count(
         self, results: list[DetectionResult], object_class: str | None
@@ -42,22 +45,45 @@ class TrackAggregator(PhysicalOperator):
             tracks = [t for t in tracks if t.object_class == object_class]
         return float(len(tracks))
 
-    def materialize(self, tracks: list[ResolvedTrack]) -> list[FrameRecord]:
-        """Materialise one FrameQL record per tracked detection."""
-        records: list[FrameRecord] = []
-        for track in tracks:
-            for det in track.detections:
-                records.append(
-                    FrameRecord(
-                        timestamp=det.timestamp,
-                        frame_index=det.frame_index,
-                        object_class=det.object_class,
-                        mask=det.box,
-                        trackid=track.track_id,
-                        features=det.features,
-                        confidence=det.confidence,
-                        color=det.color,
-                        color_name=det.color_name,
-                    )
-                )
-        return records
+    def materialize(
+        self,
+        tracks: list[ResolvedTrack],
+        keep: np.ndarray | None = None,
+        min_rows: int = 1,
+    ) -> list[FrameRecord]:
+        """One FrameQL record per tracked row, track by track, read from the
+        columns.
+
+        ``keep`` (a row mask over the tracks' batch) restricts the records to
+        the rows it selects, and only tracks with at least ``min_rows``
+        selected rows produce any.
+        """
+        if not tracks:
+            return []
+        batch = tracks[0].batch
+        rows = np.concatenate([track.rows for track in tracks])
+        lengths = [track.length for track in tracks]
+        track_ids = np.repeat([track.track_id for track in tracks], lengths)
+        if keep is not None:
+            kept = keep[rows]
+            position = np.repeat(np.arange(len(tracks)), lengths)
+            enough = np.bincount(position[kept], minlength=len(tracks)) >= min_rows
+            kept &= enough[position]
+            rows = rows[kept]
+            track_ids = track_ids[kept]
+        return [
+            FrameRecord(
+                timestamp=stamp,
+                frame_index=frame,
+                object_class=object_class,
+                mask=box,
+                trackid=trackid,
+                features=features,
+                confidence=confidence,
+                color=color,
+                color_name=color_name,
+            )
+            for trackid, (
+                frame, stamp, object_class, box, confidence, features, _, color, color_name,
+            ) in zip(track_ids.tolist(), batch.row_fields(rows), strict=True)
+        ]

@@ -32,6 +32,7 @@ from repro.core.events import (
 )
 from repro.core.results import OperatorNode, SelectionResult
 from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.errors import PlanningError
 from repro.frameql.analyzer import SelectionQuerySpec
 from repro.frameql.schema import FrameRecord
@@ -41,7 +42,7 @@ from repro.optimizer.base import CostEstimate, PhysicalPlan
 from repro.optimizer.operators import (
     FilterCascade,
     TrackAggregator,
-    detection_matches,
+    predicate_mask,
 )
 from repro.selection.filters import TemporalFilter
 from repro.selection.plan import SelectionPlan
@@ -50,7 +51,7 @@ from repro.video.frame_batch import FrameBatch
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import VideoStatistics
 
-__all__ = ["SelectionQueryPlan", "detection_matches"]
+__all__ = ["SelectionQueryPlan"]
 
 
 class SelectionQueryPlan(PhysicalPlan):
@@ -266,10 +267,12 @@ class SelectionQueryPlan(PhysicalPlan):
                     # batch actually adds a detection that passes the
                     # object-level predicates — batches of non-candidates
                     # cannot change the window count.
-                    candidates_pending = candidates_pending or any(
-                        detection_matches(det, self.spec, context.udf_registry)
-                        for result in batch_results
-                        for det in result.detections
+                    candidates_pending = candidates_pending or bool(
+                        predicate_mask(
+                            DetectionBatch.from_results(batch_results),
+                            self.spec,
+                            context.udf_registry,
+                        ).any()
                     )
                     if not candidates_pending:
                         continue
@@ -363,30 +366,11 @@ class SelectionQueryPlan(PhysicalPlan):
         if spec.min_track_frames is not None:
             min_detections = max(1, math.ceil(spec.min_track_frames / step))
 
-        records: list[FrameRecord] = []
-        matched_frames: set[int] = set()
         with operator_scope(context, "PredicateEvaluation"):
-            for track in tracks:
-                matching = [
-                    det
-                    for det in track.detections
-                    if detection_matches(det, spec, context.udf_registry)
-                ]
-                if len(matching) < min_detections:
-                    continue
-                for det in matching:
-                    records.append(
-                        FrameRecord(
-                            timestamp=det.timestamp,
-                            frame_index=det.frame_index,
-                            object_class=det.object_class,
-                            mask=det.box,
-                            trackid=track.track_id,
-                            features=det.features,
-                            confidence=det.confidence,
-                            color=det.color,
-                            color_name=det.color_name,
-                        )
-                    )
-                    matched_frames.add(det.frame_index)
-        return records, matched_frames
+            keep = (
+                predicate_mask(tracks[0].batch, spec, context.udf_registry)
+                if tracks
+                else None
+            )
+            records = aggregator.materialize(tracks, keep, min_detections)
+        return records, {record.frame_index for record in records}

@@ -6,21 +6,48 @@ object and call an object the same across consecutive frames when the IoU is
 at least 0.7.  The tracker is greedy (highest IoU pair first), matches within
 a class only, and closes a track when it goes unmatched for more than
 ``max_gap`` consecutive processed frames.
+
+It runs on the detection columns: every same-class row pair at most
+``max_gap`` frames apart is scored in one vectorised pass, with
+``BoundingBox.iou``'s float arithmetic, and only the pairs that clear the
+threshold enter the greedy pass.  Frame by frame, a pair is live when its
+older row is still the last row of its track; live pairs are matched in
+(-IoU, track id, row) order, which is the order a frame-at-a-time tracker
+visits them in (its active tracks are kept in track-id order).  Track ids
+grow with a track's first row, so the first row stands in for the id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from collections.abc import Sequence
 
-from repro.detection.base import Detection, DetectionResult
+import numpy as np
+
+from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch, concatenated_runs, run_offsets
 from repro.tracking.track import ResolvedTrack
 
+#: Candidate pairs scored per vectorised step, bounding the scratch memory
+#: of a crowded scene.
+_PAIRS_PER_STEP = 1 << 20
 
-@dataclass
-class _ActiveTrack:
-    track: ResolvedTrack
-    last_detection: Detection
-    last_frame: int
+
+def _iou(box: np.ndarray, newer: np.ndarray, older: np.ndarray) -> np.ndarray:
+    """``BoundingBox.iou`` of row pairs, ``box[newer]`` against ``box[older]``."""
+    a = box[newer]
+    b = box[older]
+    overlap_w = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    overlap_h = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    overlap = np.where((overlap_w > 0) & (overlap_h > 0), overlap_w * overlap_h, 0.0)
+    union = (
+        (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+        + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        - overlap
+    )
+    out = np.zeros(overlap.shape, dtype=np.float64)
+    np.divide(overlap, union, out=out, where=union != 0)
+    return out
 
 
 class IoUTracker:
@@ -29,80 +56,100 @@ class IoUTracker:
     def __init__(self, iou_threshold: float = 0.7, max_gap: int = 1) -> None:
         if not 0.0 < iou_threshold <= 1.0:
             raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+        if isinstance(max_gap, bool) or not isinstance(max_gap, numbers.Integral):
+            raise ValueError(f"max_gap must be an int, got {max_gap!r}")
         if max_gap < 1:
             raise ValueError(f"max_gap must be >= 1, got {max_gap}")
         self.iou_threshold = iou_threshold
-        self.max_gap = max_gap
-        self._active: list[_ActiveTrack] = []
-        self._finished: list[ResolvedTrack] = []
-        self._next_track_id = 0
+        self.max_gap = int(max_gap)
 
-    def reset(self) -> None:
-        """Discard all state so the tracker can be reused on another video."""
-        self._active.clear()
-        self._finished.clear()
-        self._next_track_id = 0
-
-    def process(self, result: DetectionResult) -> None:
-        """Feed one frame's detections to the tracker.
-
-        Frames must be fed in increasing frame-index order.
-        """
-        frame_index = result.frame_index
-        self._retire_stale(frame_index)
-        unmatched = list(result.detections)
-        # Build all candidate (iou, active, detection) pairs and match greedily.
-        candidates: list[tuple[float, _ActiveTrack, Detection]] = []
-        for active in self._active:
-            for det in unmatched:
-                if det.object_class != active.track.object_class:
-                    continue
-                iou = det.box.iou(active.last_detection.box)
-                if iou >= self.iou_threshold:
-                    candidates.append((iou, active, det))
-        candidates.sort(key=lambda item: item[0], reverse=True)
-        matched_tracks: set[int] = set()
-        matched_detections: set[int] = set()
-        for iou, active, det in candidates:
-            if id(active) in matched_tracks or id(det) in matched_detections:
-                continue
-            active.track.add(det)
-            active.last_detection = det
-            active.last_frame = frame_index
-            matched_tracks.add(id(active))
-            matched_detections.add(id(det))
-        for det in unmatched:
-            if id(det) in matched_detections:
-                continue
-            track = ResolvedTrack(
-                track_id=self._next_track_id, object_class=det.object_class
+    def resolve(self, results: Sequence[DetectionResult]) -> list[ResolvedTrack]:
+        """Every track of ``results`` (taken in frame order), by track id."""
+        batch = DetectionBatch.from_results(sorted(results, key=lambda r: r.frame_index))
+        first_row = self._first_rows(batch)
+        n = first_row.size
+        starts = first_row == np.arange(n)
+        track_of_row = (np.cumsum(starts) - 1)[first_row]
+        rows = np.argsort(track_of_row, kind="stable")
+        offsets = run_offsets(np.bincount(track_of_row, minlength=int(starts.sum()))).tolist()
+        classes = batch.class_codes()
+        table = batch.class_table
+        return [
+            ResolvedTrack(
+                track_id=track,
+                object_class=table[classes[start]],
+                batch=batch,
+                rows=rows[offsets[track] : offsets[track + 1]],
             )
-            self._next_track_id += 1
-            track.add(det)
-            self._active.append(
-                _ActiveTrack(track=track, last_detection=det, last_frame=frame_index)
+            for track, start in enumerate(np.flatnonzero(starts).tolist())
+        ]
+
+    def _first_rows(self, batch: DetectionBatch) -> np.ndarray:
+        """The first row of every row's track."""
+        first: list[int] = list(range(batch.class_code.size))
+        position, older, newer, neg_iou = self._candidates(batch)
+        # One group of candidate pairs per frame, in frame order.
+        bounds = np.flatnonzero(np.diff(position)) + 1
+        groups = zip([0, *bounds.tolist()], [*bounds.tolist(), position.size], strict=True)
+        older_list = older.tolist()
+        newer_list = newer.tolist()
+        neg_iou_list = neg_iou.tolist()
+        is_last = [True] * len(first)
+        for begin, end in groups:
+            live = sorted(
+                (neg_iou_list[k], first[older_list[k]], newer_list[k], older_list[k])
+                for k in range(begin, end)
+                if is_last[older_list[k]]
             )
+            for _neg_iou, track_first, new_row, old_row in live:
+                # Unmatched so far: the old row still ends its track, and the
+                # new row still starts its own (every track began earlier).
+                if is_last[old_row] and first[new_row] == new_row:
+                    first[new_row] = track_first
+                    is_last[old_row] = False
+        return np.asarray(first, dtype=np.int64)
 
-    def _retire_stale(self, current_frame: int) -> None:
-        still_active = []
-        for active in self._active:
-            if current_frame - active.last_frame > self.max_gap:
-                self._finished.append(active.track)
-            else:
-                still_active.append(active)
-        self._active = still_active
-
-    def finish(self) -> list[ResolvedTrack]:
-        """Close all open tracks and return every resolved track."""
-        self._finished.extend(active.track for active in self._active)
-        self._active.clear()
-        tracks = sorted(self._finished, key=lambda t: t.track_id)
-        self._finished = list(tracks)
-        return tracks
-
-    def resolve(self, results: list[DetectionResult]) -> list[ResolvedTrack]:
-        """Convenience: feed a list of frame results in order and finish."""
-        self.reset()
-        for result in sorted(results, key=lambda r: r.frame_index):
-            self.process(result)
-        return self.finish()
+    def _candidates(
+        self, batch: DetectionBatch
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Same-class row pairs at most ``max_gap`` frames apart (older row in
+        an earlier result) whose IoU clears the threshold: the newer row's
+        frame position, both rows and the negated IoU, sorted by position."""
+        n = batch.class_code.size
+        empty = np.zeros(0, dtype=np.int64)
+        if n == 0:
+            return empty, empty, empty, np.zeros(0)
+        position = batch.frame_rows(np.arange(n))
+        frame = batch.frame_index[position]
+        frame = frame - frame.min() + self.max_gap
+        # Rows by class, each class in row order (so in frame order).
+        order = np.argsort(batch.class_code, kind="stable")
+        code = batch.class_code[order].astype(np.int64)
+        frame_key = code * int(frame.max() + 1) + frame[order]
+        position_key = code * (batch.num_frames + 1) + position[order]
+        # Row ``order[k]`` pairs with the rows ``order[lo[k]:hi[k]]``.
+        lo = np.searchsorted(frame_key, frame_key - self.max_gap, side="left")
+        hi = np.searchsorted(position_key, position_key, side="left")
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        pieces = []
+        step_start = 0
+        while step_start < n:
+            base = int(ends[step_start - 1]) if step_start else 0
+            step_stop = max(
+                int(np.searchsorted(ends, base + _PAIRS_PER_STEP, side="right")),
+                step_start + 1,
+            )
+            step = slice(step_start, step_stop)
+            newer = order[np.repeat(np.arange(step_start, step_stop), counts[step])]
+            older = order[concatenated_runs(lo[step], counts[step])[0]]
+            iou = _iou(batch.box, newer, older)
+            keep = iou >= self.iou_threshold
+            pieces.append((newer[keep], older[keep], iou[keep]))
+            step_start = step_stop
+        newer = np.concatenate([p[0] for p in pieces])
+        older = np.concatenate([p[1] for p in pieces])
+        neg_iou = -np.concatenate([p[2] for p in pieces])
+        by_position = np.argsort(newer, kind="stable")
+        newer = newer[by_position]
+        return position[newer], older[by_position], newer, neg_iou[by_position]

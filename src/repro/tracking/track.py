@@ -2,45 +2,54 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.detection.base import Detection
+from repro.detection.columnar import DetectionBatch
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ResolvedTrack:
     """A group of detections the tracker considers the same object.
 
     ``trackid`` in the FrameQL schema (Table 1): "a unique identifier for a
     continuous time segment when the object is visible.  If the object exists
     and re-enters the scene, it will be assigned a new trackid."
+
+    A track is a view: ``rows`` (in frame order) of the column batch the
+    tracker resolved.  The batch is never written — it may hold the shared
+    cross-query cache's rows — so the track a row belongs to is the
+    ``track_id`` of the group holding it.
     """
 
     track_id: int
     object_class: str
-    detections: list[Detection] = field(default_factory=list)
+    batch: DetectionBatch
+    rows: np.ndarray
+
+    @property
+    def detections(self) -> list[Detection]:
+        """The grouped rows as ``Detection`` objects (built on every read)."""
+        return self.batch.objects(self.rows)
+
+    @property
+    def frames(self) -> np.ndarray:
+        """Frame index of every grouped row, in order."""
+        return self.batch.frame_index[self.batch.frame_rows(self.rows)]
 
     @property
     def start_frame(self) -> int:
         """First frame index of the track."""
-        return min(d.frame_index for d in self.detections)
+        return int(self.frames[0])
 
     @property
     def end_frame(self) -> int:
         """Last frame index of the track (inclusive)."""
-        return max(d.frame_index for d in self.detections)
+        return int(self.frames[-1])
 
     @property
     def length(self) -> int:
         """Number of detections grouped into this track."""
-        return len(self.detections)
-
-    def add(self, detection: Detection) -> None:
-        """Append a detection to the group.
-
-        The detection itself is not written: it may be the shared
-        cross-query cache's entry, which other queries are reading and which
-        snapshots persist as exact detector output.  The track a detection
-        belongs to is ``track.track_id`` of the group holding it.
-        """
-        self.detections.append(detection)
+        return int(self.rows.size)

@@ -58,14 +58,14 @@ def detect_reference(
         shared = context.shared_cache.get(context.cache_key, frame_index)
         if shared is not None:
             if execution_ledger is not None:
-                execution_ledger.stash_detection(frame_index, shared)
+                execution_ledger.stash_detections({frame_index: shared})
                 execution_ledger.record_cache_hit()
             return shared
     if context.index_view is not None:
         indexed = index_get_reference(context.index_view, frame_index)
         if indexed is not None:
             if execution_ledger is not None:
-                execution_ledger.stash_index_detection(frame_index, *indexed)
+                execution_ledger.stash_index_detections({frame_index: indexed})
                 execution_ledger.record_cache_hit()
             return indexed[0]
     if ledger is not None:
@@ -77,7 +77,7 @@ def detect_reference(
     elif result is None:
         result = reference_detect(context.detector, context.video, frame_index)
     if execution_ledger is not None:
-        execution_ledger.record_detection(frame_index, result)
+        execution_ledger.record_detections({frame_index: result})
     if context.shared_cache is not None:
         context.shared_cache.put(context.cache_key, frame_index, result)
     return result
@@ -346,3 +346,86 @@ def _features_for(video: SyntheticVideo, frame_index: int) -> np.ndarray:
     )
     features += noise_rng.normal(0.0, 0.03, size=FEATURE_DIM)
     return features
+
+
+def reference_tracks(
+    results, iou_threshold: float = 0.7, max_gap: int = 1
+) -> list[tuple[int, str, list[Detection]]]:
+    """Scalar reference of ``IoUTracker.resolve``: one frame at a time.
+
+    Returns ``(track_id, object_class, detections)`` by track id.  Frames are
+    fed in frame order (stable).  Each frame first retires the tracks whose
+    last detection is more than ``max_gap`` frames back; then every
+    (active track, detection) pair of one class whose IoU against the
+    track's last box is at least ``iou_threshold`` is a candidate, matched
+    greedily by IoU, ties in (track id, detection) order; every unmatched
+    detection opens a new track.
+    """
+    active: list[list] = []  # [track_id, class, detections, last_frame]
+    finished: list[list] = []
+    next_id = 0
+    for result in sorted(results, key=lambda r: r.frame_index):
+        frame = result.frame_index
+        finished.extend(t for t in active if frame - t[3] > max_gap)
+        active = [t for t in active if frame - t[3] <= max_gap]
+        detections = list(result.detections)
+        candidates = []
+        for track in active:
+            for position, det in enumerate(detections):
+                if det.object_class != track[1]:
+                    continue
+                iou = det.box.iou(track[2][-1].box)
+                if iou >= iou_threshold:
+                    candidates.append((iou, track, position))
+        candidates.sort(key=lambda item: item[0], reverse=True)
+        matched_tracks: set[int] = set()
+        matched: set[int] = set()
+        for _, track, position in candidates:
+            if track[0] in matched_tracks or position in matched:
+                continue
+            track[2].append(detections[position])
+            track[3] = frame
+            matched_tracks.add(track[0])
+            matched.add(position)
+        for position, det in enumerate(detections):
+            if position not in matched:
+                active.append([next_id, det.object_class, [det], frame])
+                next_id += 1
+    return [(t[0], t[1], t[2]) for t in sorted(finished + active, key=lambda t: t[0])]
+
+
+_OPS = {
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def detection_matches(detection: Detection, spec, udf_registry) -> bool:
+    """Scalar reference of ``predicate_mask``: one detection's object-level
+    predicates, class → area → spatial → UDFs in query order, stopping at the
+    first that fails."""
+    if spec.object_class is not None and detection.object_class != spec.object_class:
+        return False
+    box = detection.box
+    if spec.min_area is not None and box.area <= spec.min_area:
+        return False
+    if spec.max_area is not None and box.area >= spec.max_area:
+        return False
+    for constraint in spec.spatial_constraints:
+        extent = {
+            "xmin": box.x_min,
+            "xmax": box.x_max,
+            "ymin": box.y_min,
+            "ymax": box.y_max,
+        }[constraint.axis]
+        if not _OPS[constraint.op](extent, constraint.value):
+            return False
+    for predicate in spec.udf_predicates:
+        udf = udf_registry.get(predicate.udf_name)
+        if not _OPS[predicate.op](udf.object_fn(detection), predicate.value):
+            return False
+    return True

@@ -1,14 +1,18 @@
 """Tests for the simulated object detectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.engine import BlazeIt
-from repro.detection.base import ObjectDetector
+from repro.detection.base import Detection, ObjectDetector
 from repro.detection.columnar import DetectionBatch
 from repro.detection.simulated import DetectorNoiseModel, SimulatedDetector
+from repro.frameql.schema import FrameRecord
 from repro.service.__main__ import PacedSimulatedDetector
 from repro.service.protocol import result_fingerprint
+from repro.video.geometry import BoundingBox
 
 from oracle import reference_detect
 
@@ -149,3 +153,29 @@ class TestDetectorInterface:
         want = base.detect_columns(tiny_video, frames).to_arrays()
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+def _record(cls):
+    box = BoundingBox(1.0, 2.0, 3.0, 4.0)
+    if cls is Detection:
+        return Detection(3, 0.1, "car", box, 0.9, np.arange(4.0), 7, (0.1, 0.2, 0.3), "red")
+    return FrameRecord(0.1, 3, "car", box, 7, np.arange(4.0), 0.9, (0.1, 0.2, 0.3), "red")
+
+
+_OTHER_VALUE = {
+    int: 8, float: 0.5, str: "bus", BoundingBox: BoundingBox(0.0, 0.0, 1.0, 1.0),
+    np.ndarray: np.arange(1.0, 5.0), tuple: (0.3, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("cls", [Detection, FrameRecord])
+def test_equality_compares_every_field_and_features_by_value(cls):
+    a, b = _record(cls), _record(cls)
+    assert a.features is not b.features
+    assert a == b
+    for field in dataclasses.fields(cls):
+        value = getattr(a, field.name)
+        changed = dataclasses.replace(b, **{field.name: _OTHER_VALUE[type(value)]})
+        assert a != changed, field.name
+        if field.default is None:
+            assert a != dataclasses.replace(b, **{field.name: None}), field.name

@@ -38,8 +38,9 @@ from test_parallel import QUERIES
 
 def _detect(ledger: ExecutionLedger, frames: range) -> None:
     """Record one detector call per frame (an empty detection), as the detect path does."""
-    for frame in frames:
-        ledger.record_detection(frame, DetectionResult(frame_index=frame, timestamp=0.0))
+    ledger.record_detections(
+        {frame: DetectionResult(frame_index=frame, timestamp=0.0) for frame in frames}
+    )
 
 
 def run(engine, query, seed=42, **kwargs):

@@ -149,12 +149,12 @@ class TestLedgerThreadSafety:
             base = worker_id * self.ITERATIONS
             for i in range(self.ITERATIONS):
                 frame = base + i
-                ledger.record_detection(
-                    frame, DetectionResult(frame_index=frame, timestamp=0.0)
+                ledger.record_detections(
+                    {frame: DetectionResult(frame_index=frame, timestamp=0.0)}
                 )
                 ledger.record_cache_hit()
-                ledger.stash_detection(
-                    frame, DetectionResult(frame_index=frame, timestamp=0.0)
+                ledger.stash_detections(
+                    {frame: DetectionResult(frame_index=frame, timestamp=0.0)}
                 )
 
         threads = [
