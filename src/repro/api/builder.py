@@ -35,6 +35,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from repro.errors import FrameQLAnalysisError
+from repro.frameql.analyzer import confidence_level, error_rate, positive_number
 from repro.frameql.ast import (
     BinaryOp,
     ColumnRef,
@@ -211,27 +212,19 @@ class QueryBuilder:
 
     def error_within(self, tolerance: float) -> QueryBuilder:
         """Set the ``ERROR WITHIN`` absolute error tolerance."""
-        return replace(self, _error_within=float(tolerance))
+        return replace(self, _error_within=positive_number("error_within", tolerance))
 
     def fpr_within(self, rate: float) -> QueryBuilder:
         """Set the ``FPR WITHIN`` false-positive-rate bound."""
-        return replace(self, _fpr_within=float(rate))
+        return replace(self, _fpr_within=error_rate("fpr_within", rate))
 
     def fnr_within(self, rate: float) -> QueryBuilder:
         """Set the ``FNR WITHIN`` false-negative-rate bound."""
-        return replace(self, _fnr_within=float(rate))
+        return replace(self, _fnr_within=error_rate("fnr_within", rate))
 
     def confidence(self, level: float) -> QueryBuilder:
         """Set the confidence level (``0.95`` and ``95`` both mean 95%)."""
-        value = float(level)
-        if value > 1.0:
-            value /= 100.0
-        if not 0.0 < value < 1.0:
-            raise FrameQLAnalysisError(
-                f"confidence must be in (0, 1) (or (0, 100) as a percentage), "
-                f"got {level!r}"
-            )
-        return replace(self, _confidence=value)
+        return replace(self, _confidence=confidence_level("confidence", level))
 
     def limit(self, count: int) -> QueryBuilder:
         """Set the ``LIMIT`` result cardinality."""

@@ -48,13 +48,21 @@ from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import record_execution_ledger
 from repro.obs.profile import ExecutionProfile, build_profile
 from repro.obs.trace import Tracer, maybe_span
-from repro.errors import ConfigurationError, QueryParameterError, require_positive_int
+from repro.errors import (
+    ConfigurationError,
+    FrameQLAnalysisError,
+    QueryParameterError,
+    require_positive_int,
+)
 from repro.frameql.analyzer import (
     AggregateQuerySpec,
     QuerySpec,
     ScrubbingQuerySpec,
     SelectionQuerySpec,
     analyze,
+    confidence_level,
+    error_rate,
+    positive_number,
 )
 from repro.frameql.ast import Query
 from repro.frameql.parser import parse
@@ -65,36 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.engine import BlazeIt
     from repro.optimizer.base import PhysicalPlan
     from repro.optimizer.cost import ParallelismDecision, PlanDecision
-
-def _positive_float(name: str, value: Any) -> float:
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        raise QueryParameterError(f"{name} must be a number, got {value!r}") from None
-    if result <= 0:
-        raise QueryParameterError(f"{name} must be positive, got {value!r}")
-    return result
-
-
-def _confidence(name: str, value: Any) -> float:
-    result = _positive_float(name, value)
-    if result > 1.0:  # accept 95 as 95%, matching the builder
-        result /= 100.0
-    if not 0.0 < result < 1.0:
-        raise QueryParameterError(
-            f"{name} must be in (0, 1) (or (0, 100) as a percentage), got {value!r}"
-        )
-    return result
-
-
-def _rate(name: str, value: Any) -> float:
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        raise QueryParameterError(f"{name} must be a number, got {value!r}") from None
-    if not 0.0 <= result < 1.0:
-        raise QueryParameterError(f"{name} must be in [0, 1), got {value!r}")
-    return result
 
 
 def _int_at_least(minimum: int):
@@ -113,21 +91,22 @@ def _int_at_least(minimum: int):
 
 
 #: Runtime parameters each query class can re-bind without re-planning,
-#: mapped to (spec attribute, value validator).  Validation mirrors what the
-#: parser/builder and plan constructors enforce at plan time, so rebinding
-#: cannot smuggle in values planning would have rejected.
+#: mapped to (spec attribute, value validator).  The accuracy validators are
+#: the analyzer's own rules and the integer ones mirror the plan
+#: constructors, so rebinding cannot smuggle in values planning would have
+#: rejected.
 _BINDABLE_PARAMS: dict[type, dict[str, tuple[str, Any]]] = {
     AggregateQuerySpec: {
-        "error_within": ("error_tolerance", _positive_float),
-        "confidence": ("confidence", _confidence),
+        "error_within": ("error_tolerance", positive_number),
+        "confidence": ("confidence", confidence_level),
     },
     ScrubbingQuerySpec: {
         "limit": ("limit", _int_at_least(1)),
         "gap": ("gap", _int_at_least(0)),
     },
     SelectionQuerySpec: {
-        "fnr_within": ("fnr_within", _rate),
-        "fpr_within": ("fpr_within", _rate),
+        "fnr_within": ("fnr_within", error_rate),
+        "fpr_within": ("fpr_within", error_rate),
     },
 }
 
@@ -189,10 +168,13 @@ class PreparedQuery:
                 f"{self.spec.kind.value} queries cannot bind "
                 f"{sorted(unknown)}; bindable parameters: {sorted(allowed) or 'none'}"
             )
-        validated = {
-            allowed[name][0]: allowed[name][1](name, value)
-            for name, value in params.items()
-        }
+        try:
+            validated = {
+                allowed[name][0]: allowed[name][1](name, value)
+                for name, value in params.items()
+            }
+        except FrameQLAnalysisError as exc:
+            raise QueryParameterError(str(exc)) from None
         saved = {attribute: getattr(self.spec, attribute) for attribute in validated}
         for attribute, value in validated.items():
             setattr(self.spec, attribute, value)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import FrameQLAnalysisError
 from repro.frameql.ast import (
@@ -125,7 +126,65 @@ class ExactQuerySpec(BaseQuerySpec):
 QuerySpec = AggregateQuerySpec | ScrubbingQuerySpec | SelectionQuerySpec | ExactQuerySpec
 
 
+# -- accuracy clauses ----------------------------------------------------------
+#
+# One rule per clause, shared by the query text (checked at analysis), the
+# builder and the re-binding of a prepared query.
+
+
+def _number(name: str, value: Any) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise FrameQLAnalysisError(f"{name} must be a number, got {value!r}") from None
+
+
+def positive_number(name: str, value: Any) -> float:
+    """``value`` as a float, which must be positive (``ERROR WITHIN``)."""
+    result = _number(name, value)
+    if not result > 0:
+        raise FrameQLAnalysisError(f"{name} must be positive, got {value!r}")
+    return result
+
+
+def confidence_fraction(name: str, value: Any) -> float:
+    """``value`` as a confidence level, which must lie in (0, 1)."""
+    result = positive_number(name, value)
+    if result >= 1.0:
+        raise FrameQLAnalysisError(
+            f"{name} must be in (0, 1) (or (0, 100) as a percentage), got {value!r}"
+        )
+    return result
+
+
+def confidence_level(name: str, value: Any) -> float:
+    """A written confidence level: above 1 it is a percentage (95 is 95%)."""
+    result = positive_number(name, value)
+    return confidence_fraction(name, result / 100.0 if result > 1.0 else result)
+
+
+def error_rate(name: str, value: Any) -> float:
+    """``value`` as a false-negative or false-positive rate, in [0, 1)."""
+    result = _number(name, value)
+    if not 0.0 <= result < 1.0:
+        raise FrameQLAnalysisError(f"{name} must be in [0, 1), got {value!r}")
+    return result
+
+
 # -- helpers -------------------------------------------------------------------
+
+
+def _validate_accuracy(query: Query) -> None:
+    """Check the accuracy clauses before anything prices or runs them (the
+    parser has already read ``AT CONFIDENCE`` as a fraction)."""
+    if query.error_within is not None:
+        positive_number("error_within", query.error_within)
+    if query.confidence is not None:
+        confidence_fraction("confidence", query.confidence)
+    if query.fnr_within is not None:
+        error_rate("fnr_within", query.fnr_within)
+    if query.fpr_within is not None:
+        error_rate("fpr_within", query.fpr_within)
 
 
 def _validate_columns(query: Query) -> None:
@@ -421,13 +480,15 @@ def analyze(query: Query) -> QuerySpec:
     """Validate and classify a parsed FrameQL query.
 
     Raises :class:`~repro.errors.FrameQLAnalysisError` for semantically
-    invalid queries (unknown columns, unsupported predicate shapes).
+    invalid queries (unknown columns, unsupported predicate shapes, accuracy
+    clauses out of range).
     """
     if not query.video:
         raise FrameQLAnalysisError("query has no FROM video")
     if not query.select:
         raise FrameQLAnalysisError("query selects nothing")
     _validate_columns(query)
+    _validate_accuracy(query)
     facts = _extract_where_facts(query.where)
 
     scrubbing = _classify_scrubbing(query, facts)

@@ -1,8 +1,9 @@
 """Optimizer estimate-error report from EXPLAIN ANALYZE profiles.
 
 ``python -m repro.obs calibration`` runs one representative query of each
-class over a built-in scenario with catalog statistics, executes each with
-``analyze=True``, and reports how far the optimizer's per-operator
+class, plus a sampled (``ERROR WITHIN``) aggregate so a sampling plan is
+calibrated too, over a built-in scenario with catalog statistics, executes
+each with ``analyze=True``, and reports how far the optimizer's per-operator
 detector-call estimates diverged from the actuals the spans recorded — the
 feedback loop for re-calibrating the cost model's constants.
 """
@@ -13,9 +14,15 @@ from typing import Any
 
 from repro.obs.profile import ExecutionProfile, estimate_errors
 
-#: One representative query per class over the calibration scenario.
+#: One representative query per class over the calibration scenario, plus a
+#: sampled aggregate.
 CALIBRATION_QUERIES: tuple[tuple[str, str], ...] = (
     ("aggregate", "SELECT FCOUNT(*) FROM v WHERE class = '{cls}'"),
+    (
+        "aggregate",
+        "SELECT FCOUNT(*) FROM v WHERE class = '{cls}' "
+        "ERROR WITHIN 0.1 AT CONFIDENCE 95%",
+    ),
     (
         "scrubbing",
         "SELECT timestamp FROM v GROUP BY timestamp "

@@ -48,7 +48,7 @@ from repro.errors import PlanningError
 from repro.frameql.analyzer import AggregateQuerySpec
 from repro.metrics.runtime import ExecutionLedger
 from repro.obs.trace import operator_scope
-from repro.optimizer.base import CostEstimate, PhysicalPlan
+from repro.optimizer.base import CostEstimate, PhysicalPlan, detector_cost
 from repro.optimizer.operators import (
     ControlVariateSampler,
     FullScan,
@@ -242,21 +242,24 @@ class AggregateQueryPlan(PhysicalPlan):
         stats: VideoStatistics | None,
         control_variate: bool,
     ) -> int:
-        """Detector calls one sampling run is expected to stay under."""
+        """Detector calls one sampling run is expected to take.
+
+        Priced from the catalog's held-out count deviation, reduced by the
+        assumed correlation when a control variate absorbs part of it.
+        Without statistics the deviation is unknown and taken as zero, over
+        a value range of 2: the estimate is then the first sampling round.
+        """
         spec = self.spec
-        if stats is None or spec.error_tolerance is None:
-            # No catalog: the only certain bound is the population itself
-            # (sampling is without replacement).
-            return num_frames
-        sigma = stats.count_std(spec.object_class)
+        if spec.error_tolerance is None:
+            return num_frames  # exact only: nothing is sampled
+        sigma, value_range = 0.0, 2.0
+        if stats is not None:
+            sigma = stats.count_std(spec.object_class)
+            value_range = stats.value_range(spec.object_class)
         if control_variate:
             sigma *= math.sqrt(1.0 - ASSUMED_CV_CORRELATION**2)
         return sampling_calls_estimate(
-            num_frames,
-            sigma,
-            spec.error_tolerance,
-            spec.confidence,
-            stats.value_range(spec.object_class),
+            num_frames, sigma, spec.error_tolerance, spec.confidence, value_range
         )
 
     def estimate_detector_calls(
@@ -266,6 +269,10 @@ class AggregateQueryPlan(PhysicalPlan):
             return num_frames
         if self.method == AggregateMethod.SPECIALIZED_REWRITE:
             return 0
+        if stats is None:
+            # No catalog: the only certain bound is the population itself
+            # (sampling is without replacement).
+            return num_frames
         # Sampling-based strategies (and AUTO, whose worst runtime branch is
         # control variates): bound with the full count deviation — the
         # control variate can only reduce the variance the bound prices.
@@ -274,13 +281,27 @@ class AggregateQueryPlan(PhysicalPlan):
     def estimate_cost(
         self, num_frames: int, stats: VideoStatistics | None = None
     ) -> CostEstimate:
-        base = super().estimate_cost(num_frames, stats)
+        """The expected cost of the strategy this plan runs.
+
+        AUTO is priced as its sampling branch, control variates: only the
+        engine's training threshold says whether Algorithm 1 may take the
+        rewrite, so the optimizer prices the adaptive candidate at the
+        cheapest forced variant it may run instead.
+        """
+        method = self.method
+        if self.exact_only() or method == AggregateMethod.SPECIALIZED_REWRITE:
+            # Every frame or none: the detector-call bound is the expectation.
+            cost = super().estimate_cost(num_frames, stats)
+        else:
+            calls = self._sampling_estimate(
+                num_frames, stats, control_variate=method != AggregateMethod.NAIVE_AQP
+            )
+            cost = detector_cost(calls, stats)
         # Every other strategy trains the specialized NN and runs it over the video.
-        if stats is None or self.exact_only() or self.method == AggregateMethod.NAIVE_AQP:
-            return base
-        return CostEstimate(
-            detector_calls=base.detector_calls,
-            detector_seconds=base.detector_seconds,
+        if stats is None or self.exact_only() or method == AggregateMethod.NAIVE_AQP:
+            return cost
+        return dataclasses.replace(
+            cost,
             training_seconds=stats.specialized_training_seconds(),
             inference_seconds=stats.specialized_inference_seconds(num_frames),
         )

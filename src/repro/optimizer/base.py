@@ -119,17 +119,27 @@ class PhysicalPlan(abc.ABC):
     def estimate_cost(
         self, num_frames: int, stats: VideoStatistics | None = None
     ) -> CostEstimate:
-        """Full cost estimate: detector calls plus specialization overheads.
+        """The plan's price: what the cost-based optimizer chooses on.
 
-        The default prices the detector-call estimate at the catalog's
-        per-call detector cost (falling back to the paper's Mask R-CNN rate);
-        plans with training or filtering stages override to fill the other
-        buckets.
+        This is the only place a candidate's cost is computed — the optimizer
+        enumerates plans and compares these estimates, it prices nothing
+        itself.  Unlike :meth:`estimate_detector_calls` (a bound), the price
+        is an *expectation*.  The default prices the detector-call bound with
+        :func:`detector_cost`; plans whose expected work differs from the
+        bound, or that train, infer or filter, override it.
         """
-        calls = self.estimate_detector_calls(num_frames, stats)
-        per_call = (
-            stats.detector_seconds_per_call
-            if stats is not None
-            else StandardCosts.MASK_RCNN.seconds_per_call
-        )
-        return CostEstimate(detector_calls=calls, detector_seconds=calls * per_call)
+        return detector_cost(self.estimate_detector_calls(num_frames, stats), stats)
+
+
+def detector_cost(calls: int, stats: VideoStatistics | None) -> CostEstimate:
+    """``calls`` detector invocations at the catalog's per-call cost.
+
+    Without statistics the paper's Mask R-CNN rate prices them, so
+    explanations still show meaningful magnitudes.
+    """
+    per_call = (
+        stats.detector_seconds_per_call
+        if stats is not None
+        else StandardCosts.MASK_RCNN.seconds_per_call
+    )
+    return CostEstimate(detector_calls=calls, detector_seconds=calls * per_call)

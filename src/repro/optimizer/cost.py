@@ -6,8 +6,14 @@ The optimizer works in two steps:
    alternative compositions of the operator library (exhaustive scan,
    sampling, specialized rewrite, control variates, importance ranking,
    filter cascades);
-2. each candidate is priced from the statistics catalog in **estimated
-   detector calls plus specialization training cost**, and the cheapest wins.
+2. each candidate is priced by its own plan's ``estimate_cost`` from the
+   statistics catalog, in **estimated detector calls plus specialization
+   training cost**, and the cheapest wins.
+
+A plan has one price, and it lives on the plan class: this module prices
+nothing itself.  It enumerates the candidates (which exist, their names,
+order and reasons), reads each one's ``estimate_cost``, zeroes the detector
+buckets of an index-served video, and chooses.
 
 Two deliberate asymmetries keep planning honest:
 
@@ -35,14 +41,12 @@ the only way to force a strategy short of constructing a plan directly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.api.hints import NO_HINTS, QueryHints, require_hints
 from repro.core.config import AggregateMethod, BlazeItConfig
-from repro.metrics.runtime import StandardCosts
 from repro.core.results import OperatorNode, PlanCandidateSummary, PlanExplanation
 from repro.errors import PlanningError, UnknownUDFError
 from repro.frameql.analyzer import (
@@ -53,11 +57,7 @@ from repro.frameql.analyzer import (
     SelectionQuerySpec,
 )
 from repro.catalog.statistics import StatisticsCatalog, VideoStatistics
-from repro.optimizer.aggregates import (
-    ASSUMED_CV_CORRELATION,
-    AggregateQueryPlan,
-    sampling_calls_estimate,
-)
+from repro.optimizer.aggregates import AggregateQueryPlan
 from repro.optimizer.base import CostEstimate, PhysicalPlan
 from repro.optimizer.exact import ExactQueryPlan
 from repro.optimizer.scrubbing import ScrubbingQueryPlan
@@ -73,14 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: adaptive default candidate (see the module docstring).
 SELECTION_TOLERANCE_RELATIVE = 0.10
 SELECTION_TOLERANCE_SECONDS = 0.5
-
-#: Expected detector verifications down an importance ranking, in multiples
-#: of the limit: an informative ranking concentrates true positives at the
-#: front, so verification touches roughly the limit plus overshoot — far
-#: fewer frames than a sequential scan needs to cross the same number of
-#: events (``limit / event_rate``).  Capped at the sequential figure: an
-#: uninformative ranking degrades to random order, never below it.
-RANKING_OVERSHOOT = 2
 
 #: Modeled per-worker startup of the two parallel backends, expressed in the
 #: cost model's currency (detector-equivalent seconds).  Threads are nearly
@@ -328,6 +320,12 @@ class PlanCandidate:
         return f"PlanCandidate({self.name!r}, {self.cost.describe()})"
 
 
+#: One enumerated candidate before pricing: its name, plan and reason, and —
+#: for an adaptive candidate — the names of the forced variants it may run,
+#: which price it.
+_Alternative = tuple[str, PhysicalPlan, str, tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class PlanDecision:
     """What :meth:`CostBasedOptimizer.plan` decided, recorded on the plan.
@@ -449,22 +447,32 @@ class CostBasedOptimizer:
     def candidates(
         self, spec: QuerySpec, hints: QueryHints | None = None
     ) -> list[PlanCandidate]:
-        """Every eligible physical candidate for ``spec``, default first."""
+        """Every eligible physical candidate for ``spec``, default first.
+
+        Each is priced by its own plan's ``estimate_cost``; an adaptive
+        candidate at the cheapest forced variant it may run (the first
+        listed wins a tie).
+        """
         require_hints(hints)
         hints = hints or NO_HINTS
         stats, num_frames = self._pricing_inputs(spec)
-        if isinstance(spec, AggregateQuerySpec):
-            candidates = self._aggregate_candidates(spec, hints, stats, num_frames)
-        elif isinstance(spec, ScrubbingQuerySpec):
-            candidates = self._scrubbing_candidates(spec, hints, stats, num_frames)
-        elif isinstance(spec, SelectionQuerySpec):
-            candidates = self._selection_candidates(spec, hints, stats, num_frames)
-        elif isinstance(spec, ExactQuerySpec):
-            candidates = self._exact_candidates(spec, hints, stats, num_frames)
-        else:
-            raise PlanningError(
-                f"no plan rule for query spec of type {type(spec).__name__}"
+        alternatives = self._alternatives(spec, hints, stats)
+        costs = {
+            name: plan.estimate_cost(num_frames, stats)
+            for name, plan, _, runs in alternatives
+            if not runs
+        }
+        candidates = [
+            PlanCandidate(
+                name,
+                plan,
+                min((costs[run] for run in runs), key=lambda c: c.total_seconds)
+                if runs
+                else costs[name],
+                reason=reason,
             )
+            for name, plan, reason, runs in alternatives
+        ]
         if self._index_covers(spec, hints):
             candidates = [self._index_priced(candidate) for candidate in candidates]
         return candidates
@@ -501,13 +509,7 @@ class CostBasedOptimizer:
         filter costs still apply: the specialized pipeline and filter
         cascades run regardless of where detections come from.
         """
-        cost = CostEstimate(
-            detector_calls=0,
-            detector_seconds=0.0,
-            training_seconds=candidate.cost.training_seconds,
-            inference_seconds=candidate.cost.inference_seconds,
-            filter_seconds=candidate.cost.filter_seconds,
-        )
+        cost = replace(candidate.cost, detector_calls=0, detector_seconds=0.0)
         suffix = "index-served detections: detector cost repriced to zero"
         reason = f"{candidate.reason} [{suffix}]" if candidate.reason else suffix
         return replace(candidate, cost=cost, reason=reason, index_served=True)
@@ -552,218 +554,113 @@ class CostBasedOptimizer:
                 return candidate
         return candidates[0]  # pragma: no cover - threshold >= best is total
 
-    def _detector_cost(
-        self, calls: int, stats: VideoStatistics | None
-    ) -> CostEstimate:
-        if stats is not None:
-            seconds = stats.detector_seconds(calls)
-        else:
-            # No catalog entry: price at the paper's Mask R-CNN rate so
-            # explanations still show meaningful magnitudes.
-            seconds = calls * StandardCosts.MASK_RCNN.seconds_per_call
-        return CostEstimate(detector_calls=calls, detector_seconds=seconds)
+    # -- enumeration ---------------------------------------------------------------
 
-    # -- per-class enumeration -----------------------------------------------------
+    def _alternatives(
+        self,
+        spec: QuerySpec,
+        hints: QueryHints,
+        stats: VideoStatistics | None,
+    ) -> list[_Alternative]:
+        """The eligible plans for ``spec``, default first, with their reasons."""
+        if isinstance(spec, AggregateQuerySpec):
+            return self._aggregate_alternatives(spec, hints, stats)
+        if isinstance(spec, ScrubbingQuerySpec):
+            trained = (
+                stats is not None and stats.training_event_count(spec.min_counts) > 0
+            )
+            return [
+                (
+                    "importance",
+                    ScrubbingQueryPlan(spec, hints=hints),
+                    "NN ranks frames; detector verifies down the ranking"
+                    if trained
+                    else "no training instances: falls back to the "
+                    "sequential scan at runtime",
+                    (),
+                ),
+                (
+                    "exhaustive",
+                    ScrubbingQueryPlan(spec, hints=hints, strategy="exhaustive"),
+                    "sequential detection scan until the limit is met",
+                    (),
+                ),
+            ]
+        if isinstance(spec, SelectionQuerySpec):
+            return [
+                (
+                    "filtered",
+                    SelectionQueryPlan(spec, hints=hints),
+                    "no-false-negative filter cascade before detection",
+                    (),
+                ),
+                (
+                    "exhaustive",
+                    SelectionQueryPlan(spec, enabled_filter_classes=set(), hints=hints),
+                    "detect every frame, no filters",
+                    (),
+                ),
+            ]
+        if isinstance(spec, ExactQuerySpec):
+            return [
+                (
+                    "exhaustive",
+                    ExactQueryPlan(spec, hints=hints),
+                    "unrecognised query shape: full scan, all records",
+                    (),
+                )
+            ]
+        raise PlanningError(
+            f"no plan rule for query spec of type {type(spec).__name__}"
+        )
 
-    def _aggregate_candidates(
+    def _aggregate_alternatives(
         self,
         spec: AggregateQuerySpec,
         hints: QueryHints,
         stats: VideoStatistics | None,
-        num_frames: int,
-    ) -> list[PlanCandidate]:
-        exact_cost = self._detector_cost(num_frames, stats)
+    ) -> list[_Alternative]:
         auto_plan = AggregateQueryPlan(spec, hints=hints)
         if auto_plan.exact_only():
             return [
-                PlanCandidate(
+                (
                     "exact",
                     auto_plan,
-                    exact_cost,
-                    reason="no error tolerance (or COUNT DISTINCT): "
+                    "no error tolerance (or COUNT DISTINCT): "
                     "every frame must be detected",
+                    (),
                 )
             ]
-
-        error_tolerance = spec.error_tolerance
-        assert error_tolerance is not None  # guaranteed by exact_only()
         class_stats = stats.class_stats(spec.object_class) if stats else None
-        sigma = class_stats.count_std if class_stats is not None else 0.0
-        value_range = (
-            stats.value_range(spec.object_class) if stats is not None else 2.0
-        )
-        aqp_calls = sampling_calls_estimate(
-            num_frames, sigma, error_tolerance, spec.confidence, value_range
-        )
-        aqp_cost = self._detector_cost(aqp_calls, stats)
-
         specializable = (
             class_stats is not None
             and class_stats.training_positives >= self.config.min_training_positives
         )
         # Forced variants: each candidate's name is its ``AggregateMethod`` value.
         forced = [
-            ("exact", exact_cost, "detection on every frame"),
-            ("naive_aqp", aqp_cost, "uniform sampling, CLT stop"),
+            ("exact", "detection on every frame"),
+            ("naive_aqp", "uniform sampling, CLT stop"),
         ]
-        auto_cost = aqp_cost
-        auto_reason = "too few training positives: adaptive sampling"
-        if specializable and stats is not None:
-            training = stats.specialized_training_seconds()
-            inference = stats.specialized_inference_seconds(num_frames)
-            rewrite_cost = CostEstimate(
-                detector_calls=0,
-                training_seconds=training,
-                inference_seconds=inference,
-            )
-            residual_sigma = sigma * math.sqrt(1.0 - ASSUMED_CV_CORRELATION**2)
-            cv_calls = sampling_calls_estimate(
-                num_frames,
-                residual_sigma,
-                error_tolerance,
-                spec.confidence,
-                value_range,
-            )
-            cv_cost = CostEstimate(
-                detector_calls=cv_calls,
-                detector_seconds=stats.detector_seconds(cv_calls),
-                training_seconds=training,
-                inference_seconds=inference,
-            )
-            # The adaptive plan runs whichever branch its accuracy gate
-            # admits; price it at the better of the two.
-            auto_cost = min(
-                (rewrite_cost, cv_cost), key=lambda cost: cost.total_seconds
-            )
+        if specializable:
+            # The adaptive plan runs whichever branch its accuracy gate admits.
             auto_reason = (
                 "Algorithm 1: bootstrap gate picks rewrite or "
                 "control variates at runtime"
             )
+            auto_runs: tuple[str, ...] = ("specialized_rewrite", "control_variates")
             forced += [
-                (
-                    "specialized_rewrite",
-                    rewrite_cost,
-                    "specialized NN replaces the detector outright",
-                ),
-                ("control_variates", cv_cost, "variance-reduced sampling, NN auxiliary"),
+                ("specialized_rewrite", "specialized NN replaces the detector outright"),
+                ("control_variates", "variance-reduced sampling, NN auxiliary"),
             ]
-        return [PlanCandidate("auto", auto_plan, auto_cost, reason=auto_reason)] + [
-            PlanCandidate(
+        else:
+            auto_reason = "too few training positives: adaptive sampling"
+            auto_runs = ("naive_aqp",)
+        return [("auto", auto_plan, auto_reason, auto_runs)] + [
+            (
                 name,
                 AggregateQueryPlan(spec, hints=hints, method=AggregateMethod(name)),
-                cost,
-                reason=reason,
+                reason,
+                (),
             )
-            for name, cost, reason in forced
-        ]
-
-    def _scrubbing_candidates(
-        self,
-        spec: ScrubbingQuerySpec,
-        hints: QueryHints,
-        stats: VideoStatistics | None,
-        num_frames: int,
-    ) -> list[PlanCandidate]:
-        importance = ScrubbingQueryPlan(spec, hints=hints)
-        exhaustive = ScrubbingQueryPlan(spec, hints=hints, strategy="exhaustive")
-        # Expected verification work, not the conservative per-plan bound:
-        # a sequential scan crosses ``limit / event_rate`` frames before the
-        # limit-th event, while an informative ranking concentrates the true
-        # positives at the front and verifies only a small multiple of the
-        # limit (capped at the sequential figure — an uninformative ranking
-        # degrades to random order, never below it).
-        rate = stats.event_rate(spec.min_counts) if stats is not None else 0.0
-        if rate > 0.0:
-            # A GAP constraint makes the sequential scan cross (limit-1)*gap
-            # frames no matter how common the event is; on bursty videos the
-            # empty stretches between bursts are charged, so they are priced
-            # in full.
-            sequential_calls = min(
-                num_frames,
-                math.ceil(spec.limit / rate) + (spec.limit - 1) * spec.gap,
-            )
-        else:
-            sequential_calls = num_frames
-        trained = (
-            stats is not None and stats.training_event_count(spec.min_counts) > 0
-        )
-        exhaustive_cost = self._detector_cost(sequential_calls, stats)
-        if trained and stats is not None:
-            ranked_calls = min(spec.limit * RANKING_OVERSHOOT, sequential_calls)
-            importance_cost = CostEstimate(
-                detector_calls=ranked_calls,
-                detector_seconds=stats.detector_seconds(ranked_calls),
-                training_seconds=(
-                    0.0 if importance.indexed else stats.specialized_training_seconds()
-                ),
-                inference_seconds=(
-                    0.0
-                    if importance.indexed
-                    else stats.specialized_inference_seconds(num_frames)
-                ),
-            )
-        else:
-            # No training instances: the plan falls back to the sequential
-            # scan at runtime without training anything.
-            importance_cost = exhaustive_cost
-        return [
-            PlanCandidate(
-                "importance",
-                importance,
-                importance_cost,
-                reason=(
-                    "NN ranks frames; detector verifies down the ranking"
-                    if trained
-                    else "no training instances: falls back to the "
-                    "sequential scan at runtime"
-                ),
-            ),
-            PlanCandidate(
-                "exhaustive",
-                exhaustive,
-                exhaustive_cost,
-                reason="sequential detection scan until the limit is met",
-            ),
-        ]
-
-    def _selection_candidates(
-        self,
-        spec: SelectionQuerySpec,
-        hints: QueryHints,
-        stats: VideoStatistics | None,
-        num_frames: int,
-    ) -> list[PlanCandidate]:
-        filtered = SelectionQueryPlan(spec, hints=hints)
-        exhaustive = SelectionQueryPlan(
-            spec, enabled_filter_classes=set(), hints=hints
-        )
-        return [
-            PlanCandidate(
-                "filtered",
-                filtered,
-                filtered.estimate_cost(num_frames, stats),
-                reason="no-false-negative filter cascade before detection",
-            ),
-            PlanCandidate(
-                "exhaustive",
-                exhaustive,
-                exhaustive.estimate_cost(num_frames, stats),
-                reason="detect every frame, no filters",
-            ),
-        ]
-
-    def _exact_candidates(
-        self,
-        spec: ExactQuerySpec,
-        hints: QueryHints,
-        stats: VideoStatistics | None,
-        num_frames: int,
-    ) -> list[PlanCandidate]:
-        return [
-            PlanCandidate(
-                "exhaustive",
-                ExactQueryPlan(spec, hints=hints),
-                self._detector_cost(num_frames, stats),
-                reason="unrecognised query shape: full scan, all records",
-            )
+            for name, reason in forced
         ]

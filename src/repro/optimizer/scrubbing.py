@@ -17,6 +17,7 @@ inference cost is charged to this query.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
@@ -35,7 +36,7 @@ from repro.core.results import OperatorNode, ScrubbingQueryResult
 from repro.errors import PlanningError
 from repro.frameql.analyzer import ScrubbingQuerySpec
 from repro.metrics.runtime import ExecutionLedger
-from repro.optimizer.base import CostEstimate, PhysicalPlan
+from repro.optimizer.base import CostEstimate, PhysicalPlan, detector_cost
 from repro.optimizer.operators import DetectorVerifier, ImportanceOrderedScan
 from repro.scrubbing.importance import ScrubbingResult
 
@@ -50,6 +51,14 @@ _VERIFY_SLACK = 3.0
 
 #: Floor on the ranked-verification estimate, in multiples of the limit.
 _VERIFY_FLOOR = 8
+
+#: Expected detector verifications down an importance ranking, in multiples
+#: of the limit: an informative ranking concentrates true positives at the
+#: front, so verification touches roughly the limit plus overshoot — far
+#: fewer frames than a sequential scan needs to cross the same number of
+#: events (``limit / event_rate``).  The price caps it at the sequential
+#: figure.
+RANKING_OVERSHOOT = 2
 
 
 class ScrubbingQueryPlan(PhysicalPlan):
@@ -186,15 +195,32 @@ class ScrubbingQueryPlan(PhysicalPlan):
     def estimate_cost(
         self, num_frames: int, stats: VideoStatistics | None = None
     ) -> CostEstimate:
-        base = super().estimate_cost(num_frames, stats)
-        if stats is None or self.strategy == "exhaustive" or self.indexed:
-            return base
-        if stats.training_event_count(self.spec.min_counts) <= 0:
-            # No training instances: the ranking never trains at runtime.
-            return base
-        return CostEstimate(
-            detector_calls=base.detector_calls,
-            detector_seconds=base.detector_seconds,
+        """Expected verification work, not the conservative bound.
+
+        A sequential scan crosses ``limit / event_rate`` frames, plus
+        ``(limit-1)*gap`` that a GAP forces however common the event is.  A
+        ranking verifies a small multiple of the limit, never more than the
+        sequential scan, and trains and runs its NN unless pre-indexed.
+        Without training instances the plan scans sequentially at runtime.
+        """
+        spec = self.spec
+        rate = stats.event_rate(spec.min_counts) if stats is not None else 0.0
+        sequential_calls = num_frames
+        if rate > 0.0:
+            sequential_calls = min(
+                num_frames, math.ceil(spec.limit / rate) + (spec.limit - 1) * spec.gap
+            )
+        if (
+            stats is None
+            or self.strategy == "exhaustive"
+            or stats.training_event_count(spec.min_counts) <= 0
+        ):
+            return detector_cost(sequential_calls, stats)
+        cost = detector_cost(min(spec.limit * RANKING_OVERSHOOT, sequential_calls), stats)
+        if self.indexed:
+            return cost
+        return dataclasses.replace(
+            cost,
             training_seconds=stats.specialized_training_seconds(),
             inference_seconds=stats.specialized_inference_seconds(num_frames),
         )

@@ -8,7 +8,7 @@ from repro.api import Q, FCOUNT, PreparedQuery, QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.core.results import AggregateResult, PlanExplanation
-from repro.errors import QueryParameterError
+from repro.errors import FrameQLAnalysisError, QueryParameterError
 
 AGG_QUERY = (
     "SELECT FCOUNT(*) FROM tiny WHERE class = 'car' "
@@ -102,6 +102,38 @@ class TestPreparedQuery:
         as_percent = prepared.execute(confidence=95, rng=np.random.default_rng(3))
         as_fraction = prepared.execute(confidence=0.95, rng=np.random.default_rng(3))
         assert as_percent.value == pytest.approx(as_fraction.value)
+
+    @pytest.mark.parametrize(
+        "name, value, clause",
+        [
+            ("error_within", 0.0, "ERROR WITHIN 0"),
+            ("confidence", 100, "ERROR WITHIN 0.1 AT CONFIDENCE 100%"),
+            ("confidence", 250, "ERROR WITHIN 0.1 AT CONFIDENCE 250"),
+            ("fnr_within", 1.5, "FNR WITHIN 1.5"),
+            ("fpr_within", 1.0, "FPR WITHIN 1"),
+        ],
+    )
+    def test_accuracy_clauses_obey_one_rule_on_every_path(
+        self, tiny_engine, name, value, clause
+    ):
+        """Query text, builder and re-binding reject an out-of-range
+        accuracy clause with the same message, before anything is priced."""
+        if name in ("fnr_within", "fpr_within"):
+            base = valid = "SELECT * FROM tiny WHERE class = 'bus'"
+            builder = Q.select("*").from_("tiny").where(cls="bus")
+        else:
+            base = "SELECT FCOUNT(*) FROM tiny WHERE class = 'car'"
+            valid = f"{base} ERROR WITHIN 0.1"
+            builder = Q.select(FCOUNT()).from_("tiny").where(cls="car")
+        session = tiny_engine.session()
+        with pytest.raises(FrameQLAnalysisError, match=name) as from_text:
+            session.prepare(f"{base} {clause}")
+        with pytest.raises(FrameQLAnalysisError) as from_builder:
+            getattr(builder, name)(value)
+        with pytest.raises(QueryParameterError) as from_binding:
+            session.prepare(valid).execute(**{name: value})
+        assert str(from_text.value) == str(from_builder.value)
+        assert str(from_text.value) == str(from_binding.value)
 
     def test_exact_queries_bind_nothing(self, tiny_engine):
         prepared = tiny_engine.session().prepare("SELECT timestamp FROM tiny")

@@ -1,6 +1,7 @@
 """Tests for the cost-based optimizer: enumeration, cost model, snapshots,
 the estimate-bounds-actuals invariant, and the chosen-vs-forced property."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +202,111 @@ class TestSamplingEstimate:
         high_conf = sampling_calls_estimate(100_000, 0.5, 0.1, 0.999, 2.0)
         assert low < high_var
         assert low < high_conf
+
+
+QUERY_BY_KIND = {
+    "aggregate": AGG_QUERY,
+    "scrubbing": SCRUB_QUERY,
+    "selection": SELECT_QUERY,
+    "exact": EXACT_QUERY,
+}
+
+
+class TestOnePrice:
+    """A candidate's cost is its plan's ``estimate_cost``: the optimizer
+    enumerates and chooses, and prices nothing itself."""
+
+    @pytest.fixture(scope="class")
+    def engines(
+        self,
+        tmp_path_factory,
+        tiny_video,
+        tiny_train_video,
+        tiny_heldout_video,
+        detector,
+        engine_config,
+    ):
+        """``{(with statistics, index-served): engine}`` over the tiny video."""
+        built = {}
+        for with_stats in (True, False):
+            for indexed in (True, False):
+                engine = BlazeIt(
+                    detector=detector,
+                    config=engine_config,
+                    index_dir=tmp_path_factory.mktemp("price") if indexed else None,
+                )
+                days = (
+                    {"train_video": tiny_train_video, "heldout_video": tiny_heldout_video}
+                    if with_stats
+                    else {}
+                )
+                engine.register_video("tiny", test_video=tiny_video, **days)
+                if indexed:
+                    engine.build_index("tiny")
+                built[with_stats, indexed] = engine
+        return built
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["live", "index-served"])
+    @pytest.mark.parametrize("with_stats", [True, False], ids=["stats", "no-stats"])
+    @pytest.mark.parametrize("kind", sorted(QUERY_BY_KIND))
+    def test_every_candidate_costs_its_plans_estimate(
+        self, engines, kind, with_stats, indexed
+    ):
+        engine = engines[with_stats, indexed]
+        stats = engine.catalog.get("tiny")
+        assert (stats is not None) == with_stats
+        spec = engine.analyze(QUERY_BY_KIND[kind])
+        names = _names(engine.optimizer.candidates(spec))
+        for force in [None, *names]:
+            decision = engine.optimizer.plan(spec, QueryHints(force_plan=force)).decision
+            assert _names(decision.candidates) == names
+            if force is not None:
+                assert decision.chosen.name == force
+            plans = {candidate.name: candidate.plan for candidate in decision.candidates}
+
+            def price(name):
+                return plans[name].estimate_cost(decision.num_frames, stats)
+
+            for candidate in decision.candidates:
+                expected = price(candidate.name)
+                if candidate.name == "auto":
+                    # The adaptive aggregate: the cheapest variant it may run,
+                    # the rewrite first.
+                    runs = [
+                        name
+                        for name in ("specialized_rewrite", "control_variates")
+                        if name in plans
+                    ] or ["naive_aqp"]
+                    expected = min(
+                        (price(name) for name in runs), key=lambda c: c.total_seconds
+                    )
+                if indexed:
+                    expected = dataclasses.replace(
+                        expected, detector_calls=0, detector_seconds=0.0
+                    )
+                assert candidate.index_served == indexed
+                assert candidate.cost == expected, candidate.name
+
+    @pytest.mark.parametrize(
+        "with_stats, text, name, calls, seconds",
+        [
+            (True, AGG_QUERY, "auto", 0, 0.520),
+            (True, AGG_QUERY, "control_variates", 348, 116.520),
+            (True, SCRUB_QUERY, "importance", 6, 2.520),
+            (True, SCRUB_QUERY, "exhaustive", 9, 3.000),
+            (False, AGG_QUERY, "naive_aqp", 20, 6.667),
+        ],
+    )
+    def test_prices_on_the_tiny_video(
+        self, engines, with_stats, text, name, calls, seconds
+    ):
+        engine = engines[with_stats, False]
+        costs = {
+            candidate.name: candidate.cost
+            for candidate in engine.optimizer.candidates(engine.analyze(text))
+        }
+        assert costs[name].detector_calls == calls
+        assert costs[name].total_seconds == pytest.approx(seconds, abs=5e-4)
 
 
 class TestExplainSnapshots:

@@ -478,6 +478,24 @@ class TestWire:
         result = client.execute(session_id, prepared_id=info["prepared_id"])
         assert result.kind == "aggregate"
 
+    @pytest.mark.parametrize(
+        "clause", ["ERROR WITHIN 0.1 AT CONFIDENCE 100%", "ERROR WITHIN 0"]
+    )
+    def test_out_of_range_accuracy_clause_is_a_400(self, live_service, clause):
+        """The analyzer rejects the clause as a library error, so the
+        service answers it instead of dropping the connection."""
+        client, _ = live_service
+        client.create_tenant("t")
+        session_id = client.create_session("t")
+        query = queries_for(scenario_class())[0]
+        with pytest.raises(ServiceClientError) as rejected:
+            client.prepare(session_id, f"{query} {clause}")
+        assert (rejected.value.status, rejected.value.code) == (
+            400,
+            "FrameQLAnalysisError",
+        )
+        assert client.prepare(session_id, query)["kind"] == "aggregate"
+
     def test_sse_stream_matches_log_and_resumes(self, live_service):
         client, manager = live_service
         cls = scenario_class()
