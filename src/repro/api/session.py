@@ -4,7 +4,7 @@ A :class:`QuerySession` is the DB-style client surface of the engine.  It
 owns three things a one-shot ``BlazeIt.query()`` call cannot amortize:
 
 * a cache of :class:`~repro.core.context.ExecutionContext` objects (one per
-  video), so per-video state (recording, labeled set, index view) is
+  video), so per-video state (detector, labeled set, index view) is
   resolved once per session rather than once per query — every execution
   runs on its own shallow copy, and the cached context is never written to;
 * a cache of :class:`PreparedQuery` objects keyed by query text and hints,
@@ -158,9 +158,8 @@ class PreparedQuery:
 
     # -- parameter binding ---------------------------------------------------------
 
-    @contextlib.contextmanager
-    def _bound(self, params: Mapping[str, Any]):
-        """Temporarily re-bind runtime parameters onto the analyzed spec."""
+    def _validated(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        """Runtime parameters as spec attributes, each checked by its rule."""
         allowed = _BINDABLE_PARAMS.get(type(self.spec), {})
         unknown = set(params) - set(allowed)
         if unknown:
@@ -169,12 +168,16 @@ class PreparedQuery:
                 f"{sorted(unknown)}; bindable parameters: {sorted(allowed) or 'none'}"
             )
         try:
-            validated = {
+            return {
                 allowed[name][0]: allowed[name][1](name, value)
                 for name, value in params.items()
             }
         except FrameQLAnalysisError as exc:
             raise QueryParameterError(str(exc)) from None
+
+    @contextlib.contextmanager
+    def _bound(self, validated: Mapping[str, Any]):
+        """Temporarily re-bind validated runtime parameters onto the spec."""
         saved = {attribute: getattr(self.spec, attribute) for attribute in validated}
         for attribute, value in validated.items():
             setattr(self.spec, attribute, value)
@@ -267,8 +270,7 @@ class PreparedQuery:
             requested=requested,
             batch_size=batch_size or self.hints.batch_size or DEFAULT_BATCH_SIZE,
             backend_constraint=backend if backend is not None else self.hints.backend,
-            detector=engine.detector_for(self.spec.video),
-            recorded=engine.recorded_for(self.spec.video),
+            detector=self._session._context_for(self.spec.video).detector,
         )
 
     def _tracing_enabled(self, trace: bool | None, analyze: bool) -> bool:
@@ -300,9 +302,11 @@ class PreparedQuery:
         The execution runs on its own shallow copy of the session's cached
         context, carrying its RNG stream, its tracer and — under
         ``use_index=False`` — no index view; the cached context is never
-        written to.  The RNG stream is drawn now, so spawn order follows
+        written to.  Runtime parameters are checked first, so a rejected one
+        draws nothing; the RNG stream is drawn now, so spawn order follows
         stream creation order.
         """
+        bound = self._validated(params)
         cached = self._session._context_for(self.spec.video)
         if rng is None:
             seed_sequence: np.random.SeedSequence | None = (
@@ -348,7 +352,7 @@ class PreparedQuery:
             # construction and worker spawn count on every backend.
             watch = Stopwatch()
             self._session.stats.executions += 1
-            with self._bound(params):
+            with self._bound(bound):
                 if tracer is not None:
                     # Replay the prepare-time costs into this trace: parse
                     # and optimize ran once, at prepare(), for every
@@ -444,7 +448,7 @@ class PreparedQuery:
     ) -> list[QueryResult]:
         """Run the plan once per parameter set, reusing the plan and context.
 
-        The single recording/labeled-set/feature state in the session's
+        The single detector/labeled-set/feature state in the session's
         execution context is shared across all runs; only the RNG stream and
         the bound parameters vary.
         """
@@ -513,10 +517,6 @@ class QuerySession:
         shard id, so shard-local randomness is reproducible and independent.
         """
         return self._seed_sequence.spawn(1)[0]
-
-    def _next_rng(self) -> np.random.Generator:
-        """A fresh, independent RNG stream for one query execution."""
-        return np.random.default_rng(self._next_seed_sequence())
 
     def _context_for(self, video: str) -> ExecutionContext:
         """The cached execution context for a video (built on first use)."""
@@ -626,10 +626,7 @@ class QuerySession:
         else:
             # Compile builders exactly once: the AST serves both as the cache
             # key and, on a miss, as the prepare() input.
-            if isinstance(query, QueryBuilder) and self.video and not query._video:
-                query = query.from_(self.video)
-            source = query.build() if isinstance(query, QueryBuilder) else query
-            key_text = str(source)
+            key_text, source = self._to_ast(query)
         key = (key_text, hints if hints is not None else self.hints)
         prepared = self._prepared.get(key)
         if prepared is None:

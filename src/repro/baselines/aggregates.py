@@ -38,11 +38,9 @@ def naive_aggregate(
 ) -> BaselineAggregateResult:
     """FCOUNT by running the detector on every frame."""
     ledger = RuntimeLedger()
-    counts = recorded.counts(object_class)
-    ledger.charge(recorded.detector.cost, recorded.num_frames)
-    value = float(counts.mean()) if counts.size else 0.0
+    ledger.charge(recorded.cost, recorded.num_frames)
     return BaselineAggregateResult(
-        value=value,
+        value=recorded.mean_count(object_class),
         detection_calls=recorded.num_frames,
         ledger=ledger,
         samples_used=recorded.num_frames,
@@ -59,12 +57,10 @@ def noscope_oracle_aggregate(
     Section 10.1.1.
     """
     ledger = RuntimeLedger()
-    counts = recorded.counts(object_class)
-    occupied = int((counts > 0).sum())
-    ledger.charge(recorded.detector.cost, occupied)
-    value = float(counts.mean()) if counts.size else 0.0
+    occupied = int(recorded.presence(object_class).sum())
+    ledger.charge(recorded.cost, occupied)
     return BaselineAggregateResult(
-        value=value,
+        value=recorded.mean_count(object_class),
         detection_calls=occupied,
         ledger=ledger,
         samples_used=recorded.num_frames,
@@ -86,7 +82,7 @@ def naive_aqp_aggregate(
         value_range = float(counts.max(initial=0) + 1)
 
     def sample_fn(indices: np.ndarray) -> np.ndarray:
-        ledger.charge(recorded.detector.cost, int(np.asarray(indices).size))
+        ledger.charge(recorded.cost, int(np.asarray(indices).size))
         return counts[np.asarray(indices, dtype=np.int64)]
 
     result = adaptive_sample(

@@ -1,10 +1,10 @@
 """Execution context shared by physical plans.
 
 The context bundles everything a plan needs to run a query over the unseen
-("test day") video: the video itself, the labeled set, the configured
-detector, an optional recording of the detector's output over the test day
-(see :class:`~repro.core.recorded.RecordedDetections`), the UDF registry, the
-engine configuration and a seeded random generator.
+("test day") video: the video itself, the labeled set, the detector (live,
+or a recording of its output over the test day: see
+:class:`~repro.core.recorded.RecordedDetections`, which is a detector), the
+UDF registry, the engine configuration and a seeded random generator.
 
 A context is built per video but may serve many queries: a
 :class:`~repro.api.session.QuerySession` caches one context per video and
@@ -15,8 +15,7 @@ state (the cheap-feature matrix) lives on the video itself and is shared by
 every copy.
 
 It also centralises detector access so every plan charges detection cost the
-same way, whether the output comes from a live detector call or from the
-recording.
+same way, through one source cascade whose last tier is the detector.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import numpy as np
 
 from repro.core.config import BlazeItConfig
 from repro.core.labeled_set import LabeledSet
-from repro.core.recorded import RecordedDetections
 from repro.detection.base import DetectionResult, ObjectDetector
 from repro.errors import SpawnExportError
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
@@ -55,8 +53,8 @@ class ContextSpec:
     receive this spec and rebuild exactly what speculative detection needs —
     the video, reconstructed bit-for-bit from its spec and track list, and
     the detector, whose output is deterministic per (detector seed, video
-    seed, frame index).  Everything else (ledger, caches, RNG streams,
-    recording) stays on the driver, which charges on consumption.
+    seed, frame index).  Everything else (ledger, caches, RNG streams) stays
+    on the driver, which charges on consumption.
     """
 
     video_spec: "VideoSpec"
@@ -79,21 +77,14 @@ class ContextSpec:
         return lambda frames: detector.detect_many(video, frames)
 
 
-def spawn_refusal(
-    detector: ObjectDetector, recorded: RecordedDetections | None
-) -> str | None:
+def spawn_refusal(detector: ObjectDetector) -> str | None:
     """Why a context cannot be exported to process workers (``None``: it can).
 
     The one exportability probe, shared by :meth:`ExecutionContext.spawn_spec`
-    and the optimizer's parallelism verdict: a recording replaces the
-    detector as the source of truth and lives only on the driver, and a
-    detector that will not pickle cannot be rebuilt in a worker.
+    and the optimizer's parallelism verdict: a detector that will not pickle
+    cannot be rebuilt in a worker.  A recorded test day is such a detector:
+    recordings refuse to pickle, because they live only on the driver.
     """
-    if recorded is not None:
-        return (
-            "context replays a recorded test day; recordings are "
-            "driver-only, so process workers cannot reproduce them"
-        )
     try:
         pickle.dumps(detector)
     except Exception as exc:
@@ -110,7 +101,6 @@ class ExecutionContext:
     udf_registry: UDFRegistry
     config: BlazeItConfig
     labeled_set: LabeledSet | None = None
-    recorded: RecordedDetections | None = None
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
@@ -137,10 +127,10 @@ class ExecutionContext:
     def shard_context(self) -> ExecutionContext:
         """The context thread shard workers speculate in.
 
-        Workers share the read-only assets (video, detector, recording,
-        shared cache) but never the driver's RNG, prefetcher or tracer.
-        They draw no randomness — detection is deterministic per frame — and
-        their work is uncharged: the driver charges on consumption.
+        Workers share the read-only assets (video, detector, shared cache)
+        but never the driver's RNG, prefetcher or tracer.  They draw no
+        randomness (detection is deterministic per frame) and their work is
+        uncharged: the driver charges on consumption.
         """
         return dataclasses.replace(
             self, rng=np.random.default_rng(0), tracer=None, _prefetcher=None
@@ -158,7 +148,7 @@ class ExecutionContext:
         :func:`spawn_refusal` finds the context cannot cross a process
         boundary.  Routing treats the error as "use threads instead".
         """
-        refusal = spawn_refusal(self.detector, self.recorded)
+        refusal = spawn_refusal(self.detector)
         if refusal is not None:
             raise SpawnExportError(refusal)
         return ContextSpec(
@@ -238,10 +228,11 @@ class ExecutionContext:
         one that has it: the per-execution cache of an
         :class:`ExecutionLedger` (in-batch repeats count as hits of it) →
         the shared cross-query cache → the persistent index → *one charge for
-        everything still left* → the parallel prefetcher → the recording →
-        the detector.  A free tier may serve only what is provably what the
-        detector would have returned, so a hit is seeded into the execution
-        cache under its own counter and never charged.
+        everything still left* → the parallel prefetcher → the detector (a
+        recorded test day is a detector, so it replays here).  A free tier
+        may serve only what is provably what the detector would have
+        returned, so a hit is seeded into the execution cache under its own
+        counter and never charged.
         """
         order: list[int] = np.asarray(frame_indices, dtype=np.int64).tolist()
         execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
@@ -281,10 +272,7 @@ class ExecutionContext:
                 computed = self._prefetcher.take_many(left)
             remaining = [frame for frame in left if frame not in computed]
             if remaining:
-                if self.recorded is not None:
-                    fresh = [self.recorded.result(frame) for frame in remaining]
-                else:
-                    fresh = self.detector.detect_many(self.video, remaining)
+                fresh = self.detector.detect_many(self.video, remaining)
                 computed.update(zip(remaining, fresh, strict=True))
             if execution_ledger is not None:
                 execution_ledger.record_detections({frame: computed[frame] for frame in left})

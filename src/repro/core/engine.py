@@ -65,6 +65,12 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime (api uses engine)
     from repro.api.session import QuerySession
 
 
+def _detector_identity(detector: ObjectDetector) -> tuple[object, ...]:
+    """What a cache key folds in of a detector: name, seed, threshold (if any)."""
+    seed = getattr(detector, "seed", "")
+    return detector.name, seed, getattr(detector, "confidence_threshold", "")
+
+
 class BlazeIt:
     """Declarative video analytics engine over the synthetic video substrate."""
 
@@ -141,22 +147,15 @@ class BlazeIt:
         ``build_labeled_set`` is true, the configured detector is run over both
         days offline to build the labeled set (not charged to any query), and
         the statistics catalog gains the per-class statistics the cost-based
-        optimizer prices plans with.
+        optimizer prices plans with.  A recording of the replaced day is dropped.
         """
         self.store.register(name, test_video)
+        self._recorded.pop(name, None)
         if detector is not None:
             self._detectors[name] = detector
         if train_video is not None and heldout_video is not None and build_labeled_set:
-            labeled = LabeledSet.build(
-                train_video, heldout_video, self.detector_for(name)
-            )
-            self._labeled_sets[name] = labeled
-            self.catalog.register_from_labeled_set(
-                name,
-                test_video.num_frames,
-                labeled,
-                self.detector_for(name).cost.seconds_per_call,
-                training_epochs=self.config.training.epochs,
+            self.attach_labeled_set(
+                name, LabeledSet.build(train_video, heldout_video, self.detector_for(name))
             )
 
     def register_scenario(
@@ -209,10 +208,18 @@ class BlazeIt:
     def attach_recorded(self, name: str, recorded: RecordedDetections) -> None:
         """Attach a pre-computed detector recording for the test day of ``name``.
 
-        Plans that "call the detector" then replay the recording while still
-        charging detection cost, which makes repeated benchmark runs cheap in
-        wall-clock time without changing any measured quantity.
+        The recording becomes the detector of ``name``'s execution contexts:
+        plans that "call the detector" replay it while still charging
+        detection cost, which makes repeated benchmark runs cheap in
+        wall-clock time without changing any measured quantity.  It must be
+        of the registered test day, by the detector identity the cache key
+        folds in, or the cascade would publish other frames under that key.
         """
+        if recorded.video is not self.store.get(name):
+            raise ConfigurationError(f"the recording is not of the test day {name!r}")
+        made_by, expected = map(_detector_identity, (recorded.detector, self.detector_for(name)))
+        if made_by != expected:
+            raise ConfigurationError(f"the recording is by detector {made_by}, not {expected}")
         self._recorded[name] = recorded
 
     def record_test_day(self, name: str) -> RecordedDetections:
@@ -226,10 +233,6 @@ class BlazeIt:
     def detector_for(self, name: str) -> ObjectDetector:
         """The detector configured for a video (falls back to the default)."""
         return self._detectors.get(name, self.default_detector)
-
-    def recorded_for(self, name: str) -> RecordedDetections | None:
-        """The test-day recording attached to a video, or ``None``."""
-        return self._recorded.get(name)
 
     def labeled_set(self, name: str) -> LabeledSet | None:
         """The labeled set for a video, or ``None`` if it was never built."""
@@ -300,16 +303,13 @@ class BlazeIt:
         present), so the same video queried under two detectors never shares
         entries.
         """
-        detector = self.detector_for(video_name)
         video = self.store.get(video_name)
         return "|".join(
             str(part)
             for part in (
                 video_name,
                 video.spec.seed,
-                detector.name,
-                getattr(detector, "seed", ""),
-                getattr(detector, "confidence_threshold", ""),
+                *_detector_identity(self.detector_for(video_name)),
             )
         )
 
@@ -326,11 +326,10 @@ class BlazeIt:
             )
         return ExecutionContext(
             video=self.store.get(video_name),
-            detector=self.detector_for(video_name),
+            detector=self._recorded.get(video_name) or self.detector_for(video_name),
             udf_registry=self.udf_registry,
             config=self.config,
             labeled_set=self._labeled_sets.get(video_name),
-            recorded=self._recorded.get(video_name),
             rng=np.random.default_rng(self._spawn_seed_sequence()),
             shared_cache=self._shared_cache,
             cache_key=self._cache_key_for(video_name),

@@ -69,8 +69,8 @@ class SpawnExportError(BlazeItError):
     """Raised when an execution context cannot be exported to worker processes.
 
     The process shard backend rebuilds each worker's context from a picklable
-    spec; a detector that will not pickle, or a context bound to driver-only
-    state (e.g. a recorded test day), cannot cross the process boundary.
+    spec; a detector that will not pickle (a recorded test day among them:
+    recordings are driver-only) cannot cross the process boundary.
     Routing catches this and falls back to the thread backend.
     """
 

@@ -20,6 +20,7 @@ optimizer; nothing downstream ever re-inspects the AST.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -134,9 +135,12 @@ QuerySpec = AggregateQuerySpec | ScrubbingQuerySpec | SelectionQuerySpec | Exact
 
 def _number(name: str, value: Any) -> float:
     try:
-        return float(value)
+        result = float(value)
     except (TypeError, ValueError):
-        raise FrameQLAnalysisError(f"{name} must be a number, got {value!r}") from None
+        result = math.nan
+    if not math.isfinite(result):
+        raise FrameQLAnalysisError(f"{name} must be a finite number, got {value!r}")
+    return result
 
 
 def positive_number(name: str, value: Any) -> float:
@@ -171,20 +175,32 @@ def error_rate(name: str, value: Any) -> float:
     return result
 
 
+#: Per accuracy clause attribute: its text, the query class it bounds, its rule.
+_ACCURACY_CLAUSES = {
+    "error_within": ("ERROR WITHIN", QueryKind.AGGREGATE, positive_number),
+    "confidence": ("AT CONFIDENCE", QueryKind.AGGREGATE, confidence_fraction),
+    "fnr_within": ("FNR WITHIN", QueryKind.SELECTION, error_rate),
+    "fpr_within": ("FPR WITHIN", QueryKind.SELECTION, error_rate),
+}
+
+
 # -- helpers -------------------------------------------------------------------
 
 
-def _validate_accuracy(query: Query) -> None:
-    """Check the accuracy clauses before anything prices or runs them (the
-    parser has already read ``AT CONFIDENCE`` as a fraction)."""
-    if query.error_within is not None:
-        positive_number("error_within", query.error_within)
-    if query.confidence is not None:
-        confidence_fraction("confidence", query.confidence)
-    if query.fnr_within is not None:
-        error_rate("fnr_within", query.fnr_within)
-    if query.fpr_within is not None:
-        error_rate("fpr_within", query.fpr_within)
+def _validate_accuracy(spec: QuerySpec) -> QuerySpec:
+    """``spec``, once each accuracy clause it states is in range and bounds
+    its class (the parser has already read ``AT CONFIDENCE`` as a fraction)."""
+    for attribute, (text, kind, rule) in _ACCURACY_CLAUSES.items():
+        value = getattr(spec.raw_query, attribute)
+        if value is None:
+            continue
+        rule(attribute, value)
+        if spec.kind is not kind:
+            raise FrameQLAnalysisError(
+                f"{text} applies only to {kind.value} queries, not to "
+                f"{spec.kind.value} queries"
+            )
+    return spec
 
 
 def _validate_columns(query: Query) -> None:
@@ -481,28 +497,24 @@ def analyze(query: Query) -> QuerySpec:
 
     Raises :class:`~repro.errors.FrameQLAnalysisError` for semantically
     invalid queries (unknown columns, unsupported predicate shapes, accuracy
-    clauses out of range).
+    clauses out of range or of another query class).
     """
     if not query.video:
         raise FrameQLAnalysisError("query has no FROM video")
     if not query.select:
         raise FrameQLAnalysisError("query selects nothing")
     _validate_columns(query)
-    _validate_accuracy(query)
     facts = _extract_where_facts(query.where)
 
-    scrubbing = _classify_scrubbing(query, facts)
-    if scrubbing is not None:
-        return scrubbing
-    aggregate = _classify_aggregate(query, facts)
-    if aggregate is not None:
-        return aggregate
-    selection = _classify_selection(query, facts)
-    if selection is not None:
-        return selection
-    return ExactQuerySpec(
-        video=query.video,
-        kind=QueryKind.EXACT,
-        raw_query=query,
-        reason="query shape not recognised by the rule-based optimizer",
+    spec = (
+        _classify_scrubbing(query, facts)
+        or _classify_aggregate(query, facts)
+        or _classify_selection(query, facts)
+        or ExactQuerySpec(
+            video=query.video,
+            kind=QueryKind.EXACT,
+            raw_query=query,
+            reason="query shape not recognised by the rule-based optimizer",
+        )
     )
+    return _validate_accuracy(spec)

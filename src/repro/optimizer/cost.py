@@ -65,7 +65,6 @@ from repro.optimizer.selection import SelectionQueryPlan
 from repro.udf.registry import UDFRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.recorded import RecordedDetections
     from repro.detection.base import ObjectDetector
 
 
@@ -237,7 +236,6 @@ def routed_parallelism(
     batch_size: int,
     backend_constraint: str | None,
     detector: "ObjectDetector",
-    recorded: "RecordedDetections | None",
 ) -> ParallelismDecision:
     """The verdict on hint/config-routed parallelism for one planned query.
 
@@ -248,7 +246,8 @@ def routed_parallelism(
     ``LIMIT`` and declines (speculative prefetch measured a 0.44x regression
     at 4 workers), every other plan scans and shards as requested.
     Exportability to process workers is probed only when processes are
-    actually in play: the probe pickles the detector.
+    actually in play: the probe pickles the detector (a recorded test day
+    refuses, so it keeps to threads).
     """
     from repro.core.context import spawn_refusal
     from repro.parallel.executor import WINDOW_CHUNKS
@@ -273,7 +272,7 @@ def routed_parallelism(
             source="fallback",
         )
     processes_in_play = detector.gil_bound or backend_constraint == "processes"
-    process_ok = not processes_in_play or spawn_refusal(detector, recorded) is None
+    process_ok = not processes_in_play or spawn_refusal(detector) is None
     return ParallelismModel().decide(
         cost=decision.chosen.cost,
         stats=decision.stats,

@@ -343,7 +343,7 @@ class DetectionPrefetcher(ShardDriver):
 
     Workers speculate in the driver context's
     :meth:`~repro.core.context.ExecutionContext.shard_context`, reading —
-    never writing — the shared cross-query cache and the recording.  Right
+    never writing — the shared cross-query cache.  Right
     whenever the detector releases the GIL during its latency.
     """
 

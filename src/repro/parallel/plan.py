@@ -156,9 +156,9 @@ def parallel_events(
     ``backend`` selects the transport: ``"threads"`` (the default; right
     whenever the detector releases the GIL during its latency) or
     ``"processes"`` (shared-memory columnar transport; right for GIL-bound
-    detectors).  A context that cannot be exported to worker processes — an
-    unpicklable detector, a recorded test day — silently falls back to
-    threads, which is always semantically equivalent.
+    detectors).  A context whose detector cannot be exported to worker
+    processes — one that will not pickle, such as a recorded test day —
+    silently falls back to threads, which is always semantically equivalent.
     """
     if parallelism < 2:
         raise ConfigurationError(

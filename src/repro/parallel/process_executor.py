@@ -11,8 +11,10 @@ per (detector seed, video seed, frame index), so a worker's speculative
 output is bit-for-bit what the driver would have computed.  Results travel
 as columnar payloads through a per-shard ring of shared-memory slots
 (:mod:`repro.parallel.shm`) with a small header on a queue.  The shared
-cross-query cache and recorded detections stay driver-only: a process worker
-recomputing a cached frame costs wall-clock, never simulated budget.
+cross-query cache stays driver-only: a process worker recomputing a cached
+frame costs wall-clock, never simulated budget.  A recorded test day is a
+detector that refuses to pickle, so a context replaying one never reaches
+this transport.
 
 A worker that dies (crash, SIGKILL) simply stops publishing; the driver
 notices the dead process and the plan computes the remaining frames inline.

@@ -43,10 +43,13 @@ def detect_reference(
 ) -> DetectionResult:
     """One frame through the source cascade: this *is* the accounting contract.
 
-    Execution cache → shared cache → index → charge → prefetcher → recording
-    → detector → publish.  A free tier's hit is seeded into the execution
-    cache under its own counter and counted as a cache hit; only a frame no
-    free tier has is charged, once, whoever then computes it.
+    Execution cache → shared cache → index → charge → prefetcher → detector
+    → publish.  The simulated detector answers through its scalar twin
+    below; any other detector (a recorded test day among them) has none, so
+    its own one-frame call is the reference.  A free tier's hit is seeded
+    into the execution cache under its own counter and counted as a cache
+    hit; only a frame no free tier has is charged, once, whoever then
+    computes it.
     """
     execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
     if execution_ledger is not None:
@@ -72,10 +75,10 @@ def detect_reference(
         cost = context.detector.cost
         ledger.charge(OperatorCost(cost.name, cost.seconds_per_call * cost_scale))
     result = prefetcher.take(frame_index) if prefetcher is not None else None
-    if result is None and context.recorded is not None:
-        result = context.recorded.result(frame_index)
-    elif result is None:
+    if result is None and isinstance(context.detector, SimulatedDetector):
         result = reference_detect(context.detector, context.video, frame_index)
+    elif result is None:
+        result = context.detector.detect(context.video, frame_index)
     if execution_ledger is not None:
         execution_ledger.record_detections({frame_index: result})
     if context.shared_cache is not None:

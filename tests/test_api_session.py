@@ -135,6 +135,19 @@ class TestPreparedQuery:
         assert str(from_text.value) == str(from_builder.value)
         assert str(from_text.value) == str(from_binding.value)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_error_bound_rejected_on_every_path(self, tiny_engine, value):
+        """An infinite stated bound is no bound: the builder and re-binding
+        refuse it (query text cannot spell it: ``1e999`` is a syntax error)."""
+        with pytest.raises(FrameQLAnalysisError, match="finite"):
+            Q.select(FCOUNT()).from_("tiny").where(cls="car").error_within(value)
+        prepared = tiny_engine.session().prepare(
+            "SELECT FCOUNT(*) FROM tiny WHERE class = 'car' ERROR WITHIN 0.1"
+        )
+        with pytest.raises(QueryParameterError, match="finite"):
+            prepared.execute(error_within=value)
+        assert prepared.spec.error_tolerance == pytest.approx(0.1)
+
     def test_exact_queries_bind_nothing(self, tiny_engine):
         prepared = tiny_engine.session().prepare("SELECT timestamp FROM tiny")
         with pytest.raises(QueryParameterError, match="none"):

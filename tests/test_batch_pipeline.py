@@ -24,7 +24,11 @@ from repro.core.engine import BlazeIt
 from repro.core.events import ExecutionControl
 from repro.core.recorded import RecordedDetections
 from repro.detection.base import DetectionResult
-from repro.detection.columnar import decode_detection_results, encode_detection_results
+from repro.detection.columnar import (
+    DetectionBatch,
+    decode_detection_results,
+    encode_detection_results,
+)
 from repro.errors import ConfigurationError
 from repro.index import store as store_module
 from repro.index.store import SEGMENT_COLUMNS, VideoIndex
@@ -284,14 +288,13 @@ class TestSourceCascadeMatchesOracle:
             cache.put_many("cascade", {f: truth[f] for f in warm})
         context = ExecutionContext(
             video=video,
-            detector=detector,
+            detector=(
+                RecordedDetections(video, detector, DetectionBatch.from_results(truth))
+                if "recorded" in sources
+                else detector
+            ),
             udf_registry=default_udf_registry(),
             config=BlazeItConfig(),
-            recorded=(
-                RecordedDetections(video, detector, truth)
-                if "recorded" in sources
-                else None
-            ),
             shared_cache=cache,
             cache_key="cascade",
             index_view=view if "index" in sources else None,
@@ -328,13 +331,8 @@ class TestSourceCascadeMatchesOracle:
             )
             assert_results_identical(got, want)
             # Provenance: whichever tier answered, it is the detector's answer
-            # — and with a recording nobody runs the detector (only the index
-            # and the shared cache, which keeps its own copy of each frame's
-            # rows, hand out fresh results; every other source holds
-            # ``truth``'s).
+            # (a recording replays it).
             assert_results_identical(got, [truth[f] for f in batch])
-            if "recorded" in sources and not {"index", "cache"} & sources:
-                assert all(r is truth[f] for r, f in zip(got, batch, strict=True))
         if ledger is not None:
             assert_ledgers_agree(ledger, reference_ledger)
         if isinstance(ledger, ExecutionLedger):

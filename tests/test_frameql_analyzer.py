@@ -203,3 +203,58 @@ class TestExactFallbackAndErrors:
     def test_udf_with_two_args_rejected(self):
         with pytest.raises(FrameQLAnalysisError):
             _analyze("SELECT * FROM v WHERE class='car' AND dist(mask, content) > 5")
+
+
+class TestAccuracyClauseOfAnotherClass:
+    """A clause no plan of the query's class reads is refused, not dropped."""
+
+    @pytest.mark.parametrize(
+        "text, clause, kind",
+        [
+            ("SELECT * FROM v WHERE class='boat' ERROR WITHIN 0.1", "ERROR WITHIN", "selection"),
+            (
+                "SELECT * FROM v WHERE class='boat' AT CONFIDENCE 95%",
+                "AT CONFIDENCE",
+                "selection",
+            ),
+            (
+                "SELECT timestamp FROM v GROUP BY timestamp "
+                "HAVING SUM(class='bus') >= 1 LIMIT 5 ERROR WITHIN 0.1",
+                "ERROR WITHIN",
+                "scrubbing",
+            ),
+            (
+                "SELECT timestamp FROM v GROUP BY timestamp "
+                "HAVING SUM(class='bus') >= 1 LIMIT 5 FNR WITHIN 0.01",
+                "FNR WITHIN",
+                "scrubbing",
+            ),
+            (
+                "SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1 FNR WITHIN 0.01",
+                "FNR WITHIN",
+                "aggregate",
+            ),
+            (
+                "SELECT FCOUNT(*) FROM v WHERE class='car' FPR WITHIN 0.01",
+                "FPR WITHIN",
+                "aggregate",
+            ),
+            ("SELECT * FROM v ERROR WITHIN 0.1", "ERROR WITHIN", "exact"),
+        ],
+    )
+    def test_refused_with_clause_and_class_named(self, text, clause, kind):
+        with pytest.raises(FrameQLAnalysisError) as refused:
+            _analyze(text)
+        assert clause in str(refused.value)
+        assert f"not to {kind} queries" in str(refused.value)
+
+    def test_own_clauses_still_accepted(self):
+        aggregate = _analyze(
+            "SELECT FCOUNT(*) FROM v WHERE class='car' ERROR WITHIN 0.1 AT CONFIDENCE 90%"
+        )
+        assert aggregate.error_tolerance == pytest.approx(0.1)
+        assert aggregate.confidence == pytest.approx(0.9)
+        selection = _analyze(
+            "SELECT * FROM v WHERE class='car' FNR WITHIN 0.01 FPR WITHIN 0.02"
+        )
+        assert (selection.fnr_within, selection.fpr_within) == (0.01, 0.02)

@@ -29,14 +29,13 @@ def _spec(text):
 
 
 @pytest.fixture()
-def context(tiny_video, tiny_labeled_set, tiny_recorded, detector, engine_config):
+def context(tiny_video, tiny_labeled_set, tiny_recorded, engine_config):
     return ExecutionContext(
         video=tiny_video,
-        detector=detector,
+        detector=tiny_recorded,
         udf_registry=default_udf_registry(),
         config=engine_config,
         labeled_set=tiny_labeled_set,
-        recorded=tiny_recorded,
         rng=np.random.default_rng(0),
     )
 

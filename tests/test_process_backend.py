@@ -423,7 +423,7 @@ class TestDriverOnlyStateNeverReachesAWorker:
 
     def test_export_probe_refuses_it(self, spawn_engine, kind):
         detector = _CarryingDetector(DRIVER_ONLY[kind]())
-        refusal = spawn_refusal(detector, None)
+        refusal = spawn_refusal(detector)
         assert refusal is not None and repr(detector.name) in refusal
         context = dataclasses.replace(
             spawn_engine.execution_context("tiny"), detector=detector

@@ -496,6 +496,34 @@ class TestWire:
         )
         assert client.prepare(session_id, query)["kind"] == "aggregate"
 
+    def test_infinite_error_bound_param_is_a_400(self, live_service):
+        """Python's ``json`` reads ``Infinity``; the bound it spells is
+        refused like any other out-of-range re-binding."""
+        client, _ = live_service
+        client.create_tenant("t")
+        session_id = client.create_session("t")
+        query = f"{queries_for(scenario_class())[0]} ERROR WITHIN 0.1"
+        with pytest.raises(ServiceClientError) as rejected:
+            client.submit(session_id, query=query, params={"error_within": float("inf")})
+        assert (rejected.value.status, rejected.value.code) == (
+            400,
+            "QueryParameterError",
+        )
+        assert "finite" in str(rejected.value)
+
+    def test_accuracy_clause_of_another_class_is_a_400(self, live_service):
+        client, _ = live_service
+        client.create_tenant("t")
+        session_id = client.create_session("t")
+        selection = queries_for(scenario_class())[1]
+        with pytest.raises(ServiceClientError) as rejected:
+            client.prepare(session_id, f"{selection} ERROR WITHIN 0.1")
+        assert (rejected.value.status, rejected.value.code) == (
+            400,
+            "FrameQLAnalysisError",
+        )
+        assert "ERROR WITHIN" in str(rejected.value)
+
     def test_sse_stream_matches_log_and_resumes(self, live_service):
         client, manager = live_service
         cls = scenario_class()

@@ -28,6 +28,7 @@ from repro.core.context import ExecutionContext
 from repro.core.events import ExecutionControl
 from repro.core.recorded import RecordedDetections
 from repro.detection.base import BoundingBox, Detection, DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.detection.simulated import SimulatedDetector
 from repro.frameql.analyzer import analyze
 from repro.frameql.parser import parse
@@ -95,6 +96,13 @@ def detections_of(counts) -> list[DetectionResult]:
     return results
 
 
+def recording_of(video, detector, counts) -> RecordedDetections:
+    """A recorded test day of ``video`` whose detections are ``counts``."""
+    return RecordedDetections(
+        video, detector, DetectionBatch.from_detections(detections_of(counts))
+    )
+
+
 @contextmanager
 def contexts(counts, range_size):
     """``(plain, served)``: the recorded detections alone, and the same with
@@ -103,10 +111,9 @@ def contexts(counts, range_size):
     detector = SimulatedDetector.mask_rcnn()
     plain = ExecutionContext(
         video=video,
-        detector=detector,
+        detector=recording_of(video, detector, counts),
         udf_registry=default_udf_registry(),
         config=BlazeItConfig(),
-        recorded=RecordedDetections(video, detector, detections_of(counts)),
         cache_key="sketch-answers",
     )
     with tempfile.TemporaryDirectory() as root:
@@ -188,7 +195,7 @@ class TestSketchAnsweredCount:
             served = dataclasses.replace(
                 prefix,
                 video=video,
-                recorded=RecordedDetections(video, prefix.detector, detections_of(counts)),
+                detector=recording_of(video, prefix.detector.detector, counts),
             )
             result = run_plan(AggregateQueryPlan(spec), served)
         assert result.value == (30 + 3 * 20) / 80
