@@ -547,13 +547,16 @@ class QuerySession:
 
         ``query`` may be FrameQL text, a fluent :class:`QueryBuilder`, or an
         already-built AST.  Per-query ``hints`` override the session's
-        default hints.
+        default hints.  A query over a video the engine has not registered
+        raises :class:`~repro.errors.UnknownVideoError` here, not at
+        execution.
         """
         watch = Stopwatch()
         text, ast = self._to_ast(query)
         effective_hints = require_hints(hints) if hints is not None else self.hints
         parse_seconds = watch.elapsed()
         spec = analyze(ast)
+        self.engine.store.get(spec.video)  # an unregistered video fails here
         plan = self.engine.optimizer.plan(spec, hints=effective_hints)
         optimize_seconds = watch.elapsed() - parse_seconds
         self.stats.plans += 1

@@ -111,7 +111,7 @@ class BlazeIt:
             catalog=self.catalog,
             config=self.config,
             index_lookup=self._index_attachable,
-            frame_count=lambda name: self.store.get(name).num_frames if name in self.store else 0,
+            frame_count=lambda name: self.store.get(name).num_frames,
         )
         self._detectors: dict[str, ObjectDetector] = {}
         self._labeled_sets: dict[str, LabeledSet] = {}

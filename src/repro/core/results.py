@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from repro.frameql.schema import FrameRecord
+from repro.frameql.records import RecordTable
 from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
 from repro.obs.profile import ExecutionProfile
 from repro.wire import OMIT_NONE, Tagged
@@ -212,11 +212,15 @@ class ScrubbingQueryResult(QueryResult):
 
 @dataclass
 class SelectionResult(QueryResult):
-    """Result of a content-based selection query."""
+    """Result of a content-based selection query.
+
+    ``records`` is a :class:`~repro.frameql.records.RecordTable`: the rows
+    stay columns, and a ``FrameRecord`` is built only when one is read.
+    """
 
     wire_name: ClassVar[str] = "selection"
 
-    records: list[FrameRecord] = field(default_factory=list)
+    records: RecordTable = field(default_factory=RecordTable.empty)
     matched_frames: list[int] = field(default_factory=list)
     frames_scanned: int = 0
     frames_after_filters: int = 0
@@ -224,9 +228,10 @@ class SelectionResult(QueryResult):
 
 @dataclass
 class ExactResult(QueryResult):
-    """Result of an exact (unoptimized) query."""
+    """Result of an exact (unoptimized) query (``records`` as in
+    :class:`SelectionResult`)."""
 
     wire_name: ClassVar[str] = "exact"
 
-    records: list[FrameRecord] = field(default_factory=list)
+    records: RecordTable = field(default_factory=RecordTable.empty)
     value: float | None = None

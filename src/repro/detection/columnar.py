@@ -13,9 +13,11 @@ batch: its ``detections`` are a :class:`DetectionRows` view, whose
 :class:`~repro.detection.base.Detection` objects only when a consumer
 iterates or indexes it.  The query path reads columns: the IoU tracker
 scores boxes as arrays, selection's class, area and spatial predicates are
-one row mask, and FrameQL records are built straight from the rows
-(:meth:`DetectionBatch.row_fields`).  ``Detection`` objects are built only
-for a UDF predicate's rows and for callers that iterate a result.  Consumers
+one row mask, and the FrameQL records a query returns stay columns too — a
+:class:`~repro.frameql.records.RecordTable` over the selected rows
+(:meth:`DetectionBatch.gather`), which builds a record only when a caller
+reads one.  ``Detection`` objects are built only for a UDF predicate's rows
+and for callers that iterate a result.  Consumers
 that need only classes, counts or bytes — aggregates, the scrubbing verifier,
 the sketch builder, the segment writer, the cache budget and its snapshots,
 the shm transport — never build one.  A result constructed from a list of
@@ -320,13 +322,41 @@ class DetectionBatch:
         rows = np.asarray(frame_rows, dtype=np.int64)
         starts = self.offsets[rows]
         det_rows, offsets = concatenated_runs(starts, self.offsets[rows + 1] - starts)
+        return self._gather(
+            det_rows,
+            np.asarray(frame_index, dtype=np.int64),
+            np.asarray(timestamp, dtype=np.float64),
+            offsets,
+        )
+
+    def gather(self, rows: np.ndarray) -> DetectionBatch:
+        """A new batch owning copies of the detection ``rows``, in the given
+        order, each its own frame (labelled with its frame's index and
+        timestamp)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        frame_rows = self.frame_rows(rows)
+        return self._gather(
+            rows,
+            self.frame_index[frame_rows],
+            self.timestamp[frame_rows],
+            np.arange(rows.size + 1, dtype=np.int64),
+        )
+
+    def _gather(
+        self,
+        det_rows: np.ndarray,
+        frame_index: np.ndarray,
+        timestamp: np.ndarray,
+        offsets: np.ndarray,
+    ) -> DetectionBatch:
+        """A batch of copies of ``det_rows`` over the given frame columns."""
         feature_len = self.feature_len[det_rows]
         features = self.features_flat[
             concatenated_runs(self.feature_start[det_rows], np.maximum(feature_len, 0))[0]
         ]
         return DetectionBatch(
-            frame_index=np.asarray(frame_index, dtype=np.int64),
-            timestamp=np.asarray(timestamp, dtype=np.float64),
+            frame_index=frame_index,
+            timestamp=timestamp,
             offsets=offsets,
             class_code=self.class_code[det_rows],
             class_table=self.class_table,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detection.base import DetectionResult
-from repro.frameql.schema import FrameRecord
+from repro.frameql.records import RecordTable
 from repro.optimizer.operators.base import PhysicalOperator
 from repro.tracking.iou_tracker import IoUTracker
 from repro.tracking.track import ResolvedTrack
@@ -50,20 +50,22 @@ class TrackAggregator(PhysicalOperator):
         tracks: list[ResolvedTrack],
         keep: np.ndarray | None = None,
         min_rows: int = 1,
-    ) -> list[FrameRecord]:
-        """One FrameQL record per tracked row, track by track, read from the
-        columns.
+    ) -> RecordTable:
+        """One FrameQL record per tracked row, track by track, as a column
+        table of those rows.
 
         ``keep`` (a row mask over the tracks' batch) restricts the records to
         the rows it selects, and only tracks with at least ``min_rows``
         selected rows produce any.
         """
         if not tracks:
-            return []
+            return RecordTable.empty()
         batch = tracks[0].batch
         rows = np.concatenate([track.rows for track in tracks])
         lengths = [track.length for track in tracks]
-        track_ids = np.repeat([track.track_id for track in tracks], lengths)
+        track_ids = np.repeat(
+            np.asarray([track.track_id for track in tracks], dtype=np.int64), lengths
+        )
         if keep is not None:
             kept = keep[rows]
             position = np.repeat(np.arange(len(tracks)), lengths)
@@ -71,19 +73,4 @@ class TrackAggregator(PhysicalOperator):
             kept &= enough[position]
             rows = rows[kept]
             track_ids = track_ids[kept]
-        return [
-            FrameRecord(
-                timestamp=stamp,
-                frame_index=frame,
-                object_class=object_class,
-                mask=box,
-                trackid=trackid,
-                features=features,
-                confidence=confidence,
-                color=color,
-                color_name=color_name,
-            )
-            for trackid, (
-                frame, stamp, object_class, box, confidence, features, _, color, color_name,
-            ) in zip(track_ids.tolist(), batch.row_fields(rows), strict=True)
-        ]
+        return RecordTable(batch.gather(rows), track_ids)

@@ -35,7 +35,7 @@ from repro.detection.base import DetectionResult
 from repro.detection.columnar import DetectionBatch
 from repro.errors import PlanningError
 from repro.frameql.analyzer import SelectionQuerySpec
-from repro.frameql.schema import FrameRecord
+from repro.frameql.records import RecordTable
 from repro.metrics.runtime import ExecutionLedger
 from repro.obs.trace import operator_scope
 from repro.optimizer.base import CostEstimate, PhysicalPlan
@@ -236,7 +236,7 @@ class SelectionQueryPlan(PhysicalPlan):
             window_limit if self.spec.min_track_frames is None else None
         )
         frame_results: list[DetectionResult] = []
-        records: list[FrameRecord] = []
+        records = RecordTable.empty()
         matched_frames: set[int] = set()
         candidates_pending = False
         taken = 0
@@ -299,7 +299,7 @@ class SelectionQueryPlan(PhysicalPlan):
                 for frame in range(start, end + 1)
             }
             matched_frames = {f for f in matched_frames if f in kept}
-            records = [r for r in records if r.frame_index in kept]
+            records = records.select(np.isin(records.frame_index, sorted(kept)))
         for position, (start, end) in enumerate(windows, start=1):
             yield SelectionWindow(
                 start_frame=start,
@@ -348,7 +348,7 @@ class SelectionQueryPlan(PhysicalPlan):
         context: ExecutionContext,
         frame_results: list[DetectionResult],
         plan: SelectionPlan,
-    ) -> tuple[list[FrameRecord], set[int]]:
+    ) -> tuple[RecordTable, set[int]]:
         spec = self.spec
         step = self._subsample_step(plan)
 
@@ -373,4 +373,4 @@ class SelectionQueryPlan(PhysicalPlan):
                 else None
             )
             records = aggregator.materialize(tracks, keep, min_detections)
-        return records, {record.frame_index for record in records}
+        return records, set(records.frame_index.tolist())

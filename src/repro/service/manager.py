@@ -37,7 +37,7 @@ from repro import wire
 from repro.core.events import Completed, ExecutionStream
 from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
-from repro.service.protocol import event_to_json, hints_from_json, result_to_json
+from repro.service.protocol import event_to_json, hints_from_json
 from repro.service.scheduler import FairScheduler
 from repro.sync import Guarded
 
@@ -214,6 +214,9 @@ class QueryRecord:
         self.log = EventLog()
         self.state = QUEUED
         self.result: QueryResult | None = None
+        #: The result's JSON form: the one the ``completed`` event on the
+        #: log carries, reused by :meth:`status` rather than encoded again.
+        self.result_json: dict[str, Any] | None = None
         self.stop_reason: str | None = None
         self.error: str | None = None
         self.cancel_requested = False
@@ -272,8 +275,8 @@ class QueryRecord:
         }
         if self.error is not None:
             payload["error"] = self.error
-        if self.result is not None:
-            payload["result"] = result_to_json(self.result)
+        if self.result_json is not None:
+            payload["result"] = self.result_json
         return payload
 
 
@@ -560,7 +563,8 @@ class ServiceManager:
         assert stream is not None  # released only by _finalise, below
         try:
             for event in stream:
-                record.log.append(event_to_json(event))
+                envelope = event_to_json(event)
+                record.log.append(envelope)
                 if record.first_event_at is None:
                     record.first_event_at = time.perf_counter()
                     ttfe = record.ttfe_seconds
@@ -572,6 +576,7 @@ class ServiceManager:
                         )
                 if isinstance(event, Completed):
                     record.result = event.result
+                    record.result_json = envelope["data"]["result"]
                     record.stop_reason = event.stop_reason
         except BlazeItError as exc:
             record.error = f"{type(exc).__name__}: {exc}"

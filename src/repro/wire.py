@@ -14,16 +14,25 @@ is coerced when encoding (numpy integers are not JSON-serializable),
 ``float`` when decoding (JSON cannot tell ``3`` from ``3.0``), arrays travel
 as ``float64`` lists, tuples and frozensets as lists, ``T | None`` as
 ``null``, a nested dataclass as a nested object — or, if it sets
-``wire_positional``, as the list of its field values.  A family of classes
-told apart by a tag (:class:`Tagged`) decodes to the class its tag names.
+``wire_positional``, as the list of its field values, each converted as its
+field is.  A family of classes told apart by a tag (:class:`Tagged`) decodes
+to the class its tag names.  A class that is not a dataclass but defines
+``to_wire()`` and a ``from_wire(payload)`` classmethod travels as what they
+produce and accept: the record table
+(:class:`~repro.frameql.records.RecordTable`) is the one such type, and its
+wire form is the list of its record objects, written column by column.  Its
+``to_wire`` serves both :func:`encode` and :func:`encode_compared`, so such
+a type carries no ``compare=False`` field.
 
 Decoding is the service's check on outside input: a payload that is not an
 object, carries an unknown key, lacks a field that has no default or holds a
 value of the wrong shape raises :class:`~repro.errors.ConfigurationError`
 naming the valid fields.  Leaves are type-checked too: an ``int`` field takes
 only a JSON integer, a ``bool`` only ``true``/``false``, a ``str`` only a
-string, and a ``float`` any number — a ``bool`` is never a number.  An absent
-key falls back to the field's default.
+string, and a ``float`` any number — a ``bool`` is never a number.  A
+fixed-length tuple and a positional dataclass take a list of exactly their
+length, and an array a flat list of numbers.  An absent key falls back to the
+field's default.
 Only a :class:`Tagged` class skips keys it does not know: those are the
 protocol's own messages, which a newer peer may have extended (the index
 counters joined the v1 ledger that way) — the mirror image of the default.
@@ -45,7 +54,17 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["OMIT_NONE", "Tagged", "decode", "encode", "encode_compared"]
+__all__ = [
+    "OMIT_NONE",
+    "Tagged",
+    "decode",
+    "encode",
+    "encode_compared",
+    "expect",
+    "expect_number",
+    "expect_numbers",
+    "expect_values",
+]
 
 _T = TypeVar("_T")
 
@@ -91,18 +110,40 @@ class Tagged:
             )
 
 
-def _expect(kind: type[_T], value: Any) -> _T:
+def expect(kind: type[_T], value: Any) -> _T:
+    """``value`` if it is a JSON ``kind``, else :class:`ConfigurationError`."""
     # ``bool`` subclasses ``int``: a JSON ``true`` is not a number.
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise ConfigurationError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
 
 
-def _expect_number(value: Any) -> float:
+def expect_number(value: Any) -> float:
+    """``value`` as a float if it is a JSON number (never a ``bool``)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"expected a JSON number, got {value!r}")
     return float(value)
 
+
+def expect_values(value: Any, count: int) -> list[Any]:
+    """``value`` if it is a JSON list of exactly ``count`` values."""
+    if not isinstance(value, list) or len(value) != count:
+        raise ConfigurationError(f"expected a JSON list of {count} values, got {value!r}")
+    return value
+
+
+def expect_numbers(value: Any) -> list[Any]:
+    """``value`` if it is a JSON list of numbers, each as :func:`expect_number`
+    takes it (a list of plain ``int``/``float`` needs only one set)."""
+    values = expect(list, value)
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        for number in values:
+            expect_number(number)
+    return values
+
+
+#: What ``json`` decodes a number to (``bool`` is neither).
+_NUMBER_TYPES = frozenset({int, float})
 
 #: Atomic types: the (to JSON, from JSON) expression templates of each.
 _LEAVES: dict[Any, tuple[str, str]] = {
@@ -111,7 +152,10 @@ _LEAVES: dict[Any, tuple[str, str]] = {
     str: ("{}", "expect(str, {})"),
     bool: ("{}", "expect(bool, {})"),
     Any: ("{}", "{}"),
-    np.ndarray: ("asarray({}, dtype=float64).tolist()", "asarray({}, dtype=float64)"),
+    np.ndarray: (
+        "asarray({}, dtype=float64).tolist()",
+        "asarray(expect_numbers({}), dtype=float64)",
+    ),
 }
 
 
@@ -130,19 +174,35 @@ def _convert(tp: Any, x: str, encoder: str | None, scope: dict[str, Any]) -> str
         inner = _convert(args[args[0] is type(None)], x, encoder, scope)
         return inner if inner == x else f"(None if {x} is None else {inner})"
     if origin in (list, tuple, frozenset) and all(a in (args[0], ...) for a in args[1:]):
-        values = x if encoder else f"expect(list, {x})"
+        if encoder:
+            values = x
+        elif origin is tuple and ... not in args:  # a fixed length
+            values = f"expect_values({x}, {len(args)})"
+        else:
+            values = f"expect(list, {x})"
         item = _convert(args[0], "x", encoder, scope)
         collect = origin.__name__ if not encoder else "sorted" if origin is frozenset else "list"
         return f"{collect}({values if item == 'x' else f'[{item} for x in {values}]'})"
     if origin is dict and args[0] is str:
         items = x if encoder else f"expect(dict, {x})"
         return f"{{k: {_convert(args[1], 'x', encoder, scope)} for k, x in {items}.items()}}"
+    if isinstance(tp, type) and hasattr(tp, "from_wire"):  # a type with its own JSON form
+        name = f"type{len(scope)}"
+        scope[name] = tp
+        return f"{x}.to_wire()" if encoder else f"{name}.from_wire({x})"
     if dataclasses.is_dataclass(tp) and isinstance(tp, type):
         name = f"type{len(scope)}"
         scope[name] = tp
         if getattr(tp, "wire_positional", False):
-            values = ", ".join(f"{x}.{f.name}" for f in dataclasses.fields(tp))
-            return f"[{values}]" if encoder else f"{name}(*expect(list, {x}))"
+            hints = [(f.name, _hint(tp, f.name)) for f in dataclasses.fields(tp)]
+            if encoder:
+                values = [_convert(hint, f"{x}.{field}", encoder, scope) for field, hint in hints]
+                return f"[{', '.join(values)}]"
+            # lambda v: type3(expect_number(v[0]), ...), called on a checked list
+            values = [_convert(hint, f"v[{i}]", None, scope) for i, (_, hint) in enumerate(hints)]
+            build = f"build{len(scope)}"
+            scope[build] = eval(f"lambda v: {name}({', '.join(values)})", scope)
+            return f"{build}(expect_values({x}, {len(hints)}))"
         if issubclass(tp, Tagged) and tp.wire_key is not None:  # the tag picks the class
             return f"{encoder}({x})" if encoder else f"decode({name}, {x})"
         scope[name] = _plan(tp)  # the class is the declared one: no dispatch per object
@@ -184,8 +244,10 @@ def _plan(cls: type) -> _Plan:
         "encode": encode,
         "encode_compared": encode_compared,
         "decode": decode,
-        "expect": _expect,
-        "expect_number": _expect_number,
+        "expect": expect,
+        "expect_number": expect_number,
+        "expect_values": expect_values,
+        "expect_numbers": expect_numbers,
         "asarray": np.asarray,
         "float64": np.float64,
     }
@@ -237,7 +299,7 @@ def _plan(cls: type) -> _Plan:
             return build(payload)
         except KeyError as exc:
             raise ConfigurationError(f"{cls.__name__} needs field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed {cls.__name__}: {exc}") from None
 
     return _Plan(encoder("encode", False), encoder("encode_compared", True), decode_object)

@@ -5,7 +5,8 @@ Production code has exactly one detection read path
 ``speculate_batch``), one detector kernel (``SimulatedDetector.
 detect_columns``), one index read (``IndexView.get`` over a batch: one
 gather and one decode per segment) and one feature kernel
-(``SyntheticVideo.frame_features``), all batch-only.  What they must compute
+(``SyntheticVideo.frame_features``), all batch-only, and results keep their
+FrameQL records as one column table (``RecordTable``).  What they must compute
 is written down here once, one frame at a time and against public primitives
 only, so a test can ask "is every
 tier serving — or skipping — exactly what the detector would have returned,
@@ -22,6 +23,7 @@ import numpy as np
 from repro.core.context import ExecutionContext
 from repro.detection.base import Detection, DetectionResult
 from repro.detection.simulated import SimulatedDetector
+from repro.frameql.schema import FrameRecord
 from repro.index.store import SEGMENT_COLUMNS
 from repro.index.view import IndexView
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
@@ -432,3 +434,33 @@ def detection_matches(detection: Detection, spec, udf_registry) -> bool:
         if not _OPS[predicate.op](udf.object_fn(detection), predicate.value):
             return False
     return True
+
+
+def reference_records(tracks, keep=None, min_rows: int = 1) -> list[FrameRecord]:
+    """Scalar reference of ``TrackAggregator.materialize``: one ``FrameRecord``
+    per tracked row, track by track, built from the row's ``Detection``.
+
+    ``keep`` (a row mask over the tracks' batch) restricts a track to the
+    rows it selects, and a track with fewer than ``min_rows`` of them yields
+    nothing; without ``keep`` every row of every track is a record.
+    """
+    records = []
+    for track in tracks:
+        rows = [row for row in track.rows.tolist() if keep is None or keep[row]]
+        if keep is not None and len(rows) < min_rows:
+            continue
+        for det in track.batch.objects(np.asarray(rows, dtype=np.int64)):
+            records.append(
+                FrameRecord(
+                    timestamp=det.timestamp,
+                    frame_index=det.frame_index,
+                    object_class=det.object_class,
+                    mask=det.box,
+                    trackid=track.track_id,
+                    features=det.features,
+                    confidence=det.confidence,
+                    color=det.color,
+                    color_name=det.color_name,
+                )
+            )
+    return records

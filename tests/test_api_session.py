@@ -8,7 +8,7 @@ from repro.api import Q, FCOUNT, PreparedQuery, QueryHints
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.core.results import AggregateResult, PlanExplanation
-from repro.errors import FrameQLAnalysisError, QueryParameterError
+from repro.errors import FrameQLAnalysisError, QueryParameterError, UnknownVideoError
 
 AGG_QUERY = (
     "SELECT FCOUNT(*) FROM tiny WHERE class = 'car' "
@@ -338,6 +338,17 @@ class TestSessionInputs:
         session.execute(builder)
         session.execute(builder)
         assert len(builds) == 2  # once per call (cache key), never twice per call
+
+    @pytest.mark.parametrize(
+        "query", ["SELECT * FROM nope", f"{AGG_QUERY.replace('tiny', 'nope')}"]
+    )
+    def test_prepare_of_an_unregistered_video_raises(self, tiny_engine, query):
+        session = tiny_engine.session()
+        with pytest.raises(UnknownVideoError, match="'nope' is not registered"):
+            session.prepare(query)
+        with pytest.raises(UnknownVideoError):
+            session.execute(query)
+        assert session.stats.plans == 0
 
     def test_prepare_returns_prepared_query(self, tiny_engine):
         prepared = tiny_engine.session().prepare("SELECT timestamp FROM tiny")

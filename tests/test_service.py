@@ -60,7 +60,7 @@ from repro.service.manager import (
     ServiceManager,
     TenantQuota,
 )
-from repro.service.protocol import result_fingerprint
+from repro.service.protocol import result_fingerprint, result_to_json
 from repro.video.scenarios import generate_scenario
 
 FRAMES = 200
@@ -511,6 +511,21 @@ class TestWire:
         )
         assert "finite" in str(rejected.value)
 
+    def test_prepare_of_an_unregistered_video_is_a_400(self, live_service):
+        client, _ = live_service
+        client.create_tenant("t")
+        session_id = client.create_session("t")
+        for call in (
+            lambda: client.prepare(session_id, "SELECT * FROM nope"),
+            lambda: client.submit(session_id, query="SELECT * FROM nope"),
+        ):
+            with pytest.raises(ServiceClientError) as rejected:
+                call()
+            assert (rejected.value.status, rejected.value.code) == (
+                400,
+                "UnknownVideoError",
+            )
+
     def test_accuracy_clause_of_another_class_is_a_400(self, live_service):
         client, _ = live_service
         client.create_tenant("t")
@@ -835,6 +850,25 @@ class TestRoutesOffTheLoop:
         assert json.loads(response.body) == json.loads(
             json.dumps(manager.query(query_id).status())
         )
+
+    def test_query_status_reuses_the_completed_payload(self, direct_app, monkeypatch):
+        """The result is encoded once, into the ``completed`` event; the
+        status route serves those bytes without encoding it again."""
+        app, manager, _, query_id = direct_app
+        record = manager.query(query_id)
+        completed = record.log.snapshot()[-1]
+        assert completed["event"] == "completed"
+        expected = json.dumps(result_to_json(record.result)).encode()
+
+        def no_encoding(obj):
+            raise AssertionError(f"{type(obj).__name__} encoded again")
+
+        monkeypatch.setattr(repro.wire, "encode", no_encoding)
+        response = route(app, "GET", f"/queries/{query_id}")
+        body = json.loads(response.body)
+        assert json.dumps(body["result"]).encode() == expected
+        assert json.dumps(completed["data"]["result"]).encode() == expected
+        assert record.status()["result"] is completed["data"]["result"]
 
     @pytest.mark.parametrize(
         "query_string, headers, start, cancel_on_disconnect",

@@ -39,6 +39,7 @@ from repro.core.results import (
     SelectionResult,
 )
 from repro.errors import ConfigurationError
+from repro.frameql.records import RecordTable
 from repro.frameql.schema import FrameRecord
 from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
 from repro.obs.metrics import get_registry, record_execution_ledger
@@ -291,7 +292,7 @@ class TestResultRoundTrip:
             ledger=make_ledger(),
             detection_calls=9,
             plan_description="p",
-            records=[make_record(True), make_record(False)],
+            records=RecordTable.from_records([make_record(True), make_record(False)]),
             matched_frames=[42],
             frames_scanned=100,
             frames_after_filters=60,
@@ -312,7 +313,7 @@ class TestResultRoundTrip:
             ledger=make_ledger(),
             detection_calls=400,
             plan_description="p",
-            records=[make_record()],
+            records=RecordTable.from_records([make_record()]),
             value=17.0,
         )
         restored = result_from_json(json.loads(json.dumps(result_to_json(result))))
@@ -420,11 +421,101 @@ class TestHintsRoundTrip:
         assert type(hints.stop_conditions.ci_width) is float
 
 
+#: A well-formed record payload; each malformed case below changes one key.
+RECORD = {
+    "timestamp": 0.1,
+    "frame_index": 3,
+    "object_class": "car",
+    "mask": [1.5, 2.0, 3.0, 4.0],
+    "trackid": 7,
+    "features": [0.5, 1],
+    "confidence": 0.9,
+    "color": [1.0, 2, 3.5],
+    "color_name": "red",
+}
+
+
+class TestRecordLeaves:
+    """A record's leaves are checked by the ``FrameRecord`` decoder and by the
+    record table's column decoder alike: each rejects what the other does."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"mask": ["1.5", True, "3", 4]},
+            {"mask": [1.5, True, 3.0, 4.0]},
+            {"mask": [1.0, 2.0, 3.0]},
+            {"mask": [1.0, 2.0, 3.0, 4.0, 5.0]},
+            {"mask": [3.0, 0.0, 1.0, 4.0]},
+            {"mask": "1,2,3,4"},
+            {"color": ["1", True, 2]},
+            {"color": [1.0, 2.0]},
+            {"color": [1.0, 2.0, 3.0, 4.0]},
+            {"features": ["1.5"]},
+            {"features": [True]},
+            {"features": [[1.0, 2.0]]},
+            {"features": 3.0},
+            {"frame_index": 3.0},
+            {"frame_index": True},
+            {"timestamp": "0.1"},
+            {"object_class": 3},
+            {"trackid": 1.5},
+            {"confidence": False},
+            {"color_name": 3},
+            {"extra": 1},
+            {"object_class": None},
+        ],
+        ids=repr,
+    )
+    def test_malformed_leaf_rejected_by_both_decoders(self, change):
+        payload = {**RECORD, **change}
+        with pytest.raises(ConfigurationError):
+            wire.decode(FrameRecord, payload)
+        with pytest.raises(ConfigurationError):
+            RecordTable.from_wire([RECORD, payload])
+
+    @pytest.mark.parametrize("key", ["timestamp", "frame_index", "object_class", "mask"])
+    def test_absent_required_key_rejected_by_both_decoders(self, key):
+        payload = {k: v for k, v in RECORD.items() if k != key}
+        with pytest.raises(ConfigurationError, match=f"FrameRecord needs field '{key}'"):
+            wire.decode(FrameRecord, payload)
+        with pytest.raises(ConfigurationError, match=f"FrameRecord needs field '{key}'"):
+            RecordTable.from_wire([payload])
+
+    @pytest.mark.parametrize("payload", [3, {"a": 1}, [[1.0]], [3]], ids=repr)
+    def test_table_of_no_record_objects_rejected(self, payload):
+        with pytest.raises(ConfigurationError):
+            RecordTable.from_wire(payload)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{}, {"trackid": None, "features": None, "color": None, "color_name": None}],
+        ids=["full", "nulls"],
+    )
+    def test_well_formed_record_decodes_alike(self, change):
+        payload = {**RECORD, **change}
+        record = wire.decode(FrameRecord, payload)
+        table = RecordTable.from_wire([payload])
+        assert table == [record]
+        assert table.to_wire() == [wire.encode(record)]
+        defaults = {k: v for k, v in payload.items() if v is not None}
+        assert RecordTable.from_wire([defaults]) == table
+
+    def test_ids_outside_int64_rejected_by_the_table(self):
+        # The table's frame and track columns are int64; the minimum int64
+        # is the track-id column's None.
+        for change in ({"frame_index": 2**63}, {"trackid": -(2**63)}, {"trackid": 2**64}):
+            with pytest.raises(ConfigurationError):
+                RecordTable.from_wire([{**RECORD, **change}])
+
+
 # -- every registered wire class, instances built from the field types ----------------
 
 _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
 )
+#: An int64 other than its minimum (the track-id column's ``None``).
+_INT64 = st.integers(-(2**63) + 1, 2**63 - 1)
 _ATOMS: dict[Any, st.SearchStrategy[Any]] = {
     int: st.integers(),
     float: st.floats(allow_nan=False),
@@ -437,6 +528,13 @@ _ATOMS: dict[Any, st.SearchStrategy[Any]] = {
     # The one wire type whose constructor rejects some field values.
     BoundingBox: st.tuples(*[st.floats(allow_nan=False)] * 4).map(
         lambda c: BoundingBox(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+    ),
+    # Records travel as a column table, whose frame and track ids are int64.
+    RecordTable: st.deferred(
+        lambda: st.lists(
+            instances_of(FrameRecord, frame_index=_INT64, trackid=st.none() | _INT64),
+            max_size=3,
+        ).map(RecordTable.from_records)
     ),
 }
 
@@ -469,9 +567,13 @@ def wire_fields(cls: type) -> list[dataclasses.Field]:
     return [f for f in dataclasses.fields(cls) if f.init and not f.name.startswith("_")]
 
 
-def instances_of(cls: type) -> st.SearchStrategy[Any]:
+def instances_of(cls: type, **overrides: st.SearchStrategy[Any]) -> st.SearchStrategy[Any]:
     return st.builds(
-        cls, **{f.name: values_of(wire._hint(cls, f.name)) for f in wire_fields(cls)}
+        cls,
+        **{
+            f.name: overrides[f.name] if f.name in overrides else values_of(wire._hint(cls, f.name))
+            for f in wire_fields(cls)
+        },
     )
 
 
@@ -483,7 +585,7 @@ def assert_same(restored: Any, original: Any) -> None:
     elif dataclasses.is_dataclass(original):
         for f in wire_fields(type(original)):
             assert_same(getattr(restored, f.name), getattr(original, f.name))
-    elif isinstance(original, (list, tuple)):
+    elif isinstance(original, (list, tuple, RecordTable)):
         assert len(restored) == len(original)
         for pair in zip(restored, original, strict=True):
             assert_same(*pair)

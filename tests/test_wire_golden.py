@@ -46,6 +46,7 @@ from repro.core.results import (
     ScrubbingQueryResult,
     SelectionResult,
 )
+from repro.frameql.records import RecordTable
 from repro.frameql.schema import FrameRecord
 from repro.metrics.runtime import ExecutionLedger, RuntimeLedger
 from repro.obs.profile import ExecutionProfile, OperatorProfile
@@ -159,12 +160,14 @@ def constructed() -> dict[str, dict[str, Any]]:
         ),
         "selection": SelectionResult(
             **_common("selection"),
-            records=[_record(True), _record(False)],
+            records=RecordTable.from_records([_record(True), _record(False)]),
             matched_frames=[42],
             frames_scanned=100,
             frames_after_filters=60,
         ),
-        "exact": ExactResult(**_common("exact"), records=[_record(True)], value=17.0),
+        "exact": ExactResult(
+            **_common("exact"), records=RecordTable.from_records([_record(True)]), value=17.0
+        ),
         "exact_no_value": ExactResult(**_common("exact")),
         "base": QueryResult(kind="aggregate", method="m", ledger=_runtime_ledger()),
     }
