@@ -64,7 +64,7 @@ from repro.service.__main__ import PacedSimulatedDetector
 from repro.video.scenarios import generate_scenario
 from repro.video.synthetic import ObjectClassSpec, SyntheticVideo, VideoSpec
 
-from reporting import print_table
+from reproduction import print_table
 
 SCENARIO = "rialto"
 RANGE_SIZE = 16

@@ -52,7 +52,7 @@ from repro.service.__main__ import PacedSimulatedDetector
 from repro.service.protocol import result_fingerprint
 from repro.video.scenarios import generate_scenario
 
-from reporting import print_table
+from reproduction import print_table
 
 SCENARIO = "rialto"
 REPEATS = 3

@@ -63,7 +63,7 @@ from repro.persist import atomic_write_text
 from repro.service.__main__ import PacedSimulatedDetector
 from repro.video.scenarios import generate_scenario
 
-from reporting import print_table
+from reproduction import print_table
 
 SCENARIO = "rialto"
 WORKERS = 4

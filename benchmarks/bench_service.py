@@ -50,7 +50,7 @@ from repro.service.client import ServiceClient
 from repro.service.protocol import result_fingerprint
 from repro.video.scenarios import generate_scenario
 
-from reporting import print_table
+from reproduction import print_table
 
 SCENARIO = "rialto"
 SEED = 7

@@ -147,13 +147,17 @@ class QueryServiceApp:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    return
-                method, target, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
+                # A request whose head cannot be read is answered like any
+                # other rejected one, then the connection closes: what
+                # follows such a head cannot be trusted to start a request.
+                keep_alive = False
                 response: _Response | _EventStream
                 try:
+                    request = await self._read_request(reader)
+                    if request is None:
+                        return
+                    method, target, headers, body = request
+                    keep_alive = headers.get("connection", "").lower() != "close"
                     response = await loop.run_in_executor(
                         None, self._route, method, target, headers, body
                     )
@@ -169,13 +173,21 @@ class QueryServiceApp:
                 await self._write_response(writer, response, keep_alive)
                 if not keep_alive:
                     return
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (
+            ConnectionError,
+            asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,
+            # Server shutdown cancels an idle handler inside ``readuntil``.
+            # It ends like a closed connection: a handler task that ends
+            # cancelled makes the stream protocol's done-callback raise.
+            asyncio.CancelledError,
+        ):
             pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except ConnectionError:
+            except (ConnectionError, asyncio.CancelledError):
                 pass
 
     async def _read_request(
@@ -198,7 +210,12 @@ class QueryServiceApp:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(
+                400, "bad_request", f"malformed Content-Length {declared!r}"
+            )
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
             raise _HttpError(413, "payload_too_large", f"body of {length} bytes")
         body = await reader.readexactly(length) if length else b""

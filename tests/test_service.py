@@ -24,6 +24,8 @@ from __future__ import annotations
 import ast
 import http.client
 import json
+import logging
+import socket
 import threading
 import time
 from pathlib import Path
@@ -992,6 +994,77 @@ class TestSseFrames:
         monkeypatch.setattr(manager, "cancel", cancelled.append)
         app._cancel_unfinished(manager.query(query_id))
         assert cancelled == []
+
+
+# ---------------------------------------------------------------------------------
+# The socket layer's own failures: an unreadable head, a shutdown mid-connection
+# ---------------------------------------------------------------------------------
+
+
+def _raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh socket and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _asyncio_errors(caplog: pytest.LogCaptureFixture) -> list[str]:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+
+
+class TestSocketLayerFailures:
+    @pytest.mark.parametrize(
+        ("head", "status", "code"),
+        [
+            (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+            (b"POST /tenants HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, "bad_request"),
+            (b"POST /tenants HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "bad_request"),
+            (
+                b"POST /tenants HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (service_app._MAX_BODY_BYTES + 1),
+                413,
+                "payload_too_large",
+            ),
+        ],
+        ids=["request-line", "length-not-a-number", "length-negative", "body-too-large"],
+    )
+    def test_unreadable_request_head_gets_a_json_error(
+        self, live_service, caplog, head, status, code
+    ):
+        client, _ = live_service
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply = _raw_exchange(client.port, head)
+        status_line, _, rest = reply.partition(b"\r\n")
+        head_lines, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line.split(b" ")[1] == str(status).encode(), reply
+        assert b"Connection: close" in head_lines.split(b"\r\n")
+        assert json.loads(body)["error"] == code
+        # The connection is closed, the server is not: the next one is served.
+        assert client.create_tenant("after") is not None
+        assert _asyncio_errors(caplog) == []
+
+    def test_idle_keep_alive_connection_ends_quietly_at_shutdown(self, caplog):
+        """Exiting the service cancels a handler parked in ``readuntil``; it
+        must end as a closed connection, not as a cancelled task whose
+        done-callback logs a traceback on the ``asyncio`` logger."""
+        manager = ServiceManager(build_engine(), ServiceConfig(slots=1))
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServiceThread(manager) as service:
+                conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+                conn.request("GET", "/metrics")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                assert response.getheader("Connection") == "keep-alive"
+            conn.close()
+        assert _asyncio_errors(caplog) == []
 
 
 # ---------------------------------------------------------------------------------
