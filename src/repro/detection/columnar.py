@@ -24,12 +24,15 @@ the shm transport — never build one.  A result constructed from a list of
 detections (a custom detector, a test) stays a list; :meth:`DetectionBatch.
 from_results` turns any mix of the two forms into columns.
 
-:func:`encode_detection_results` is the persisted and transported form: the
-batch's columns with both string tables compacted to the values present and
-sorted, so equal detections always encode to equal bytes (index segments,
-npz cache snapshots, shm payloads).  :func:`decode_detection_results` is its
-inverse and returns views; it copies every column that does not own its
-memory, so nothing decoded keeps an index map or a shared-memory slot alive.
+:meth:`DetectionBatch.to_arrays` (through :func:`encode_detection_results`)
+is the persisted and transported form: the batch's columns with both string
+tables compacted to the values present and sorted, so equal detections
+always encode to equal bytes (index segments, npz cache snapshots, shm
+payloads, and — one frame per record, each column as base64 of its
+little-endian bytes — a record table on the service's wire).
+:func:`decode_detection_results` is its inverse and returns views; it copies
+every column that does not own its memory, so nothing decoded keeps an index
+map or a shared-memory slot alive.
 
 Layout (``n_frames`` frames holding ``n_det`` detections total):
 
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import overload
 
 import numpy as np
@@ -103,7 +106,7 @@ def _merge_tables(
 
 def _compact_table(
     table: tuple[str, ...], codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted table of the names ``codes`` use, and codes into it."""
     used = np.unique(codes[codes >= 0]).tolist()
     names = sorted(table[code] for code in used)
@@ -111,7 +114,7 @@ def _compact_table(
     remap = np.full(len(table) + 1, -1, dtype=np.int32)
     for code in used:
         remap[code] = position[table[code]]
-    return np.asarray(names, dtype=np.str_), remap[codes]
+    return tuple(names), remap[codes]
 
 
 def run_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -479,26 +482,38 @@ class DetectionBatch:
         """``Detection`` objects of ``rows`` (see :meth:`row_fields`)."""
         return [Detection(*fields) for fields in self.row_fields(rows)]
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The encoded layout: C-ordered columns, compacted sorted tables."""
+    def compacted(self) -> DetectionBatch:
+        """This batch over string tables compacted to the names its rows use
+        and sorted: the tables of the encoded layout."""
         class_table, class_code = _compact_table(self.class_table, self.class_code)
         color_name_table, color_name_code = _compact_table(
             self.color_name_table, self.color_name_code
         )
+        return replace(
+            self,
+            class_code=class_code,
+            class_table=class_table,
+            color_name_code=color_name_code,
+            color_name_table=color_name_table,
+        )
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The encoded layout: C-ordered columns, compacted sorted tables."""
+        compact = self.compacted()
         return {
             "frame_index": np.ascontiguousarray(self.frame_index, dtype=np.int64),
             "timestamp": np.ascontiguousarray(self.timestamp, dtype=np.float64),
             "det_offsets": np.ascontiguousarray(self.offsets, dtype=np.int64),
-            "class_code": class_code,
-            "class_table": class_table,
+            "class_code": compact.class_code,
+            "class_table": np.asarray(compact.class_table, dtype=np.str_),
             "box": np.ascontiguousarray(self.box, dtype=np.float64).reshape(-1, 4),
             "confidence": np.ascontiguousarray(self.confidence, dtype=np.float64),
             "feature_len": np.ascontiguousarray(self.feature_len, dtype=np.int32),
             "features_flat": np.ascontiguousarray(self.features_flat, dtype=np.float64),
             "color": np.ascontiguousarray(self.color, dtype=np.float64).reshape(-1, 3),
             "has_color": np.ascontiguousarray(self.has_color, dtype=np.bool_),
-            "color_name_code": color_name_code,
-            "color_name_table": color_name_table,
+            "color_name_code": compact.color_name_code,
+            "color_name_table": np.asarray(compact.color_name_table, dtype=np.str_),
             "track_id": np.ascontiguousarray(self.track_id, dtype=np.int32),
         }
 

@@ -9,21 +9,26 @@ frame-index column, row masks, equality between tables and the wire form
 read the columns; a :class:`~repro.frameql.schema.FrameRecord` is built only
 when a caller indexes or iterates the table.
 
-On the wire a table is the list of its records, exactly as the codec writes
-a ``FrameRecord`` (same keys in field order, same values), built column by
-column; decoding builds the columns and rejects what the ``FrameRecord``
-decoder rejects.
+On the wire (protocol v2) a table is the columns of
+:meth:`~repro.detection.columnar.DetectionBatch.to_arrays` but the per-frame
+offsets and detector track ids, plus its own track ids: base64 of each numeric
+column's little-endian bytes, the compacted sorted string tables as lists, and
+``n``.  Absent colours and negative zeros are written as zeros, so equal
+tables encode to equal bytes.  Decoding and :meth:`RecordTable.from_records`
+check whole columns and raise :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import base64
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, overload
 
 import numpy as np
 
 from repro import wire
+from repro.detection.base import Detection, DetectionResult
 from repro.detection.columnar import DetectionBatch
 from repro.errors import ConfigurationError
 from repro.frameql.schema import FrameRecord
@@ -33,20 +38,55 @@ __all__ = ["RecordTable"]
 #: The track-id column's ``None``; a record's track id is any other int64.
 NO_TRACK = int(np.iinfo(np.int64).min)
 
-_FIELDS = tuple(f.name for f in dataclasses.fields(FrameRecord))
-_KNOWN = frozenset(_FIELDS)
-_REQUIRED = tuple(
-    f.name for f in dataclasses.fields(FrameRecord) if f.default is dataclasses.MISSING
+#: The wire columns in ``FrameRecord`` field order: (key, dtype, values per
+#: record).  ``features_flat`` has no fixed width; ``feature_len`` sizes it.
+_COLUMNS: tuple[tuple[str, type[np.generic], int | None], ...] = (
+    ("timestamp", np.float64, 1),
+    ("frame_index", np.int64, 1),
+    ("class_code", np.int32, 1),
+    ("box", np.float64, 4),
+    ("track_id", np.int64, 1),
+    ("feature_len", np.int32, 1),
+    ("features_flat", np.float64, None),
+    ("confidence", np.float64, 1),
+    ("color", np.float64, 3),
+    ("has_color", np.bool_, 1),
+    ("color_name_code", np.int32, 1),
 )
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(FrameRecord) if f.name not in _REQUIRED}
+_TABLES = ("class_table", "color_name_table")
+_KEYS = frozenset({"n", *_TABLES, *(key for key, _, _ in _COLUMNS)})
 
 
-def _track_id(value: Any) -> int:
+def _track_id(value: int | None) -> int:
     if value is None:
         return NO_TRACK
-    if wire.expect(int, value) == NO_TRACK:
-        raise ValueError(f"track id {value} is outside the track-id column's range")
-    return value
+    track = operator.index(value)
+    if track == NO_TRACK:
+        raise ValueError(f"track id {track} is outside the track-id column's range")
+    return track
+
+
+def _encode_column(values: np.ndarray, dtype: type[np.generic]) -> str:
+    column = np.asarray(values, dtype=dtype)
+    if column.dtype.kind == "f":
+        column = column + 0.0  # -0.0 + 0.0 is 0.0: equal columns, equal bytes
+    little_endian = column.astype(np.dtype(dtype).newbyteorder("<"), copy=False)
+    return base64.b64encode(little_endian.tobytes()).decode("ascii")
+
+
+def _decode_column(
+    key: str, text: object, dtype: type[np.generic], n: int, width: int | None
+) -> np.ndarray:
+    raw = base64.b64decode(wire.expect(str, text), validate=True)
+    size, remainder = divmod(len(raw), np.dtype(dtype).itemsize)
+    if remainder or (width is not None and size != n * width):
+        raise ValueError(f"column {key!r} has {len(raw)} bytes for {n} records")
+    column = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype)
+    return column.reshape(n, width) if width is not None and width > 1 else column
+
+
+def _outside(codes: np.ndarray, low: int, high: int) -> bool:
+    return bool(((codes < low) | (codes >= high)).any())
 
 
 def _names(table: tuple[str, ...], codes: np.ndarray) -> list[str | None]:
@@ -78,7 +118,23 @@ class RecordTable(Sequence[FrameRecord]):
     @classmethod
     def from_records(cls, records: Iterable[FrameRecord]) -> RecordTable:
         """A table of hand-built records, checked as a wire payload is."""
-        return cls.from_wire([wire.encode(record) for record in records])
+        records = list(records)
+        try:
+            # The track ids go in the table's int64 column, not the batch's.
+            detections = [
+                Detection(
+                    r.frame_index, r.timestamp, r.object_class, r.mask, r.confidence,
+                    r.features, None, r.color, r.color_name,
+                )
+                for r in records
+            ]
+            batch = DetectionBatch.from_detections(
+                [DetectionResult(d.frame_index, d.timestamp, [d]) for d in detections]
+            )
+            track_id = np.asarray([_track_id(r.trackid) for r in records], dtype=np.int64)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigurationError(f"malformed FrameRecord: {exc}") from None
+        return cls._checked(batch, track_id)
 
     # -- reading --------------------------------------------------------------
 
@@ -167,121 +223,64 @@ class RecordTable(Sequence[FrameRecord]):
 
     # -- wire form ------------------------------------------------------------
 
-    def to_wire(self) -> list[dict[str, Any]]:
-        """The records as ``wire.encode`` writes each, one ``tolist()`` per
-        column."""
-        b = self.batch
-        classes = b.class_table
-        color_names = b.color_name_table
-        flat = b.features_flat.tolist()
-        return [
-            {
-                "timestamp": stamp,
-                "frame_index": frame,
-                "object_class": classes[code],
-                "mask": box,
-                "trackid": None if trackid == NO_TRACK else trackid,
-                "features": None if n_feat < 0 else flat[start : start + n_feat],
-                "confidence": confidence,
-                "color": color if has_color else None,
-                "color_name": None if name < 0 else color_names[name],
-            }
-            for stamp, frame, code, box, trackid, n_feat, start, confidence, color, has_color,
-            name in zip(
-                b.timestamp.tolist(),
-                b.frame_index.tolist(),
-                b.class_code.tolist(),
-                b.box.tolist(),
-                self.track_id.tolist(),
-                b.feature_len.tolist(),
-                b.feature_start.tolist()[:-1],
-                b.confidence.tolist(),
-                b.color.tolist(),
-                b.has_color.tolist(),
-                b.color_name_code.tolist(),
-                strict=True,
-            )
-        ]
+    def to_wire(self) -> dict[str, Any]:
+        """The table's columns, in the wire form the module doc describes."""
+        batch = self.batch.compacted()
+        columns = {key: getattr(batch, key) for key, _, _ in _COLUMNS if key != "track_id"}
+        columns["track_id"] = self.track_id
+        columns["color"] = np.where(batch.has_color[:, None], batch.color, 0.0)
+        payload: dict[str, Any] = {"n": len(self)}
+        for key, dtype, _ in _COLUMNS:
+            payload[key] = _encode_column(columns[key], dtype)
+        for key in _TABLES:
+            payload[key] = list(getattr(batch, key))
+        return payload
 
     @classmethod
     def from_wire(cls, payload: Any) -> RecordTable:
-        """The table of a list of record objects, built column by column."""
-        rows = wire.expect(list, payload)
-        for row in rows:
-            if not isinstance(row, dict):
-                raise ConfigurationError(f"FrameRecord must be a JSON object, got {row!r}")
-            if row.keys() != _KNOWN:
-                unknown = row.keys() - _KNOWN
-                if unknown:
-                    raise ConfigurationError(
-                        f"unknown FrameRecord fields {sorted(unknown)}; "
-                        f"valid fields: {sorted(_KNOWN)}"
-                    )
-                for name in _REQUIRED:
-                    if name not in row:
-                        raise ConfigurationError(f"FrameRecord needs field {name!r}")
-        try:
-            return cls._from_columns(
-                {name: [row.get(name, _DEFAULTS.get(name)) for row in rows] for name in _FIELDS}
+        """The table of a :meth:`to_wire` payload, checked column by column."""
+        if wire.expect(dict, payload).keys() != _KEYS:
+            raise ConfigurationError(
+                f"record table has unknown keys {sorted(payload.keys() - _KEYS)} and "
+                f"lacks keys {sorted(_KEYS - payload.keys())}; valid keys: {sorted(_KEYS)}"
             )
-        except (ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"malformed FrameRecord: {exc}") from None
-
-    @classmethod
-    def _from_columns(cls, columns: dict[str, list[Any]]) -> RecordTable:
-        n = len(columns["timestamp"])
-        timestamp = [wire.expect_number(value) for value in columns["timestamp"]]
-        frame_index = [wire.expect(int, value) for value in columns["frame_index"]]
-        class_index: dict[str, int] = {}
-        class_code = [
-            class_index.setdefault(wire.expect(str, value), len(class_index))
-            for value in columns["object_class"]
-        ]
-        box = np.asarray(
-            [wire.expect_numbers(wire.expect_values(value, 4)) for value in columns["mask"]],
-            dtype=np.float64,
-        ).reshape(n, 4)
-        invalid = np.flatnonzero((box[:, 2] < box[:, 0]) | (box[:, 3] < box[:, 1]))
-        if invalid.size:
-            raise ValueError(f"invalid box: {tuple(box[invalid[0]].tolist())}")
-        track_id = [_track_id(value) for value in columns["trackid"]]
-        features = [
-            None if value is None else wire.expect_numbers(value)
-            for value in columns["features"]
-        ]
-        feature_len = [-1 if vector is None else len(vector) for vector in features]
-        confidence = [wire.expect_number(value) for value in columns["confidence"]]
-        colors = [
-            None if value is None else wire.expect_numbers(wire.expect_values(value, 3))
-            for value in columns["color"]
-        ]
-        color_name_index: dict[str, int] = {}
-        color_name_code = [
-            -1
-            if value is None
-            else color_name_index.setdefault(wire.expect(str, value), len(color_name_index))
-            for value in columns["color_name"]
-        ]
+        n = wire.expect(int, payload["n"])
+        if n < 0:
+            raise ConfigurationError(f"record table of {n} rows")
+        try:
+            columns: dict[str, Any] = {
+                key: _decode_column(key, payload[key], dtype, n, width)
+                for key, dtype, width in _COLUMNS
+            }
+        except ValueError as exc:  # binascii.Error is one
+            raise ConfigurationError(f"malformed record table: {exc}") from None
+        track_id = columns.pop("track_id")
         batch = DetectionBatch(
-            frame_index=np.asarray(frame_index, dtype=np.int64),
-            timestamp=np.asarray(timestamp, dtype=np.float64),
+            **columns,
             offsets=np.arange(n + 1, dtype=np.int64),
-            class_code=np.asarray(class_code, dtype=np.int32),
-            class_table=tuple(class_index),
-            box=box,
-            confidence=np.asarray(confidence, dtype=np.float64),
-            feature_len=np.asarray(feature_len, dtype=np.int32),
-            features_flat=np.asarray(
-                [x for vector in features if vector is not None for x in vector],
-                dtype=np.float64,
-            ),
-            color=np.asarray(
-                [(0.0, 0.0, 0.0) if color is None else color for color in colors],
-                dtype=np.float64,
-            ).reshape(n, 3),
-            has_color=np.asarray([color is not None for color in colors], dtype=np.bool_),
-            color_name_code=np.asarray(color_name_code, dtype=np.int32),
-            color_name_table=tuple(color_name_index),
+            class_table=tuple(wire.expect(list, payload["class_table"])),
+            color_name_table=tuple(wire.expect(list, payload["color_name_table"])),
             track_id=np.full(n, -1, dtype=np.int32),
         )
-        return cls(batch, np.asarray(track_id, dtype=np.int64))
+        return cls._checked(batch, track_id)
+
+    @classmethod
+    def _checked(cls, batch: DetectionBatch, track_id: np.ndarray) -> RecordTable:
+        """The table of ``batch``'s rows, once its columns hold records."""
+        for name in (*batch.class_table, *batch.color_name_table):
+            wire.expect(str, name)
+        box, lengths = batch.box, batch.feature_len
+        failures = {
+            "a class code out of range": _outside(batch.class_code, 0, len(batch.class_table)),
+            "a colour-name code out of range": _outside(
+                batch.color_name_code, -1, len(batch.color_name_table)
+            ),
+            "feature lengths that miss the feature column": (lengths < -1).any()
+            or np.maximum(lengths, 0).sum() != batch.features_flat.size,
+            "an invalid box": ((box[:, 2] < box[:, 0]) | (box[:, 3] < box[:, 1])).any(),
+            "a has_color other than 0 or 1": (batch.has_color.view(np.uint8) > 1).any(),
+        }
+        for problem, failed in failures.items():
+            if failed:
+                raise ConfigurationError(f"malformed record table: {problem}")
+        return cls(batch, track_id)

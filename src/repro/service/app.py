@@ -38,7 +38,9 @@ requests and write bytes.  Everything else — every manager call, every
 record or event-log read, body decoding and response encoding — happens in
 plain synchronous methods that the loop runs on the default executor: one
 :meth:`QueryServiceApp._route` call per request, one
-:meth:`QueryServiceApp._next_frame` call per SSE frame, and one
+:meth:`QueryServiceApp._next_frames` call per batch of SSE frames (every
+event logged since the last write, each serialized once by the drainer,
+goes out in one write), and one
 :meth:`QueryServiceApp._cancel_unfinished` call when a stream's client
 vanishes.  A contended manager lock therefore stalls only the requests that
 need it, never another client's heartbeat.
@@ -66,6 +68,9 @@ from repro.service.manager import (
 from repro.service.protocol import hints_from_json
 
 _MAX_BODY_BYTES = 8 << 20
+#: The longest request head read (the stream reader's limit); a longer one
+#: is answered 431.
+_MAX_HEAD_BYTES = 1 << 16
 #: How long a blocking POST /queries waits before returning 504.
 _BLOCKING_TIMEOUT = 600.0
 _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -87,6 +92,7 @@ _STATUS_TEXT = {
     408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -133,7 +139,9 @@ class QueryServiceApp:
 
     async def serve(self, host: str = "127.0.0.1", port: int = 8765) -> None:
         """Run until cancelled; prints the bound address on stdout."""
-        server = await asyncio.start_server(self._handle_connection, host, port)
+        server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=_MAX_HEAD_BYTES
+        )
         addr = server.sockets[0].getsockname()
         print(f"query service listening on http://{addr[0]}:{addr[1]}", flush=True)
         async with server:
@@ -176,7 +184,6 @@ class QueryServiceApp:
         except (
             ConnectionError,
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
             # Server shutdown cancels an idle handler inside ``readuntil``.
             # It ends like a closed connection: a handler task that ends
             # cancelled makes the stream protocol's done-callback raise.
@@ -197,6 +204,12 @@ class QueryServiceApp:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
+        except asyncio.LimitOverrunError:
+            raise _HttpError(
+                431,
+                "request_header_fields_too_large",
+                f"request head over {_MAX_HEAD_BYTES} bytes",
+            ) from None
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
@@ -248,12 +261,12 @@ class QueryServiceApp:
         index: int | None = stream.start
         try:
             while index is not None:
-                frame, index = await loop.run_in_executor(
-                    None, self._next_frame, stream.record, index
+                frames, index = await loop.run_in_executor(
+                    None, self._next_frames, stream.record, index
                 )
                 # A vanished client surfaces here as a connection error,
                 # which is our disconnect signal.
-                writer.write(frame)
+                writer.write(frames)
                 await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             if stream.cancel_on_disconnect:
@@ -391,20 +404,24 @@ class QueryServiceApp:
         ] not in ("0", "false")
         return _EventStream(record, start, cancel_on_disconnect)
 
-    def _next_frame(self, record: QueryRecord, index: int) -> tuple[bytes, int | None]:
-        """Wait up to one heartbeat for event ``index``; return the SSE frame
+    def _next_frames(self, record: QueryRecord, index: int) -> tuple[bytes, int | None]:
+        """Wait up to one heartbeat for event ``index``; return the SSE bytes
         to write and the next index to read (``None`` once the stream ended).
 
-        The frame is the event itself, the terminal ``end`` marker (telling
-        the client why the stream ended), or a keep-alive comment when the
-        heartbeat window passed without an event.
+        The bytes are every event logged from ``index`` on, one frame each
+        around the JSON text the drainer serialized; or the terminal ``end``
+        marker (telling the client why the stream ended); or a keep-alive
+        comment when the heartbeat window passed without an event.
         """
-        payload = record.log.wait_for(index, self.manager.config.heartbeat_seconds)
-        if payload is not None:
-            data = json.dumps(payload)
-            frame = f"id: {index}\nevent: {payload['event']}\ndata: {data}\n\n"
-            return frame.encode(), index + 1
-        if record.log.closed and len(record.log) <= index:
+        log = record.log
+        if log.wait_for(index, self.manager.config.heartbeat_seconds) is not None:
+            events = log.snapshot(index)
+            frames = "".join(
+                f"id: {i}\nevent: {event.event}\ndata: {event.data}\n\n"
+                for i, event in enumerate(events, index)
+            )
+            return frames.encode(), index + len(events)
+        if log.closed and len(log) <= index:
             final = json.dumps({"state": record.state})
             return f"event: end\ndata: {final}\n\n".encode(), None
         return b": keep-alive\n\n", index
@@ -454,7 +471,7 @@ class ServiceThread:
 
         async def _main() -> None:
             server = await asyncio.start_server(
-                app._handle_connection, self.host, self.port
+                app._handle_connection, self.host, self.port, limit=_MAX_HEAD_BYTES
             )
             self.port = server.sockets[0].getsockname()[1]
             self._started.set()

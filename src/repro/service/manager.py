@@ -28,6 +28,7 @@ change query results, breaking the byte-identity contract.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -117,13 +118,23 @@ class ServiceConfig:
     warm_start_index: bool = True
 
 
+@dataclass(frozen=True, slots=True)
+class LoggedEvent:
+    """One event as the log holds it: its wire name and its envelope
+    (:func:`~repro.service.protocol.event_to_json`) as JSON text, serialized
+    once, when the drainer logs it; every SSE reader writes that text."""
+
+    event: str
+    data: str
+
+
 class _LogState:
     """One log's events and closed flag, reached only under its guard."""
 
     __slots__ = ("events", "closed")
 
     def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
+        self.events: list[LoggedEvent] = []
         self.closed = False
 
 
@@ -140,7 +151,7 @@ class EventLog:
     def __init__(self) -> None:
         self._state = Guarded(_LogState(), condition=True)
 
-    def append(self, payload: dict[str, Any]) -> int:
+    def append(self, payload: LoggedEvent) -> int:
         """Append one serialized event; returns its index."""
         with self._state as s:
             s.events.append(payload)
@@ -162,14 +173,12 @@ class EventLog:
         with self._state as s:
             return len(s.events)
 
-    def snapshot(self, start: int = 0) -> list[dict[str, Any]]:
+    def snapshot(self, start: int = 0) -> list[LoggedEvent]:
         """Every event at index >= ``start`` that exists right now."""
         with self._state as s:
             return s.events[start:]
 
-    def wait_for(
-        self, index: int, timeout: float | None = None
-    ) -> dict[str, Any] | None:
+    def wait_for(self, index: int, timeout: float | None = None) -> LoggedEvent | None:
         """Block until event ``index`` exists and return it.
 
         Returns ``None`` if the log closed before the index was written, or
@@ -535,8 +544,9 @@ class ServiceManager:
     def _drain(self, record: QueryRecord) -> None:
         """Run one admitted query to its terminal state (drainer thread body).
 
-        Pulls the execution stream event by event, appending each serialized
-        event to the record's log.  Cancellation is cooperative: once
+        Pulls the execution stream event by event, appending each event to
+        the record's log serialized once, as the JSON text every SSE reader
+        writes.  Cancellation is cooperative: once
         requested, the plan finalises a partial result at the next batch
         boundary, the terminal ``Completed`` still flows through the log,
         and the stream is closed — after which not a single further detector
@@ -564,7 +574,7 @@ class ServiceManager:
         try:
             for event in stream:
                 envelope = event_to_json(event)
-                record.log.append(envelope)
+                record.log.append(LoggedEvent(envelope["event"], json.dumps(envelope)))
                 if record.first_event_at is None:
                     record.first_event_at = time.perf_counter()
                     ttfe = record.ttfe_seconds
@@ -702,6 +712,7 @@ __all__ = [
     "ServiceConfig",
     "TenantQuota",
     "EventLog",
+    "LoggedEvent",
     "QueryRecord",
     "ServiceError",
     "QuotaExceededError",

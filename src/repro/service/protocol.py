@@ -5,14 +5,17 @@ functions — the acceptance bar is that a result streamed over HTTP/SSE is
 *byte-identical* (in canonical serialized form) to the result the same
 session would have produced in process.  Two properties make that hold:
 
-* floats are serialized by :mod:`json` with ``repr`` semantics (shortest
-  round-trip), so every IEEE-754 double survives exactly;
-* numpy arrays (detection features) are converted to ``float64`` lists and
-  rebuilt as ``float64`` arrays, bit-for-bit.
+* scalar floats are serialized by :mod:`json` with ``repr`` semantics
+  (shortest round-trip), so every IEEE-754 double survives exactly;
+* the rows of a selection or exact result travel as columns (protocol v2):
+  each numeric column of the :class:`~repro.frameql.records.RecordTable` is
+  base64 of its little-endian bytes and is rebuilt bit for bit, and the
+  string tables are compacted and sorted, so equal tables encode to equal
+  bytes.
 
 No wire type's fields are listed here: every function is a thin call into
 :mod:`repro.wire`, which derives the JSON form of an event, result, ledger,
-record or hint set from its dataclass.  Adding a field, a counter, an event
+record table or hint set from its type.  Adding a field, a counter, an event
 or a result class is a change to that dataclass alone.  What this module
 owns is the protocol around the objects: the version tag, the event
 envelope, the fingerprint, and the "only what differs from the default"
@@ -37,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.metrics.runtime import RuntimeLedger
 
 #: Wire-format version tag stamped onto every serialized event envelope.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 def ledger_to_json(ledger: RuntimeLedger) -> dict[str, Any]:
@@ -70,7 +73,9 @@ def result_fingerprint(result: QueryResult) -> str:
     display-only observability, never part of the result proper), which is
     what makes a traced run byte-identical to an untraced one.
     Two results are "byte-identical over the wire" exactly when their
-    fingerprints are equal strings.
+    fingerprints are equal strings.  A result's rows enter it as their
+    canonical column bytes, so equal record tables fingerprint alike and a
+    dense result costs one string per column.
     """
     return json.dumps(wire.encode_compared(result), sort_keys=True)
 

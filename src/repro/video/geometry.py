@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class BoundingBox:
     ``y`` grows downwards.  ``x_max``/``y_max`` are exclusive edges, so a
     degenerate box with ``x_min == x_max`` has zero area.
     """
-
-    #: On the wire a box is the list of its four coordinates (:mod:`repro.wire`).
-    wire_positional: ClassVar[bool] = True
 
     x_min: float
     y_min: float

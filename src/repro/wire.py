@@ -11,18 +11,18 @@ one.
 On the wire: every ``init`` field whose name has no leading underscore, under
 its own name.  The conversions are written once, in :func:`_convert`: ``int``
 is coerced when encoding (numpy integers are not JSON-serializable),
-``float`` when decoding (JSON cannot tell ``3`` from ``3.0``), arrays travel
-as ``float64`` lists, tuples and frozensets as lists, ``T | None`` as
-``null``, a nested dataclass as a nested object — or, if it sets
-``wire_positional``, as the list of its field values, each converted as its
-field is.  A family of classes told apart by a tag (:class:`Tagged`) decodes
+``float`` when decoding (JSON cannot tell ``3`` from ``3.0``), tuples and
+frozensets as lists, ``T | None`` as ``null``, a nested dataclass as a nested
+object.  A family of classes told apart by a tag (:class:`Tagged`) decodes
 to the class its tag names.  A class that is not a dataclass but defines
 ``to_wire()`` and a ``from_wire(payload)`` classmethod travels as what they
 produce and accept: the record table
 (:class:`~repro.frameql.records.RecordTable`) is the one such type, and its
-wire form is the list of its record objects, written column by column.  Its
-``to_wire`` serves both :func:`encode` and :func:`encode_compared`, so such
-a type carries no ``compare=False`` field.
+wire form is its columns — each numeric column as base64 of its
+little-endian bytes, the string tables as lists — so a result's rows cost
+one string per column, not one JSON number per value.  Its ``to_wire``
+serves both :func:`encode` and :func:`encode_compared`, so such a type
+carries no ``compare=False`` field.
 
 Decoding is the service's check on outside input: a payload that is not an
 object, carries an unknown key, lacks a field that has no default or holds a
@@ -30,15 +30,14 @@ value of the wrong shape raises :class:`~repro.errors.ConfigurationError`
 naming the valid fields.  Leaves are type-checked too: an ``int`` field takes
 only a JSON integer, a ``bool`` only ``true``/``false``, a ``str`` only a
 string, and a ``float`` any number — a ``bool`` is never a number.  A
-fixed-length tuple and a positional dataclass take a list of exactly their
-length, and an array a flat list of numbers.  An absent key falls back to the
-field's default.
+fixed-length tuple takes a list of exactly its length.  An absent key falls
+back to the field's default.
 Only a :class:`Tagged` class skips keys it does not know: those are the
 protocol's own messages, which a newer peer may have extended (the index
 counters joined the v1 ledger that way) — the mirror image of the default.
 
-A leaf module (stdlib, numpy, :mod:`repro.errors`): ``metrics``, ``obs``,
-``core`` and ``service`` all import it.
+A leaf module (stdlib and :mod:`repro.errors`): ``metrics``, ``obs``,
+``core``, ``frameql`` and ``service`` all import it.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ import types
 from collections.abc import Callable
 from typing import Any, ClassVar, TypeVar, Union, get_args, get_origin
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -62,7 +59,6 @@ __all__ = [
     "encode_compared",
     "expect",
     "expect_number",
-    "expect_numbers",
     "expect_values",
 ]
 
@@ -132,19 +128,6 @@ def expect_values(value: Any, count: int) -> list[Any]:
     return value
 
 
-def expect_numbers(value: Any) -> list[Any]:
-    """``value`` if it is a JSON list of numbers, each as :func:`expect_number`
-    takes it (a list of plain ``int``/``float`` needs only one set)."""
-    values = expect(list, value)
-    if not set(map(type, values)) <= _NUMBER_TYPES:
-        for number in values:
-            expect_number(number)
-    return values
-
-
-#: What ``json`` decodes a number to (``bool`` is neither).
-_NUMBER_TYPES = frozenset({int, float})
-
 #: Atomic types: the (to JSON, from JSON) expression templates of each.
 _LEAVES: dict[Any, tuple[str, str]] = {
     int: ("int({})", "expect(int, {})"),
@@ -152,10 +135,6 @@ _LEAVES: dict[Any, tuple[str, str]] = {
     str: ("{}", "expect(str, {})"),
     bool: ("{}", "expect(bool, {})"),
     Any: ("{}", "{}"),
-    np.ndarray: (
-        "asarray({}, dtype=float64).tolist()",
-        "asarray(expect_numbers({}), dtype=float64)",
-    ),
 }
 
 
@@ -193,16 +172,6 @@ def _convert(tp: Any, x: str, encoder: str | None, scope: dict[str, Any]) -> str
     if dataclasses.is_dataclass(tp) and isinstance(tp, type):
         name = f"type{len(scope)}"
         scope[name] = tp
-        if getattr(tp, "wire_positional", False):
-            hints = [(f.name, _hint(tp, f.name)) for f in dataclasses.fields(tp)]
-            if encoder:
-                values = [_convert(hint, f"{x}.{field}", encoder, scope) for field, hint in hints]
-                return f"[{', '.join(values)}]"
-            # lambda v: type3(expect_number(v[0]), ...), called on a checked list
-            values = [_convert(hint, f"v[{i}]", None, scope) for i, (_, hint) in enumerate(hints)]
-            build = f"build{len(scope)}"
-            scope[build] = eval(f"lambda v: {name}({', '.join(values)})", scope)
-            return f"{build}(expect_values({x}, {len(hints)}))"
         if issubclass(tp, Tagged) and tp.wire_key is not None:  # the tag picks the class
             return f"{encoder}({x})" if encoder else f"decode({name}, {x})"
         scope[name] = _plan(tp)  # the class is the declared one: no dispatch per object
@@ -247,9 +216,6 @@ def _plan(cls: type) -> _Plan:
         "expect": expect,
         "expect_number": expect_number,
         "expect_values": expect_values,
-        "expect_numbers": expect_numbers,
-        "asarray": np.asarray,
-        "float64": np.float64,
     }
     wire_fields = [
         (f, _hint(cls, f.name))

@@ -5,7 +5,10 @@ A selection or exact result holds its rows as one
 the wire or fingerprinted, it must equal the scalar reference
 ``oracle.reference_records`` — one ``FrameRecord`` built per tracked row —
 for every shape of query that returns rows, and executing and encoding such
-a query must build no record object at all.
+a query must build no record object at all.  The wire form is canonical:
+equal tables encode to equal bytes, decoding and encoding again reproduces
+the payload, and changing any one field of one record changes the
+fingerprint.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import wire
 from repro.api.hints import QueryHints, StopConditions
 from repro.core.results import ExactResult, SelectionResult
 from repro.frameql.records import RecordTable
@@ -55,11 +57,9 @@ def materialized(monkeypatch):
     return calls
 
 
-def object_form(result, records: list[FrameRecord], encoder) -> str:
-    """``result`` serialized with its records encoded object by object."""
-    payload = encoder(dataclasses.replace(result, records=RecordTable.empty()))
-    payload["records"] = [encoder(record) for record in records]
-    return json.dumps(payload, sort_keys=encoder is wire.encode_compared)
+def reference_result(result, records: list[FrameRecord]):
+    """``result`` holding the reference records, as a hand-built table."""
+    return dataclasses.replace(result, records=RecordTable.from_records(records))
 
 
 def assert_matches_reference(result, expected: list[FrameRecord]) -> None:
@@ -71,9 +71,14 @@ def assert_matches_reference(result, expected: list[FrameRecord]) -> None:
     for position in (0, len(expected) // 2, -1) if expected else ():
         assert table[position] == expected[position]
     assert table.frame_index.tolist() == [r.frame_index for r in expected]
-    assert table.to_wire() == [wire.encode(r) for r in expected]
-    assert result_fingerprint(result) == object_form(result, expected, wire.encode_compared)
-    assert json.dumps(result_to_json(result)) == object_form(result, expected, wire.encode)
+    payload = json.loads(json.dumps(table.to_wire()))
+    decoded = RecordTable.from_wire(payload)
+    assert list(decoded) == expected
+    assert decoded.to_wire() == payload
+    reference = reference_result(result, expected)
+    assert table.to_wire() == reference.records.to_wire()
+    assert result_fingerprint(result) == result_fingerprint(reference)
+    assert json.dumps(result_to_json(result)) == json.dumps(result_to_json(reference))
 
 
 class TestTableEqualsReference:
@@ -143,23 +148,28 @@ def test_executing_and_encoding_builds_no_record(tiny_engine, monkeypatch):
     assert built == ["BoundingBox", "FrameRecord"]
 
 
+def sample_records() -> list[FrameRecord]:
+    """Five records covering every ``None`` and both classes and colour names."""
+    return [
+        FrameRecord(
+            timestamp=0.1 * i,
+            frame_index=10 + i,
+            object_class=("car", "bus")[i % 2],
+            mask=BoundingBox(i, i, i + 5.5, i + 7),
+            trackid=None if i == 2 else i // 2,
+            features=None if i == 1 else np.arange(float(i)),
+            confidence=1 / (i + 1),
+            color=None if i == 3 else (1.0, 2.0, float(i)),
+            color_name=None if i == 0 else ("red", "white")[i % 2],
+        )
+        for i in range(5)
+    ]
+
+
 class TestRecordTable:
     @pytest.fixture()
     def records(self) -> list[FrameRecord]:
-        return [
-            FrameRecord(
-                timestamp=0.1 * i,
-                frame_index=10 + i,
-                object_class=("car", "bus")[i % 2],
-                mask=BoundingBox(i, i, i + 5.5, i + 7),
-                trackid=None if i == 2 else i // 2,
-                features=None if i == 1 else np.arange(float(i)),
-                confidence=1 / (i + 1),
-                color=None if i == 3 else (1.0, 2.0, float(i)),
-                color_name=None if i == 0 else ("red", "white")[i % 2],
-            )
-            for i in range(5)
-        ]
+        return sample_records()
 
     def test_reads_as_a_sequence_of_records(self, records):
         table = RecordTable.from_records(records)
@@ -181,7 +191,8 @@ class TestRecordTable:
         assert len(empty) == 0
         assert list(empty) == []
         assert empty == [] and empty == RecordTable.from_records([])
-        assert empty.to_wire() == []
+        assert empty.to_wire()["n"] == 0
+        assert RecordTable.from_wire(empty.to_wire()) == []
         with pytest.raises(IndexError):
             empty[0]
 
@@ -213,8 +224,104 @@ class TestRecordTable:
         with pytest.raises(TypeError):
             hash(table)
 
-    def test_wire_form_is_the_list_of_record_objects(self, records):
+
+#: Replacements of one field of one record (a change only where the record
+#: holds another value).
+CHANGES = (
+    {"timestamp": 9.0},
+    {"frame_index": 99},
+    {"object_class": "truck"},
+    {"mask": BoundingBox(0, 0, 1, 1)},
+    {"trackid": 99},
+    {"trackid": None},
+    {"features": None},
+    {"features": np.arange(1.0)},
+    {"confidence": 0.5},
+    {"color": None},
+    {"color": (1.0, 2.0, 0.5)},
+    {"color_name": "white"},
+    {"color_name": None},
+)
+
+
+def _selection(table: RecordTable) -> SelectionResult:
+    return SelectionResult(kind="selection", method="m", records=table)
+
+
+def _relabelled(table: RecordTable, class_order, color_order) -> RecordTable:
+    """``table`` over string tables in another order with unused names, and
+    arbitrary colour values where ``has_color`` is false."""
+    batch = table.batch
+    classes = (*class_order, "unused-class")
+    names = ("unused-name", *color_order)
+    remap_class = np.asarray([classes.index(c) for c in batch.class_table], dtype=np.int32)
+    remap_name = np.asarray([*(names.index(c) for c in batch.color_name_table), -1], dtype=np.int32)
+    color = batch.color.copy()
+    color[~batch.has_color] = (7.0, -8.0, 9.5)
+    relabelled = dataclasses.replace(
+        batch,
+        class_code=remap_class[batch.class_code],
+        class_table=classes,
+        color_name_code=remap_name[batch.color_name_code],
+        color_name_table=names,
+        color=color,
+        track_id=np.arange(len(table), dtype=np.int32),  # the detector's: not a record field
+    )
+    return RecordTable(relabelled, table.track_id.copy())
+
+
+class TestCanonicalWireForm:
+    @pytest.fixture()
+    def records(self) -> list[FrameRecord]:
+        return sample_records()
+
+    def test_equal_tables_encode_to_equal_bytes(self, records):
         table = RecordTable.from_records(records)
-        encoded = [wire.encode(record) for record in records]
-        assert json.dumps(table.to_wire()) == json.dumps(encoded)
-        assert RecordTable.from_wire(json.loads(json.dumps(encoded))) == table
+        encoded = json.dumps(table.to_wire())
+        fingerprint = result_fingerprint(_selection(table))
+        for other in (
+            RecordTable.from_records(records),
+            _relabelled(table, ("car", "bus"), ("red", "white")),
+            _relabelled(table, ("bus", "car"), ("white", "red")),
+            RecordTable.from_records(records + records)[: len(records)],
+            RecordTable.from_records(records[::-1])[::-1],
+        ):
+            assert other == table
+            assert json.dumps(other.to_wire()) == encoded
+            assert result_fingerprint(_selection(other)) == fingerprint
+
+    def test_negative_zero_encodes_as_zero(self, records):
+        zero = dataclasses.replace(records[0], timestamp=0.0, confidence=0.0)
+        negative = dataclasses.replace(records[0], timestamp=-0.0, confidence=-0.0)
+        tables = [RecordTable.from_records([record]) for record in (zero, negative)]
+        assert tables[0] == tables[1]
+        assert tables[0].to_wire() == tables[1].to_wire()
+
+    def test_decode_then_encode_is_byte_identical(self, records):
+        nul = [dataclasses.replace(r, object_class=f"{r.object_class}\x00") for r in records]
+        for table in (
+            RecordTable.from_records(records),
+            _relabelled(RecordTable.from_records(records), ("car", "bus"), ("red", "white")),
+            RecordTable.from_records(nul),  # a numpy str table would drop the NUL
+            RecordTable.empty(),
+        ):
+            payload = json.loads(json.dumps(table.to_wire()))
+            decoded = RecordTable.from_wire(payload)
+            assert decoded == table and list(decoded) == list(table)
+            assert json.dumps(decoded.to_wire()) == json.dumps(payload)
+
+    def test_any_one_field_changes_the_fingerprint(self, records):
+        base = result_fingerprint(_selection(RecordTable.from_records(records)))
+        seen = set()
+        for position, record in enumerate(records):
+            for change in CHANGES:
+                changed = dataclasses.replace(record, **change)
+                if changed == record:
+                    continue
+                table = RecordTable.from_records(
+                    [*records[:position], changed, *records[position + 1 :]]
+                )
+                fingerprint = result_fingerprint(_selection(table))
+                assert fingerprint != base, (position, change)
+                seen.add(fingerprint)
+        assert len(seen) > 4 * len(CHANGES)

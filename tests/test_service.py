@@ -55,6 +55,7 @@ from repro.service.manager import (
     QUEUED,
     AdmissionRejectedError,
     EventLog,
+    LoggedEvent,
     NotFoundError,
     QueryRecord,
     QuotaExceededError,
@@ -262,7 +263,7 @@ class TestManagerExecution:
             assert record.done.wait(60.0)
             events = record.log.snapshot()
             assert events, "no events logged"
-            assert events[-1]["event"] == "completed"
+            assert events[-1].event == "completed"
             assert record.log.closed
         finally:
             manager.shutdown()
@@ -859,7 +860,7 @@ class TestRoutesOffTheLoop:
         app, manager, _, query_id = direct_app
         record = manager.query(query_id)
         completed = record.log.snapshot()[-1]
-        assert completed["event"] == "completed"
+        assert completed.event == "completed"
         expected = json.dumps(result_to_json(record.result)).encode()
 
         def no_encoding(obj):
@@ -869,8 +870,8 @@ class TestRoutesOffTheLoop:
         response = route(app, "GET", f"/queries/{query_id}")
         body = json.loads(response.body)
         assert json.dumps(body["result"]).encode() == expected
-        assert json.dumps(completed["data"]["result"]).encode() == expected
-        assert record.status()["result"] is completed["data"]["result"]
+        assert json.dumps(json.loads(completed.data)["data"]["result"]).encode() == expected
+        assert record.status()["result"] is record.result_json
 
     @pytest.mark.parametrize(
         "query_string, headers, start, cancel_on_disconnect",
@@ -936,50 +937,69 @@ class TestRoutesOffTheLoop:
 
 
 class TestSseFrames:
-    """The SSE pump's one executor call per frame, without a socket."""
+    """The SSE pump's one executor call per batch of frames, without a socket."""
 
-    def test_event_frame_advances_the_index(self, direct_app):
+    def test_one_call_writes_every_logged_event(self, direct_app):
+        """A finished query's stream is one ``_next_frames`` call for all of
+        its events, then the end marker: not one call per event."""
         app, manager, _, query_id = direct_app
         record = manager.query(query_id)
-        first = record.log.snapshot()[0]
-        frame, next_index = app._next_frame(record, 0)
-        assert next_index == 1
-        assert frame == (
-            f"id: 0\nevent: {first['event']}\ndata: {json.dumps(first)}\n\n"
+        events = record.log.snapshot()
+        assert len(events) > 1
+        frames, next_index = app._next_frames(record, 0)
+        assert next_index == len(events)
+        assert frames == "".join(
+            f"id: {i}\nevent: {event.event}\ndata: {event.data}\n\n"
+            for i, event in enumerate(events)
         ).encode()
+        assert json.loads(events[-1].data)["event"] == events[-1].event == "completed"
+        assert app._next_frames(record, next_index) == (
+            b'event: end\ndata: {"state": "completed"}\n\n',
+            None,
+        )
+
+    def test_resume_starts_at_the_requested_event(self, direct_app):
+        app, manager, _, query_id = direct_app
+        record = manager.query(query_id)
+        everything, end = app._next_frames(record, 0)
+        resumed, resumed_end = app._next_frames(record, 1)
+        assert resumed_end == end
+        assert everything.endswith(resumed)
+        assert resumed.startswith(b"id: 1\n")
 
     def test_end_marker_once_the_closed_log_is_drained(self, direct_app):
         app, manager, _, query_id = direct_app
         record = manager.query(query_id)
-        frame, next_index = app._next_frame(record, len(record.log))
+        frames, next_index = app._next_frames(record, len(record.log))
         assert next_index is None
-        assert frame == b'event: end\ndata: {"state": "completed"}\n\n'
+        assert frames == b'event: end\ndata: {"state": "completed"}\n\n'
 
     def test_keep_alive_while_the_log_is_open(self, direct_app):
         app = direct_app[0]
         record = _detached_record()
-        record.log.append({"event": "started"})
-        frame, next_index = app._next_frame(record, 1)
-        assert (frame, next_index) == (b": keep-alive\n\n", 1)
+        record.log.append(LoggedEvent("started", "{}"))
+        frames, next_index = app._next_frames(record, 1)
+        assert (frames, next_index) == (b": keep-alive\n\n", 1)
 
     def test_closed_log_still_yields_unread_events_before_the_end(self, direct_app):
         app = direct_app[0]
         record = _detached_record()
-        record.log.append({"event": "started"})
-        record.log.append({"event": "completed"})
+        record.log.append(LoggedEvent("started", "{}"))
+        record.log.append(LoggedEvent("completed", "{}"))
         record.log.close()
         index: int | None = 0
-        frames = []
+        writes = []
         while index is not None:
-            frame, index = app._next_frame(record, index)
-            frames.append(frame)
+            frames, index = app._next_frames(record, index)
+            writes.append(frames)
         kinds = [
             line
-            for frame in frames
-            for line in frame.split(b"\n")
+            for frames in writes
+            for line in frames.split(b"\n")
             if line.startswith(b"event: ")
         ]
         assert kinds == [b"event: started", b"event: completed", b"event: end"]
+        assert len(writes) == 2
 
     def test_disconnect_cancels_an_unfinished_query(self, direct_app, monkeypatch):
         app, manager, _, _ = direct_app
@@ -1032,8 +1052,16 @@ class TestSocketLayerFailures:
                 413,
                 "payload_too_large",
             ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Filler: %s\r\n\r\n" % (b"a" * 70_000),
+                431,
+                "request_header_fields_too_large",
+            ),
         ],
-        ids=["request-line", "length-not-a-number", "length-negative", "body-too-large"],
+        ids=[
+            "request-line", "length-not-a-number", "length-negative", "body-too-large",
+            "head-too-large",
+        ],
     )
     def test_unreadable_request_head_gets_a_json_error(
         self, live_service, caplog, head, status, code
@@ -1142,7 +1170,7 @@ class TestLoopStructure:
             for member in cls.body
             if isinstance(member, ast.FunctionDef)
         }
-        assert {"_route", "_next_frame", "_cancel_unfinished"} <= sync_methods
+        assert {"_route", "_next_frames", "_cancel_unfinished"} <= sync_methods
         for node in _loop_side_nodes(_app_coroutines()[name]):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in {"manager", "record", "log"}, (

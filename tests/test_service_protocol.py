@@ -9,6 +9,7 @@ exactly — and these tests pin that down with awkward values.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import types
@@ -421,92 +422,136 @@ class TestHintsRoundTrip:
         assert type(hints.stop_conditions.ci_width) is float
 
 
-#: A well-formed record payload; each malformed case below changes one key.
-RECORD = {
-    "timestamp": 0.1,
-    "frame_index": 3,
-    "object_class": "car",
-    "mask": [1.5, 2.0, 3.0, 4.0],
-    "trackid": 7,
-    "features": [0.5, 1],
-    "confidence": 0.9,
-    "color": [1.0, 2, 3.5],
-    "color_name": "red",
+def _column(values: list[Any], dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+#: A well-formed two-record table payload; each malformed case below changes
+#: one key.
+TABLE = {
+    "n": 2,
+    "timestamp": _column([0.1, 0.2], "<f8"),
+    "frame_index": _column([3, 4], "<i8"),
+    "class_code": _column([0, 1], "<i4"),
+    "class_table": ["bus", "car"],
+    "box": _column([1.5, 2.0, 3.0, 4.0, 0.0, 0.0, 1.0, 1.0], "<f8"),
+    "track_id": _column([7, -(2**63)], "<i8"),
+    "feature_len": _column([2, -1], "<i4"),
+    "features_flat": _column([0.5, 1.0], "<f8"),
+    "confidence": _column([0.9, 0.5], "<f8"),
+    "color": _column([1.0, 2.0, 3.5, 0.0, 0.0, 0.0], "<f8"),
+    "has_color": _column([1, 0], "u1"),
+    "color_name_code": _column([0, -1], "<i4"),
+    "color_name_table": ["red"],
 }
 
+#: The records ``TABLE`` holds.
+TABLE_RECORDS = [
+    FrameRecord(
+        timestamp=0.1,
+        frame_index=3,
+        object_class="bus",
+        mask=BoundingBox(1.5, 2.0, 3.0, 4.0),
+        trackid=7,
+        features=np.array([0.5, 1.0]),
+        confidence=0.9,
+        color=(1.0, 2.0, 3.5),
+        color_name="red",
+    ),
+    FrameRecord(
+        timestamp=0.2, frame_index=4, object_class="car", mask=BoundingBox(0, 0, 1, 1),
+        confidence=0.5,
+    ),
+]
 
-class TestRecordLeaves:
-    """A record's leaves are checked by the ``FrameRecord`` decoder and by the
-    record table's column decoder alike: each rejects what the other does."""
+
+class TestRecordTableRejections:
+    """The column decoder checks whole columns: every malformed payload is a
+    :class:`ConfigurationError` (which the service answers with a 400)."""
+
+    def test_well_formed_table_decodes_to_its_records(self):
+        table = RecordTable.from_wire(TABLE)
+        assert list(table) == TABLE_RECORDS
+        assert table.to_wire() == TABLE
+        assert RecordTable.from_records(TABLE_RECORDS).to_wire() == TABLE
 
     @pytest.mark.parametrize(
         "change",
         [
-            {"mask": ["1.5", True, "3", 4]},
-            {"mask": [1.5, True, 3.0, 4.0]},
-            {"mask": [1.0, 2.0, 3.0]},
-            {"mask": [1.0, 2.0, 3.0, 4.0, 5.0]},
-            {"mask": [3.0, 0.0, 1.0, 4.0]},
-            {"mask": "1,2,3,4"},
-            {"color": ["1", True, 2]},
-            {"color": [1.0, 2.0]},
-            {"color": [1.0, 2.0, 3.0, 4.0]},
-            {"features": ["1.5"]},
-            {"features": [True]},
-            {"features": [[1.0, 2.0]]},
-            {"features": 3.0},
-            {"frame_index": 3.0},
-            {"frame_index": True},
-            {"timestamp": "0.1"},
-            {"object_class": 3},
-            {"trackid": 1.5},
-            {"confidence": False},
-            {"color_name": 3},
+            # bad base64
+            {"timestamp": "not base64!"},
+            {"confidence": "AAAAAAAA8D"},
+            {"box": 3},
+            # wrong byte length for n
+            {"frame_index": _column([3], "<i8")},
+            {"frame_index": _column([3, 4], "<i4")},
+            {"box": _column([1.5, 2.0, 3.0, 4.0], "<f8")},
+            {"color": _column([0.0] * 7, "<f8")},
+            {"has_color": _column([1, 0, 1], "u1")},
+            {"features_flat": _column([0.5, 1.0], "<f8")[:-4]},
+            # a code outside its table
+            {"class_code": _column([0, 2], "<i4")},
+            {"class_code": _column([-1, 0], "<i4")},
+            {"color_name_code": _column([1, -1], "<i4")},
+            {"color_name_code": _column([0, -2], "<i4")},
+            # feature lengths that do not cover the feature column
+            {"feature_len": _column([1, -1], "<i4")},
+            {"feature_len": _column([2, 1], "<i4")},
+            {"feature_len": _column([4, -2], "<i4")},
+            # an invalid box
+            {"box": _column([3.0, 2.0, 1.5, 4.0, 0.0, 0.0, 1.0, 1.0], "<f8")},
+            {"box": _column([1.5, 2.0, 3.0, 4.0, 0.0, 1.0, 1.0, 0.5], "<f8")},
+            # a colour flag other than 0 or 1
+            {"has_color": _column([2, 0], "u1")},
+            # a row count that is not a non-negative JSON integer
+            {"n": True},
+            {"n": -1},
+            {"n": 2.0},
+            {"n": "2"},
+            # a string table that is not a list of strings
+            {"class_table": ["bus", 3]},
+            {"class_table": ["bus", None]},
+            {"color_name_table": "red"},
+            # unknown keys
             {"extra": 1},
-            {"object_class": None},
+            {"det_offsets": _column([0, 1, 2], "<i8")},
         ],
         ids=repr,
     )
-    def test_malformed_leaf_rejected_by_both_decoders(self, change):
-        payload = {**RECORD, **change}
+    def test_malformed_table_rejected(self, change):
         with pytest.raises(ConfigurationError):
-            wire.decode(FrameRecord, payload)
-        with pytest.raises(ConfigurationError):
-            RecordTable.from_wire([RECORD, payload])
+            RecordTable.from_wire({**TABLE, **change})
 
-    @pytest.mark.parametrize("key", ["timestamp", "frame_index", "object_class", "mask"])
-    def test_absent_required_key_rejected_by_both_decoders(self, key):
-        payload = {k: v for k, v in RECORD.items() if k != key}
-        with pytest.raises(ConfigurationError, match=f"FrameRecord needs field '{key}'"):
-            wire.decode(FrameRecord, payload)
-        with pytest.raises(ConfigurationError, match=f"FrameRecord needs field '{key}'"):
-            RecordTable.from_wire([payload])
+    @pytest.mark.parametrize("key", sorted(TABLE))
+    def test_missing_key_rejected(self, key):
+        payload = {k: v for k, v in TABLE.items() if k != key}
+        with pytest.raises(ConfigurationError, match=f"lacks keys \\['{key}'\\]"):
+            RecordTable.from_wire(payload)
 
-    @pytest.mark.parametrize("payload", [3, {"a": 1}, [[1.0]], [3]], ids=repr)
-    def test_table_of_no_record_objects_rejected(self, payload):
+    @pytest.mark.parametrize("payload", [3, [], [TABLE], None], ids=repr)
+    def test_payload_that_is_not_an_object_rejected(self, payload):
         with pytest.raises(ConfigurationError):
             RecordTable.from_wire(payload)
 
     @pytest.mark.parametrize(
         "change",
-        [{}, {"trackid": None, "features": None, "color": None, "color_name": None}],
-        ids=["full", "nulls"],
+        [
+            {"frame_index": 2**63},
+            {"trackid": -(2**63)},
+            {"trackid": 2**64},
+            {"trackid": 1.5},
+            {"object_class": 3},
+            {"color_name": 3},
+            {"color": (1.0, 2.0)},
+        ],
+        ids=repr,
     )
-    def test_well_formed_record_decodes_alike(self, change):
-        payload = {**RECORD, **change}
-        record = wire.decode(FrameRecord, payload)
-        table = RecordTable.from_wire([payload])
-        assert table == [record]
-        assert table.to_wire() == [wire.encode(record)]
-        defaults = {k: v for k, v in payload.items() if v is not None}
-        assert RecordTable.from_wire([defaults]) == table
-
-    def test_ids_outside_int64_rejected_by_the_table(self):
+    def test_hand_built_records_checked_alike(self, change):
         # The table's frame and track columns are int64; the minimum int64
         # is the track-id column's None.
-        for change in ({"frame_index": 2**63}, {"trackid": -(2**63)}, {"trackid": 2**64}):
-            with pytest.raises(ConfigurationError):
-                RecordTable.from_wire([{**RECORD, **change}])
+        records = [dataclasses.replace(TABLE_RECORDS[0], **change), TABLE_RECORDS[1]]
+        with pytest.raises(ConfigurationError):
+            RecordTable.from_records(records)
 
 
 # -- every registered wire class, instances built from the field types ----------------

@@ -1,9 +1,13 @@
-"""Protocol v1 wire compatibility against a committed golden file.
+"""Protocol v2 wire compatibility against a committed golden file.
 
-``tests/data/wire_v1_golden.json`` was written by running this module as a
-script at the commit *before* the codecs were derived from the dataclasses
-(``PYTHONPATH=src python tests/test_wire_golden.py``), so it records what the
-hand-written codecs put on the wire.  It holds two kinds of payload:
+``tests/data/wire_v2_golden.json`` is written by running this module as a
+script (``PYTHONPATH=src python tests/test_wire_golden.py``), so it records
+what the codecs put on the wire.  It replaced the v1 golden when protocol v2
+moved a result's records from one JSON object per record to the record
+table's columns (base64 little-endian bytes, see
+:mod:`repro.frameql.records`); every records list of the v1 golden decodes
+to the same records as its v2 counterpart, and everything else in the file
+changed only in the envelope's version tag.  It holds two kinds of payload:
 
 * ``constructed`` — objects :func:`constructed` builds by hand: one result per
   class, every event type, a full and a default hint set, both ledger
@@ -65,7 +69,7 @@ from repro.service.protocol import (
 from repro.video.geometry import BoundingBox
 from repro.video.scenarios import generate_scenario
 
-GOLDEN = Path(__file__).parent / "data" / "wire_v1_golden.json"
+GOLDEN = Path(__file__).parent / "data" / "wire_v2_golden.json"
 
 CODECS = {
     "results": (result_to_json, result_from_json),
@@ -249,7 +253,7 @@ def test_constructed_objects_encode_to_the_golden_payload(codec, name):
 
 def test_golden_covers_every_registered_wire_type():
     golden = _golden()
-    assert golden["protocol_version"] == PROTOCOL_VERSION == 1
+    assert golden["protocol_version"] == PROTOCOL_VERSION == 2
     assert {p["event"] for p in golden["constructed"]["events"].values()} == set(
         event_wire_types()
     )
