@@ -7,8 +7,9 @@ owns three things a one-shot ``BlazeIt.query()`` call cannot amortize:
   video), so per-video state (detector, labeled set, index view) is
   resolved once per session rather than once per query — every execution
   runs on its own shallow copy, and the cached context is never written to;
-* a cache of :class:`PreparedQuery` objects keyed by query text and hints,
-  so repeated ``session.execute`` calls parse, analyze and plan exactly once;
+* a cache of what ``prepare()`` planned, keyed by query text and hints, so
+  repeated ``session.execute`` calls parse, analyze and plan exactly once
+  (plans, not handles: nothing the session holds points back at it);
 * a per-session :class:`numpy.random.SeedSequence` from which every execution
   draws a fresh, independent RNG stream — repeated approximate queries see
   different samples, while a fixed engine seed keeps whole runs reproducible.
@@ -29,7 +30,7 @@ import contextlib
 import dataclasses
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -72,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.context import ExecutionContext
     from repro.core.engine import BlazeIt
     from repro.optimizer.base import PhysicalPlan
-    from repro.optimizer.cost import ParallelismDecision, PlanDecision
+    from repro.optimizer.cost import PlanDecision
 
 
 def _int_at_least(minimum: int):
@@ -122,6 +123,19 @@ class SessionStats:
     prepared_cache_hits: int = 0
 
 
+class PlannedQuery(NamedTuple):
+    """What ``prepare()`` made of one query: the session caches these.  The
+    prepare-time wall durations are replayed as synthetic ``parse`` /
+    ``optimize`` spans into every traced execution (display only)."""
+
+    text: str
+    spec: QuerySpec
+    plan: PhysicalPlan
+    hints: QueryHints
+    parse_seconds: float
+    optimize_seconds: float
+
+
 class PreparedQuery:
     """A query that has been parsed, analyzed and planned exactly once.
 
@@ -130,28 +144,14 @@ class PreparedQuery:
     execution cost.  Runtime parameters that do not change the plan structure
     (``error_within``/``confidence`` for aggregates, ``limit``/``gap`` for
     scrubbing, ``fnr_within``/``fpr_within`` for selection) can be re-bound
-    per execution.
+    per execution.  The handle holds its session; the session holds only
+    the :class:`PlannedQuery`.
     """
 
-    def __init__(
-        self,
-        session: QuerySession,
-        text: str,
-        spec: QuerySpec,
-        plan: PhysicalPlan,
-        hints: QueryHints,
-        parse_seconds: float = 0.0,
-        optimize_seconds: float = 0.0,
-    ) -> None:
+    def __init__(self, session: QuerySession, planned: PlannedQuery) -> None:
         self._session = session
-        self.text = text
-        self.spec = spec
-        self.plan = plan
-        self.hints = hints
-        #: Prepare-time wall durations, replayed as synthetic ``parse`` /
-        #: ``optimize`` spans into every traced execution (display only).
-        self._parse_seconds = parse_seconds
-        self._optimize_seconds = optimize_seconds
+        self._planned = planned
+        self.text, self.spec, self.plan, self.hints = planned[:4]
 
     def __repr__(self) -> str:
         return f"PreparedQuery({self.text!r}, plan={self.plan.describe()})"
@@ -247,32 +247,6 @@ class PreparedQuery:
         assert decision is not None  # prepare() plans through the optimizer
         return decision
 
-    def _routed(
-        self, batch_size: int | None = None, backend: str | None = None
-    ) -> ParallelismDecision:
-        """The routed-parallelism verdict: what ``explain()`` shows, and what
-        an execution without an explicit ``parallelism=`` runs.
-
-        Routed (hints / engine config) parallelism is a *default*, not an
-        order: the verdict is a function of the plan's decision record, so
-        it is priced on the statistics the plan was chosen with.
-        """
-        from repro.optimizer.cost import routed_parallelism
-
-        engine = self._session.engine
-        requested = (
-            self.hints.parallelism
-            if self.hints.parallelism is not None
-            else engine.config.parallelism
-        )
-        return routed_parallelism(
-            self._decision,
-            requested=requested,
-            batch_size=batch_size or self.hints.batch_size or DEFAULT_BATCH_SIZE,
-            backend_constraint=backend if backend is not None else self.hints.backend,
-            detector=self._session._context_for(self.spec.video).detector,
-        )
-
     def _tracing_enabled(self, trace: bool | None, analyze: bool) -> bool:
         """Per-call ``analyze`` wins, then ``trace``, then the hints; off otherwise."""
         if analyze:
@@ -342,7 +316,10 @@ class PreparedQuery:
             workers = require_positive_int("parallelism", parallelism)
             exec_backend = backend or self.hints.backend or "threads"
         else:
-            verdict = self._routed(batch_size, backend)
+            # Routed (hints / engine config) parallelism is a default.
+            verdict = self._decision.routed(
+                self._session.engine.config.parallelism, cached.detector, batch_size, backend
+            )
             workers, exec_backend = verdict.workers, verdict.backend
 
         def events() -> Iterator[ExecutionEvent]:
@@ -357,8 +334,8 @@ class PreparedQuery:
                     # Replay the prepare-time costs into this trace: parse
                     # and optimize ran once, at prepare(), for every
                     # execution of this handle.
-                    tracer.synthetic_span("parse", self._parse_seconds)
-                    tracer.synthetic_span("optimize", self._optimize_seconds)
+                    tracer.synthetic_span("parse", self._planned.parse_seconds)
+                    tracer.synthetic_span("optimize", self._planned.optimize_seconds)
                 if workers > 1:
                     plan_events = parallel_events(
                         self.plan,
@@ -403,7 +380,7 @@ class PreparedQuery:
                             result.profile = build_profile(
                                 result.kind,
                                 self.plan.describe(),
-                                self._decision.operators,
+                                self._decision.explained.operators,
                                 tracer,
                             )
                         yield completed
@@ -472,7 +449,12 @@ class PreparedQuery:
             result = self.execute(analyze=True, **params)
             assert result.profile is not None  # analyze=True always traces
             return result.profile
-        return self._decision.explanation(self._routed())
+        # The detector an execution would call, read without building a
+        # context: building one draws an RNG stream, explaining draws none.
+        engine, video = self._session.engine, self.spec.video
+        cached = self._session._contexts.get(video)
+        detector = engine.execution_detector(video) if cached is None else cached.detector
+        return self._decision.explanation(engine.config.parallelism, detector)
 
 
 class QuerySession:
@@ -480,7 +462,8 @@ class QuerySession:
 
     Obtained from :meth:`repro.core.engine.BlazeIt.session`; usable as a
     context manager (``with engine.session() as s:``), though no cleanup is
-    required — closing merely drops the caches.
+    required — closing merely drops the caches (nothing they hold refers
+    back to the session, so a dropped one is freed at once).
     """
 
     def __init__(
@@ -495,7 +478,7 @@ class QuerySession:
         self.stats = SessionStats()
         self._seed_sequence = engine._spawn_seed_sequence()
         self._contexts: dict[str, ExecutionContext] = {}
-        self._prepared: dict[tuple[str, QueryHints], PreparedQuery] = {}
+        self._prepared: dict[tuple[str, QueryHints], PlannedQuery] = {}
 
     def __enter__(self) -> QuerySession:
         return self
@@ -562,12 +545,7 @@ class QuerySession:
         self.stats.plans += 1
         return PreparedQuery(
             self,
-            text,
-            spec,
-            plan,
-            effective_hints,
-            parse_seconds=parse_seconds,
-            optimize_seconds=optimize_seconds,
+            PlannedQuery(text, spec, plan, effective_hints, parse_seconds, optimize_seconds),
         )
 
     def execute(
@@ -631,13 +609,13 @@ class QuerySession:
             # key and, on a miss, as the prepare() input.
             key_text, source = self._to_ast(query)
         key = (key_text, hints if hints is not None else self.hints)
-        prepared = self._prepared.get(key)
-        if prepared is None:
+        planned = self._prepared.get(key)
+        if planned is None:
             prepared = self.prepare(source, hints=hints)
-            self._prepared[key] = prepared
-        else:
-            self.stats.prepared_cache_hits += 1
-        return prepared
+            self._prepared[key] = prepared._planned
+            return prepared
+        self.stats.prepared_cache_hits += 1
+        return PreparedQuery(self, planned)
 
     def execute_many(
         self,

@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError, UnknownVideoError
 from repro.index.builder import build_video_index
 from repro.index.sketches import DEFAULT_RANGE_SIZE
 from repro.index.store import DEFAULT_SEGMENT_FRAMES, PersistentIndex
-from repro.index.view import IndexView
+from repro.index.view import IndexViews
 from repro.frameql.analyzer import QuerySpec, analyze
 from repro.frameql.parser import parse
 from repro.optimizer.base import PhysicalPlan
@@ -95,11 +95,10 @@ class BlazeIt:
         # range sketches.  Catalog entries persisted with an index generation
         # are registered immediately (cheap JSON); the expensive shared-cache
         # preload stays behind the explicit :meth:`warm_start`.
-        self._index_store: PersistentIndex | None = None
-        self._index_views: dict[str, IndexView] = {}
+        self._index: IndexViews | None = None
         if index_dir is not None:
-            self._index_store = PersistentIndex(Path(index_dir))
-            for index in self._index_store.entries():
+            self._index = IndexViews(PersistentIndex(Path(index_dir)))
+            for index in self._index.store.entries():
                 try:
                     stats = index.statistics()
                     if stats is not None and index.video not in self.catalog:
@@ -110,8 +109,8 @@ class BlazeIt:
             self.udf_registry,
             catalog=self.catalog,
             config=self.config,
-            index_lookup=self._index_attachable,
-            frame_count=lambda name: self.store.get(name).num_frames,
+            store=self.store,
+            index=self._index,
         )
         self._detectors: dict[str, ObjectDetector] = {}
         self._labeled_sets: dict[str, LabeledSet] = {}
@@ -153,6 +152,8 @@ class BlazeIt:
         self._recorded.pop(name, None)
         if detector is not None:
             self._detectors[name] = detector
+        if self._index is not None:
+            self._index.cache_keys[name] = self._cache_key_for(name)
         if train_video is not None and heldout_video is not None and build_labeled_set:
             self.attach_labeled_set(
                 name, LabeledSet.build(train_video, heldout_video, self.detector_for(name))
@@ -234,6 +235,11 @@ class BlazeIt:
         """The detector configured for a video (falls back to the default)."""
         return self._detectors.get(name, self.default_detector)
 
+    def execution_detector(self, name: str) -> ObjectDetector:
+        """The detector an execution context of a video gets (its attached
+        recording, else :meth:`detector_for`), without building a context."""
+        return self._recorded.get(name) or self.detector_for(name)
+
     def labeled_set(self, name: str) -> LabeledSet | None:
         """The labeled set for a video, or ``None`` if it was never built."""
         return self._labeled_sets.get(name)
@@ -270,10 +276,8 @@ class BlazeIt:
         self, query_text: str, hints: QueryHints | None = None
     ) -> tuple[QuerySpec, PhysicalPlan]:
         """Analyze a query and build (but do not run) its physical plan."""
-        from repro.api.hints import require_hints
-
-        require_hints(hints)
         spec = self.analyze(query_text)
+        self.store.get(spec.video)  # an unregistered video fails here
         plan = self.optimizer.plan(spec, hints=hints)
         return spec, plan
 
@@ -281,16 +285,21 @@ class BlazeIt:
         """One-line description of the plan the optimizer would choose.
 
         For the structured form (operator tree, detector-call estimate,
-        hints), use ``engine.session().explain(...)``, which returns a
-        :class:`~repro.core.results.PlanExplanation`.
+        hints), use :meth:`explain_query` or ``session.explain(...)``, which
+        return a :class:`~repro.core.results.PlanExplanation`.
         """
         return str(self.explain_query(query_text, hints=hints))
 
     def explain_query(
         self, query_text: str, hints: QueryHints | None = None
     ) -> PlanExplanation:
-        """Structured explanation of the chosen plan."""
-        return self.session().explain(query_text, hints=hints)
+        """Structured explanation of the chosen plan.  Opens no session:
+        explaining draws nothing from the engine's seed sequence."""
+        spec, plan = self.plan(query_text, hints=hints)
+        assert plan.decision is not None  # the optimizer records one
+        return plan.decision.explanation(
+            self.config.parallelism, self.execution_detector(spec.video)
+        )
 
     def shared_cache(self) -> SharedDetectionCache | None:
         """The engine's shared cross-query detection cache (``None`` if off)."""
@@ -317,46 +326,22 @@ class BlazeIt:
         """Build the execution context for a registered video.
 
         Each context receives its own RNG stream derived from the engine's
-        root seed sequence, so two contexts never share sample draws.
+        root seed sequence, so two contexts never share sample draws.  An
+        unregistered video raises :class:`~repro.errors.UnknownVideoError`.
         """
-        if video_name not in self.store:
-            raise UnknownVideoError(
-                f"video {video_name!r} is not registered "
-                f"(available: {', '.join(self.videos()) or '<none>'})"
-            )
         return ExecutionContext(
             video=self.store.get(video_name),
-            detector=self._recorded.get(video_name) or self.detector_for(video_name),
+            detector=self.execution_detector(video_name),
             udf_registry=self.udf_registry,
             config=self.config,
             labeled_set=self._labeled_sets.get(video_name),
             rng=np.random.default_rng(self._spawn_seed_sequence()),
             shared_cache=self._shared_cache,
             cache_key=self._cache_key_for(video_name),
-            index_view=self._index_view_for(video_name),
+            index_view=self._index.view(video_name) if self._index is not None else None,
         )
 
     # -- persistent index ---------------------------------------------------------------
-
-    def _index_view_for(self, video_name: str) -> IndexView | None:
-        """The attached index view for a video, or ``None`` when no committed
-        generation matches the video's current cache-key identity."""
-        if self._index_store is None or video_name not in self.store:
-            return None
-        cache_key = self._cache_key_for(video_name)
-        view = self._index_views.get(video_name)
-        if view is not None and view.cache_key == cache_key:
-            return view
-        index = self._index_store.open(video_name, cache_key)
-        if index is None:
-            return None
-        view = IndexView(index)
-        self._index_views[video_name] = view
-        return view
-
-    def _index_attachable(self, video_name: str) -> bool:
-        """Whether queries over ``video_name`` will be served by the index."""
-        return self._index_view_for(video_name) is not None
 
     def build_index(
         self,
@@ -374,28 +359,24 @@ class BlazeIt:
         statistics-catalog entry, and commits atomically: a crash leaves the
         previous generation fully readable.
         """
-        if self._index_store is None:
+        if self._index is None:
             raise ConfigurationError(
                 "this engine has no index store; construct it with "
                 "BlazeIt(index_dir=...) to build or serve persistent indexes"
             )
-        stale = self._index_views.pop(video_name, None)
+        # Build from ground truth, not from the previous generation, whose
+        # view is closed before the new one is written.
+        context = dataclasses.replace(self.execution_context(video_name), index_view=None)
+        stale = self._index.views.pop(video_name, None)
         if stale is not None:
             stale.close()
-        context = self.execution_context(video_name)
-        if context.index_view is not None:
-            # Build from ground truth, not from the previous generation.
-            reopened = self._index_views.pop(video_name, None)
-            if reopened is not None:
-                reopened.close()
-            context = dataclasses.replace(context, index_view=None)
         statistics = (
             self.catalog.get(video_name)
             if include_statistics and video_name in self.catalog
             else None
         )
         return build_video_index(
-            self._index_store,
+            self._index.store,
             video_name,
             context,
             range_size=range_size,
@@ -412,14 +393,14 @@ class BlazeIt:
         shared cross-query cache under its index's cache key.
         """
         report: dict[str, Any] = {
-            "enabled": self._index_store is not None,
+            "enabled": self._index is not None,
             "videos": [],
             "frames_loaded": 0,
             "catalog_entries": 0,
         }
-        if self._index_store is None:
+        if self._index is None:
             return report
-        for index in self._index_store.entries():
+        for index in self._index.store.entries():
             try:
                 stats = index.statistics()
                 if stats is not None and index.video not in self.catalog:
@@ -444,13 +425,13 @@ class BlazeIt:
         count (``index_hits`` / ``index_skips``), folded into the metrics
         registry when an execution completes.
         """
-        if self._index_store is None:
+        if self._index is None:
             return {"enabled": False}
-        status = self._index_store.status()
+        status = self._index.store.status()
         status["enabled"] = True
         status["attached"] = {
             name: {"generation": view.index.generation}
-            for name, view in sorted(self._index_views.items())
+            for name, view in sorted(self._index.views.items())
         }
         return status
 

@@ -69,6 +69,7 @@ from typing import overload
 import numpy as np
 
 from repro.detection.base import Detection, DetectionResult
+from repro.errors import ConfigurationError
 from repro.video.geometry import BoundingBox
 
 __all__ = [
@@ -500,6 +501,9 @@ class DetectionBatch:
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The encoded layout: C-ordered columns, compacted sorted tables."""
         compact = self.compacted()
+        for name in (*compact.class_table, *compact.color_name_table):
+            if name.endswith("\x00"):  # a numpy string array would drop it
+                raise ConfigurationError(f"detection name {name!r} ends in NUL")
         return {
             "frame_index": np.ascontiguousarray(self.frame_index, dtype=np.int64),
             "timestamp": np.ascontiguousarray(self.timestamp, dtype=np.float64),

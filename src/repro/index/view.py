@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.detection.base import DetectionResult
 from repro.index.sketches import RangeSketch
-from repro.index.store import VideoIndex
+from repro.index.store import PersistentIndex, VideoIndex
 
 
 class IndexView:
@@ -101,4 +101,28 @@ class IndexView:
         self.index.close()
 
 
-__all__ = ["IndexView"]
+class IndexViews:
+    """The views an engine serves from its index store, one per video: the
+    generation committed under the video's registered cache key, opened on
+    first use.  It holds no reference to the engine, so the optimizer holds
+    it too, to ask whether an index covers a video."""
+
+    def __init__(self, store: PersistentIndex) -> None:
+        self.store = store
+        self.cache_keys: dict[str, str] = {}
+        self.views: dict[str, IndexView] = {}
+
+    def view(self, video_name: str) -> IndexView | None:
+        """The video's view, or ``None`` when no committed generation
+        matches its cache key."""
+        cache_key = self.cache_keys.get(video_name)
+        view = self.views.get(video_name)
+        if cache_key is not None and (view is None or view.cache_key != cache_key):
+            index = self.store.open(video_name, cache_key)
+            if index is None:
+                return None
+            view = self.views[video_name] = IndexView(index)
+        return view
+
+
+__all__ = ["IndexView", "IndexViews"]

@@ -41,7 +41,6 @@ the only way to force a strategy short of constructing a plan directly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -66,6 +65,8 @@ from repro.udf.registry import UDFRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.detection.base import ObjectDetector
+    from repro.index.view import IndexViews
+    from repro.video.store import VideoStore
 
 
 #: Relative + absolute margin a forced variant must clear to displace the
@@ -230,62 +231,6 @@ class ParallelismModel:
         return counts
 
 
-def routed_parallelism(
-    decision: PlanDecision,
-    requested: int,
-    batch_size: int,
-    backend_constraint: str | None,
-    detector: "ObjectDetector",
-) -> ParallelismDecision:
-    """The verdict on hint/config-routed parallelism for one planned query.
-
-    A pure function of the plan's decision record and the routing inputs:
-    ``explain()`` and execution both call it, on the same inputs, so the
-    verdict shown is the one that runs.  Without statistics there is nothing
-    to price, so the stats-free rule decides: scrubbing stops at its
-    ``LIMIT`` and declines (speculative prefetch measured a 0.44x regression
-    at 4 workers), every other plan scans and shards as requested.
-    Exportability to process workers is probed only when processes are
-    actually in play: the probe pickles the detector (a recorded test day
-    refuses, so it keeps to threads).
-    """
-    from repro.core.context import spawn_refusal
-    from repro.parallel.executor import WINDOW_CHUNKS
-
-    if requested < 2:
-        return ParallelismDecision(
-            backend="sequential", workers=1, reason="parallelism not requested"
-        )
-    if decision.stats is None:
-        if decision.kind == "scrubbing":
-            return ParallelismDecision(
-                backend="sequential",
-                workers=1,
-                reason="no catalog statistics to price: a LIMIT scan stops "
-                "early, so shard prefetch is declined",
-                source="fallback",
-            )
-        return ParallelismDecision(
-            backend=backend_constraint or "threads",
-            workers=requested,
-            reason="no catalog statistics to price: scans shard as requested",
-            source="fallback",
-        )
-    processes_in_play = detector.gil_bound or backend_constraint == "processes"
-    process_ok = not processes_in_play or spawn_refusal(detector) is None
-    return ParallelismModel().decide(
-        cost=decision.chosen.cost,
-        stats=decision.stats,
-        num_frames=decision.num_frames,
-        requested=requested,
-        batch_size=batch_size,
-        window_chunks=WINDOW_CHUNKS,
-        gil_bound=detector.gil_bound,
-        process_ok=process_ok,
-        backend_constraint=backend_constraint,
-    )
-
-
 def _index_served_tree(node: OperatorNode) -> OperatorNode:
     """``node`` with every operator's detector estimate zeroed.
 
@@ -333,71 +278,117 @@ class PlanDecision:
     reports or routes the plan afterwards — ``explain()`` renders it,
     EXPLAIN ANALYZE joins spans against its operator tree, routed
     parallelism prices its chosen cost — so none of them consults the
-    (possibly since-changed) statistics catalog again.
+    (possibly since-changed) statistics catalog again.  It holds values
+    only, never a candidate's plan, so a plan's record points at no plan.
     """
 
-    #: The query class (``QueryKind`` value).
-    kind: str
+    #: EXPLAIN short of the routed verdict: the chosen plan, its estimated
+    #: operator tree and detector calls (zeroed on an index-served video),
+    #: the hints, and every priced candidate, default first, winner marked.
+    explained: PlanExplanation
     hints: QueryHints
-    #: Every priced candidate, default first, index repricing applied.
-    candidates: tuple[PlanCandidate, ...]
-    #: The winner (by cost, or by ``force_plan``); its plan carries this record.
-    chosen: PlanCandidate
+    #: The winner's price (by cost, or by ``force_plan``): routing prices it.
+    cost: CostEstimate
     #: The statistics snapshot and the frame count the candidates were priced
     #: with (``None`` / the store's count for a video without statistics).
     stats: VideoStatistics | None
     num_frames: int
-    #: The chosen plan's estimated operator tree, and its detector-call
-    #: bound; both zeroed on an index-served video.
-    operators: OperatorNode
-    estimated_detector_calls: int
 
-    def explanation(self, parallelism: ParallelismDecision) -> PlanExplanation:
-        """The structured EXPLAIN of this decision, with a routed verdict."""
-        return PlanExplanation(
-            kind=self.kind,
-            plan_summary=self.chosen.plan.describe(),
-            operators=self.operators,
-            estimated_detector_calls=self.estimated_detector_calls,
-            hints_applied=self.hints.describe(),
-            candidates=tuple(
-                PlanCandidateSummary(
-                    name=candidate.name,
-                    detector_calls=candidate.cost.detector_calls,
-                    total_seconds=candidate.cost.total_seconds,
-                    chosen=candidate is self.chosen,
-                    reason=candidate.reason,
+    def routed(
+        self,
+        default_workers: int,
+        detector: ObjectDetector,
+        batch_size: int | None = None,
+        backend: str | None = None,
+    ) -> ParallelismDecision:
+        """The verdict on hint/config-routed parallelism for this plan.
+
+        A pure function of the record and the routing inputs (the call's,
+        else the plan's hints, else ``default_workers`` from the engine
+        configuration): ``explain()`` and execution both call it, so the
+        verdict shown is the one that runs.  Without statistics the
+        stats-free rule decides: scrubbing stops at its ``LIMIT`` and
+        declines (speculative prefetch measured a 0.44x regression at 4
+        workers), every other plan scans and shards as requested.
+        Exportability to process workers is probed only when processes are
+        in play: the probe pickles the detector (a recorded test day
+        refuses, so it keeps to threads).
+        """
+        from repro.core.context import spawn_refusal
+        from repro.core.events import DEFAULT_BATCH_SIZE
+        from repro.parallel.executor import WINDOW_CHUNKS
+
+        hints = self.hints
+        requested = default_workers if hints.parallelism is None else hints.parallelism
+        backend_constraint = hints.backend if backend is None else backend
+        if requested < 2:
+            return ParallelismDecision(
+                backend="sequential", workers=1, reason="parallelism not requested"
+            )
+        if self.stats is None:
+            if self.explained.kind == "scrubbing":
+                return ParallelismDecision(
+                    backend="sequential",
+                    workers=1,
+                    reason="no catalog statistics to price: a LIMIT scan stops "
+                    "early, so shard prefetch is declined",
+                    source="fallback",
                 )
-                for candidate in self.candidates
-            ),
-            parallelism=parallelism.describe(),
+            return ParallelismDecision(
+                backend=backend_constraint or "threads",
+                workers=requested,
+                reason="no catalog statistics to price: scans shard as requested",
+                source="fallback",
+            )
+        processes_in_play = detector.gil_bound or backend_constraint == "processes"
+        process_ok = not processes_in_play or spawn_refusal(detector) is None
+        return ParallelismModel().decide(
+            cost=self.cost,
+            stats=self.stats,
+            num_frames=self.num_frames,
+            requested=requested,
+            batch_size=batch_size or hints.batch_size or DEFAULT_BATCH_SIZE,
+            window_chunks=WINDOW_CHUNKS,
+            gil_bound=detector.gil_bound,
+            process_ok=process_ok,
+            backend_constraint=backend_constraint,
+        )
+
+    def explanation(self, default_workers: int, detector: ObjectDetector) -> PlanExplanation:
+        """The structured EXPLAIN of this decision, with its routed verdict."""
+        return replace(
+            self.explained, parallelism=self.routed(default_workers, detector).describe()
         )
 
 
 class CostBasedOptimizer:
-    """Chooses the cheapest eligible physical plan for an analyzed query."""
+    """Chooses the cheapest eligible physical plan for an analyzed query.
+
+    It reads values the engine owns (catalog, video store, index views) and
+    holds no reference to the engine, so a dropped engine is freed at once.
+    """
 
     def __init__(
         self,
         udf_registry: UDFRegistry,
         catalog: StatisticsCatalog | None = None,
         config: BlazeItConfig | None = None,
-        index_lookup: Callable[[str], bool] | None = None,
-        frame_count: Callable[[str], int] | None = None,
+        store: VideoStore | None = None,
+        index: IndexViews | None = None,
     ) -> None:
         self.udf_registry = udf_registry
         self.catalog = catalog if catalog is not None else StatisticsCatalog()
         self.config = config if config is not None else BlazeItConfig()
-        #: Predicate answering "does a committed persistent index cover this
-        #: video?" (the engine passes its index store's lookup).  When it
-        #: answers yes, every candidate's detector work is index-served —
-        #: decoded from memory-mapped segments or skipped outright by the
-        #: range sketches — so detector calls and seconds are repriced to
-        #: zero (training/inference/filter buckets are unaffected).
-        self.index_lookup = index_lookup
-        #: The registered length of a video (the engine passes its store's);
+        #: The registered videos (the engine passes its store): their length
         #: sizes the costing of a video the catalog has no statistics for.
-        self.frame_count = frame_count or (lambda video: 0)
+        self.store = store
+        #: The views of a persistent index store (the engine passes its
+        #: own).  When one covers the queried video, every candidate's
+        #: detector work is index-served — decoded from memory-mapped
+        #: segments or skipped outright by the range sketches — so detector
+        #: calls and seconds are repriced to zero (training/inference/filter
+        #: buckets are unaffected).
+        self.index = index
 
     # -- public surface ------------------------------------------------------------
 
@@ -432,14 +423,27 @@ class CostBasedOptimizer:
             operators = _index_served_tree(operators)
             estimated_calls = 0
         chosen.plan.decision = PlanDecision(
-            kind=spec.kind.value,
+            explained=PlanExplanation(
+                kind=spec.kind.value,
+                plan_summary=chosen.plan.describe(),
+                operators=operators,
+                estimated_detector_calls=estimated_calls,
+                hints_applied=hints.describe(),
+                candidates=tuple(
+                    PlanCandidateSummary(
+                        name=candidate.name,
+                        detector_calls=candidate.cost.detector_calls,
+                        total_seconds=candidate.cost.total_seconds,
+                        chosen=candidate is chosen,
+                        reason=candidate.reason,
+                    )
+                    for candidate in candidates
+                ),
+            ),
             hints=hints,
-            candidates=tuple(candidates),
-            chosen=chosen,
+            cost=chosen.cost,
             stats=stats,
             num_frames=num_frames,
-            operators=operators,
-            estimated_detector_calls=estimated_calls,
         )
         return chosen.plan
 
@@ -486,7 +490,7 @@ class CostBasedOptimizer:
         stats = self.catalog.get(spec.video)
         if stats is not None:
             return stats, stats.num_frames
-        return None, self.frame_count(spec.video)
+        return None, self.store.num_frames(spec.video) if self.store is not None else 0
 
     def _index_covers(self, spec: QuerySpec, hints: QueryHints) -> bool:
         """Whether a persistent index serves this query's detector work.
@@ -495,9 +499,9 @@ class CostBasedOptimizer:
         not opt out (``use_index=False``), and the store holds a committed
         generation for the query's video under the current detector identity.
         """
-        if self.index_lookup is None or hints.use_index is False:
+        if self.index is None or hints.use_index is False:
             return False
-        return bool(self.index_lookup(spec.video))
+        return self.index.view(spec.video) is not None
 
     def _index_priced(self, candidate: PlanCandidate) -> PlanCandidate:
         """Reprice one candidate for index-served detections.

@@ -592,6 +592,7 @@ class ServiceManager:
             record.error = f"{type(exc).__name__}: {exc}"
         finally:
             stream.close()
+            del stream  # free it, and its session, before waking a waiter
             self._finalise(record)
             record.log.close()
             record.done.set()

@@ -9,6 +9,7 @@ from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.core.results import AggregateResult, PlanExplanation
 from repro.errors import FrameQLAnalysisError, QueryParameterError, UnknownVideoError
+from repro.service.protocol import result_fingerprint
 
 AGG_QUERY = (
     "SELECT FCOUNT(*) FROM tiny WHERE class = 'car' "
@@ -370,3 +371,57 @@ class TestCompatibilityWrapper:
         explanation = tiny_engine.explain_query(AGG_QUERY)
         assert isinstance(explanation, PlanExplanation)
         assert explanation.kind == "aggregate"
+
+
+class TestExplainDrawsNothing:
+    """Explaining is an observation (invariant I1): it builds no execution
+    context and opens no session, so it draws nothing from the engine's seed
+    sequence, and no later session's results move."""
+
+    @pytest.fixture()
+    def fresh_engine(self, tiny_video, detector, fast_training_config):
+        def build():
+            engine = BlazeIt(
+                detector=detector,
+                config=BlazeItConfig(
+                    training=fast_training_config, min_training_positives=10**6, seed=5
+                ),
+            )
+            engine.register_video("tiny", test_video=tiny_video)
+            return engine
+
+        return build
+
+    def test_an_explain_in_one_session_leaves_another_unchanged(self, fresh_engine):
+        fingerprints = []
+        for explained in (False, True):
+            engine = fresh_engine()
+            first = engine.session()
+            prepared = first.prepare(AGG_QUERY)
+            if explained:
+                prepared.explain()
+            second = engine.session()
+            fingerprints.append(
+                (
+                    result_fingerprint(second.execute(AGG_QUERY)),
+                    result_fingerprint(prepared.execute()),
+                )
+            )
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_engine_explain_leaves_the_next_session_unchanged(self, fresh_engine):
+        fingerprints = []
+        for explained in (False, True):
+            engine = fresh_engine()
+            if explained:
+                assert "aggregate" in engine.explain(AGG_QUERY)
+                assert engine.explain_query(AGG_QUERY).kind == "aggregate"
+            fingerprints.append(result_fingerprint(engine.session().execute(AGG_QUERY)))
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_engine_explain_of_an_unregistered_video_raises(self, fresh_engine):
+        engine = fresh_engine()
+        with pytest.raises(UnknownVideoError, match="'nope' is not registered"):
+            engine.explain(AGG_QUERY.replace("tiny", "nope"))
+        with pytest.raises(UnknownVideoError):
+            engine.explain_query("SELECT * FROM nope")

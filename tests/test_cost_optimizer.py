@@ -258,16 +258,22 @@ class TestOnePrice:
         spec = engine.analyze(QUERY_BY_KIND[kind])
         names = _names(engine.optimizer.candidates(spec))
         for force in [None, *names]:
-            decision = engine.optimizer.plan(spec, QueryHints(force_plan=force)).decision
-            assert _names(decision.candidates) == names
+            hints = QueryHints(force_plan=force)
+            decision = engine.optimizer.plan(spec, hints).decision
+            assert _names(decision.explained.candidates) == names
             if force is not None:
-                assert decision.chosen.name == force
-            plans = {candidate.name: candidate.plan for candidate in decision.candidates}
+                chosen = [c.name for c in decision.explained.candidates if c.chosen]
+                assert chosen == [force]
+            candidates = engine.optimizer.candidates(spec, hints)
+            assert [
+                (c.detector_calls, c.total_seconds) for c in decision.explained.candidates
+            ] == [(c.cost.detector_calls, c.cost.total_seconds) for c in candidates]
+            plans = {candidate.name: candidate.plan for candidate in candidates}
 
             def price(name):
                 return plans[name].estimate_cost(decision.num_frames, stats)
 
-            for candidate in decision.candidates:
+            for candidate in candidates:
                 expected = price(candidate.name)
                 if candidate.name == "auto":
                     # The adaptive aggregate: the cheapest variant it may run,

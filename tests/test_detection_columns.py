@@ -10,6 +10,7 @@ followed by a size-5 normal.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import threading
 import time
@@ -21,10 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import BlazeIt
 from repro.detection import columnar
 from repro.detection.base import DetectionResult
 from repro.detection.columnar import DetectionBatch, DetectionRows
 from repro.detection.simulated import SimulatedDetector
+from repro.errors import ConfigurationError
 from repro.parallel.cache import SharedDetectionCache
 from repro.rng import RekeyedPhilox
 from repro.video.scenarios import generate_scenario
@@ -297,3 +300,62 @@ class TestPersistedForms:
             for name in before.files:
                 assert before[name].dtype == after[name].dtype, name
                 assert np.array_equal(before[name], after[name]), name
+
+
+class _NulEndedDetector(SimulatedDetector):
+    """Mask R-CNN whose class and colour names gain a trailing NUL."""
+
+    def detect_columns(self, video, frame_indices):
+        batch = super().detect_columns(video, frame_indices)
+        return dataclasses.replace(
+            batch,
+            class_table=tuple(f"{name}\x00" for name in batch.class_table),
+            color_name_table=tuple(f"{name}\x00" for name in batch.color_name_table),
+        )
+
+
+class TestNulEndedNames:
+    """A numpy ``<U`` array drops a trailing NUL, so the encoded layout
+    refuses such a name rather than persist one that reads back as another:
+    an index segment or a snapshot never answers differently from the live
+    detector (invariant I7)."""
+
+    @pytest.fixture()
+    def nul_detector(self):
+        base = SimulatedDetector.mask_rcnn()
+        return _NulEndedDetector(
+            name=base.name,
+            cost=base.cost,
+            noise=base.noise,
+            confidence_threshold=base.confidence_threshold,
+            supported=base._supported,
+            seed=base.seed,
+        )
+
+    def test_to_arrays_names_the_entry(self, nul_detector):
+        batch = nul_detector.detect_columns(_VIDEOS["taipei"], range(40))
+        assert any(name.endswith("\x00") for name in batch.class_table)
+        with pytest.raises(ConfigurationError, match=r"'car\\x00' ends in NUL"):
+            batch.to_arrays()
+        colour = dataclasses.replace(
+            SimulatedDetector.mask_rcnn().detect_columns(_VIDEOS["taipei"], range(40)),
+            color_name_table=("red\x00",),
+            color_name_code=np.zeros(len(batch.class_code), dtype=np.int32),
+        )
+        with pytest.raises(ConfigurationError, match=r"'red\\x00' ends in NUL"):
+            colour.to_arrays()
+
+    def test_build_index_raises_and_commits_nothing(self, nul_detector, tmp_path):
+        engine = BlazeIt(detector=nul_detector, index_dir=tmp_path)
+        engine.register_video("v", test_video=_VIDEOS["taipei"])
+        with pytest.raises(ConfigurationError, match="ends in NUL"):
+            engine.build_index("v")
+        assert engine.index_status()["videos"] == []
+
+    def test_npz_snapshot_raises(self, nul_detector, tmp_path):
+        cache = SharedDetectionCache(capacity_bytes=1 << 20)
+        batch = nul_detector.detect_columns(_VIDEOS["taipei"], range(40))
+        cache.put_many("v", {result.frame_index: result for result in batch.results()})
+        with pytest.raises(ConfigurationError, match="ends in NUL"):
+            cache.save(tmp_path / "cache.npz", format="npz")
+        assert not (tmp_path / "cache.npz").exists()

@@ -22,6 +22,7 @@ Three layers are exercised:
 from __future__ import annotations
 
 import ast
+import gc
 import http.client
 import json
 import logging
@@ -689,6 +690,45 @@ class TestWire:
             # Cooperative cancellation still finalises a partial result.
             assert final["stop_reason"] == "cancelled"
             assert "result" in final
+
+
+class TestClosedSessionsAreFreed:
+    def test_two_hundred_sessions_leave_nothing_alive_without_gc(self):
+        """Ownership is a tree over the service (invariant I9): with the
+        cyclic collector off, 200 sessions that each prepare, run and close
+        leave no session, prepared query, plan or plan decision alive."""
+        from repro.api.session import PreparedQuery, QuerySession
+        from repro.optimizer.base import PhysicalPlan
+        from repro.optimizer.cost import PlanDecision
+
+        owned = (QuerySession, PreparedQuery, PhysicalPlan, PlanDecision)
+        query = queries_for(scenario_class())[3]
+        manager = ServiceManager(build_engine(), ServiceConfig(slots=2))
+        enabled = gc.isenabled()
+        gc.collect()
+        # Whatever other tests left alive is not this test's business.
+        earlier = [obj for obj in gc.get_objects() if isinstance(obj, owned)]
+        gc.disable()
+        try:
+            manager.create_tenant("t")
+            for _ in range(200):
+                session_id = manager.create_session("t")
+                prepared_id = manager.prepare(session_id, query)["prepared_id"]
+                record = manager.submit(session_id, prepared_id=prepared_id)
+                assert record.done.wait(60.0)
+                assert record.state == COMPLETED, record.error
+                manager.close_session(session_id)
+            seen = {id(obj) for obj in earlier}
+            left = [
+                type(obj).__name__
+                for obj in gc.get_objects()
+                if isinstance(obj, owned) and id(obj) not in seen
+            ]
+        finally:
+            manager.shutdown()
+            if enabled:
+                gc.enable()
+        assert left == []
 
 
 class TestLoopLiveness:
