@@ -30,7 +30,8 @@ import numpy as np
 
 from repro.core.config import BlazeItConfig
 from repro.core.labeled_set import LabeledSet
-from repro.detection.base import DetectionResult, ObjectDetector
+from repro.detection.base import ObjectDetector
+from repro.detection.columnar import DetectionBatch
 from repro.errors import SpawnExportError
 from repro.metrics.runtime import ExecutionLedger, OperatorCost, RuntimeLedger
 from repro.udf.registry import UDFRegistry
@@ -65,7 +66,7 @@ class ContextSpec:
         """Rebuild the exact video (works for sliced videos too)."""
         return SyntheticVideo(self.video_spec, list(self.tracks))
 
-    def speculator(self) -> Callable[[list[int]], list[DetectionResult]]:
+    def speculator(self) -> Callable[[list[int]], DetectionBatch]:
         """The worker's detection over the rebuilt video, uncharged.
 
         Speculative prefetch is intentionally uncharged: the driver charges
@@ -189,18 +190,19 @@ class ExecutionContext:
         frame_indices: np.ndarray | list[int],
         ledger: RuntimeLedger | None = None,
         cost_scale: float = 1.0,
-    ) -> list[DetectionResult]:
+    ) -> DetectionBatch:
         """Run (or replay) detection on a batch of frames, charging once.
 
         The charged walk of the source cascade (:meth:`_walk_sources`):
         frames no free tier serves are charged with a single
         ``charge(cost, count=misses)`` — ``cost_scale`` reduces the cost when
         a spatial filter has cropped the frame — and published to the shared
-        cross-query cache.  Results come back in input order.
+        cross-query cache.  The answer is one batch of the request in input
+        order, repeats included.
         """
         return self._walk_sources(frame_indices, ledger, cost_scale, charged=True)
 
-    def speculate_batch(self, frames: list[int]) -> list[DetectionResult]:
+    def speculate_batch(self, frames: list[int]) -> DetectionBatch:
         """Uncharged detections for one chunk of a thread shard worker.
 
         The same walk as :meth:`detect_batch`, uncharged: workers *read* the
@@ -220,7 +222,7 @@ class ExecutionContext:
         ledger: RuntimeLedger | None,
         cost_scale: float,
         charged: bool,
-    ) -> list[DetectionResult]:
+    ) -> DetectionBatch:
         """The one detection read path: where a frame's detections come from,
         in which order, and who is charged.
 
@@ -229,62 +231,58 @@ class ExecutionContext:
         :class:`ExecutionLedger` (in-batch repeats count as hits of it) →
         the shared cross-query cache → the persistent index → *one charge for
         everything still left* → the parallel prefetcher → the detector (a
-        recorded test day is a detector, so it replays here).  A free tier
-        may serve only what is provably what the detector would have
-        returned, so a hit is seeded into the execution cache under its own
-        counter and never charged.
+        recorded test day is a detector, so it replays here).  Each tier
+        answers with one batch of the frames it has; a free tier may serve
+        only what is provably what the detector would have returned, so its
+        batch is seeded into the execution cache under its own counter and
+        never charged.  The request is then assembled out of that cache.
         """
-        order: list[int] = np.asarray(frame_indices, dtype=np.int64).tolist()
-        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-        served: dict[int, DetectionResult] = {}
+        order = np.asarray(frame_indices, dtype=np.int64)
+        # Without an execution ledger the walk still collects every tier's
+        # batch in a cache of its own, whose counters nobody reads.
+        execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else ExecutionLedger()
+        cache = execution_ledger.detection_cache
         # ``left`` is what no source has answered yet: distinct frames, in
-        # first-occurrence order.
-        left: list[int] = []
-        for frame in dict.fromkeys(order):
-            cached = (
-                None
-                if execution_ledger is None
-                else execution_ledger.cached_detection(frame)
-            )
-            if cached is None:
-                left.append(frame)
-            else:
-                served[frame] = cached
-        if left and self.shared_cache is not None:
+        # first-occurrence order (deduplicated without a numpy sort, which
+        # releases the GIL: costly when queries run concurrently).
+        distinct = np.fromiter(dict.fromkeys(order.tolist()), dtype=np.int64)
+
+        def unserved(frames: np.ndarray) -> np.ndarray:
+            return frames[cache.locate(frames)[0] < 0]
+
+        def publish(batch: DetectionBatch) -> None:
+            execution_ledger.record_detections(batch)
+            if charged and self.shared_cache is not None:
+                self.shared_cache.put_many(self.cache_key, batch)
+
+        left = unserved(distinct)
+        if left.size and self.shared_cache is not None:
             shared = self.shared_cache.get_many(self.cache_key, left)
-            if execution_ledger is not None and shared:
-                execution_ledger.stash_detections(shared)
-            served.update(shared)
-            left = [frame for frame in left if frame not in shared]
-        if left and self.index_view is not None:
-            indexed = self.index_view.get(left)
-            for frame, (result, _) in indexed.items():
-                served[frame] = result
-            if execution_ledger is not None and indexed:
-                execution_ledger.stash_index_detections(indexed)
-            left = [frame for frame in left if frame not in indexed]
-        if left:
+            if shared:
+                execution_ledger.record_shared_hits(shared)
+                left = unserved(left)
+        if left.size and self.index_view is not None:
+            indexed, skipped = self.index_view.get(left)
+            if indexed:
+                execution_ledger.record_index_hits(indexed, int(skipped.sum()))
+                left = unserved(left)
+        misses = int(left.size)
+        if misses:
             # Everything still left costs a detector call, whoever computes it.
             if charged and ledger is not None:
-                ledger.charge(self._scaled_cost(cost_scale), len(left))
-            computed: dict[int, DetectionResult] = {}
+                ledger.charge(self._scaled_cost(cost_scale), misses)
             if self._prefetcher is not None:
-                computed = self._prefetcher.take_many(left)
-            remaining = [frame for frame in left if frame not in computed]
-            if remaining:
-                fresh = self.detector.detect_many(self.video, remaining)
-                computed.update(zip(remaining, fresh, strict=True))
-            if execution_ledger is not None:
-                execution_ledger.record_detections({frame: computed[frame] for frame in left})
-            if charged and self.shared_cache is not None:
-                self.shared_cache.put_many(self.cache_key, computed)
-            served.update(computed)
-        if execution_ledger is not None:
-            # Every occurrence that did not cost a detector call came out of
-            # the execution cache: earlier batches, seeded tiers, repeats.
-            if len(order) > len(left):
-                execution_ledger.record_cache_hit(len(order) - len(left))
-        return [served[frame] for frame in order]
+                taken = self._prefetcher.take_many(left)
+                if taken:
+                    publish(taken)
+                    left = unserved(left)
+            if left.size:
+                publish(self.detector.detect_many(self.video, left))
+        # Every occurrence that did not cost a detector call came out of the
+        # execution cache: earlier batches, seeded tiers, repeats.
+        if order.size > misses:
+            execution_ledger.record_cache_hit(int(order.size) - misses)
+        return DetectionBatch.assemble(cache.batches, *cache.locate(order))
 
     def _scaled_cost(self, cost_scale: float) -> OperatorCost:
         """The detector's per-call cost, reduced by a spatial-crop scale."""
@@ -310,27 +308,20 @@ class ExecutionContext:
         already in the execution cache keep their normal cache-hit accounting
         by routing through :meth:`detect_batch`.
         """
-        frames: list[int] = np.asarray(frame_indices, dtype=np.int64).tolist()
-        counts = np.zeros(len(frames), dtype=np.float64)
-        needed = list(range(len(frames)))
+        frames = np.asarray(frame_indices, dtype=np.int64)
+        counts = np.zeros(frames.size, dtype=np.float64)
+        needed = np.ones(frames.size, dtype=np.bool_)
         if self.index_view is not None:
-            execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
-            absent = self.index_view.class_count_zero(frames, object_class).tolist()
-            needed = [
-                row
-                for row, frame in enumerate(frames)
-                if not absent[row]
-                or (
-                    execution_ledger is not None
-                    and execution_ledger.cached_detection(frame) is not None
-                )
-            ]
-            if execution_ledger is not None and len(needed) < len(frames):
-                execution_ledger.record_index_skip(len(frames) - len(needed))
-        if needed:
-            results = self.detect_batch([frames[row] for row in needed], ledger)
-            for row, result in zip(needed, results, strict=True):
-                counts[row] = result.count(object_class)
+            needed = ~self.index_view.class_count_zero(frames, object_class)
+            if isinstance(ledger, ExecutionLedger):
+                needed |= ledger.detection_cache.locate(frames)[0] >= 0
+                skipped = frames.size - int(np.count_nonzero(needed))
+                if skipped:
+                    ledger.record_index_skip(skipped)
+        if needed.any():
+            counts[needed] = self.detect_batch(frames[needed], ledger).class_counts(
+                object_class
+            )
         return counts
 
     # -- cheap features ---------------------------------------------------------------

@@ -329,13 +329,19 @@ class BlazeIt:
         root seed sequence, so two contexts never share sample draws.  An
         unregistered video raises :class:`~repro.errors.UnknownVideoError`.
         """
+        context = self._unseeded_context(video_name)
+        context.rng = np.random.default_rng(self._spawn_seed_sequence())
+        return context
+
+    def _unseeded_context(self, video_name: str) -> ExecutionContext:
+        """A video's context on the fixed default stream, spawning nothing
+        from the engine's seed sequence: for work that draws no randomness."""
         return ExecutionContext(
             video=self.store.get(video_name),
             detector=self.execution_detector(video_name),
             udf_registry=self.udf_registry,
             config=self.config,
             labeled_set=self._labeled_sets.get(video_name),
-            rng=np.random.default_rng(self._spawn_seed_sequence()),
             shared_cache=self._shared_cache,
             cache_key=self._cache_key_for(video_name),
             index_view=self._index.view(video_name) if self._index is not None else None,
@@ -365,8 +371,10 @@ class BlazeIt:
                 "BlazeIt(index_dir=...) to build or serve persistent indexes"
             )
         # Build from ground truth, not from the previous generation, whose
-        # view is closed before the new one is written.
-        context = dataclasses.replace(self.execution_context(video_name), index_view=None)
+        # view is closed before the new one is written.  Detection draws no
+        # randomness, so the build spawns nothing: building an index moves no
+        # later session's draws (invariant I1).
+        context = dataclasses.replace(self._unseeded_context(video_name), index_view=None)
         stale = self._index.views.pop(video_name, None)
         if stale is not None:
             stale.close()
@@ -407,12 +415,9 @@ class BlazeIt:
                     self.catalog.register(stats)
                     report["catalog_entries"] += 1
                 if self._shared_cache is not None:
-                    for _segment, results in index.iter_segments():
-                        self._shared_cache.put_many(
-                            index.cache_key,
-                            {r.frame_index: r for r in results},
-                        )
-                        report["frames_loaded"] += len(results)
+                    for _segment, batch in index.iter_segments():
+                        self._shared_cache.put_many(index.cache_key, batch)
+                        report["frames_loaded"] += len(batch)
                 report["videos"].append(index.video)
             finally:
                 index.close()

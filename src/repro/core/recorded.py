@@ -63,8 +63,7 @@ class RecordedDetections(ObjectDetector):
         self, video: SyntheticVideo, frame_indices: Sequence[int] | np.ndarray
     ) -> DetectionBatch:
         """The recorded rows of ``frame_indices``, in order, as a new batch."""
-        frames = np.asarray(frame_indices, dtype=np.int64)
-        return self.batch.take(frames, frames, self.batch.timestamp[frames])
+        return self.batch.take(frame_indices)
 
     # -- free access (ground truth, no cost charged) --------------------------
 

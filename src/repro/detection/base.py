@@ -8,9 +8,9 @@ that groups detections — a ``Detection`` may be shared between queries
 through the cross-query cache, so nothing writes it after the detector made
 it.
 
-Detector output is stored as columns (:mod:`repro.detection.columnar`): a
-:class:`DetectionResult`'s ``detections`` are usually a row range of a
-``DetectionBatch`` that builds ``Detection`` objects only when iterated.
+Detector output is stored as columns (:mod:`repro.detection.columnar`):
+one ``DetectionBatch`` per call, which is also a sequence of per-frame
+:class:`DetectionResult` views.
 
 An :class:`ObjectDetector` is a pure function of (video, frames) with one
 hook, :meth:`ObjectDetector.detect_columns`.  It holds no ledger and no
@@ -64,12 +64,14 @@ class Detection:
 
 @dataclass(slots=True)
 class DetectionResult:
-    """All detections produced for one frame.
+    """All detections produced for one frame: the per-frame convenience over
+    a :class:`~repro.detection.columnar.DetectionBatch`, which the engine
+    itself passes whole.
 
     ``detections`` is any sequence of :class:`Detection`: a list when the
-    result is built by hand, or a
-    :class:`~repro.detection.columnar.DetectionRows` view of a batch's
-    columns when a detector, the index or a cache produced it.
+    result is built by hand (a custom detector, a test), or a
+    :class:`~repro.detection.columnar.DetectionRows` view of the frame's rows
+    when it is read out of a batch (``batch[i]``, iterating a batch).
     """
 
     frame_index: int
@@ -133,14 +135,15 @@ class ObjectDetector(abc.ABC):
 
     def detect_many(
         self, video: SyntheticVideo, frame_indices: Sequence[int] | np.ndarray
-    ) -> list[DetectionResult]:
-        """One result per frame of ``frame_indices``, each a view of the batch.
+    ) -> DetectionBatch:
+        """The detections of ``frame_indices``: :meth:`detect_columns`'s batch
+        (a sequence of one result per frame), on the live detection path.
 
         Defined here only: the end-to-end harness wraps this method on
         ``ObjectDetector`` by name, so a subclass overrides
         :meth:`detect_columns` instead.
         """
-        return self.detect_columns(video, frame_indices).results()
+        return self.detect_columns(video, frame_indices)
 
     def detect(self, video: SyntheticVideo, frame_index: int) -> DetectionResult:
         """The detections of one frame (a convenience over :meth:`detect_many`)."""

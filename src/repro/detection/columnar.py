@@ -2,27 +2,24 @@
 
 A :class:`DetectionBatch` holds every detection of a batch of frames as a
 handful of flat numpy arrays (struct of arrays, rows grouped per frame by CSR
-offsets).  The simulated detector's kernel emits one batch per call, the
-index decodes a gathered window into one, the process-backend transport ships
-one, and the shared cache keeps packed copies of each frame's rows and hands
-out batches of them.
+offsets).  It is the one type that crosses every internal boundary: the
+simulated detector's kernel emits one per call, the index decodes a gathered
+window into one, the process-backend transport ships one, the shared cache
+and the prefetcher answer with one, and the source cascade assembles a
+request from those answers (:meth:`DetectionBatch.assemble`).  Consumers read
+columns: the IoU tracker scores boxes as arrays, selection's predicates are
+one row mask, counts are :meth:`DetectionBatch.class_counts`, and a query's
+FrameQL records are a :class:`~repro.frameql.records.RecordTable` over the
+selected rows (:meth:`DetectionBatch.gather`).
 
-A frame's :class:`~repro.detection.base.DetectionResult` is a row range of a
-batch: its ``detections`` are a :class:`DetectionRows` view, whose
-``len()`` and class counts read the columns and which builds
-:class:`~repro.detection.base.Detection` objects only when a consumer
-iterates or indexes it.  The query path reads columns: the IoU tracker
-scores boxes as arrays, selection's class, area and spatial predicates are
-one row mask, and the FrameQL records a query returns stay columns too — a
-:class:`~repro.frameql.records.RecordTable` over the selected rows
-(:meth:`DetectionBatch.gather`), which builds a record only when a caller
-reads one.  ``Detection`` objects are built only for a UDF predicate's rows
-and for callers that iterate a result.  Consumers
-that need only classes, counts or bytes — aggregates, the scrubbing verifier,
-the sketch builder, the segment writer, the cache budget and its snapshots,
-the shm transport — never build one.  A result constructed from a list of
-detections (a custom detector, a test) stays a list; :meth:`DetectionBatch.
-from_results` turns any mix of the two forms into columns.
+A batch is also a ``Sequence`` of per-frame
+:class:`~repro.detection.base.DetectionResult` views, for callers that want
+one frame at a time (custom detectors, tests): indexing or iterating builds a
+result whose ``detections`` are a :class:`DetectionRows` view, which reads
+``len()`` and class counts off the columns and builds
+:class:`~repro.detection.base.Detection` objects only when iterated.  Nothing
+on the query path does either, so a query builds a ``Detection`` only for a
+UDF predicate's rows.
 
 :meth:`DetectionBatch.to_arrays` (through :func:`encode_detection_results`)
 is the persisted and transported form: the batch's columns with both string
@@ -30,9 +27,9 @@ tables compacted to the values present and sorted, so equal detections
 always encode to equal bytes (index segments, npz cache snapshots, shm
 payloads, and — one frame per record, each column as base64 of its
 little-endian bytes — a record table on the service's wire).
-:func:`decode_detection_results` is its inverse and returns views; it copies
-every column that does not own its memory, so nothing decoded keeps an index
-map or a shared-memory slot alive.
+:func:`decode_detection_results` is its inverse; it copies every column that
+does not own its memory, so nothing decoded keeps an index map or a
+shared-memory slot alive.
 
 Layout (``n_frames`` frames holding ``n_det`` detections total):
 
@@ -138,13 +135,16 @@ def concatenated_runs(
 
 
 @dataclass(eq=False, slots=True)
-class DetectionBatch:
+class DetectionBatch(Sequence[DetectionResult]):
     """The detections of a batch of frames, as columns (see the module doc).
 
-    A batch is never written after it is built: results, caches and index
-    windows share it.  The private fields memoise two derived columns (the
-    class codes as a list, the feature offsets); building one twice in a
-    race is harmless.
+    As a ``Sequence`` its length is the number of frames (so an empty batch
+    is falsy) and ``batch[i]`` is frame ``i``'s result, a view of its rows.
+
+    A batch is never written after it is built: caches, index windows and
+    every consumer share it.  The private fields memoise two derived columns
+    (the class codes as a list, the feature offsets); building one twice in
+    a race is harmless.
     """
 
     frame_index: np.ndarray
@@ -168,8 +168,9 @@ class DetectionBatch:
 
     @classmethod
     def empty(cls) -> DetectionBatch:
-        """A batch of no frames."""
-        return cls.from_detections([])
+        """A batch of no frames (one shared instance: batches are never
+        written)."""
+        return _NO_FRAMES
 
     @classmethod
     def from_detections(cls, results: Sequence[DetectionResult]) -> DetectionBatch:
@@ -227,44 +228,6 @@ class DetectionBatch:
         )
 
     @classmethod
-    def from_results(cls, results: Sequence[DetectionResult]) -> DetectionBatch:
-        """One batch holding ``results`` in order, whatever their form.
-
-        Results that are exactly one batch's frames in order (one detector
-        call, one decoded window) come back as that batch, uncopied; anything
-        else is gathered run by run and concatenated.
-        """
-        runs: list[tuple[DetectionBatch | None, list[DetectionResult], list[int]]] = []
-        for result in results:
-            rows = result.detections
-            batch = rows.batch if isinstance(rows, DetectionRows) else None
-            if not runs or runs[-1][0] is not batch:
-                runs.append((batch, [], []))
-            runs[-1][1].append(result)
-            if isinstance(rows, DetectionRows):
-                runs[-1][2].append(rows.frame_row)
-        if not runs:
-            return cls.empty()
-        pieces = [
-            cls.from_detections(run) if batch is None else batch._select(run, rows)
-            for batch, run, rows in runs
-        ]
-        return pieces[0] if len(pieces) == 1 else cls.concat(pieces)
-
-    def _select(self, results: list[DetectionResult], frame_rows: list[int]) -> DetectionBatch:
-        """This batch's frames ``frame_rows``, labelled as ``results``."""
-        frames = [result.frame_index for result in results]
-        stamps = [result.timestamp for result in results]
-        if (
-            len(frame_rows) == self.num_frames
-            and frame_rows == list(range(self.num_frames))
-            and frames == self.frame_index.tolist()
-            and stamps == self.timestamp.tolist()
-        ):
-            return self
-        return self.take(frame_rows, frames, stamps)
-
-    @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> DetectionBatch:
         """A batch of the encoded columns (copied unless they own their memory)."""
         return cls(
@@ -286,7 +249,10 @@ class DetectionBatch:
 
     @classmethod
     def concat(cls, batches: Sequence[DetectionBatch]) -> DetectionBatch:
-        """Frames of every batch, in order, over merged string tables."""
+        """Frames of every batch, in order, over merged string tables (one
+        batch is returned as is)."""
+        if len(batches) <= 1:
+            return batches[0] if batches else cls.empty()
         class_table, class_maps = _merge_tables([b.class_table for b in batches])
         color_table, color_maps = _merge_tables([b.color_name_table for b in batches])
         offsets = run_offsets(np.concatenate([np.diff(b.offsets) for b in batches]))
@@ -315,23 +281,50 @@ class DetectionBatch:
             track_id=stack("track_id"),
         )
 
-    def take(
-        self,
-        frame_rows: Sequence[int],
-        frame_index: Sequence[int],
-        timestamp: Sequence[float],
+    @classmethod
+    def assemble(
+        cls, batches: Sequence[DetectionBatch], which: np.ndarray, rows: np.ndarray
     ) -> DetectionBatch:
-        """A new batch owning copies of the given frames' rows, labelled
-        ``frame_index`` / ``timestamp`` (a result may carry its own)."""
+        """One batch whose frame ``i`` is frame row ``rows[i]`` of
+        ``batches[which[i]]`` (repeats allowed).
+
+        Each source is gathered once (:meth:`take`) and the pieces are
+        concatenated, so a request one source answered entirely, in order,
+        comes back as that batch.
+        """
+        which = np.asarray(which, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        if which.size == 0:
+            return cls.empty()
+        if which.min() < 0:  # a source answered fewer frames than it was asked
+            raise IndexError("a requested frame is in none of the batches")
+        if (which == which[0]).all():
+            return batches[int(which[0])].take(rows)
+        order = np.argsort(which, kind="stable")
+        grouped = which[order]
+        bounds = (np.flatnonzero(np.diff(grouped)) + 1).tolist()
+        assembled = cls.concat(
+            [
+                batches[int(grouped[lo])].take(rows[order[lo:hi]])
+                for lo, hi in zip([0, *bounds], [*bounds, which.size], strict=True)
+            ]
+        )
+        if (order == np.arange(order.size)).all():
+            return assembled
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        return assembled.take(position)
+
+    def take(self, frame_rows: Sequence[int] | np.ndarray) -> DetectionBatch:
+        """The given frames (rows of this batch, in the given order, repeats
+        allowed): this batch itself when that is every frame in order, else a
+        new batch owning copies of their rows."""
         rows = np.asarray(frame_rows, dtype=np.int64)
+        if rows.size == self.num_frames and (rows == np.arange(rows.size)).all():
+            return self
         starts = self.offsets[rows]
         det_rows, offsets = concatenated_runs(starts, self.offsets[rows + 1] - starts)
-        return self._gather(
-            det_rows,
-            np.asarray(frame_index, dtype=np.int64),
-            np.asarray(timestamp, dtype=np.float64),
-            offsets,
-        )
+        return self._gather(det_rows, self.frame_index[rows], self.timestamp[rows], offsets)
 
     def gather(self, rows: np.ndarray) -> DetectionBatch:
         """A new batch owning copies of the detection ``rows``, in the given
@@ -390,19 +383,33 @@ class DetectionBatch:
             start = self._feature_start = run_offsets(np.maximum(self.feature_len, 0))
         return start
 
-    def results(self) -> list[DetectionResult]:
-        """One result per frame, each a view of its rows."""
+    def __len__(self) -> int:
+        return int(self.frame_index.shape[0])
+
+    @overload
+    def __getitem__(self, index: int) -> DetectionResult: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> DetectionBatch: ...
+
+    def __getitem__(self, index: int | slice) -> DetectionResult | DetectionBatch:
+        """Frame ``index``'s result (a view of its rows); a slice's frames
+        as a new batch."""
+        if isinstance(index, slice):
+            return self.take(np.arange(self.num_frames)[index])
+        row = range(self.num_frames)[index]
+        start, stop = self.offsets[row : row + 2].tolist()
+        return DetectionResult(
+            int(self.frame_index[row]), float(self.timestamp[row]), DetectionRows(self, start, stop)
+        )
+
+    def __iter__(self) -> Iterator[DetectionResult]:
         offsets = self.offsets.tolist()
-        return [
-            DetectionResult(
-                frame_index=frame,
-                timestamp=stamp,
-                detections=DetectionRows(self, row, offsets[row], offsets[row + 1]),
-            )
-            for row, (frame, stamp) in enumerate(
-                zip(self.frame_index.tolist(), self.timestamp.tolist(), strict=True)
-            )
-        ]
+        for frame, stamp, start, stop in zip(
+            self.frame_index.tolist(), self.timestamp.tolist(), offsets[:-1], offsets[1:],
+            strict=True,
+        ):
+            yield DetectionResult(frame, stamp, DetectionRows(self, start, stop))
 
     def class_codes(self) -> list[int]:
         """``class_code`` as a Python list (memoised)."""
@@ -522,6 +529,9 @@ class DetectionBatch:
         }
 
 
+_NO_FRAMES = DetectionBatch.from_detections([])
+
+
 class DetectionRows(Sequence[Detection]):
     """One frame's detections as a row range of a :class:`DetectionBatch`.
 
@@ -530,11 +540,10 @@ class DetectionRows(Sequence[Detection]):
     so repeated reads of one result see the same objects.
     """
 
-    __slots__ = ("batch", "frame_row", "start", "stop", "_objects")
+    __slots__ = ("batch", "start", "stop", "_objects")
 
-    def __init__(self, batch: DetectionBatch, frame_row: int, start: int, stop: int) -> None:
+    def __init__(self, batch: DetectionBatch, start: int, stop: int) -> None:
         self.batch = batch
-        self.frame_row = frame_row
         self.start = start
         self.stop = stop
         self._objects: list[Detection] | None = None
@@ -579,30 +588,28 @@ class DetectionRows(Sequence[Detection]):
         return repr(self.materialize())
 
 
-def encode_detection_results(
-    results: Sequence[DetectionResult],
-) -> dict[str, np.ndarray]:
-    """Encode results as the flat column arrays documented in the module."""
-    return DetectionBatch.from_results(results).to_arrays()
+def encode_detection_results(batch: DetectionBatch) -> dict[str, np.ndarray]:
+    """Encode a batch as the flat column arrays documented in the module."""
+    return batch.to_arrays()
 
 
-def decode_detection_results(arrays: dict[str, np.ndarray]) -> list[DetectionResult]:
-    """Results viewing one batch of the encoded columns.
+def decode_detection_results(arrays: dict[str, np.ndarray]) -> DetectionBatch:
+    """The batch of the encoded columns.
 
     Columns that do not own their memory (an mmap window, a shared-memory
     payload) are copied, so nothing decoded keeps the input alive.
     """
-    return DetectionBatch.from_arrays(arrays).results()
+    return DetectionBatch.from_arrays(arrays)
 
 
-def encode_to_bytes(results: Sequence[DetectionResult]) -> bytes:
-    """Serialize results to an uncompressed npz payload (zip of .npy files)."""
+def encode_to_bytes(batch: DetectionBatch) -> bytes:
+    """Serialize a batch to an uncompressed npz payload (zip of .npy files)."""
     buffer = io.BytesIO()
-    np.savez(buffer, **encode_detection_results(results))
+    np.savez(buffer, **encode_detection_results(batch))
     return buffer.getvalue()
 
 
-def decode_from_bytes(payload: bytes) -> list[DetectionResult]:
+def decode_from_bytes(payload: bytes) -> DetectionBatch:
     """Inverse of :func:`encode_to_bytes`."""
     with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}

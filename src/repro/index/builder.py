@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.detection.base import DetectionResult
-from repro.detection.columnar import encode_detection_results
+from repro.detection.columnar import DetectionBatch, encode_detection_results
 from repro.errors import ConfigurationError
 from repro.index.sketches import DEFAULT_RANGE_SIZE, RangeSketch
 from repro.index.store import (
@@ -93,21 +92,19 @@ def build_video_index(
 
     ledger = ExecutionLedger()
     segments: list[dict[str, int | str]] = []
-    all_results: list[DetectionResult] = []
+    batches: list[DetectionBatch] = []
     committed = False
     try:
         for start in range(0, num_frames, segment_frames):
             end = min(num_frames, start + segment_frames)
-            results = context.detect_batch(
-                np.arange(start, end, dtype=np.int64), ledger
-            )
+            batch = context.detect_batch(np.arange(start, end, dtype=np.int64), ledger)
             name = f"seg-{start // segment_frames:06d}"
-            for column, values in encode_detection_results(results).items():
+            for column, values in encode_detection_results(batch).items():
                 atomic_write_npy(tmp_dir / f"{name}.{column}.npy", values)
             segments.append({"name": name, "start": start, "end": end})
-            all_results.extend(results)
+            batches.append(batch)
 
-        sketch = RangeSketch.from_results(all_results, num_frames, range_size)
+        sketch = RangeSketch.from_batch(DetectionBatch.concat(batches), num_frames, range_size)
         atomic_write_npz(tmp_dir / SKETCH_NAME, sketch.to_arrays())
 
         if statistics is not None:

@@ -22,13 +22,12 @@ estimates:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.detection.base import DetectionResult
 from repro.detection.columnar import DetectionBatch
 from repro.errors import ConfigurationError
 
@@ -55,27 +54,26 @@ class RangeSketch:
     occupied_frames: np.ndarray
 
     @classmethod
-    def from_results(
+    def from_batch(
         cls,
-        results: Sequence[DetectionResult],
+        batch: DetectionBatch,
         num_frames: int,
         range_size: int = DEFAULT_RANGE_SIZE,
     ) -> RangeSketch:
         """Build the sketch from full-coverage, frame-ordered detections."""
         if range_size < 1:
             raise ConfigurationError(f"range_size must be >= 1, got {range_size}")
-        if len(results) != num_frames:
+        if batch.num_frames != num_frames:
             raise ConfigurationError(
-                f"sketch needs one result per frame: got {len(results)} "
+                f"sketch needs one result per frame: got {batch.num_frames} "
                 f"results for {num_frames} frames"
             )
-        batch = DetectionBatch.from_results(results)
         misplaced = np.flatnonzero(batch.frame_index != np.arange(num_frames))
         if misplaced.size:
             position = int(misplaced[0])
             raise ConfigurationError(
                 f"sketch input must be frame-ordered: result {position} "
-                f"covers frame {results[position].frame_index}"
+                f"covers frame {int(batch.frame_index[position])}"
             )
         names = sorted(batch.present_classes())
         num_ranges = max(1, -(-num_frames // range_size))

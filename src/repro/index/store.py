@@ -49,8 +49,8 @@ from typing import Any
 import numpy as np
 
 from repro.catalog.statistics import VideoStatistics
-from repro.detection.base import DetectionResult
 from repro.detection.columnar import (
+    DetectionBatch,
     concatenated_runs,
     decode_detection_results,
     run_offsets,
@@ -333,7 +333,7 @@ class VideoIndex:
                     f"{n_det} detections and {feature_values} feature values"
                 )
 
-    def results_for(self, frame_indices: np.ndarray | list[int]) -> list[DetectionResult]:
+    def results_for(self, frame_indices: np.ndarray | list[int]) -> DetectionBatch:
         """Decode a batch of frames' exact detector output, in input order.
 
         One gather and one decode per segment touched: the detection rows and
@@ -342,24 +342,20 @@ class VideoIndex:
         into a map.
         """
         frames = np.asarray(frame_indices, dtype=np.int64)
-        if frames.size == 0:
-            return []
-        if frames.min() < 0 or frames.max() >= self.num_frames:
+        if frames.size and (frames.min() < 0 or frames.max() >= self.num_frames):
             raise ConfigurationError(
                 f"frames outside indexed range [0, {self.num_frames}) of "
                 f"video {self.video!r}"
             )
-        segment_of = frames // self.segment_frames
-        results: list[DetectionResult | None] = [None] * frames.size
-        for position in np.unique(segment_of).tolist():
-            segment = self.segments[position]
-            rows = np.flatnonzero(segment_of == position)
-            window = self._gather(segment, frames[rows] - segment.start)
-            for row, result in zip(
-                rows.tolist(), decode_detection_results(window), strict=True
-            ):
-                results[row] = result
-        return results  # type: ignore[return-value]
+        touched, which = np.unique(frames // self.segment_frames, return_inverse=True)
+        windows = []
+        rows = np.zeros(frames.size, dtype=np.int64)
+        for position, segment in enumerate(self.segments[i] for i in touched.tolist()):
+            wanted = np.flatnonzero(which == position)
+            rows[wanted] = np.arange(wanted.size)
+            window = self._gather(segment, frames[wanted] - segment.start)
+            windows.append(decode_detection_results(window))
+        return DetectionBatch.assemble(windows, which, rows)
 
     def _gather(self, segment: Segment, local: np.ndarray) -> dict[str, np.ndarray]:
         """The columnar window of the segment's frames ``local``, as copies."""
@@ -383,14 +379,10 @@ class VideoIndex:
         )
         return window
 
-    def segment_results(self, segment: Segment) -> list[DetectionResult]:
-        """Decode one whole segment (used by cache warm-start)."""
-        return decode_detection_results(self._segment_arrays(segment))
-
-    def iter_segments(self) -> Iterator[tuple[Segment, list[DetectionResult]]]:
-        """Decode every segment in frame order."""
+    def iter_segments(self) -> Iterator[tuple[Segment, DetectionBatch]]:
+        """Decode every segment in frame order (used by cache warm-start)."""
         for segment in self.segments:
-            yield segment, self.segment_results(segment)
+            yield segment, decode_detection_results(self._segment_arrays(segment))
 
     def close(self) -> None:
         """Release every memory-mapped column (required before unlink)."""

@@ -9,15 +9,16 @@ no counters and needs no lock.
 
 A read is one call per batch: :meth:`IndexView.get` takes every frame the
 earlier tiers of the source cascade left over, settles the two serving modes
-for all of them at once, and returns ``{frame: (result, skipped)}``.  Both
-modes are provably identical to running the detector:
+for all of them at once, and answers with one ``DetectionBatch`` of the
+frames it covers plus a mask of the skipped ones.  Both modes are provably
+identical to running the detector:
 
 * **hit** — the frame's range contains detections somewhere, so the frame is
   decoded from the memory-mapped segment, together with every other hit of
   the batch (:meth:`VideoIndex.results_for`: one gather and one decode per
   segment; persisted detector output is exact);
-* **skip** — the range sketch proves the whole range empty, so an empty
-  ``DetectionResult`` is synthesized without touching the segment
+* **skip** — the range sketch proves the whole range empty, so the frame
+  is synthesized with no detections without touching the segment
   (``timestamp = frame / fps`` matches ``SyntheticVideo.timestamp_of``
   bit-for-bit).
 
@@ -32,9 +33,11 @@ every frame (``class_total``) and the scrubbing prune
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch, run_offsets
 from repro.index.sketches import RangeSketch
 from repro.index.store import PersistentIndex, VideoIndex
 
@@ -64,30 +67,30 @@ class IndexView:
 
     def get(
         self, frame_indices: np.ndarray | list[int]
-    ) -> dict[int, tuple[DetectionResult, bool]]:
-        """Serve a batch of frames: ``{frame: (result, skipped)}``.
+    ) -> tuple[DetectionBatch, np.ndarray]:
+        """Serve a batch of frames: one batch of the frames the index covers,
+        in input order, and per frame of it whether it was skipped.
 
         The one index read: emptiness is proven for the whole batch from one
         sketch mask, and every frame that is left is gathered and decoded in
-        one :meth:`VideoIndex.results_for` call.  ``skipped=True`` means the
-        sketch proved the covering range empty and the result was synthesized
-        without decoding the segment.  Frames outside the indexed range are
-        absent from the answer; the rest come back in input order.
+        one :meth:`VideoIndex.results_for` call.  A skipped frame is one the
+        sketch proved empty, synthesized without decoding the segment.
+        Frames outside the indexed range are left out of the answer.
         """
         frames = np.asarray(frame_indices, dtype=np.int64)
         frames = frames[(frames >= 0) & (frames < self.index.num_frames)]
         empty = self.index.sketch.provably_empty(frames)
-        decoded = iter(self.index.results_for(frames[~empty]))
-        served: dict[int, tuple[DetectionResult, bool]] = {}
-        for frame, skipped in zip(frames.tolist(), empty.tolist(), strict=True):
-            if skipped:
-                result = DetectionResult(
-                    frame_index=frame, timestamp=frame / self._fps, detections=[]
-                )
-            else:
-                result = next(decoded)
-            served[frame] = (result, skipped)
-        return served
+        decoded = self.index.results_for(frames[~empty])
+        # A skipped frame holds no rows, so the decoded rows stay as they
+        # are: only the frame columns gain the skipped frames.
+        counts = np.zeros(frames.size, dtype=np.int64)
+        counts[~empty] = np.diff(decoded.offsets)
+        timestamp = frames / self._fps
+        timestamp[~empty] = decoded.timestamp
+        return (
+            replace(decoded, frame_index=frames, timestamp=timestamp, offsets=run_offsets(counts)),
+            empty,
+        )
 
     def class_count_zero(
         self, frame_indices: np.ndarray | list[int], object_class: str

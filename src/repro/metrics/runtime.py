@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, ClassVar
 
+import numpy as np
+
 from repro.sync import Guarded
 from repro.wire import Tagged
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (metrics must not import detection)
-    from collections.abc import Mapping
-
-    from repro.detection.base import DetectionResult
+    from repro.detection.columnar import DetectionBatch
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,53 @@ class RuntimeLedger(Tagged, _GuardSlot):
             return RuntimeLedger(charges=dict(self.charges), calls=dict(self.calls))
 
 
+class FrameCache:
+    """An execution's detections: the batches they came in and, per frame,
+    which batch and frame row hold it, in two dense 1-D arrays over frame
+    positions (no Python object per frame; one ``(n, 2)`` array made the
+    walk wait for the GIL under concurrent queries, seen on the served
+    benchmark workload)."""
+
+    __slots__ = ("batches", "_batch_of", "_row_of")
+
+    def __init__(self) -> None:
+        self.batches: list[DetectionBatch] = []
+        self._batch_of = np.full(0, -1, dtype=np.int64)
+        self._row_of = np.zeros(0, dtype=np.int64)
+
+    def locate(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per frame: the index into :attr:`batches` of the batch holding it
+        (``-1`` when none does) and its frame row there."""
+        frames = np.asarray(frames, dtype=np.int64)
+        inside = (frames >= 0) & (frames < self._batch_of.size)
+        which = np.full(frames.size, -1, dtype=np.int64)
+        rows = np.zeros(frames.size, dtype=np.int64)
+        which[inside] = self._batch_of[frames[inside]]
+        rows[inside] = self._row_of[frames[inside]]
+        return which, rows
+
+    def add(self, batch: DetectionBatch) -> int:
+        """Cache every frame of ``batch`` (distinct frames); returns how many
+        were not cached before."""
+        frames = batch.frame_index
+        if frames.size and frames.min() < 0:
+            raise IndexError(f"cannot cache negative frame {int(frames.min())}")
+        grow = int(frames.max(initial=-1)) + 1 - self._batch_of.size
+        if grow > 0:
+            grow = max(grow, self._batch_of.size)
+            self._batch_of = np.concatenate([self._batch_of, np.full(grow, -1, np.int64)])
+            self._row_of = np.concatenate([self._row_of, np.zeros(grow, np.int64)])
+        new = int(np.count_nonzero(self._batch_of[frames] < 0))
+        self._batch_of[frames] = len(self.batches)
+        self._row_of[frames] = np.arange(frames.size)
+        self.batches.append(batch)
+        return new
+
+    def frames(self) -> np.ndarray:
+        """Every cached frame, ascending."""
+        return np.flatnonzero(self._batch_of >= 0)
+
+
 def _counter(metric: str, help: str) -> int:
     """An :class:`ExecutionLedger` counter that also feeds a Prometheus counter."""
     return field(default=0, metadata={"metric": metric, "help": help})
@@ -189,10 +236,11 @@ class ExecutionLedger(RuntimeLedger):
     Extends the simulated-runtime accounting with execution-level counters
     (detector invocations, frames decoded, events/batches emitted over the
     streaming protocol, wall-clock time) and a per-execution detection cache
-    keyed by frame index.  The cache is what lets a plan revisit a frame —
-    e.g. the scrubbing plan's exhaustive fallback sweeping frames already
-    examined during the importance scan — without re-calling (or re-charging)
-    the object detector.
+    (:class:`FrameCache`, the batches every tier answered with).  The cache
+    is what lets a plan revisit a frame — e.g. the scrubbing plan's
+    exhaustive fallback sweeping frames already examined during the
+    importance scan — without re-calling (or re-charging) the object
+    detector.
 
     ``wall_seconds`` and the detection cache are excluded from equality so
     that a streamed execution and a blocking execution of the same plan under
@@ -240,59 +288,44 @@ class ExecutionLedger(RuntimeLedger):
     #: Wall-clock seconds from the first pull of the execution's stream
     #: (executor construction and worker spawn included) to its terminal event.
     wall_seconds: float = field(default=0.0, compare=False)
-    _detections: "dict[int, DetectionResult]" = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _cache: FrameCache = field(default_factory=FrameCache, repr=False, compare=False)
 
     @property
-    def seen_frames(self) -> set[int]:
-        """Frame indices whose detections this execution has already computed."""
-        return set(self._detections)
+    def detection_cache(self) -> FrameCache:
+        """This execution's detections so far, read by the source cascade."""
+        return self._cache
 
-    def cached_detection(self, frame_index: int) -> "DetectionResult | None":
-        """The cached detection for a frame, or ``None`` if never computed."""
-        return self._detections.get(frame_index)
+    @property
+    def seen_frames(self) -> np.ndarray:
+        """Frames whose detections this execution already has, ascending."""
+        return self._cache.frames()
 
-    def record_detections(self, computed: "Mapping[int, DetectionResult]") -> None:
-        """Note one charged detector invocation per frame and cache its output."""
+    def record_detections(self, batch: DetectionBatch) -> None:
+        """Note one charged detector invocation per frame and cache the batch."""
         with self._fields as f:
-            for frame_index, result in computed.items():
-                if frame_index not in self._detections:
-                    f["frames_decoded"] += 1
-                self._detections[frame_index] = result
-            f["detector_calls"] += len(computed)
+            f["frames_decoded"] += self._cache.add(batch)
+            f["detector_calls"] += len(batch)
 
     def record_cache_hit(self, count: int = 1) -> None:
         """Note ``count`` detections served from the cache (nothing charged)."""
         with self._fields as f:
             f["detection_cache_hits"] += count
 
-    def stash_detections(self, served: "Mapping[int, DetectionResult]") -> None:
-        """Seed the per-execution cache with detections computed elsewhere.
-
-        Used when the shared cross-query cache serves frames: each detection
-        enters this execution's cache (so later repeats dedupe normally) but
-        no detector call, decode, or charge is recorded.
-        """
+    def record_shared_hits(self, batch: DetectionBatch) -> None:
+        """Seed the cache with frames the shared cross-query cache served: no
+        detector call, decode or charge is recorded."""
         with self._fields as f:
-            for frame_index, result in served.items():
-                self._detections.setdefault(frame_index, result)
-            f["shared_cache_hits"] += len(served)
+            self._cache.add(batch)
+            f["shared_cache_hits"] += len(batch)
 
-    def stash_index_detections(
-        self, indexed: "Mapping[int, tuple[DetectionResult, bool]]"
-    ) -> None:
-        """Seed the per-execution cache with detections served by the index.
-
-        Mirrors :meth:`stash_detections` for the persistent-index tier: each
-        value is ``(result, skipped)``, and ``skipped=True`` means the range
-        sketch proved the frame empty and the result was synthesized without
-        decoding a segment.
-        """
+    def record_index_hits(self, batch: DetectionBatch, skipped: int) -> None:
+        """Seed the cache with frames the persistent index served, ``skipped``
+        of them synthesized empty because the range sketch proved them so
+        (the rest were decoded from a segment)."""
         with self._fields as f:
-            for frame_index, (result, skipped) in indexed.items():
-                self._detections.setdefault(frame_index, result)
-                f["index_skips" if skipped else "index_hits"] += 1
+            self._cache.add(batch)
+            f["index_skips"] += skipped
+            f["index_hits"] += len(batch) - skipped
 
     def record_index_skip(self, count: int = 1) -> None:
         """Note ``count`` frames skipped on sketch evidence alone (no decode)."""
@@ -313,7 +346,7 @@ class ExecutionLedger(RuntimeLedger):
             f["events_emitted"] = events_emitted
             f["batches_emitted"] = batches_emitted
             f["wall_seconds"] = wall_seconds
-            self._detections.clear()
+            f["_cache"] = FrameCache()
 
     def merge(self, other: RuntimeLedger) -> None:
         """Fold another ledger's charges — and execution counters — into this one."""
@@ -324,12 +357,12 @@ class ExecutionLedger(RuntimeLedger):
                     f[name] += getattr(other, name)
 
     def snapshot(self) -> "ExecutionLedger":
-        """Return an independent copy, execution counters and cache included."""
+        """Return an independent copy of the charges and execution counters
+        (the detection cache stays with the execution)."""
         with self._fields:
             return ExecutionLedger(
                 charges=dict(self.charges),
                 calls=dict(self.calls),
-                _detections=dict(self._detections),
                 **{name: getattr(self, name) for name in _COUNTERS},
             )
 

@@ -13,7 +13,7 @@ Three pieces, deliberately decoupled from the execution engine:
   nothing downstream may read it back into result-bearing values
   (``tests/test_source_rules.py``).
 
-* :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges and
+* :mod:`repro.obs.metrics` — a process-wide registry of counters and
   histograms with a Prometheus text exporter (served by the query service at
   ``GET /metrics``) and a JSON snapshot (on the status route).
 

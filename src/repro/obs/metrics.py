@@ -84,18 +84,17 @@ class _Histogram:
 class _RegistryState:
     """Every series of one registry, reached only under its guard."""
 
-    __slots__ = ("counters", "gauges", "histograms", "help", "buckets")
+    __slots__ = ("counters", "histograms", "help", "buckets")
 
     def __init__(self) -> None:
         self.counters: dict[str, dict[_LabelKey, float]] = {}
-        self.gauges: dict[str, dict[_LabelKey, float]] = {}
         self.histograms: dict[str, dict[_LabelKey, _Histogram]] = {}
         self.help: dict[str, str] = {}
         self.buckets: dict[str, tuple[float, ...]] = {}
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms keyed by ``(name, sorted labels)``."""
+    """Counters and histograms keyed by ``(name, sorted labels)``."""
 
     def __init__(self) -> None:
         self._state = Guarded(_RegistryState())
@@ -114,20 +113,6 @@ class MetricsRegistry:
         with self._state as s:
             series = s.counters.setdefault(name, {})
             series[key] = series.get(key, 0.0) + float(amount)
-            if help:
-                s.help.setdefault(name, help)
-
-    def set_gauge(
-        self,
-        name: str,
-        value: float,
-        labels: Mapping[str, Any] | None = None,
-        help: str = "",
-    ) -> None:
-        """Set a gauge to an absolute value."""
-        key = _label_key(labels)
-        with self._state as s:
-            s.gauges.setdefault(name, {})[key] = float(value)
             if help:
                 s.help.setdefault(name, help)
 
@@ -158,7 +143,6 @@ class MetricsRegistry:
         """Drop every series (test isolation)."""
         with self._state as s:
             s.counters.clear()
-            s.gauges.clear()
             s.histograms.clear()
             s.help.clear()
             s.buckets.clear()
@@ -173,11 +157,6 @@ class MetricsRegistry:
                 lines.append(f"# HELP {name} {s.help.get(name, name)}")
                 lines.append(f"# TYPE {name} counter")
                 for key, value in sorted(s.counters[name].items()):
-                    lines.append(f"{name}{_render_labels(key)} {value:g}")
-            for name in sorted(s.gauges):
-                lines.append(f"# HELP {name} {s.help.get(name, name)}")
-                lines.append(f"# TYPE {name} gauge")
-                for key, value in sorted(s.gauges[name].items()):
                     lines.append(f"{name}{_render_labels(key)} {value:g}")
             for name in sorted(s.histograms):
                 lines.append(f"# HELP {name} {s.help.get(name, name)}")
@@ -205,11 +184,6 @@ class MetricsRegistry:
                 "counters": {
                     _flat_name(name, key): value
                     for name, series in sorted(s.counters.items())
-                    for key, value in sorted(series.items())
-                },
-                "gauges": {
-                    _flat_name(name, key): value
-                    for name, series in sorted(s.gauges.items())
                     for key, value in sorted(series.items())
                 },
                 "histograms": {

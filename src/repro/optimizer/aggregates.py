@@ -408,12 +408,12 @@ class AggregateQueryPlan(PhysicalPlan):
         num_frames = context.video.num_frames
         if spec.aggregate == "count_distinct":
             with self._scan.traced(context, ledger):
-                results = yield from self._scan.stream_detections(
+                detections = yield from self._scan.stream_detections(
                     context, control, ledger
                 )
             with self._tracks.traced(context, ledger):
-                value = self._tracks.distinct_count(results, object_class)
-            scanned = len(results)
+                value = self._tracks.distinct_count(detections, object_class)
+            scanned = len(detections)
             partial_note = "distinct count covers only the scanned prefix"
         else:
             assert object_class is not None  # enforced at plan construction

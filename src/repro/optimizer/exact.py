@@ -78,17 +78,17 @@ class ExactQueryPlan(PhysicalPlan):
         num_frames = context.video.num_frames
         yield Progress(phase="detection_scan", total_frames=num_frames)
         with self._scan.traced(context, ledger):
-            results = yield from self._scan.stream_detections(
+            scanned = yield from self._scan.stream_detections(
                 context, control, ledger
             )
         with self._tracks.traced(context, ledger):
-            records = self._tracks.materialize(self._tracks.resolve(results))
+            records = self._tracks.materialize(self._tracks.resolve(scanned))
         yield Completed(
             ExactResult(
                 kind="exact",
                 method="exhaustive",
                 ledger=ledger,
-                detection_calls=len(results),
+                detection_calls=len(scanned),
                 plan_description=(
                     "object detection on every frame, all records materialised"
                 ),

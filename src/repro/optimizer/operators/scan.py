@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.events import ExecutionControl, ExecutionEvent, Progress
-from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.metrics.runtime import ExecutionLedger
 from repro.optimizer.operators.base import PhysicalOperator
 
@@ -30,26 +30,26 @@ class FullScan(PhysicalOperator):
         context: ExecutionContext,
         control: ExecutionControl,
         ledger: ExecutionLedger,
-    ) -> Generator[ExecutionEvent, None, list[DetectionResult]]:
-        """Scan frames in order, returning every frame's detection result."""
+    ) -> Generator[ExecutionEvent, None, DetectionBatch]:
+        """Scan frames in order, returning the scanned frames' detections."""
         num_frames = context.video.num_frames
         # Shard-aware entry: under parallel execution this starts one
         # prefetch worker per shard; the scan consumes shards front-to-back,
         # so the speculation window is lifted (monotone access).
         context.announce_access_plan(np.arange(num_frames), monotone=True)
-        results: list[DetectionResult] = []
-        while len(results) < num_frames and not control.should_stop(ledger):
-            stop_at = min(num_frames, len(results) + control.batch_allowance(ledger))
-            results.extend(
-                context.detect_batch(np.arange(len(results), stop_at), ledger)
-            )
+        batches: list[DetectionBatch] = []
+        scanned = 0
+        while scanned < num_frames and not control.should_stop(ledger):
+            stop_at = min(num_frames, scanned + control.batch_allowance(ledger))
+            batches.append(context.detect_batch(np.arange(scanned, stop_at), ledger))
+            scanned = stop_at
             yield Progress(
                 phase="detection_scan",
                 frames_scanned=ledger.frames_decoded,
                 detector_calls=ledger.detector_calls,
                 total_frames=num_frames,
             )
-        return results
+        return DetectionBatch.concat(batches)
 
     def stream_counts(
         self,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.frameql.records import RecordTable
 from repro.optimizer.operators.base import PhysicalOperator
 from repro.tracking.iou_tracker import IoUTracker
@@ -32,15 +32,13 @@ class TrackAggregator(PhysicalOperator):
             f"gap={self.tracker.max_gap})"
         )
 
-    def resolve(self, results: list[DetectionResult]) -> list[ResolvedTrack]:
-        """Resolve track identities over per-frame detection results."""
-        return self.tracker.resolve(results)
+    def resolve(self, batch: DetectionBatch) -> list[ResolvedTrack]:
+        """Resolve track identities over a batch of detections."""
+        return self.tracker.resolve(batch)
 
-    def distinct_count(
-        self, results: list[DetectionResult], object_class: str | None
-    ) -> float:
+    def distinct_count(self, batch: DetectionBatch, object_class: str | None) -> float:
         """``COUNT(DISTINCT trackid)``: resolved tracks, optionally one class."""
-        tracks = self.resolve(results)
+        tracks = self.resolve(batch)
         if object_class is not None:
             tracks = [t for t in tracks if t.object_class == object_class]
         return float(len(tracks))

@@ -94,19 +94,16 @@ class DetectorVerifier(PhysicalOperator):
                     chunk.append(frame)
             if not chunk:
                 continue
-            chunk_results = context.detect_batch(chunk, ledger)
-            for frame, detection in zip(chunk, chunk_results, strict=True):
+            batch = context.detect_batch(chunk, ledger)
+            passes = np.ones(len(chunk), dtype=np.bool_)
+            for object_class, min_count in min_counts.items():
+                passes &= batch.class_counts(object_class) >= min_count
+            for frame, passed in zip(chunk, passes.tolist(), strict=True):
                 if state.satisfied:
                     break
                 if not state.eligible(frame):
                     continue
-                verified = state.examine(
-                    frame,
-                    all(
-                        detection.count(object_class) >= min_count
-                        for object_class, min_count in min_counts.items()
-                    ),
-                )
+                verified = state.examine(frame, passed)
                 if verified:
                     yield ScrubbingHit(
                         frame_index=frame,

@@ -279,14 +279,13 @@ class ScrubbingQueryPlan(PhysicalPlan):
                 # Exhaustive fallback: sweep only frames the ranked scan
                 # neither examined nor proved hopeless — detections already
                 # computed during the importance scan are reused via the
-                # ledger's seen-frame set, never re-requested from the
+                # ledger's seen frames, never re-requested from the
                 # detector, and a pruned frame is neither walked nor counted
                 # twice.  When the ranked scan covered everything there is
                 # nothing to sweep.
-                seen = np.fromiter(ledger.seen_frames, dtype=np.int64, count=-1)
                 remaining = np.setdiff1d(
                     np.arange(context.video.num_frames),
-                    np.concatenate([seen, pruned]),
+                    np.concatenate([ledger.seen_frames, pruned]),
                 )
                 if remaining.size:
                     yield Progress(

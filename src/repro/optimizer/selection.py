@@ -31,7 +31,6 @@ from repro.core.events import (
     SelectionWindow,
 )
 from repro.core.results import OperatorNode, SelectionResult
-from repro.detection.base import DetectionResult
 from repro.detection.columnar import DetectionBatch
 from repro.errors import PlanningError
 from repro.frameql.analyzer import SelectionQuerySpec
@@ -235,7 +234,7 @@ class SelectionQueryPlan(PhysicalPlan):
         provisional_limit = (
             window_limit if self.spec.min_track_frames is None else None
         )
-        frame_results: list[DetectionResult] = []
+        verified: list[DetectionBatch] = []
         records = RecordTable.empty()
         matched_frames: set[int] = set()
         candidates_pending = False
@@ -247,10 +246,10 @@ class SelectionQueryPlan(PhysicalPlan):
                 stop_at = min(
                     int(surviving.size), taken + control.batch_allowance(ledger)
                 )
-                batch_results = context.detect_batch(
+                batch = context.detect_batch(
                     surviving[taken:stop_at], ledger, cost_scale=cost_scale
                 )
-                frame_results.extend(batch_results)
+                verified.append(batch)
                 taken = stop_at
                 yield Progress(
                     phase="detector_verification",
@@ -268,16 +267,12 @@ class SelectionQueryPlan(PhysicalPlan):
                     # object-level predicates — batches of non-candidates
                     # cannot change the window count.
                     candidates_pending = candidates_pending or bool(
-                        predicate_mask(
-                            DetectionBatch.from_results(batch_results),
-                            self.spec,
-                            context.udf_registry,
-                        ).any()
+                        predicate_mask(batch, self.spec, context.udf_registry).any()
                     )
                     if not candidates_pending:
                         continue
                     records, matched_frames = self._evaluate_predicates(
-                        context, frame_results, plan
+                        context, verified, plan
                     )
                     candidates_pending = False
                     if len(self._windows(matched_frames, plan)) >= provisional_limit:
@@ -287,7 +282,7 @@ class SelectionQueryPlan(PhysicalPlan):
             taken >= surviving.size and control.stop_reason is None
         ):
             records, matched_frames = self._evaluate_predicates(
-                context, frame_results, plan
+                context, verified, plan
             )
 
         windows = self._windows(matched_frames, plan)
@@ -312,7 +307,7 @@ class SelectionQueryPlan(PhysicalPlan):
                 kind="selection",
                 method="filtered" if plan.filters else "exhaustive",
                 ledger=ledger,
-                detection_calls=len(frame_results),
+                detection_calls=sum(len(batch) for batch in verified),
                 plan_description=plan.describe(),
                 records=records,
                 matched_frames=sorted(matched_frames),
@@ -346,7 +341,7 @@ class SelectionQueryPlan(PhysicalPlan):
     def _evaluate_predicates(
         self,
         context: ExecutionContext,
-        frame_results: list[DetectionResult],
+        verified: list[DetectionBatch],
         plan: SelectionPlan,
     ) -> tuple[RecordTable, set[int]]:
         spec = self.spec
@@ -360,7 +355,7 @@ class SelectionQueryPlan(PhysicalPlan):
             iou_threshold=iou_threshold, max_gap=max(1, step)
         )
         with aggregator.traced(context):
-            tracks = aggregator.resolve(frame_results)
+            tracks = aggregator.resolve(DetectionBatch.concat(verified))
 
         min_detections = 1
         if spec.min_track_frames is not None:

@@ -10,8 +10,9 @@ changes *which* frames are charged, only when they are computed.
 * :mod:`repro.parallel.executor` — :class:`ShardDriver` is the driver
   protocol, written once: per-shard window state, ``announce`` (first wins,
   split by owner, density-ordered start), ``take``/``take_many`` (block until
-  the owning worker catches up; ``None`` means the caller computes inline
-  with normal charging), cancellation, ``ShardProgress`` emission,
+  the owning worker catches up; a frame left out — ``None`` from ``take``,
+  absent from ``take_many``'s batch — is computed inline by the caller with
+  normal charging), cancellation, ``ShardProgress`` emission,
   ``frames_prefetched`` and worker spans.  Every worker, on either transport,
   runs the same loop (:func:`~repro.parallel.executor.run_shard_worker`).
 * A *transport* is a :class:`ShardDriver` subclass that must provide five

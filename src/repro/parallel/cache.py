@@ -24,9 +24,10 @@ from and read into columns; no ``Detection`` object is built either way.
 Entries are columns too: a cached frame holds copies of just its own rows,
 packed into three arrays (``_Entry``), so it never pins the detector batch,
 index window or shared-memory payload its result came from, and the byte
-budget charges what that copy keeps alive.  Reads hand out fresh
-:class:`~repro.detection.columnar.DetectionBatch` views, so ``Detection``
-objects a reader builds never stay behind in the cache.
+budget charges what that copy keeps alive.  A read answers with one new
+:class:`~repro.detection.columnar.DetectionBatch` of the hits, and a write
+takes one, so ``Detection`` objects a reader builds never stay behind in the
+cache.
 """
 
 from __future__ import annotations
@@ -250,10 +251,7 @@ def _batch_of(entries: Sequence[_Entry]) -> DetectionBatch:
         ):
             runs.append([])
         runs[-1].append(entry)
-    if not runs:
-        return DetectionBatch.empty()
-    pieces = [_stack(run) for run in runs]
-    return pieces[0] if len(pieces) == 1 else DetectionBatch.concat(pieces)
+    return DetectionBatch.concat([_stack(run) for run in runs])
 
 
 def _stack(entries: list[_Entry]) -> DetectionBatch:
@@ -344,49 +342,42 @@ class SharedDetectionCache:
 
     def get(self, video_key: str, frame_index: int) -> DetectionResult | None:
         """The cached detections for a frame, refreshing recency; None on miss."""
-        key = (video_key, int(frame_index))
-        with self._state as s:
-            entry = s.entries.get(key)
-            if entry is None:
-                s.misses += 1
-                return None
-            s.entries.move_to_end(key)
-            s.hits += 1
-        return _batch_of([entry]).results()[0]
+        found = self.get_many(video_key, [frame_index])
+        return found[0] if found else None
 
     def get_many(
-        self, video_key: str, frame_indices: list[int]
-    ) -> dict[int, DetectionResult]:
-        """Cached detections for a batch of frames (only the hits), one lock hold."""
-        found: dict[int, _Entry] = {}
+        self, video_key: str, frame_indices: Sequence[int] | np.ndarray
+    ) -> DetectionBatch:
+        """The cached frames of a batch (only the hits, in request order) as
+        one new batch, under one lock hold."""
+        found: list[_Entry] = []
         with self._state as s:
-            for frame_index in frame_indices:
-                key = (video_key, int(frame_index))
+            for frame_index in np.asarray(frame_indices, dtype=np.int64).tolist():
+                key = (video_key, frame_index)
                 entry = s.entries.get(key)
                 if entry is None:
                     s.misses += 1
                     continue
                 s.entries.move_to_end(key)
                 s.hits += 1
-                found[int(frame_index)] = entry
-        # Fresh views: objects a reader builds never stay in the cache.
-        return dict(zip(found, _batch_of(list(found.values())).results(), strict=True))
+                found.append(entry)
+        return _batch_of(found)
 
     def put(self, video_key: str, frame_index: int, result: DetectionResult) -> None:
         """Insert (or refresh) one frame's detections, evicting to budget."""
-        self.put_many(video_key, {int(frame_index): result})
+        self._insert(
+            [(video_key, int(frame_index))], _entries(DetectionBatch.from_detections([result]))
+        )
 
-    def put_many(
-        self, video_key: str, results: dict[int, DetectionResult]
-    ) -> None:
-        """Insert a batch of detections under one lock hold.
+    def put_many(self, video_key: str, batch: DetectionBatch) -> None:
+        """Insert every frame of a batch under one lock hold.
 
         Each frame is stored as a copy of its own rows, and charged the
         bytes that copy keeps alive.
         """
         self._insert(
-            [(video_key, int(frame_index)) for frame_index in results],
-            _entries(DetectionBatch.from_results(list(results.values()))),
+            [(video_key, frame_index) for frame_index in batch.frame_index.tolist()],
+            _entries(batch),
         )
 
     def _insert(self, keys: list[tuple[str, int]], entries: list[_Entry]) -> None:
@@ -470,7 +461,7 @@ class SharedDetectionCache:
         # string table mapping rows to keys.
         video_key_table = sorted({key[0] for key in keys})
         key_index = {name: i for i, name in enumerate(video_key_table)}
-        arrays = encode_detection_results(batch.results())
+        arrays = encode_detection_results(batch)
         arrays["cache_format"] = np.asarray(_NPZ_FORMAT)
         arrays["capacity_bytes"] = np.asarray(capacity, dtype=np.int64)
         arrays["video_key_table"] = np.asarray(video_key_table, dtype=np.str_)
@@ -529,7 +520,7 @@ class SharedDetectionCache:
             raise ConfigurationError(
                 f"{path} is not a shared-detection-cache file: {exc}"
             ) from exc
-        results = decode_detection_results(arrays)
+        batch = decode_detection_results(arrays)
         video_key_table = [str(name) for name in arrays["video_key_table"]]
         cache = cls(
             capacity_bytes=(
@@ -540,12 +531,12 @@ class SharedDetectionCache:
         )
         cache._insert(
             [
-                (video_key_table[code], result.frame_index)
-                for code, result in zip(
-                    arrays["video_key_code"].tolist(), results, strict=True
+                (video_key_table[code], frame_index)
+                for code, frame_index in zip(
+                    arrays["video_key_code"].tolist(), batch.frame_index.tolist(), strict=True
                 )
             ],
-            _entries(DetectionBatch.from_results(results)),
+            _entries(batch),
         )
         return cache
 

@@ -20,7 +20,7 @@ import abc
 import queue
 import threading
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, NamedTuple
 
@@ -30,6 +30,8 @@ from repro.core.events import ShardProgress
 from repro.parallel.shards import Shard, ShardPlan
 from repro.stopping import CancellationToken
 from repro.stopwatch import Stopwatch
+
+from repro.detection.columnar import DetectionBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import ExecutionContext
@@ -49,7 +51,7 @@ class WorkerMessage(NamedTuple):
     #: Frames the worker has computed so far, this message's chunk included.
     computed: int
     #: This chunk's detections, in announced order.
-    results: "Sequence[DetectionResult]" = ()
+    batch: DetectionBatch = DetectionBatch.empty()
     #: The worker's span payload; set only on its final (``done``) message.
     span: dict[str, Any] | None = None
 
@@ -59,7 +61,7 @@ def run_shard_worker(
     backend: str,
     frames: np.ndarray,
     chunk_size: int,
-    compute: "Callable[[list[int]], list[DetectionResult]]",
+    compute: Callable[[list[int]], DetectionBatch],
     publish: Callable[[WorkerMessage], bool],
     stopped: Callable[[], bool],
 ) -> None:
@@ -76,10 +78,10 @@ def run_shard_worker(
     try:
         while computed < len(worklist) and not stopped():
             chunk = worklist[computed : computed + chunk_size]
-            results = compute(chunk)
+            batch = compute(chunk)
             computed += len(chunk)
             chunks += 1
-            if not publish(WorkerMessage(computed, results)):
+            if not publish(WorkerMessage(computed, batch)):
                 return
     finally:
         # Always terminate the stream — a worker that dies on a detector or
@@ -110,7 +112,8 @@ class _ShardState:
     shard: Shard
     frames: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     position_of: dict[int, int] = field(default_factory=dict)
-    buffer: "dict[int, DetectionResult]" = field(default_factory=dict)
+    #: Delivered frames still ahead of the driver: their batch and row.
+    buffer: dict[int, tuple[DetectionBatch, int]] = field(default_factory=dict)
     consumed: int = 0  # positions < consumed have been taken or passed
     computed: int = 0  # the worker's latest cumulative count
     started: bool = False
@@ -222,20 +225,40 @@ class ShardDriver(abc.ABC):
         callers fall back to a direct (charged) detector call, so a ``None``
         is always safe.
         """
+        found = self._take(int(frame_index))
+        return None if found is None else found[0][found[1]]
+
+    def take_many(self, frame_indices: Iterable[int] | np.ndarray) -> DetectionBatch:
+        """Prefetched detections for a batch, as one batch of the hits in
+        driver order (:meth:`take` per frame)."""
+        found = [
+            hit
+            for frame_index in np.asarray(list(frame_indices), dtype=np.int64).tolist()
+            if (hit := self._take(frame_index)) is not None
+        ]
+        source_of = {id(batch): batch for batch, _ in found}
+        position = {key: i for i, key in enumerate(source_of)}
+        return DetectionBatch.assemble(
+            list(source_of.values()),
+            np.asarray([position[id(batch)] for batch, _ in found], dtype=np.int64),
+            np.asarray([row for _, row in found], dtype=np.int64),
+        )
+
+    def _take(self, frame_index: int) -> tuple[DetectionBatch, int] | None:
+        """:meth:`take`'s wait, answered with the frame's batch and row."""
         if not self._announced:
             return None
-        frame_index = int(frame_index)
         state = self._states[self.shard_plan.owner_of(frame_index).shard_id]
         position = state.position_of.get(frame_index)
         if position is None or position < state.consumed:
             return None
         self._start_worker(state)
         while True:
-            result = state.buffer.get(frame_index)
-            if result is not None:
+            found = state.buffer.get(frame_index)
+            if found is not None:
                 state.consumed = position + 1
                 self._purge_passed(state)
-                return result
+                return found
             if state.finished or self._cancelled():
                 return None
             message = self._receive(state.worker, wait=True)
@@ -250,17 +273,6 @@ class ShardDriver(abc.ABC):
                     state.finished = True
                     continue
             self._ingest(state, message)
-
-    def take_many(
-        self, frame_indices: Iterable[int]
-    ) -> "dict[int, DetectionResult]":
-        """Prefetched detections for a batch (hits only), in driver order."""
-        out: "dict[int, DetectionResult]" = {}
-        for frame_index in frame_indices:
-            result = self.take(int(frame_index))
-            if result is not None:
-                out[int(frame_index)] = result
-        return out
 
     def shutdown(self) -> None:
         """Stop and join every worker; no detector call can follow.
@@ -311,9 +323,10 @@ class ShardDriver(abc.ABC):
             state.finished = True
             self._worker_spans[state.shard.shard_id] = message.span
             return
-        for result in message.results:
-            if state.position_of[result.frame_index] >= state.consumed:
-                state.buffer[result.frame_index] = result
+        batch = message.batch
+        for row, frame in enumerate(batch.frame_index.tolist()):
+            if state.position_of[frame] >= state.consumed:
+                state.buffer[frame] = (batch, row)
         self.progress_events.append(
             ShardProgress(
                 shard=state.shard.shard_id,

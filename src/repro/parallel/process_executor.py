@@ -207,7 +207,7 @@ def _shard_worker_main(
             except (OSError, ValueError):  # pragma: no cover - driver gone
                 pass
             return True
-        payload = encode_to_bytes(message.results)
+        payload = encode_to_bytes(message.batch)
         if len(payload) > slots[0].size:
             # Pathologically dense chunk: send the bytes inline through the
             # queue rather than failing the shard.

@@ -20,11 +20,9 @@ grow with a track's first row, so the first row stands in for the id.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Sequence
 
 import numpy as np
 
-from repro.detection.base import DetectionResult
 from repro.detection.columnar import DetectionBatch, concatenated_runs, run_offsets
 from repro.tracking.track import ResolvedTrack
 
@@ -63,9 +61,9 @@ class IoUTracker:
         self.iou_threshold = iou_threshold
         self.max_gap = int(max_gap)
 
-    def resolve(self, results: Sequence[DetectionResult]) -> list[ResolvedTrack]:
-        """Every track of ``results`` (taken in frame order), by track id."""
-        batch = DetectionBatch.from_results(sorted(results, key=lambda r: r.frame_index))
+    def resolve(self, batch: DetectionBatch) -> list[ResolvedTrack]:
+        """Every track of ``batch`` (its frames taken in frame order), by track id."""
+        batch = batch.take(np.argsort(batch.frame_index, kind="stable"))
         first_row = self._first_rows(batch)
         n = first_row.size
         starts = first_row == np.arange(n)

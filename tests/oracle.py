@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.detection.base import Detection, DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.detection.simulated import SimulatedDetector
 from repro.frameql.schema import FrameRecord
 from repro.index.store import SEGMENT_COLUMNS
@@ -51,28 +52,33 @@ def detect_reference(
     its own one-frame call is the reference.  A free tier's hit is seeded
     into the execution cache under its own counter and counted as a cache
     hit; only a frame no free tier has is charged, once, whoever then
-    computes it.
+    computes it.  The execution cache is the ledger's, read and seeded one
+    frame at a time.
     """
     execution_ledger = ledger if isinstance(ledger, ExecutionLedger) else None
     if execution_ledger is not None:
-        cached = execution_ledger.cached_detection(frame_index)
-        if cached is not None:
+        cache = execution_ledger.detection_cache
+        (which,), (row,) = cache.locate(np.array([frame_index]))
+        if which >= 0:
             execution_ledger.record_cache_hit()
-            return cached
+            return cache.batches[which][row]
     if context.shared_cache is not None:
         shared = context.shared_cache.get(context.cache_key, frame_index)
         if shared is not None:
             if execution_ledger is not None:
-                execution_ledger.stash_detections({frame_index: shared})
+                execution_ledger.record_shared_hits(DetectionBatch.from_detections([shared]))
                 execution_ledger.record_cache_hit()
             return shared
     if context.index_view is not None:
         indexed = index_get_reference(context.index_view, frame_index)
         if indexed is not None:
+            result, skipped = indexed
             if execution_ledger is not None:
-                execution_ledger.stash_index_detections({frame_index: indexed})
+                execution_ledger.record_index_hits(
+                    DetectionBatch.from_detections([result]), int(skipped)
+                )
                 execution_ledger.record_cache_hit()
-            return indexed[0]
+            return result
     if ledger is not None:
         cost = context.detector.cost
         ledger.charge(OperatorCost(cost.name, cost.seconds_per_call * cost_scale))
@@ -82,7 +88,7 @@ def detect_reference(
     elif result is None:
         result = context.detector.detect(context.video, frame_index)
     if execution_ledger is not None:
-        execution_ledger.record_detections({frame_index: result})
+        execution_ledger.record_detections(DetectionBatch.from_detections([result]))
     if context.shared_cache is not None:
         context.shared_cache.put(context.cache_key, frame_index, result)
     return result
@@ -260,8 +266,9 @@ def detect_batch_reference(
     ledger: RuntimeLedger | None = None,
     cost_scale: float = 1.0,
     prefetcher=None,
-) -> list[DetectionResult]:
-    """A batch is its frames, one at a time, in order.
+) -> DetectionBatch:
+    """A batch is its frames, one at a time, in order (gathered into columns
+    only at the end, so plans can run on it).
 
     The one thing a batch adds: with no execution cache to absorb them,
     in-batch repeats are answered by the batch itself — computed and charged
@@ -275,7 +282,7 @@ def detect_batch_reference(
                 context, frame_index, ledger, cost_scale, prefetcher
             )
         results.append(answered[frame_index])
-    return results
+    return DetectionBatch.from_detections(results)
 
 
 def run_engine_on_oracles(monkeypatch) -> None:

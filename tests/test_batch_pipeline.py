@@ -204,6 +204,23 @@ class TestContextDetectBatchEquivalence:
         assert calls == [[5, 9]]
         assert_results_identical([results[0], results[2]], [results[1], results[4]])
 
+    def test_a_detector_that_drops_a_frame_fails_loudly(
+        self, tiny_video, detector, monkeypatch
+    ):
+        """The request is assembled from what the tiers returned: a frame no
+        tier answered is an error, never another frame's detections."""
+        engine = BlazeIt(detector=detector)
+        engine.register_video("live", test_video=tiny_video)
+        context = engine.execution_context("live")
+        original = type(detector).detect_columns
+        monkeypatch.setattr(
+            type(detector),
+            "detect_columns",
+            lambda self, video, frames: original(self, video, list(frames)[:-1]),
+        )
+        with pytest.raises(IndexError, match="none of the batches"):
+            context.detect_batch([5, 6, 7], ExecutionLedger())
+
     def test_cost_scale_applied_once_per_miss(self, context):
         ledger = ExecutionLedger()
         context.detect_batch([1, 2], ledger, cost_scale=0.5)
@@ -241,8 +258,8 @@ class FakePrefetcher:
         return self.held.get(frame_index)
 
     def take_many(self, frame_indices):
-        taken = {f: self.take(f) for f in frame_indices}
-        return {f: result for f, result in taken.items() if result is not None}
+        taken = [self.take(f) for f in np.asarray(frame_indices).tolist()]
+        return DetectionBatch.from_detections([r for r in taken if r is not None])
 
 
 class TestSourceCascadeMatchesOracle:
@@ -267,13 +284,14 @@ class TestSourceCascadeMatchesOracle:
         engine.register_video("cascade", test_video=video)
         view = engine.execution_context("cascade").index_view
         truth = [detector.detect(video, f) for f in range(CASCADE_FRAMES)]
-        served = view.get(range(INDEXED_FRAMES + 1))
-        assert list(served) == list(range(INDEXED_FRAMES))  # one past: no answer
-        assert {skipped for _, skipped in served.values()} == {True, False}
+        served, skipped = view.get(range(INDEXED_FRAMES + 1))
+        # One past: no answer.
+        assert served.frame_index.tolist() == list(range(INDEXED_FRAMES))
+        assert set(skipped.tolist()) == {True, False}
         # Skipping form, exhaustively: whatever the index tier skips has no
         # detections under the detector.
         assert all(
-            truth[f].detections == [] for f, (_, skipped) in served.items() if skipped
+            truth[f].detections == [] for f in served.frame_index[skipped].tolist()
         )
         yield video, detector, view, truth
         view.close()
@@ -285,11 +303,11 @@ class TestSourceCascadeMatchesOracle:
         cache = None
         if "cache" in sources:
             cache = SharedDetectionCache(capacity_bytes=64 << 20)
-            cache.put_many("cascade", {f: truth[f] for f in warm})
+            cache.put_many("cascade", DetectionBatch.from_detections([truth[f] for f in warm]))
         context = ExecutionContext(
             video=video,
             detector=(
-                RecordedDetections(video, detector, DetectionBatch.from_results(truth))
+                RecordedDetections(video, detector, DetectionBatch.from_detections(truth))
                 if "recorded" in sources
                 else detector
             ),
@@ -333,10 +351,12 @@ class TestSourceCascadeMatchesOracle:
             # Provenance: whichever tier answered, it is the detector's answer
             # (a recording replays it).
             assert_results_identical(got, [truth[f] for f in batch])
+            # One batch of the request, in order, repeats included.
+            assert got.frame_index.tolist() == batch
         if ledger is not None:
             assert_ledgers_agree(ledger, reference_ledger)
         if isinstance(ledger, ExecutionLedger):
-            assert ledger.seen_frames == reference_ledger.seen_frames
+            assert np.array_equal(ledger.seen_frames, reference_ledger.seen_frames)
         if subject.shared_cache is not None:
             assert subject.shared_cache.stats == reference.shared_cache.stats
         # A later tier is only ever asked for what no earlier tier served.
@@ -435,16 +455,17 @@ class TestIndexBatchReadMatchesOracle:
         context, truth = worlds[which]
         view = context.index_view
         want = {frame: index_get_reference(view, frame) for frame in frames}
-        got = view.get(frames)
-        # Unsorted, repeated, out of range, empty: covered frames only, once
-        # each, in first-occurrence order.
-        assert list(got) == [f for f in want if 0 <= f < self.COVERED]
-        assert all(want[f] is None for f in want if f not in got)
-        for frame, (result, skipped) in got.items():
-            reference, reference_skipped = want[frame]
-            assert skipped == reference_skipped
+        got, skipped = view.get(frames)
+        # Unsorted, repeated, out of range, empty: covered frames only, in
+        # input order, repeats included.
+        covered = [f for f in frames if 0 <= f < self.COVERED]
+        assert got.frame_index.tolist() == covered
+        assert all(want[f] is None for f in want if f not in covered)
+        for result, was_skipped in zip(got, skipped.tolist(), strict=True):
+            reference, reference_skipped = want[result.frame_index]
+            assert was_skipped == reference_skipped
             assert_results_identical([result], [reference])
-            assert_results_identical([result], [truth[frame]])
+            assert_results_identical([result], [truth[result.frame_index]])
 
         # Through the engine's context: the counters the index tier owns.
         in_video = [f for f in frames if 0 <= f < self.FRAMES]
@@ -469,10 +490,13 @@ class TestIndexBatchReadMatchesOracle:
                     for k, det in enumerate(result.detections)
                 ],
             )
-            for result, _ in got.values()
+            for result in got
         ]
         assert_results_identical(
-            decode_detection_results(encode_detection_results(results)), results
+            decode_detection_results(
+                encode_detection_results(DetectionBatch.from_detections(results))
+            ),
+            results,
         )
 
     def test_racing_first_reads_map_each_segment_consistently(self, worlds, monkeypatch):
@@ -514,7 +538,7 @@ class TestIndexBatchReadMatchesOracle:
             index.close()
         assert len(outcomes) == 8
         for outcome in outcomes:
-            assert isinstance(outcome, list), outcome
+            assert isinstance(outcome, DetectionBatch), outcome
             assert_results_identical(outcome, [truth[f] for f in frames])
         paths = [path for path, _ in loads]
         assert len(paths) == len(set(paths)) == len(index.segments) * len(SEGMENT_COLUMNS)

@@ -156,3 +156,43 @@ def test_index_reads_are_seen_through_the_tallied_names(monkeypatch, tmp_path, d
     assert tallies.get("index.get", [0])[0] == 0
     assert tallies.get("detection.decode", [0])[0] == 0
     assert ledger.index_hits == 0 and ledger.index_skips == FRAMES
+
+
+def test_frame_and_object_counters_see_the_index_and_live_paths(
+    monkeypatch, tmp_path, detector
+):
+    """The harness counts ``detection.frames_detected`` as ``len()`` of what
+    ``detect_many`` returns and ``detection.decoded_objects`` by iterating
+    what ``decode_detection_results`` returns: both must stay sequences of
+    per-frame results on the query path, or the counters read 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from benchmarks.e2e import layers
+
+    video = SyntheticVideo.generate(make_video_spec("v", FRAMES))
+    ingest = BlazeIt(detector=detector, index_dir=tmp_path)
+    ingest.register_video("v", test_video=video)
+    ingest.build_index("v", range_size=8, segment_frames=64)
+    indexed = BlazeIt(detector=detector, index_dir=tmp_path)
+    indexed.register_video("v", test_video=video)
+    live = BlazeIt(detector=detector)
+    live.register_video("v", test_video=video)
+
+    recorder = layers.Recorder()
+    restore = layers.install(recorder)
+    try:
+        results = {}
+        for name, engine in (("indexed", indexed), ("live", live)):
+            with recorder.op(name), engine.session() as session:
+                results[name] = session.prepare("SELECT * FROM v").execute(
+                    rng=np.random.default_rng(0)
+                )
+    finally:
+        restore()
+    dump = recorder.dump()
+    assert results["indexed"].execution_ledger.detector_calls == 0
+    assert dump["counts"]["indexed|detection.decoded_objects"] == len(
+        results["indexed"].records
+    )
+    assert dump["tallies"]["indexed|index.get"][0] >= 1
+    assert results["live"].execution_ledger.detector_calls == FRAMES
+    assert dump["counts"]["live|detection.frames_detected"] == FRAMES

@@ -192,7 +192,8 @@ class TestResultViews:
         assert result.detections[0] is next(iter(result.detections))
 
     def test_any_mix_of_forms_encodes_like_objects(self):
-        """A view, a hand-built list and an empty list encode alike."""
+        """Batches of views and of hand-built lists (empty ones too),
+        concatenated, encode like the objects."""
         detector = SimulatedDetector.yolov2(confidence_threshold=0.0)
         video = _VIDEOS["amsterdam"]
         views = detector.detect_many(video, [152, 173, 155])
@@ -203,13 +204,17 @@ class TestResultViews:
         assert any(d.features is None for view in views for d in view.detections)
         mixed = [views[0], listed, DetectionResult(7, 7 / 30.0, []), views[2]]
         by_objects = DetectionBatch.from_detections(mixed).to_arrays()
-        by_columns = columnar.encode_detection_results(mixed)
+        by_columns = columnar.encode_detection_results(
+            DetectionBatch.concat(
+                [views.take([0]), DetectionBatch.from_detections(mixed[1:3]), views.take([2])]
+            )
+        )
         for name, values in by_objects.items():
             assert by_columns[name].dtype == values.dtype, name
             assert np.array_equal(by_columns[name], values), name
         decoded = columnar.decode_detection_results(by_columns)
         assert [exact(r) for r in decoded] == [exact(r) for r in mixed]
-        assert decoded == mixed
+        assert list(decoded) == mixed
 
 
 class TestCacheOwnsItsRows:
@@ -226,14 +231,14 @@ class TestCacheOwnsItsRows:
         detector = SimulatedDetector.mask_rcnn(confidence_threshold=0.0)
         probe = SharedDetectionCache(capacity_bytes=1 << 20)
         sample = detector.detect_many(video, list(range(100)))
-        probe.put_many("v", {r.frame_index: r for r in sample})
+        probe.put_many("v", sample)
         capacity = 10 * probe.stats.current_bytes // len(probe)
         del probe, sample
 
         def fill() -> SharedDetectionCache:
             cache = SharedDetectionCache(capacity_bytes=capacity)
             results = detector.detect_many(video, list(range(3000)))
-            cache.put_many("v", {result.frame_index: result for result in results})
+            cache.put_many("v", results)
             del results
             gc.collect()
             return cache
@@ -355,7 +360,7 @@ class TestNulEndedNames:
     def test_npz_snapshot_raises(self, nul_detector, tmp_path):
         cache = SharedDetectionCache(capacity_bytes=1 << 20)
         batch = nul_detector.detect_columns(_VIDEOS["taipei"], range(40))
-        cache.put_many("v", {result.frame_index: result for result in batch.results()})
+        cache.put_many("v", batch)
         with pytest.raises(ConfigurationError, match="ends in NUL"):
             cache.save(tmp_path / "cache.npz", format="npz")
         assert not (tmp_path / "cache.npz").exists()

@@ -27,6 +27,7 @@ import repro.persist as persist
 from repro.api.hints import QueryHints
 from repro.core.engine import BlazeIt
 from repro.detection.base import BoundingBox, Detection, DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.errors import ConfigurationError
 from repro.index.sketches import RangeSketch
 from repro.index.store import MANIFEST_NAME, PersistentIndex, VideoIndex
@@ -168,12 +169,10 @@ class TestBuildAndRead:
         root, _ = index_root
         index = PersistentIndex(root).entries()[0]
         try:
-            results = [
-                detector.detect(tiny_video, frame)
-                for frame in range(tiny_video.num_frames)
-            ]
-            rebuilt = RangeSketch.from_results(
-                results, tiny_video.num_frames, range_size=16
+            rebuilt = RangeSketch.from_batch(
+                detector.detect_many(tiny_video, range(tiny_video.num_frames)),
+                tiny_video.num_frames,
+                range_size=16,
             )
             assert index.sketch.class_table == rebuilt.class_table
             assert np.array_equal(index.sketch.presence_frames, rebuilt.presence_frames)
@@ -537,8 +536,8 @@ class TestSketchValidation:
             index.close()
 
 
-def _synthetic_results(num_frames, class_frames):
-    """One result per frame; ``class_frames`` maps class -> {frame: count}."""
+def _synthetic_batch(num_frames, class_frames):
+    """One frame each; ``class_frames`` maps class -> {frame: count}."""
     results = []
     for frame in range(num_frames):
         detections = []
@@ -558,7 +557,7 @@ def _synthetic_results(num_frames, class_frames):
                 frame_index=frame, timestamp=frame / 30.0, detections=detections
             )
         )
-    return results
+    return DetectionBatch.from_detections(results)
 
 
 class TestSharderSketchRates:
@@ -569,10 +568,10 @@ class TestSharderSketchRates:
         stats = tiny_engine.catalog.get("tiny")
         assert stats is not None
         assert stats.range_presence_rate("car", 0, 100) > 0.0
-        results = _synthetic_results(
+        batch = _synthetic_batch(
             400, {"car": {frame: 1 for frame in range(304, 400, 5)}}
         )
-        sketch = RangeSketch.from_results(results, 400, range_size=16)
+        sketch = RangeSketch.from_batch(batch, 400, range_size=16)
 
         sharder = VideoSharder()
         without = sharder.shard(400, 4, stats=stats, object_class="car")
@@ -595,10 +594,10 @@ class TestSharderSketchRates:
         stats_only = sharder.shard(400, 4, stats=stats, object_class="boat")
         assert all(shard.pruned for shard in stats_only.shards)
 
-        results = _synthetic_results(
+        batch = _synthetic_batch(
             400, {"boat": {frame: 1 for frame in range(320, 340)}}
         )
-        sketch = RangeSketch.from_results(results, 400, range_size=16)
+        sketch = RangeSketch.from_batch(batch, 400, range_size=16)
         rescued = sharder.shard(
             400, 4, stats=stats, object_class="boat", sketch=sketch
         )
@@ -608,11 +607,11 @@ class TestSharderSketchRates:
 
     def test_min_count_pruning_uses_max_count_proof(self):
         # Two cars at once only ever happen in the final shard.
-        results = _synthetic_results(
+        batch = _synthetic_batch(
             400,
             {"car": {**{frame: 1 for frame in range(0, 400, 7)}, 399: 2}},
         )
-        sketch = RangeSketch.from_results(results, 400, range_size=16)
+        sketch = RangeSketch.from_batch(batch, 400, range_size=16)
         plan = VideoSharder().shard(400, 4, min_counts={"car": 2}, sketch=sketch)
         assert [shard.pruned for shard in plan.shards] == [
             True, True, True, False,
@@ -621,8 +620,8 @@ class TestSharderSketchRates:
     def test_window_rates_are_upper_bounds(self):
         rng = np.random.default_rng(5)
         frames = {int(f): 1 for f in rng.choice(400, size=60, replace=False)}
-        results = _synthetic_results(400, {"car": frames})
-        sketch = RangeSketch.from_results(results, 400, range_size=16)
+        batch = _synthetic_batch(400, {"car": frames})
+        sketch = RangeSketch.from_batch(batch, 400, range_size=16)
         for start, end in [(0, 400), (3, 57), (100, 101), (250, 399)]:
             true_rate = sum(
                 1 for f in range(start, end) if frames.get(f)
@@ -800,6 +799,32 @@ class TestSketchSkipping:
         assert ledger.detector_calls == 0
         assert ledger.index_skips > 0
         assert ledger.index_hits + ledger.index_skips <= tiny_video.num_frames
+
+
+# -- determinism -------------------------------------------------------------------
+
+
+class TestBuildIndexDrawsNoRandomness:
+    def test_build_then_query_equals_query_only(
+        self, tmp_path, tiny_video, tiny_labeled_set, detector, engine_config
+    ):
+        """Invariant I1: building an index draws nothing from the engine's
+        seed sequence, so a later approximate query (index bypassed, so
+        only the draws can differ) answers exactly as on an engine that
+        never built one."""
+        answers = []
+        for build in (False, True):
+            engine = make_tiny_engine(
+                tiny_video, tiny_labeled_set, detector, engine_config,
+                index_dir=tmp_path / f"store-{build}",
+            )
+            if build:
+                engine.build_index("tiny", range_size=16, segment_frames=128)
+            result = engine.query(
+                QUERIES["aggregate_aqp"], hints=QueryHints(use_index=False)
+            )
+            answers.append(value_fingerprint(result))
+        assert answers[0] == answers[1]
 
 
 # -- warm start and the use_index hint ---------------------------------------------

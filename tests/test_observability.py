@@ -23,6 +23,7 @@ from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.errors import ConfigurationError
 from repro.detection.base import DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.metrics.runtime import ExecutionLedger
 from repro.obs.metrics import MetricsRegistry, get_registry, record_execution_ledger
 from repro.obs.profile import ExecutionProfile, build_profile, estimate_errors
@@ -39,7 +40,7 @@ from test_parallel import QUERIES
 def _detect(ledger: ExecutionLedger, frames: range) -> None:
     """Record one detector call per frame (an empty detection), as the detect path does."""
     ledger.record_detections(
-        {frame: DetectionResult(frame_index=frame, timestamp=0.0) for frame in frames}
+        DetectionBatch.from_detections([DetectionResult(frame, 0.0) for frame in frames])
     )
 
 
@@ -151,18 +152,16 @@ class TestTracer:
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram_prometheus_text(self):
+    def test_counter_histogram_prometheus_text(self):
         registry = MetricsRegistry()
         registry.inc("repro_x_total", 2, {"kind": "a"}, help="X total.")
         registry.inc("repro_x_total", 3, {"kind": "a"})
-        registry.set_gauge("repro_depth", 4, help="Depth.")
         registry.observe("repro_wait_seconds", 0.07, buckets=[0.01, 0.1, 1.0])
         registry.observe("repro_wait_seconds", 5.0, buckets=[0.01, 0.1, 1.0])
         text = registry.render_prometheus()
         assert "# HELP repro_x_total X total." in text
         assert "# TYPE repro_x_total counter" in text
         assert 'repro_x_total{kind="a"} 5' in text
-        assert "# TYPE repro_depth gauge" in text and "repro_depth 4" in text
         assert "# TYPE repro_wait_seconds histogram" in text
         assert 'repro_wait_seconds_bucket{le="0.1"} 1' in text
         assert 'repro_wait_seconds_bucket{le="+Inf"} 2' in text
@@ -189,11 +188,10 @@ class TestMetricsRegistry:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.inc("repro_c", 1, {"kind": "a"})
-        registry.set_gauge("repro_g", 2)
         registry.observe("repro_h", 0.5)
         snapshot = registry.snapshot()
+        assert set(snapshot) == {"counters", "histograms"}
         assert snapshot["counters"] == {'repro_c{kind="a"}': 1.0}
-        assert snapshot["gauges"] == {"repro_g": 2.0}
         assert snapshot["histograms"]["repro_h"]["count"] == 1
 
     def test_reset_drops_everything(self):

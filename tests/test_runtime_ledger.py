@@ -141,6 +141,7 @@ class TestLedgerThreadSafety:
         import threading
 
         from repro.detection.base import DetectionResult
+        from repro.detection.columnar import DetectionBatch
         from repro.metrics.runtime import ExecutionLedger
 
         ledger = ExecutionLedger()
@@ -148,14 +149,10 @@ class TestLedgerThreadSafety:
         def hammer(worker_id: int):
             base = worker_id * self.ITERATIONS
             for i in range(self.ITERATIONS):
-                frame = base + i
-                ledger.record_detections(
-                    {frame: DetectionResult(frame_index=frame, timestamp=0.0)}
-                )
+                frame = DetectionBatch.from_detections([DetectionResult(base + i, 0.0)])
+                ledger.record_detections(frame)
                 ledger.record_cache_hit()
-                ledger.stash_detections(
-                    {frame: DetectionResult(frame_index=frame, timestamp=0.0)}
-                )
+                ledger.record_shared_hits(frame)
 
         threads = [
             threading.Thread(target=hammer, args=(i,)) for i in range(self.THREADS)

@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import BlazeItConfig
 from repro.core.engine import BlazeIt
 from repro.detection.base import Detection, DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.errors import ConfigurationError
 from repro.parallel.cache import (
     SharedDetectionCache,
@@ -62,10 +63,10 @@ class TestSharedDetectionCache:
 
     def test_get_many_put_many(self):
         cache = SharedDetectionCache(capacity_bytes=1 << 20)
-        cache.put_many("v", {i: make_result(i) for i in range(5)})
-        hits = cache.get_many("v", [0, 2, 4, 9])
-        assert sorted(hits) == [0, 2, 4]
-        assert hits[2].frame_index == 2
+        cache.put_many("v", DetectionBatch.from_detections([make_result(i) for i in range(5)]))
+        hits = cache.get_many("v", [4, 0, 9, 2])
+        assert hits.frame_index.tolist() == [4, 0, 2]
+        assert hits[2].frame_index == 2 and hits[2].count("car") == 2
 
     def test_lru_eviction_respects_byte_budget(self):
         one = entry_bytes(make_result(0))
@@ -119,7 +120,7 @@ class TestSharedDetectionCache:
 
     def test_save_load_roundtrip(self, tmp_path):
         cache = SharedDetectionCache(capacity_bytes=1 << 20)
-        cache.put_many("v", {i: make_result(i) for i in range(4)})
+        cache.put_many("v", DetectionBatch.from_detections([make_result(i) for i in range(4)]))
         path = tmp_path / "cache.json"
         cache.save(path)
         loaded = SharedDetectionCache.load(path)
@@ -131,8 +132,10 @@ class TestSharedDetectionCache:
         """The binary snapshot restores every field (track_id included) and
         ``load`` recognises the format from the file alone."""
         cache = SharedDetectionCache(capacity_bytes=1 << 20)
-        cache.put_many("v|a", {i: make_result(i) for i in range(4)})
-        cache.put_many("w|b", {i: make_result(i, detections=1) for i in range(2)})
+        cache.put_many("v|a", DetectionBatch.from_detections([make_result(i) for i in range(4)]))
+        cache.put_many(
+            "w|b", DetectionBatch.from_detections([make_result(i, detections=1) for i in range(2)])
+        )
         cache.get("v|a", 1)  # perturb LRU order; snapshots must preserve it
         path = tmp_path / "cache.npz"
         cache.save(path, format="npz")
@@ -155,7 +158,9 @@ class TestSharedDetectionCache:
 
     def test_npz_snapshot_is_smaller_on_feature_heavy_caches(self, tmp_path):
         cache = SharedDetectionCache(capacity_bytes=64 << 20)
-        cache.put_many("v", {i: make_result(i, detections=6) for i in range(64)})
+        cache.put_many(
+            "v", DetectionBatch.from_detections([make_result(i, detections=6) for i in range(64)])
+        )
         json_path, npz_path = tmp_path / "c.json", tmp_path / "c.npz"
         cache.save(json_path)
         cache.save(npz_path, format="npz")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.detection.base import Detection, DetectionResult
+from repro.detection.columnar import DetectionBatch
 from repro.optimizer.operators import TrackAggregator
 from repro.tracking import iou_tracker
 from repro.tracking.iou_tracker import IoUTracker
@@ -33,6 +34,10 @@ def _frame(frame_index, boxes, object_class="car"):
     )
 
 
+def _batch(results):
+    return DetectionBatch.from_detections(results)
+
+
 def _box(x, y=0.0, size=100.0):
     return BoundingBox(x, y, x + size, y + size)
 
@@ -41,26 +46,26 @@ class TestIoUTracker:
     def test_stationary_object_is_one_track(self):
         tracker = IoUTracker()
         results = [_frame(i, [_box(0.0)]) for i in range(5)]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 1
         assert tracks[0].length == 5
 
     def test_slow_object_stays_one_track(self):
         tracker = IoUTracker(iou_threshold=0.7)
         results = [_frame(i, [_box(i * 5.0)]) for i in range(10)]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 1
 
     def test_teleporting_object_splits_tracks(self):
         tracker = IoUTracker()
         results = [_frame(0, [_box(0.0)]), _frame(1, [_box(1000.0)])]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 2
 
     def test_two_parallel_objects(self):
         tracker = IoUTracker()
         results = [_frame(i, [_box(0.0), _box(500.0)]) for i in range(4)]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 2
         assert all(t.length == 4 for t in tracks)
 
@@ -77,7 +82,7 @@ class TestIoUTracker:
             )
             for i in range(3)
         ]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 2
         assert {t.object_class for t in tracks} == {"car", "bus"}
 
@@ -86,13 +91,13 @@ class TestIoUTracker:
         results = [_frame(0, [_box(0.0)]), _frame(1, []), _frame(2, [_box(0.0)])]
         # Without bridging the empty frame the object re-enters as a new track,
         # matching the trackid semantics of Table 1.
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 2
 
     def test_larger_gap_bridges_missing_frame(self):
         tracker = IoUTracker(max_gap=2)
         results = [_frame(0, [_box(0.0)]), _frame(1, []), _frame(2, [_box(0.0)])]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert len(tracks) == 1
 
     def test_tracking_groups_detections_without_writing_them(self):
@@ -100,7 +105,7 @@ class TestIoUTracker:
         cache entry, so the detections it is handed are never stamped."""
         tracker = IoUTracker()
         results = [_frame(i, [_box(0.0)]) for i in range(3)]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         assert [t.track_id for t in tracks] == [0]
         assert [d.frame_index for d in tracks[0].detections] == [0, 1, 2]
         for result in results:
@@ -110,14 +115,14 @@ class TestIoUTracker:
     def test_every_detection_belongs_to_exactly_one_track(self):
         tracker = IoUTracker()
         results = [_frame(i, [_box(0.0), _box(300.0)]) for i in range(6)]
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         total = sum(t.length for t in tracks)
         assert total == 12
 
     def test_resolve_keeps_no_state(self):
         tracker = IoUTracker()
-        tracker.resolve([_frame(0, [_box(0.0)]), _frame(1, [_box(500.0)])])
-        tracks = tracker.resolve([_frame(0, [_box(0.0)])])
+        tracker.resolve(_batch([_frame(0, [_box(0.0)]), _frame(1, [_box(500.0)])]))
+        tracks = tracker.resolve(_batch([_frame(0, [_box(0.0)])]))
         assert len(tracks) == 1
         assert tracks[0].track_id == 0
 
@@ -143,12 +148,12 @@ class TestIoUTracker:
             TrackAggregator(**kwargs)
 
     def test_empty_input_has_no_tracks(self):
-        assert IoUTracker().resolve([]) == []
-        assert IoUTracker().resolve([_frame(0, []), _frame(1, [])]) == []
+        assert IoUTracker().resolve(_batch([])) == []
+        assert IoUTracker().resolve(_batch([_frame(0, []), _frame(1, [])])) == []
 
     def test_unsorted_input_is_taken_in_frame_order(self):
         results = [_frame(i, [_box(i * 5.0)]) for i in range(6)]
-        tracks = IoUTracker().resolve(results[::-1])
+        tracks = IoUTracker().resolve(_batch(results[::-1]))
         assert len(tracks) == 1
         assert tracks[0].frames.tolist() == list(range(6))
 
@@ -158,7 +163,7 @@ class TestIoUTracker:
             detector.detect(tiny_video, frame) for frame in range(tiny_video.num_frames)
         ]
         tracker = IoUTracker(iou_threshold=0.5, max_gap=3)
-        tracks = tracker.resolve(results)
+        tracks = tracker.resolve(_batch(results))
         car_tracks = [t for t in tracks if t.object_class == "car" and t.length >= 3]
         true_cars = tiny_video.distinct_count("car")
         assert car_tracks, "expected at least one resolved car track"
@@ -169,14 +174,14 @@ class TestIoUTracker:
 class TestResolvedTrack:
     def test_start_end_frames(self):
         results = [_frame(5, [_box(0.0)]), _frame(9, [_box(0.0)])]
-        (track,) = IoUTracker(max_gap=4).resolve(results)
+        (track,) = IoUTracker(max_gap=4).resolve(_batch(results))
         assert track.start_frame == 5
         assert track.end_frame == 9
         assert track.length == 2
 
     def test_detections_are_the_grouped_rows(self):
         results = [_frame(i, [_box(0.0), _box(500.0)]) for i in range(3)]
-        tracks = IoUTracker().resolve(results)
+        tracks = IoUTracker().resolve(_batch(results))
         assert [t.detections for t in tracks] == [
             [result.detections[0] for result in results],
             [result.detections[1] for result in results],
@@ -278,7 +283,7 @@ class TestAgainstReference:
             results = _random_case(rng)
             max_gap = int(rng.integers(1, 6))
             threshold = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
-            tracks = IoUTracker(iou_threshold=threshold, max_gap=max_gap).resolve(results)
+            tracks = IoUTracker(iou_threshold=threshold, max_gap=max_gap).resolve(_batch(results))
             expected = _reference_row_tracks(results, threshold, max_gap)
             assert _row_tracks(tracks) == expected, (case, threshold, max_gap)
             multi_track_cases += any(len(rows) > 1 for _, _, rows in expected)
@@ -295,7 +300,7 @@ class TestAgainstReference:
         for case in range(300):
             results = _random_case(rng)
             max_gap = int(rng.integers(1, 6))
-            tracks = IoUTracker(iou_threshold=0.3, max_gap=max_gap).resolve(results)
+            tracks = IoUTracker(iou_threshold=0.3, max_gap=max_gap).resolve(_batch(results))
             expected = _reference_row_tracks(results, 0.3, max_gap)
             assert _row_tracks(tracks) == expected, case
 
@@ -304,9 +309,9 @@ class TestAgainstReference:
         """The two configurations the plans run: 0.7 over every frame, and
         0.3 with ``max_gap`` = step over subsampled frames."""
         frames = np.arange(0, tiny_video.num_frames, step)
-        results = detector.detect_many(tiny_video, frames)
-        tracks = IoUTracker(iou_threshold=threshold, max_gap=step).resolve(results)
-        expected = _reference_row_tracks(results, threshold, step)
+        batch = detector.detect_many(tiny_video, frames)
+        tracks = IoUTracker(iou_threshold=threshold, max_gap=step).resolve(batch)
+        expected = _reference_row_tracks(list(batch), threshold, step)
         assert len(expected) > 5
         assert any(len(rows) > 3 for _, _, rows in expected)
         assert _row_tracks(tracks) == expected
