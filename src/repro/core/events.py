@@ -116,9 +116,10 @@ class EstimateUpdate(ExecutionEvent):
     """Running AQP estimate after one sampling round.
 
     ``estimate`` and ``half_width`` are both in the query's own units
-    (``FCOUNT`` per-frame mean or ``COUNT`` total), so ``estimate ±
-    half_width`` is always the confidence interval at the query's confidence
-    level.  ``StopConditions.ci_width`` is compared in these same units.
+    (``FCOUNT`` per-frame mean or ``COUNT`` total): a sampling plan's
+    confidence interval at the query's confidence, or a rewrite's held-out
+    error bound (a gate statistic, not a calibrated interval).
+    ``StopConditions.ci_width`` is compared in these same units.
     """
 
     wire_name: ClassVar[str] = "estimate_update"

@@ -8,10 +8,11 @@ of physical operators:
 2. If there is not enough training data for the queried class, run plain
    adaptive sampling (:class:`RandomSampler`, traditional AQP).
 3. Otherwise :class:`SpecializedInference` trains a count-specialized NN on
-   the labeled set and estimates its error on the held-out day with the
-   bootstrap.  If the error satisfies the user's bound at the requested
-   confidence, rewrite the query: run the specialized NN over every unseen
-   frame and return its mean directly.
+   the labeled set and bounds its error on the held-out day with the batch
+   means of its residuals.  If the bound at the requested confidence is
+   within the user's tolerance, rewrite the query: run the specialized NN
+   over every unseen frame and return its mean, with that bound as the
+   answer's half-width.
 4. Otherwise use the specialized NN as a control variate
    (:class:`ControlVariateSampler`): its expected counts over all unseen
    frames are the cheap auxiliary variable, and the detector is sampled
@@ -214,13 +215,17 @@ class AggregateQueryPlan(PhysicalPlan):
         if method == AggregateMethod.NAIVE_AQP:
             children = (sampler_node,)
         elif method == AggregateMethod.SPECIALIZED_REWRITE:
-            children = (train_node, rewrite_node)
+            children = (
+                train_node,
+                OperatorNode("BatchMeansAccuracyGate", detail="reported bound"),
+                rewrite_node,
+            )
         elif method == AggregateMethod.CONTROL_VARIATES:
             children = (train_node, cv_node)
         else:
             children = (
                 train_node,
-                OperatorNode("BootstrapAccuracyGate", detail="Algorithm 1"),
+                OperatorNode("BatchMeansAccuracyGate", detail="Algorithm 1"),
                 rewrite_node,
                 cv_node,
                 dataclasses.replace(
@@ -360,13 +365,6 @@ class AggregateQueryPlan(PhysicalPlan):
         yield Progress(phase="train_specialized_nn")
         with self._specialized.traced(context, ledger):
             model = self._specialized.train(context, ledger)
-        if method == AggregateMethod.SPECIALIZED_REWRITE:
-            with operator_scope(context, "QueryRewrite", ledger):
-                return (
-                    yield from self._specialized.stream_rewrite(
-                        context, control, ledger, model
-                    )
-                )
         if method == AggregateMethod.CONTROL_VARIATES:
             with self._control_variates.traced(context, ledger):
                 return (
@@ -375,17 +373,17 @@ class AggregateQueryPlan(PhysicalPlan):
                     )
                 )
 
-        # AUTO: Algorithm 1's accuracy gate.
+        # Algorithm 1's accuracy gate; a forced rewrite measures the same
+        # bound to report it.
         yield Progress(phase="accuracy_gate")
-        with operator_scope(context, "BootstrapAccuracyGate", ledger):
-            rewrite_ok = self._specialized.rewrite_within_tolerance(
-                context, ledger, model
-            )
-        if rewrite_ok:
+        with operator_scope(context, "BatchMeansAccuracyGate", ledger):
+            bound = self._specialized.heldout_error_bound(context, ledger, model)
+        assert spec.error_tolerance is not None  # exact_only() plans never get here
+        if method == AggregateMethod.SPECIALIZED_REWRITE or bound < spec.error_tolerance:
             with operator_scope(context, "QueryRewrite", ledger):
                 return (
                     yield from self._specialized.stream_rewrite(
-                        context, control, ledger, model
+                        context, control, ledger, model, bound
                     )
                 )
         with self._control_variates.traced(context, ledger):

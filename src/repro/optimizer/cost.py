@@ -647,8 +647,8 @@ class CostBasedOptimizer:
         if specializable:
             # The adaptive plan runs whichever branch its accuracy gate admits.
             auto_reason = (
-                "Algorithm 1: bootstrap gate picks rewrite or "
-                "control variates at runtime"
+                "Algorithm 1: held-out batch-means error bound picks "
+                "rewrite or control variates at runtime"
             )
             auto_runs: tuple[str, ...] = ("specialized_rewrite", "control_variates")
             forced += [

@@ -15,11 +15,8 @@ from repro.core.results import AggregateResult
 from repro.frameql.analyzer import AggregateQuerySpec
 from repro.metrics.runtime import ExecutionLedger
 from repro.optimizer.operators.base import PhysicalOperator
-from repro.optimizer.operators.common import finalize_aggregate
-from repro.specialization.calibration import (
-    bootstrap_error_estimate,
-    error_within_tolerance,
-)
+from repro.optimizer.operators.common import finalize_aggregate, width_scale
+from repro.specialization.calibration import batch_means_error_bound
 from repro.specialization.count_model import CountSpecializedModel
 
 
@@ -27,8 +24,9 @@ class SpecializedInference(PhysicalOperator):
     """Train a count-specialized NN and run it over every unseen frame.
 
     The query-rewriting stage of Algorithm 1: training on the labeled set,
-    the bootstrap accuracy gate on the held-out day, and the full-video
-    inference pass that replaces the detector entirely when the gate passes.
+    the batch-means error bound on the held-out day (the accuracy gate), and
+    the full-video inference pass that replaces the detector entirely when
+    the bound is within the query's tolerance.
     The trained model doubles as the auxiliary variable for
     :class:`~repro.optimizer.operators.sampling.ControlVariateSampler`.
     """
@@ -61,22 +59,22 @@ class SpecializedInference(PhysicalOperator):
         )
         return model
 
-    def rewrite_within_tolerance(
+    def heldout_error_bound(
         self,
         context: ExecutionContext,
         ledger: ExecutionLedger,
         model: CountSpecializedModel,
-    ) -> bool:
-        """Algorithm 1's accuracy gate: bootstrap the held-out rewrite error."""
-        assert self.spec.error_tolerance is not None  # the gate implies a bound
+    ) -> float:
+        """Algorithm 1's accuracy gate: the rewrite's held-out error bound.
+
+        The per-frame error at the query's confidence, from the batch means
+        of the held-out residuals (per-frame units, like ``half_width``).
+        """
         labeled = context.require_labeled_set()
         threshold_ledger = ledger if context.config.include_training_time else None
         predictions = model.predict_counts(labeled.heldout_features, threshold_ledger)
         truths = labeled.heldout_counts(self.spec.object_class)
-        errors = bootstrap_error_estimate(predictions, truths, seed=context.config.seed)
-        return error_within_tolerance(
-            errors, self.spec.error_tolerance, self.spec.confidence
-        )
+        return batch_means_error_bound(predictions, truths, self.spec.confidence)
 
     def stream_rewrite(
         self,
@@ -84,8 +82,13 @@ class SpecializedInference(PhysicalOperator):
         control: ExecutionControl,
         ledger: ExecutionLedger,
         model: CountSpecializedModel,
+        half_width: float,
     ) -> Generator[ExecutionEvent, None, AggregateResult]:
-        """Rewrite the query: evaluate the NN on every unseen frame."""
+        """Rewrite the query: evaluate the NN on every unseen frame.
+
+        ``half_width`` is :meth:`heldout_error_bound`: the answer carries the
+        bound its gate measured, not the zero width of an exact scan.
+        """
         spec = self.spec
         num_frames = context.video.num_frames
         features = context.test_features()
@@ -98,7 +101,7 @@ class SpecializedInference(PhysicalOperator):
         mean_count = model.mean_count(features, ledger)
         yield EstimateUpdate(
             estimate=finalize_aggregate(spec, mean_count, num_frames),
-            half_width=0.0,
+            half_width=half_width * width_scale(spec, num_frames),
             samples_used=num_frames,
             confidence=spec.confidence,
         )
@@ -114,4 +117,5 @@ class SpecializedInference(PhysicalOperator):
             error_tolerance=spec.error_tolerance,
             confidence=spec.confidence,
             samples_used=num_frames,
+            half_width=half_width,
         )

@@ -295,11 +295,16 @@ class SelectionQueryPlan(PhysicalPlan):
             }
             matched_frames = {f for f in matched_frames if f in kept}
             records = records.select(np.isin(records.frame_index, sorted(kept)))
+        matched_sorted = np.array(sorted(matched_frames), dtype=np.int64)
+        starts, ends = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+        counts = np.searchsorted(matched_sorted, ends, side="right") - np.searchsorted(
+            matched_sorted, starts
+        )
         for position, (start, end) in enumerate(windows, start=1):
             yield SelectionWindow(
                 start_frame=start,
                 end_frame=end,
-                matched_frames=sum(1 for f in matched_frames if start <= f <= end),
+                matched_frames=int(counts[position - 1]),
                 windows_so_far=position,
             )
         yield Completed(
@@ -310,7 +315,7 @@ class SelectionQueryPlan(PhysicalPlan):
                 detection_calls=sum(len(batch) for batch in verified),
                 plan_description=plan.describe(),
                 records=records,
-                matched_frames=sorted(matched_frames),
+                matched_frames=matched_sorted.tolist(),
                 frames_scanned=int(all_frames.size),
                 frames_after_filters=int(surviving.size),
             ),

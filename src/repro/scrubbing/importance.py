@@ -10,7 +10,7 @@ the full detector; the ``GAP`` constraint is enforced on the verified frames.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +63,11 @@ class ScrubState:
     """The accept/gap/limit bookkeeping of one scrubbing run.
 
     The single home of the acceptance semantics, shared by the scalar
-    :func:`iter_scrub_ordered` walk and the scrubbing plan's chunked
-    verifier: candidates are :meth:`eligible` while not yet accepted and at
-    least ``gap`` away from every accepted frame (checked in O(log n)
-    against a sorted accepted list), and :meth:`examine` records one
+    :func:`scrub_ordered` walk of the baselines and the streaming plan's
+    chunked :class:`~repro.optimizer.operators.verify.DetectorVerifier`:
+    candidates are :meth:`eligible` while not yet accepted and at least
+    ``gap`` away from every accepted frame (checked in O(log n) against a
+    sorted accepted list), and :meth:`examine` records one
     verified/rejected candidate into the underlying
     :class:`ScrubbingResult`, flipping ``satisfied`` when the limit is
     reached.  State carries over when resuming a run (e.g. an exhaustive
@@ -112,49 +113,6 @@ class ScrubState:
         return verified
 
 
-@dataclass(frozen=True)
-class ScrubStep:
-    """One examined candidate frame, for streaming consumers.
-
-    ``hits_so_far`` counts the accepted (verified, gap-respecting) frames
-    including this one when ``verified`` is true.
-    """
-
-    frame: int
-    verified: bool
-    hits_so_far: int
-
-
-def iter_scrub_ordered(
-    candidate_order: np.ndarray | list[int],
-    verify_fn: Callable[[int], bool],
-    limit: int,
-    gap: int = 0,
-    result: ScrubbingResult | None = None,
-) -> Iterator[ScrubStep]:
-    """Walk candidate frames in order, yielding one :class:`ScrubStep` each.
-
-    The generator core behind :func:`scrub_ordered` (which drains it) and the
-    streaming scrubbing plan.  State accumulates in ``result`` — pass the same
-    :class:`ScrubbingResult` to a second call to *resume* a scrub over a
-    different candidate order (e.g. an exhaustive fallback sweep after an
-    importance scan) with the accepted frames and counters carried over.
-    """
-    if result is None:
-        result = ScrubbingResult()
-    state = ScrubState(result, limit=limit, gap=gap)
-    for frame in candidate_order:
-        frame = int(frame)
-        if not state.eligible(frame):
-            continue
-        verified = state.examine(frame, verify_fn(frame))
-        yield ScrubStep(
-            frame=frame, verified=verified, hits_so_far=state.hits
-        )
-        if state.satisfied:
-            return
-
-
 def scrub_ordered(
     candidate_order: np.ndarray | list[int],
     verify_fn: Callable[[int], bool],
@@ -167,8 +125,13 @@ def scrub_ordered(
     baselines; they differ only in the order of ``candidate_order``.
     """
     result = ScrubbingResult()
-    for _ in iter_scrub_ordered(candidate_order, verify_fn, limit, gap, result):
-        pass
+    state = ScrubState(result, limit=limit, gap=gap)
+    for frame in candidate_order:
+        frame = int(frame)
+        if state.eligible(frame):
+            state.examine(frame, verify_fn(frame))
+            if state.satisfied:
+                break
     return result
 
 

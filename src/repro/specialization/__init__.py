@@ -17,8 +17,8 @@ from repro.specialization.count_model import CountSpecializedModel
 from repro.specialization.binary_model import BinaryPresenceModel
 from repro.specialization.multiclass import MultiClassCountModel
 from repro.specialization.calibration import (
+    batch_means_error_bound,
     calibrate_no_false_negative_threshold,
-    bootstrap_error_estimate,
 )
 
 __all__ = [
@@ -31,5 +31,5 @@ __all__ = [
     "BinaryPresenceModel",
     "MultiClassCountModel",
     "calibrate_no_false_negative_threshold",
-    "bootstrap_error_estimate",
+    "batch_means_error_bound",
 ]

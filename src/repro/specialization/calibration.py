@@ -6,16 +6,23 @@ Two pieces of the paper's statistical machinery live here:
   selection are "set to have no false negatives on the held-out set"
   (Section 8); the calibrated threshold is the largest score cut-off that
   still passes every positive held-out frame.
-* :func:`bootstrap_error_estimate` — the aggregation optimizer "estimates the
-  error of the specialized NN on a held-out set using the bootstrap"
-  (Section 6.2) before deciding whether query rewriting is safe.
+* :func:`batch_means_error_bound` — the aggregation optimizer estimates the
+  error of the specialized NN on a held-out set (Section 6.2) before
+  deciding whether query rewriting is safe.  The paper uses the bootstrap;
+  held-out frames are autocorrelated (objects dwell, traffic bursts), and
+  i.i.d. resamples understate the error of a day's mean, so the bound is
+  taken from contiguous-block (batch) means instead: one deterministic
+  pass, no resampling, no randomness.  The rewrite reports the bound as its
+  half-width: the gate's statistic, not a calibrated confidence interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize, stats
 
 
 @dataclass(frozen=True)
@@ -83,52 +90,72 @@ def calibrate_no_false_negative_threshold(
     )
 
 
-def bootstrap_error_estimate(
-    predictions: np.ndarray,
-    truths: np.ndarray,
-    n_bootstrap: int = 200,
-    seed: int = 0,
-) -> np.ndarray:
-    """Bootstrap distribution of the absolute error of the mean.
-
-    Resamples held-out frames with replacement; each resample yields one
-    absolute difference between the mean prediction and the mean truth.  The
-    caller compares a quantile of this distribution against the user's error
-    tolerance.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if predictions.shape[0] != truths.shape[0]:
-        raise ValueError(
-            f"prediction/truth length mismatch: {predictions.shape[0]} vs {truths.shape[0]}"
-        )
-    if predictions.size == 0:
-        raise ValueError("cannot bootstrap from zero held-out frames")
-    if n_bootstrap < 1:
-        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
-    rng = np.random.default_rng(seed)
-    n = predictions.shape[0]
-    errors = np.empty(n_bootstrap, dtype=np.float64)
-    for i in range(n_bootstrap):
-        idx = rng.integers(0, n, size=n)
-        errors[i] = abs(float(predictions[idx].mean()) - float(truths[idx].mean()))
-    return errors
+#: Integrated autocorrelation times per block: shorter blocks leave their
+#: means correlated (bursts outlast the window ``tau`` is summed over).
+BLOCK_TAUS = 4.0
 
 
-def error_within_tolerance(
-    bootstrap_errors: np.ndarray, tolerance: float, confidence: float
-) -> bool:
-    """Whether the bootstrap error distribution satisfies the user's bound.
+def batch_means_error_bound(
+    predictions: np.ndarray, truths: np.ndarray, confidence: float
+) -> float:
+    """The error of the mean prediction on an unseen day, at ``confidence``.
 
-    ``True`` when the ``confidence`` quantile of the bootstrap errors is below
-    ``tolerance`` — i.e. ``P(error < tolerance) >= confidence`` in the
-    notation of Algorithm 1.
+    One deterministic pass over the held-out residuals (prediction minus
+    truth, in frame order), cut into contiguous blocks of :data:`BLOCK_TAUS`
+    integrated autocorrelation times; the block means' spread gives the
+    standard error ``se`` of the held-out mean.  An unseen day's mean
+    residual is ``mean + sqrt(2) * se * T``, ``T`` Student-t on ``blocks -
+    1`` degrees of freedom (the noise of both days), and the bound is the
+    ``confidence`` quantile of its absolute value.  Fewer than two blocks
+    bound nothing: the result is infinite.
+
+    The bound is the statistic Algorithm 1's gate compares with ``eps``,
+    not a calibrated interval: block means are not quite independent and
+    normal, and the gate admits the days whose spread came out small, so a
+    rewrite's test-day error exceeds its bound more often than ``1 -
+    confidence`` (``benchmarks/gate_sweep.py`` reports how often).
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    errors = np.asarray(bootstrap_errors, dtype=np.float64)
-    if errors.size == 0:
-        return False
-    return float(np.quantile(errors, confidence)) < tolerance
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truths = np.asarray(truths, dtype=np.float64)
+    if predictions.shape != truths.shape:
+        raise ValueError(
+            f"prediction/truth length mismatch: {predictions.shape[0]} vs {truths.shape[0]}"
+        )
+    residuals = predictions - truths
+    if residuals.size == 0:
+        raise ValueError("cannot bound the error of zero held-out frames")
+    n = residuals.size
+    blocks = int(n / (BLOCK_TAUS * integrated_autocorrelation_time(residuals)))
+    if blocks < 2:
+        return math.inf
+    starts = (np.arange(blocks) * n) // blocks
+    means = np.add.reduceat(residuals, starts) / np.diff(starts, append=n)
+    scale = math.sqrt(2.0 / blocks) * float(np.std(means, ddof=1))
+    centre = float(residuals.mean())
+    if scale == 0.0:
+        return abs(centre)
+    error = stats.t(blocks - 1, loc=centre, scale=scale)
+    # |centre + scale * T| <= |centre| + scale * |T| brackets the quantile.
+    upper = abs(centre) + scale * float(stats.t.ppf(0.5 + confidence / 2.0, blocks - 1))
+    return float(optimize.brentq(lambda q: error.cdf(q) - error.cdf(-q) - confidence, 0.0, upper))
+
+
+def integrated_autocorrelation_time(series: np.ndarray) -> float:
+    """``1 + 2 * sum(rho_k)``, summed up to Sokal's self-consistent window.
+
+    The autocorrelations ``rho_k`` come from one FFT; the sum stops at the
+    first lag ``M >= 5 * tau(M)``, which exists because the autocorrelations
+    of a centred series sum to -1/2.  A constant series is uncorrelated.
+    """
+    centred = np.asarray(series, dtype=np.float64) - np.mean(series)
+    n = centred.size
+    variance = float(centred @ centred)
+    if n < 2 or variance == 0.0:
+        return 1.0
+    spectrum = np.fft.rfft(centred, 2 * n)
+    rho = np.fft.irfft(spectrum * np.conj(spectrum))[1:n] / variance
+    taus = 1.0 + 2.0 * np.cumsum(rho)
+    window = int(np.argmax(np.arange(1, n) >= 5.0 * taus))
+    return max(1.0, float(taus[window]))

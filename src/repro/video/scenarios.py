@@ -8,16 +8,15 @@ absolute video length is scaled down (the paper uses 18-33 hours per stream;
 we default to tens of minutes) to keep the reproduction laptop-sized.
 
 Most optimizations depend on per-frame statistics and keep their comparison
-shapes at this scale.  Algorithm 1's rewrite gate does not: it estimates the
-trained model's error from i.i.d. held-out frames, and at short lengths the
-test day's bias is wider than that estimate, because object dwell and
-burstiness correlate frames over longer spans.  Measured over 20 test days
-per length (the rewrite-gate table of ROADMAP.md, item 1: ``rialto`` /
-``boat``, ``ERROR WITHIN 0.1 AT CONFIDENCE 95%``), the rewrite missed its
-tolerance in 0.29 of the runs where it fired at 3,000 frames, 0.24 at
-18,000 (the default) and 0.00 at 54,000, against a budget of 0.05.  At the
-default length a rewritten aggregate's error bound is therefore not
-guaranteed.
+shapes at this scale.  Algorithm 1's rewrite does not: object dwell and
+burstiness correlate frames over long spans, so a short held-out day bounds
+the trained model's error only loosely, and the gate (batch means of the
+held-out residuals) refuses the rewrite there.  Over 200 independent days
+per length (``benchmarks/gate_sweep.py``: ``rialto`` / ``boat``, ``ERROR
+WITHIN 0.1 AT CONFIDENCE 95%``) it rewrote on none at 3,000 frames, 30% at
+18,000 (the default) and 82% at 54,000, missing the tolerance in 2 of 59
+rewrites at 18,000 and in none at 54,000.  At the default length most such
+aggregates therefore sample with control variates.
 
 The paper uses three days per stream: one for training labels, one for
 threshold/held-out computation and one for testing.  :func:`generate_scenario`

@@ -365,7 +365,7 @@ class TestExplainSnapshots:
             "error=0.1 @ 0.95)\n"
             "    SpecializedInference(train class=car)"
             " [~0 detector calls, ~0.48s]\n"
-            "    BootstrapAccuracyGate(Algorithm 1)\n"
+            "    BatchMeansAccuracyGate(Algorithm 1)\n"
             "    QueryRewrite(specialized NN on every unseen frame)"
             " [~0 detector calls, ~0.04s]\n"
             "    ControlVariateSampler(adaptive CLT-bounded sampling, "
