@@ -203,12 +203,9 @@ def _count_model(bundle: ScenarioBundle, object_class: str, **kwargs: Any) -> Co
 
 
 def _bus_car_model(bundle: ScenarioBundle) -> MultiClassCountModel:
-    model = MultiClassCountModel(["bus", "car"], training_config=TRAINING)
-    model.fit(
-        bundle.labeled_set.train_features,
-        {cls: bundle.labeled_set.train_counts(cls) for cls in ("bus", "car")},
+    return MultiClassCountModel(["bus", "car"], training_config=TRAINING).fit_heads(
+        bundle.labeled_set.fitted
     )
-    return model
 
 
 def _test_features(video: SyntheticVideo) -> np.ndarray:

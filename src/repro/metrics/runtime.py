@@ -20,7 +20,7 @@ Only *relative* runtimes (speedup factors, crossover points) are meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar, Protocol
 
 import numpy as np
 
@@ -175,6 +175,35 @@ class RuntimeLedger(Tagged, _GuardSlot):
         """Return an independent copy of the current state."""
         with self._fields:
             return RuntimeLedger(charges=dict(self.charges), calls=dict(self.calls))
+
+
+class ChargeSink(Protocol):
+    """Anything an operator charges: a :class:`RuntimeLedger` or a :class:`ChargeLog`."""
+
+    def charge(self, cost: OperatorCost, count: int = 1) -> float: ...
+
+
+class ChargeLog:
+    """The charges of one deterministic computation, kept in order to be
+    replayed onto ledgers later.
+
+    :meth:`replay` makes the same ``charge`` calls in the same order, so a
+    ledger's float sums come out bit for bit as if the computation had
+    charged it directly.  Written only before it is shared, then read-only.
+    """
+
+    def __init__(self) -> None:
+        self._charges: list[tuple[OperatorCost, int]] = []
+
+    def charge(self, cost: OperatorCost, count: int = 1) -> float:
+        """Record ``count`` invocations of ``cost``; returns the seconds they cost."""
+        self._charges.append((cost, count))
+        return cost.seconds_per_call * count
+
+    def replay(self, ledger: RuntimeLedger) -> None:
+        """Charge ``ledger`` with every recorded call, in the recorded order."""
+        for cost, count in self._charges:
+            ledger.charge(cost, count)
 
 
 class FrameCache:

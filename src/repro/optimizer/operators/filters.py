@@ -120,23 +120,9 @@ class FilterCascade(PhysicalOperator):
         )
 
     def _inference_inputs(self, context: ExecutionContext) -> FilterInferenceInputs:
-        labeled = context.require_labeled_set()
-        object_class = self.spec.object_class
-        if object_class is not None:
-            train_presence = labeled.train_presence(object_class)
-            heldout_presence = labeled.heldout_presence(object_class)
-        else:
-            train_presence = np.ones(labeled.train_video.num_frames, dtype=bool)
-            heldout_presence = np.ones(labeled.heldout_video.num_frames, dtype=bool)
-        heldout_positive_mask = self._heldout_positive_mask(context)
         return FilterInferenceInputs(
-            train_video=labeled.train_video,
-            heldout_video=labeled.heldout_video,
-            train_features=labeled.train_features,
-            heldout_features=labeled.heldout_features,
-            train_presence=train_presence,
-            heldout_presence=heldout_presence,
-            heldout_positive_mask=heldout_positive_mask,
+            labeled=context.require_labeled_set(),
+            heldout_positive_mask=self._heldout_positive_mask(context),
         )
 
     def _heldout_positive_mask(self, context: ExecutionContext) -> np.ndarray:

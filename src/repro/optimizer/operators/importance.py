@@ -46,12 +46,7 @@ class ImportanceOrderedScan(PhysicalOperator):
             model_type=context.config.specialized_model_type,
             training_config=context.config.training,
             seed=context.config.seed,
-        )
-        counts_per_class = {
-            object_class: labeled.train_counts(object_class)
-            for object_class in self.min_counts
-        }
-        model.fit(labeled.train_features, counts_per_class, training_ledger)
+        ).fit_heads(lambda head: labeled.fitted(head, training_ledger))
 
         inference_ledger = None if self.indexed else ledger
         scores = model.score_conjunction(

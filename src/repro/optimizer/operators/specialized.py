@@ -42,9 +42,9 @@ class SpecializedInference(PhysicalOperator):
     def train(
         self, context: ExecutionContext, ledger: ExecutionLedger
     ) -> CountSpecializedModel:
-        """Train the count-specialized NN on the labeled set's training day."""
+        """The count-specialized NN trained on the labeled set's training day
+        (fitted once per labeled set and configuration, charged every time)."""
         assert self.spec.object_class is not None  # enforced at plan construction
-        labeled = context.require_labeled_set()
         model = CountSpecializedModel(
             object_class=self.spec.object_class,
             model_type=context.config.specialized_model_type,
@@ -52,12 +52,7 @@ class SpecializedInference(PhysicalOperator):
             seed=context.config.seed,
         )
         training_ledger = ledger if context.config.include_training_time else None
-        model.fit(
-            labeled.train_features,
-            labeled.train_counts(self.spec.object_class),
-            training_ledger,
-        )
-        return model
+        return context.require_labeled_set().fitted(model, training_ledger)
 
     def heldout_error_bound(
         self,

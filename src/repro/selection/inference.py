@@ -12,7 +12,8 @@ parameters:
 3. **Content** — for each continuous UDF predicate, compute the frame-level
    score on the held-out set and calibrate a no-false-negative threshold; keep
    the filter only if it actually discards frames.
-4. **Label** — train a binary presence model for the queried class and
+4. **Label** — fit a binary presence model for the queried class on the
+   labeled set (once per configuration, :meth:`LabeledSet.fitted`) and
    calibrate its threshold for no false negatives on the held-out set.
 
 The ordering of the produced plan is cheapest-first (temporal and spatial are
@@ -23,6 +24,7 @@ is also what the paper's rule-based optimizer does implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +43,9 @@ from repro.specialization.calibration import calibrate_no_false_negative_thresho
 from repro.specialization.trainer import TrainingConfig
 from repro.video.synthetic import SyntheticVideo
 
+if TYPE_CHECKING:  # pragma: no cover - typing only (core imports the optimizer)
+    from repro.core.labeled_set import LabeledSet
+
 #: UDFs that have a frame-level feature implementation and can therefore be
 #: inferred as content filters.
 _CONTENT_FILTER_UDFS = {"redness", "blueness", "brightness"}
@@ -56,26 +61,17 @@ class FilterInferenceInputs:
 
     Attributes
     ----------
-    train_video, heldout_video:
-        The labelled training day and the held-out day.
-    train_features, heldout_features:
-        Cheap per-frame features of the two days (computed once by the
-        engine's labeled set).
-    train_presence, heldout_presence:
-        Boolean per-frame presence of the queried object class according to
-        the labeled set's detector run.
+    labeled:
+        The labeled set: the training day the label filter's model is fitted
+        on (:meth:`LabeledSet.fitted`) and the held-out day its thresholds
+        are calibrated on.
     heldout_positive_mask:
         Boolean per-frame mask of held-out frames that satisfy the *full*
         selection predicate (class + UDFs); used to calibrate no-false-negative
         thresholds.
     """
 
-    train_video: SyntheticVideo
-    heldout_video: SyntheticVideo
-    train_features: np.ndarray
-    heldout_features: np.ndarray
-    train_presence: np.ndarray
-    heldout_presence: np.ndarray
+    labeled: LabeledSet
     heldout_positive_mask: np.ndarray
 
 
@@ -137,7 +133,7 @@ def _infer_content(
             # Only lower-bound predicates translate into "keep high-score
             # frames" filters.
             continue
-        scores = feature_level_score(inputs.heldout_features, predicate.udf_name)
+        scores = feature_level_score(inputs.labeled.heldout_features, predicate.udf_name)
         calibration = calibrate_no_false_negative_threshold(scores, positives)
         discarded = 1.0 - calibration.selectivity
         if discarded < _MIN_USEFUL_DISCARD:
@@ -161,17 +157,20 @@ def _infer_label(
 ) -> LabelFilter | None:
     if spec.object_class is None:
         return None
-    train_presence = np.asarray(inputs.train_presence, dtype=bool)
+    labeled = inputs.labeled
+    train_presence = labeled.train_presence(spec.object_class)
     if train_presence.sum() < 8 or (~train_presence).sum() < 8:
         # Not enough of both classes to train a meaningful presence model.
         return None
-    model = BinaryPresenceModel(
-        object_class=spec.object_class,
-        model_type=model_type,
-        training_config=training_config,
+    model = labeled.fitted(
+        BinaryPresenceModel(
+            object_class=spec.object_class,
+            model_type=model_type,
+            training_config=training_config,
+        ),
+        ledger,
     )
-    model.fit(inputs.train_features, train_presence, ledger)
-    heldout_scores = model.predict_proba_present(inputs.heldout_features, ledger)
+    heldout_scores = model.predict_proba_present(labeled.heldout_features, ledger)
     calibration = calibrate_no_false_negative_threshold(
         heldout_scores, np.asarray(inputs.heldout_positive_mask, dtype=bool)
     )

@@ -112,6 +112,10 @@ def _json_response(status: int, payload: dict[str, Any]) -> _Response:
     return _Response(status, json.dumps(payload).encode())
 
 
+def _status_response(status: int, record: QueryRecord) -> _Response:
+    return _Response(status, record.status_json().encode())
+
+
 @dataclass(frozen=True)
 class _EventStream:
     """What the SSE route resolves to: the record and where to start reading."""
@@ -330,9 +334,9 @@ class QueryServiceApp:
             return self._submit_query(payload)
         if len(parts) == 2 and parts[0] == "queries":
             if method == "GET":
-                return _json_response(200, manager.query(parts[1]).status())
+                return _status_response(200, manager.query(parts[1]))
             if method == "DELETE":
-                return _json_response(200, manager.cancel(parts[1]))
+                return _status_response(200, manager.cancel(parts[1]))
         if (
             len(parts) == 3
             and parts[0] == "queries"
@@ -374,7 +378,7 @@ class QueryServiceApp:
             params=payload.get("params"),
         )
         if not payload.get("wait", True):
-            return _json_response(202, record.status())
+            return _status_response(202, record)
         if not record.done.wait(_BLOCKING_TIMEOUT):
             return _json_response(
                 504,
@@ -384,7 +388,7 @@ class QueryServiceApp:
                     "message": "query still running; poll GET /queries/{id}",
                 },
             )
-        return _json_response(200, record.status())
+        return _status_response(200, record)
 
     def _open_stream(
         self,

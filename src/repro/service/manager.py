@@ -38,7 +38,7 @@ from repro import wire
 from repro.core.events import Completed, ExecutionStream
 from repro.errors import BlazeItError
 from repro.obs.metrics import get_registry
-from repro.service.protocol import event_to_json, hints_from_json
+from repro.service.protocol import dumps_with, event_to_json, hints_from_json
 from repro.service.scheduler import FairScheduler
 from repro.sync import Guarded
 
@@ -223,9 +223,9 @@ class QueryRecord:
         self.log = EventLog()
         self.state = QUEUED
         self.result: QueryResult | None = None
-        #: The result's JSON form: the one the ``completed`` event on the
-        #: log carries, reused by :meth:`status` rather than encoded again.
-        self.result_json: dict[str, Any] | None = None
+        #: The result's JSON text, encoded once by the drainer: the
+        #: ``completed`` event on the log and :meth:`status_json` splice it in.
+        self.result_text: str | None = None
         self.stop_reason: str | None = None
         self.error: str | None = None
         self.cancel_requested = False
@@ -269,6 +269,21 @@ class QueryRecord:
 
     def status(self) -> dict[str, Any]:
         """JSON-ready status summary (no event payloads)."""
+        payload = self._summary()
+        if self.result_text is not None:
+            payload["result"] = json.loads(self.result_text)
+        return payload
+
+    def status_json(self) -> str:
+        """``json.dumps(self.status())``, with the result's text spliced in
+        instead of decoded and encoded again."""
+        payload = self._summary()
+        if self.result_text is None:
+            return json.dumps(payload)
+        payload["result"] = None
+        return dumps_with(payload, "result", self.result_text)
+
+    def _summary(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "query_id": self.query_id,
             "tenant": self.tenant_name,
@@ -284,8 +299,6 @@ class QueryRecord:
         }
         if self.error is not None:
             payload["error"] = self.error
-        if self.result_json is not None:
-            payload["result"] = self.result_json
         return payload
 
 
@@ -574,7 +587,13 @@ class ServiceManager:
         try:
             for event in stream:
                 envelope = event_to_json(event)
-                record.log.append(LoggedEvent(envelope["event"], json.dumps(envelope)))
+                if isinstance(event, Completed):
+                    data = envelope["data"]
+                    result_text = json.dumps(data["result"])
+                    text = dumps_with(envelope, "data", dumps_with(data, "result", result_text))
+                else:
+                    text = json.dumps(envelope)
+                record.log.append(LoggedEvent(envelope["event"], text))
                 if record.first_event_at is None:
                     record.first_event_at = time.perf_counter()
                     ttfe = record.ttfe_seconds
@@ -586,7 +605,7 @@ class ServiceManager:
                         )
                 if isinstance(event, Completed):
                     record.result = event.result
-                    record.result_json = envelope["data"]["result"]
+                    record.result_text = result_text
                     record.stop_reason = event.stop_reason
         except BlazeItError as exc:
             record.error = f"{type(exc).__name__}: {exc}"
@@ -649,13 +668,13 @@ class ServiceManager:
                 raise NotFoundError(f"unknown query {query_id!r}")
             return record
 
-    def cancel(self, query_id: str) -> dict[str, Any]:
+    def cancel(self, query_id: str) -> QueryRecord:
         """Cancel a query: dequeue it if still queued, else stop it cooperatively.
 
         For a running query this sets the shared cancellation token (every
         shard worker observes it between detection chunks) and lets the
-        drainer collect the partial result; the caller can wait on
-        ``record.done`` for the terminal state.
+        drainer collect the partial result; the caller can wait on the
+        returned record's ``done`` for the terminal state.
         """
         record = self.query(query_id)
         record.cancel_requested = True
@@ -664,11 +683,11 @@ class ServiceManager:
             self._finalise(record)
             record.log.close()
             record.done.set()
-            return record.status()
+            return record
         stream = record.stream
         if stream is not None:  # else already finalised: nothing left to stop
             stream.cancel()
-        return record.status()
+        return record
 
     # -- lifecycle -----------------------------------------------------------------
 

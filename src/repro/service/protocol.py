@@ -80,6 +80,16 @@ def result_fingerprint(result: QueryResult) -> str:
     return json.dumps(wire.encode_compared(result), sort_keys=True)
 
 
+def dumps_with(payload: dict[str, Any], key: str, text: str) -> str:
+    """``json.dumps(payload)`` byte for byte, with ``payload[key]`` written as
+    ``text``: JSON already serialized, spliced in rather than encoded again
+    (and copied once, by the one join)."""
+    parts: list[str] = []
+    for name, value in payload.items():
+        parts += (", ", json.dumps(name), ": ", text if name == key else json.dumps(value))
+    return "".join(["{", *parts[1:], "}"])
+
+
 def event_to_json(event: ExecutionEvent) -> dict[str, Any]:
     """Envelope form of one execution event: ``{"v", "event", "data"}``."""
     return {"v": PROTOCOL_VERSION, "event": event.wire_name, "data": wire.encode(event)}
@@ -113,6 +123,7 @@ def hints_from_json(payload: dict[str, Any] | None) -> QueryHints | None:
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "dumps_with",
     "event_to_json",
     "event_from_json",
     "result_to_json",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.runtime import RuntimeLedger, StandardCosts
+from repro.metrics.runtime import ChargeSink, RuntimeLedger, StandardCosts
 from repro.specialization.features import FeatureScaler
 from repro.specialization.models import SoftmaxRegression, TinyMLP
 from repro.specialization.trainer import TrainingConfig, train_classifier
@@ -46,7 +46,7 @@ class BinaryPresenceModel:
         self,
         features: np.ndarray,
         present: np.ndarray,
-        ledger: RuntimeLedger | None = None,
+        ledger: ChargeSink | None = None,
     ) -> "BinaryPresenceModel":
         """Train on per-frame features and boolean presence labels."""
         features = np.asarray(features, dtype=np.float64)

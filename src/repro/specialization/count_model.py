@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InsufficientTrainingDataError
-from repro.metrics.runtime import RuntimeLedger, StandardCosts
+from repro.metrics.runtime import ChargeSink, RuntimeLedger, StandardCosts
 from repro.specialization.features import FeatureScaler
 from repro.specialization.models import SoftmaxRegression, TinyMLP
 from repro.specialization.trainer import TrainingConfig, train_classifier
@@ -72,7 +72,7 @@ class CountSpecializedModel:
         self,
         features: np.ndarray,
         counts: np.ndarray,
-        ledger: RuntimeLedger | None = None,
+        ledger: ChargeSink | None = None,
     ) -> "CountSpecializedModel":
         """Train the model on per-frame features and detector counts."""
         features = np.asarray(features, dtype=np.float64)

@@ -12,6 +12,8 @@ per-class ``P(count >= N)`` probabilities, as in the paper.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.metrics.runtime import RuntimeLedger
@@ -47,17 +49,12 @@ class MultiClassCountModel:
         """Whether every head has been trained."""
         return all(head.is_trained for head in self.heads.values())
 
-    def fit(
-        self,
-        features: np.ndarray,
-        counts_per_class: dict[str, np.ndarray],
-        ledger: RuntimeLedger | None = None,
+    def fit_heads(
+        self, fit: Callable[[CountSpecializedModel], CountSpecializedModel]
     ) -> "MultiClassCountModel":
-        """Train each head on the shared features and its class's counts."""
-        for name in self.object_classes:
-            if name not in counts_per_class:
-                raise KeyError(f"missing counts for object class {name!r}")
-            self.heads[name].fit(features, counts_per_class[name], ledger)
+        """Replace each head, in class order, with ``fit(head)``: a fitted model
+        of the same class and settings (e.g. :meth:`LabeledSet.fitted`)."""
+        self.heads = {name: fit(head) for name, head in self.heads.items()}
         return self
 
     def head(self, object_class: str) -> CountSpecializedModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InsufficientTrainingDataError
-from repro.metrics.runtime import RuntimeLedger, StandardCosts
+from repro.metrics.runtime import ChargeSink, StandardCosts
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def train_classifier(
     features: np.ndarray,
     labels: np.ndarray,
     config: TrainingConfig | None = None,
-    ledger: RuntimeLedger | None = None,
+    ledger: ChargeSink | None = None,
 ) -> list[float]:
     """Train ``model`` in place and return the per-epoch mean loss.
 

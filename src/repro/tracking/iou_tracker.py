@@ -19,7 +19,9 @@ grow with a track's first row, so the first row stands in for the id.
 
 from __future__ import annotations
 
+import bisect
 import numbers
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -86,25 +88,46 @@ class IoUTracker:
         """The first row of every row's track."""
         first: list[int] = list(range(batch.class_code.size))
         position, older, newer, neg_iou = self._candidates(batch)
-        # One group of candidate pairs per frame, in frame order.
-        bounds = np.flatnonzero(np.diff(position)) + 1
-        groups = zip([0, *bounds.tolist()], [*bounds.tolist(), position.size], strict=True)
+        # Every pair in visiting order, frame group by frame group: by
+        # (-IoU, newer row, older row), which is the (-IoU, track id, newer,
+        # older) order except where two pairs of a group tie on IoU exactly.
+        order = np.lexsort((older, newer, neg_iou, position))
+        position, older, newer, neg_iou = (
+            position[order], older[order], newer[order], neg_iou[order]
+        )
+        tied = np.flatnonzero((position[1:] == position[:-1]) & (neg_iou[1:] == neg_iou[:-1]))
+        # Group ``g`` is pairs ``bounds[g - 1]:bounds[g]``.  A group with a
+        # tie is re-sorted when the pass reaches it, once the older rows'
+        # track ids (``first``) are final.
+        bounds = [0, *(np.flatnonzero(np.diff(position)) + 1).tolist(), position.size]
+        tied_groups = sorted({bisect.bisect_right(bounds, k) for k in tied.tolist()})
         older_list = older.tolist()
         newer_list = newer.tolist()
         neg_iou_list = neg_iou.tolist()
+
+        def visiting_order() -> Iterator[int]:
+            done = 0
+            for group in tied_groups:
+                begin, end = bounds[group - 1], bounds[group]
+                yield from range(done, begin)
+                yield from sorted(
+                    range(begin, end),
+                    key=lambda k: (
+                        neg_iou_list[k], first[older_list[k]], newer_list[k], older_list[k]
+                    ),
+                )
+                done = end
+            yield from range(done, position.size)
+
         is_last = [True] * len(first)
-        for begin, end in groups:
-            live = sorted(
-                (neg_iou_list[k], first[older_list[k]], newer_list[k], older_list[k])
-                for k in range(begin, end)
-                if is_last[older_list[k]]
-            )
-            for _neg_iou, track_first, new_row, old_row in live:
-                # Unmatched so far: the old row still ends its track, and the
-                # new row still starts its own (every track began earlier).
-                if is_last[old_row] and first[new_row] == new_row:
-                    first[new_row] = track_first
-                    is_last[old_row] = False
+        for k in visiting_order():
+            old_row = older_list[k]
+            new_row = newer_list[k]
+            # Unmatched so far: the old row still ends its track, and the
+            # new row still starts its own (every track began earlier).
+            if is_last[old_row] and first[new_row] == new_row:
+                first[new_row] = first[old_row]
+                is_last[old_row] = False
         return np.asarray(first, dtype=np.int64)
 
     def _candidates(
@@ -112,7 +135,7 @@ class IoUTracker:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Same-class row pairs at most ``max_gap`` frames apart (older row in
         an earlier result) whose IoU clears the threshold: the newer row's
-        frame position, both rows and the negated IoU, sorted by position."""
+        frame position, both rows and the negated IoU, in no particular order."""
         n = batch.class_code.size
         empty = np.zeros(0, dtype=np.int64)
         if n == 0:
@@ -148,6 +171,4 @@ class IoUTracker:
         newer = np.concatenate([p[0] for p in pieces])
         older = np.concatenate([p[1] for p in pieces])
         neg_iou = -np.concatenate([p[2] for p in pieces])
-        by_position = np.argsort(newer, kind="stable")
-        newer = newer[by_position]
-        return position[newer], older[by_position], newer, neg_iou[by_position]
+        return position[newer], older, newer, neg_iou

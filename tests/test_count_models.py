@@ -141,17 +141,9 @@ class TestBinaryPresenceModel:
 class TestMultiClassCountModel:
     @pytest.fixture(scope="class")
     def trained(self, tiny_labeled_set, fast_training_config):
-        model = MultiClassCountModel(
+        return MultiClassCountModel(
             ["car", "bus"], training_config=fast_training_config
-        )
-        model.fit(
-            tiny_labeled_set.train_features,
-            {
-                "car": tiny_labeled_set.train_counts("car"),
-                "bus": tiny_labeled_set.train_counts("bus"),
-            },
-        )
-        return model
+        ).fit_heads(tiny_labeled_set.fitted)
 
     def test_is_trained(self, trained):
         assert trained.is_trained
@@ -159,14 +151,6 @@ class TestMultiClassCountModel:
     def test_empty_classes_rejected(self):
         with pytest.raises(ValueError):
             MultiClassCountModel([])
-
-    def test_missing_counts_raises(self, tiny_labeled_set, fast_training_config):
-        model = MultiClassCountModel(["car", "bus"], training_config=fast_training_config)
-        with pytest.raises(KeyError):
-            model.fit(
-                tiny_labeled_set.train_features,
-                {"car": tiny_labeled_set.train_counts("car")},
-            )
 
     def test_unknown_head_raises(self, trained):
         with pytest.raises(KeyError):

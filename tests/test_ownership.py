@@ -21,6 +21,7 @@ import pytest
 
 from repro.api.hints import QueryHints
 from repro.core.engine import BlazeIt
+from repro.specialization.count_model import CountSpecializedModel
 
 QUERIES = {
     "aggregate": (
@@ -109,6 +110,24 @@ class TestDroppedEngine:
             result = engine.query(QUERIES["aggregate"], rng=np.random.default_rng(0))
             assert result.value > 0
             return [weakref.ref(engine), weakref.ref(engine.optimizer)]
+
+        assert_tree(block)
+
+    def test_with_the_models_its_labeled_set_fitted(
+        self, tiny_video, tiny_train_video, tiny_heldout_video, detector, engine_config
+    ):
+        def block():
+            engine = BlazeIt(detector=detector, config=engine_config)
+            engine.register_video("tiny", tiny_video, tiny_train_video, tiny_heldout_video)
+            for text in (QUERIES["aggregate"], QUERIES["scrubbing"], QUERIES["selection"]):
+                engine.query(text, rng=np.random.default_rng(0))
+            labeled = engine.labeled_set("tiny")
+            model = labeled.fitted(
+                CountSpecializedModel(
+                    "car", training_config=engine_config.training, seed=engine_config.seed
+                )
+            )
+            return [weakref.ref(engine), weakref.ref(labeled), weakref.ref(model)]
 
         assert_tree(block)
 

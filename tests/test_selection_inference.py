@@ -23,15 +23,7 @@ def inference_inputs(tiny_labeled_set):
             if det.object_class == "bus" and det.color_name == "red":
                 positives[frame] = True
                 break
-    return FilterInferenceInputs(
-        train_video=tiny_labeled_set.train_video,
-        heldout_video=tiny_labeled_set.heldout_video,
-        train_features=tiny_labeled_set.train_features,
-        heldout_features=tiny_labeled_set.heldout_features,
-        train_presence=tiny_labeled_set.train_presence("bus"),
-        heldout_presence=tiny_labeled_set.heldout_presence("bus"),
-        heldout_positive_mask=positives,
-    )
+    return FilterInferenceInputs(labeled=tiny_labeled_set, heldout_positive_mask=positives)
 
 
 class TestTemporalInference:

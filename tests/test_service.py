@@ -895,23 +895,49 @@ class TestRoutesOffTheLoop:
         )
 
     def test_query_status_reuses_the_completed_payload(self, direct_app, monkeypatch):
-        """The result is encoded once, into the ``completed`` event; the
-        status route serves those bytes without encoding it again."""
+        """The result is encoded once, by the drainer; the ``completed`` event
+        and the status routes (GET and DELETE) splice in that text, and their
+        bytes are what encoding the whole status would give."""
         app, manager, _, query_id = direct_app
         record = manager.query(query_id)
         completed = record.log.snapshot()[-1]
         assert completed.event == "completed"
-        expected = json.dumps(result_to_json(record.result)).encode()
+        expected = json.dumps(result_to_json(record.result))
+        assert record.result_text == expected
+        assert completed.data == json.dumps(json.loads(completed.data))
+        assert json.dumps(json.loads(completed.data)["data"]["result"]) == expected
+        status_bytes = json.dumps(record.status()).encode()
+
+        dumped: list[str] = []
+        real_dumps = json.dumps
+
+        def spy(obj, *args, **kwargs):
+            dumped.append(real_dumps(obj, *args, **kwargs))
+            return dumped[-1]
 
         def no_encoding(obj):
             raise AssertionError(f"{type(obj).__name__} encoded again")
 
-        monkeypatch.setattr(repro.wire, "encode", no_encoding)
-        response = route(app, "GET", f"/queries/{query_id}")
-        body = json.loads(response.body)
-        assert json.dumps(body["result"]).encode() == expected
-        assert json.dumps(json.loads(completed.data)["data"]["result"]).encode() == expected
-        assert record.status()["result"] is record.result_json
+        monkeypatch.setattr(json, "dumps", spy)
+        with monkeypatch.context() as blocked:
+            blocked.setattr(repro.wire, "encode", no_encoding)
+            response = route(app, "GET", f"/queries/{query_id}")
+            # Cancelling a finished query answers with the same status.
+            cancelled = route(app, "DELETE", f"/queries/{query_id}")
+        assert response.body == status_bytes
+        assert cancelled.body == status_bytes
+        assert not [text for text in dumped if expected in text]
+        assert sum(len(text) for text in dumped) < len(expected)
+
+        # A blocking submit: its drainer encodes the new result once, and
+        # neither the ``completed`` event nor the response encodes it again.
+        dumped.clear()
+        response = app._submit_query({"session": record.session_id, "query": "SELECT * FROM v"})
+        assert response.status == 200
+        submitted = manager.query(json.loads(response.body)["query_id"])
+        result_text = submitted.result_text
+        assert [text for text in dumped if result_text in text] == [result_text]
+        assert response.body == real_dumps(submitted.status()).encode()
 
     @pytest.mark.parametrize(
         "query_string, headers, start, cancel_on_disconnect",
